@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all assertions pass, 1 an asserted invariant failed (the
-report names it), 2 invalid input, 3 a size cap was exceeded.
+report names it), 2 invalid input or an unreadable config or unwritable
+--out file (one line on stderr), 3 a size cap was exceeded.
 """
 
 from __future__ import annotations
@@ -157,16 +158,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        record, ok = _HANDLERS[args.command](args)
-    except SizeCapError as error:
-        _emit(render_report(suite_mod.raised_size_cap(error), args.format or "json"),
-              args.out)
-        return 3
-    except ValueError as error:
+        try:
+            record, ok = _HANDLERS[args.command](args)
+            code = 0 if ok else 1
+        except SizeCapError as error:
+            record, code = suite_mod.raised_size_cap(error), 3
+        _emit(render_report(record, args.format or "json"), args.out)
+    except (ValueError, OSError) as error:  # invalid input, unreadable config, unwritable --out
         sys.stderr.write(f"error: {error}\n")
         return 2
-    _emit(render_report(record, args.format or "json"), args.out)
-    return 0 if ok else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -26,11 +26,9 @@ from math import comb, gcd
 from typing import Sequence, Union
 
 from .errors import SizeCapError
-from .linalg import SparseMatrix, kernel_basis, rank, span_dim
-from .polynomials import (Poly, det, divide_by_variable, integer_primitive,
-                          restrict_to_line, strip_variable_factors)
-
-Scalar = Union[int, Fraction]
+from .linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, rank
+from .polynomials import (Poly, degree_monomials, det, divide_by_variable,
+                          integer_primitive, restrict_to_line, strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -43,7 +41,7 @@ class BinaryForm:
     coeffs: tuple[Fraction, ...]
 
     @staticmethod
-    def of(values: Sequence[Scalar]) -> "BinaryForm":
+    def of(values: Sequence[int | Fraction]) -> "BinaryForm":
         return BinaryForm(tuple(Fraction(v) for v in values))
 
     @property
@@ -185,7 +183,7 @@ def _incidence_parametrization(d: int, l: int) -> list[Poly]:
     return out
 
 
-def parametrized_form(d: int, l: int, b: Scalar, g: Sequence[Scalar]) -> BinaryForm:
+def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fraction]) -> BinaryForm:
     """The form (x0 - b*x1)^(l+1) * g at a concrete parameter point."""
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
@@ -204,16 +202,7 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
     if degree < 1:
         raise ValueError("degree must be at least 1")
     params = _incidence_parametrization(d, l)
-
-    def monomials(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in monomials(total - first, parts - 1):
-                yield (first,) + rest
-
-    a_monomials = sorted(monomials(degree, d + 1))
+    a_monomials = sorted(degree_monomials(degree, d + 1))
     columns: dict[tuple[int, ...], int] = {}
     rows = []
     for exps in a_monomials:
@@ -234,41 +223,24 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
     return out
 
 
-def _degree_monomials(total: int, nvars: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _degree_monomials(total - first, nvars - 1):
-            yield (first,) + rest
-
-
 def _new_generators(piece: list[Poly], collected: list[Poly],
                     degree: int, d: int) -> list[Poly]:
     """Kernel elements not already in (collected) * monomials."""
     if not collected:
         return list(piece)
-    columns = {exps: i for i, exps in enumerate(sorted(_degree_monomials(degree, d + 1)))}
+    columns = {exps: i for i, exps in enumerate(sorted(degree_monomials(degree, d + 1)))}
 
     def row_of(p: Poly) -> dict[int, Fraction]:
         return {columns[e]: c for e, c in p.terms.items()}
 
-    rows = []
+    echelon = Echelon(len(columns))
     for g in collected:
         gap = degree - g.total_degree()
         if gap < 0:
             continue
-        for mono in _degree_monomials(gap, d + 1):
-            rows.append(row_of(g * Poly(d + 1, {mono: 1})))
-    out = []
-    base = span_dim(rows, len(columns))
-    for q in piece:
-        extended = span_dim(rows + [row_of(q)], len(columns))
-        if extended > base:
-            rows.append(row_of(q))
-            base = extended
-            out.append(q)
-    return out
+        for mono in degree_monomials(gap, d + 1):
+            echelon.add(row_of(g * Poly(d + 1, {mono: 1})))
+    return [q for q in piece if echelon.add(row_of(q))]
 
 
 def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
@@ -331,7 +303,7 @@ def eliminant_generators(d: int, l: int, cap: int = DEFAULT_DEGREE_CAP) -> list[
 
 
 def parametrization_jacobian_rank(d: int, l: int,
-                                  sample: tuple[Scalar, Sequence[Scalar]]) -> int:
+                                  sample: tuple[int | Fraction, Sequence[int | Fraction]]) -> int:
     """Exact rank of the Jacobian of the parametrization at a sample point."""
     b, g = sample
     if not 1 <= l < d:
@@ -399,22 +371,6 @@ def _uni_from_poly(p: Poly) -> list[Fraction]:
     for (e,), c in p.terms.items():
         out[e] = c
     return out
-
-
-def _uni_primitive_int(coeffs: Sequence[Fraction]) -> list[int]:
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g == 0:
-        return []
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
 
 
 def _divisors(n: int) -> list[int]:
@@ -740,7 +696,7 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
             if not any(direction):
                 continue
             restricted = restrict_to_line(target, base, direction)
-            coeffs = _uni_primitive_int(_uni_from_poly(restricted))
+            coeffs = primitive_integers(_uni_from_poly(restricted), -1)
             if len(coeffs) - 1 != total_degree:
                 continue  # degree dropped: unlucky direction
             verdict = _uni_irreducible_q(coeffs)

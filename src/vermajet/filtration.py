@@ -23,9 +23,10 @@ from typing import Sequence, Union
 from .errors import SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
-from .linalg import SparseMatrix, rref
+from .linalg import SparseMatrix, rank, rref
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
                        highest_weight_vector, sym_basis, weight_of)
+from .polynomials import degree_monomials
 
 DEFAULT_MONOMIAL_CAP = 50000
 
@@ -54,17 +55,8 @@ def pbw_monomials(num_generators: int, max_degree: int,
     if count > cap:
         raise SizeCapError("PBW monomial count", count, cap)
     out: list[tuple[int, ...]] = []
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     for degree in range(max_degree + 1):
-        out.extend(sorted(compositions(degree, num_generators)))
+        out.extend(sorted(degree_monomials(degree, num_generators)))
     return out
 
 
@@ -112,7 +104,7 @@ def _weight_multiset(rows: list[dict[int, Fraction]], basis, size: int,
         restricted = [row for row in restricted if row]
         if not restricted:
             continue
-        r = rref(SparseMatrix.from_rows(restricted, cols=cols)).rank
+        r = rank(SparseMatrix.from_rows(restricted, cols=cols))
         if r:
             out[weight] = r
     return out
@@ -193,7 +185,7 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     v = highest_weight_vector(m, n, d)
     vectors = [apply_pbw_monomial(generators, exps, v) for exps in monomials]
     rows = _vector_rows(vectors, index_of)
-    r = rref(SparseMatrix.from_rows(rows, cols=len(basis))).rank
+    r = rank(SparseMatrix.from_rows(rows, cols=len(basis)))
     return vectors, r == len(monomials)
 
 
@@ -224,7 +216,7 @@ def annihilator_dim(m: int, n: int, d: int, l: int,
     ctx = build_context(m, n)
     matrix = evaluation_matrix(m, n, d, l, "all", cap, monomial_cap)
     total = comb(ctx.N + l, ctx.N)
-    return total - rref(matrix).rank
+    return total - rank(matrix)
 
 
 @dataclass
@@ -245,8 +237,8 @@ def verma_split_check(m: int, n: int, d: int, l: int,
     dim_ul_g = comb(ctx.N + l, ctx.N)
     dim_ul_n = comb(m * n + l, m * n)
     n_matrix = evaluation_matrix(m, n, d, l, SubalgebraTag.N, cap, monomial_cap)
-    n_rank = rref(n_matrix).rank
-    g_rank = rref(evaluation_matrix(m, n, d, l, "all", cap, monomial_cap)).rank
+    n_rank = rank(n_matrix)
+    g_rank = rank(evaluation_matrix(m, n, d, l, "all", cap, monomial_cap))
     dim_ann = dim_ul_g - g_rank
     split_holds = (n_rank == n_matrix.rows == dim_ul_n) and (g_rank == dim_ul_n)
     return SplitReport(dim_ul_g, dim_ul_n, dim_ann, split_holds)
@@ -335,4 +327,4 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
             image = apply_pbw_monomial(ctx.basis, exps, v)
             if not image.is_zero:
                 rows.append(coordinates(image, index_of))
-    return rref(SparseMatrix.from_rows(rows, cols=total_cols)).rank
+    return rank(SparseMatrix.from_rows(rows, cols=total_cols))

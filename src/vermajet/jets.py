@@ -22,14 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .filtration import canonical_filtration
-from .linalg import SparseMatrix, kernel_basis, rref
+from .linalg import SparseMatrix, kernel_basis, rank, rref
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pair, sym_basis
-from .polynomials import Poly, det
-
-Scalar = Union[int, Fraction]
+from .polynomials import Poly, degree_monomials, det
 
 
 def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
@@ -94,19 +92,9 @@ def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
     """Chart-variable exponent tuples of total degree <= l, graded lex."""
     if l < 0:
         raise ValueError("l must be non-negative")
-    nvars = m * n
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     out: list[tuple[int, ...]] = []
     for degree in range(l + 1):
-        out.extend(sorted(compositions(degree, nvars)))
+        out.extend(sorted(degree_monomials(degree, m * n)))
     return out
 
 
@@ -175,7 +163,7 @@ def taylor_matrix(m: int, n: int, d: int, l: int,
     basis = section_space(m, n, d, cap)
     rows = [jet_truncation(s, m, n, l) for s in basis]
     matrix = SparseMatrix.from_rows(rows, cols=comb(m * n + l, m * n))
-    return matrix, rref(matrix).rank
+    return matrix, rank(matrix)
 
 
 def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction, ...]:
@@ -284,6 +272,6 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
         shifted = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
         row = {col_index[exps]: c for exps, c in shifted.terms.items()}
         rows.append(row)
-    shifted_rank = rref(SparseMatrix.from_rows(rows, cols=len(columns))).rank
+    shifted_rank = rank(SparseMatrix.from_rows(rows, cols=len(columns)))
     _, origin_rank = taylor_matrix(m, n, d, l, cap)
     return shifted_rank == origin_rank

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Mapping, Sequence
 
 
 class LieElement:
@@ -29,7 +27,7 @@ class LieElement:
 
     __slots__ = ("size", "entries")
 
-    def __init__(self, size: int, entries: Mapping[tuple[int, int], Scalar] | None = None):
+    def __init__(self, size: int, entries: Mapping[tuple[int, int], int | Fraction] | None = None):
         self.size = size
         clean: dict[tuple[int, int], Fraction] = {}
         trace = Fraction(0)
@@ -64,7 +62,7 @@ class LieElement:
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + (-1) * other
 
-    def __rmul__(self, scalar: Scalar) -> "LieElement":
+    def __rmul__(self, scalar: int | Fraction) -> "LieElement":
         c = Fraction(scalar)
         return LieElement(self.size, {k: c * v for k, v in self.entries.items()})
 

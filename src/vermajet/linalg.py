@@ -1,14 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
 Rank, reduced row echelon form, kernels and span dimensions with
-arbitrary-precision rational arithmetic.  Every dimension claim in the
-package reduces to a rank computed here, so there is no floating point and
-no tolerance anywhere.
+arbitrary-precision arithmetic; every dimension claim in the package
+reduces to a rank computed here, with no floating point and no tolerance.
 
-Elimination is fraction-free: rows are rescaled to coprime integers before
-and after every combination step, which keeps intermediate numerators small
-without ever dividing inexactly.  Pivoting is deterministic (leftmost
-nonzero column, first available row) so reduced forms are reproducible.
+All elimination runs in one `Echelon` of integer rows, each primitive (its
+entries share no common factor) with a positive pivot.  An added row is
+reduced fraction-free against the pivots in increasing column order and its
+content removed once; back-substitution runs only when the reduced form or
+a kernel is asked for.  The reduced form is unique, so `Fraction` appears
+only at the boundary: rref entries are Fraction(v, pivot) and kernel
+vectors are Fraction tuples.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class SparseMatrix:
         object.__setattr__(self, "entries", clean)
 
     @staticmethod
-    def from_rows(rows: Iterable[Union[Sequence[Scalar], Mapping[int, Scalar]]],
+    def from_rows(rows: Iterable[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
                   cols: int | None = None) -> "SparseMatrix":
         """Build a matrix from an iterable of rows (sequences or column maps)."""
         entries: dict[tuple[int, int], Fraction] = {}
@@ -68,9 +68,6 @@ class SparseMatrix:
                     entries[(r, c)] = v
         return SparseMatrix(count, 0 if width is None else width, entries)
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
-
     def row_dicts(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -81,7 +78,7 @@ class SparseMatrix:
         return SparseMatrix(self.cols, self.rows,
                             {(c, r): v for (r, c), v in self.entries.items()})
 
-    def matvec(self, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    def matvec(self, x: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
         out = [Fraction(0)] * self.rows
@@ -97,99 +94,140 @@ class SparseMatrix:
             dict(self.entries) == dict(other.entries)
 
 
+def primitive_integers(values: Sequence[int | Fraction], lead: int) -> list[int]:
+    """`values` scaled by one rational factor to integers with no common
+    factor and values[lead] > 0; each caller picks its sign convention
+    through `lead`.  All-zero input comes back as zeros."""
+    denom = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (denom // v.denominator) for v in values]
+    content = gcd(*ints)
+    if content and ints[lead] < 0:
+        content = -content
+    return ints if content in (0, 1) else [c // content for c in ints]
+
+
+def _primitive_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
+    # The nonzero entries as primitive integers, positive at the leftmost column.
+    cols = sorted(c for c, v in row.items() if v)
+    return dict(zip(cols, primitive_integers([row[c] for c in cols], 0)))
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
+    # row <- a*row - b*pivot_row with the smallest a > 0 clearing `col`.
+    a, b = pivot_row[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in pivot_row.items():
+        new = row.get(c, 0) - b * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+
+
+class Echelon:
+    """Row echelon form over the integers, grown one row at a time.
+
+    Rows are kept by pivot column (their leftmost nonzero column); each is
+    primitive with a positive pivot entry.
+    """
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self._rows: dict[int, dict[int, int]] = {}
+        self._reduced = True
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def add(self, row: Mapping[int, int | Fraction]) -> bool:
+        """Reduce `row` against the pivots in increasing column order; keep
+        it and return True when it leaves a new pivot."""
+        work = _primitive_row(row)
+        rows = self._rows
+        while work:
+            col = min(work)
+            pivot_row = rows.get(col)
+            if pivot_row is None:
+                rows[col] = _primitive_row(work)
+                self._reduced = False
+                return True
+            _eliminate(work, pivot_row, col)
+        return False
+
+    def reduced(self) -> list[dict[int, int]]:
+        """The primitive-integer reduced row echelon form, in pivot order;
+        back-substitutes on the first call after a new pivot."""
+        rows = self._rows
+        pivots = sorted(rows)
+        if not self._reduced:
+            for col in reversed(pivots):
+                row = rows[col]
+                targets = [c for c in row if c != col and c in rows]
+                for c in targets:
+                    _eliminate(row, rows[c], c)
+                if targets:
+                    rows[col] = _primitive_row(row)
+            self._reduced = True
+        return [rows[c] for c in pivots]
+
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """Basis of {x : M x = 0}, one vector per free column, where M has
+        the added rows; x is 1 at its free column and 0 at the others."""
+        reduced = self.reduced()
+        free = [c for c in range(self.cols) if c not in self._rows]
+        basis = {c: [Fraction(0)] * c + [Fraction(1)] + [Fraction(0)] * (self.cols - c - 1)
+                 for c in free}
+        for col, row in zip(self.pivots, reduced):
+            for c, v in row.items():
+                if c != col:
+                    basis[c][col] = Fraction(-v, row[col])
+        return [tuple(basis[c]) for c in free]
+
+
 class RrefResult(NamedTuple):
     rank: int
     pivots: list[int]
     reduced: SparseMatrix
+    echelon: Echelon
 
 
-def _normalize_row(row: dict[int, Fraction]) -> None:
-    # Rescale in place to coprime integer entries, preserving signs.
-    if not row:
-        return
-    denom = 1
-    for v in row.values():
-        denom = lcm(denom, v.denominator)
-    num = 0
-    for v in row.values():
-        num = gcd(num, v.numerator * (denom // v.denominator))
-    scale = Fraction(denom, num)
-    if scale != 1:
-        for c in row:
-            row[c] *= scale
+def _echelon(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> Echelon:
+    echelon = Echelon(cols)
+    for row in rows:
+        echelon.add(row)
+    return echelon
 
 
 def rref(matrix: SparseMatrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
-    work = matrix.row_dicts()
-    for row in work:
-        _normalize_row(row)
-    pivots: list[int] = []
-    next_pivot = 0
-    for col in range(matrix.cols):
-        if next_pivot == len(work):
-            break
-        sel = None
-        for i in range(next_pivot, len(work)):
-            if work[i].get(col):
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[next_pivot], work[sel] = work[sel], work[next_pivot]
-        piv = work[next_pivot]
-        a = piv[col]
-        for i, row in enumerate(work):
-            if i == next_pivot:
-                continue
-            b = row.get(col)
-            if not b:
-                continue
-            # Fraction-free combination: a*row - b*piv clears column `col`.
-            for c, pv in piv.items():
-                new = a * row.get(c, 0) - b * pv
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
-            for c in list(row):
-                if c not in piv:
-                    row[c] = a * row[c]
-            _normalize_row(row)
-        pivots.append(col)
-        next_pivot += 1
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i, col in enumerate(pivots):
-        inv = 1 / work[i][col]
-        for c, v in work[i].items():
-            entries[(i, c)] = v * inv
+    echelon = _echelon(matrix.row_dicts(), matrix.cols)
+    pivots = echelon.pivots
+    entries = {(i, c): Fraction(v, row[col])
+               for i, (col, row) in enumerate(zip(pivots, echelon.reduced()))
+               for c, v in row.items()}
     reduced = SparseMatrix(matrix.rows, matrix.cols, entries)
-    return RrefResult(len(pivots), pivots, reduced)
+    return RrefResult(len(pivots), pivots, reduced, echelon)
 
 
 def rank(matrix: SparseMatrix) -> int:
-    return rref(matrix).rank
+    return _echelon(matrix.row_dicts(), matrix.cols).rank
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of {x : M x = 0}; one vector per free column of the rref."""
-    result = rref(matrix)
-    pivot_of_col = {col: i for i, col in enumerate(result.pivots)}
-    basis: list[tuple[Fraction, ...]] = []
-    for free in range(matrix.cols):
-        if free in pivot_of_col:
-            continue
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for i, col in enumerate(result.pivots):
-            coeff = result.reduced.entry(i, free)
-            if coeff:
-                vec[col] = -coeff
-        basis.append(tuple(vec))
-    return basis
+    return rref(matrix).echelon.kernel()
 
 
-def _rows_matrix(vectors: Sequence[Union[Sequence[Scalar], Mapping[int, Scalar]]],
+def _rows_matrix(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
                  dim: int | None) -> SparseMatrix:
     if not vectors:
         return SparseMatrix(0, dim or 0, {})
@@ -201,16 +239,16 @@ def _rows_matrix(vectors: Sequence[Union[Sequence[Scalar], Mapping[int, Scalar]]
     return SparseMatrix.from_rows(vectors, cols=dim)
 
 
-def span_dim(vectors: Sequence[Union[Sequence[Scalar], Mapping[int, Scalar]]],
+def span_dim(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
              dim: int | None = None) -> int:
     """Dimension of the span of the given vectors."""
     return rank(_rows_matrix(vectors, dim))
 
 
-def in_span(vectors: Sequence[Union[Sequence[Scalar], Mapping[int, Scalar]]],
-            candidate: Union[Sequence[Scalar], Mapping[int, Scalar]],
+def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
+            candidate: Union[Sequence[int | Fraction], Mapping[int, int | Fraction]],
             dim: int | None = None) -> bool:
     """Whether candidate lies in the span of the given vectors."""
-    base = span_dim(vectors, dim)
-    extended = span_dim(list(vectors) + [candidate], dim)
-    return extended == base
+    matrix = _rows_matrix(list(vectors) + [candidate], dim)
+    *rows, last = matrix.row_dicts()
+    return not _echelon(rows, matrix.cols).add(last)

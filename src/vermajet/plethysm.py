@@ -18,12 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import SizeCapError
 from .lie import LieElement, Weight
-
-Scalar = Union[int, Fraction]
 
 Wedge = tuple[int, ...]
 SymIndex = tuple[Wedge, ...]
@@ -36,7 +34,7 @@ class PlethysmVector:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[SymIndex, Scalar] | None = None):
+    def __init__(self, coeffs: Mapping[SymIndex, int | Fraction] | None = None):
         clean: dict[SymIndex, Fraction] = {}
         if coeffs:
             for idx, value in coeffs.items():
@@ -60,7 +58,7 @@ class PlethysmVector:
     def __sub__(self, other: "PlethysmVector") -> "PlethysmVector":
         return self + (-1) * other
 
-    def __rmul__(self, scalar: Scalar) -> "PlethysmVector":
+    def __rmul__(self, scalar: int | Fraction) -> "PlethysmVector":
         c = Fraction(scalar)
         out = PlethysmVector()
         if c:
@@ -162,10 +160,6 @@ def weight_of(idx: SymIndex, size: int) -> Weight:
         for value in wedge:
             counts[value - 1] += 1
     return Weight(counts)
-
-
-def weights_in_support(w: PlethysmVector, size: int) -> set[Weight]:
-    return {weight_of(idx, size) for idx in w.coeffs}
 
 
 def _matching_count(idx: SymIndex) -> int:

@@ -9,20 +9,19 @@ the chart expansions and eliminants need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
-Scalar = Union[int, Fraction]
+from .linalg import primitive_integers
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _as_fraction(value: int | Fraction) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Poly:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         self.nvars = nvars
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
@@ -41,7 +40,7 @@ class Poly:
         return Poly(nvars)
 
     @staticmethod
-    def const(nvars: int, value: Scalar) -> "Poly":
+    def const(nvars: int, value: int | Fraction) -> "Poly":
         return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
@@ -149,10 +148,6 @@ class Poly:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms sorted by ascending exponent tuple (plain lex)."""
-        return sorted(self.terms.items())
-
     # -- calculus and substitution --------------------------------------
 
     def derivative(self, index: int) -> "Poly":
@@ -178,7 +173,7 @@ class Poly:
         out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
         return out
 
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+    def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
         vals = [_as_fraction(x) for x in point]
@@ -191,7 +186,7 @@ class Poly:
             total += term
         return total
 
-    def substitute(self, values: Sequence[Union["Poly", Scalar]],
+    def substitute(self, values: Sequence[Union["Poly", int, Fraction]],
                    nvars_out: int | None = None) -> "Poly":
         """Compose: replace variable i by values[i] (polynomials or scalars)."""
         if len(values) != self.nvars:
@@ -257,7 +252,7 @@ class Poly:
         return f"Poly({self.to_string()})"
 
 
-def det(rows: Sequence[Sequence[Union[Poly, Scalar]]]) -> Poly:
+def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     """Determinant of a square matrix of polynomials, by minor expansion."""
     size = len(rows)
     nvars = None
@@ -297,21 +292,23 @@ def det(rows: Sequence[Sequence[Union[Poly, Scalar]]]) -> Poly:
     return minor(tuple(range(size)))
 
 
+def degree_monomials(total: int, nvars: int):
+    """Exponent tuples over nvars variables with the given total degree, in lex order."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in degree_monomials(total - first, nvars - 1):
+            yield (first,) + rest
+
+
 def integer_primitive(p: Poly) -> Poly:
     """Scale to integer coefficients with content 1, lex-first term positive."""
     if p.is_zero:
         return p
-    denom = 1
-    for c in p.terms.values():
-        denom = lcm(denom, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, c.numerator * (denom // c.denominator))
-    scale = Fraction(denom, num)
-    first = min(p.terms)
-    if p.terms[first] < 0:
-        scale = -scale
-    return p * scale
+    exps = list(p.terms)
+    coeffs = primitive_integers(list(p.terms.values()), exps.index(min(exps)))
+    return Poly(p.nvars, dict(zip(exps, coeffs)))
 
 
 def divisible_by_variable(p: Poly, index: int) -> bool:
@@ -337,7 +334,8 @@ def strip_variable_factors(p: Poly) -> Poly:
     return p
 
 
-def restrict_to_line(p: Poly, base: Sequence[Scalar], direction: Sequence[Scalar]) -> Poly:
+def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
+                     direction: Sequence[int | Fraction]) -> Poly:
     """Univariate restriction t -> p(base + t*direction)."""
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ValueError("base and direction must match the variable count")

@@ -59,30 +59,59 @@ class SuiteConfig:
         for d, l in self.disc_cases:
             if not 1 <= l < d:
                 raise ValueError(f"invalid discriminant case ({d},{l})")
+        for m, n, degrees, l in self.direct_sums:
+            if min(m, n, l, *degrees) < 1 or not degrees:
+                raise ValueError(f"invalid direct sum ({m},{n},{list(degrees)},{l})")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
 
+_CONFIG_KEYS = ("cases", "disc_cases", "direct_sums", "ambient_cap",
+                "monomial_cap", "degree_cap", "format", "seed")
+
+
+def _ints(value, arity: int | None, what: str) -> tuple[int, ...]:
+    """A JSON list of `arity` integers (of any length when None) as a tuple."""
+    if (not isinstance(value, list) or arity not in (None, len(value))
+            or not all(type(v) is int for v in value)):
+        count = "any number of" if arity is None else arity
+        raise ValueError(f"{what} must be a list of {count} integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
+def _direct_sum(entry) -> tuple[int, int, tuple[int, ...], int]:
+    if not isinstance(entry, list) or len(entry) != 4:
+        raise ValueError(f"a direct sum must be [m, n, [degrees], l], got {json.dumps(entry)}")
+    m, n, l = _ints([entry[0], entry[1], entry[3]], 3, "direct sum m, n, l")
+    return m, n, _ints(entry[2], None, "direct sum degrees"), l
+
+
 def load_config(path: str) -> SuiteConfig:
+    """Read a JSON config object; anything but the known keys with integer
+    entries of the right shape is rejected with a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key in ("cases", "disc_cases", "direct_sums"):
+        if not isinstance(raw.get(key, []), list):
+            raise ValueError(f"{key} must be a list")
     config = SuiteConfig()
     if "cases" in raw:
-        config.cases = [tuple(case) for case in raw["cases"]]
+        config.cases = [_ints(case, 3, "a case") for case in raw["cases"]]
     if "disc_cases" in raw:
-        config.disc_cases = [tuple(case) for case in raw["disc_cases"]]
+        config.disc_cases = [_ints(case, 2, "a discriminant case") for case in raw["disc_cases"]]
     if "direct_sums" in raw:
-        config.direct_sums = [(c[0], c[1], tuple(c[2]), c[3]) for c in raw["direct_sums"]]
-    if "ambient_cap" in raw:
-        config.ambient_cap = int(raw["ambient_cap"])
-    if "monomial_cap" in raw:
-        config.monomial_cap = int(raw["monomial_cap"])
-    if "degree_cap" in raw:
-        config.degree_cap = int(raw["degree_cap"])
+        config.direct_sums = [_direct_sum(entry) for entry in raw["direct_sums"]]
+    for key in ("ambient_cap", "monomial_cap", "degree_cap", "seed"):
+        if key in raw and type(raw[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {json.dumps(raw[key])}")
+        setattr(config, key, raw.get(key, getattr(config, key)))
     if "format" in raw:
         config.fmt = raw["format"]
-    if "seed" in raw:
-        config.seed = int(raw["seed"])
     config.validate()
     return config
 

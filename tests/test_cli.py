@@ -139,3 +139,39 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["ok"] is True
+
+
+def _one_line_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_config_entry_of_wrong_type_exits_2(capsys, tmp_path):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({"cases": [[1, 1, "3"]]}))
+    err = _one_line_error(capsys, "suite", "--config", str(config))
+    assert "a case must be a list of 3 integers" in err
+
+
+def test_config_top_level_array_exits_2(capsys, tmp_path):
+    config = tmp_path / "array.json"
+    config.write_text(json.dumps([[1, 1, 3]]))
+    err = _one_line_error(capsys, "suite", "--config", str(config))
+    assert "JSON object" in err
+
+
+def test_missing_config_exits_2(capsys, tmp_path):
+    err = _one_line_error(capsys, "suite", "--config", str(tmp_path / "absent.json"))
+    assert "absent.json" in err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"cases": [], "disc_cases": [], "direct_sums": []}))
+    target = tmp_path / "missing" / "x.json"
+    err = _one_line_error(capsys, "--out", str(target), "suite", "--config", str(config))
+    assert "x.json" in err
+    assert not target.exists()

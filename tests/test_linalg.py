@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vermajet.linalg import (SparseMatrix, in_span, kernel_basis, rank, rref,
-                             span_dim)
+from vermajet.discriminant import _incidence_parametrization
+from vermajet.linalg import (Echelon, SparseMatrix, in_span, kernel_basis,
+                             primitive_integers, rank, rref, span_dim)
+from vermajet.polynomials import Poly, degree_monomials
 
 
 def test_identity_rref():
@@ -130,3 +135,106 @@ def test_entries_validated():
     import pytest
     with pytest.raises(ValueError):
         SparseMatrix(1, 1, {(1, 0): Fraction(1)})
+
+
+def test_primitive_integers_sign_conventions():
+    values = [Fraction(-2, 3), Fraction(4, 9), 0, Fraction(2)]
+    assert primitive_integers(values, 0) == [3, -2, 0, -9]
+    assert primitive_integers(values, -1) == [-3, 2, 0, 9]
+    assert primitive_integers([0, 0], 0) == [0, 0]
+    assert primitive_integers([], -1) == []
+
+
+_small_ints = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def _integer_rows(draw):
+    cols = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(_small_ints, min_size=cols, max_size=cols), max_size=7))
+    return rows, cols
+
+
+def _echelon_of(rows, cols, reduce_after=None):
+    echelon = Echelon(cols)
+    for i, row in enumerate(rows):
+        before = echelon.rank
+        assert echelon.add(dict(enumerate(row))) == (echelon.rank == before + 1)
+        if i == reduce_after:
+            echelon.reduced()  # adding after a reduction must keep working
+    return echelon
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_rows(), st.data())
+def test_echelon_invariant_under_row_permutation_and_scaling(case, data):
+    rows, cols = case
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(st.integers(min_value=-5, max_value=5).filter(bool),
+                                min_size=len(rows), max_size=len(rows)))
+    moved = [[s * v for v in rows[i]] for i, s in zip(order, scales)]
+    first = _echelon_of(rows, cols)
+    second = _echelon_of(moved, cols, reduce_after=len(rows) // 2)
+    assert first.rank == second.rank
+    assert first.pivots == second.pivots
+    assert first.reduced() == second.reduced()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_rows())
+def test_echelon_kernel_and_primitive_rows(case):
+    rows, cols = case
+    echelon = _echelon_of(rows, cols)
+    kernel = echelon.kernel()
+    assert len(kernel) == cols - echelon.rank
+    for vec in kernel:
+        assert all(sum(row[c] * vec[c] for c in range(cols)) == 0 for row in rows)
+    for col, row in zip(echelon.pivots, echelon.reduced()):
+        assert min(row) == col and row[col] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(c in row for c in echelon.pivots if c != col)
+
+
+def _sympy_rref(sympy, rows, cols):
+    reduced, pivots = sympy.Matrix(len(rows), cols, [v for row in rows for v in row]).rref()
+    return list(pivots), [[Fraction(int(v.p), int(v.q)) for v in reduced.row(i)]
+                          for i in range(len(rows))]
+
+
+def _dense(result, rows, cols):
+    return [[result.reduced.entries.get((r, c), Fraction(0)) for c in range(cols)]
+            for r in range(rows)]
+
+
+def test_rref_matches_sympy_on_random_integer_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(150):
+        nrows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)]
+                for _ in range(nrows)]
+        result = rref(SparseMatrix.from_rows(rows))
+        assert (result.pivots, _dense(result, nrows, cols)) == _sympy_rref(sympy, rows, cols)
+
+
+def test_rref_matches_sympy_on_graded_relations_matrix():
+    # The (d, l, degree) = (5, 2, 3) pullback matrix: rows are the cubic
+    # monomials in a_0..a_5, columns the monomials in (b, c) of their
+    # pullbacks.  graded_relations takes the kernel of its transpose.
+    sympy = pytest.importorskip("sympy")
+    params = _incidence_parametrization(5, 2)
+    columns: dict[tuple[int, ...], int] = {}
+    pullback_rows = []
+    for exps in sorted(degree_monomials(3, 6)):
+        pullback = Poly.const(params[0].nvars, 1)
+        for k, e in enumerate(exps):
+            pullback = pullback * params[k] ** e
+        pullback_rows.append({columns.setdefault(bc, len(columns)): c
+                              for bc, c in pullback.terms.items()})
+    matrix = SparseMatrix.from_rows(pullback_rows, cols=len(columns))
+    for m in (matrix, matrix.transpose()):
+        rows = [[int(row.get(c, 0)) for c in range(m.cols)] for row in m.row_dicts()]
+        result = rref(m)
+        assert result.rank == 56
+        assert (result.pivots, _dense(result, m.rows, m.cols)) == _sympy_rref(sympy, rows, m.cols)
+    assert (matrix.rows, matrix.cols) == (56, 100)

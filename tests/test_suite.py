@@ -59,6 +59,26 @@ def test_load_config(tmp_path):
     assert config.ambient_cap == 5000
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"cases": [[1, 1, 3.0]]}, "a case must be a list of 3 integers"),
+    ({"cases": [[1, 1]]}, "a case must be a list of 3 integers"),
+    ({"cases": [[1, True, 3]]}, "a case must be a list of 3 integers"),
+    ({"cases": 3}, "cases must be a list"),
+    ({"disc_cases": [[3, 1, 0]]}, "a discriminant case must be a list of 2 integers"),
+    ({"direct_sums": [[1, 1, 2, 1]]}, "direct sum degrees"),
+    ({"direct_sums": [[1, 1, [2, 3]]]}, "a direct sum must be"),
+    ({"direct_sums": [[1, 1, [], 1]]}, "invalid direct sum"),
+    ({"seed": "9"}, "seed must be an integer"),
+    ({"case": [[1, 1, 3]]}, "unknown config keys: case"),
+    ({"format": "yaml"}, "unknown format"),
+])
+def test_load_config_rejects_malformed_entries(tmp_path, raw, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
+        load_config(str(path))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(ambient_cap=0).validate()
