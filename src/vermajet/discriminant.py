@@ -14,6 +14,11 @@ degree as the exact kernel of the pullback along the incidence
 parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
 identity, so membership of the image in every generator is exact by
 construction.
+
+Irreducibility evidence restricts an eliminant to seeded lines.  Each
+univariate restriction is proved irreducible over Q by mod-p degree
+patterns (distinct-degree factorization over GF(p) at several primes),
+proved reducible only by a rational root, and otherwise left unknown.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .polynomials import (Poly, degree_monomials, det, divide_by_variable,
 DEFAULT_DEGREE_CAP = 6
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-_KRONECKER_COMBO_CAP = 400000
 
 
 @dataclass(frozen=True)
@@ -386,13 +390,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _uni_eval_int(coeffs: Sequence[int], x: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
 def _has_rational_root(coeffs: Sequence[int]) -> bool:
     if coeffs[0] == 0:
         return True  # root at 0
@@ -410,136 +407,47 @@ def _has_rational_root(coeffs: Sequence[int]) -> bool:
     return False
 
 
-def _uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        quotient[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        while a and not a[-1]:
-            a.pop()
-    return quotient, a
-
-
-def _uni_gcd_degree(a: Sequence[int], b: Sequence[int]) -> int:
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb and any(fb):
-        _, r = _uni_divmod(fa, fb)
-        fa, fb = fb, r
-    while fa and not fa[-1]:
-        fa.pop()
-    return len(fa) - 1
-
-
-def _divides_int(num: Sequence[int], div: Sequence[int]) -> bool:
-    q, r = _uni_divmod([Fraction(c) for c in num], [Fraction(c) for c in div])
-    return not any(r)
-
-
-def _kronecker_reducible(coeffs: list[int], combo_cap: int = _KRONECKER_COMBO_CAP):
-    """True if a nontrivial factor of degree >= 2 exists; False if provably
-    none; None when the divisor enumeration would exceed the work cap."""
-    degree = len(coeffs) - 1
-    points = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    for k in range(2, degree // 2 + 1):
-        values = []
-        for x in points:
-            v = _uni_eval_int(coeffs, x)
-            if v != 0:
-                values.append((x, v))
-            if len(values) == k + 1:
-                break
-        if len(values) < k + 1:
-            return None
-        divisor_lists = []
-        combos = 1
-        for _, v in values:
-            divs = _divisors(v)
-            signed = [s for dv in divs for s in (dv, -dv)]
-            divisor_lists.append(signed)
-            combos *= len(signed)
-        if combos > combo_cap:
-            return None
-        xs = [Fraction(x) for x, _ in values]
-
-        def search(level: int, chosen: list[int]):
-            if level == k + 1:
-                # Lagrange interpolation through (xs, chosen)
-                candidate = [Fraction(0)] * (k + 1)
-                for idx, y in enumerate(chosen):
-                    basis = [Fraction(1)]
-                    denomin = Fraction(1)
-                    for j, xj in enumerate(xs):
-                        if j == idx:
-                            continue
-                        new = [Fraction(0)] * (len(basis) + 1)
-                        for t, c in enumerate(basis):
-                            new[t] -= c * xj
-                            new[t + 1] += c
-                        basis = new
-                        denomin *= xs[idx] - xj
-                    scale = Fraction(y) / denomin
-                    for t, c in enumerate(basis):
-                        candidate[t] += scale * c
-                if not candidate[-1]:
-                    return False
-                if any(c.denominator != 1 for c in candidate):
-                    return False
-                cand_int = [int(c) for c in candidate]
-                if _divides_int(coeffs, cand_int):
-                    return True
-                return False
-            for y in divisor_lists[level]:
-                if search(level + 1, chosen + [y]):
-                    return True
-            return False
-
-        if search(0, []):
-            return True
-    return False
-
-
-def _gfp_normalize(coeffs: Sequence[int], p: int) -> tuple[int, ...]:
+def _gfp_trim(coeffs: Sequence[int], p: int) -> list[int]:
+    """Coefficients reduced mod p, trailing zeros stripped."""
     out = [c % p for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
-    return tuple(out)
+    return out
+
+
+def _gfp_monic(f: Sequence[int], p: int) -> list[int]:
+    inv = pow(f[-1], p - 2, p)
+    return [c * inv % p for c in f]
+
+
+def _gfp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over GF(p); a and b trimmed, b nonzero."""
+    inv = pow(b[-1], p - 2, p)
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        factor = r[-1] * inv % p
+        offset = len(r) - len(b)
+        quotient[offset] = factor
+        for i, c in enumerate(b):
+            r[offset + i] = (r[offset + i] - factor * c) % p
+        while r and r[-1] == 0:
+            r.pop()
+    return quotient, r
 
 
 def _gfp_mulmod(a, b, f, p):
+    """a * b mod f over GF(p); f monic."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    # reduce mod f (f monic)
-    deg_f = len(f) - 1
-    for i in range(len(prod) - 1, deg_f - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(deg_f + 1):
-                prod[i - deg_f + j] = (prod[i - deg_f + j] - c * f[j]) % p
-    out = prod[:deg_f]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+                prod[i + j] += ca * cb
+    return _gfp_divmod(_gfp_trim(prod, p), f, p)[1]
 
 
 def _gfp_powmod(base, exponent, f, p):
-    result = (1,)
+    result = [1]
     b = base
     while exponent:
         if exponent & 1:
@@ -550,98 +458,66 @@ def _gfp_powmod(base, exponent, f, p):
 
 
 def _gfp_gcd(a, b, p):
-    def trim(v):
-        v = [c % p for c in v]
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
+    """Monic gcd over GF(p); empty when both are zero mod p."""
+    a, b = _gfp_trim(a, p), _gfp_trim(b, p)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            factor = r[-1] * inv % p
-            offset = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[offset + i] = (r[offset + i] - factor * c) % p
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return tuple(a)
+        a, b = b, _gfp_divmod(a, b, p)[1]
+    return _gfp_monic(a, p) if a else a
 
 
-def _gfp_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's test over GF(p); coeffs ascending, degree preserved mod p."""
-    f = list(_gfp_normalize(coeffs, p))
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    inv = pow(f[-1], p - 2, p)
-    f = [c * inv % p for c in f]
-    x = (0, 1)
-    prime_divs = set()
-    k = n
-    q = 2
-    while q * q <= k:
-        while k % q == 0:
-            prime_divs.add(q)
-            k //= q
-        q += 1
-    if k > 1:
-        prime_divs.add(k)
-    power = x
-    for _ in range(n):
-        power = _gfp_powmod(power, p, f, p)
-    minus_x = list(power)
-    while len(minus_x) < 2:
-        minus_x.append(0)
-    minus_x[1] = (minus_x[1] - 1) % p
-    if any(c % p for c in minus_x):
-        return False
-    for q in prime_divs:
-        power = x
-        for _ in range(n // q):
-            power = _gfp_powmod(power, p, f, p)
-        diff = list(power)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if not any(c % p for c in diff):
-            return False  # x^(p^(n/q)) = x, so f splits into small factors
-        if len(_gfp_gcd(f, diff, p)) > 1:
-            return False
-    return True
+def _gfp_factor_degrees(f: Sequence[int], p: int) -> list[int]:
+    """Degrees of the irreducible factors of f over GF(p), by distinct-degree
+    factorization; f trimmed mod p, squarefree and of degree at least 1."""
+    g = _gfp_monic(f, p)
+    degrees = []
+    h = [0, 1]  # x^(p^k) mod g
+    k = 0
+    while 2 * (k + 1) <= len(g) - 1:
+        k += 1
+        h = _gfp_powmod(h, p, g, p)
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] -= 1
+        common = _gfp_gcd(g, h_minus_x, p)
+        if len(common) > 1:
+            # every irreducible factor of degree k divides x^(p^k) - x once
+            degrees += [k] * ((len(common) - 1) // k)
+            g = _gfp_divmod(g, common, p)[0]
+            h = _gfp_divmod(h, g, p)[1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)  # no factor of degree <= half its degree
+    return degrees
 
 
 def _uni_irreducible_q(coeffs: list[int]):
-    """True / False / None (inconclusive) for irreducibility over Q."""
+    """True / False / None (unknown) for irreducibility over Q.
+
+    True is certified by mod-p degree patterns (Musser 1978): a factor over
+    Q of degree k would give, for every prime p not dividing the leading
+    coefficient with f squarefree mod p, a set of factors over GF(p) whose
+    degrees sum to k.  When no 0 < k < n is such a subset sum for every
+    usable prime, f is irreducible.  False comes only from a rational root.
+    """
     degree = len(coeffs) - 1
     if degree <= 0:
         return False
     if degree == 1:
         return True
-    if _has_rational_root(coeffs):
-        return False
-    if degree <= 3:
-        return True
-    derivative = [k * c for k, c in enumerate(coeffs)][1:]
-    if _uni_gcd_degree(coeffs, derivative) > 0:
-        return False  # repeated factor
+    possible = set(range(degree + 1))
     for p in _CERT_PRIMES:
         if coeffs[-1] % p == 0:
             continue
-        reduced = _gfp_normalize(coeffs, p)
-        if len(reduced) - 1 != degree:
-            continue
-        if _gfp_irreducible(coeffs, p):
+        f = _gfp_trim(coeffs, p)
+        if len(_gfp_gcd(f, [k * c for k, c in enumerate(f)][1:], p)) > 1:
+            continue  # not squarefree mod p
+        sums = {0}
+        for k in _gfp_factor_degrees(f, p):
+            sums |= {s + k for s in sums}
+        possible &= sums
+        if possible == {0, degree}:
             return True
-    result = _kronecker_reducible(coeffs)
-    if result is True:
+    if _has_rational_root(coeffs):
         return False
-    if result is False:
-        return True
-    return None
+    return True if degree <= 3 else None
 
 
 # -- irreducibility witnesses ------------------------------------------------
@@ -657,11 +533,15 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
                            cap: int = DEFAULT_DEGREE_CAP) -> IrreducibilityWitness:
     """Irreducibility evidence for the multiple-root locus.
 
+    Each of three seeded lines records the verdict on the eliminant's
+    full-degree restriction to it: True when mod-p degree patterns leave no
+    proper factor degree over Q, False only when it has a rational root, and
+    None (unknown) otherwise.  An irreducible full-degree restriction is a
+    sound proof that the eliminant is irreducible.
+
     Certification happens only inside the policy envelope l = 1, d <= 4: the
-    eliminant must match the resultant oracle, and at least one of three
-    seeded line restrictions must be a full-degree irreducible univariate
-    polynomial (which is a sound proof of irreducibility of the
-    eliminant).  Outside the envelope the verdict is heuristic; the check
+    eliminant must match the resultant oracle and at least one line must be
+    irreducible.  Outside the envelope the verdict is heuristic; the check
     never claims a negative.
     """
     if not 1 <= l < d:

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from vermajet.errors import SizeCapError
-from vermajet.linalg import span_dim
-from vermajet.polynomials import Poly
-from vermajet.discriminant import (classical_discriminant_oracle,
+from vermajet.linalg import primitive_integers, span_dim
+from vermajet.polynomials import Poly, restrict_to_line
+from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
+                                   _uni_from_poly, _uni_irreducible_q,
+                                   classical_discriminant_oracle,
                                    eliminant_generators, graded_relations,
                                    irreducibility_witness,
                                    multiple_root_eliminant,
@@ -200,3 +202,94 @@ def test_eliminant_normalization():
             assert content == 1
             first = min(g.poly.terms)
             assert g.poly.terms[first] > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_eliminant_matches_sympy_discriminant(d):
+    sympy = pytest.importorskip("sympy")
+    a = sympy.symbols(f"a0:{d + 1}")
+    x = sympy.Symbol("x")
+    form = sum(a[k] * x ** (d - k) for k in range(d + 1))
+    expected = dict(sympy.Poly(sympy.discriminant(form, x), *a).terms())
+    got = eliminant_generators(d, 1)[0].poly.terms
+    assert got in ({e: int(c) for e, c in expected.items()},
+                   {e: -int(c) for e, c in expected.items()})
+
+
+def _random_primitive_polys(rng):
+    """Primitive integer polynomials of degree 2..10, ascending coefficients;
+    every other one a product of two random factors."""
+    out = []
+    for trial in range(120):
+        n = rng.randint(2, 10)
+        if trial % 2:
+            k = rng.randint(1, n - 1)
+            f = [rng.randint(-6, 6) for _ in range(k)] + [rng.choice([-3, -1, 1, 2])]
+            g = [rng.randint(-6, 6) for _ in range(n - k)] + [rng.choice([-2, 1, 3])]
+            coeffs = [0] * (n + 1)
+            for i, cf in enumerate(f):
+                for j, cg in enumerate(g):
+                    coeffs[i + j] += cf * cg
+        else:
+            coeffs = [rng.randint(-20, 20) for _ in range(n)] + [rng.randint(1, 9)]
+        out.append(primitive_integers(coeffs, -1))
+    return out
+
+
+def _witness_lines(d, seed):
+    target = multiple_root_eliminant(d, 1).poly
+    witness = irreducibility_witness(d, 1, seed)
+    return [primitive_integers(_uni_from_poly(
+                restrict_to_line(target, r["base"], r["direction"])), -1)
+            for r in witness.details["lines"] if not r.get("degenerate")]
+
+
+def test_univariate_verdicts_agree_with_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    polys = _random_primitive_polys(random.Random(5))
+    for d in (3, 4, 5):
+        for seed in range(5):
+            polys.extend(_witness_lines(d, seed))
+    verdicts = {True: 0, False: 0, None: 0}
+    for coeffs in polys:
+        verdict = _uni_irreducible_q(coeffs)
+        verdicts[verdict] += 1
+        _, factors = sympy.Poly(coeffs[::-1], x).factor_list()
+        irreducible = (len(factors) == 1 and factors[0][1] == 1
+                       and factors[0][0].degree() == len(coeffs) - 1)
+        if verdict is not None:
+            assert verdict == irreducible, coeffs
+    assert verdicts[True] and verdicts[False]
+
+
+def test_mod_p_factor_degrees_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    checked = 0
+    while checked < 100:
+        p = rng.choice([3, 5, 7, 11, 13])
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 10))] + [rng.randrange(1, p)]
+        f = sympy.Poly(coeffs[::-1], x, modulus=p)
+        if sympy.gcd(f, f.diff(x)).degree() > 0:
+            continue  # the distinct-degree factorization needs squarefree input
+        expected = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
+        assert sorted(_gfp_factor_degrees(_gfp_trim(coeffs, p), p)) == expected
+        checked += 1
+
+
+def test_witness_certified_at_every_seed():
+    # At (4,1) seed 7 no single prime shows the first line irreducible
+    # (patterns [1, 5] mod 5, [2, 4] mod 13); only their intersection does.
+    for d in (2, 3, 4):
+        for seed in range(10):
+            witness = irreducibility_witness(d, 1, seed)
+            assert witness.status == "certified", (d, seed)
+            assert len(witness.details["lines"]) == 3
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_witness_line_verdicts_pinned(d):
+    lines = irreducibility_witness(d, 1, 0).details["lines"]
+    assert [r["irreducible"] for r in lines] == [False, True, True]
