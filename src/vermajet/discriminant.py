@@ -19,6 +19,12 @@ Irreducibility evidence restricts an eliminant to seeded lines.  Each
 univariate restriction is proved irreducible over Q by mod-p degree
 patterns (distinct-degree factorization over GF(p) at several primes),
 proved reducible only by a rational root, and otherwise left unknown.
+
+`classical_discriminant_oracle` and `multiple_root_eliminant` are memoized
+for the life of the process, keyed by all their arguments (d, cap) and
+(d, l, cap); a call that fails a check is not stored.  Both return the
+shared `Eliminant` objects, so callers treat them as read-only; a list of
+generators is a new list on every call.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import Sequence, Union
 
@@ -99,6 +106,11 @@ def _sylvester_matrix(p: list[Poly], q: list[Poly]) -> list[list[Poly]]:
 def classical_discriminant_oracle(d: int, cap: int = DEFAULT_DEGREE_CAP) -> Eliminant:
     """Sylvester resultant of the form and its derivative, divided by the
     leading coefficient and normalized."""
+    return _classical_discriminant(d, cap)
+
+
+@lru_cache(maxsize=None)
+def _classical_discriminant(d: int, cap: int) -> Eliminant:
     if d < 2:
         raise ValueError("the discriminant needs degree at least 2")
     if d > cap:
@@ -277,8 +289,15 @@ def multiple_root_eliminant(d: int, l: int,
     l > 1 the generators of the vanishing ideal are collected degree by
     degree, keeping only elements not generated in lower degrees, until
     their Jacobian cuts the locus to its expected codimension l at sampled
-    points of the parametrization.
+    points of the parametrization; the list is new on every call.
     """
+    result = _multiple_root_eliminant(d, l, cap)
+    return list(result) if isinstance(result, tuple) else result
+
+
+@lru_cache(maxsize=None)
+def _multiple_root_eliminant(d: int, l: int,
+                             cap: int) -> Union[Eliminant, tuple[Eliminant, ...]]:
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
     if d > cap:
@@ -294,7 +313,7 @@ def multiple_root_eliminant(d: int, l: int,
             break
     if not collected:
         raise ArithmeticError(f"no eliminant generators found for (d={d}, l={l})")
-    return [_make_eliminant(g) for g in collected]
+    return tuple(_make_eliminant(g) for g in collected)
 
 
 def eliminant_generators(d: int, l: int, cap: int = DEFAULT_DEGREE_CAP) -> list[Eliminant]:

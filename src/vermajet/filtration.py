@@ -11,6 +11,13 @@ nilpotent complement n, or of all of g); it acts by applying its factors
 right to left as repeated module actions.  No enveloping-algebra
 multiplication is ever performed: every identity asserted here is verified
 by exact rank computation on evaluation matrices.
+
+The PBW images behind evaluation matrices, PBW filtrations, the
+character-ideal check and direct sums are built in one pass by the prefix
+recurrence z^a v = z_i (z^(a - e_i) v), i the leftmost nonzero exponent;
+only the nonzero images of one degree are kept while the next is built, and
+nothing is memoized across calls.  `apply_pbw_monomial` stays as the
+row-by-row reference.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
@@ -46,18 +53,38 @@ def weyl_dim_oracle(m: int, n: int, d: int) -> int:
     return value.numerator
 
 
-def pbw_monomials(num_generators: int, max_degree: int,
-                  cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
+def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
+    """Number of exponent vectors of total degree <= max_degree, within the cap."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     count = comb(num_generators + max_degree, num_generators)
     if count > cap:
         raise SizeCapError("PBW monomial count", count, cap)
+    return count
+
+
+def pbw_monomials(num_generators: int, max_degree: int,
+                  cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
+    """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
+    _pbw_count(num_generators, max_degree, cap)
     out: list[tuple[int, ...]] = []
     for degree in range(max_degree + 1):
         out.extend(sorted(degree_monomials(degree, num_generators)))
     return out
+
+
+def _pbw_position(exps: tuple[int, ...]) -> int:
+    """Index of an exponent vector in pbw_monomials order."""
+    k = len(exps)
+    rest = sum(exps)
+    position = comb(k + rest - 1, k) if rest else 0  # all lower degrees
+    for j, e in enumerate(exps[:-1]):
+        if e:
+            # vectors agreeing before j with a smaller entry at j come first
+            parts = k - j - 1
+            position += comb(rest + parts, parts) - comb(rest - e + parts, parts)
+            rest -= e
+    return position
 
 
 def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int],
@@ -70,6 +97,37 @@ def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int
                 return vec
             vec = act(g, vec)
     return vec
+
+
+def _pbw_images(generators: Sequence[LieElement], max_degree: int,
+                start: PlethysmVector) -> Iterator[tuple[int, PlethysmVector]]:
+    """(position in pbw_monomials order, z^a start) for every exponent
+    vector a of total degree <= max_degree whose image is nonzero, in order.
+
+    z^a start = z_i (z^(a - e_i) start) for the leftmost nonzero a_i, which
+    is the last action apply_pbw_monomial performs, so each image is one
+    action on a nonzero image of one degree less and equals the reference
+    exactly.  Only the nonzero images of the previous degree are kept; a
+    vector whose prefix image vanishes is never visited.
+    """
+    if start.is_zero:
+        return
+    k = len(generators)
+    layer = {(0,) * k: start}
+    yield 0, start
+    for _ in range(max_degree):
+        extensions = []
+        for b in layer:
+            # a = b + e_i has leftmost nonzero entry i exactly when i <= lead
+            lead = next((j for j, e in enumerate(b) if e), k - 1)
+            extensions += [(b[:i] + (b[i] + 1,) + b[i + 1:], i, b) for i in range(lead + 1)]
+        grown = {}
+        for exps, i, prefix in sorted(extensions):
+            image = act(generators[i], layer[prefix])
+            if not image.is_zero:
+                grown[exps] = image
+                yield _pbw_position(exps), image
+        layer = grown
 
 
 def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieElement]:
@@ -181,12 +239,13 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     basis = sym_basis(m, n, d, cap)
     index_of = {idx: i for i, idx in enumerate(basis)}
     generators = ctx.subalgebra_basis(SubalgebraTag.N)
-    monomials = pbw_monomials(len(generators), l, monomial_cap)
-    v = highest_weight_vector(m, n, d)
-    vectors = [apply_pbw_monomial(generators, exps, v) for exps in monomials]
+    count = _pbw_count(len(generators), l, monomial_cap)
+    vectors = [PlethysmVector() for _ in range(count)]
+    for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d)):
+        vectors[row] = image
     rows = _vector_rows(vectors, index_of)
     r = rank(SparseMatrix.from_rows(rows, cols=len(basis)))
-    return vectors, r == len(monomials)
+    return vectors, r == count
 
 
 def evaluation_matrix(m: int, n: int, d: int, l: int,
@@ -201,11 +260,11 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     basis = sym_basis(m, n, d, cap)
     index_of = {idx: i for i, idx in enumerate(basis)}
     generators = _generators(ctx, subalgebra)
-    monomials = pbw_monomials(len(generators), l, monomial_cap)
-    v = highest_weight_vector(m, n, d)
-    rows = [coordinates(apply_pbw_monomial(generators, exps, v), index_of)
-            for exps in monomials]
-    return SparseMatrix.from_rows(rows, cols=len(basis))
+    count = _pbw_count(len(generators), l, monomial_cap)
+    entries = {(row, c): value
+               for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d))
+               for c, value in coordinates(image, index_of).items()}
+    return SparseMatrix(count, len(basis), entries)
 
 
 def annihilator_dim(m: int, n: int, d: int, l: int,
@@ -292,12 +351,11 @@ def char_ideal_generator_check(m: int, n: int, d: int, l: int,
     sym_basis(m, n, d, cap)
     v = highest_weight_vector(m, n, d)
     p_basis = ctx.subalgebra_basis(SubalgebraTag.P)
-    monomials = pbw_monomials(ctx.N, l - 1, monomial_cap)
+    _pbw_count(ctx.N, l - 1, monomial_cap)
     for y in p_basis:
         generator_image = act(y, v) - rho_character(ctx, d, y) * v
-        for exps in monomials:
-            if not apply_pbw_monomial(ctx.basis, exps, generator_image).is_zero:
-                return False
+        for _ in _pbw_images(ctx.basis, l - 1, generator_image):
+            return False
     return True
 
 
@@ -311,20 +369,15 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
     ctx = build_context(m, n)
-    monomials = pbw_monomials(ctx.N, l, monomial_cap)
-    offsets = []
+    _pbw_count(ctx.N, l, monomial_cap)
     total_cols = 0
     index_maps = []
     for d in degrees:
         basis = sym_basis(m, n, d, cap)
-        offsets.append(total_cols)
         index_maps.append({idx: i + total_cols for i, idx in enumerate(basis)})
         total_cols += len(basis)
     rows = []
     for d, index_of in zip(degrees, index_maps):
-        v = highest_weight_vector(m, n, d)
-        for exps in monomials:
-            image = apply_pbw_monomial(ctx.basis, exps, v)
-            if not image.is_zero:
-                rows.append(coordinates(image, index_of))
+        for _, image in _pbw_images(ctx.basis, l, highest_weight_vector(m, n, d)):
+            rows.append(coordinates(image, index_of))
     return rank(SparseMatrix.from_rows(rows, cols=total_cols))

@@ -15,12 +15,19 @@ degree-d Plücker monomial spanning set; the latter is what pairs against
 module vectors.  Row reduction produces basis sections whose coordinates
 are linear combinations of monomials (the single-monomial case is the
 generating family).
+
+Memoized for the life of the process: the chart minor behind
+`plucker_polynomial`, keyed by (sorted rows, m, n), and the jet-monomial
+columns with their index, keyed by (m, n, l).  `plucker_polynomial` still
+checks its arguments and returns a new `SectionPolynomial` (chart and
+Plücker map copied) on every call, and `jet_monomials` a new list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -51,14 +58,9 @@ class SectionPolynomial:
         return self.chart.coefficient((0,) * self.chart.nvars)
 
 
-def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
-    """The m x m minor with the given rows of [[I_m], [T]], in the chart
-    normalized so the minor for rows {1..m} is 1."""
-    rows = tuple(sorted(subset))
-    if len(rows) != m or len(set(rows)) != m:
-        raise ValueError(f"need {m} distinct row indices")
-    if rows[0] < 1 or rows[-1] > m + n:
-        raise ValueError(f"row indices must lie in 1..{m + n}")
+@lru_cache(maxsize=None)
+def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
+    """The minor with the given (sorted, checked) rows of [[I_m], [T]]."""
     variables = chart_variables(m, n)
     var_index = {pos: k for k, pos in enumerate(variables)}
     nvars = len(variables)
@@ -70,7 +72,21 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
         else:
             matrix.append([Poly.variable(nvars, var_index[(r, c)])
                            for c in range(1, m + 1)])
-    return SectionPolynomial(det(matrix), {(rows,): Fraction(1)})
+    return det(matrix)
+
+
+def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
+    """The m x m minor with the given rows of [[I_m], [T]], in the chart
+    normalized so the minor for rows {1..m} is 1."""
+    rows = tuple(sorted(subset))
+    if len(rows) != m or len(set(rows)) != m:
+        raise ValueError(f"need {m} distinct row indices")
+    if rows[0] < 1 or rows[-1] > m + n:
+        raise ValueError(f"row indices must lie in 1..{m + n}")
+    minor = _chart_minor(rows, m, n)
+    chart = Poly(minor.nvars)
+    chart.terms = dict(minor.terms)
+    return SectionPolynomial(chart, {(rows,): Fraction(1)})
 
 
 def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
@@ -88,21 +104,25 @@ def monomial_sections(m: int, n: int, d: int,
     return [section_monomial(idx, m, n) for idx in sym_basis(m, n, d, cap)]
 
 
-def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
-    """Chart-variable exponent tuples of total degree <= l, graded lex."""
+@lru_cache(maxsize=None)
+def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
+    """The jet monomials of degree <= l and their column index."""
     if l < 0:
         raise ValueError("l must be non-negative")
-    out: list[tuple[int, ...]] = []
-    for degree in range(l + 1):
-        out.extend(sorted(degree_monomials(degree, m * n)))
-    return out
+    columns = tuple(exps for degree in range(l + 1)
+                    for exps in sorted(degree_monomials(degree, m * n)))
+    return columns, {exps: k for k, exps in enumerate(columns)}
+
+
+def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
+    """Chart-variable exponent tuples of total degree <= l, graded lex."""
+    return list(_jet_columns(m, n, l)[0])
 
 
 def jet_truncation(section: SectionPolynomial, m: int, n: int,
                    l: int) -> tuple[Fraction, ...]:
     """Coefficient vector of the order-l truncation at the origin."""
-    columns = jet_monomials(m, n, l)
-    index = {exps: k for k, exps in enumerate(columns)}
+    columns, index = _jet_columns(m, n, l)
     out = [Fraction(0)] * len(columns)
     for exps, c in section.chart.terms.items():
         k = index.get(exps)
@@ -176,10 +196,10 @@ def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction,
         raise ValueError("exponents must be non-negative")
     n = len(exponents) - 1
     tail = tuple(exponents[1:])
-    columns = jet_monomials(1, n, l)
+    columns, index = _jet_columns(1, n, l)
     out = [Fraction(0)] * len(columns)
     if sum(tail) <= l:
-        out[columns.index(tail)] = Fraction(1)
+        out[index[tail]] = Fraction(1)
     return tuple(out)
 
 
@@ -265,8 +285,7 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
     subs = [Poly.variable(nvars, k) + values[pos]
             for k, pos in enumerate(variables)]
     basis = section_space(m, n, d, cap)
-    columns = jet_monomials(m, n, l)
-    col_index = {exps: k for k, exps in enumerate(columns)}
+    columns, col_index = _jet_columns(m, n, l)
     rows = []
     for s in basis:
         shifted = s.chart.substitute(subs, nvars_out=nvars).truncate(l)

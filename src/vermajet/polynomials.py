@@ -9,6 +9,7 @@ the chart expansions and eliminants need.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence, Union
 
 from .linalg import primitive_integers
@@ -336,9 +337,31 @@ def strip_variable_factors(p: Poly) -> Poly:
 
 def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
                      direction: Sequence[int | Fraction]) -> Poly:
-    """Univariate restriction t -> p(base + t*direction)."""
+    """Univariate restriction t -> p(base + t*direction).
+
+    Each term is expanded as a product of coefficient lists of the binomial
+    powers (base_i + direction_i t)^e, so integer input stays in integers.
+    """
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ValueError("base and direction must match the variable count")
-    t = Poly.variable(1, 0)
-    subs = [Poly.const(1, b) + t * w for b, w in zip(base, direction)]
-    return p.substitute(subs, nvars_out=1)
+    powers: dict[tuple[int, int], list] = {}
+    out: list = []
+    for exps, c in p.terms.items():
+        coeffs = [c.numerator if c.denominator == 1 else c]
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            power = powers.get((i, e))
+            if power is None:
+                b, w = base[i], direction[i]
+                power = powers[(i, e)] = [comb(e, k) * b ** (e - k) * w ** k
+                                          for k in range(e + 1)]
+            product = [0] * (len(coeffs) + e)
+            for j, a in enumerate(coeffs):
+                for k, v in enumerate(power):
+                    product[j + k] += a * v
+            coeffs = product
+        out.extend([0] * (len(coeffs) - len(out)))
+        for k, v in enumerate(coeffs):
+            out[k] += v
+    return Poly(1, {(k,): v for k, v in enumerate(out)})

@@ -293,3 +293,16 @@ def test_witness_certified_at_every_seed():
 def test_witness_line_verdicts_pinned(d):
     lines = irreducibility_witness(d, 1, 0).details["lines"]
     assert [r["irreducible"] for r in lines] == [False, True, True]
+
+
+def test_memoized_eliminants_are_isolated_from_callers():
+    for d, l in ((4, 1), (4, 2)):
+        generators = eliminant_generators(d, l)
+        recorded = list(generators)
+        generators.clear()
+        assert eliminant_generators(d, l) == recorded
+    listed = multiple_root_eliminant(4, 2)
+    listed.pop()
+    assert multiple_root_eliminant(4, 2) == recorded
+    with pytest.raises(SizeCapError):
+        eliminant_generators(4, 2, cap=3)

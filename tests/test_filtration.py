@@ -4,10 +4,11 @@ from math import comb
 
 import pytest
 
-from vermajet.lie import SubalgebraTag, Weight, build_context
-from vermajet.linalg import SparseMatrix, rref
+from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
+from vermajet.linalg import SparseMatrix, rank, rref
 from vermajet.plethysm import act, coordinates, highest_weight_vector, sym_basis
-from vermajet.filtration import (annihilator_dim, canonical_filtration,
+from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
+                                 canonical_filtration,
                                  char_ideal_generator_check, evaluation_matrix,
                                  multi_filtration, pbw_filtration,
                                  pbw_monomials, serre_power_check,
@@ -230,3 +231,80 @@ def test_levels_are_nested():
             rows += [coordinates(v, index_of) for v in lower.basis]
             stacked = rref(SparseMatrix.from_rows(rows, cols=len(basis))).rank
             assert stacked == upper.dim
+
+
+# -- PBW images by prefix recurrence against the row-by-row reference --------
+
+
+def _reference_images(generators, max_degree, start):
+    return [apply_pbw_monomial(generators, exps, start)
+            for exps in pbw_monomials(len(generators), max_degree)]
+
+
+@pytest.mark.parametrize("m,n,d,l", [(1, 1, 3, 0), (1, 1, 3, 4), (1, 2, 3, 2),
+                                     (2, 2, 2, 2), (2, 2, 3, 1), (1, 3, 2, 3),
+                                     (1, 4, 4, 2)])
+@pytest.mark.parametrize("subalgebra", ["all", SubalgebraTag.N])
+def test_evaluation_matrix_matches_row_by_row_reference(m, n, d, l, subalgebra):
+    ctx = build_context(m, n)
+    index_of = {idx: i for i, idx in enumerate(sym_basis(m, n, d))}
+    generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
+    images = _reference_images(generators, l, highest_weight_vector(m, n, d))
+    reference = SparseMatrix.from_rows([coordinates(v, index_of) for v in images],
+                                       cols=len(index_of))
+    assert evaluation_matrix(m, n, d, l, subalgebra) == reference
+
+
+@pytest.mark.parametrize("m,n,d,l", [(1, 1, 2, 3), (1, 2, 3, 2), (2, 2, 2, 2),
+                                     (1, 3, 2, 3)])
+def test_pbw_filtration_vectors_match_reference(m, n, d, l):
+    generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
+    reference = _reference_images(generators, l, highest_weight_vector(m, n, d))
+    index_of = {idx: i for i, idx in enumerate(sym_basis(m, n, d))}
+    reference_rank = rank(SparseMatrix.from_rows(
+        [coordinates(v, index_of) for v in reference], cols=len(index_of)))
+    vectors, independent = pbw_filtration(m, n, d, l)
+    assert vectors == reference
+    assert independent == (reference_rank == len(reference))
+
+
+def test_pbw_images_of_an_arbitrary_start_match_reference():
+    from vermajet.filtration import _pbw_images
+    m, n, d = 2, 2, 2
+    ctx = build_context(m, n)
+    v = highest_weight_vector(m, n, d)
+    start = act(ctx.subalgebra_basis(SubalgebraTag.N)[0], v) + 3 * v
+    for generators in (list(ctx.basis), ctx.subalgebra_basis(SubalgebraTag.N)):
+        reference = _reference_images(generators, 2, start)
+        got = list(_pbw_images(generators, 2, start))
+        assert got == [(row, image) for row, image in enumerate(reference)
+                       if not image.is_zero]
+        assert list(_pbw_images(generators, 2, 0 * start)) == []
+
+
+@pytest.mark.parametrize("m,n,d,l", [(1, 1, 3, 1), (1, 2, 3, 2), (2, 2, 2, 2),
+                                     (2, 2, 4, 2)])
+def test_char_ideal_check_matches_reference(m, n, d, l):
+    ctx = build_context(m, n)
+    v = highest_weight_vector(m, n, d)
+    reference = all(
+        image.is_zero
+        for y in ctx.subalgebra_basis(SubalgebraTag.P)
+        for image in _reference_images(ctx.basis, l - 1,
+                                       act(y, v) - rho_character(ctx, d, y) * v))
+    assert char_ideal_generator_check(m, n, d, l) == reference
+
+
+@pytest.mark.parametrize("m,n,degrees,l", [(1, 1, (2, 3), 1), (2, 2, (2, 2), 1),
+                                           (1, 2, (2, 3), 2)])
+def test_multi_filtration_matches_reference(m, n, degrees, l):
+    ctx = build_context(m, n)
+    rows, offset = [], 0
+    for d in degrees:
+        basis = sym_basis(m, n, d)
+        index_of = {idx: i + offset for i, idx in enumerate(basis)}
+        rows += [coordinates(image, index_of)
+                 for image in _reference_images(ctx.basis, l, highest_weight_vector(m, n, d))
+                 if not image.is_zero]
+        offset += len(basis)
+    assert multi_filtration(m, n, degrees, l) == rank(SparseMatrix.from_rows(rows, cols=offset))

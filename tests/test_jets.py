@@ -185,3 +185,20 @@ def test_section_provenance_matches_chart():
             for multiset, coeff in s.plucker.items():
                 rebuilt = rebuilt + coeff * section_monomial(multiset, m, n).chart
             assert rebuilt == s.chart
+
+
+def test_memoized_results_are_isolated_from_callers():
+    first = plucker_polynomial((1, 3), 2, 2)
+    plucker, chart = dict(first.plucker), dict(first.chart.terms)
+    first.plucker[((1, 2),)] = Fraction(5)
+    first.chart.terms.clear()
+    again = plucker_polynomial((1, 3), 2, 2)
+    assert again.plucker == plucker and again.chart.terms == chart
+
+    columns = jet_monomials(2, 2, 2)
+    recorded = list(columns)
+    columns.reverse()
+    columns.append((9, 9, 9, 9))
+    assert jet_monomials(2, 2, 2) == recorded
+    section = plucker_polynomial((1, 3), 2, 2)
+    assert len(jet_truncation(section, 2, 2, 2)) == len(recorded)

@@ -96,3 +96,23 @@ def test_to_string_ordering():
     p = y * y - 4 * x * y
     assert p.to_string(["a0", "a1"]) == "a1^2 - 4*a0*a1"
     assert Poly.zero(2).to_string() == "0"
+
+
+def test_restrict_to_line_agrees_with_substitute():
+    import random
+    rng = random.Random(20240)
+    t = Poly.variable(1, 0)
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        terms = {tuple(rng.randint(0, 4) for _ in range(nvars)):
+                 Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                 for _ in range(rng.randint(0, 8))}
+        p = Poly(nvars, terms)
+        base = [rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+                for _ in range(nvars)]
+        direction = [rng.randint(-3, 3) for _ in range(nvars)]
+        expected = p.substitute([Poly.const(1, b) + t * w for b, w in zip(base, direction)],
+                                nvars_out=1)
+        restricted = restrict_to_line(p, base, direction)
+        assert restricted == expected
+        assert all(isinstance(c, Fraction) for c in restricted.terms.values())
