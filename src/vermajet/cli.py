@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import comb
 
 from . import discriminant as disc
 from . import filtration as filt
 from . import jets
 from . import suite as suite_mod
 from .errors import SizeCapError
+from .plethysm import DEFAULT_AMBIENT_CAP
 from .suite import SCHEMA, SuiteConfig, load_config, render_report, run_suite
 
 
@@ -28,9 +28,7 @@ def _base_record(**fields) -> dict:
 def _cmd_filtration(args) -> tuple[dict, bool]:
     result = filt.canonical_filtration(args.m, args.n, args.d, args.lmax)
     dims = result.dims
-    formula_ok = dims[0] == 1 and all(
-        dims[l] == comb(args.m * args.n + l, args.m * args.n)
-        for l in range(1, args.lmax + 1) if l < args.d)
+    formula_ok = suite_mod.formula_ok(args.m, args.n, args.d, dims)
     record = _base_record(m=args.m, n=args.n, d=args.d, lmax=args.lmax,
                           dims=dims, formula_ok=formula_ok,
                           module_dim=result.module_dim,
@@ -41,15 +39,14 @@ def _cmd_filtration(args) -> tuple[dict, bool]:
 def _cmd_taylor(args) -> tuple[dict, bool]:
     if not 1 <= args.l <= args.d:
         raise ValueError("taylor check needs 1 <= l <= d")
-    _, rank = jets.taylor_matrix(args.m, args.n, args.d, args.l)
-    expected = comb(args.m * args.n + args.l, args.m * args.n)
-    _, kernel_dim = jets.kernel_sections(args.m, args.n, args.d, args.l)
     section_dim = len(jets.section_space(args.m, args.n, args.d))
-    ok = rank == expected and kernel_dim == section_dim - expected
+    level = suite_mod.taylor_level_record(args.m, args.n, args.d, args.l, section_dim,
+                                          DEFAULT_AMBIENT_CAP)
     record = _base_record(m=args.m, n=args.n, d=args.d, l=args.l,
-                          rank=rank, expected=expected, kernel=kernel_dim,
-                          section_dim=section_dim, ok=ok)
-    return record, ok
+                          rank=level["rank"], expected=level["expected"],
+                          kernel=level["kernel"], section_dim=section_dim,
+                          ok=level["ok"])
+    return record, level["ok"]
 
 
 def _cmd_split(args) -> tuple[dict, bool]:
@@ -61,24 +58,15 @@ def _cmd_split(args) -> tuple[dict, bool]:
 
 
 def _cmd_serre(args) -> tuple[dict, bool]:
-    reports = filt.serre_power_check(args.m, args.n, args.d)
-    rows = [{"index": r.index, "power": r.power,
-             "below_nonzero": r.below_nonzero, "at_power_zero": r.at_power_zero,
-             "ok": r.ok} for r in reports]
-    ok = all(r.ok for r in reports)
+    rows = suite_mod._serre_records(args.m, args.n, args.d, DEFAULT_AMBIENT_CAP)
+    ok = all(r["ok"] for r in rows)
     record = _base_record(m=args.m, n=args.n, d=args.d, roots=rows, ok=ok)
     return record, ok
 
 
 def _cmd_duality(args) -> tuple[dict, bool]:
-    report = jets.duality_check(args.m, args.n, args.d, args.l)
-    record = _base_record(m=args.m, n=args.n, d=args.d, l=args.l,
-                          filtration_dim=report.filtration_dim,
-                          taylor_rank=report.taylor_rank,
-                          dim_match=report.dim_match,
-                          pairing_vanishes=report.pairing_vanishes,
-                          ok=report.ok)
-    return record, report.ok
+    level = suite_mod.duality_record(args.m, args.n, args.d, args.l, DEFAULT_AMBIENT_CAP)
+    return _base_record(m=args.m, n=args.n, d=args.d, **level), level["ok"]
 
 
 def _cmd_disc(args) -> tuple[dict, bool]:

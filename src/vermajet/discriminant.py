@@ -122,63 +122,18 @@ def _classical_discriminant(d: int, cap: int) -> Eliminant:
 
 
 def _bezout_matrix(d: int) -> list[list[Poly]]:
-    """Bezout matrix of the form and its derivative; entries in a_0..a_d.
+    """Bezout matrix of the form p and its derivative q; entries in a_0..a_d.
 
-    Built in an extended ring with two extra variables x, y by dividing
-    p(x)q(y) - p(y)q(x) exactly by (x - y)."""
-    nvars = d + 3
-    x_i, y_i = d + 1, d + 2
-    x = Poly.variable(nvars, x_i)
-    y = Poly.variable(nvars, y_i)
-    a = [Poly.variable(nvars, k) for k in range(d + 1)]
-
-    def as_poly(coeffs: list, var: Poly) -> Poly:
-        total = Poly.zero(nvars)
-        deg = len(coeffs) - 1
-        for k, c in enumerate(coeffs):
-            total = total + c * var ** (deg - k)
-        return total
-
-    p_coeffs = a
-    q_coeffs = [(d - k) * a[k] for k in range(d)]
-    numerator = (as_poly(p_coeffs, x) * as_poly(q_coeffs, y)
-                 - as_poly(p_coeffs, y) * as_poly(q_coeffs, x))
-
-    # exact division by (x - y), eliminating the highest x-power each step
-    quotient_terms: dict[tuple[int, ...], Fraction] = {}
-    work = dict(numerator.terms)
-    while work:
-        exps = max(work, key=lambda e: (e[x_i], e))
-        c = work[exps]
-        if exps[x_i] == 0:
-            raise ArithmeticError("numerator is not divisible by x - y")
-        q_exps = list(exps)
-        q_exps[x_i] -= 1
-        q_key = tuple(q_exps)
-        quotient_terms[q_key] = quotient_terms.get(q_key, Fraction(0)) + c
-        del work[exps]
-        flip = list(q_exps)
-        flip[y_i] += 1
-        flip_key = tuple(flip)
-        new = work.get(flip_key, Fraction(0)) + c
-        if new:
-            work[flip_key] = new
-        else:
-            work.pop(flip_key, None)
-
-    entries: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    for exps, c in quotient_terms.items():
-        i, j = exps[x_i], exps[y_i]
-        key = exps[:d + 1]
-        cell = entries.setdefault((i, j), {})
-        cell[key] = cell.get(key, Fraction(0)) + c
+    (p(x)q(y) - p(y)q(x)) / (x - y) = sum B_ij x^i y^j, where
+    B_ij = sum_{v <= min(i,j)} (P_{i+j+1-v} Q_v - P_v Q_{i+j+1-v}) and P_u,
+    Q_u are the x^u coefficients of p and q (zero past the degree)."""
     zero = Poly.zero(d + 1)
-    matrix = [[zero for _ in range(d)] for _ in range(d)]
-    for (i, j), terms in entries.items():
-        if i >= d or j >= d:
-            raise ArithmeticError("Bezout entry outside expected size")
-        matrix[i][j] = Poly(d + 1, terms)
-    return matrix
+    form = _form_coefficients(d)
+    p = form[::-1] + [zero] * d
+    q = _derivative_coefficients(form)[::-1] + [zero] * (d + 1)
+    return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
+                  for v in range(min(i, j) + 1)), zero)
+             for j in range(d)] for i in range(d)]
 
 
 def _incidence_parametrization(d: int, l: int) -> list[Poly]:
@@ -259,17 +214,23 @@ def _new_generators(piece: list[Poly], collected: list[Poly],
     return [q for q in piece if echelon.add(row_of(q))]
 
 
+def _sample_point(d: int, l: int, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
+    """A parameter point (b, g) of the parametrization with integer entries in
+    -9..9, g[0] forced nonzero."""
+    b = Fraction(rng.randint(-9, 9))
+    g = [Fraction(rng.randint(-9, 9)) for _ in range(d - l)]
+    if not g[0]:
+        g[0] = Fraction(1)
+    return b, g
+
+
 def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     """The generators' Jacobian reaches rank l at three generic points of the
     parametrization, so they cut the locus to the expected codimension."""
     rng = random.Random(20111)
     successes = 0
     for _ in range(60):
-        b = Fraction(rng.randint(-9, 9))
-        g = [Fraction(rng.randint(-9, 9)) for _ in range(d - l)]
-        if not g[0]:
-            g[0] = Fraction(1)
-        point = parametrized_form(d, l, b, g).coeffs
+        point = parametrized_form(d, l, *_sample_point(d, l, rng)).coeffs
         rows = [[gen.derivative(j).evaluate(point) for j in range(d + 1)]
                 for gen in generators]
         if rank(SparseMatrix.from_rows(rows, cols=d + 1)) == l:
@@ -351,11 +312,7 @@ def sample_jacobian_ranks(d: int, l: int, count: int,
     for _ in range(count):
         r = None
         for _ in range(50):
-            b = Fraction(rng.randint(-9, 9))
-            g = [Fraction(rng.randint(-9, 9)) for _ in range(d - l)]
-            if not g[0]:
-                g[0] = Fraction(1)
-            r = parametrization_jacobian_rank(d, l, (b, g))
+            r = parametrization_jacobian_rank(d, l, _sample_point(d, l, rng))
             if r == expected:
                 break
             warnings.warn(f"rank-deficient sample for (d={d}, l={l}); resampling")
@@ -370,11 +327,7 @@ def samples_satisfy_generators(d: int, l: int, count: int,
     eliminant generator (exact evaluation)."""
     generators = eliminant_generators(d, l, cap)
     for _ in range(count):
-        b = Fraction(rng.randint(-9, 9))
-        g = [Fraction(rng.randint(-9, 9)) for _ in range(d - l)]
-        if not g[0]:
-            g[0] = Fraction(1)
-        form = parametrized_form(d, l, b, g)
+        form = parametrized_form(d, l, *_sample_point(d, l, rng))
         for gen in generators:
             if gen.poly.evaluate(form.coeffs) != 0:
                 return False

@@ -2,9 +2,13 @@
 weight vector, their PBW bases, and annihilator/character-ideal checks.
 
 Level l of the canonical filtration is the span of all vectors obtained by
-applying at most l Lie algebra elements to the highest weight vector v; it
-is computed iteratively as F_l = F_{l-1} + g . F_{l-1} and stored through
-its canonical reduced row echelon basis, so bases are reproducible.
+applying at most l Lie algebra elements to the highest weight vector v.
+All levels grow in one `Echelon`: level 0 adds v, and level l adds g . x for
+each x that left a new pivot at level l-1, since g . F_{l-2} already lies in
+F_{l-1}.  Each level is read off the canonical reduced row echelon form, so
+bases are reproducible; F_l is a sum of weight spaces, so every reduced row
+has the weight of its pivot column (checked exactly) and the weight
+multiset counts pivot weights.
 
 A PBW monomial is an exponent vector over a fixed ordered basis (of the
 nilpotent complement n, or of all of g); it acts by applying its factors
@@ -30,7 +34,7 @@ from typing import Iterator, Sequence, Union
 from .errors import SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
-from .linalg import SparseMatrix, rank, rref
+from .linalg import Echelon, SparseMatrix, rank
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
                        highest_weight_vector, sym_basis, weight_of)
 from .polynomials import degree_monomials
@@ -137,37 +141,6 @@ def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieEleme
     return ctx.subalgebra_basis(tag)
 
 
-def _vector_rows(vectors: Sequence[PlethysmVector], index_of) -> list[dict[int, Fraction]]:
-    return [coordinates(v, index_of) for v in vectors]
-
-
-def _vectors_from_rref(reduced: SparseMatrix, rank: int, basis) -> list[PlethysmVector]:
-    rows: list[dict] = [dict() for _ in range(rank)]
-    for (r, c), v in reduced.entries.items():
-        if r < rank:
-            rows[r][basis[c]] = v
-    return [PlethysmVector(row) for row in rows]
-
-
-def _weight_multiset(rows: list[dict[int, Fraction]], basis, size: int,
-                     cols: int) -> dict[Weight, int]:
-    """Per-weight dimensions of a weight-homogeneous span."""
-    by_weight: dict[Weight, list[int]] = {}
-    for col, idx in enumerate(basis):
-        by_weight.setdefault(weight_of(idx, size), []).append(col)
-    out: dict[Weight, int] = {}
-    for weight, group in by_weight.items():
-        keep = set(group)
-        restricted = [{c: v for c, v in row.items() if c in keep} for row in rows]
-        restricted = [row for row in restricted if row]
-        if not restricted:
-            continue
-        r = rank(SparseMatrix.from_rows(restricted, cols=cols))
-        if r:
-            out[weight] = r
-    return out
-
-
 @dataclass
 class FiltrationLevel:
     level: int
@@ -199,30 +172,31 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     ctx = build_context(m, n)
     basis = sym_basis(m, n, d, cap)
     index_of = {idx: i for i, idx in enumerate(basis)}
+    weights = [weight_of(idx, ctx.size) for idx in basis]
     target = weyl_dim_oracle(m, n, d)
 
-    current = [highest_weight_vector(m, n, d)]
+    echelon = Echelon(len(basis))
+    new = [highest_weight_vector(m, n, d)]
     levels: list[FiltrationLevel] = []
     saturation_level: int | None = None
 
     for level in range(l_max + 1):
-        generated = list(current)
         if level > 0:
-            for vec in current:
-                for x in ctx.basis:
-                    image = act(x, vec)
-                    if not image.is_zero:
-                        generated.append(image)
-        rows = _vector_rows(generated, index_of)
-        result = rref(SparseMatrix.from_rows(rows, cols=len(basis)))
-        current = _vectors_from_rref(result.reduced, result.rank, basis)
-        reduced_rows = _vector_rows(current, index_of)
-        multiset = _weight_multiset(reduced_rows, basis, ctx.size, len(basis))
-        dim = result.rank
-        saturated = dim == target
+            new = [act(x, vec) for vec in new for x in ctx.basis]
+        new = [vec for vec in new if echelon.add(coordinates(vec, index_of))]
+        level_basis, multiset = [], {}
+        for pivot, row in zip(echelon.pivots, echelon.reduced()):
+            weight = weights[pivot]
+            if any(weights[c] != weight for c in row):
+                raise ArithmeticError(f"level {level} row mixes weights")
+            multiset[weight] = multiset.get(weight, 0) + 1
+            level_basis.append(PlethysmVector({basis[c]: Fraction(v, row[pivot])
+                                               for c, v in row.items()}))
+        saturated = echelon.rank == target
         if saturated and saturation_level is None:
             saturation_level = level
-        levels.append(FiltrationLevel(level, dim, current, multiset, saturated))
+        levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
+                                      saturated))
 
     return FiltrationResult(m, n, d, target, levels, saturation_level)
 
@@ -243,7 +217,7 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     vectors = [PlethysmVector() for _ in range(count)]
     for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d)):
         vectors[row] = image
-    rows = _vector_rows(vectors, index_of)
+    rows = [coordinates(v, index_of) for v in vectors]
     r = rank(SparseMatrix.from_rows(rows, cols=len(basis)))
     return vectors, r == count
 

@@ -46,8 +46,9 @@ class SparseMatrix:
     @staticmethod
     def from_rows(rows: Iterable[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
                   cols: int | None = None) -> "SparseMatrix":
-        """Build a matrix from an iterable of rows (sequences or column maps)."""
-        entries: dict[tuple[int, int], Fraction] = {}
+        """Build a matrix from an iterable of rows (sequences or column maps);
+        the constructor converts and bounds-checks the entries."""
+        entries: dict[tuple[int, int], int | Fraction] = {}
         width = cols
         count = 0
         for r, row in enumerate(rows):
@@ -62,10 +63,7 @@ class SparseMatrix:
                 elif len(row) != width:
                     raise ValueError("rows have inconsistent lengths")
                 items = enumerate(row)
-            for c, value in items:
-                v = Fraction(value)
-                if v:
-                    entries[(r, c)] = v
+            entries.update(((r, c), value) for c, value in items if value)
         return SparseMatrix(count, 0 if width is None else width, entries)
 
     def row_dicts(self) -> list[dict[int, Fraction]]:

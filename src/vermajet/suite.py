@@ -116,13 +116,17 @@ def load_config(path: str) -> SuiteConfig:
     return config
 
 
+def formula_ok(m: int, n: int, d: int, dims: Sequence[int]) -> bool:
+    """Level 0 is the line through v and dims[l] = C(mn + l, mn) for 0 < l < d."""
+    return dims[0] == 1 and all(dims[l] == comb(m * n + l, m * n)
+                                for l in range(1, len(dims)) if l < d)
+
+
 def _filtration_record(m: int, n: int, d: int, caps) -> dict:
     ambient_cap, monomial_cap = caps
     l_max = min(d - 1, MAX_FILTRATION_LEVEL)
     result = filt.canonical_filtration(m, n, d, l_max, ambient_cap)
     dims = result.dims
-    formula_ok = all(dims[l] == comb(m * n + l, m * n)
-                     for l in range(1, l_max + 1) if l < d)
     pbw = []
     for l in range(1, l_max + 1):
         _, independent = filt.pbw_filtration(m, n, d, l, ambient_cap, monomial_cap)
@@ -130,7 +134,7 @@ def _filtration_record(m: int, n: int, d: int, caps) -> dict:
     return {
         "lmax": l_max,
         "dims": dims,
-        "formula_ok": formula_ok and dims[0] == 1,
+        "formula_ok": formula_ok(m, n, d, dims),
         "saturation_level": result.saturation_level,
         "pbw": pbw,
     }
@@ -168,44 +172,49 @@ def _serre_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
     } for r in filt.serre_power_check(m, n, d, ambient_cap)]
 
 
+def taylor_level_record(m: int, n: int, d: int, l: int, section_dim: int,
+                        ambient_cap: int) -> dict:
+    _, rank = jets.taylor_matrix(m, n, d, l, ambient_cap)
+    expected = comb(m * n + l, m * n)
+    _, kernel_dim = jets.kernel_sections(m, n, d, l, ambient_cap)
+    return {
+        "l": l,
+        "rank": rank,
+        "expected": expected,
+        "kernel": kernel_dim,
+        "kernel_expected": section_dim - expected,
+        "ok": rank == expected and kernel_dim == section_dim - expected,
+    }
+
+
 def _taylor_record(m: int, n: int, d: int, ambient_cap: int) -> dict:
     section_dim = len(jets.section_space(m, n, d, ambient_cap))
     oracle = filt.weyl_dim_oracle(m, n, d)
     levels = sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d})
-    records = []
-    for l in levels:
-        _, rank = jets.taylor_matrix(m, n, d, l, ambient_cap)
-        expected = comb(m * n + l, m * n)
-        _, kernel_dim = jets.kernel_sections(m, n, d, l, ambient_cap)
-        records.append({
-            "l": l,
-            "rank": rank,
-            "expected": expected,
-            "kernel": kernel_dim,
-            "kernel_expected": section_dim - expected,
-            "ok": rank == expected and kernel_dim == section_dim - expected,
-        })
     return {
         "section_dim": section_dim,
         "oracle": oracle,
         "section_dim_ok": section_dim == oracle,
-        "levels": records,
+        "levels": [taylor_level_record(m, n, d, l, section_dim, ambient_cap)
+                   for l in levels],
+    }
+
+
+def duality_record(m: int, n: int, d: int, l: int, ambient_cap: int) -> dict:
+    report = jets.duality_check(m, n, d, l, ambient_cap)
+    return {
+        "l": l,
+        "filtration_dim": report.filtration_dim,
+        "taylor_rank": report.taylor_rank,
+        "dim_match": report.dim_match,
+        "pairing_vanishes": report.pairing_vanishes,
+        "ok": report.ok,
     }
 
 
 def _duality_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
-    out = []
-    for l in range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1):
-        report = jets.duality_check(m, n, d, l, ambient_cap)
-        out.append({
-            "l": l,
-            "filtration_dim": report.filtration_dim,
-            "taylor_rank": report.taylor_rank,
-            "dim_match": report.dim_match,
-            "pairing_vanishes": report.pairing_vanishes,
-            "ok": report.ok,
-        })
-    return out
+    return [duality_record(m, n, d, l, ambient_cap)
+            for l in range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)]
 
 
 def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:

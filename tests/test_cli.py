@@ -175,3 +175,94 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     err = _one_line_error(capsys, "--out", str(target), "suite", "--config", str(config))
     assert "x.json" in err
     assert not target.exists()
+
+
+# Reports pinned byte for byte; the CLI handlers build them with the suite's
+# record builders.
+PINNED_REPORTS = {
+    "serre --m 2 --n 2 --d 2": """\
+{
+  "schema": "vermajet/1",
+  "m": 2,
+  "n": 2,
+  "d": 2,
+  "roots": [
+    {
+      "index": 1,
+      "power": 1,
+      "below_nonzero": true,
+      "at_power_zero": true,
+      "ok": true
+    },
+    {
+      "index": 2,
+      "power": 3,
+      "below_nonzero": true,
+      "at_power_zero": true,
+      "ok": true
+    },
+    {
+      "index": 3,
+      "power": 1,
+      "below_nonzero": true,
+      "at_power_zero": true,
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    "duality --m 1 --n 2 --d 3 --l 2": """\
+{
+  "schema": "vermajet/1",
+  "m": 1,
+  "n": 2,
+  "d": 3,
+  "l": 2,
+  "filtration_dim": 6,
+  "taylor_rank": 6,
+  "dim_match": true,
+  "pairing_vanishes": true,
+  "ok": true
+}
+""",
+    "taylor --m 2 --n 2 --d 2 --l 1": """\
+{
+  "schema": "vermajet/1",
+  "m": 2,
+  "n": 2,
+  "d": 2,
+  "l": 1,
+  "rank": 5,
+  "expected": 5,
+  "kernel": 15,
+  "section_dim": 20,
+  "ok": true
+}
+""",
+    "filtration --m 2 --n 2 --d 3 --lmax 3": """\
+{
+  "schema": "vermajet/1",
+  "m": 2,
+  "n": 2,
+  "d": 3,
+  "lmax": 3,
+  "dims": [
+    1,
+    5,
+    15,
+    35
+  ],
+  "formula_ok": true,
+  "module_dim": 50,
+  "saturation_level": null
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_report_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == PINNED_REPORTS[command]

@@ -6,7 +6,8 @@ import pytest
 
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import SparseMatrix, rank, rref
-from vermajet.plethysm import act, coordinates, highest_weight_vector, sym_basis
+from vermajet.plethysm import (PlethysmVector, act, coordinates, highest_weight_vector,
+                               sym_basis, weight_of)
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration,
                                  char_ideal_generator_check, evaluation_matrix,
@@ -308,3 +309,49 @@ def test_multi_filtration_matches_reference(m, n, degrees, l):
                  if not image.is_zero]
         offset += len(basis)
     assert multi_filtration(m, n, degrees, l) == rank(SparseMatrix.from_rows(rows, cols=offset))
+
+
+# -- canonical filtration grown in one echelon --------------------------------
+
+
+@pytest.mark.parametrize("m,n,d,l_max", [(2, 2, 4, 3), (1, 1, 5, 4), (2, 3, 3, 2),
+                                         (3, 3, 2, 1), (2, 2, 2, 3), (1, 2, 3, 4)])
+def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
+    # F_l is the row span of the PBW evaluation matrix over all of g, built
+    # independently by _pbw_images; its rref rows are the canonical basis.
+    basis = sym_basis(m, n, d)
+    size = m + n
+    result = canonical_filtration(m, n, d, l_max)
+    for l, level in enumerate(result.levels):
+        reference = rref(evaluation_matrix(m, n, d, l, "all"))
+        rows = [dict() for _ in range(reference.rank)]
+        for (r, c), v in reference.reduced.entries.items():
+            rows[r][basis[c]] = v
+        assert level.basis == [PlethysmVector(row) for row in rows]
+        assert level.dim == reference.rank
+        # per-weight dimensions: rank of the rows restricted to one weight
+        by_weight = {}
+        for c, idx in enumerate(basis):
+            by_weight.setdefault(weight_of(idx, size), set()).add(c)
+        expected = {}
+        for weight, cols in by_weight.items():
+            restricted = [{c: v for (r, c), v in reference.reduced.entries.items()
+                           if r == i and c in cols} for i in range(reference.rank)]
+            dim = rank(SparseMatrix.from_rows(restricted, cols=len(basis)))
+            if dim:
+                expected[weight] = dim
+        assert level.weight_multiset == expected
+        assert level.saturated == (level.dim == result.module_dim)
+    saturated = [lvl.level for lvl in result.levels if lvl.saturated]
+    assert result.saturation_level == (saturated[0] if saturated else None)
+
+
+def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch):
+    import vermajet.filtration as filtration
+    m, n, d = 1, 2, 2
+    basis = sym_basis(m, n, d)
+    mixed = PlethysmVector({basis[1]: 1, basis[-1]: 1})
+    assert weight_of(basis[1], m + n) != weight_of(basis[-1], m + n)
+    monkeypatch.setattr(filtration, "act", lambda x, vec: mixed)
+    with pytest.raises(ArithmeticError):
+        canonical_filtration(m, n, d, 1)

@@ -3,8 +3,9 @@ from math import comb, factorial
 
 import pytest
 
-from vermajet.filtration import weyl_dim_oracle
-from vermajet.linalg import SparseMatrix, span_dim
+from vermajet.filtration import evaluation_matrix, weyl_dim_oracle
+from vermajet.lie import SubalgebraTag
+from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import highest_weight_vector, pair
 from vermajet.polynomials import Poly
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
@@ -12,6 +13,7 @@ from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            kernel_sections, monomial_jet_projective,
                            monomial_sections, plucker_polynomial,
                            section_space, taylor_matrix)
+from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
 
 def _t(m, n, i, j):
@@ -202,3 +204,21 @@ def test_memoized_results_are_isolated_from_callers():
     assert jet_monomials(2, 2, 2) == recorded
     section = plucker_polynomial((1, 3), 2, 2)
     assert len(jet_truncation(section, 2, 2, 2)) == len(recorded)
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_matrix_ranks_match_sympy_on_desk_cases(m, n, d):
+    sympy = pytest.importorskip("sympy")
+
+    def sympy_rank(matrix):
+        dense = sympy.Matrix(matrix.rows, matrix.cols,
+                             lambda r, c: matrix.entries.get((r, c), 0))
+        return dense.rank()
+
+    for l in range(3):
+        for subalgebra in ("all", SubalgebraTag.N):
+            matrix = evaluation_matrix(m, n, d, l, subalgebra)
+            assert rank(matrix) == sympy_rank(matrix)
+    for l in sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d}):
+        matrix, taylor_rank = taylor_matrix(m, n, d, l)
+        assert taylor_rank == sympy_rank(matrix)

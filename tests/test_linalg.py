@@ -238,3 +238,11 @@ def test_rref_matches_sympy_on_graded_relations_matrix():
         assert result.rank == 56
         assert (result.pivots, _dense(result, m.rows, m.cols)) == _sympy_rref(sympy, rows, m.cols)
     assert (matrix.rows, matrix.cols) == (56, 100)
+
+
+def test_from_rows_leaves_bounds_check_to_the_constructor():
+    with pytest.raises(ValueError):
+        SparseMatrix.from_rows([{5: 1}], cols=3)
+    matrix = SparseMatrix.from_rows([{0: 2, 1: 0, 2: Fraction(1, 2)}], cols=3)
+    assert matrix.entries == {(0, 0): Fraction(2), (0, 2): Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in matrix.entries.values())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vermajet.suite import (SuiteConfig, load_config, render_report,
+from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
 
 
@@ -88,3 +88,11 @@ def test_config_validation():
         SuiteConfig(disc_cases=[(2, 2)]).validate()
     with pytest.raises(ValueError):
         SuiteConfig(fmt="yaml").validate()
+
+
+def test_formula_ok_checks_every_level_below_d():
+    assert formula_ok(2, 2, 3, [1, 5, 15])
+    assert formula_ok(1, 1, 2, [1, 2, 3, 3, 3])  # levels l >= d are not asserted
+    assert not formula_ok(2, 2, 3, [1, 4, 15])
+    assert not formula_ok(2, 2, 3, [1, 5, 14])
+    assert not formula_ok(2, 2, 3, [2, 5, 15])
