@@ -13,7 +13,11 @@ multiplicity the generators of the eliminant ideal are found degree by
 degree as the exact kernel of the pullback along the incidence
 parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
 identity, so membership of the image in every generator is exact by
-construction.
+construction.  The pullbacks of the degree-k monomials are integer
+polynomials in (b, c), built from those of degree k-1 by the prefix
+recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e;
+the coefficient of each (b, c)-monomial gives one equation, and the
+equations go straight into one integer `Echelon` whose kernel is the piece.
 
 Irreducibility evidence restricts an eliminant to seeded lines.  Each
 univariate restriction is proved irreducible over Q by mod-p degree
@@ -38,7 +42,9 @@ from math import comb, gcd
 from typing import Sequence, Union
 
 from .errors import SizeCapError
-from .linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, rank
+# kernel_basis is unused here but stays bound: perfbench's layer tracer
+# rebinds and checks `discriminant.kernel_basis`.
+from .linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, rank  # noqa: F401
 from .polynomials import (Poly, degree_monomials, det, divide_by_variable,
                           integer_primitive, restrict_to_line, strip_variable_factors)
 
@@ -173,22 +179,25 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
     if degree < 1:
         raise ValueError("degree must be at least 1")
     params = _incidence_parametrization(d, l)
-    a_monomials = sorted(degree_monomials(degree, d + 1))
-    columns: dict[tuple[int, ...], int] = {}
-    rows = []
-    for exps in a_monomials:
-        pullback = Poly.const(params[0].nvars, 1)
-        for k, e in enumerate(exps):
-            if e:
-                pullback = pullback * params[k] ** e
-        row = {}
-        for bc_exps, c in pullback.terms.items():
-            col = columns.setdefault(bc_exps, len(columns))
-            row[col] = c
-        rows.append(row)
-    matrix = SparseMatrix.from_rows(rows, cols=max(len(columns), 1))
+    # a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
+    pullbacks = {(0,) * (d + 1): Poly.const(params[0].nvars, 1)}
+    for k in range(1, degree + 1):
+        previous, pullbacks = pullbacks, {}
+        for exps in degree_monomials(k, d + 1):
+            i = next(i for i, e in enumerate(exps) if e)
+            prefix = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            pullbacks[exps] = params[i] * previous[prefix]
+    a_monomials = list(pullbacks)
+    # one equation per (b, c)-monomial on the a-monomial coefficients
+    equations: dict[tuple[int, ...], dict[int, int]] = {}
+    for col, exps in enumerate(a_monomials):
+        for bc_exps, c in pullbacks[exps].terms.items():
+            equations.setdefault(bc_exps, {})[col] = c
+    echelon = Echelon(len(a_monomials))
+    for row in equations.values():
+        echelon.add(row)
     out = []
-    for combo in kernel_basis(matrix.transpose()):
+    for combo in echelon.kernel():
         terms = {exps: c for exps, c in zip(a_monomials, combo) if c}
         out.append(integer_primitive(Poly(d + 1, terms)))
     return out
@@ -201,7 +210,7 @@ def _new_generators(piece: list[Poly], collected: list[Poly],
         return list(piece)
     columns = {exps: i for i, exps in enumerate(sorted(degree_monomials(degree, d + 1)))}
 
-    def row_of(p: Poly) -> dict[int, Fraction]:
+    def row_of(p: Poly) -> dict[int, int]:
         return {columns[e]: c for e, c in p.terms.items()}
 
     echelon = Echelon(len(columns))
@@ -227,12 +236,13 @@ def _sample_point(d: int, l: int, rng: random.Random) -> tuple[Fraction, list[Fr
 def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     """The generators' Jacobian reaches rank l at three generic points of the
     parametrization, so they cut the locus to the expected codimension."""
+    gradients = [[gen.derivative(j) for j in range(d + 1)] for gen in generators]
     rng = random.Random(20111)
     successes = 0
     for _ in range(60):
         point = parametrized_form(d, l, *_sample_point(d, l, rng)).coeffs
-        rows = [[gen.derivative(j).evaluate(point) for j in range(d + 1)]
-                for gen in generators]
+        rows = [[partial.evaluate(point) for partial in gradient]
+                for gradient in gradients]
         if rank(SparseMatrix.from_rows(rows, cols=d + 1)) == l:
             successes += 1
             if successes == 3:
@@ -337,13 +347,13 @@ def samples_satisfy_generators(d: int, l: int, count: int,
 # -- univariate irreducibility over the rationals ---------------------------
 
 
-def _uni_from_poly(p: Poly) -> list[Fraction]:
+def _uni_from_poly(p: Poly) -> list[int | Fraction]:
     if p.nvars != 1:
         raise ValueError("not univariate")
     if p.is_zero:
         return []
     deg = max(e[0] for e in p.terms)
-    out = [Fraction(0)] * (deg + 1)
+    out = [0] * (deg + 1)
     for (e,), c in p.terms.items():
         out[e] = c
     return out

@@ -54,7 +54,7 @@ class SectionPolynomial:
             return len(idx)
         return None
 
-    def value_at_origin(self) -> Fraction:
+    def value_at_origin(self) -> int | Fraction:
         return self.chart.coefficient((0,) * self.chart.nvars)
 
 
@@ -120,7 +120,7 @@ def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
 
 
 def jet_truncation(section: SectionPolynomial, m: int, n: int,
-                   l: int) -> tuple[Fraction, ...]:
+                   l: int) -> tuple[int | Fraction, ...]:
     """Coefficient vector of the order-l truncation at the origin."""
     columns, index = _jet_columns(m, n, l)
     out = [Fraction(0)] * len(columns)

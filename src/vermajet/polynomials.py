@@ -1,7 +1,12 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials over the rationals, integral
+coefficients kept as `int`.
 
 A polynomial over a fixed number of variables is a map from exponent
-tuples to nonzero Fractions.  This is deliberately minimal: arithmetic,
+tuples to nonzero coefficients, each an `int` when it is integral and a
+`Fraction` only when it is not.  The constructor and every operation keep
+that canonical form, so the integer polynomials that chart minors,
+eliminants and pullbacks are made of run in plain integer arithmetic;
+`evaluate` returns a `Fraction`.  This is deliberately minimal: arithmetic,
 differentiation, truncation, composition and evaluation cover everything
 the chart expansions and eliminants need.
 """
@@ -10,13 +15,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .linalg import primitive_integers
 
 
-def _as_fraction(value: int | Fraction) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _canonical(value: int | Fraction) -> int | Fraction:
+    """The value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _from_terms(nvars: int, terms: dict) -> "Poly":
+    """A Poly owning `terms` (nonzero, right length); integral Fractions
+    among them become ints."""
+    for exps, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[exps] = c.numerator
+    out = Poly(nvars)
+    out.terms = terms
+    return out
 
 
 class Poly:
@@ -24,12 +45,12 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
-                c = _as_fraction(coeff)
+                c = _canonical(coeff)
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -65,14 +86,12 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            new = terms.get(exps, Fraction(0)) + c
+            new = terms.get(exps, 0) + c
             if new:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return _from_terms(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -89,25 +108,20 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = _as_fraction(other)
-            out = Poly(self.nvars)
-            if c:
-                out.terms = {e: v * c for e, v in self.terms.items()}
-            return out
+            c = _canonical(other)
+            return _from_terms(self.nvars, {e: v * c for e, v in self.terms.items()} if c else {})
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, Fraction(0)) + c1 * c2
+                exps = tuple(map(add, e1, e2))
+                new = terms.get(exps, 0) + c1 * c2
                 if new:
                     terms[exps] = new
                 else:
                     terms.pop(exps, None)
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return _from_terms(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -146,27 +160,25 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     # -- calculus and substitution --------------------------------------
 
     def derivative(self, index: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[index]
             if e:
                 lowered = list(exps)
                 lowered[index] = e - 1
                 key = tuple(lowered)
-                new = terms.get(key, Fraction(0)) + c * e
+                new = terms.get(key, 0) + c * e
                 if new:
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return _from_terms(self.nvars, terms)
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop every term of total degree above max_degree."""
@@ -177,15 +189,15 @@ class Poly:
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        vals = [_as_fraction(x) for x in point]
-        total = Fraction(0)
+        vals = [_canonical(x) for x in point]
+        total = 0
         for exps, c in self.terms.items():
             term = c
             for x, e in zip(vals, exps):
                 if e:
                     term *= x ** e
             total += term
-        return total
+        return Fraction(total)
 
     def substitute(self, values: Sequence[Union["Poly", int, Fraction]],
                    nvars_out: int | None = None) -> "Poly":
@@ -347,7 +359,7 @@ def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
     powers: dict[tuple[int, int], list] = {}
     out: list = []
     for exps, c in p.terms.items():
-        coeffs = [c.numerator if c.denominator == 1 else c]
+        coeffs = [c]
         for i, e in enumerate(exps):
             if not e:
                 continue

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from vermajet.errors import SizeCapError
-from vermajet.linalg import primitive_integers, span_dim
-from vermajet.polynomials import Poly, restrict_to_line
+from vermajet.linalg import SparseMatrix, kernel_basis, primitive_integers, span_dim
+from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
 from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
+                                   _incidence_parametrization,
                                    _uni_from_poly, _uni_irreducible_q,
                                    classical_discriminant_oracle,
                                    eliminant_generators, graded_relations,
@@ -306,3 +307,29 @@ def test_memoized_eliminants_are_isolated_from_callers():
     assert multiple_root_eliminant(4, 2) == recorded
     with pytest.raises(SizeCapError):
         eliminant_generators(4, 2, cap=3)
+
+
+def _reference_graded_relations(d, l, degree):
+    """Kernel of the pullback matrix, each pullback a product of powers of
+    the parametrization polynomials, ranked as one SparseMatrix."""
+    params = _incidence_parametrization(d, l)
+    a_monomials = sorted(degree_monomials(degree, d + 1))
+    columns = {}
+    rows = []
+    for exps in a_monomials:
+        pullback = Poly.const(params[0].nvars, 1)
+        for k, e in enumerate(exps):
+            pullback = pullback * params[k] ** e
+        rows.append({columns.setdefault(bc, len(columns)): c for bc, c in pullback.terms.items()})
+    matrix = SparseMatrix.from_rows(rows, cols=len(columns))
+    return [integer_primitive(Poly(d + 1, {e: c for e, c in zip(a_monomials, combo) if c}))
+            for combo in kernel_basis(matrix.transpose())]
+
+
+@pytest.mark.parametrize("d,l", [(4, 2), (5, 2), (5, 3), (6, 3)])
+def test_graded_relations_match_pullback_matrix_kernel(d, l):
+    for degree in range(1, 6):
+        got = graded_relations(d, l, degree)
+        assert [p.to_string() for p in got] == \
+            [p.to_string() for p in _reference_graded_relations(d, l, degree)]
+        assert all(type(c) is int for p in got for c in p.terms.values())

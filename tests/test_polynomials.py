@@ -1,10 +1,19 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vermajet.polynomials import (Poly, det, divide_by_variable,
                                   integer_primitive, restrict_to_line,
                                   strip_variable_factors)
+
+
+def _canonical_coefficient(c) -> bool:
+    """An int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def _xy():
@@ -99,7 +108,6 @@ def test_to_string_ordering():
 
 
 def test_restrict_to_line_agrees_with_substitute():
-    import random
     rng = random.Random(20240)
     t = Poly.variable(1, 0)
     for _ in range(200):
@@ -115,4 +123,100 @@ def test_restrict_to_line_agrees_with_substitute():
                                 nvars_out=1)
         restricted = restrict_to_line(p, base, direction)
         assert restricted == expected
-        assert all(isinstance(c, Fraction) for c in restricted.terms.values())
+        assert all(_canonical_coefficient(c) for c in restricted.terms.values())
+        integral = restrict_to_line(integer_primitive(p), [math.floor(b) for b in base], direction)
+        assert all(type(c) is int for c in integral.terms.values())
+
+
+# -- integer-or-Fraction coefficients against a plain Fraction reference -----
+
+_NVARS = 3
+
+
+def _coefficients():
+    return st.one_of(st.integers(-6, 6),
+                     st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4))))
+
+
+def _polys():
+    exps = st.tuples(*[st.integers(0, 3)] * _NVARS)
+    return st.dictionaries(exps, _coefficients(), max_size=5).map(
+        lambda terms: Poly(_NVARS, terms))
+
+
+def _reference(p: Poly) -> dict:
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def _ref_clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_derivative(a: dict, index: int) -> dict:
+    out = {}
+    for e, c in a.items():
+        if e[index]:
+            lowered = list(e)
+            lowered[index] -= 1
+            out[tuple(lowered)] = c * e[index]
+    return _ref_clean(out)
+
+
+def _agrees(p: Poly, reference: dict) -> bool:
+    return (all(_canonical_coefficient(c) for c in p.terms.values())
+            and _reference(p) == reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _polys(), _coefficients(), st.integers(0, 3), st.integers(0, _NVARS - 1),
+       st.tuples(*[_coefficients()] * _NVARS))
+def test_arithmetic_matches_fraction_reference(p, q, scalar, power, index, point):
+    rp, rq = _reference(p), _reference(q)
+    assert all(_canonical_coefficient(c) for c in p.terms.values())
+    assert _agrees(p + q, _ref_add(rp, rq))
+    assert _agrees(p - q, _ref_add(rp, {e: -c for e, c in rq.items()}))
+    assert _agrees(p * q, _ref_mul(rp, rq))
+    assert _agrees(p * scalar, _ref_mul(rp, {(0,) * _NVARS: Fraction(scalar)} if scalar else {}))
+    assert _agrees(p + scalar, _ref_add(rp, {(0,) * _NVARS: Fraction(scalar)} if scalar else {}))
+    expected = {(0,) * _NVARS: Fraction(1)}
+    for _ in range(power):
+        expected = _ref_mul(expected, rp)
+    assert _agrees(p ** power, expected)
+    assert _agrees(p.derivative(index), _ref_derivative(rp, index))
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == sum((c * math.prod(Fraction(x) ** k for x, k in zip(point, e))
+                         for e, c in rp.items()), Fraction(0))
+
+
+def test_det_matches_sympy_on_random_integer_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31337)
+    names = sympy.symbols("x0:3")
+    for _ in range(6):
+        rows = [[Poly(3, {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-5, 5)
+                          for _ in range(rng.randint(0, 3))})
+                 for _ in range(4)] for _ in range(4)]
+        as_sympy = sympy.Matrix([[sympy.Add(*[c * sympy.Mul(*[v ** k for v, k in zip(names, e)])
+                                              for e, c in p.terms.items()])
+                                  for p in row] for row in rows])
+        expected = sympy.Poly(as_sympy.det(method="berkowitz"), *names)
+        got = det(rows)
+        assert all(type(c) is int for c in got.terms.values())
+        assert got.terms == {e: int(c) for e, c in expected.terms() if c}
