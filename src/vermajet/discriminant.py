@@ -19,10 +19,12 @@ recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e;
 the coefficient of each (b, c)-monomial gives one equation, and the
 equations go straight into one integer `Echelon` whose kernel is the piece.
 
-Irreducibility evidence restricts an eliminant to seeded lines.  Each
-univariate restriction is proved irreducible over Q by mod-p degree
+Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
+Each univariate restriction is proved irreducible over Q by mod-p degree
 patterns (distinct-degree factorization over GF(p) at several primes),
-proved reducible only by a rational root, and otherwise left unknown.
+proved reducible only by a rational root, and otherwise left unknown.  For
+l > 1 the witness is "heuristic" by policy and restricts nothing: a line
+through one generator of a codimension-l ideal says nothing about the locus.
 
 `classical_discriminant_oracle` and `multiple_root_eliminant` are memoized
 for the life of the process, keyed by all their arguments (d, cap) and
@@ -56,10 +58,6 @@ _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 @dataclass(frozen=True)
 class BinaryForm:
     coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values: Sequence[int | Fraction]) -> "BinaryForm":
-        return BinaryForm(tuple(Fraction(v) for v in values))
 
     @property
     def degree(self) -> int:
@@ -166,9 +164,13 @@ def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fract
         raise ValueError("need 1 <= l < d")
     if len(g) != d - l:
         raise ValueError(f"cofactor needs {d - l} coefficients")
-    point = [Fraction(b)] + [Fraction(v) for v in g]
-    polys = _incidence_parametrization(d, l)
-    return BinaryForm(tuple(p.evaluate(point) for p in polys))
+    # coefficient r is sum_j C(l+1, j) (-b)^j g_(r-j)
+    binomial = [comb(l + 1, j) * (-Fraction(b)) ** j for j in range(l + 2)]
+    cofactor = [Fraction(v) for v in g]
+    return BinaryForm(tuple(
+        sum((binomial[j] * cofactor[r - j]
+             for j in range(max(0, r - len(g) + 1), min(r, l + 1) + 1)), Fraction(0))
+        for r in range(d + 1)))
 
 
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
@@ -515,43 +517,36 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
                            cap: int = DEFAULT_DEGREE_CAP) -> IrreducibilityWitness:
     """Irreducibility evidence for the multiple-root locus.
 
-    Each of three seeded lines records the verdict on the eliminant's
-    full-degree restriction to it: True when mod-p degree patterns leave no
-    proper factor degree over Q, False only when it has a rational root, and
-    None (unknown) otherwise.  An irreducible full-degree restriction is a
-    sound proof that the eliminant is irreducible.
+    For l = 1, each of three seeded lines records the verdict on the
+    discriminant's full-degree restriction to it: True when mod-p degree
+    patterns leave no proper factor degree over Q, False only when it has a
+    rational root, and None (unknown) otherwise.  An irreducible full-degree
+    restriction is a sound proof that the discriminant is irreducible.
 
     Certification happens only inside the policy envelope l = 1, d <= 4: the
     eliminant must match the resultant oracle and at least one line must be
     irreducible.  Outside the envelope the verdict is heuristic; the check
-    never claims a negative.
+    never claims a negative.  For l > 1 no line is tried: restricting one
+    generator of a codimension-l ideal says nothing about the locus, so the
+    verdict is "heuristic" with the policy in the details.
     """
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
     if d > cap:
         raise SizeCapError("binary form degree", d, cap)
-    rng = random.Random(seed)
     in_envelope = (l == 1 and d <= 4)
     details: dict = {"envelope": in_envelope}
-    if l > 1 and d > 4:
+    if l > 1:
         details["policy"] = "outside the certified envelope; no specialization attempted"
         return IrreducibilityWitness("heuristic", details)
 
-    if l == 1:
-        elim = multiple_root_eliminant(d, 1, cap)
-        oracle = classical_discriminant_oracle(d, cap)
-        details["oracle_match"] = elim.poly == oracle.poly
-        target = elim.poly
-    else:
-        generators = multiple_root_eliminant(d, l, cap)
-        details["generator_count"] = len(generators)
-        target = generators[0].poly
-
+    target = multiple_root_eliminant(d, 1, cap).poly
+    details["oracle_match"] = target == classical_discriminant_oracle(d, cap).poly
     total_degree = target.total_degree()
+    rng = random.Random(seed)
     lines = []
-    any_certified = False
     for _ in range(3):
-        record = None
+        record = {"degenerate": True}
         for _ in range(25):
             base = [rng.randint(-3, 3) for _ in range(target.nvars)]
             direction = [rng.randint(-3, 3) for _ in range(target.nvars)]
@@ -561,19 +556,15 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
             coeffs = primitive_integers(_uni_from_poly(restricted), -1)
             if len(coeffs) - 1 != total_degree:
                 continue  # degree dropped: unlucky direction
-            verdict = _uni_irreducible_q(coeffs)
             record = {"base": base, "direction": direction,
-                      "degree": len(coeffs) - 1, "irreducible": verdict}
+                      "degree": len(coeffs) - 1,
+                      "irreducible": _uni_irreducible_q(coeffs)}
             break
-        if record is None:
-            record = {"degenerate": True}
-        else:
-            if record.get("irreducible") is True:
-                any_certified = True
         lines.append(record)
     details["lines"] = lines
     if all(r.get("degenerate") for r in lines):
         return IrreducibilityWitness("unknown", details)
-    if in_envelope and details.get("oracle_match") and any_certified:
+    if in_envelope and details["oracle_match"] and any(
+            r.get("irreducible") is True for r in lines):
         return IrreducibilityWitness("certified", details)
     return IrreducibilityWitness("heuristic", details)

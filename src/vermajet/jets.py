@@ -12,9 +12,17 @@ truncation at total degree l.
 
 A section carries both its chart polynomial and its coordinates in the
 degree-d Plücker monomial spanning set; the latter is what pairs against
-module vectors.  Row reduction produces basis sections whose coordinates
-are linear combinations of monomials (the single-monomial case is the
-generating family).
+module vectors.  `section_space` adds each monomial's integer chart row,
+followed by a provenance 1 in its own column, to one `Echelon`; the basis
+sections are the reduced rows with a chart pivot, read as Fraction(v, pivot).
+
+Chart columns are in graded order and the span is graded, so every basis
+section is homogeneous: the sections whose pivot has degree <= l have
+independent l-jets, and the l-jets of the others vanish.  `kernel_sections`
+keeps the latter and certifies their count against the Taylor rank (count =
+basis size - rank, else ArithmeticError); that is why it still calls
+`taylor_matrix`.  No second elimination builds the kernel; `kernel_basis`
+stays imported only for the benchmark's layer tracer.
 
 Memoized for the life of the process: the chart minor behind
 `plucker_polynomial`, keyed by (sorted rows, m, n), and the jet-monomial
@@ -32,7 +40,9 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .filtration import canonical_filtration
-from .linalg import SparseMatrix, kernel_basis, rank, rref
+# kernel_basis is unused here but stays bound: perfbench's layer tracer
+# rebinds and checks `jets.kernel_basis`.
+from .linalg import Echelon, SparseMatrix, kernel_basis, rank  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pair, sym_basis
 from .polynomials import Poly, degree_monomials, det
 
@@ -150,27 +160,21 @@ def section_space(m: int, n: int, d: int,
     columns = _chart_columns(raw)
     col_index = {exps: k for k, exps in enumerate(columns)}
     width = len(columns)
-    rows = []
+    echelon = Echelon(width + len(raw))
     for r, s in enumerate(raw):
         row = {col_index[exps]: c for exps, c in s.chart.terms.items()}
-        row[width + r] = Fraction(1)  # provenance tracking
-        rows.append(row)
-    result = rref(SparseMatrix.from_rows(rows, cols=width + len(raw)))
+        row[width + r] = 1  # provenance tracking
+        echelon.add(row)
     nvars = m * n
     basis: list[SectionPolynomial] = []
-    reduced_rows = result.reduced.row_dicts()
-    for i, pivot in enumerate(result.pivots):
+    for pivot, row in zip(echelon.pivots, echelon.reduced()):
         if pivot >= width:
-            continue  # a pure Plücker relation, not a section
-        row = reduced_rows[i]
-        chart_terms = {columns[c]: v for c, v in row.items() if c < width}
-        plucker: dict[SymIndex, Fraction] = {}
-        for c, v in row.items():
-            if c >= width:
-                key = next(iter(raw[c - width].plucker))
-                plucker[key] = plucker.get(key, Fraction(0)) + v
-        basis.append(SectionPolynomial(Poly(nvars, chart_terms),
-                                       {k: v for k, v in plucker.items() if v}))
+            break  # pure Plücker relations, not sections, pivot last
+        scale = row[pivot]
+        chart = {columns[c]: Fraction(v, scale) for c, v in row.items() if c < width}
+        plucker = {next(iter(raw[c - width].plucker)): Fraction(v, scale)
+                   for c, v in row.items() if c >= width}
+        basis.append(SectionPolynomial(Poly(nvars, chart), plucker))
     return basis
 
 
@@ -206,28 +210,17 @@ def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction,
 def kernel_sections(m: int, n: int, d: int, l: int,
                     cap: int = DEFAULT_AMBIENT_CAP
                     ) -> tuple[list[SectionPolynomial], int]:
-    """Basis of the sections whose order-l jet vanishes, with its dimension."""
+    """Basis of the sections whose order-l jet vanishes, with its dimension:
+    the basis sections with no chart term of degree <= l, certified by the
+    Taylor rank."""
     if not 1 <= l <= d:
         raise ValueError("l must satisfy 1 <= l <= d")
     basis = section_space(m, n, d, cap)
-    matrix, _ = taylor_matrix(m, n, d, l, cap)
-    combos = kernel_basis(matrix.transpose())
-    nvars = m * n
-    out: list[SectionPolynomial] = []
-    for combo in combos:
-        chart = Poly.zero(nvars)
-        plucker: dict[SymIndex, Fraction] = {}
-        for coeff, s in zip(combo, basis):
-            if not coeff:
-                continue
-            chart = chart + coeff * s.chart
-            for key, v in s.plucker.items():
-                new = plucker.get(key, Fraction(0)) + coeff * v
-                if new:
-                    plucker[key] = new
-                else:
-                    plucker.pop(key, None)
-        out.append(SectionPolynomial(chart, plucker))
+    _, taylor_rank = taylor_matrix(m, n, d, l, cap)
+    out = [s for s in basis if s.chart.truncate(l).is_zero]
+    if len(out) != len(basis) - taylor_rank:
+        raise ArithmeticError(f"{len(out)} sections with vanishing {l}-jet, "
+                              f"expected {len(basis)} - {taylor_rank}")
     return out, len(out)
 
 

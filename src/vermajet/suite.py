@@ -140,11 +140,11 @@ def _filtration_record(m: int, n: int, d: int, caps) -> dict:
     }
 
 
-def _split_records(m: int, n: int, d: int, caps) -> list[dict]:
-    ambient_cap, monomial_cap = caps
+def _split_records(m: int, n: int, d: int, filtration: dict) -> list[dict]:
     out = []
     for l in range(1, min(d - 1, MAX_SPLIT_LEVEL) + 1):
-        report = filt.verma_split_check(m, n, d, l, ambient_cap, monomial_cap)
+        report = filt.split_report(m, n, l, filtration["dims"][l],
+                                   filtration["pbw"][l - 1]["independent"])
         out.append({
             "l": l,
             "dim_ul_g": report.dim_ul_g,
@@ -219,15 +219,16 @@ def _duality_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
 
 def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:
     caps = (ambient_cap, monomial_cap)
+    filtration = _filtration_record(m, n, d, caps)
     record = {
         "m": m, "n": n, "d": d,
         "module_dim": filt.weyl_dim_oracle(m, n, d),
-        "filtration": _filtration_record(m, n, d, caps),
+        "filtration": filtration,
         # At the degree boundary l = d the annihilator dimension is reported
         # but nothing is asserted about it.
         "annihilator_dim_at_d": filt.annihilator_dim(m, n, d, d, ambient_cap,
                                                      monomial_cap),
-        "split": _split_records(m, n, d, caps),
+        "split": _split_records(m, n, d, filtration),
         "char_ideal": _char_ideal_records(m, n, d, caps),
         "serre": _serre_records(m, n, d, ambient_cap),
         "taylor": _taylor_record(m, n, d, ambient_cap),
