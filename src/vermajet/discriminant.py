@@ -15,9 +15,13 @@ parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
 identity, so membership of the image in every generator is exact by
 construction.  The pullbacks of the degree-k monomials are integer
 polynomials in (b, c), built from those of degree k-1 by the prefix
-recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e;
-the coefficient of each (b, c)-monomial gives one equation, and the
-equations go straight into one integer `Echelon` whose kernel is the piece.
+recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e,
+and the eliminant search grows them once, degree after degree.  The
+coefficient of each (b, c)-monomial gives one equation, and the equations
+go into one integer `Echelon`, sparsest first, whose kernel is the piece;
+the reduced form is unique, so row order cannot change the kernel, only
+the cost of reaching it.  `graded_relations` stays the public entry point
+for a single degree.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
 Each univariate restriction is proved irreducible over Q by mod-p degree
@@ -40,8 +44,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import comb, gcd
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
@@ -173,6 +178,39 @@ def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fract
         for r in range(d + 1)))
 
 
+def _pullbacks_by_degree(d: int, l: int) -> Iterator[dict[tuple[int, ...], Poly]]:
+    """Yield, for k = 1, 2, ..., the pullbacks of the degree-k monomials in
+    a_0..a_d along the parametrization, each degree grown from the last."""
+    params = _incidence_parametrization(d, l)
+    pullbacks = {(0,) * (d + 1): Poly.const(params[0].nvars, 1)}
+    for k in count(1):
+        previous, pullbacks = pullbacks, {}
+        # a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
+        for exps in degree_monomials(k, d + 1):
+            i = next(i for i, e in enumerate(exps) if e)
+            prefix = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            pullbacks[exps] = params[i] * previous[prefix]
+        yield pullbacks
+
+
+def _kernel_piece(pullbacks: dict[tuple[int, ...], Poly], d: int) -> list[Poly]:
+    """Primitive integer combinations of the a-monomials whose pullbacks
+    sum to zero: one equation per (b, c)-monomial, sparsest first."""
+    a_monomials = list(pullbacks)
+    equations: dict[tuple[int, ...], dict[int, int]] = {}
+    for col, exps in enumerate(a_monomials):
+        for bc_exps, c in pullbacks[exps].terms.items():
+            equations.setdefault(bc_exps, {})[col] = c
+    echelon = Echelon(len(a_monomials))
+    for row in sorted(equations.values(), key=len):
+        echelon.add(row)
+    out = []
+    for combo in echelon.kernel():
+        terms = {exps: c for exps, c in zip(a_monomials, combo) if c}
+        out.append(integer_primitive(Poly(d + 1, terms)))
+    return out
+
+
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
     """Homogeneous degree-`degree` polynomials in a_0..a_d vanishing
     identically on the incidence parametrization (an exact kernel)."""
@@ -180,29 +218,7 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
         raise ValueError("need 1 <= l < d")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    params = _incidence_parametrization(d, l)
-    # a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
-    pullbacks = {(0,) * (d + 1): Poly.const(params[0].nvars, 1)}
-    for k in range(1, degree + 1):
-        previous, pullbacks = pullbacks, {}
-        for exps in degree_monomials(k, d + 1):
-            i = next(i for i, e in enumerate(exps) if e)
-            prefix = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            pullbacks[exps] = params[i] * previous[prefix]
-    a_monomials = list(pullbacks)
-    # one equation per (b, c)-monomial on the a-monomial coefficients
-    equations: dict[tuple[int, ...], dict[int, int]] = {}
-    for col, exps in enumerate(a_monomials):
-        for bc_exps, c in pullbacks[exps].terms.items():
-            equations.setdefault(bc_exps, {})[col] = c
-    echelon = Echelon(len(a_monomials))
-    for row in equations.values():
-        echelon.add(row)
-    out = []
-    for combo in echelon.kernel():
-        terms = {exps: c for exps, c in zip(a_monomials, combo) if c}
-        out.append(integer_primitive(Poly(d + 1, terms)))
-    return out
+    return _kernel_piece(next(islice(_pullbacks_by_degree(d, l), degree - 1, None)), d)
 
 
 def _new_generators(piece: list[Poly], collected: list[Poly],
@@ -237,7 +253,10 @@ def _sample_point(d: int, l: int, rng: random.Random) -> tuple[Fraction, list[Fr
 
 def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     """The generators' Jacobian reaches rank l at three generic points of the
-    parametrization, so they cut the locus to the expected codimension."""
+    parametrization, so they cut the locus to the expected codimension.
+    Fewer than l generators cannot reach rank l, so no point is drawn."""
+    if len(generators) < l:
+        return False
     gradients = [[gen.derivative(j) for j in range(d + 1)] for gen in generators]
     rng = random.Random(20111)
     successes = 0
@@ -279,8 +298,8 @@ def _multiple_root_eliminant(d: int, l: int,
         determinant = det(_bezout_matrix(d))
         return _make_eliminant(strip_variable_factors(determinant))
     collected: list[Poly] = []
-    for degree in range(1, 2 * (d - 1) + 1):
-        piece = graded_relations(d, l, degree)
+    for degree, pullbacks in zip(range(1, 2 * (d - 1) + 1), _pullbacks_by_degree(d, l)):
+        piece = _kernel_piece(pullbacks, d)
         collected.extend(_new_generators(piece, collected, degree, d))
         if collected and _generators_cut_codimension(collected, d, l):
             break

@@ -12,6 +12,10 @@ Conventions, fixed once and used everywhere downstream:
   and its complement n is that block (abelian, of dimension m*n);
 * weights live in Z^{m+n} modulo the all-ones vector, so two weight vectors
   are equal exactly when their difference is constant.
+
+`build_context` is memoized per (m, n) for the life of the process; every
+caller shares one context, which is read-only (`basis` and `basis_names`
+are tuples).  Invalid block sizes raise and are never stored.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 
@@ -153,16 +158,13 @@ class LieAlgebraContext:
         self.n = n
         self.size = m + n
         self.N = self.size * self.size - 1
-        self.basis: list[LieElement] = []
-        self.basis_names: list[str] = []
-        for i in range(1, self.size + 1):
-            for j in range(1, self.size + 1):
-                if i != j:
-                    self.basis.append(self.E(i, j))
-                    self.basis_names.append(f"E{i},{j}")
-        for k in range(1, self.size):
-            self.basis.append(self.H(k))
-            self.basis_names.append(f"H{k}")
+        units = [(i, j) for i in range(1, self.size + 1)
+                 for j in range(1, self.size + 1) if i != j]
+        cartan = range(1, self.size)
+        self.basis: tuple[LieElement, ...] = (
+            tuple(self.E(i, j) for i, j in units) + tuple(self.H(k) for k in cartan))
+        self.basis_names: tuple[str, ...] = (
+            tuple(f"E{i},{j}" for i, j in units) + tuple(f"H{k}" for k in cartan))
 
     def E(self, i: int, j: int) -> LieElement:
         if i == j:
@@ -202,7 +204,9 @@ class LieAlgebraContext:
         return f"LieAlgebraContext(m={self.m}, n={self.n})"
 
 
+@lru_cache(maxsize=None)
 def build_context(m: int, n: int) -> LieAlgebraContext:
+    """The shared, read-only sl(m+n) context for blocks of sizes m and n."""
     return LieAlgebraContext(m, n)
 
 

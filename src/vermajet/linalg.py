@@ -179,7 +179,11 @@ class Echelon:
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """Basis of {x : M x = 0}, one vector per free column, where M has
-        the added rows; x is 1 at its free column and 0 at the others."""
+        the added rows; x is 1 at its free column and 0 at the others.
+        At full column rank the kernel is zero and no back-substitution
+        runs."""
+        if self.rank == self.cols:
+            return []
         reduced = self.reduced()
         free = [c for c in range(self.cols) if c not in self._rows]
         basis = {c: [Fraction(0)] * c + [Fraction(1)] + [Fraction(0)] * (self.cols - c - 1)

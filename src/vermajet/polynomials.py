@@ -266,7 +266,12 @@ class Poly:
 
 
 def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
-    """Determinant of a square matrix of polynomials, by minor expansion."""
+    """Determinant of a square matrix of polynomials, by minor expansion
+    along the rows, memoized by the remaining column set.
+
+    Each minor adds sign * c1 * c2 for every term pair of entry x sub-minor
+    straight into one exponent dict, and drops its zero coefficients once,
+    at the end; no intermediate `Poly` is built per product or sum."""
     size = len(rows)
     nvars = None
     for row in rows:
@@ -290,17 +295,20 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
         if cols in cache:
             return cache[cols]
         r = size - len(cols)
-        total = Poly.zero(nvars)
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for k, c in enumerate(cols):
-            entry = lifted[r][c]
-            if entry.is_zero:
+            entry = lifted[r][c].terms
+            if not entry:
                 continue
-            rest = cols[:k] + cols[k + 1:]
-            sub = minor(rest)
-            term = entry * sub
-            total = total + (term if k % 2 == 0 else -term)
-        cache[cols] = total
-        return total
+            sub = minor(cols[:k] + cols[k + 1:]).terms
+            for e1, c1 in entry.items():
+                if k % 2:
+                    c1 = -c1
+                for e2, c2 in sub.items():
+                    exps = tuple(map(add, e1, e2))
+                    terms[exps] = terms.get(exps, 0) + c1 * c2
+        cache[cols] = _from_terms(nvars, {e: c for e, c in terms.items() if c})
+        return cache[cols]
 
     return minor(tuple(range(size)))
 

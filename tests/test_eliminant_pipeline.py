@@ -1,0 +1,93 @@
+"""The eliminant pipeline: pullbacks grown once per eliminant, equations
+eliminated in any order, and the binary-forms references of the benchmark."""
+
+import importlib.util
+import random
+import sys
+from itertools import islice
+from pathlib import Path
+
+import pytest
+
+from test_discriminant import _reference_graded_relations
+from vermajet import discriminant
+from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece,
+                                   _pullbacks_by_degree, classical_discriminant_oracle,
+                                   eliminant_generators, graded_relations)
+from vermajet.linalg import Echelon
+from vermajet.polynomials import Poly, degree_monomials
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _strings(polys):
+    return [p.to_string() for p in polys]
+
+
+@pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
+def test_shared_pullback_growth_matches_graded_relations(d, l):
+    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l)):
+        assert list(pullbacks) == list(degree_monomials(degree, d + 1))
+        assert _strings(_kernel_piece(pullbacks, d)) == _strings(graded_relations(d, l, degree))
+
+
+def test_graded_relations_match_pullback_matrix_kernel_at_6_2():
+    for degree in range(1, 6):
+        got = graded_relations(6, 2, degree)
+        assert _strings(got) == _strings(_reference_graded_relations(6, 2, degree))
+        assert all(type(c) is int for p in got for c in p.terms.values())
+    assert [len(graded_relations(6, 2, k)) for k in range(1, 6)] == [0, 0, 0, 1, 10]
+
+
+def _equation_rows(pullbacks):
+    columns = {exps: col for col, exps in enumerate(pullbacks)}
+    equations = {}
+    for exps, pullback in pullbacks.items():
+        for bc_exps, c in pullback.terms.items():
+            equations.setdefault(bc_exps, {})[columns[exps]] = c
+    return list(equations.values())
+
+
+def _kernel(rows, cols):
+    echelon = Echelon(cols)
+    for row in rows:
+        echelon.add(row)
+    return echelon.kernel()
+
+
+def test_equation_kernel_is_independent_of_row_order():
+    pullbacks = next(islice(_pullbacks_by_degree(6, 2), 4, None))  # degree 5
+    rows = _equation_rows(pullbacks)
+    cols = len(pullbacks)
+    expected = _kernel(rows, cols)
+    assert len(expected) == 10
+    assert _kernel(sorted(rows, key=len), cols) == expected
+    for seed in (1, 2, 3):
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        assert _kernel(shuffled, cols) == expected
+
+
+def test_too_few_generators_draw_no_sample(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("a sample point was drawn")
+
+    monkeypatch.setattr(discriminant, "parametrized_form", no_sample)
+    generator = Poly.variable(7, 0)
+    assert _generators_cut_codimension([generator], 6, 2) is False
+    assert _generators_cut_codimension([generator] * 2, 6, 3) is False
+    with pytest.raises(AssertionError):
+        _generators_cut_codimension([generator] * 2, 6, 2)
+
+
+def test_binary_forms_benchmark_references(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for (d, l), pinned in workloads.ELIMINANTS.items():
+        strings = [g.to_string() for g in eliminant_generators(d, l)]
+        assert (len(strings), workloads._digest(strings)) == pinned
+    oracle = classical_discriminant_oracle(6).to_string()
+    assert workloads._digest([oracle]) == workloads.ELIMINANTS[(6, 1)][1]

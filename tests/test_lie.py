@@ -144,3 +144,20 @@ def test_cartan_acts_on_nilpotent_roots():
                 h = ctx.H(k)
                 value = w.coords[k - 1] - w.coords[k]
                 assert bracket(h, e) == value * e
+
+
+def test_build_context_is_shared_and_read_only():
+    ctx = build_context(2, 3)
+    assert build_context(2, 3) is ctx
+    assert build_context(3, 2) is not ctx
+    assert type(ctx.basis) is tuple and type(ctx.basis_names) is tuple
+    assert len(ctx.basis) == len(ctx.basis_names) == ctx.N
+    assert ctx.basis_names[0] == "E1,2" and ctx.basis_names[-1] == "H4"
+    with pytest.raises(TypeError):
+        ctx.basis[0] = ctx.H(1)
+
+
+def test_build_context_invalid_blocks_raise_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_context(0, 3)

@@ -246,3 +246,19 @@ def test_from_rows_leaves_bounds_check_to_the_constructor():
     matrix = SparseMatrix.from_rows([{0: 2, 1: 0, 2: Fraction(1, 2)}], cols=3)
     assert matrix.entries == {(0, 0): Fraction(2), (0, 2): Fraction(1, 2)}
     assert all(type(v) is Fraction for v in matrix.entries.values())
+
+
+def test_kernel_at_full_column_rank_is_empty_and_echelon_stays_usable():
+    echelon = Echelon(3)
+    for row in ({0: 2, 1: 4, 2: 6}, {1: 3, 2: -1}, {0: 1, 2: 5}):
+        assert echelon.add(row)
+    assert echelon.kernel() == []
+    fresh = _echelon_of([[2, 4, 6], [0, 3, -1], [1, 0, 5]], 3)
+    assert echelon.reduced() == fresh.reduced() == [{0: 1}, {1: 1}, {2: 1}]
+    assert not echelon.add({0: 7, 1: -2, 2: 9})
+    assert echelon.rank == 3 and echelon.kernel() == []
+    # a rank-deficient echelon still back-substitutes for its kernel
+    short = Echelon(3)
+    short.add({0: 2, 1: 4, 2: 6})
+    assert short.kernel() == [(Fraction(-2), Fraction(1), Fraction(0)),
+                              (Fraction(-3), Fraction(0), Fraction(1))]

@@ -220,3 +220,54 @@ def test_det_matches_sympy_on_random_integer_matrices():
         got = det(rows)
         assert all(type(c) is int for c in got.terms.values())
         assert got.terms == {e: int(c) for e, c in expected.terms() if c}
+
+
+# -- det against a plain cofactor expansion ----------------------------------
+
+def _ref_det(rows: list[list[dict]]) -> dict:
+    """Cofactor expansion along the first row, on Fraction term dicts."""
+    if not rows:
+        return {(0,) * _NVARS: Fraction(1)}
+    total: dict = {}
+    for k, entry in enumerate(rows[0]):
+        minor = _ref_det([row[:k] + row[k + 1:] for row in rows[1:]])
+        for e, c in _ref_mul(entry, minor).items():
+            total[e] = total.get(e, Fraction(0)) + (c if k % 2 == 0 else -c)
+    return _ref_clean(total)
+
+
+def _random_poly(rng, fractions):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        c = rng.randint(-4, 4)
+        if fractions and rng.random() < 0.5:
+            c = Fraction(c, rng.choice((2, 3, 5)))
+        terms[tuple(rng.randint(0, 2) for _ in range(_NVARS))] = c
+    return Poly(_NVARS, terms)
+
+
+def test_det_matches_cofactor_reference_on_seeded_matrices():
+    rng = random.Random(4242)
+    cancelling = 0
+    for trial in range(24):
+        size = rng.randint(1, 4)
+        rows = [[_random_poly(rng, trial % 2) for _ in range(size)] for _ in range(size)]
+        if size >= 2 and trial % 3 == 1:
+            rows[-1] = list(rows[0])  # two equal rows
+        elif size >= 3 and trial % 3 == 2:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]  # a sum of two rows
+        expected = _ref_det([[_reference(p) for p in row] for row in rows])
+        got = det(rows)
+        cancelling += not expected
+        assert _agrees(got, expected)
+        assert all(_canonical_coefficient(c) for c in got.terms.values())
+    assert cancelling >= 8
+
+
+def test_det_cancels_to_exact_zero():
+    x, y = _xy()
+    half = Fraction(1, 2)
+    first, second = [x + half, y, Poly.zero(2)], [x * y, half * y * y, x - 1]
+    rows = [first, second, [a + b for a, b in zip(first, second)]]
+    assert det(rows).is_zero and det(rows).terms == {}
+    assert det([[x, y], [x, y]]) == Poly.zero(2)
