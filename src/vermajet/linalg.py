@@ -5,10 +5,12 @@ arbitrary-precision arithmetic; every dimension claim in the package
 reduces to a rank computed here, with no floating point and no tolerance.
 
 All elimination runs in one `Echelon` of integer rows, each primitive (its
-entries share no common factor) with a positive pivot.  An added row is
-reduced fraction-free against the pivots in increasing column order and its
-content removed once; back-substitution runs only when the reduced form or
-a kernel is asked for.  The reduced form is unique, so `Fraction` appears
+entries share no common factor) with a positive pivot.  An added `int` row
+enters as it is; a row holding a `Fraction` is cleared of denominators (and
+made primitive) on entry.  It is reduced fraction-free against the pivots in
+increasing column order, and its content is removed once, when it is stored
+as a pivot row; back-substitution runs only when the reduced form or a
+kernel is asked for.  The reduced form is unique, so `Fraction` appears
 only at the boundary: rref entries are Fraction(v, pivot) and kernel
 vectors are Fraction tuples.
 """
@@ -92,12 +94,20 @@ class SparseMatrix:
             dict(self.entries) == dict(other.entries)
 
 
+def _all_int(values: Iterable) -> bool:
+    # isinstance(v, int) for every value, with no Python-level loop.
+    return all(map(int.__instancecheck__, values))
+
+
 def primitive_integers(values: Sequence[int | Fraction], lead: int) -> list[int]:
     """`values` scaled by one rational factor to integers with no common
     factor and values[lead] > 0; each caller picks its sign convention
     through `lead`.  All-zero input comes back as zeros."""
-    denom = lcm(*[v.denominator for v in values])
-    ints = [v.numerator * (denom // v.denominator) for v in values]
+    if _all_int(values):
+        ints = list(values)
+    else:
+        denom = lcm(*[v.denominator for v in values])
+        ints = [v.numerator * (denom // v.denominator) for v in values]
     content = gcd(*ints)
     if content and ints[lead] < 0:
         content = -content
@@ -149,7 +159,10 @@ class Echelon:
     def add(self, row: Mapping[int, int | Fraction]) -> bool:
         """Reduce `row` against the pivots in increasing column order; keep
         it and return True when it leaves a new pivot."""
-        work = _primitive_row(row)
+        if _all_int(row.values()):
+            work = {c: v for c, v in row.items() if v}
+        else:
+            work = _primitive_row(row)
         rows = self._rows
         while work:
             col = min(work)

@@ -186,7 +186,7 @@ def pair(functional: PlethysmVector, section) -> Fraction:
     vanishing statements are meaningful.
     """
     coords = getattr(section, "plucker", section)
-    if not isinstance(coords, Mapping):
+    if type(coords) is not dict and not isinstance(coords, Mapping):
         raise TypeError("section must provide Plücker-monomial coordinates")
     deg_left = {len(idx) for idx in functional.coeffs}
     deg_right = {len(idx) for idx in coords}

@@ -222,3 +222,73 @@ def test_matrix_ranks_match_sympy_on_desk_cases(m, n, d):
     for l in sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d}):
         matrix, taylor_rank = taylor_matrix(m, n, d, l)
         assert taylor_rank == sympy_rank(matrix)
+
+
+@pytest.mark.parametrize("subset", [(1, 1), (0, 2), (1, 2, 3), (1, 5)])
+def test_plucker_polynomial_rejects_invalid_rows_on_every_call(subset):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            plucker_polynomial(subset, 2, 2)
+        with pytest.raises(ValueError):
+            plucker_polynomial(list(subset), 2, 2)
+
+
+def test_plucker_polynomial_sorts_its_rows():
+    unsorted, ordered = plucker_polynomial((3, 1), 2, 2), plucker_polynomial((1, 3), 2, 2)
+    assert unsorted.chart == ordered.chart == _t(2, 2, 3, 2)
+    assert unsorted.plucker == ordered.plucker == {((1, 3),): 1}
+    assert plucker_polynomial([3, 1], 2, 2).plucker == ordered.plucker
+
+
+def test_empty_section_monomial_is_one():
+    from vermajet.jets import section_monomial
+    empty = section_monomial((), 2, 2)
+    assert empty.chart == Poly.const(4, 1) and empty.plucker == {(): 1}
+
+
+def _section_space_by_fractions(m, n, d):
+    # The basis read with Fraction(v, pivot) and the validating Poly
+    # constructor, from the same echelon as `section_space`.
+    from vermajet.jets import SectionPolynomial
+    from vermajet.linalg import Echelon
+    raw = monomial_sections(m, n, d)
+    columns = sorted({e for s in raw for e in s.chart.terms}, key=lambda e: (sum(e), e))
+    col_index = {exps: k for k, exps in enumerate(columns)}
+    width = len(columns)
+    echelon = Echelon(width + len(raw))
+    for r, s in enumerate(raw):
+        row = {col_index[exps]: c for exps, c in s.chart.terms.items()}
+        row[width + r] = 1
+        echelon.add(row)
+    basis = []
+    for pivot, row in zip(echelon.pivots, echelon.reduced()):
+        if pivot >= width:
+            break
+        scale = row[pivot]
+        chart = {columns[c]: Fraction(v, scale) for c, v in row.items() if c < width}
+        plucker = {next(iter(raw[c - width].plucker)): Fraction(v, scale)
+                   for c, v in row.items() if c >= width}
+        basis.append(SectionPolynomial(Poly(m * n, chart), plucker))
+    return basis
+
+
+def _suite_taylor_levels(d):
+    return sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d})
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
+    basis = section_space(m, n, d)
+    reference = _section_space_by_fractions(m, n, d)
+    assert basis == reference
+    for section, expected in zip(basis, reference):
+        assert [type(c) for c in section.chart.terms.values()] == \
+            [type(c) for c in expected.chart.terms.values()]
+        assert all(type(c) is Fraction for c in section.plucker.values())
+    for l in _suite_taylor_levels(d):
+        matrix, taylor_rank = taylor_matrix(m, n, d, l)
+        expected = SparseMatrix.from_rows([jet_truncation(s, m, n, l) for s in basis],
+                                          cols=comb(m * n + l, m * n))
+        assert matrix == expected
+        assert all(type(v) is Fraction for v in matrix.entries.values())
+        assert taylor_rank == rank(matrix)

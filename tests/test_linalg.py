@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -262,3 +262,90 @@ def test_kernel_at_full_column_rank_is_empty_and_echelon_stays_usable():
     short.add({0: 2, 1: 4, 2: 6})
     assert short.kernel() == [(Fraction(-2), Fraction(1), Fraction(0)),
                               (Fraction(-3), Fraction(0), Fraction(1))]
+
+
+def _seeded_content_rows(seed, count, cols):
+    # Integer rows sharing a content of 2..6, most with a negative leading
+    # entry, some exact multiples of earlier rows.
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.2:
+            row = [rng.choice((-3, -2, 2)) * v for v in rng.choice(rows)]
+        else:
+            content = rng.randint(2, 6)
+            lead = rng.randrange(cols)
+            row = [0] * lead + [-content * rng.randint(1, 4)]
+            row += [content * rng.randint(-5, 5) for _ in range(cols - lead - 1)]
+        rows.append(row)
+    return rows
+
+
+def _stored_rows_primitive(echelon):
+    for col, row in echelon._rows.items():
+        assert min(row) == col and row[col] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_echelon_int_and_fraction_rows_agree(seed):
+    cols = 4 + seed % 3
+    rows = _seeded_content_rows(seed, 9, cols)
+    rng = random.Random(100 + seed)
+    variants = [
+        [dict(enumerate(row)) for row in rows],
+        [{c: Fraction(v) for c, v in enumerate(row)} for row in rows],
+        [{c: Fraction(v, k) for c, v in enumerate(row)}
+         for row, k in ((row, rng.choice((-7, 3, 4))) for row in rows)],
+    ]
+    echelons = []
+    for variant in variants:
+        echelon = Echelon(cols)
+        for row in variant:
+            echelon.add(row)
+        _stored_rows_primitive(echelon)
+        echelons.append(echelon)
+    first = echelons[0]
+    for other in echelons[1:]:
+        assert (other.rank, other.pivots) == (first.rank, first.pivots)
+        assert other.reduced() == first.reduced()
+        assert other.kernel() == first.kernel()
+    assert first.rank == rank(SparseMatrix.from_rows(rows))
+    _stored_rows_primitive(first)  # still primitive after back-substitution
+
+
+def test_echelon_add_leaves_the_callers_row_alone():
+    row = {0: -4, 1: 6, 2: 0}
+    echelon = Echelon(3)
+    assert echelon.add(row)
+    assert row == {0: -4, 1: 6, 2: 0}
+    assert echelon.reduced() == [{0: 2, 1: -3}]
+    assert not echelon.add({0: 6, 1: -9})
+
+
+def _primitive_integers_by_lcm(values, lead):
+    # The denominator-clearing normalizer applied to every input.
+    denom = lcm(*[Fraction(v).denominator for v in values])
+    ints = [Fraction(v).numerator * (denom // Fraction(v).denominator) for v in values]
+    content = gcd(*ints)
+    if content and ints[lead] < 0:
+        content = -content
+    return ints if content in (0, 1) else [c // content for c in ints]
+
+
+def test_primitive_integers_int_mixed_and_zero_inputs():
+    rng = random.Random(7)
+    cases = [[0, 0, 0], [0], [-6, 0, 9, 12], [5, -10], [1, -1]]
+    for _ in range(40):
+        content = rng.randint(1, 9)
+        row = [content * rng.randint(-6, 6) for _ in range(rng.randint(1, 6))]
+        cases.append(row)
+        cases.append([Fraction(v, rng.randint(1, 5)) if i % 2 else v
+                      for i, v in enumerate(row)])
+    for values in cases:
+        for lead in (0, -1):
+            got = primitive_integers(values, lead)
+            assert got == _primitive_integers_by_lcm(values, lead)
+            assert all(type(v) is int for v in got)
+    assert primitive_integers([], 0) == []
