@@ -6,7 +6,7 @@ from .errors import SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   bracket, build_context, highest_weight, rho_character,
                   simple_roots)
-from .linalg import Rational, SparseMatrix, kernel_basis, rank, rref, span_dim
+from .linalg import SparseMatrix, kernel_basis, rank, rref, span_dim
 from .plethysm import (PlethysmVector, act, highest_weight_vector, module_dim,
                        pair, sym_basis, weight_of)
 from .filtration import (annihilator_dim, canonical_filtration,
@@ -26,7 +26,7 @@ __all__ = [
     "SizeCapError",
     "LieAlgebraContext", "LieElement", "SubalgebraTag", "Weight",
     "bracket", "build_context", "highest_weight", "rho_character", "simple_roots",
-    "Rational", "SparseMatrix", "kernel_basis", "rank", "rref", "span_dim",
+    "SparseMatrix", "kernel_basis", "rank", "rref", "span_dim",
     "PlethysmVector", "act", "highest_weight_vector", "module_dim", "pair",
     "sym_basis", "weight_of",
     "annihilator_dim", "canonical_filtration", "char_ideal_generator_check",

@@ -65,7 +65,7 @@ def _cmd_serre(args) -> tuple[dict, bool]:
 
 
 def _cmd_duality(args) -> tuple[dict, bool]:
-    level = suite_mod.duality_record(args.m, args.n, args.d, args.l, DEFAULT_AMBIENT_CAP)
+    level = suite_mod.duality_record(args.l, jets.duality_check(args.m, args.n, args.d, args.l))
     return _base_record(m=args.m, n=args.n, d=args.d, **level), level["ok"]
 
 

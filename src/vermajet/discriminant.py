@@ -51,7 +51,7 @@ from typing import Iterator, Sequence, Union
 from .errors import SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
-from .linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, rank  # noqa: F401
+from .linalg import Echelon, kernel_basis, primitive_integers  # noqa: F401
 from .polynomials import (Poly, degree_monomials, det, divide_by_variable,
                           integer_primitive, restrict_to_line, strip_variable_factors)
 
@@ -262,9 +262,10 @@ def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     successes = 0
     for _ in range(60):
         point = parametrized_form(d, l, *_sample_point(d, l, rng)).coeffs
-        rows = [[partial.evaluate(point) for partial in gradient]
-                for gradient in gradients]
-        if rank(SparseMatrix.from_rows(rows, cols=d + 1)) == l:
+        jacobian = Echelon(d + 1)
+        for gradient in gradients:
+            jacobian.add({j: partial.evaluate(point) for j, partial in enumerate(gradient)})
+        if jacobian.rank == l:
             successes += 1
             if successes == 3:
                 return True
@@ -330,8 +331,10 @@ def parametrization_jacobian_rank(d: int, l: int,
     polys = _incidence_parametrization(d, l)
     point = [Fraction(b)] + [Fraction(v) for v in g]
     nparams = len(point)
-    rows = [[p.derivative(v).evaluate(point) for v in range(nparams)] for p in polys]
-    return rank(SparseMatrix.from_rows(rows))
+    jacobian = Echelon(nparams)
+    for p in polys:
+        jacobian.add({v: p.derivative(v).evaluate(point) for v in range(nparams)})
+    return jacobian.rank
 
 
 def sample_jacobian_ranks(d: int, l: int, count: int,

@@ -8,7 +8,9 @@ each x that left a new pivot at level l-1, since g . F_{l-2} already lies in
 F_{l-1}.  Each level is read off the canonical reduced row echelon form, so
 bases are reproducible; F_l is a sum of weight spaces, so every reduced row
 has the weight of its pivot column (checked exactly) and the weight
-multiset counts pivot weights.
+multiset counts pivot weights.  The saturation level is the first level
+of full module dimension, read off the levels, so a result sliced to
+levels 0..k reports what `canonical_filtration(m, n, d, k)` reports.
 
 A PBW monomial is an exponent vector over a fixed ordered basis (of the
 nilpotent complement n, or of all of g); it acts by applying its factors
@@ -27,7 +29,8 @@ exactly when every (y - rho(y)) v is zero.
 The PBW images behind evaluation matrices, PBW filtrations and direct sums
 are built in one pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v),
 i the leftmost nonzero exponent; only the nonzero images of one degree are
-kept while the next is built, and nothing is memoized across calls.
+kept while the next is built, images that are only ranked go straight
+into an `Echelon`, and nothing is memoized across calls.
 `apply_pbw_monomial` stays as the row-by-row reference.
 """
 
@@ -41,7 +44,7 @@ from typing import Iterator, Sequence, Union
 from .errors import SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
-from .linalg import Echelon, SparseMatrix, rank
+from .linalg import Echelon, SparseMatrix
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
                        highest_weight_vector, sym_basis, weight_of)
 from .polynomials import degree_monomials
@@ -164,11 +167,14 @@ class FiltrationResult:
     d: int
     module_dim: int
     levels: list[FiltrationLevel]
-    saturation_level: int | None
 
     @property
     def dims(self) -> list[int]:
         return [lvl.dim for lvl in self.levels]
+
+    @property
+    def saturation_level(self) -> int | None:
+        return next((lvl.level for lvl in self.levels if lvl.saturated), None)
 
 
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
@@ -185,7 +191,6 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     echelon = Echelon(len(basis))
     new = [highest_weight_vector(m, n, d)]
     levels: list[FiltrationLevel] = []
-    saturation_level: int | None = None
 
     for level in range(l_max + 1):
         if level > 0:
@@ -199,13 +204,10 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
             multiset[weight] = multiset.get(weight, 0) + 1
             level_basis.append(PlethysmVector({basis[c]: Fraction(v, row[pivot])
                                                for c, v in row.items()}))
-        saturated = echelon.rank == target
-        if saturated and saturation_level is None:
-            saturation_level = level
         levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
-                                      saturated))
+                                      echelon.rank == target))
 
-    return FiltrationResult(m, n, d, target, levels, saturation_level)
+    return FiltrationResult(m, n, d, target, levels)
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,
@@ -222,11 +224,11 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     generators = ctx.subalgebra_basis(SubalgebraTag.N)
     count = _pbw_count(len(generators), l, monomial_cap)
     vectors = [PlethysmVector() for _ in range(count)]
+    echelon = Echelon(len(basis))
     for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d)):
         vectors[row] = image
-    rows = [coordinates(v, index_of) for v in vectors]
-    r = rank(SparseMatrix.from_rows(rows, cols=len(basis)))
-    return vectors, r == count
+        echelon.add(coordinates(image, index_of))
+    return vectors, echelon.rank == count
 
 
 def evaluation_matrix(m: int, n: int, d: int, l: int,
@@ -248,13 +250,19 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     return SparseMatrix(count, len(basis), entries)
 
 
+def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:
+    """dim U_l(g), the number of PBW monomials of degree <= l over g;
+    SizeCapError when it exceeds the monomial cap."""
+    return _pbw_count(build_context(m, n).N, l, monomial_cap)
+
+
 def annihilator_dim(m: int, n: int, d: int, l: int,
                     cap: int = DEFAULT_AMBIENT_CAP,
                     monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> int:
     """Dimension of the degree <= l part of the annihilator of v inside the
     full enveloping algebra filtration: dim U_l(g) - dim U_l(g) . v."""
     sym_basis(m, n, d, cap)  # enforce the ambient cap before the monomial cap
-    total = _pbw_count(build_context(m, n).N, l, monomial_cap)
+    total = enveloping_dim(m, n, l, monomial_cap)
     return total - canonical_filtration(m, n, d, l, cap).dims[l]
 
 
@@ -283,7 +291,7 @@ def verma_split_check(m: int, n: int, d: int, l: int,
     if not 1 <= l < d:
         raise ValueError("the split is only asserted for 1 <= l < d")
     _, n_independent = pbw_filtration(m, n, d, l, cap, monomial_cap)
-    _pbw_count(build_context(m, n).N, l, monomial_cap)
+    enveloping_dim(m, n, l, monomial_cap)
     level_dim = canonical_filtration(m, n, d, l, cap).dims[l]
     return split_report(m, n, l, level_dim, n_independent)
 
@@ -335,7 +343,7 @@ def char_ideal_generator_check(m: int, n: int, d: int, l: int,
     ctx = build_context(m, n)
     sym_basis(m, n, d, cap)
     v = highest_weight_vector(m, n, d)
-    _pbw_count(ctx.N, l - 1, monomial_cap)
+    enveloping_dim(m, n, l - 1, monomial_cap)
     # x(y - rho(y)) v = 0 for every x exactly when (y - rho(y)) v = 0
     return all((act(y, v) - rho_character(ctx, d, y) * v).is_zero
                for y in ctx.subalgebra_basis(SubalgebraTag.P))
@@ -351,15 +359,13 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
     ctx = build_context(m, n)
-    _pbw_count(ctx.N, l, monomial_cap)
-    total_cols = 0
-    index_maps = []
-    for d in degrees:
-        basis = sym_basis(m, n, d, cap)
-        index_maps.append({idx: i + total_cols for i, idx in enumerate(basis)})
-        total_cols += len(basis)
-    rows = []
-    for d, index_of in zip(degrees, index_maps):
+    enveloping_dim(m, n, l, monomial_cap)
+    bases = [sym_basis(m, n, d, cap) for d in degrees]
+    echelon = Echelon(sum(map(len, bases)))
+    offset = 0
+    for d, basis in zip(degrees, bases):
+        index_of = {idx: i + offset for i, idx in enumerate(basis)}
         for _, image in _pbw_images(ctx.basis, l, highest_weight_vector(m, n, d)):
-            rows.append(coordinates(image, index_of))
-    return rank(SparseMatrix.from_rows(rows, cols=total_cols))
+            echelon.add(coordinates(image, index_of))
+        offset += len(basis)
+    return echelon.rank

@@ -31,6 +31,10 @@ basis size - rank, else ArithmeticError); that is why it still calls
 `taylor_matrix`.  No second elimination builds the kernel; `kernel_basis`
 stays imported only for the benchmark's layer tracer.
 
+`level_duality` checks the filtration/jet duality on a level of a canonical
+filtration the caller has grown, so one filtration serves every level;
+`duality_check(m, n, d, l)` grows level l and calls it.
+
 Memoized for the life of the process: the chart minor behind
 `plucker_polynomial`, keyed by (sorted rows, m, n); the argument check and
 sort of `plucker_polynomial`, keyed by the subset as given (an invalid subset
@@ -50,10 +54,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .filtration import canonical_filtration
+from .filtration import FiltrationLevel, canonical_filtration
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
-from .linalg import Echelon, SparseMatrix, kernel_basis, rank  # noqa: F401
+from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pair, sym_basis
 from .polynomials import Poly, _from_terms, degree_monomials, det
 
@@ -72,11 +76,6 @@ class SectionPolynomial:
 
     chart: Poly
     plucker: dict[SymIndex, Fraction]
-
-    def degree(self) -> int | None:
-        for idx in self.plucker:
-            return len(idx)
-        return None
 
     def value_at_origin(self) -> int | Fraction:
         return self.chart.coefficient((0,) * self.chart.nvars)
@@ -269,19 +268,25 @@ class DualityReport:
         return self.dim_match and self.pairing_vanishes
 
 
-def duality_check(m: int, n: int, d: int, l: int,
-                  cap: int = DEFAULT_AMBIENT_CAP) -> DualityReport:
-    """The filtration level and the jet space have equal dimension, and
-    every filtration vector pairs to zero with every vanishing-jet section."""
-    if not 1 <= l < d:
-        raise ValueError("the duality is only asserted for 1 <= l < d")
-    filtration = canonical_filtration(m, n, d, l, cap)
-    level = filtration.levels[l]
+def level_duality(m: int, n: int, d: int, level: FiltrationLevel,
+                  cap: int) -> DualityReport:
+    """Level l, 1 <= l < d, of the canonical filtration of degree d and the
+    space of l-jets have equal dimension, and every vector of the level
+    pairs to zero with every vanishing-jet section."""
+    l = level.level
     _, rank = taylor_matrix(m, n, d, l, cap)
     vanishing, _ = kernel_sections(m, n, d, l, cap)
     pairing_vanishes = all(pair(u, s) == 0
                            for u in level.basis for s in vanishing)
     return DualityReport(level.dim, rank, level.dim == rank, pairing_vanishes)
+
+
+def duality_check(m: int, n: int, d: int, l: int,
+                  cap: int = DEFAULT_AMBIENT_CAP) -> DualityReport:
+    """`level_duality` on level l of a newly grown canonical filtration."""
+    if not 1 <= l < d:
+        raise ValueError("the duality is only asserted for 1 <= l < d")
+    return level_duality(m, n, d, canonical_filtration(m, n, d, l, cap).levels[l], cap)
 
 
 def _chart_point(m: int, n: int, point) -> dict[tuple[int, int], Fraction]:
@@ -312,11 +317,9 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
             for k, pos in enumerate(variables)]
     basis = section_space(m, n, d, cap)
     columns, col_index = _jet_columns(m, n, l)
-    rows = []
+    shifted = Echelon(len(columns))
     for s in basis:
-        shifted = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
-        row = {col_index[exps]: c for exps, c in shifted.terms.items()}
-        rows.append(row)
-    shifted_rank = rank(SparseMatrix.from_rows(rows, cols=len(columns)))
+        jet = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
+        shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
     _, origin_rank = taylor_matrix(m, n, d, l, cap)
-    return shifted_rank == origin_rank
+    return shifted.rank == origin_rank

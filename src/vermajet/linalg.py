@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class SparseMatrix:

@@ -6,6 +6,10 @@ verdict is "pass" exactly when every asserted equality held.  All numeric
 fields are exact integers; nothing is rounded.  Reports are deterministic
 (byte-identical JSON) for a fixed seed and configuration; wall-clock
 timings are therefore opt-in and never part of the verdict.
+
+Each case grows its canonical filtration once, through level d; the
+filtration record (levels 0..min(d - 1, 3)), the split records, the
+annihilator at d and the duality records all read that one result.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from math import comb
 from typing import Sequence
 
@@ -122,10 +126,11 @@ def formula_ok(m: int, n: int, d: int, dims: Sequence[int]) -> bool:
                                 for l in range(1, len(dims)) if l < d)
 
 
-def _filtration_record(m: int, n: int, d: int, caps) -> dict:
+def _filtration_record(m: int, n: int, d: int, grown: filt.FiltrationResult,
+                       caps) -> dict:
     ambient_cap, monomial_cap = caps
     l_max = min(d - 1, MAX_FILTRATION_LEVEL)
-    result = filt.canonical_filtration(m, n, d, l_max, ambient_cap)
+    result = replace(grown, levels=grown.levels[:l_max + 1])
     dims = result.dims
     pbw = []
     for l in range(1, l_max + 1):
@@ -163,13 +168,7 @@ def _char_ideal_records(m: int, n: int, d: int, caps) -> list[dict]:
 
 
 def _serre_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
-    return [{
-        "index": r.index,
-        "power": r.power,
-        "below_nonzero": r.below_nonzero,
-        "at_power_zero": r.at_power_zero,
-        "ok": r.ok,
-    } for r in filt.serre_power_check(m, n, d, ambient_cap)]
+    return [{**asdict(r), "ok": r.ok} for r in filt.serre_power_check(m, n, d, ambient_cap)]
 
 
 def taylor_level_record(m: int, n: int, d: int, l: int, section_dim: int,
@@ -200,39 +199,29 @@ def _taylor_record(m: int, n: int, d: int, ambient_cap: int) -> dict:
     }
 
 
-def duality_record(m: int, n: int, d: int, l: int, ambient_cap: int) -> dict:
-    report = jets.duality_check(m, n, d, l, ambient_cap)
-    return {
-        "l": l,
-        "filtration_dim": report.filtration_dim,
-        "taylor_rank": report.taylor_rank,
-        "dim_match": report.dim_match,
-        "pairing_vanishes": report.pairing_vanishes,
-        "ok": report.ok,
-    }
-
-
-def _duality_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
-    return [duality_record(m, n, d, l, ambient_cap)
-            for l in range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)]
+def duality_record(l: int, report: jets.DualityReport) -> dict:
+    return {"l": l, **asdict(report), "ok": report.ok}
 
 
 def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:
     caps = (ambient_cap, monomial_cap)
-    filtration = _filtration_record(m, n, d, caps)
+    grown = filt.canonical_filtration(m, n, d, d, ambient_cap)
+    filtration = _filtration_record(m, n, d, grown, caps)
     record = {
         "m": m, "n": n, "d": d,
         "module_dim": filt.weyl_dim_oracle(m, n, d),
         "filtration": filtration,
         # At the degree boundary l = d the annihilator dimension is reported
         # but nothing is asserted about it.
-        "annihilator_dim_at_d": filt.annihilator_dim(m, n, d, d, ambient_cap,
-                                                     monomial_cap),
+        "annihilator_dim_at_d": (filt.enveloping_dim(m, n, d, monomial_cap)
+                                 - grown.dims[d]),
         "split": _split_records(m, n, d, filtration),
         "char_ideal": _char_ideal_records(m, n, d, caps),
         "serre": _serre_records(m, n, d, ambient_cap),
         "taylor": _taylor_record(m, n, d, ambient_cap),
-        "duality": _duality_records(m, n, d, ambient_cap),
+        "duality": [duality_record(l, jets.level_duality(m, n, d, grown.levels[l],
+                                                         ambient_cap))
+                    for l in range(1, filtration["lmax"] + 1)],
     }
     ok = record["filtration"]["formula_ok"]
     ok = ok and all(entry["independent"] for entry in record["filtration"]["pbw"])

@@ -266,3 +266,14 @@ def test_report_is_pinned(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out == PINNED_REPORTS[command]
+
+
+def test_suite_monomial_cap_is_checked_at_the_annihilator(capsys, tmp_path):
+    # (1,1,3) needs C(3 + 3, 3) = 20 PBW monomials over sl(2) at l = d.
+    config = tmp_path / "capped.json"
+    config.write_text(json.dumps({"cases": [[1, 1, 3]], "disc_cases": [],
+                                  "direct_sums": [], "monomial_cap": 10}))
+    code, out, _ = run_cli(capsys, "suite", "--config", str(config))
+    assert code == 3
+    assert json.loads(out) == {"schema": "vermajet/1", "error": "size-cap",
+                               "what": "PBW monomial count", "needed": 20, "cap": 10}

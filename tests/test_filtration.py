@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -14,6 +15,7 @@ from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  multi_filtration, pbw_filtration,
                                  pbw_monomials, serre_power_check,
                                  verma_split_check, weyl_dim_oracle)
+from vermajet.suite import DESK_CASES
 
 
 def test_weyl_dim_small_wedge():
@@ -355,3 +357,15 @@ def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch):
     monkeypatch.setattr(filtration, "act", lambda x, vec: mixed)
     with pytest.raises(ArithmeticError):
         canonical_filtration(m, n, d, 1)
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_sliced_filtration_matches_shorter_growth(m, n, d):
+    # The desk suite grows each filtration to level d and slices it; the
+    # saturation level must come out as a shorter growth reports it.
+    grown = canonical_filtration(m, n, d, d)
+    for k in range(d + 1):
+        sliced = replace(grown, levels=grown.levels[:k + 1])
+        shorter = canonical_filtration(m, n, d, k)
+        assert sliced.dims == shorter.dims
+        assert sliced.saturation_level == shorter.saturation_level

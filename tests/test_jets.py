@@ -3,14 +3,14 @@ from math import comb, factorial
 
 import pytest
 
-from vermajet.filtration import evaluation_matrix, weyl_dim_oracle
+from vermajet.filtration import canonical_filtration, evaluation_matrix, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
-from vermajet.plethysm import highest_weight_vector, pair
+from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, pair
 from vermajet.polynomials import Poly
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            duality_check, jet_monomials, jet_truncation,
-                           kernel_sections, monomial_jet_projective,
+                           kernel_sections, level_duality, monomial_jet_projective,
                            monomial_sections, plucker_polynomial,
                            section_space, taylor_matrix)
 from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
@@ -292,3 +292,12 @@ def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
         assert matrix == expected
         assert all(type(v) is Fraction for v in matrix.entries.values())
         assert taylor_rank == rank(matrix)
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_level_duality_equals_duality_check(m, n, d):
+    # One filtration grown to d serves every level, as in the desk suite.
+    grown = canonical_filtration(m, n, d, d)
+    for l in range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1):
+        report = level_duality(m, n, d, grown.levels[l], DEFAULT_AMBIENT_CAP)
+        assert report == duality_check(m, n, d, l)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from vermajet import filtration, jets
 from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
 
@@ -96,3 +98,28 @@ def test_formula_ok_checks_every_level_below_d():
     assert not formula_ok(2, 2, 3, [1, 4, 15])
     assert not formula_ok(2, 2, 3, [1, 5, 14])
     assert not formula_ok(2, 2, 3, [2, 5, 15])
+
+
+DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
+
+
+def test_desk_suite_grows_one_filtration_per_case(monkeypatch):
+    # 6 cases and 4 direct-sum summands; the case records read every level
+    # off one filtration, so neither annihilator_dim nor duality_check runs.
+    calls = []
+    grow = filtration.canonical_filtration
+
+    def counted(*args):
+        calls.append(args)
+        return grow(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the desk suite must read this off its filtration")
+
+    monkeypatch.setattr(filtration, "canonical_filtration", counted)
+    monkeypatch.setattr(jets, "canonical_filtration", counted)
+    monkeypatch.setattr(filtration, "annihilator_dim", forbidden)
+    monkeypatch.setattr(jets, "duality_check", forbidden)
+    report = render_report(run_suite(SuiteConfig()), "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
+    assert len(calls) == 10
