@@ -2,7 +2,7 @@
 highest weight modules, jet truncations of grassmannian linear systems,
 and discriminants of binary forms."""
 
-from .errors import SizeCapError
+from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   bracket, build_context, highest_weight, rho_character,
                   simple_roots)
@@ -23,7 +23,7 @@ from .discriminant import (BinaryForm, Eliminant, classical_discriminant_oracle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SizeCapError",
+    "CertificateError", "SizeCapError",
     "LieAlgebraContext", "LieElement", "SubalgebraTag", "Weight",
     "bracket", "build_context", "highest_weight", "rho_character", "simple_roots",
     "SparseMatrix", "kernel_basis", "rank", "rref", "span_dim",

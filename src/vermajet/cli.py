@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all assertions pass, 1 an asserted invariant failed (the
-report names it), 2 invalid input or an unreadable config or unwritable
+report names it) or an internal certificate failed (one line on stderr,
+no report), 2 invalid input or an unreadable config or unwritable
 --out file (one line on stderr), 3 a size cap was exceeded.
 """
 
@@ -14,7 +15,7 @@ from . import discriminant as disc
 from . import filtration as filt
 from . import jets
 from . import suite as suite_mod
-from .errors import SizeCapError
+from .errors import CertificateError, SizeCapError
 from .plethysm import DEFAULT_AMBIENT_CAP
 from .suite import SCHEMA, SuiteConfig, load_config, render_report, run_suite
 
@@ -155,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as error:  # invalid input, unreadable config, unwritable --out
         sys.stderr.write(f"error: {error}\n")
         return 2
+    except CertificateError as error:  # an internal exact check failed; no report
+        sys.stderr.write(f"error: certificate failed: {error}\n")
+        return 1
     return code
 
 

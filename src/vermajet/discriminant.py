@@ -8,7 +8,9 @@ the sign fixed so the lexicographically first term is positive.
 
 Two independent routes to the classical discriminant are kept separate on
 purpose: the Sylvester resultant (the oracle) and a Bezout-matrix
-determinant (the production path for codimension one).  For higher
+determinant (the production path for codimension one).  Both go through
+`polynomials.det` but not through the same expansion: the banded Sylvester
+rows are reordered, the dense Bezout rows are not.  For higher
 multiplicity the generators of the eliminant ideal are found degree by
 degree as the exact kernel of the pullback along the incidence
 parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
@@ -48,7 +50,7 @@ from itertools import count, islice
 from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
-from .errors import SizeCapError
+from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
 from .linalg import Echelon, kernel_basis, primitive_integers  # noqa: F401
@@ -305,7 +307,7 @@ def _multiple_root_eliminant(d: int, l: int,
         if collected and _generators_cut_codimension(collected, d, l):
             break
     if not collected:
-        raise ArithmeticError(f"no eliminant generators found for (d={d}, l={l})")
+        raise CertificateError(f"no eliminant generators found for (d={d}, l={l})")
     return tuple(_make_eliminant(g) for g in collected)
 
 

@@ -1,6 +1,10 @@
 """Shared exception types."""
 
 
+class CertificateError(ArithmeticError):
+    """An exact certificate the engine checks on its own results failed."""
+
+
 class SizeCapError(Exception):
     """A requested computation would exceed a configured size cap."""
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence, Union
 
-from .errors import SizeCapError
+from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
 from .linalg import Echelon, SparseMatrix
@@ -63,7 +63,7 @@ def weyl_dim_oracle(m: int, n: int, d: int) -> int:
         for j in range(1, n + 1):
             value *= Fraction(d + i + j - 1, i + j - 1)
     if value.denominator != 1:
-        raise ArithmeticError("hook-content product is not an integer")
+        raise CertificateError("hook-content product is not an integer")
     return value.numerator
 
 
@@ -200,7 +200,7 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
         for pivot, row in zip(echelon.pivots, echelon.reduced()):
             weight = weights[pivot]
             if any(weights[c] != weight for c in row):
-                raise ArithmeticError(f"level {level} row mixes weights")
+                raise CertificateError(f"level {level} row mixes weights")
             multiset[weight] = multiset.get(weight, 0) + 1
             level_basis.append(PlethysmVector({basis[c]: Fraction(v, row[pivot])
                                                for c, v in row.items()}))

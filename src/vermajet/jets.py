@@ -27,7 +27,7 @@ Chart columns are in graded order and the span is graded, so every basis
 section is homogeneous: the sections whose pivot has degree <= l have
 independent l-jets, and the l-jets of the others vanish.  `kernel_sections`
 keeps the latter and certifies their count against the Taylor rank (count =
-basis size - rank, else ArithmeticError); that is why it still calls
+basis size - rank, else CertificateError); that is why it still calls
 `taylor_matrix`.  No second elimination builds the kernel; `kernel_basis`
 stays imported only for the benchmark's layer tracer.
 
@@ -54,6 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from .errors import CertificateError
 from .filtration import FiltrationLevel, canonical_filtration
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
@@ -251,8 +252,8 @@ def kernel_sections(m: int, n: int, d: int, l: int,
     _, taylor_rank = taylor_matrix(m, n, d, l, cap)
     out = [s for s in basis if s.chart.truncate(l).is_zero]
     if len(out) != len(basis) - taylor_rank:
-        raise ArithmeticError(f"{len(out)} sections with vanishing {l}-jet, "
-                              f"expected {len(basis)} - {taylor_rank}")
+        raise CertificateError(f"{len(out)} sections with vanishing {l}-jet, "
+                               f"expected {len(basis)} - {taylor_rank}")
     return out, len(out)
 
 

@@ -267,26 +267,30 @@ class Poly:
 
 def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     """Determinant of a square matrix of polynomials, by minor expansion
-    along the rows, memoized by the remaining column set.
+    along the rows in band order, memoized by the remaining column set.
 
-    Each minor adds sign * c1 * c2 for every term pair of entry x sub-minor
-    straight into one exponent dict, and drops its zero coefficients once,
-    at the end; no intermediate `Poly` is built per product or sum."""
+    The rows are first stable-sorted by (first nonzero column, last nonzero
+    column), all-zero rows last, and the expansion's result is multiplied
+    by the sign of that permutation.  A banded matrix such as a Sylvester
+    matrix then keeps every memoized minor inside its band; a dense matrix
+    keeps its row order.  Each minor adds sign * c1 * c2 for every term pair
+    of entry x sub-minor straight into one exponent dict, and drops its zero
+    coefficients once, at the end; no intermediate `Poly` is built per
+    product or sum."""
     size = len(rows)
-    nvars = None
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("determinant needs a square matrix")
-        for entry in row:
-            if isinstance(entry, Poly):
-                nvars = entry.nvars
-                break
-        if nvars is not None:
-            break
-    if nvars is None:
-        nvars = 0
+    if any(len(row) != size for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    nvars = next((e.nvars for row in rows for e in row if isinstance(e, Poly)), 0)
     lifted = [[e if isinstance(e, Poly) else Poly.const(nvars, e) for e in row]
               for row in rows]
+
+    def band(r: int) -> tuple[int, int]:
+        cols = [c for c, e in enumerate(lifted[r]) if e.terms]
+        return (cols[0], cols[-1]) if cols else (size, size)
+
+    order = sorted(range(size), key=band)
+    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
+    lifted = [lifted[r] for r in order]
     cache: dict[tuple[int, ...], Poly] = {}
 
     def minor(cols: tuple[int, ...]) -> Poly:
@@ -310,7 +314,8 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
         cache[cols] = _from_terms(nvars, {e: c for e, c in terms.items() if c})
         return cache[cols]
 
-    return minor(tuple(range(size)))
+    result = minor(tuple(range(size)))
+    return -result if odd else result
 
 
 def degree_monomials(total: int, nvars: int):

@@ -277,3 +277,31 @@ def test_suite_monomial_cap_is_checked_at_the_annihilator(capsys, tmp_path):
     assert code == 3
     assert json.loads(out) == {"schema": "vermajet/1", "error": "size-cap",
                                "what": "PBW monomial count", "needed": 20, "cap": 10}
+
+
+def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
+    from vermajet import jets
+
+    original = jets.taylor_matrix
+
+    def off_by_one(*args):
+        matrix, taylor_rank = original(*args)
+        return matrix, taylor_rank + 1
+
+    monkeypatch.setattr(jets, "taylor_matrix", off_by_one)
+    code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: certificate failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_other_arithmetic_errors_are_not_caught(monkeypatch):
+    from vermajet import jets
+
+    def divide_by_zero(*args):
+        raise ZeroDivisionError("not a certificate")
+
+    monkeypatch.setattr(jets, "taylor_matrix", divide_by_zero)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1"])
