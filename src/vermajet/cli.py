@@ -3,7 +3,8 @@
 Exit codes: 0 all assertions pass, 1 an asserted invariant failed (the
 report names it) or an internal certificate failed (one line on stderr,
 no report), 2 invalid input or an unreadable config or unwritable
---out file (one line on stderr), 3 a size cap was exceeded.
+--out file (one line on stderr), 3 a size cap was exceeded, 4 any other
+exception, that is a crash (one line on stderr, no report, no traceback).
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as error:  # an internal exact check failed; no report
         sys.stderr.write(f"error: certificate failed: {error}\n")
         return 1
+    except Exception as error:  # a crash, never reported as a failed invariant
+        message = " ".join(str(error).split())
+        sys.stderr.write(f"error: internal error: {type(error).__name__}: {message}\n")
+        return 4
     return code
 
 

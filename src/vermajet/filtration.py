@@ -6,7 +6,8 @@ applying at most l Lie algebra elements to the highest weight vector v.
 All levels grow in one `Echelon`: level 0 adds v, and level l adds g . x for
 each x that left a new pivot at level l-1, since g . F_{l-2} already lies in
 F_{l-1}.  Each level is read off the canonical reduced row echelon form, so
-bases are reproducible; F_l is a sum of weight spaces, so every reduced row
+bases are reproducible (each coefficient an `int` when the pivot divides
+it exactly); F_l is a sum of weight spaces, so every reduced row
 has the weight of its pivot column (checked exactly) and the weight
 multiset counts pivot weights.  The saturation level is the first level
 of full module dimension, read off the levels, so a result sliced to
@@ -177,6 +178,11 @@ class FiltrationResult:
         return next((lvl.level for lvl in self.levels if lvl.saturated), None)
 
 
+def _quotient(v: int, scale: int) -> int | Fraction:
+    # v / scale in canonical form: an int when scale divides v exactly.
+    return v // scale if v % scale == 0 else Fraction(v, scale)
+
+
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
     """Levels 0..l_max of the canonical filtration, with canonical bases."""
@@ -202,7 +208,8 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
             if any(weights[c] != weight for c in row):
                 raise CertificateError(f"level {level} row mixes weights")
             multiset[weight] = multiset.get(weight, 0) + 1
-            level_basis.append(PlethysmVector({basis[c]: Fraction(v, row[pivot])
+            scale = row[pivot]
+            level_basis.append(PlethysmVector({basis[c]: _quotient(v, scale)
                                                for c, v in row.items()}))
         levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
                                       echelon.rank == target))

@@ -33,7 +33,12 @@ stays imported only for the benchmark's layer tracer.
 
 `level_duality` checks the filtration/jet duality on a level of a canonical
 filtration the caller has grown, so one filtration serves every level;
-`duality_check(m, n, d, l)` grows level l and calls it.
+`duality_check(m, n, d, l)` grows level l and calls it.  The pairing of the
+level basis with the vanishing-jet sections is one sparse integer product
+(`plethysm.pairing_vanishes`): the sections' Plücker coordinates and the
+level vectors are scaled to primitive integers, which moves no zero, and
+the matching-count weights are folded in once per index; `plethysm.pair`
+stays as the all-pairs reference.
 
 Memoized for the life of the process: the chart minor behind
 `plucker_polynomial`, keyed by (sorted rows, m, n); the argument check and
@@ -59,7 +64,7 @@ from .filtration import FiltrationLevel, canonical_filtration
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
-from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pair, sym_basis
+from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pairing_vanishes, sym_basis
 from .polynomials import Poly, _from_terms, degree_monomials, det
 
 
@@ -277,9 +282,8 @@ def level_duality(m: int, n: int, d: int, level: FiltrationLevel,
     l = level.level
     _, rank = taylor_matrix(m, n, d, l, cap)
     vanishing, _ = kernel_sections(m, n, d, l, cap)
-    pairing_vanishes = all(pair(u, s) == 0
-                           for u in level.basis for s in vanishing)
-    return DualityReport(level.dim, rank, level.dim == rank, pairing_vanishes)
+    return DualityReport(level.dim, rank, level.dim == rank,
+                         pairing_vanishes(level.basis, vanishing))
 
 
 def duality_check(m: int, n: int, d: int, l: int,

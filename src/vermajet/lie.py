@@ -1,5 +1,10 @@
 """The special linear Lie algebra sl(m+n) over the rationals.
 
+An element is a sparse traceless matrix whose entries are each an `int`
+when integral and a `Fraction` only when not (the canonical form of
+`linalg.canonical`); sums, scalar multiples, brackets and `rho_character`
+keep that form, so the matrix units E_ij and the H_k stay integral.
+
 Conventions, fixed once and used everywhere downstream:
 
 * matrix indices are 1-based; ``E(i, j)`` is the matrix unit with a single
@@ -26,6 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from .linalg import canonical
+
 
 class LieElement:
     """A traceless (size x size) matrix, stored sparsely."""
@@ -34,13 +41,13 @@ class LieElement:
 
     def __init__(self, size: int, entries: Mapping[tuple[int, int], int | Fraction] | None = None):
         self.size = size
-        clean: dict[tuple[int, int], Fraction] = {}
-        trace = Fraction(0)
+        clean: dict[tuple[int, int], int | Fraction] = {}
+        trace = 0
         if entries:
             for (i, j), value in entries.items():
                 if not (1 <= i <= size and 1 <= j <= size):
                     raise ValueError(f"index ({i},{j}) outside 1..{size}")
-                v = Fraction(value)
+                v = canonical(value)
                 if v:
                     clean[(i, j)] = v
                     if i == j:
@@ -57,7 +64,7 @@ class LieElement:
         self._check(other)
         entries = dict(self.entries)
         for key, v in other.entries.items():
-            new = entries.get(key, Fraction(0)) + v
+            new = entries.get(key, 0) + v
             if new:
                 entries[key] = new
             else:
@@ -68,7 +75,7 @@ class LieElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar: int | Fraction) -> "LieElement":
-        c = Fraction(scalar)
+        c = canonical(scalar)
         return LieElement(self.size, {k: c * v for k, v in self.entries.items()})
 
     def __neg__(self) -> "LieElement":
@@ -214,19 +221,19 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Matrix commutator [x, y] = xy - yx."""
     if x.size != y.size:
         raise ValueError("elements live in different algebras")
-    acc: dict[tuple[int, int], Fraction] = {}
-    y_rows: dict[int, list[tuple[int, Fraction]]] = {}
-    x_rows: dict[int, list[tuple[int, Fraction]]] = {}
+    acc: dict[tuple[int, int], int | Fraction] = {}
+    y_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
+    x_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
     for (i, j), v in y.entries.items():
         y_rows.setdefault(i, []).append((j, v))
     for (i, j), v in x.entries.items():
         x_rows.setdefault(i, []).append((j, v))
     for (i, k), xv in x.entries.items():
         for j, yv in y_rows.get(k, ()):
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + xv * yv
+            acc[(i, j)] = acc.get((i, j), 0) + xv * yv
     for (i, k), yv in y.entries.items():
         for j, xv in x_rows.get(k, ()):
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) - yv * xv
+            acc[(i, j)] = acc.get((i, j), 0) - yv * xv
     return LieElement(x.size, acc)
 
 
@@ -256,13 +263,12 @@ def root_weight(ctx: LieAlgebraContext, i: int, j: int) -> Weight:
     return Weight(coords)
 
 
-def rho_character(ctx: LieAlgebraContext, d: int, y: LieElement) -> Fraction:
+def rho_character(ctx: LieAlgebraContext, d: int, y: LieElement) -> int | Fraction:
     """d times the trace of the upper-left m x m block of y (y must be in p)."""
     if not ctx.contains(y, SubalgebraTag.P):
         raise ValueError("element is not in the parabolic subalgebra")
-    block_trace = sum((y.entries.get((i, i), Fraction(0)) for i in range(1, ctx.m + 1)),
-                      Fraction(0))
-    return d * block_trace
+    block_trace = sum(y.entries.get((i, i), 0) for i in range(1, ctx.m + 1))
+    return canonical(d * block_trace)
 
 
 def highest_weight(ctx: LieAlgebraContext, d: int) -> Weight:

@@ -9,10 +9,15 @@ entries share no common factor) with a positive pivot.  An added `int` row
 enters as it is; a row holding a `Fraction` is cleared of denominators (and
 made primitive) on entry.  It is reduced fraction-free against the pivots in
 increasing column order, and its content is removed once, when it is stored
-as a pivot row; back-substitution runs only when the reduced form or a
-kernel is asked for.  The reduced form is unique, so `Fraction` appears
-only at the boundary: rref entries are Fraction(v, pivot) and kernel
-vectors are Fraction tuples.
+as a pivot row (a gcd of its values, signed by the pivot entry); a stored
+row's entries are in no particular column order.  Back-substitution runs
+only when the reduced form or a kernel is asked for.  The reduced form is
+unique, so `Fraction` appears only at the boundary: rref entries are
+Fraction(v, pivot) and kernel vectors are Fraction tuples.
+
+`canonical` and `canonical_values` keep a coefficient an `int` when it is
+integral and a `Fraction` only when it is not; polynomials, Lie algebra
+elements and module vectors all store that form.
 """
 
 from __future__ import annotations
@@ -97,6 +102,23 @@ def _all_int(values: Iterable) -> bool:
     return all(map(int.__instancecheck__, values))
 
 
+def canonical(value: int | Fraction) -> int | Fraction:
+    """The value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def canonical_values(coeffs: dict) -> dict:
+    """`coeffs` with its integral Fraction values made ints, in place."""
+    for key, v in coeffs.items():
+        if type(v) is not int and v.denominator == 1:
+            coeffs[key] = v.numerator
+    return coeffs
+
+
 def primitive_integers(values: Sequence[int | Fraction], lead: int) -> list[int]:
     """`values` scaled by one rational factor to integers with no common
     factor and values[lead] > 0; each caller picks its sign convention
@@ -116,6 +138,16 @@ def _primitive_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     # The nonzero entries as primitive integers, positive at the leftmost column.
     cols = sorted(c for c, v in row.items() if v)
     return dict(zip(cols, primitive_integers([row[c] for c in cols], 0)))
+
+
+def _store_primitive(row: dict[int, int], col: int) -> dict[int, int]:
+    # The integer row divided by its content, positive at its pivot `col`.
+    content = gcd(*row.values())
+    if row[col] < 0:
+        content = -content
+    if content == 1:
+        return row
+    return {c: v // content for c, v in row.items()}
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
@@ -166,7 +198,7 @@ class Echelon:
             col = min(work)
             pivot_row = rows.get(col)
             if pivot_row is None:
-                rows[col] = _primitive_row(work)
+                rows[col] = _store_primitive(work, col)
                 self._reduced = False
                 return True
             _eliminate(work, pivot_row, col)
@@ -184,7 +216,7 @@ class Echelon:
                 for c in targets:
                     _eliminate(row, rows[c], c)
                 if targets:
-                    rows[col] = _primitive_row(row)
+                    rows[col] = _store_primitive(row, col)
             self._reduced = True
         return [rows[c] for c in pivots]
 

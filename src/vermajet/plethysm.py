@@ -3,7 +3,11 @@
 Basis encoding: a wedge factor is a strictly increasing tuple of 1-based
 indices (an m-subset of {1..m+n}); a symmetric basis index is a sorted
 tuple of d wedge factors.  A module element is a sparse map from symmetric
-basis indices to rationals.
+basis indices to nonzero rationals, each an `int` when it is integral and a
+`Fraction` only when it is not (`linalg.canonical`).  Sums, scalar
+multiples and `act` keep that form, so the highest weight vector and
+everything the integral basis elements E_ij, H_k make of it stay in
+integer arithmetic, and `coordinates` hands `Echelon.add` all-`int` rows.
 
 A Lie algebra element acts as a derivation across the d symmetric factors
 and, inside each factor, as a derivation across the m wedge slots; a
@@ -18,10 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import SizeCapError
 from .lie import LieElement, Weight
+from .linalg import canonical, canonical_values, primitive_integers
 
 Wedge = tuple[int, ...]
 SymIndex = tuple[Wedge, ...]
@@ -35,10 +40,10 @@ class PlethysmVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[SymIndex, int | Fraction] | None = None):
-        clean: dict[SymIndex, Fraction] = {}
+        clean: dict[SymIndex, int | Fraction] = {}
         if coeffs:
             for idx, value in coeffs.items():
-                v = Fraction(value)
+                v = canonical(value)
                 if v:
                     clean[idx] = v
         self.coeffs = clean
@@ -46,23 +51,23 @@ class PlethysmVector:
     def __add__(self, other: "PlethysmVector") -> "PlethysmVector":
         coeffs = dict(self.coeffs)
         for idx, v in other.coeffs.items():
-            new = coeffs.get(idx, Fraction(0)) + v
+            new = coeffs.get(idx, 0) + v
             if new:
                 coeffs[idx] = new
             else:
                 coeffs.pop(idx, None)
         out = PlethysmVector()
-        out.coeffs = coeffs
+        out.coeffs = canonical_values(coeffs)
         return out
 
     def __sub__(self, other: "PlethysmVector") -> "PlethysmVector":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int | Fraction) -> "PlethysmVector":
-        c = Fraction(scalar)
+        c = canonical(scalar)
         out = PlethysmVector()
         if c:
-            out.coeffs = {idx: c * v for idx, v in self.coeffs.items()}
+            out.coeffs = canonical_values({idx: c * v for idx, v in self.coeffs.items()})
         return out
 
     def __neg__(self) -> "PlethysmVector":
@@ -130,10 +135,10 @@ def _replace_slot(wedge: Wedge, slot: int, new_index: int) -> tuple[Wedge | None
 
 def act(x: LieElement, w: PlethysmVector) -> PlethysmVector:
     """Derivation action of a Lie algebra element on a module vector."""
-    columns: dict[int, list[tuple[int, Fraction]]] = {}
+    columns: dict[int, list[tuple[int, int | Fraction]]] = {}
     for (i, j), c in x.entries.items():
         columns.setdefault(j, []).append((i, c))
-    acc: dict[SymIndex, Fraction] = {}
+    acc: dict[SymIndex, int | Fraction] = {}
     for idx, coeff in w.coeffs.items():
         for k, wedge in enumerate(idx):
             for slot, value in enumerate(wedge):
@@ -143,13 +148,13 @@ def act(x: LieElement, w: PlethysmVector) -> PlethysmVector:
                         continue
                     new_idx = tuple(sorted(idx[:k] + (new_wedge,) + idx[k + 1:]))
                     contrib = coeff * c * sign
-                    total = acc.get(new_idx, Fraction(0)) + contrib
+                    total = acc.get(new_idx, 0) + contrib
                     if total:
                         acc[new_idx] = total
                     else:
                         acc.pop(new_idx, None)
     out = PlethysmVector()
-    out.coeffs = acc
+    out.coeffs = canonical_values(acc)
     return out
 
 
@@ -176,7 +181,7 @@ def _matching_count(idx: SymIndex) -> int:
     return total
 
 
-def pair(functional: PlethysmVector, section) -> Fraction:
+def pair(functional: PlethysmVector, section) -> int | Fraction:
     """Canonical pairing of a module vector with a section.
 
     The section may be anything carrying Plücker-monomial coordinates: a
@@ -194,7 +199,7 @@ def pair(functional: PlethysmVector, section) -> Fraction:
         raise ValueError("inhomogeneous degree on one side of the pairing")
     if deg_left and deg_right and deg_left != deg_right:
         raise ValueError("degree mismatch in pairing")
-    total = Fraction(0)
+    total = 0
     small, large = (functional.coeffs, coords) if len(functional.coeffs) <= len(coords) \
         else (coords, functional.coeffs)
     for idx, c in small.items():
@@ -204,7 +209,39 @@ def pair(functional: PlethysmVector, section) -> Fraction:
     return total
 
 
-def coordinates(w: PlethysmVector, index_of: Mapping[SymIndex, int]) -> dict[int, Fraction]:
+def pairing_vanishes(functionals: Sequence[PlethysmVector], sections: Sequence) -> bool:
+    """Whether every functional pairs to zero with every section, the
+    sections given as for `pair`.
+
+    One sparse integer product replaces the all-pairs `pair` loop: each
+    section's Plücker coordinates are scaled to primitive integers once and
+    weighted by `_matching_count` once per index, and each functional,
+    scaled to primitive integers on the indices some section carries,
+    accumulates its pairings with every section into one dict.  Scaling a
+    functional or a section by a nonzero rational moves no zero, so the
+    answer is exactly that of `pair`.
+    """
+    columns: dict[SymIndex, list[tuple[int, int]]] = {}
+    for j, section in enumerate(sections):
+        coords = getattr(section, "plucker", section)
+        for idx, v in zip(coords, primitive_integers(list(coords.values()), 0)):
+            columns.setdefault(idx, []).append((j, v))
+    for idx, column in columns.items():
+        weight = _matching_count(idx)
+        if weight != 1:
+            column[:] = [(j, v * weight) for j, v in column]
+    for functional in functionals:
+        keys = [idx for idx in functional.coeffs if idx in columns]
+        acc: dict[int, int] = {}
+        for idx, c in zip(keys, primitive_integers([functional.coeffs[k] for k in keys], 0)):
+            for j, v in columns[idx]:
+                acc[j] = acc.get(j, 0) + c * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def coordinates(w: PlethysmVector, index_of: Mapping[SymIndex, int]) -> dict[int, int | Fraction]:
     """Sparse coordinate row of a vector against an indexed basis."""
     out = {}
     for idx, v in w.coeffs.items():

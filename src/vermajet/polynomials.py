@@ -18,25 +18,14 @@ from math import comb
 from operator import add
 from typing import Mapping, Sequence, Union
 
-from .linalg import primitive_integers
-
-
-def _canonical(value: int | Fraction) -> int | Fraction:
-    """The value as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+from .linalg import canonical, canonical_values, primitive_integers
 
 
 def _from_terms(nvars: int, terms: dict) -> "Poly":
     """A Poly owning `terms` (nonzero, right length); integral Fractions
     among them become ints."""
-    for exps, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[exps] = c.numerator
     out = Poly(nvars)
-    out.terms = terms
+    out.terms = canonical_values(terms)
     return out
 
 
@@ -50,7 +39,7 @@ class Poly:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
-                c = _canonical(coeff)
+                c = canonical(coeff)
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -108,7 +97,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = _canonical(other)
+            c = canonical(other)
             return _from_terms(self.nvars, {e: v * c for e, v in self.terms.items()} if c else {})
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
@@ -189,7 +178,7 @@ class Poly:
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        vals = [_canonical(x) for x in point]
+        vals = [canonical(x) for x in point]
         total = 0
         for exps, c in self.terms.items():
             term = c

@@ -300,8 +300,11 @@ def run_suite(config: SuiteConfig, with_timings: bool = False) -> dict:
     report["discriminants"] = discs
     sums = []
     for m, n, degrees, l in config.direct_sums:
+        start = time.perf_counter()
         record = direct_sum_report(m, n, degrees, l,
                                    config.ambient_cap, config.monomial_cap)
+        if with_timings:
+            record["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
         if not record["ok"]:
             failures.append(f"direct sum ({m},{n},{list(degrees)},{l})")
         sums.append(record)

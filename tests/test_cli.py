@@ -296,12 +296,27 @@ def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_other_arithmetic_errors_are_not_caught(monkeypatch):
+def test_other_arithmetic_errors_are_internal_errors(capsys, monkeypatch):
     from vermajet import jets
 
     def divide_by_zero(*args):
         raise ZeroDivisionError("not a certificate")
 
     monkeypatch.setattr(jets, "taylor_matrix", divide_by_zero)
-    with pytest.raises(ZeroDivisionError):
-        cli.main(["taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1"])
+    code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: ZeroDivisionError: not a certificate\n"
+
+
+def test_crash_exits_4_with_one_line(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setitem(cli._HANDLERS, "filtration", crash)
+    code, out, err = run_cli(capsys, "filtration", "--m", "1", "--n", "1",
+                             "--d", "3", "--lmax", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: unexpected state\n"
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -369,3 +370,11 @@ def test_sliced_filtration_matches_shorter_growth(m, n, d):
         shorter = canonical_filtration(m, n, d, k)
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_level_bases_store_ints_unless_fractional(m, n, d):
+    for level in canonical_filtration(m, n, d, d).levels:
+        for vec in level.basis:
+            assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                       for v in vec.coeffs.values())

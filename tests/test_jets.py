@@ -6,7 +6,7 @@ import pytest
 from vermajet.filtration import canonical_filtration, evaluation_matrix, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
-from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, pair
+from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, pair, pairing_vanishes
 from vermajet.polynomials import Poly
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            duality_check, jet_monomials, jet_truncation,
@@ -301,3 +301,20 @@ def test_level_duality_equals_duality_check(m, n, d):
     for l in range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1):
         report = level_duality(m, n, d, grown.levels[l], DEFAULT_AMBIENT_CAP)
         assert report == duality_check(m, n, d, l)
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_integer_pairing_equals_all_pairs_reference(m, n, d):
+    grown = canonical_filtration(m, n, d, d - 1)
+    basis = section_space(m, n, d)
+    for l in range(1, d):
+        level = grown.levels[l]
+        # Level l against the sections whose l-jet vanishes: the duality.
+        vanishing, _ = kernel_sections(m, n, d, l)
+        assert all(pair(u, s) == 0 for u in level.basis for s in vanishing)
+        assert pairing_vanishes(level.basis, vanishing) is True
+        assert level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
+        # Against the sections whose (l-1)-jet vanishes some pairing is not zero.
+        wider = [s for s in basis if s.chart.truncate(l - 1).is_zero]
+        assert not all(pair(u, s) == 0 for u in level.basis for s in wider)
+        assert pairing_vanishes(level.basis, wider) is False

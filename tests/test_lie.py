@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -161,3 +162,21 @@ def test_build_context_invalid_blocks_raise_every_time():
     for _ in range(2):
         with pytest.raises(ValueError):
             build_context(0, 3)
+
+
+def test_entries_are_ints_unless_fractional():
+    ctx = build_context(2, 1)
+    for x in ctx.basis:
+        for y in ctx.basis:
+            assert all(type(v) is int for v in bracket(x, y).entries.values())
+        assert all(type(v) is int for v in (x + x - 3 * x).entries.values())
+    half = Fraction(1, 2) * ctx.H(1)
+    assert half.entries == {(1, 1): Fraction(1, 2), (2, 2): Fraction(-1, 2)}
+    whole = half + half
+    assert whole == ctx.H(1)
+    assert all(type(v) is int for v in whole.entries.values())
+    assert all(type(v) is int for v in bracket(Fraction(2, 3) * ctx.E(1, 2),
+                                               Fraction(3, 2) * ctx.E(2, 1)).entries.values())
+    assert type(rho_character(ctx, 3, ctx.H(1) + ctx.H(2))) is int
+    assert rho_character(ctx, 3, Fraction(1, 2) * ctx.H(2)) == Fraction(3, 2)
+    assert type(rho_character(ctx, 2, Fraction(1, 2) * ctx.H(2))) is int

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vermajet.discriminant import _incidence_parametrization
-from vermajet.linalg import (Echelon, SparseMatrix, in_span, kernel_basis,
-                             primitive_integers, rank, rref, span_dim)
+from vermajet.linalg import (Echelon, SparseMatrix, canonical, canonical_values, in_span,
+                             kernel_basis, primitive_integers, rank, rref, span_dim)
 from vermajet.polynomials import Poly, degree_monomials
 
 
@@ -349,3 +349,14 @@ def test_primitive_integers_int_mixed_and_zero_inputs():
             assert got == _primitive_integers_by_lcm(values, lead)
             assert all(type(v) is int for v in got)
     assert primitive_integers([], 0) == []
+
+
+def test_canonical_keeps_fractions_and_unwraps_integral_ones():
+    half = Fraction(1, 2)
+    assert canonical(half) is half
+    assert type(canonical(Fraction(6, 3))) is int and canonical(Fraction(6, 3)) == 2
+    assert canonical(7) == 7 and type(canonical(True)) is int
+    assert canonical("3/4") == Fraction(3, 4)
+    coeffs = {"a": Fraction(4, 2), "b": half, "c": 5}
+    assert canonical_values(coeffs) is coeffs
+    assert coeffs == {"a": 2, "b": half, "c": 5} and type(coeffs["a"]) is int

@@ -7,7 +7,7 @@ import pytest
 from vermajet.errors import SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, bracket, build_context, highest_weight, rho_character
 from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector,
-                               module_dim, pair, sym_basis, weight_of)
+                               module_dim, pair, pairing_vanishes, sym_basis, weight_of)
 
 
 def test_module_dim_sl2():
@@ -153,3 +153,79 @@ def test_pair_degree_mismatch():
     v = highest_weight_vector(1, 1, 3)
     with pytest.raises(ValueError):
         pair(v, {((1,), (1,)): Fraction(1)})
+
+
+def _reference_act(x, coeffs):
+    # The derivation action over Fraction only: E_ij sends wedge slot value j
+    # to i, the wedge is re-sorted with the sign of its permutation, and a
+    # repeated value kills the term.
+    out = {}
+    for idx, coeff in coeffs.items():
+        for k, wedge in enumerate(idx):
+            for slot, value in enumerate(wedge):
+                for (i, j), c in x.entries.items():
+                    if j != value:
+                        continue
+                    values = list(wedge)
+                    values[slot] = i
+                    if len(set(values)) < len(values):
+                        continue
+                    inversions = sum(a > b for p, a in enumerate(values) for b in values[p + 1:])
+                    new_idx = tuple(sorted(idx[:k] + (tuple(sorted(values)),) + idx[k + 1:]))
+                    term = Fraction(coeff) * Fraction(c) * (-1) ** inversions
+                    out[new_idx] = out.get(new_idx, Fraction(0)) + term
+    return {idx: v for idx, v in out.items() if v}
+
+
+def _in_canonical_form(coeffs):
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in coeffs.values())
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 1, 3), (1, 2, 2), (2, 1, 3), (2, 2, 2)])
+def test_act_matches_fraction_reference(m, n, d):
+    rng = random.Random(m * 100 + n * 10 + d)
+    ctx = build_context(m, n)
+    basis = sym_basis(m, n, d)
+    vectors = [highest_weight_vector(m, n, d), _random_vector(rng, basis, 6)]
+    # Halves and thirds, so that sums and products land on integers too.
+    vectors += [PlethysmVector({basis[i]: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                                for i in rng.sample(range(len(basis)), min(6, len(basis)))})
+                for _ in range(3)]
+    for w in vectors:
+        assert _in_canonical_form(w.coeffs)
+        integral = all(type(v) is int for v in w.coeffs.values())
+        for x in ctx.basis:
+            assert all(type(v) is int for v in x.entries.values())
+            image = act(x, w)
+            assert image.coeffs == _reference_act(x, w.coeffs)
+            assert _in_canonical_form(image.coeffs)
+            if integral:  # integer in, integer out
+                assert all(type(v) is int for v in image.coeffs.values())
+            scaled = Fraction(3, 2) * x
+            assert act(scaled, w).coeffs == _reference_act(scaled, w.coeffs)
+            assert _in_canonical_form(act(scaled, w).coeffs)
+
+
+def test_vector_arithmetic_keeps_canonical_form():
+    idx = sym_basis(1, 1, 2)
+    w = PlethysmVector({idx[0]: Fraction(1, 2), idx[1]: Fraction(4, 2), idx[2]: 3})
+    assert w.coeffs == {idx[0]: Fraction(1, 2), idx[1]: 2, idx[2]: 3}
+    assert type(w.coeffs[idx[1]]) is int
+    total = w + PlethysmVector({idx[0]: Fraction(1, 2), idx[1]: Fraction(1, 3)})
+    assert type(total.coeffs[idx[0]]) is int and total.coeffs[idx[0]] == 1
+    doubled = 2 * w
+    assert all(type(v) is int for v in doubled.coeffs.values())
+    assert _in_canonical_form((Fraction(1, 3) * w).coeffs)
+    assert (w - w).is_zero
+
+
+def test_pairing_vanishes_needs_every_pair_zero():
+    a, b, _ = sym_basis(1, 1, 2)  # a = e1.e1 weighs 2, b = e1.e2 weighs 1
+    u = PlethysmVector({a: 1, b: -2})
+    orthogonal, other = {a: Fraction(1, 3), b: Fraction(1, 3)}, {a: 1}
+    assert (pair(u, orthogonal), pair(u, other)) == (0, 2)
+    assert pairing_vanishes([u], [orthogonal]) is True
+    assert pairing_vanishes([u], [orthogonal, other]) is False
+    assert pairing_vanishes([u, PlethysmVector({b: 5})], [orthogonal]) is False
+    assert pairing_vanishes([], [other]) is True and pairing_vanishes([u], []) is True

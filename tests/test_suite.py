@@ -27,11 +27,14 @@ def test_reports_are_reproducible():
 
 
 def test_timings_are_opt_in():
-    config = SuiteConfig(cases=[(1, 1, 2)], disc_cases=[], direct_sums=[])
+    config = SuiteConfig(cases=[(1, 1, 2)], disc_cases=[], direct_sums=[(1, 1, (2, 2), 1)])
     plain = run_suite(config)
     timed = run_suite(config, with_timings=True)
-    assert "elapsed_ms" not in plain["cases"][0]
-    assert "elapsed_ms" in timed["cases"][0]
+    for section in ("cases", "direct_sums"):
+        assert "elapsed_ms" not in plain[section][0]
+        assert "elapsed_ms" in timed[section][0]
+        assert {k: v for k, v in timed[section][0].items() if k != "elapsed_ms"} \
+            == plain[section][0]
 
 
 def test_csv_projection():
