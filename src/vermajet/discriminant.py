@@ -18,12 +18,16 @@ identity, so membership of the image in every generator is exact by
 construction.  The pullbacks of the degree-k monomials are integer
 polynomials in (b, c), built from those of degree k-1 by the prefix
 recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e,
-and the eliminant search grows them once, degree after degree.  The
-coefficient of each (b, c)-monomial gives one equation, and the equations
-go into one integer `Echelon`, sparsest first, whose kernel is the piece;
-the reduced form is unique, so row order cannot change the kernel, only
-the cost of reaching it.  `graded_relations` stays the public entry point
-for a single degree.
+and the eliminant search grows them once, degree after degree.  They are
+kept as packed-monomial dicts (see `polynomials`): a degree-k pullback has
+b-exponent at most k*(l+1) and c-exponents at most k, so the field width
+is the bit length of k*(l+1), and the previous degree is re-packed when it
+grows.  The coefficient of each packed (b, c)-monomial gives one equation,
+and the equations go into one integer `Echelon`, sparsest first, whose
+kernel is the piece, read off the reduced rows; the reduced form is unique,
+so row order cannot change the kernel, only the cost of reaching it.
+`_incidence_parametrization` stays a list of `Poly`s, and
+`graded_relations` stays the public entry point for a single degree.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
 Each univariate restriction is proved irreducible over Q by mod-p degree
@@ -54,8 +58,9 @@ from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
 from .linalg import Echelon, kernel_basis, primitive_integers  # noqa: F401
-from .polynomials import (Poly, degree_monomials, det, divide_by_variable,
-                          integer_primitive, restrict_to_line, strip_variable_factors)
+from .polynomials import (Poly, _field_width, _pack, _pack_terms, _packed_product, _unpack,
+                          degree_monomials, det, divide_by_variable, integer_primitive,
+                          restrict_to_line, strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -180,37 +185,62 @@ def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fract
         for r in range(d + 1)))
 
 
-def _pullbacks_by_degree(d: int, l: int) -> Iterator[dict[tuple[int, ...], Poly]]:
+def _pullback_width(k: int, l: int) -> int:
+    """Field width of the packed (b, c) monomials of the degree-k pullbacks:
+    each is a product of k parametrization coefficients, so b has exponent
+    at most k*(l+1) and each c at most k."""
+    return _field_width(k * (l + 1))
+
+
+def _pullbacks_by_degree(d: int, l: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
     """Yield, for k = 1, 2, ..., the pullbacks of the degree-k monomials in
-    a_0..a_d along the parametrization, each degree grown from the last."""
+    a_0..a_d along the parametrization, each degree grown from the last.
+    A pullback is a packed {(b, c)-monomial: coefficient} dict of width
+    `_pullback_width(k, l)`; the last degree is re-packed when it grows."""
     params = _incidence_parametrization(d, l)
-    pullbacks = {(0,) * (d + 1): Poly.const(params[0].nvars, 1)}
+    nvars = params[0].nvars
+    width = 0
+    pullbacks = {(0,) * (d + 1): {0: 1}}
     for k in count(1):
         previous, pullbacks = pullbacks, {}
+        old, width = width, _pullback_width(k, l)
+        if width != old:
+            packed = [_pack_terms(p.terms, width) for p in params]
+            previous = {exps: {_pack(_unpack(key, nvars, old), width): c
+                               for key, c in terms.items()}
+                        for exps, terms in previous.items()}
         # a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
         for exps in degree_monomials(k, d + 1):
             i = next(i for i, e in enumerate(exps) if e)
             prefix = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            pullbacks[exps] = params[i] * previous[prefix]
+            pullbacks[exps] = _packed_product(packed[i], previous[prefix])
         yield pullbacks
 
 
-def _kernel_piece(pullbacks: dict[tuple[int, ...], Poly], d: int) -> list[Poly]:
+def _kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]], d: int) -> list[Poly]:
     """Primitive integer combinations of the a-monomials whose pullbacks
-    sum to zero: one equation per (b, c)-monomial, sparsest first."""
+    sum to zero: one equation per packed (b, c)-monomial, sparsest first.
+    Each kernel vector is read off the reduced echelon form: 1 at its free
+    column c and -row[c]/row[p] at each pivot p."""
     a_monomials = list(pullbacks)
-    equations: dict[tuple[int, ...], dict[int, int]] = {}
-    for col, exps in enumerate(a_monomials):
-        for bc_exps, c in pullbacks[exps].terms.items():
-            equations.setdefault(bc_exps, {})[col] = c
+    equations: dict[int, dict[int, int]] = {}
+    for col, terms in enumerate(pullbacks.values()):
+        for key, c in terms.items():
+            equations.setdefault(key, {})[col] = c
     echelon = Echelon(len(a_monomials))
     for row in sorted(equations.values(), key=len):
         echelon.add(row)
-    out = []
-    for combo in echelon.kernel():
-        terms = {exps: c for exps, c in zip(a_monomials, combo) if c}
-        out.append(integer_primitive(Poly(d + 1, terms)))
-    return out
+    if echelon.rank == len(a_monomials):
+        return []
+    pivots = echelon.pivots
+    taken = set(pivots)
+    vectors = {c: {c: 1} for c in range(len(a_monomials)) if c not in taken}
+    for p, row in zip(pivots, echelon.reduced()):
+        for c, v in row.items():
+            if c != p:
+                vectors[c][p] = Fraction(-v, row[p])
+    return [integer_primitive(Poly(d + 1, {a_monomials[j]: v for j, v in sorted(vector.items())}))
+            for vector in vectors.values()]
 
 
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:

@@ -15,8 +15,9 @@ degree-d Plücker monomial spanning set; the latter is what pairs against
 module vectors.  `section_space` adds each monomial's integer chart row,
 followed by a provenance 1 in its own column, to one `Echelon`; the basis
 sections are the reduced rows with a chart pivot.  When the pivot is 1 the
-chart coefficients are read as the `int`s they are, otherwise as
-Fraction(v, pivot); the Plücker coordinates are always `Fraction`s.
+chart coefficients and Plücker coordinates are read as the `int`s they
+are, otherwise as Fraction(v, pivot) made canonical (an `int` when
+integral).
 `taylor_matrix` keeps each basis section's chart terms of degree <= l as a
 sparse row, with the chart's coefficients (integers when the pivot was 1),
 and ranks those rows in an `Echelon` of its own, so the rank that
@@ -63,7 +64,7 @@ from .errors import CertificateError
 from .filtration import FiltrationLevel, canonical_filtration
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
-from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
+from .linalg import Echelon, SparseMatrix, canonical_values, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pairing_vanishes, sym_basis
 from .polynomials import Poly, _from_terms, degree_monomials, det
 
@@ -202,7 +203,8 @@ def section_space(m: int, n: int, d: int,
         scale = row[pivot]
         chart = {columns[c]: v if scale == 1 else Fraction(v, scale)
                  for c, v in row.items() if c < width}
-        plucker = {keys[c - width]: Fraction(v, scale) for c, v in row.items() if c >= width}
+        plucker = canonical_values({keys[c - width]: v if scale == 1 else Fraction(v, scale)
+                                    for c, v in row.items() if c >= width})
         basis.append(SectionPolynomial(_from_terms(nvars, chart), plucker))
     return basis
 

@@ -201,7 +201,10 @@ class Echelon:
                 rows[col] = _store_primitive(work, col)
                 self._reduced = False
                 return True
-            _eliminate(work, pivot_row, col)
+            if len(pivot_row) == 1:
+                del work[col]  # the pivot row is {col: 1}
+            else:
+                _eliminate(work, pivot_row, col)
         return False
 
     def reduced(self) -> list[dict[int, int]]:

@@ -9,6 +9,14 @@ eliminants and pullbacks are made of run in plain integer arithmetic;
 `evaluate` returns a `Fraction`.  This is deliberately minimal: arithmetic,
 differentiation, truncation, composition and evaluation cover everything
 the chart expansions and eliminants need.
+
+The two hot product loops, the minors of `det` and the eliminant pullbacks
+of `discriminant`, key their terms by packed monomials instead: exponent i
+sits in bits [i*w, (i+1)*w) of one `int`, so multiplying two monomials is
+adding their keys.  The field width w is the bit length of a proven bound
+on every exponent the loop can produce, so a sum of keys never carries
+into a neighbouring field; `_pack` raises `OverflowError` on an exponent
+that does not fit.  A `Poly` keeps exponent tuples at every boundary.
 """
 
 from __future__ import annotations
@@ -254,6 +262,62 @@ class Poly:
         return f"Poly({self.to_string()})"
 
 
+def _field_width(bound: int) -> int:
+    """Bits per field of a packed monomial whose exponents are all <= bound."""
+    return bound.bit_length()
+
+
+def _pack(exps: Sequence[int], width: int) -> int:
+    """The exponent tuple as one int, exps[i] in bits [i*width, (i+1)*width)."""
+    key = 0
+    for e in reversed(exps):
+        if e >> width:
+            raise OverflowError(f"exponent {e} does not fit a {width}-bit field")
+        key = key << width | e
+    return key
+
+
+def _unpack(key: int, nvars: int, width: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    return tuple(key >> (width * i) & mask for i in range(nvars))
+
+
+def _pack_terms(terms: Mapping[tuple[int, ...], int | Fraction], width: int) -> dict:
+    return {_pack(e, width): c for e, c in terms.items()}
+
+
+def _add_product(terms: dict, p: Mapping[int, int | Fraction],
+                 q: Mapping[int, int | Fraction]) -> None:
+    """terms += p * q on packed monomials of one width, in place; the
+    caller's bound must cover every exponent of the product."""
+    get = terms.get
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = e1 + e2
+            terms[key] = get(key, 0) + c1 * c2
+
+
+def _packed_product(p: Mapping[int, int | Fraction],
+                    q: Mapping[int, int | Fraction]) -> dict:
+    terms: dict = {}
+    _add_product(terms, p, q)
+    return {key: c for key, c in terms.items() if c}
+
+
+def _cofactor_expansion(row: Sequence[dict], cols: tuple[int, ...], minor) -> dict:
+    """One packed minor: the sum over k of (-1)^k row[cols[k]] times
+    minor(cols without cols[k]), accumulated into one dict, zero terms
+    dropped once, at the end."""
+    terms: dict = {}
+    for k, c in enumerate(cols):
+        entry = row[c]
+        if entry:
+            if k % 2:
+                entry = {e: -v for e, v in entry.items()}
+            _add_product(terms, entry, minor(cols[:k] + cols[k + 1:]))
+    return {key: c for key, c in terms.items() if c}
+
+
 def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     """Determinant of a square matrix of polynomials, by minor expansion
     along the rows in band order, memoized by the remaining column set.
@@ -262,10 +326,12 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     column), all-zero rows last, and the expansion's result is multiplied
     by the sign of that permutation.  A banded matrix such as a Sylvester
     matrix then keeps every memoized minor inside its band; a dense matrix
-    keeps its row order.  Each minor adds sign * c1 * c2 for every term pair
-    of entry x sub-minor straight into one exponent dict, and drops its zero
-    coefficients once, at the end; no intermediate `Poly` is built per
-    product or sum."""
+    keeps its row order.  The entries and memoized minors are packed
+    monomial dicts (see the module docstring), with a field width covering
+    the sum over rows of each row's largest entry degree, which no exponent
+    of any minor can exceed.  Each minor adds sign * c1 * c2 for every term
+    pair of entry x sub-minor into one dict by adding keys, and drops its
+    zero coefficients once; only the result is unpacked into a `Poly`."""
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant needs a square matrix")
@@ -279,31 +345,19 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
 
     order = sorted(range(size), key=band)
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
-    lifted = [lifted[r] for r in order]
-    cache: dict[tuple[int, ...], Poly] = {}
+    width = _field_width(sum(max((sum(e) for entry in row for e in entry.terms), default=0)
+                             for row in lifted))
+    packed = [[_pack_terms(entry.terms, width) for entry in lifted[r]] for r in order]
+    cache: dict[tuple[int, ...], dict] = {(): {0: 1}}
 
-    def minor(cols: tuple[int, ...]) -> Poly:
-        if not cols:
-            return Poly.const(nvars, 1)
-        if cols in cache:
-            return cache[cols]
-        r = size - len(cols)
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for k, c in enumerate(cols):
-            entry = lifted[r][c].terms
-            if not entry:
-                continue
-            sub = minor(cols[:k] + cols[k + 1:]).terms
-            for e1, c1 in entry.items():
-                if k % 2:
-                    c1 = -c1
-                for e2, c2 in sub.items():
-                    exps = tuple(map(add, e1, e2))
-                    terms[exps] = terms.get(exps, 0) + c1 * c2
-        cache[cols] = _from_terms(nvars, {e: c for e, c in terms.items() if c})
-        return cache[cols]
+    def minor(cols: tuple[int, ...]) -> dict:
+        terms = cache.get(cols)
+        if terms is None:
+            terms = cache[cols] = _cofactor_expansion(packed[size - len(cols)], cols, minor)
+        return terms
 
-    result = minor(tuple(range(size)))
+    result = _from_terms(nvars, {_unpack(key, nvars, width): c
+                                 for key, c in minor(tuple(range(size))).items()})
     return -result if odd else result
 
 

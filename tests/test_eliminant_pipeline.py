@@ -11,11 +11,12 @@ import pytest
 
 from test_discriminant import _reference_graded_relations
 from vermajet import discriminant
-from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece,
-                                   _pullbacks_by_degree, classical_discriminant_oracle,
-                                   eliminant_generators, graded_relations)
+from vermajet.discriminant import (_generators_cut_codimension, _incidence_parametrization,
+                                   _kernel_piece, _pullback_width, _pullbacks_by_degree,
+                                   classical_discriminant_oracle, eliminant_generators,
+                                   graded_relations)
 from vermajet.linalg import Echelon
-from vermajet.polynomials import Poly, degree_monomials
+from vermajet.polynomials import Poly, _unpack, degree_monomials
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -31,6 +32,28 @@ def test_shared_pullback_growth_matches_graded_relations(d, l):
         assert _strings(_kernel_piece(pullbacks, d)) == _strings(graded_relations(d, l, degree))
 
 
+@pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
+def test_packed_pullbacks_unpack_to_parametrization_products(d, l):
+    params = _incidence_parametrization(d, l)
+    nvars = params[0].nvars
+    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l)):
+        width = _pullback_width(degree, l)
+        for exps, packed in pullbacks.items():
+            expected = Poly.const(nvars, 1)
+            for param, e in zip(params, exps):
+                expected = expected * param ** e
+            assert {_unpack(key, nvars, width): c for key, c in packed.items()} == expected.terms
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_graded_relations_after_the_field_widens_at_degree_6(d):
+    """At l = 2 the field width is 4 bits through degree 5 and 5 bits at
+    degree 6, where the pullbacks of degree 5 are re-packed."""
+    assert [_pullback_width(k, 2) for k in range(1, 7)] == [2, 3, 4, 4, 4, 5]
+    got = graded_relations(d, 2, 6)
+    assert got and _strings(got) == _strings(_reference_graded_relations(d, 2, 6))
+
+
 def test_graded_relations_match_pullback_matrix_kernel_at_6_2():
     for degree in range(1, 6):
         got = graded_relations(6, 2, degree)
@@ -43,8 +66,8 @@ def _equation_rows(pullbacks):
     columns = {exps: col for col, exps in enumerate(pullbacks)}
     equations = {}
     for exps, pullback in pullbacks.items():
-        for bc_exps, c in pullback.terms.items():
-            equations.setdefault(bc_exps, {})[columns[exps]] = c
+        for bc_key, c in pullback.items():
+            equations.setdefault(bc_key, {})[columns[exps]] = c
     return list(equations.values())
 
 

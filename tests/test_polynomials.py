@@ -367,6 +367,45 @@ def test_det_band_order_sign_on_permuted_triangular_matrices():
             assert det([rows[r] for r in order]) == expected
 
 
+# -- packed monomials ----------------------------------------------------------
+
+def test_packed_monomials_round_trip_in_the_narrowest_width():
+    for bound in (0, 1, 2, 3, 7, 8, 239, 255, 256, 480):
+        width = polynomials._field_width(bound)
+        assert bound < 2 ** width and (bound == 0 or bound >= 2 ** (width - 1))
+        for exps in [(0, 0, 0), (bound, 0, bound), (bound // 2, bound, min(bound, 1))]:
+            key = polynomials._pack(exps, width)
+            assert polynomials._unpack(key, 3, width) == exps
+    with pytest.raises(OverflowError):
+        polynomials._pack((0, 32, 0), 5)
+
+
+def _power_term(exps, coeff=1):
+    return Poly(_NVARS, {exps: coeff})
+
+
+def test_det_with_large_exponents_matches_cofactor_reference():
+    """Entries of degree up to 240 make the field width 9 bits or more; the
+    determinants have exponents past 255, so one bit less would carry."""
+    big = _power_term((150, 90, 0))
+    rows = [[big, _power_term((100, 0, 0)) + 3],
+            [_power_term((0, 80, 0)) - _power_term((0, 0, 1)), big]]
+    got = det(rows)
+    assert got == big * big - (_power_term((100, 0, 0)) + 3) * (
+        _power_term((0, 80, 0)) - _power_term((0, 0, 1)))
+    assert _agrees(got, _lifted_reference(rows))
+    assert max(e[0] for e in got.terms) == 300
+    rng = random.Random(150090)
+    exponents = (0, 1, 40, 90, 150)
+    for trial in range(30):
+        size = rng.randint(1, 4)
+        rows = [[Poly(_NVARS, {tuple(rng.choice(exponents) for _ in range(_NVARS)):
+                               Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2)))
+                               for _ in range(rng.randint(0, 2))})
+                 for _ in range(size)] for _ in range(size)]
+        assert _agrees(det(rows), _lifted_reference(rows))
+
+
 def _sympy_terms(sympy, expr, names) -> dict:
     return {e: int(c) for e, c in sympy.Poly(expr, *names).terms() if c}
 
@@ -397,20 +436,21 @@ def test_every_chart_minor_is_sympy_det(m, n):
 
 
 def test_sylvester_det_builds_few_minors(monkeypatch):
-    """Each memoized minor is made by one `_from_terms` call.  Expanded top
-    to bottom (all p-rows, then all q-rows) the d = 4, 5, 6 matrices built
-    119, 465 and 1,815 minors; in band order the memo stays inside the band."""
+    """Each memoized minor is made by one `_cofactor_expansion` call.
+    Expanded top to bottom (all p-rows, then all q-rows) the d = 4, 5, 6
+    matrices built 119, 465 and 1,815 minors; in band order the memo stays
+    inside the band."""
     built = []
-    original = polynomials._from_terms
+    original = polynomials._cofactor_expansion
 
-    def counting(nvars, terms):
+    def counting(row, cols, minor):
         built.append(1)
-        return original(nvars, terms)
+        return original(row, cols, minor)
 
     forms = {d: discriminant._form_coefficients(d) for d in (4, 5, 6)}
     matrices = {d: discriminant._sylvester_matrix(p, discriminant._derivative_coefficients(p))
                 for d, p in forms.items()}
-    monkeypatch.setattr(polynomials, "_from_terms", counting)
+    monkeypatch.setattr(polynomials, "_cofactor_expansion", counting)
     counts = {}
     for d, matrix in matrices.items():
         built.clear()
