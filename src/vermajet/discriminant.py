@@ -18,14 +18,15 @@ identity, so membership of the image in every generator is exact by
 construction.  The pullbacks of the degree-k monomials are integer
 polynomials in (b, c), built from those of degree k-1 by the prefix
 recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e,
-and the eliminant search grows them once, degree after degree.  They are
-kept as packed-monomial dicts (see `polynomials`): a degree-k pullback has
-b-exponent at most k*(l+1) and c-exponents at most k, so the field width
-is the bit length of k*(l+1), and the previous degree is re-packed when it
-grows.  The coefficient of each packed (b, c)-monomial gives one equation,
-and the equations go into one integer `Echelon`, sparsest first, whose
-kernel is the piece, read off the reduced rows; the reduced form is unique,
-so row order cannot change the kernel, only the cost of reaching it.
+and the eliminant search grows them once, degree after degree, up to the
+highest degree its caller asks for.  They are kept as packed-monomial dicts
+(see `polynomials`): a degree-k pullback has b-exponent at most k*(l+1)
+and c-exponents at most k, so every degree is packed once, at the field
+width of the highest one.  The coefficient of each packed (b, c)-monomial
+gives one equation, and the equations go into one integer `Echelon`,
+sparsest first, whose `Echelon.kernel` is the piece, each vector made a
+primitive integer polynomial; the reduced form is unique, so row order
+cannot change the kernel, only the cost of reaching it.
 `_incidence_parametrization` stays a list of `Poly`s, and
 `graded_relations` stays the public entry point for a single degree.
 
@@ -40,7 +41,8 @@ through one generator of a codimension-l ideal says nothing about the locus.
 for the life of the process, keyed by all their arguments (d, cap) and
 (d, l, cap); a call that fails a check is not stored.  Both return the
 shared `Eliminant` objects, so callers treat them as read-only; a list of
-generators is a new list on every call.
+generators is a new list on every call.  The parametrization's gradients
+are memoized by (d, l) and shared read-only too.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
@@ -58,9 +60,9 @@ from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
 from .linalg import Echelon, kernel_basis, primitive_integers  # noqa: F401
-from .polynomials import (Poly, _field_width, _pack, _pack_terms, _packed_product, _unpack,
-                          degree_monomials, det, divide_by_variable, integer_primitive,
-                          restrict_to_line, strip_variable_factors)
+from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, degree_monomials,
+                          det, divide_by_variable, integer_primitive, restrict_to_line,
+                          strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -192,23 +194,17 @@ def _pullback_width(k: int, l: int) -> int:
     return _field_width(k * (l + 1))
 
 
-def _pullbacks_by_degree(d: int, l: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
-    """Yield, for k = 1, 2, ..., the pullbacks of the degree-k monomials in
-    a_0..a_d along the parametrization, each degree grown from the last.
+def _pullbacks_by_degree(d: int, l: int,
+                        max_degree: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
+    """Yield, for k = 1..max_degree, the pullbacks of the degree-k monomials
+    in a_0..a_d along the parametrization, each degree grown from the last.
     A pullback is a packed {(b, c)-monomial: coefficient} dict of width
-    `_pullback_width(k, l)`; the last degree is re-packed when it grows."""
-    params = _incidence_parametrization(d, l)
-    nvars = params[0].nvars
-    width = 0
+    `_pullback_width(max_degree, l)`, which holds every degree yielded."""
+    width = _pullback_width(max_degree, l)
+    packed = [_pack_terms(p.terms, width) for p in _incidence_parametrization(d, l)]
     pullbacks = {(0,) * (d + 1): {0: 1}}
-    for k in count(1):
+    for k in range(1, max_degree + 1):
         previous, pullbacks = pullbacks, {}
-        old, width = width, _pullback_width(k, l)
-        if width != old:
-            packed = [_pack_terms(p.terms, width) for p in params]
-            previous = {exps: {_pack(_unpack(key, nvars, old), width): c
-                               for key, c in terms.items()}
-                        for exps, terms in previous.items()}
         # a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
         for exps in degree_monomials(k, d + 1):
             i = next(i for i, e in enumerate(exps) if e)
@@ -219,9 +215,7 @@ def _pullbacks_by_degree(d: int, l: int) -> Iterator[dict[tuple[int, ...], dict[
 
 def _kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]], d: int) -> list[Poly]:
     """Primitive integer combinations of the a-monomials whose pullbacks
-    sum to zero: one equation per packed (b, c)-monomial, sparsest first.
-    Each kernel vector is read off the reduced echelon form: 1 at its free
-    column c and -row[c]/row[p] at each pivot p."""
+    sum to zero: one equation per packed (b, c)-monomial, sparsest first."""
     a_monomials = list(pullbacks)
     equations: dict[int, dict[int, int]] = {}
     for col, terms in enumerate(pullbacks.values()):
@@ -230,17 +224,8 @@ def _kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]], d: int) -> l
     echelon = Echelon(len(a_monomials))
     for row in sorted(equations.values(), key=len):
         echelon.add(row)
-    if echelon.rank == len(a_monomials):
-        return []
-    pivots = echelon.pivots
-    taken = set(pivots)
-    vectors = {c: {c: 1} for c in range(len(a_monomials)) if c not in taken}
-    for p, row in zip(pivots, echelon.reduced()):
-        for c, v in row.items():
-            if c != p:
-                vectors[c][p] = Fraction(-v, row[p])
     return [integer_primitive(Poly(d + 1, {a_monomials[j]: v for j, v in sorted(vector.items())}))
-            for vector in vectors.values()]
+            for vector in echelon.kernel()]
 
 
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
@@ -250,7 +235,7 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
         raise ValueError("need 1 <= l < d")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    return _kernel_piece(next(islice(_pullbacks_by_degree(d, l), degree - 1, None)), d)
+    return _kernel_piece(next(islice(_pullbacks_by_degree(d, l, degree), degree - 1, None)), d)
 
 
 def _new_generators(piece: list[Poly], collected: list[Poly],
@@ -258,7 +243,7 @@ def _new_generators(piece: list[Poly], collected: list[Poly],
     """Kernel elements not already in (collected) * monomials."""
     if not collected:
         return list(piece)
-    columns = {exps: i for i, exps in enumerate(sorted(degree_monomials(degree, d + 1)))}
+    columns = {exps: i for i, exps in enumerate(degree_monomials(degree, d + 1))}
 
     def row_of(p: Poly) -> dict[int, int]:
         return {columns[e]: c for e, c in p.terms.items()}
@@ -331,7 +316,7 @@ def _multiple_root_eliminant(d: int, l: int,
         determinant = det(_bezout_matrix(d))
         return _make_eliminant(strip_variable_factors(determinant))
     collected: list[Poly] = []
-    for degree, pullbacks in zip(range(1, 2 * (d - 1) + 1), _pullbacks_by_degree(d, l)):
+    for degree, pullbacks in enumerate(_pullbacks_by_degree(d, l, 2 * (d - 1)), 1):
         piece = _kernel_piece(pullbacks, d)
         collected.extend(_new_generators(piece, collected, degree, d))
         if collected and _generators_cut_codimension(collected, d, l):
@@ -350,6 +335,14 @@ def eliminant_generators(d: int, l: int, cap: int = DEFAULT_DEGREE_CAP) -> list[
 # -- incidence parametrization: exact Jacobian ranks -----------------------
 
 
+@lru_cache(maxsize=None)
+def _parametrization_gradients(d: int, l: int) -> tuple[tuple[Poly, ...], ...]:
+    """The gradient in (b, c_0..c_e) of each parametrization coefficient;
+    shared, so callers treat it as read-only."""
+    polys = _incidence_parametrization(d, l)
+    return tuple(tuple(p.derivative(v) for v in range(p.nvars)) for p in polys)
+
+
 def parametrization_jacobian_rank(d: int, l: int,
                                   sample: tuple[int | Fraction, Sequence[int | Fraction]]) -> int:
     """Exact rank of the Jacobian of the parametrization at a sample point."""
@@ -360,12 +353,10 @@ def parametrization_jacobian_rank(d: int, l: int,
         raise ValueError(f"cofactor needs {d - l} coefficients")
     if not Fraction(g[0]):
         raise ValueError("degenerate sample: cofactor has zero leading coefficient")
-    polys = _incidence_parametrization(d, l)
     point = [Fraction(b)] + [Fraction(v) for v in g]
-    nparams = len(point)
-    jacobian = Echelon(nparams)
-    for p in polys:
-        jacobian.add({v: p.derivative(v).evaluate(point) for v in range(nparams)})
+    jacobian = Echelon(len(point))
+    for gradient in _parametrization_gradients(d, l):
+        jacobian.add({v: partial.evaluate(point) for v, partial in enumerate(gradient)})
     return jacobian.rank
 
 

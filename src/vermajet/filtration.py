@@ -5,13 +5,13 @@ Level l of the canonical filtration is the span of all vectors obtained by
 applying at most l Lie algebra elements to the highest weight vector v.
 All levels grow in one `Echelon`: level 0 adds v, and level l adds g . x for
 each x that left a new pivot at level l-1, since g . F_{l-2} already lies in
-F_{l-1}.  Each level is read off the canonical reduced row echelon form, so
-bases are reproducible (each coefficient an `int` when the pivot divides
-it exactly); F_l is a sum of weight spaces, so every reduced row
-has the weight of its pivot column (checked exactly) and the weight
-multiset counts pivot weights.  The saturation level is the first level
-of full module dimension, read off the levels, so a result sliced to
-levels 0..k reports what `canonical_filtration(m, n, d, k)` reports.
+F_{l-1}.  Each level is read off `Echelon.canonical_rows`, the unique
+reduced rows scaled to 1 at the pivot, so bases are reproducible (each
+coefficient an `int` when integral); F_l is a sum of weight spaces, so
+every reduced row has the weight of its pivot column (checked exactly)
+and the weight multiset counts pivot weights.  The saturation level, the
+first level of full module dimension, is read off the levels, so a result
+sliced to levels 0..k reports what `canonical_filtration(m, n, d, k)` does.
 
 A PBW monomial is an exponent vector over a fixed ordered basis (of the
 nilpotent complement n, or of all of g); it acts by applying its factors
@@ -48,7 +48,7 @@ from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
 from .linalg import Echelon, SparseMatrix
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
                        highest_weight_vector, sym_basis, weight_of)
-from .polynomials import degree_monomials
+from .polynomials import graded_monomials
 
 DEFAULT_MONOMIAL_CAP = 50000
 
@@ -82,10 +82,7 @@ def pbw_monomials(num_generators: int, max_degree: int,
                   cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
     _pbw_count(num_generators, max_degree, cap)
-    out: list[tuple[int, ...]] = []
-    for degree in range(max_degree + 1):
-        out.extend(sorted(degree_monomials(degree, num_generators)))
-    return out
+    return list(graded_monomials(num_generators, max_degree))
 
 
 def _pbw_position(exps: tuple[int, ...]) -> int:
@@ -178,11 +175,6 @@ class FiltrationResult:
         return next((lvl.level for lvl in self.levels if lvl.saturated), None)
 
 
-def _quotient(v: int, scale: int) -> int | Fraction:
-    # v / scale in canonical form: an int when scale divides v exactly.
-    return v // scale if v % scale == 0 else Fraction(v, scale)
-
-
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
     """Levels 0..l_max of the canonical filtration, with canonical bases."""
@@ -203,14 +195,12 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
             new = [act(x, vec) for vec in new for x in ctx.basis]
         new = [vec for vec in new if echelon.add(coordinates(vec, index_of))]
         level_basis, multiset = [], {}
-        for pivot, row in zip(echelon.pivots, echelon.reduced()):
+        for pivot, row in echelon.canonical_rows():
             weight = weights[pivot]
             if any(weights[c] != weight for c in row):
                 raise CertificateError(f"level {level} row mixes weights")
             multiset[weight] = multiset.get(weight, 0) + 1
-            scale = row[pivot]
-            level_basis.append(PlethysmVector({basis[c]: _quotient(v, scale)
-                                               for c, v in row.items()}))
+            level_basis.append(PlethysmVector({basis[c]: v for c, v in row.items()}))
         levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
                                       echelon.rank == target))
 

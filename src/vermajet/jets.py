@@ -14,10 +14,9 @@ A section carries both its chart polynomial and its coordinates in the
 degree-d Plücker monomial spanning set; the latter is what pairs against
 module vectors.  `section_space` adds each monomial's integer chart row,
 followed by a provenance 1 in its own column, to one `Echelon`; the basis
-sections are the reduced rows with a chart pivot.  When the pivot is 1 the
-chart coefficients and Plücker coordinates are read as the `int`s they
-are, otherwise as Fraction(v, pivot) made canonical (an `int` when
-integral).
+sections are the rows of `Echelon.canonical_rows` with a chart pivot, so
+the chart coefficients and Plücker coordinates arrive scaled to 1 at the
+pivot and in canonical form (an `int` when integral).
 `taylor_matrix` keeps each basis section's chart terms of degree <= l as a
 sparse row, with the chart's coefficients (integers when the pivot was 1),
 and ranks those rows in an `Echelon` of its own, so the rank that
@@ -64,9 +63,9 @@ from .errors import CertificateError
 from .filtration import FiltrationLevel, canonical_filtration
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
-from .linalg import Echelon, SparseMatrix, canonical_values, kernel_basis  # noqa: F401
+from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pairing_vanishes, sym_basis
-from .polynomials import Poly, _from_terms, degree_monomials, det
+from .polynomials import Poly, _from_terms, det, graded_monomials
 
 
 def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
@@ -148,8 +147,7 @@ def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
     """The jet monomials of degree <= l and their column index."""
     if l < 0:
         raise ValueError("l must be non-negative")
-    columns = tuple(exps for degree in range(l + 1)
-                    for exps in sorted(degree_monomials(degree, m * n)))
+    columns = tuple(graded_monomials(m * n, l))
     return columns, {exps: k for k, exps in enumerate(columns)}
 
 
@@ -197,14 +195,11 @@ def section_space(m: int, n: int, d: int,
         echelon.add(row)
     nvars = m * n
     basis: list[SectionPolynomial] = []
-    for pivot, row in zip(echelon.pivots, echelon.reduced()):
+    for pivot, row in echelon.canonical_rows():
         if pivot >= width:
             break  # pure Plücker relations, not sections, pivot last
-        scale = row[pivot]
-        chart = {columns[c]: v if scale == 1 else Fraction(v, scale)
-                 for c, v in row.items() if c < width}
-        plucker = canonical_values({keys[c - width]: v if scale == 1 else Fraction(v, scale)
-                                    for c, v in row.items() if c >= width})
+        chart = {columns[c]: v for c, v in row.items() if c < width}
+        plucker = {keys[c - width]: v for c, v in row.items() if c >= width}
         basis.append(SectionPolynomial(_from_terms(nvars, chart), plucker))
     return basis
 

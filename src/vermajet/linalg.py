@@ -12,8 +12,9 @@ increasing column order, and its content is removed once, when it is stored
 as a pivot row (a gcd of its values, signed by the pivot entry); a stored
 row's entries are in no particular column order.  Back-substitution runs
 only when the reduced form or a kernel is asked for.  The reduced form is
-unique, so `Fraction` appears only at the boundary: rref entries are
-Fraction(v, pivot) and kernel vectors are Fraction tuples.
+unique, and `Echelon.canonical_rows` and `Echelon.kernel` (built on it) are
+its only read-off, each row scaled to 1 at its pivot with canonical entries;
+`rref` and `kernel_basis` use them too, so no other module sees the rows.
 
 `canonical` and `canonical_values` keep a coefficient an `int` when it is
 integral and a `Fraction` only when it is not; polynomials, Lie algebra
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -223,22 +224,28 @@ class Echelon:
             self._reduced = True
         return [rows[c] for c in pivots]
 
-    def kernel(self) -> list[tuple[Fraction, ...]]:
-        """Basis of {x : M x = 0}, one vector per free column, where M has
-        the added rows; x is 1 at its free column and 0 at the others.
-        At full column rank the kernel is zero and no back-substitution
-        runs."""
+    def canonical_rows(self) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
+        """(pivot, row) of the reduced form in pivot order, each row a new
+        dict scaled to 1 at its pivot with canonical entries; lazy, so a
+        caller that stops early converts no later row."""
+        for col, row in zip(self.pivots, self.reduced()):
+            scale = row[col]
+            yield col, dict(row) if scale == 1 else {
+                c: v // scale if v % scale == 0 else Fraction(v, scale) for c, v in row.items()}
+
+    def kernel(self) -> list[dict[int, int | Fraction]]:
+        """Basis of {x : M x = 0}, one sparse vector per free column c in
+        increasing c, where M has the added rows: {c: 1, p: -row_p[c]} over
+        the pivots p.  At full column rank the kernel is zero and no
+        back-substitution runs."""
         if self.rank == self.cols:
             return []
-        reduced = self.reduced()
-        free = [c for c in range(self.cols) if c not in self._rows]
-        basis = {c: [Fraction(0)] * c + [Fraction(1)] + [Fraction(0)] * (self.cols - c - 1)
-                 for c in free}
-        for col, row in zip(self.pivots, reduced):
+        vectors = {c: {c: 1} for c in range(self.cols) if c not in self._rows}
+        for p, row in self.canonical_rows():
             for c, v in row.items():
-                if c != col:
-                    basis[c][col] = Fraction(-v, row[col])
-        return [tuple(basis[c]) for c in free]
+                if c != p:
+                    vectors[c][p] = -v
+        return list(vectors.values())
 
 
 class RrefResult(NamedTuple):
@@ -258,12 +265,10 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> Echelon
 def rref(matrix: SparseMatrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
     echelon = _echelon(matrix.row_dicts(), matrix.cols)
-    pivots = echelon.pivots
-    entries = {(i, c): Fraction(v, row[col])
-               for i, (col, row) in enumerate(zip(pivots, echelon.reduced()))
+    entries = {(i, c): v for i, (_, row) in enumerate(echelon.canonical_rows())
                for c, v in row.items()}
     reduced = SparseMatrix(matrix.rows, matrix.cols, entries)
-    return RrefResult(len(pivots), pivots, reduced, echelon)
+    return RrefResult(echelon.rank, echelon.pivots, reduced, echelon)
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -271,8 +276,10 @@ def rank(matrix: SparseMatrix) -> int:
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : M x = 0}; one vector per free column of the rref."""
-    return rref(matrix).echelon.kernel()
+    """Basis of {x : M x = 0}; one dense vector per free column of the
+    rref, 1 at that column."""
+    return [tuple(Fraction(vector.get(c, 0)) for c in range(matrix.cols))
+            for vector in rref(matrix).echelon.kernel()]
 
 
 def _rows_matrix(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],

@@ -371,6 +371,12 @@ def degree_monomials(total: int, nvars: int):
             yield (first,) + rest
 
 
+def graded_monomials(nvars: int, max_degree: int):
+    """Exponent tuples of total degree <= max_degree, by degree, then lex."""
+    for degree in range(max_degree + 1):
+        yield from degree_monomials(degree, nvars)
+
+
 def integer_primitive(p: Poly) -> Poly:
     """Scale to integer coefficients with content 1, lex-first term positive."""
     if p.is_zero:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vermajet import discriminant
 from vermajet.errors import SizeCapError
 from vermajet.linalg import SparseMatrix, kernel_basis, primitive_integers, span_dim
 from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
@@ -164,6 +165,20 @@ def test_jacobian_rank_sampling():
     for d, l in [(3, 1), (4, 1), (3, 2), (4, 2)]:
         ranks = sample_jacobian_ranks(d, l, 5, rng)
         assert ranks == [d - l + 1] * 5
+
+
+def test_jacobian_sampling_builds_the_parametrization_once(monkeypatch):
+    calls = []
+    build = discriminant._incidence_parametrization
+
+    def counted(d, l):
+        calls.append((d, l))
+        return build(d, l)
+
+    monkeypatch.setattr(discriminant, "_incidence_parametrization", counted)
+    discriminant._parametrization_gradients.cache_clear()
+    assert sample_jacobian_ranks(6, 2, 5, random.Random(17)) == [5] * 5
+    assert calls == [(6, 2)]
 
 
 def test_jacobian_rejects_degenerate_cofactor():

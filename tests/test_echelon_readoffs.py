@@ -1,12 +1,15 @@
 """Quantities read off the echelons the engine already builds, compared with
 the second eliminations they replace: Taylor kernels against the transposed
 `kernel_basis`, U_l(g) . v dimensions against evaluation-matrix ranks, and
-binomial-row forms against the incidence parametrization."""
+binomial-row forms against the incidence parametrization; and a source scan
+that keeps reading the reduced rows inside `linalg`."""
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +112,15 @@ def test_desk_suite_ranks_no_pbw_matrix_over_all_of_g(monkeypatch):
     monkeypatch.setattr(filtration, "verma_split_check", forbidden)
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
+
+
+def test_only_linalg_reads_the_primitive_reduced_rows():
+    callers = []
+    for path in sorted(Path(jets.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "reduced"):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

@@ -27,7 +27,7 @@ def _strings(polys):
 
 @pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
 def test_shared_pullback_growth_matches_graded_relations(d, l):
-    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l)):
+    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l, 5)):
         assert list(pullbacks) == list(degree_monomials(degree, d + 1))
         assert _strings(_kernel_piece(pullbacks, d)) == _strings(graded_relations(d, l, degree))
 
@@ -36,8 +36,8 @@ def test_shared_pullback_growth_matches_graded_relations(d, l):
 def test_packed_pullbacks_unpack_to_parametrization_products(d, l):
     params = _incidence_parametrization(d, l)
     nvars = params[0].nvars
-    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l)):
-        width = _pullback_width(degree, l)
+    width = _pullback_width(5, l)
+    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l, 5)):
         for exps, packed in pullbacks.items():
             expected = Poly.const(nvars, 1)
             for param, e in zip(params, exps):
@@ -48,7 +48,7 @@ def test_packed_pullbacks_unpack_to_parametrization_products(d, l):
 @pytest.mark.parametrize("d", [4, 5])
 def test_graded_relations_after_the_field_widens_at_degree_6(d):
     """At l = 2 the field width is 4 bits through degree 5 and 5 bits at
-    degree 6, where the pullbacks of degree 5 are re-packed."""
+    degree 6, so every degree up to 6 is packed at 5 bits."""
     assert [_pullback_width(k, 2) for k in range(1, 7)] == [2, 3, 4, 4, 4, 5]
     got = graded_relations(d, 2, 6)
     assert got and _strings(got) == _strings(_reference_graded_relations(d, 2, 6))
@@ -79,7 +79,7 @@ def _kernel(rows, cols):
 
 
 def test_equation_kernel_is_independent_of_row_order():
-    pullbacks = next(islice(_pullbacks_by_degree(6, 2), 4, None))  # degree 5
+    pullbacks = next(islice(_pullbacks_by_degree(6, 2, 5), 4, None))  # degree 5
     rows = _equation_rows(pullbacks)
     cols = len(pullbacks)
     expected = _kernel(rows, cols)

@@ -1,7 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -10,12 +10,13 @@ from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import SparseMatrix, rank, rref
 from vermajet.plethysm import (PlethysmVector, act, coordinates, highest_weight_vector,
                                sym_basis, weight_of)
-from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
+from vermajet.filtration import (_pbw_position, annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration,
                                  char_ideal_generator_check, evaluation_matrix,
                                  multi_filtration, pbw_filtration,
                                  pbw_monomials, serre_power_check,
                                  verma_split_check, weyl_dim_oracle)
+from vermajet.polynomials import graded_monomials
 from vermajet.suite import DESK_CASES
 
 
@@ -56,6 +57,17 @@ def test_monotone_saturation():
         assert dims[l] > dims[l - 1]
     for l in range(sat, len(dims)):
         assert dims[l] == target
+
+
+def test_graded_monomials_run_by_degree_then_lex():
+    for nvars in range(1, 7):
+        expected = sorted((e for e in product(range(8), repeat=nvars) if sum(e) <= 7),
+                          key=lambda e: (sum(e), e))
+        for total in range(8):
+            got = list(graded_monomials(nvars, total))
+            assert got == [e for e in expected if sum(e) <= total]
+            assert pbw_monomials(nvars, total) == got
+        assert all(_pbw_position(e) == i for i, e in enumerate(graded_monomials(nvars, 7)))
 
 
 def test_pbw_basis_sl2():

@@ -188,11 +188,17 @@ def test_echelon_kernel_and_primitive_rows(case):
     kernel = echelon.kernel()
     assert len(kernel) == cols - echelon.rank
     for vec in kernel:
-        assert all(sum(row[c] * vec[c] for c in range(cols)) == 0 for row in rows)
+        assert all(sum(row[c] * vec.get(c, 0) for c in range(cols)) == 0 for row in rows)
     for col, row in zip(echelon.pivots, echelon.reduced()):
         assert min(row) == col and row[col] > 0
         assert gcd(*row.values()) == 1
         assert not any(c in row for c in echelon.pivots if c != col)
+    entries = rref(SparseMatrix.from_rows(rows, cols=cols)).reduced.entries
+    read = list(echelon.canonical_rows())
+    assert [col for col, _ in read] == echelon.pivots
+    for i, (col, row) in enumerate(read):
+        assert row[col] == 1 and all(type(v) is type(canonical(v)) for v in row.values())
+        assert row == {c: v for (r, c), v in entries.items() if r == i}
 
 
 def _sympy_rref(sympy, rows, cols):
@@ -260,8 +266,7 @@ def test_kernel_at_full_column_rank_is_empty_and_echelon_stays_usable():
     # a rank-deficient echelon still back-substitutes for its kernel
     short = Echelon(3)
     short.add({0: 2, 1: 4, 2: 6})
-    assert short.kernel() == [(Fraction(-2), Fraction(1), Fraction(0)),
-                              (Fraction(-3), Fraction(0), Fraction(1))]
+    assert short.kernel() == [{1: 1, 0: -2}, {2: 1, 0: -3}]
 
 
 def _seeded_content_rows(seed, count, cols):
