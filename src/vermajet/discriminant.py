@@ -17,7 +17,8 @@ parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
 identity, so membership of the image in every generator is exact by
 construction.  The pullbacks of the degree-k monomials are integer
 polynomials in (b, c), built from those of degree k-1 by the prefix
-recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e,
+recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
+(the `polynomials.prefix_steps` walk the PBW images of `filtration` share),
 and the eliminant search grows them once, degree after degree, up to the
 highest degree its caller asks for.  They are kept as packed-monomial dicts
 (see `polynomials`): a degree-k pullback has b-exponent at most k*(l+1)
@@ -42,7 +43,8 @@ for the life of the process, keyed by all their arguments (d, cap) and
 (d, l, cap); a call that fails a check is not stored.  Both return the
 shared `Eliminant` objects, so callers treat them as read-only; a list of
 generators is a new list on every call.  The parametrization's gradients
-are memoized by (d, l) and shared read-only too.
+are memoized by (d, l) and shared read-only too.  Sampled values are
+canonical, so integer sample points give both Jacobian checks `int` rows.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ from typing import Iterator, Sequence, Union
 from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
-from .linalg import Echelon, kernel_basis, primitive_integers  # noqa: F401
+from .linalg import Echelon, canonical, kernel_basis, primitive_integers  # noqa: F401
 from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, degree_monomials,
-                          det, divide_by_variable, integer_primitive, restrict_to_line,
-                          strip_variable_factors)
+                          det, divide_by_variable, integer_primitive, prefix_steps,
+                          restrict_to_line, strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -71,7 +73,7 @@ _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 @dataclass(frozen=True)
 class BinaryForm:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @property
     def degree(self) -> int:
@@ -179,11 +181,11 @@ def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fract
     if len(g) != d - l:
         raise ValueError(f"cofactor needs {d - l} coefficients")
     # coefficient r is sum_j C(l+1, j) (-b)^j g_(r-j)
-    binomial = [comb(l + 1, j) * (-Fraction(b)) ** j for j in range(l + 2)]
-    cofactor = [Fraction(v) for v in g]
+    binomial = [comb(l + 1, j) * (-canonical(b)) ** j for j in range(l + 2)]
+    cofactor = [canonical(v) for v in g]
     return BinaryForm(tuple(
-        sum((binomial[j] * cofactor[r - j]
-             for j in range(max(0, r - len(g) + 1), min(r, l + 1) + 1)), Fraction(0))
+        canonical(sum(binomial[j] * cofactor[r - j]
+                      for j in range(max(0, r - len(g) + 1), min(r, l + 1) + 1)))
         for r in range(d + 1)))
 
 
@@ -205,10 +207,7 @@ def _pullbacks_by_degree(d: int, l: int,
     pullbacks = {(0,) * (d + 1): {0: 1}}
     for k in range(1, max_degree + 1):
         previous, pullbacks = pullbacks, {}
-        # a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
-        for exps in degree_monomials(k, d + 1):
-            i = next(i for i, e in enumerate(exps) if e)
-            prefix = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        for exps, i, prefix in prefix_steps(d + 1, k):
             pullbacks[exps] = _packed_product(packed[i], previous[prefix])
         yield pullbacks
 
@@ -258,14 +257,23 @@ def _new_generators(piece: list[Poly], collected: list[Poly],
     return [q for q in piece if echelon.add(row_of(q))]
 
 
-def _sample_point(d: int, l: int, rng: random.Random) -> tuple[Fraction, list[Fraction]]:
+def _sample_point(d: int, l: int, rng: random.Random) -> tuple[int, list[int]]:
     """A parameter point (b, g) of the parametrization with integer entries in
     -9..9, g[0] forced nonzero."""
-    b = Fraction(rng.randint(-9, 9))
-    g = [Fraction(rng.randint(-9, 9)) for _ in range(d - l)]
+    b = rng.randint(-9, 9)
+    g = [rng.randint(-9, 9) for _ in range(d - l)]
     if not g[0]:
-        g[0] = Fraction(1)
+        g[0] = 1
     return b, g
+
+
+def _jacobian_rank(gradients: Sequence[Sequence[Poly]],
+                   point: Sequence[int | Fraction]) -> int:
+    """Exact rank of the Jacobian whose rows are the gradients at the point."""
+    jacobian = Echelon(len(point))
+    for gradient in gradients:
+        jacobian.add({j: partial.evaluate(point) for j, partial in enumerate(gradient)})
+    return jacobian.rank
 
 
 def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
@@ -279,10 +287,7 @@ def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     successes = 0
     for _ in range(60):
         point = parametrized_form(d, l, *_sample_point(d, l, rng)).coeffs
-        jacobian = Echelon(d + 1)
-        for gradient in gradients:
-            jacobian.add({j: partial.evaluate(point) for j, partial in enumerate(gradient)})
-        if jacobian.rank == l:
+        if _jacobian_rank(gradients, point) == l:
             successes += 1
             if successes == 3:
                 return True
@@ -351,13 +356,9 @@ def parametrization_jacobian_rank(d: int, l: int,
         raise ValueError("need 1 <= l < d")
     if len(g) != d - l:
         raise ValueError(f"cofactor needs {d - l} coefficients")
-    if not Fraction(g[0]):
+    if not g[0]:
         raise ValueError("degenerate sample: cofactor has zero leading coefficient")
-    point = [Fraction(b)] + [Fraction(v) for v in g]
-    jacobian = Echelon(len(point))
-    for gradient in _parametrization_gradients(d, l):
-        jacobian.add({v: partial.evaluate(point) for v, partial in enumerate(gradient)})
-    return jacobian.rank
+    return _jacobian_rank(_parametrization_gradients(d, l), [b, *g])
 
 
 def sample_jacobian_ranks(d: int, l: int, count: int,
@@ -420,18 +421,17 @@ def _divisors(n: int) -> list[int]:
 
 
 def _has_rational_root(coeffs: Sequence[int]) -> bool:
+    """Whether sum_k coeffs[k] x^k has a rational root p/q: p | coeffs[0],
+    q | coeffs[-1] and sum_k coeffs[k] p^k q^(n-k) = 0, all in integers."""
     if coeffs[0] == 0:
         return True  # root at 0
+    n = len(coeffs) - 1
     for p in _divisors(coeffs[0]):
         for q in _divisors(coeffs[-1]):
             if gcd(p, q) != 1:
                 continue
             for num in (p, -p):
-                root = Fraction(num, q)
-                value = Fraction(0)
-                for c in reversed(coeffs):
-                    value = value * root + c
-                if value == 0:
+                if not sum(c * num ** k * q ** (n - k) for k, c in enumerate(coeffs)):
                     return True
     return False
 

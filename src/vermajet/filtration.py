@@ -29,9 +29,10 @@ exactly when every (y - rho(y)) v is zero.
 
 The PBW images behind evaluation matrices, PBW filtrations and direct sums
 are built in one pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v),
-i the leftmost nonzero exponent; only the nonzero images of one degree are
-kept while the next is built, images that are only ranked go straight
-into an `Echelon`, and nothing is memoized across calls.
+i the leftmost nonzero exponent, walked by `polynomials.prefix_steps` as
+the eliminant pullbacks of `discriminant` are; only the nonzero images of
+one degree are kept while the next is built, images that are only ranked
+go straight into an `Echelon`, and nothing is memoized across calls.
 `apply_pbw_monomial` stays as the row-by-row reference.
 """
 
@@ -48,7 +49,7 @@ from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
 from .linalg import Echelon, SparseMatrix
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
                        highest_weight_vector, sym_basis, weight_of)
-from .polynomials import graded_monomials
+from .polynomials import graded_monomials, prefix_steps
 
 DEFAULT_MONOMIAL_CAP = 50000
 
@@ -85,20 +86,6 @@ def pbw_monomials(num_generators: int, max_degree: int,
     return list(graded_monomials(num_generators, max_degree))
 
 
-def _pbw_position(exps: tuple[int, ...]) -> int:
-    """Index of an exponent vector in pbw_monomials order."""
-    k = len(exps)
-    rest = sum(exps)
-    position = comb(k + rest - 1, k) if rest else 0  # all lower degrees
-    for j, e in enumerate(exps[:-1]):
-        if e:
-            # vectors agreeing before j with a smaller entry at j come first
-            parts = k - j - 1
-            position += comb(rest + parts, parts) - comb(rest - e + parts, parts)
-            rest -= e
-    return position
-
-
 def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int],
                        start: PlethysmVector) -> PlethysmVector:
     """Apply z_1^{a_1} ... z_k^{a_k} to a vector, rightmost factor first."""
@@ -116,29 +103,28 @@ def _pbw_images(generators: Sequence[LieElement], max_degree: int,
     """(position in pbw_monomials order, z^a start) for every exponent
     vector a of total degree <= max_degree whose image is nonzero, in order.
 
-    z^a start = z_i (z^(a - e_i) start) for the leftmost nonzero a_i, which
-    is the last action apply_pbw_monomial performs, so each image is one
-    action on a nonzero image of one degree less and equals the reference
-    exactly.  Only the nonzero images of the previous degree are kept; a
-    vector whose prefix image vanishes is never visited.
+    z^a start = z_i (z^(a - e_i) start) for the leftmost nonzero a_i (the
+    `prefix_steps` walk), which is the last action apply_pbw_monomial
+    performs, so each image is one action on a nonzero image of one degree
+    less and equals the reference exactly.  Only the nonzero images of the
+    previous degree are kept; a vector whose prefix image vanishes is
+    never acted on.
     """
     if start.is_zero:
         return
-    k = len(generators)
-    layer = {(0,) * k: start}
+    layer = {(0,) * len(generators): start}
     yield 0, start
-    for _ in range(max_degree):
-        extensions = []
-        for b in layer:
-            # a = b + e_i has leftmost nonzero entry i exactly when i <= lead
-            lead = next((j for j, e in enumerate(b) if e), k - 1)
-            extensions += [(b[:i] + (b[i] + 1,) + b[i + 1:], i, b) for i in range(lead + 1)]
+    position = 1
+    for degree in range(1, max_degree + 1):
         grown = {}
-        for exps, i, prefix in sorted(extensions):
-            image = act(generators[i], layer[prefix])
-            if not image.is_zero:
-                grown[exps] = image
-                yield _pbw_position(exps), image
+        for exps, i, prefix in prefix_steps(len(generators), degree):
+            base = layer.get(prefix)
+            if base is not None:
+                image = act(generators[i], base)
+                if not image.is_zero:
+                    grown[exps] = image
+                    yield position, image
+            position += 1
         layer = grown
 
 

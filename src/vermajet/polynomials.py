@@ -6,9 +6,11 @@ tuples to nonzero coefficients, each an `int` when it is integral and a
 `Fraction` only when it is not.  The constructor and every operation keep
 that canonical form, so the integer polynomials that chart minors,
 eliminants and pullbacks are made of run in plain integer arithmetic;
-`evaluate` returns a `Fraction`.  This is deliberately minimal: arithmetic,
-differentiation, truncation, composition and evaluation cover everything
-the chart expansions and eliminants need.
+`evaluate` returns a canonical value too.  This is deliberately minimal:
+arithmetic, differentiation, truncation, composition and evaluation cover
+everything the chart expansions and eliminants need.  `prefix_steps` is
+the one walk from each graded image to the next degree's, shared by the
+PBW images of `filtration` and the eliminant pullbacks of `discriminant`.
 
 The two hot product loops, the minors of `det` and the eliminant pullbacks
 of `discriminant`, key their terms by packed monomials instead: exponent i
@@ -183,7 +185,7 @@ class Poly:
         out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
         return out
 
-    def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
+    def evaluate(self, point: Sequence[int | Fraction]) -> int | Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
         vals = [canonical(x) for x in point]
@@ -194,7 +196,7 @@ class Poly:
                 if e:
                     term *= x ** e
             total += term
-        return Fraction(total)
+        return canonical(total)
 
     def substitute(self, values: Sequence[Union["Poly", int, Fraction]],
                    nvars_out: int | None = None) -> "Poly":
@@ -375,6 +377,15 @@ def graded_monomials(nvars: int, max_degree: int):
     """Exponent tuples of total degree <= max_degree, by degree, then lex."""
     for degree in range(max_degree + 1):
         yield from degree_monomials(degree, nvars)
+
+
+def prefix_steps(nvars: int, degree: int):
+    """(exps, i, prefix) for every exponent tuple exps of the given total
+    degree >= 1, in `degree_monomials` order: i is the leftmost nonzero
+    index of exps and prefix = exps - e_i, so z^exps = z_i z^prefix."""
+    for exps in degree_monomials(degree, nvars):
+        i = next(i for i, e in enumerate(exps) if e)
+        yield exps, i, exps[:i] + (exps[i] - 1,) + exps[i + 1:]
 
 
 def integer_primitive(p: Poly) -> Poly:

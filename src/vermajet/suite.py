@@ -278,37 +278,28 @@ def run_suite(config: SuiteConfig, with_timings: bool = False) -> dict:
     config.validate()
     report: dict = {"schema": SCHEMA, "seed": config.seed}
     failures: list[str] = []
-    cases = []
-    for m, n, d in config.cases:
-        start = time.perf_counter()
-        record = case_report(m, n, d, config.ambient_cap, config.monomial_cap)
-        if with_timings:
-            record["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
-        if not record["ok"]:
-            failures.append(f"case ({m},{n},{d})")
-        cases.append(record)
-    report["cases"] = cases
-    discs = []
-    for d, l in config.disc_cases:
-        start = time.perf_counter()
-        record = disc_report(d, l, config.degree_cap, config.seed)
-        if with_timings:
-            record["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
-        if not record["ok"]:
-            failures.append(f"discriminant ({d},{l})")
-        discs.append(record)
-    report["discriminants"] = discs
-    sums = []
-    for m, n, degrees, l in config.direct_sums:
-        start = time.perf_counter()
-        record = direct_sum_report(m, n, degrees, l,
-                                   config.ambient_cap, config.monomial_cap)
-        if with_timings:
-            record["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
-        if not record["ok"]:
-            failures.append(f"direct sum ({m},{n},{list(degrees)},{l})")
-        sums.append(record)
-    report["direct_sums"] = sums
+    caps = (config.ambient_cap, config.monomial_cap)
+    kinds = (
+        ("cases", config.cases,
+         lambda m, n, d: case_report(m, n, d, *caps),
+         lambda m, n, d: f"case ({m},{n},{d})"),
+        ("discriminants", config.disc_cases,
+         lambda d, l: disc_report(d, l, config.degree_cap, config.seed),
+         lambda d, l: f"discriminant ({d},{l})"),
+        ("direct_sums", config.direct_sums,
+         lambda m, n, degrees, l: direct_sum_report(m, n, degrees, l, *caps),
+         lambda m, n, degrees, l: f"direct sum ({m},{n},{list(degrees)},{l})"),
+    )
+    for key, entries, build, label in kinds:
+        records = report[key] = []
+        for entry in entries:
+            start = time.perf_counter()
+            record = build(*entry)
+            if with_timings:
+                record["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
+            if not record["ok"]:
+                failures.append(label(*entry))
+            records.append(record)
     report["failures"] = failures
     report["verdict"] = "pass" if not failures else "fail"
     return report

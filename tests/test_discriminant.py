@@ -148,6 +148,24 @@ def test_parametrized_form_values():
     assert form.coeffs == (1, -4, 4, 0)
 
 
+def test_parametrized_form_at_integer_inputs_is_all_int():
+    rng = random.Random(5)
+    for d, l in [(3, 1), (4, 2), (6, 3)]:
+        form = parametrized_form(d, l, *discriminant._sample_point(d, l, rng))
+        assert all(type(c) is int for c in form.coeffs)
+    assert all(type(c) is int for c in parametrized_form(3, 1, Fraction(2), [Fraction(1), 0]).coeffs)
+
+
+def test_has_rational_root_in_integers():
+    has_root = discriminant._has_rational_root
+    assert has_root([0, 3, 1])  # root at 0
+    assert has_root([1, -5, 6])  # 6x^2 - 5x + 1, root 1/2
+    assert not has_root([-2, 0, 1])  # x^2 - 2
+    assert has_root([-1, 3, -2])  # -2x^2 + 3x - 1, roots 1/2 and 1
+    assert has_root([1, 3, 2])  # 2x^2 + 3x + 1, roots -1/2 and -1
+    assert not has_root([-1, 0, -1])  # -x^2 - 1
+
+
 def test_every_sample_is_a_zero_of_every_generator():
     rng = random.Random(3)
     for d, l in [(2, 1), (3, 1), (4, 1), (3, 2)]:

@@ -10,13 +10,14 @@ from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import SparseMatrix, rank, rref
 from vermajet.plethysm import (PlethysmVector, act, coordinates, highest_weight_vector,
                                sym_basis, weight_of)
-from vermajet.filtration import (_pbw_position, annihilator_dim, apply_pbw_monomial,
+from vermajet import filtration
+from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration,
                                  char_ideal_generator_check, evaluation_matrix,
                                  multi_filtration, pbw_filtration,
                                  pbw_monomials, serre_power_check,
                                  verma_split_check, weyl_dim_oracle)
-from vermajet.polynomials import graded_monomials
+from vermajet.polynomials import graded_monomials, prefix_steps
 from vermajet.suite import DESK_CASES
 
 
@@ -67,7 +68,6 @@ def test_graded_monomials_run_by_degree_then_lex():
             got = list(graded_monomials(nvars, total))
             assert got == [e for e in expected if sum(e) <= total]
             assert pbw_monomials(nvars, total) == got
-        assert all(_pbw_position(e) == i for i, e in enumerate(graded_monomials(nvars, 7)))
 
 
 def test_pbw_basis_sl2():
@@ -296,6 +296,27 @@ def test_pbw_images_of_an_arbitrary_start_match_reference():
         assert got == [(row, image) for row, image in enumerate(reference)
                        if not image.is_zero]
         assert list(_pbw_images(generators, 2, 0 * start)) == []
+
+
+@pytest.mark.parametrize("subalgebra", ["all", SubalgebraTag.N])
+def test_pbw_images_act_only_on_nonzero_prefix_images(monkeypatch, subalgebra):
+    ctx = build_context(2, 2)
+    generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
+    v = highest_weight_vector(2, 2, 2)
+    steps = [step for degree in (1, 2) for step in prefix_steps(len(generators), degree)]
+    expected = sum(not apply_pbw_monomial(generators, prefix, v).is_zero
+                   for _, _, prefix in steps)
+    # over all of g some degree-1 images vanish, so their extensions are pruned
+    assert (expected < len(steps)) == (subalgebra == "all")
+    calls = []
+
+    def counted(x, vec):
+        calls.append(x)
+        return act(x, vec)
+
+    monkeypatch.setattr(filtration, "act", counted)
+    list(filtration._pbw_images(generators, 2, v))
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("m,n,d,l", [(1, 1, 3, 1), (1, 2, 3, 2), (2, 2, 2, 2),

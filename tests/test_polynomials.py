@@ -65,6 +65,25 @@ def test_evaluate():
     assert p.evaluate([Fraction(3), Fraction(4)]) == 5
 
 
+def test_evaluate_at_an_integer_point_is_an_int():
+    x, y = _xy()
+    value = (Fraction(1, 2) * x * x + Fraction(1, 2) * x + 3 * y).evaluate([3, -1])
+    assert type(value) is int and value == 3
+    assert type((x * y).evaluate([Fraction(4), 2])) is int
+    assert (x * Fraction(1, 3)).evaluate([1, 0]) == Fraction(1, 3)
+
+
+def test_prefix_steps_walk_degree_monomials():
+    for nvars in range(1, 6):
+        for degree in range(1, 6):
+            steps = list(polynomials.prefix_steps(nvars, degree))
+            assert [exps for exps, _, _ in steps] == list(
+                polynomials.degree_monomials(degree, nvars))
+            for exps, i, prefix in steps:
+                assert not any(exps[:i]) and exps[i]
+                assert tuple(e + (j == i) for j, e in enumerate(prefix)) == exps
+
+
 def test_det_vandermonde():
     rows = [[Poly.const(0, 1), Poly.const(0, a), Poly.const(0, a * a)]
             for a in (1, 2, 3)]
@@ -203,7 +222,7 @@ def test_arithmetic_matches_fraction_reference(p, q, scalar, power, index, point
     assert _agrees(p ** power, expected)
     assert _agrees(p.derivative(index), _ref_derivative(rp, index))
     value = p.evaluate(point)
-    assert type(value) is Fraction
+    assert _canonical_coefficient(value)
     assert value == sum((c * math.prod(Fraction(x) ** k for x, k in zip(point, e))
                          for e, c in rp.items()), Fraction(0))
 
