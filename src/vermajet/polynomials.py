@@ -363,14 +363,27 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     return -result if odd else result
 
 
+def _lex_walk(total: int, nvars: int):
+    """(e, i) per exponent tuple of the given total degree in lex order: e one
+    list updated in place, i its leftmost nonzero index.  The successor moves
+    one unit from the rightmost nonzero exponent k to k - 1, the rest to the end."""
+    e = [0] * nvars
+    e[-1] = total
+    k = i = nvars - 1 if total else 0  # rightmost and leftmost nonzero index
+    while True:
+        yield e, i
+        if k == 0:
+            return
+        tail, e[k] = e[k], 0
+        e[k - 1] += 1
+        e[-1] += tail - 1
+        i, k = min(i, k - 1), nvars - 1 if tail > 1 else k - 1
+
+
 def degree_monomials(total: int, nvars: int):
     """Exponent tuples over nvars variables with the given total degree, in lex order."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in degree_monomials(total - first, nvars - 1):
-            yield (first,) + rest
+    for e, _ in _lex_walk(total, nvars):
+        yield tuple(e)
 
 
 def graded_monomials(nvars: int, max_degree: int):
@@ -383,9 +396,11 @@ def prefix_steps(nvars: int, degree: int):
     """(exps, i, prefix) for every exponent tuple exps of the given total
     degree >= 1, in `degree_monomials` order: i is the leftmost nonzero
     index of exps and prefix = exps - e_i, so z^exps = z_i z^prefix."""
-    for exps in degree_monomials(degree, nvars):
-        i = next(i for i, e in enumerate(exps) if e)
-        yield exps, i, exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+    for e, i in _lex_walk(degree, nvars):
+        exps = tuple(e)
+        e[i] -= 1
+        yield exps, i, tuple(e)
+        e[i] += 1
 
 
 def integer_primitive(p: Poly) -> Poly:

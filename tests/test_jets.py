@@ -8,6 +8,7 @@ from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, pair, pairing_vanishes
 from vermajet.polynomials import Poly
+from vermajet import jets
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            duality_check, jet_monomials, jet_truncation,
                            kernel_sections, level_duality, monomial_jet_projective,
@@ -319,3 +320,53 @@ def test_integer_pairing_equals_all_pairs_reference(m, n, d):
         wider = [s for s in basis if s.chart.truncate(l - 1).is_zero]
         assert not all(pair(u, s) == 0 for u in level.basis for s in wider)
         assert pairing_vanishes(level.basis, wider) is False
+
+
+def _as_data(basis):
+    return [(dict(s.chart.terms), dict(s.plucker)) for s in basis]
+
+
+def test_section_space_repeats_return_equal_fresh_bases():
+    first = section_space(2, 2, 2)
+    second = section_space(2, 2, 2)
+    assert _as_data(first) == _as_data(second)
+    assert all(a.chart is not b.chart and a.chart.terms is not b.chart.terms
+               and a.plucker is not b.plucker for a, b in zip(first, second))
+
+
+def test_mutating_a_section_leaves_the_memo_unchanged():
+    want = _as_data(section_space(2, 2, 2))
+    basis = section_space(2, 2, 2)
+    basis[0].chart.terms[(9, 9, 9, 9)] = 5
+    basis[0].plucker.clear()
+    basis[-1].chart.terms.clear()
+    basis[-1].plucker[((1, 2), (1, 2))] = 7
+    assert _as_data(section_space(2, 2, 2)) == want
+
+
+def test_desk_suite_eliminates_each_family_once():
+    from vermajet.suite import SuiteConfig, run_suite
+    jets._reduced_family.cache_clear()
+    run_suite(SuiteConfig())
+    info = jets._reduced_family.cache_info()
+    assert (info.misses, info.hits) == (6, 84)
+
+
+def test_a_changed_family_misses_the_memo(monkeypatch):
+    m, n, d = 2, 2, 2
+    want = section_space(m, n, d)
+    misses = jets._reduced_family.cache_info().misses
+    minor = jets.plucker_polynomial
+
+    def doubled(subset, m, n):
+        s = minor(subset, m, n)
+        return jets.SectionPolynomial(s.chart * 2, s.plucker)
+
+    monkeypatch.setattr(jets, "plucker_polynomial", doubled)
+    got = section_space(m, n, d)
+    assert jets._reduced_family.cache_info().misses == misses + 1
+    # Each monomial's chart is 2^d times the old one, so the charts scaled
+    # to 1 at their pivots agree and the Plücker coordinates are 2^-d times.
+    assert [s.chart for s in got] == [s.chart for s in want]
+    assert [s.plucker for s in got] == [
+        {k: Fraction(v, 2 ** d) for k, v in s.plucker.items()} for s in want]

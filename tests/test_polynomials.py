@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itertools import combinations
+from itertools import combinations, product
 
 from vermajet import discriminant, jets, polynomials
 from vermajet.polynomials import (Poly, det, divide_by_variable,
@@ -476,3 +476,13 @@ def test_sylvester_det_builds_few_minors(monkeypatch):
         det(matrix)
         counts[d] = len(built)
     assert counts == {4: 53, 5: 142, 6: 375}
+
+
+def test_degree_monomials_match_an_independent_enumeration():
+    # Every tuple of the box [0, degree]^nvars with the right sum, in
+    # increasing lex order (itertools.product's order).
+    for nvars in range(1, 7):
+        for degree in range(7):
+            want = [e for e in product(range(degree + 1), repeat=nvars)
+                    if sum(e) == degree]
+            assert list(polynomials.degree_monomials(degree, nvars)) == want

@@ -126,3 +126,18 @@ def test_desk_suite_grows_one_filtration_per_case(monkeypatch):
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
     assert len(calls) == 10
+
+
+def test_desk_report_is_byte_identical_with_warm_memos():
+    # The first run starts from cold process-lifetime memos, the second
+    # reads every one of them warm; the report may not tell them apart.
+    from vermajet import discriminant
+    for memo in (jets._chart_minor, jets._checked_minor, jets._reduced_family,
+                 discriminant._classical_discriminant,
+                 discriminant._multiple_root_eliminant,
+                 discriminant._parametrization_gradients):
+        memo.cache_clear()
+    first = render_report(run_suite(SuiteConfig()), "json")
+    second = render_report(run_suite(SuiteConfig()), "json")
+    assert first == second
+    assert hashlib.sha256(first.encode()).hexdigest() == DESK_REPORT_SHA256
