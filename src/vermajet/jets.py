@@ -48,16 +48,22 @@ their index, keyed by (m, n, l).  `plucker_polynomial` returns a new
 `SectionPolynomial` (chart and Plücker map copied) on every call, and
 `jet_monomials` a new list.
 
-`section_space` builds the Plücker monomial family on every call and hands
-it to `_reduced_family` (column sort, provenance `Echelon`, `canonical_rows`
-read-off), an `lru_cache` with `maxsize=1` keyed by the exact family: one
-(Plücker key, chart term items) pair per monomial, in `sym_basis` order.  A
-changed family (another case, a patched minor) therefore never meets a stale
-basis; a case's calls are consecutive in every driver, so one entry catches
-every repeat.  Each call returns new sections with copied charts and Plücker
-maps.  The family is rebuilt on a hit only because the benchmark's desk
-workload pins the `section_space` (90) and `plucker_polynomial` (4,640) call
-counts; once ROADMAP item 1 re-pins them, key on (m, n, d, cap) instead.
+`section_space` reads each monomial's factor minors through
+`plucker_polynomial` on every call and hands them to `_reduced_family`, an
+`lru_cache` with `maxsize=1` keyed by the exact factors: one (sorted index,
+factor chart term items) pair per monomial, in `sym_basis` order.  Only a
+miss multiplies, once per distinct factor prefix (the first k factors are
+the first k - 1 times factor k, the left fold of `section_monomial`), then
+sorts the columns, eliminates in a provenance `Echelon` and reads
+`canonical_rows`.  A changed factor (another case, a patched minor) never
+meets a stale basis; a case's calls are consecutive in every driver, so one
+entry catches every repeat.  Each call returns new sections with copied
+charts and Plücker maps.  The factors are read on a hit only because the
+benchmark's desk workload pins the `section_space` (90) and
+`plucker_polynomial` (4,640) call counts; once ROADMAP item 1 re-pins them,
+key on (m, n, d, cap) instead.  `section_monomial` and `monomial_sections`
+are the reference the tests compare against; nothing in the package calls
+them.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
 
 
 def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
-    """Product of Plücker chart polynomials over a degree-d multiset."""
+    """Product of Plücker chart polynomials over a degree-d multiset (test reference)."""
     if not multiset:
         chart = Poly.const(m * n, 1)
     else:
@@ -146,7 +152,7 @@ def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
 
 def monomial_sections(m: int, n: int, d: int,
                       cap: int = DEFAULT_AMBIENT_CAP) -> list[SectionPolynomial]:
-    """The full degree-d Plücker monomial family, in canonical basis order."""
+    """The degree-d Plücker monomial family in canonical basis order (test reference)."""
     return [section_monomial(idx, m, n) for idx in sym_basis(m, n, d, cap)]
 
 
@@ -177,17 +183,28 @@ def jet_truncation(section: SectionPolynomial, m: int, n: int,
 
 
 @lru_cache(maxsize=1)
-def _reduced_family(family: tuple) -> tuple[tuple[dict, dict], ...]:
+def _reduced_family(nvars: int, family: tuple) -> tuple[tuple[dict, dict], ...]:
     """(chart terms, Plücker coordinates) of each basis section of the span
-    of `family`, one (Plücker key, chart term items) pair per monomial in
-    `sym_basis` order; the caller copies both dicts."""
-    columns = sorted({exps for _, terms in family for exps, _ in terms},
+    of `family`, one (sorted index, factor chart term items) pair per
+    monomial in `sym_basis` order; the caller copies both dicts."""
+    products: dict[tuple, Poly] = {}  # by factor-items prefix, this miss only
+    charts = []
+    for _, factors in family:
+        chart = Poly.const(nvars, 1)
+        for k in range(1, len(factors) + 1):
+            prefix = factors[:k]
+            if prefix not in products:  # the left fold of `section_monomial`
+                factor = _from_terms(nvars, dict(factors[k - 1]))
+                products[prefix] = factor if k == 1 else chart * factor
+            chart = products[prefix]
+        charts.append(chart.terms)
+    columns = sorted({exps for terms in charts for exps in terms},
                      key=lambda e: (sum(e), e))
     col_index = {exps: k for k, exps in enumerate(columns)}
     width = len(columns)
     echelon = Echelon(width + len(family))
-    for r, (_, terms) in enumerate(family):
-        row = {col_index[exps]: c for exps, c in terms}
+    for r, terms in enumerate(charts):
+        row = {col_index[exps]: c for exps, c in terms.items()}
         row[width + r] = 1  # provenance tracking
         echelon.add(row)
     basis = []
@@ -205,15 +222,17 @@ def section_space(m: int, n: int, d: int,
 
     Plücker relations are handled implicitly: dependent monomials reduce
     away, and each basis section keeps exact coordinates over the monomial
-    family so it can be paired against module vectors.  The family is
-    built on every call; its elimination is `_reduced_family`, memoized
-    (maxsize=1) on the exact family, and the sections are fresh copies
+    family so it can be paired against module vectors.  Every call reads
+    each monomial's factor minors through `plucker_polynomial`; the
+    products and their elimination are `_reduced_family`, memoized
+    (maxsize=1) on those exact factors, and the sections are fresh copies
     (see the module docstring).
     """
-    family = tuple((next(iter(s.plucker)), tuple(s.chart.terms.items()))
-                   for s in monomial_sections(m, n, d, cap))
+    family = tuple((tuple(sorted(idx)),
+                    tuple(tuple(plucker_polynomial(s, m, n).chart.terms.items()) for s in idx))
+                   for idx in sym_basis(m, n, d, cap))
     return [SectionPolynomial(_from_terms(m * n, dict(chart)), dict(plucker))
-            for chart, plucker in _reduced_family(family)]
+            for chart, plucker in _reduced_family(m * n, family)]
 
 
 def taylor_matrix(m: int, n: int, d: int, l: int,

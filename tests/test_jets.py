@@ -6,7 +6,8 @@ import pytest
 from vermajet.filtration import canonical_filtration, evaluation_matrix, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
-from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, pair, pairing_vanishes
+from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, pair,
+                               pairing_vanishes, sym_basis)
 from vermajet.polynomials import Poly
 from vermajet import jets
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
@@ -277,7 +278,12 @@ def _suite_taylor_levels(d):
     return sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d})
 
 
-@pytest.mark.parametrize("m,n,d", DESK_CASES)
+# The grassmannian cases of the benchmark; (2,2,4) multiplies along
+# prefixes of length up to 3.
+DEEPER_CASES = ((2, 2, 4), (2, 3, 3), (3, 3, 2))
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
 def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
     basis = section_space(m, n, d)
     reference = _section_space_by_fractions(m, n, d)
@@ -370,3 +376,52 @@ def test_a_changed_family_misses_the_memo(monkeypatch):
     assert [s.chart for s in got] == [s.chart for s in want]
     assert [s.plucker for s in got] == [
         {k: Fraction(v, 2 ** d) for k, v in s.plucker.items()} for s in want]
+
+
+def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypatch):
+    m, n, d = 2, 2, 4
+    indices = sym_basis(m, n, d)
+    section_space(m, n, d)  # warms `_chart_minor`, so `det` adds no products
+    calls = {"plucker": 0, "mul": 0}
+    minor, mul = jets.plucker_polynomial, Poly.__mul__
+
+    def counted_minor(subset, m, n):
+        calls["plucker"] += 1
+        return minor(subset, m, n)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(jets, "plucker_polynomial", counted_minor)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    prefixes = {idx[:k] for idx in indices for k in range(2, d + 1)}
+    factors = sum(len(idx) for idx in indices)
+    jets._reduced_family.cache_clear()
+    cold = section_space(m, n, d)
+    assert calls == {"plucker": factors, "mul": len(prefixes)}
+    calls.update(plucker=0, mul=0)
+    assert _as_data(section_space(m, n, d)) == _as_data(cold)
+    assert calls == {"plucker": factors, "mul": 0}
+    assert jets._reduced_family.cache_info()[:2] == (1, 1)
+
+
+def test_a_miss_multiplies_the_factors_of_its_key(monkeypatch):
+    m, n, d = 2, 2, 3
+    section_space(m, n, d)
+    misses = jets._reduced_family.cache_info().misses
+    minor = jets.plucker_polynomial
+
+    def scaled(subset, m, n):
+        s = minor(subset, m, n)
+        if tuple(sorted(subset)) == (1, 3):
+            return jets.SectionPolynomial(s.chart * 3, s.plucker)
+        return s
+
+    monkeypatch.setattr(jets, "plucker_polynomial", scaled)
+    got = section_space(m, n, d)
+    assert jets._reduced_family.cache_info().misses == misses + 1
+    # The reference multiplies the same patched factors through
+    # `section_monomial`; a miss that re-read the unpatched minors would
+    # give Plücker coordinates 3^k times too large.
+    assert got == _section_space_by_fractions(m, n, d)
