@@ -17,19 +17,14 @@ followed by a provenance 1 in its own column, to one `Echelon`; the basis
 sections are the rows of `Echelon.canonical_rows` with a chart pivot, so
 the chart coefficients and Plücker coordinates arrive scaled to 1 at the
 pivot and in canonical form (an `int` when integral).
-`taylor_matrix` keeps each basis section's chart terms of degree <= l as a
-sparse row, with the chart's coefficients (integers when the pivot was 1),
-and ranks those rows in an `Echelon` of its own, so the rank that
-`kernel_sections` checks against is not read off the section echelon; the
-returned `SparseMatrix` is built from the same rows.
 
 Chart columns are in graded order and the span is graded, so every basis
-section is homogeneous: the sections whose pivot has degree <= l have
-independent l-jets, and the l-jets of the others vanish.  `kernel_sections`
-keeps the latter and certifies their count against the Taylor rank (count =
-basis size - rank, else CertificateError); that is why it still calls
-`taylor_matrix`.  No second elimination builds the kernel; `kernel_basis`
-stays imported only for the benchmark's layer tracer.
+section is homogeneous and its pivot is its lowest-degree chart term.  Its
+l-jet is nonzero exactly when the pivot has degree <= l, and those jets
+keep distinct pivot columns, so `taylor_rank` counts them with no second
+elimination.  `kernel_sections` keeps the sections whose l-jet vanishes and
+certifies their count against it (basis size - rank, else CertificateError);
+the rank of `taylor_matrix` is its count of nonzero rows.
 
 `level_duality` checks the filtration/jet duality on a level of a canonical
 filtration the caller has grown, so one filtration serves every level;
@@ -95,7 +90,7 @@ class SectionPolynomial:
     """A global section in chart coordinates, with Plücker-monomial provenance."""
 
     chart: Poly
-    plucker: dict[SymIndex, Fraction]
+    plucker: dict[SymIndex, int | Fraction]
 
     def value_at_origin(self) -> int | Fraction:
         return self.chart.coefficient((0,) * self.chart.nvars)
@@ -118,6 +113,13 @@ def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
     return det(matrix)
 
 
+def _chart_copy(nvars: int, terms: dict) -> Poly:
+    """A Poly owning a copy of `terms`, which are already canonical."""
+    chart = Poly(nvars)
+    chart.terms = dict(terms)
+    return chart
+
+
 @lru_cache(maxsize=None)
 def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[tuple[int, ...], Poly]:
     """The sorted rows of a valid subset and their chart minor; an invalid
@@ -134,9 +136,7 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
     normalized so the minor for rows {1..m} is 1."""
     rows, minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
-    chart = Poly(minor.nvars)
-    chart.terms = dict(minor.terms)
-    return SectionPolynomial(chart, {(rows,): _ONE})
+    return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {(rows,): _ONE})
 
 
 def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
@@ -222,38 +222,40 @@ def section_space(m: int, n: int, d: int,
 
     Plücker relations are handled implicitly: dependent monomials reduce
     away, and each basis section keeps exact coordinates over the monomial
-    family so it can be paired against module vectors.  Every call reads
-    each monomial's factor minors through `plucker_polynomial`; the
-    products and their elimination are `_reduced_family`, memoized
-    (maxsize=1) on those exact factors, and the sections are fresh copies
-    (see the module docstring).
+    family so it can be paired against module vectors.  The products and
+    their elimination are `_reduced_family`, memoized on the exact factor
+    minors; every call returns fresh copies (see the module docstring).
     """
     family = tuple((tuple(sorted(idx)),
                     tuple(tuple(plucker_polynomial(s, m, n).chart.terms.items()) for s in idx))
                    for idx in sym_basis(m, n, d, cap))
-    return [SectionPolynomial(_from_terms(m * n, dict(chart)), dict(plucker))
+    return [SectionPolynomial(_chart_copy(m * n, chart), dict(plucker))
             for chart, plucker in _reduced_family(m * n, family)]
 
 
 def taylor_matrix(m: int, n: int, d: int, l: int,
                   cap: int = DEFAULT_AMBIENT_CAP) -> tuple[SparseMatrix, int]:
     """Rows are basis sections, columns the jet monomials of degree <= l;
-    returns the matrix together with its exact rank."""
+    returns the matrix together with its exact rank, the number of nonzero
+    rows (see `taylor_rank`)."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    basis = section_space(m, n, d, cap)
     columns, index = _jet_columns(m, n, l)
-    echelon = Echelon(len(columns))
-    rows = []
-    for s in basis:
-        row = {}
-        for exps, c in s.chart.terms.items():
-            k = index.get(exps)
-            if k is not None:
-                row[k] = c
-        rows.append(row)
-        echelon.add(row)
-    return SparseMatrix.from_rows(rows, cols=len(columns)), echelon.rank
+    rows = [{index[exps]: c for exps, c in s.chart.terms.items() if exps in index}
+            for s in section_space(m, n, d, cap)]
+    return SparseMatrix.from_rows(rows, cols=len(columns)), sum(1 for row in rows if row)
+
+
+def taylor_rank(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:
+    """Rank of the Taylor map to l-jets at the origin: the number of basis
+    sections with a chart term of degree <= l.  The basis is the reduced
+    echelon form over graded chart columns, so a section's pivot is its
+    lowest-degree term and its l-jet is nonzero exactly when the pivot has
+    degree <= l; those jets keep distinct pivot columns, so are independent."""
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    return sum(1 for s in section_space(m, n, d, cap)
+               if any(sum(exps) <= l for exps in s.chart.terms))
 
 
 def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction, ...]:
@@ -282,11 +284,11 @@ def kernel_sections(m: int, n: int, d: int, l: int,
     if not 1 <= l <= d:
         raise ValueError("l must satisfy 1 <= l <= d")
     basis = section_space(m, n, d, cap)
-    _, taylor_rank = taylor_matrix(m, n, d, l, cap)
+    rank = taylor_rank(m, n, d, l, cap)
     out = [s for s in basis if s.chart.truncate(l).is_zero]
-    if len(out) != len(basis) - taylor_rank:
+    if len(out) != len(basis) - rank:
         raise CertificateError(f"{len(out)} sections with vanishing {l}-jet, "
-                               f"expected {len(basis)} - {taylor_rank}")
+                               f"expected {len(basis)} - {rank}")
     return out, len(out)
 
 
@@ -308,7 +310,7 @@ def level_duality(m: int, n: int, d: int, level: FiltrationLevel,
     space of l-jets have equal dimension, and every vector of the level
     pairs to zero with every vanishing-jet section."""
     l = level.level
-    _, rank = taylor_matrix(m, n, d, l, cap)
+    rank = taylor_rank(m, n, d, l, cap)
     vanishing, _ = kernel_sections(m, n, d, l, cap)
     return DualityReport(level.dim, rank, level.dim == rank,
                          pairing_vanishes(level.basis, vanishing))
@@ -348,11 +350,9 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
     nvars = len(variables)
     subs = [Poly.variable(nvars, k) + values[pos]
             for k, pos in enumerate(variables)]
-    basis = section_space(m, n, d, cap)
     columns, col_index = _jet_columns(m, n, l)
     shifted = Echelon(len(columns))
-    for s in basis:
+    for s in section_space(m, n, d, cap):
         jet = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
         shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
-    _, origin_rank = taylor_matrix(m, n, d, l, cap)
-    return shifted.rank == origin_rank
+    return shifted.rank == taylor_rank(m, n, d, l, cap)

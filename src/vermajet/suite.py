@@ -173,7 +173,7 @@ def _serre_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
 
 def taylor_level_record(m: int, n: int, d: int, l: int, section_dim: int,
                         ambient_cap: int) -> dict:
-    _, rank = jets.taylor_matrix(m, n, d, l, ambient_cap)
+    rank = jets.taylor_rank(m, n, d, l, ambient_cap)
     expected = comb(m * n + l, m * n)
     _, kernel_dim = jets.kernel_sections(m, n, d, l, ambient_cap)
     return {

@@ -282,13 +282,12 @@ def test_suite_monomial_cap_is_checked_at_the_annihilator(capsys, tmp_path):
 def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
     from vermajet import jets
 
-    original = jets.taylor_matrix
+    original = jets.taylor_rank
 
     def off_by_one(*args):
-        matrix, taylor_rank = original(*args)
-        return matrix, taylor_rank + 1
+        return original(*args) + 1
 
-    monkeypatch.setattr(jets, "taylor_matrix", off_by_one)
+    monkeypatch.setattr(jets, "taylor_rank", off_by_one)
     code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
     assert code == 1
     assert out == ""
@@ -302,7 +301,7 @@ def test_other_arithmetic_errors_are_internal_errors(capsys, monkeypatch):
     def divide_by_zero(*args):
         raise ZeroDivisionError("not a certificate")
 
-    monkeypatch.setattr(jets, "taylor_matrix", divide_by_zero)
+    monkeypatch.setattr(jets, "taylor_rank", divide_by_zero)
     code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
     assert code == 4
     assert out == ""

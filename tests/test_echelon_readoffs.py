@@ -1,8 +1,11 @@
 """Quantities read off the echelons the engine already builds, compared with
 the second eliminations they replace: Taylor kernels against the transposed
 `kernel_basis`, U_l(g) . v dimensions against evaluation-matrix ranks, and
-binomial-row forms against the incidence parametrization; and a source scan
-that keeps reading the reduced rows inside `linalg`."""
+binomial-row forms against the incidence parametrization.  The Taylor rank
+is read off the section echelon's pivot degrees, so the `kernel_sections`
+count certificate is checked by injecting a wrong `taylor_rank`, and the
+default desk suite must build no `SparseMatrix` and call no `linalg`
+elimination.  A source scan keeps reading the reduced rows inside `linalg`."""
 
 import ast
 import hashlib
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from vermajet import filtration, jets
+from vermajet import filtration, jets, linalg
 from vermajet.discriminant import (_incidence_parametrization,
                                    irreducibility_witness, parametrized_form)
 from vermajet.filtration import (annihilator_dim, evaluation_matrix,
@@ -60,13 +63,12 @@ def test_section_space_basis_is_homogeneous(m, n, d):
 
 
 def test_kernel_sections_certifies_its_count(monkeypatch):
-    original = jets.taylor_matrix
+    original = jets.taylor_rank
 
     def off_by_one(*args):
-        matrix, taylor_rank = original(*args)
-        return matrix, taylor_rank + 1
+        return original(*args) + 1
 
-    monkeypatch.setattr(jets, "taylor_matrix", off_by_one)
+    monkeypatch.setattr(jets, "taylor_rank", off_by_one)
     with pytest.raises(ArithmeticError):
         jets.kernel_sections(2, 2, 3, 1)
 
@@ -110,6 +112,18 @@ def test_desk_suite_ranks_no_pbw_matrix_over_all_of_g(monkeypatch):
 
     monkeypatch.setattr(filtration, "evaluation_matrix", forbidden)
     monkeypatch.setattr(filtration, "verma_split_check", forbidden)
+    report = render_report(run_suite(SuiteConfig()), "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
+
+
+def test_desk_suite_builds_no_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the desk suite must read every rank off its echelons")
+
+    monkeypatch.setattr(linalg.SparseMatrix, "__post_init__", forbidden)
+    for name in ("rref", "rank", "kernel_basis", "span_dim"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    monkeypatch.setattr(jets, "kernel_basis", forbidden)
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
 

@@ -294,12 +294,13 @@ def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
         assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
                    for c in section.plucker.values())
     for l in _suite_taylor_levels(d):
-        matrix, taylor_rank = taylor_matrix(m, n, d, l)
+        matrix, matrix_rank = taylor_matrix(m, n, d, l)
         expected = SparseMatrix.from_rows([jet_truncation(s, m, n, l) for s in basis],
                                           cols=comb(m * n + l, m * n))
         assert matrix == expected
         assert all(type(v) is Fraction for v in matrix.entries.values())
-        assert taylor_rank == rank(matrix)
+        assert matrix_rank == rank(matrix)
+        assert jets.taylor_rank(m, n, d, l) == rank(matrix)
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
