@@ -16,18 +16,18 @@ degree as the exact kernel of the pullback along the incidence
 parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
 identity, so membership of the image in every generator is exact by
 construction.  The pullbacks of the degree-k monomials are integer
-polynomials in (b, c), built from those of degree k-1 by the prefix
-recurrence a^e = a_i * a^(e - e_i), i the leftmost nonzero exponent of e
-(the `polynomials.prefix_steps` walk the PBW images of `filtration` share),
-and the eliminant search grows them once, degree after degree, up to the
-highest degree its caller asks for.  They are kept as packed-monomial dicts
-(see `polynomials`): a degree-k pullback has b-exponent at most k*(l+1)
-and c-exponents at most k, so every degree is packed once, at the field
-width of the highest one.  The coefficient of each packed (b, c)-monomial
-gives one equation, and the equations go into one integer `Echelon`,
-sparsest first, whose `Echelon.kernel` is the piece, each vector made a
-primitive integer polynomial; the reduced form is unique, so row order
-cannot change the kernel, only the cost of reaching it.
+polynomials in (b, c), grown from those of degree k-1 by
+`polynomials.graded_pullbacks` (the one pullback the Plücker monomials of
+`jets` share), and the eliminant search grows them once, degree after
+degree, up to the highest degree its caller asks for.  They are kept as
+packed-monomial dicts (see `polynomials`): a degree-k pullback has
+b-exponent at most k*(l+1) and c-exponents at most k, so every degree is
+packed once, at the field width of the highest one.  The coefficient of
+each packed (b, c)-monomial gives one equation, and the equations go into
+one integer `Echelon`, sparsest first, whose `Echelon.kernel` is the
+piece, each vector made a primitive integer polynomial; the reduced form
+is unique, so row order cannot change the kernel, only the cost of
+reaching it.
 `_incidence_parametrization` stays a list of `Poly`s, and
 `graded_relations` stays the public entry point for a single degree.
 
@@ -62,8 +62,8 @@ from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
 from .linalg import Echelon, canonical, kernel_basis, primitive_integers  # noqa: F401
-from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, degree_monomials,
-                          det, divide_by_variable, integer_primitive, prefix_steps,
+from .polynomials import (Poly, _field_width, _pack_terms, degree_monomials, det,
+                          divide_by_variable, graded_pullbacks, integer_primitive,
                           restrict_to_line, strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
@@ -198,18 +198,11 @@ def _pullback_width(k: int, l: int) -> int:
 
 def _pullbacks_by_degree(d: int, l: int,
                         max_degree: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
-    """Yield, for k = 1..max_degree, the pullbacks of the degree-k monomials
-    in a_0..a_d along the parametrization, each degree grown from the last.
-    A pullback is a packed {(b, c)-monomial: coefficient} dict of width
+    """`graded_pullbacks` of a_0..a_d along the parametrization, packed at
     `_pullback_width(max_degree, l)`, which holds every degree yielded."""
     width = _pullback_width(max_degree, l)
-    packed = [_pack_terms(p.terms, width) for p in _incidence_parametrization(d, l)]
-    pullbacks = {(0,) * (d + 1): {0: 1}}
-    for k in range(1, max_degree + 1):
-        previous, pullbacks = pullbacks, {}
-        for exps, i, prefix in prefix_steps(d + 1, k):
-            pullbacks[exps] = _packed_product(packed[i], previous[prefix])
-        yield pullbacks
+    yield from graded_pullbacks([_pack_terms(p.terms, width)
+                                 for p in _incidence_parametrization(d, l)], max_degree)
 
 
 def _kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]], d: int) -> list[Poly]:

@@ -43,22 +43,18 @@ their index, keyed by (m, n, l).  `plucker_polynomial` returns a new
 `SectionPolynomial` (chart and Plücker map copied) on every call, and
 `jet_monomials` a new list.
 
-`section_space` reads each monomial's factor minors through
-`plucker_polynomial` on every call and hands them to `_reduced_family`, an
-`lru_cache` with `maxsize=1` keyed by the exact factors: one (sorted index,
-factor chart term items) pair per monomial, in `sym_basis` order.  Only a
-miss multiplies, once per distinct factor prefix (the first k factors are
-the first k - 1 times factor k, the left fold of `section_monomial`), then
-sorts the columns, eliminates in a provenance `Echelon` and reads
-`canonical_rows`.  A changed factor (another case, a patched minor) never
-meets a stale basis; a case's calls are consecutive in every driver, so one
-entry catches every repeat.  Each call returns new sections with copied
-charts and Plücker maps.  The factors are read on a hit only because the
-benchmark's desk workload pins the `section_space` (90) and
-`plucker_polynomial` (4,640) call counts; once ROADMAP item 1 re-pins them,
-key on (m, n, d, cap) instead.  `section_monomial` and `monomial_sections`
-are the reference the tests compare against; nothing in the package calls
-them.
+`section_space` reads every factor of every monomial through
+`plucker_polynomial` on every call and keys `_reduced_family`, an
+`lru_cache` with `maxsize=1`, by (nvars, d, (wedge, minor term items) per
+wedge).  Only a miss multiplies, taking the monomials from the degree-d
+layer of `polynomials.graded_pullbacks` of the packed minors; it sorts the
+columns, eliminates in a provenance `Echelon` and reads `canonical_rows`.
+A changed minor never meets a stale basis; a case's calls are consecutive
+in every caller, so one entry catches every repeat; every call returns new
+sections.  The factors are read on a hit only because the benchmark's desk
+workload pins the `section_space` (90) and `plucker_polynomial` (4,640)
+call counts; once ROADMAP item 1 re-pins them, key on (m, n, d, cap).
+`section_monomial` and `monomial_sections` are the test reference.
 """
 
 from __future__ import annotations
@@ -66,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, islice
 from typing import Mapping, Sequence
 
 from .errors import CertificateError
@@ -74,7 +71,8 @@ from .filtration import FiltrationLevel, canonical_filtration
 # rebinds and checks `jets.kernel_basis`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pairing_vanishes, sym_basis
-from .polynomials import Poly, _from_terms, det, graded_monomials
+from .polynomials import (Poly, _field_width, _pack_terms, _unpack, det, graded_monomials,
+                          graded_pullbacks)
 
 
 def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
@@ -141,12 +139,9 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
 
 def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
     """Product of Plücker chart polynomials over a degree-d multiset (test reference)."""
-    if not multiset:
-        chart = Poly.const(m * n, 1)
-    else:
-        chart = plucker_polynomial(multiset[0], m, n).chart
-        for subset in multiset[1:]:
-            chart = chart * plucker_polynomial(subset, m, n).chart
+    chart = Poly.const(m * n, 1)
+    for subset in multiset:
+        chart = chart * plucker_polynomial(subset, m, n).chart
     return SectionPolynomial(chart, {tuple(sorted(multiset)): _ONE})
 
 
@@ -183,21 +178,18 @@ def jet_truncation(section: SectionPolynomial, m: int, n: int,
 
 
 @lru_cache(maxsize=1)
-def _reduced_family(nvars: int, family: tuple) -> tuple[tuple[dict, dict], ...]:
+def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, dict], ...]:
     """(chart terms, Plücker coordinates) of each basis section of the span
-    of `family`, one (sorted index, factor chart term items) pair per
-    monomial in `sym_basis` order; the caller copies both dicts."""
-    products: dict[tuple, Poly] = {}  # by factor-items prefix, this miss only
-    charts = []
-    for _, factors in family:
-        chart = Poly.const(nvars, 1)
-        for k in range(1, len(factors) + 1):
-            prefix = factors[:k]
-            if prefix not in products:  # the left fold of `section_monomial`
-                factor = _from_terms(nvars, dict(factors[k - 1]))
-                products[prefix] = factor if k == 1 else chart * factor
-            chart = products[prefix]
-        charts.append(chart.terms)
+    of the degree-d monomials in `minors`, (wedge, chart term items) per wedge,
+    packed at d times their largest exponent; the caller copies both dicts."""
+    wedges = [wedge for wedge, _ in minors]
+    bits = _field_width(d * max((e for _, items in minors for exps, _ in items for e in exps),
+                                default=0))
+    products = next(islice(graded_pullbacks([_pack_terms(dict(items), bits)
+                                             for _, items in minors], d), d - 1, None))
+    family = list(combinations_with_replacement(wedges, d))  # `sym_basis` order
+    charts = [{_unpack(key, nvars, bits): c
+               for key, c in products[tuple(map(idx.count, wedges))].items()} for idx in family]
     columns = sorted({exps for terms in charts for exps in terms},
                      key=lambda e: (sum(e), e))
     col_index = {exps: k for k, exps in enumerate(columns)}
@@ -212,7 +204,7 @@ def _reduced_family(nvars: int, family: tuple) -> tuple[tuple[dict, dict], ...]:
         if pivot >= width:
             break  # pure Plücker relations, not sections, pivot last
         basis.append(({columns[c]: v for c, v in row.items() if c < width},
-                      {family[c - width][0]: v for c, v in row.items() if c >= width}))
+                      {family[c - width]: v for c, v in row.items() if c >= width}))
     return tuple(basis)
 
 
@@ -223,14 +215,16 @@ def section_space(m: int, n: int, d: int,
     Plücker relations are handled implicitly: dependent monomials reduce
     away, and each basis section keeps exact coordinates over the monomial
     family so it can be paired against module vectors.  The products and
-    their elimination are `_reduced_family`, memoized on the exact factor
-    minors; every call returns fresh copies (see the module docstring).
+    their elimination are `_reduced_family`, memoized on the minor of each
+    wedge; every call returns fresh copies (see the module docstring).
     """
-    family = tuple((tuple(sorted(idx)),
-                    tuple(tuple(plucker_polynomial(s, m, n).chart.terms.items()) for s in idx))
-                   for idx in sym_basis(m, n, d, cap))
+    minors = {}  # first seen in `wedge_basis` order
+    for idx in sym_basis(m, n, d, cap):
+        for s in idx:
+            minors[s] = plucker_polynomial(s, m, n).chart.terms
+    key = tuple((wedge, tuple(terms.items())) for wedge, terms in minors.items())
     return [SectionPolynomial(_chart_copy(m * n, chart), dict(plucker))
-            for chart, plucker in _reduced_family(m * n, family)]
+            for chart, plucker in _reduced_family(m * n, d, key)]
 
 
 def taylor_matrix(m: int, n: int, d: int, l: int,

@@ -9,16 +9,17 @@ eliminants and pullbacks are made of run in plain integer arithmetic;
 `evaluate` returns a canonical value too.  This is deliberately minimal:
 arithmetic, differentiation, truncation, composition and evaluation cover
 everything the chart expansions and eliminants need.  `prefix_steps` is
-the one walk from each graded image to the next degree's, shared by the
-PBW images of `filtration` and the eliminant pullbacks of `discriminant`.
+the one graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of
+`filtration` and `graded_pullbacks`, the one pullback of the graded
+monomials, which the Plücker monomials and the eliminants share.
 
-The two hot product loops, the minors of `det` and the eliminant pullbacks
-of `discriminant`, key their terms by packed monomials instead: exponent i
-sits in bits [i*w, (i+1)*w) of one `int`, so multiplying two monomials is
-adding their keys.  The field width w is the bit length of a proven bound
-on every exponent the loop can produce, so a sum of keys never carries
-into a neighbouring field; `_pack` raises `OverflowError` on an exponent
-that does not fit.  A `Poly` keeps exponent tuples at every boundary.
+The two hot product loops, the minors of `det` and `graded_pullbacks`,
+key their terms by packed monomials instead: exponent i sits in bits
+[i*w, (i+1)*w) of one `int`, so multiplying two monomials is adding their
+keys.  The field width w is the bit length of a proven bound on every
+exponent the loop can produce, so a sum of keys never carries into a
+neighbouring field; `_pack` raises `OverflowError` on an exponent that
+does not fit.  A `Poly` keeps exponent tuples at every boundary.
 """
 
 from __future__ import annotations
@@ -401,6 +402,18 @@ def prefix_steps(nvars: int, degree: int):
         e[i] -= 1
         yield exps, i, tuple(e)
         e[i] += 1
+
+
+def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int):
+    """For k = 1..max_degree, {exps: packed pullback of z^exps} over the
+    degree-k exponent tuples, grown from degree k - 1 along `prefix_steps`;
+    z_i pulls back to images[i], of one width that holds degree max_degree."""
+    pullbacks = {(0,) * len(images): {0: 1}}
+    for k in range(1, max_degree + 1):
+        previous, pullbacks = pullbacks, {}
+        for exps, i, prefix in prefix_steps(len(images), k):
+            pullbacks[exps] = _packed_product(images[i], previous[prefix])
+        yield pullbacks
 
 
 def integer_primitive(p: Poly) -> Poly:

@@ -64,7 +64,7 @@ class SuiteConfig:
             if not 1 <= l < d:
                 raise ValueError(f"invalid discriminant case ({d},{l})")
         for m, n, degrees, l in self.direct_sums:
-            if min(m, n, l, *degrees) < 1 or not degrees:
+            if not degrees or min(m, n, l, *degrees) < 1 or l > min(degrees):
                 raise ValueError(f"invalid direct sum ({m},{n},{list(degrees)},{l})")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")

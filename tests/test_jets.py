@@ -9,7 +9,7 @@ from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, pair,
                                pairing_vanishes, sym_basis)
 from vermajet.polynomials import Poly
-from vermajet import jets
+from vermajet import jets, polynomials
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            duality_check, jet_monomials, jet_truncation,
                            kernel_sections, level_duality, monomial_jet_projective,
@@ -379,31 +379,39 @@ def test_a_changed_family_misses_the_memo(monkeypatch):
         {k: Fraction(v, 2 ** d) for k, v in s.plucker.items()} for s in want]
 
 
-def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypatch):
-    m, n, d = 2, 2, 4
+# A miss makes one packed product per monomial of degree 1..d in the
+# N = C(m+n, m) wedge minors, sum over k of C(N+k-1, k): quadratic in d at N = 2.
+@pytest.mark.parametrize("m,n,d,products", [(2, 2, 4, 209), (1, 1, 60, 1890)])
+def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypatch, m, n, d,
+                                                                       products):
     indices = sym_basis(m, n, d)
     section_space(m, n, d)  # warms `_chart_minor`, so `det` adds no products
-    calls = {"plucker": 0, "mul": 0}
-    minor, mul = jets.plucker_polynomial, Poly.__mul__
+    calls = {"plucker": 0, "packed": 0, "mul": 0}
+    minor, packed, mul = jets.plucker_polynomial, polynomials._packed_product, Poly.__mul__
 
     def counted_minor(subset, m, n):
         calls["plucker"] += 1
         return minor(subset, m, n)
+
+    def counted_packed(p, q):
+        calls["packed"] += 1
+        return packed(p, q)
 
     def counted_mul(self, other):
         calls["mul"] += 1
         return mul(self, other)
 
     monkeypatch.setattr(jets, "plucker_polynomial", counted_minor)
+    monkeypatch.setattr(polynomials, "_packed_product", counted_packed)
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    prefixes = {idx[:k] for idx in indices for k in range(2, d + 1)}
+    assert products == sum(comb(comb(m + n, m) + k - 1, k) for k in range(1, d + 1))
     factors = sum(len(idx) for idx in indices)
     jets._reduced_family.cache_clear()
     cold = section_space(m, n, d)
-    assert calls == {"plucker": factors, "mul": len(prefixes)}
-    calls.update(plucker=0, mul=0)
+    assert calls == {"plucker": factors, "packed": products, "mul": 0}
+    calls.update(plucker=0, packed=0)
     assert _as_data(section_space(m, n, d)) == _as_data(cold)
-    assert calls == {"plucker": factors, "mul": 0}
+    assert calls == {"plucker": factors, "packed": 0, "mul": 0}
     assert jets._reduced_family.cache_info()[:2] == (1, 1)
 
 

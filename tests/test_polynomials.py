@@ -399,6 +399,28 @@ def test_packed_monomials_round_trip_in_the_narrowest_width():
         polynomials._pack((0, 32, 0), 5)
 
 
+@pytest.mark.parametrize("nimages", [2, 3, 4])
+def test_graded_pullbacks_unpack_to_products_of_the_images(nimages):
+    rng = random.Random(19 + nimages)
+    nvars, max_degree = nimages, 4
+    images = [Poly(nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)): rng.randint(-4, 4)
+                           for _ in range(rng.randint(1, 3))})
+              for _ in range(nimages - 1)]
+    images.insert(rng.randrange(nimages), Poly.zero(nvars))
+    width = polynomials._field_width(max_degree * 3)
+    packed = [polynomials._pack_terms(p.terms, width) for p in images]
+    layers = list(polynomials.graded_pullbacks(packed, max_degree))
+    assert len(layers) == max_degree
+    for degree, layer in enumerate(layers, 1):
+        assert list(layer) == list(polynomials.degree_monomials(degree, nimages))
+        for exps, terms in layer.items():
+            expected = Poly.const(nvars, 1)
+            for image, e in zip(images, exps):
+                expected = expected * image ** e
+            assert {polynomials._unpack(key, nvars, width): c
+                    for key, c in terms.items()} == expected.terms
+
+
 def _power_term(exps, coeff=1):
     return Poly(_NVARS, {exps: coeff})
 

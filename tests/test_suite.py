@@ -76,6 +76,7 @@ def test_load_config(tmp_path):
     ({"seed": "9"}, "seed must be an integer"),
     ({"case": [[1, 1, 3]]}, "unknown config keys: case"),
     ({"format": "yaml"}, "unknown format"),
+    ({"direct_sums": [[1, 1, [2, 3], 3]]}, "invalid direct sum"),
 ])
 def test_load_config_rejects_malformed_entries(tmp_path, raw, message):
     path = tmp_path / "config.json"
