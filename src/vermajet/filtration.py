@@ -1,31 +1,30 @@
 """Canonical filtrations of the irreducible module generated by the highest
 weight vector, their PBW bases, and annihilator/character-ideal checks.
 
-Level l of the canonical filtration is the span of all vectors obtained by
-applying at most l Lie algebra elements to the highest weight vector v.
-All levels grow in one `Echelon`: level 0 adds v, and level l adds g . x for
-each x that left a new pivot at level l-1, since g . F_{l-2} already lies in
-F_{l-1}.  Each level is read off `Echelon.canonical_rows`, the unique
-reduced rows scaled to 1 at the pivot, so bases are reproducible (each
-coefficient an `int` when integral); F_l is a sum of weight spaces, so
-every reduced row has the weight of its pivot column (checked exactly)
-and the weight multiset counts pivot weights.  The saturation level, the
-first level of full module dimension, is read off the levels, so a result
-sliced to levels 0..k reports what `canonical_filtration(m, n, d, k)` does.
+Level l of the canonical filtration is F_l = U_l(g) . v, v the highest
+weight vector.  It grows by the nilpotent complement n alone:
+    x u v = u x v + [x, u] v  for x in p, u in U_l(g), [x, u] in U_l(g);
+    y v = rho(y) v for every y in p, so p . F_l lies in F_l;
+    hence F_(l+1) = F_l + n . F_l = F_l + n . (the vectors new at level l).
+The second line is an exact certificate checked first (CertificateError
+otherwise; `char_ideal_generator_check` reads the same test), and the same
+proof lets `multi_filtration` apply only n to a span of p-eigenvectors.
+All levels grow in one `Echelon`, read off `Echelon.canonical_rows` (unique
+reduced rows, 1 at the pivot, an `int` when integral); a level that adds no
+pivot repeats the one before, as does every later level, so the echelon is
+not read again.  F_l is a sum of weight spaces, so every reduced row has
+the weight of its pivot column (compared on raw coordinates: every index
+has total m d) and the weight multiset counts pivot weights.  The
+saturation level, the first level of full module dimension, is read off
+the levels, so a result sliced to levels 0..k reports what
+`canonical_filtration(m, n, d, k)` does.
 
-A PBW monomial is an exponent vector over a fixed ordered basis (of the
-nilpotent complement n, or of all of g); it acts by applying its factors
-right to left as repeated module actions.  No enveloping-algebra
-multiplication is ever performed: every identity asserted here is verified
-by an exact rank.
-
-U_l(g) . v is level l of the canonical filtration, so the annihilator
-dimension and the g-side of the split are read off `canonical_filtration`
-dims; the n-side of the split is the independence flag of `pbw_filtration`,
-whose monomial count is always dim U_l(n).  `evaluation_matrix` over all of
-g stays as public API and as the reference the tests compare against.  The
-character-ideal generators x(y - rho(y)) include x = 1, so they annihilate v
-exactly when every (y - rho(y)) v is zero.
+A PBW monomial is an exponent vector over a fixed ordered basis (of n or of
+g); it acts by applying its factors right to left as module actions, and
+no enveloping-algebra product is ever formed.  The annihilator dimension
+and the g-side of the split are read off `canonical_filtration` dims, the
+n-side is the independence flag of `pbw_filtration`, and
+`evaluation_matrix` over all of g is public API and the tests' reference.
 
 The PBW images behind evaluation matrices, PBW filtrations and direct sums
 are built in one pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v),
@@ -38,8 +37,9 @@ go straight into an `Echelon`, and nothing is memoized across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterator, Sequence, Union
 
@@ -161,6 +161,12 @@ class FiltrationResult:
         return next((lvl.level for lvl in self.levels if lvl.saturated), None)
 
 
+def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
+    """Whether y . v = rho(y) v for every y in the parabolic basis."""
+    return all((act(y, v) - rho_character(ctx, d, y) * v).is_zero
+               for y in ctx.subalgebra_basis(SubalgebraTag.P))
+
+
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
     """Levels 0..l_max of the canonical filtration, with canonical bases."""
@@ -169,24 +175,31 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     ctx = build_context(m, n)
     basis = sym_basis(m, n, d, cap)
     index_of = {idx: i for i, idx in enumerate(basis)}
-    weights = [weight_of(idx, ctx.size) for idx in basis]
+    weight_at = cache(lambda c: weight_of(basis[c], ctx.size))
     target = weyl_dim_oracle(m, n, d)
+    v = highest_weight_vector(m, n, d)
+    if not _p_eigenvector(ctx, d, v):
+        raise CertificateError("p does not act on v by its character")
+    nilpotent = ctx.subalgebra_basis(SubalgebraTag.N)
 
     echelon = Echelon(len(basis))
-    new = [highest_weight_vector(m, n, d)]
+    new = [v]
     levels: list[FiltrationLevel] = []
 
     for level in range(l_max + 1):
         if level > 0:
-            new = [act(x, vec) for vec in new for x in ctx.basis]
+            new = [act(x, vec) for vec in new for x in nilpotent]
         new = [vec for vec in new if echelon.add(coordinates(vec, index_of))]
+        if level > 0 and not new:  # F_level = F_(level-1), and so is every later level
+            levels += [replace(levels[-1], level=k) for k in range(level, l_max + 1)]
+            break
         level_basis, multiset = [], {}
         for pivot, row in echelon.canonical_rows():
-            weight = weights[pivot]
-            if any(weights[c] != weight for c in row):
+            weight = weight_at(pivot)
+            if any(weight_at(c).coords != weight.coords for c in row):
                 raise CertificateError(f"level {level} row mixes weights")
             multiset[weight] = multiset.get(weight, 0) + 1
-            level_basis.append(PlethysmVector({basis[c]: v for c, v in row.items()}))
+            level_basis.append(PlethysmVector({basis[c]: value for c, value in row.items()}))
         levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
                                       echelon.rank == target))
 
@@ -328,8 +341,7 @@ def char_ideal_generator_check(m: int, n: int, d: int, l: int,
     v = highest_weight_vector(m, n, d)
     enveloping_dim(m, n, l - 1, monomial_cap)
     # x(y - rho(y)) v = 0 for every x exactly when (y - rho(y)) v = 0
-    return all((act(y, v) - rho_character(ctx, d, y) * v).is_zero
-               for y in ctx.subalgebra_basis(SubalgebraTag.P))
+    return _p_eigenvector(ctx, d, v)
 
 
 def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
@@ -348,7 +360,10 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
     offset = 0
     for d, basis in zip(degrees, bases):
         index_of = {idx: i + offset for i, idx in enumerate(basis)}
-        for _, image in _pbw_images(ctx.basis, l, highest_weight_vector(m, n, d)):
+        v = highest_weight_vector(m, n, d)
+        if not _p_eigenvector(ctx, d, v):
+            raise CertificateError(f"p does not act on the degree-{d} v by its character")
+        for _, image in _pbw_images(ctx.subalgebra_basis(SubalgebraTag.N), l, v):
             echelon.add(coordinates(image, index_of))
         offset += len(basis)
     return echelon.rank

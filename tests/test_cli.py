@@ -89,6 +89,18 @@ def test_size_cap_exits_3(capsys):
     assert report["error"] == "size-cap"
 
 
+def test_filtration_certificate_failure_exits_1(capsys, monkeypatch):
+    from test_filtration import _moving_e12
+    from vermajet import filtration
+    monkeypatch.setattr(filtration, "act", _moving_e12)
+    code, out, err = run_cli(capsys, "filtration", "--m", "2", "--n", "2",
+                             "--d", "3", "--lmax", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: certificate failed: p does not act")
+
+
 def test_failure_maps_to_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite",
                         lambda config, with_timings=False: {

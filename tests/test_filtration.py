@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
+from vermajet.errors import CertificateError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
-from vermajet.linalg import SparseMatrix, rank, rref
+from vermajet.linalg import Echelon, SparseMatrix, rank, rref
 from vermajet.plethysm import (PlethysmVector, act, coordinates, highest_weight_vector,
                                sym_basis, weight_of)
 from vermajet import filtration
@@ -333,8 +334,9 @@ def test_char_ideal_check_matches_reference(m, n, d, l):
 
 
 @pytest.mark.parametrize("m,n,degrees,l", [(1, 1, (2, 3), 1), (2, 2, (2, 2), 1),
-                                           (1, 2, (2, 3), 2)])
+                                           (1, 2, (2, 3), 2), (2, 2, (2, 3), 2)])
 def test_multi_filtration_matches_reference(m, n, degrees, l):
+    # the reference applies all of g; multi_filtration applies only n
     ctx = build_context(m, n)
     rows, offset = [], 0
     for d in degrees:
@@ -351,7 +353,8 @@ def test_multi_filtration_matches_reference(m, n, degrees, l):
 
 
 @pytest.mark.parametrize("m,n,d,l_max", [(2, 2, 4, 3), (1, 1, 5, 4), (2, 3, 3, 2),
-                                         (3, 3, 2, 1), (2, 2, 2, 3), (1, 2, 3, 4)])
+                                         (3, 3, 2, 1), (2, 2, 2, 3), (1, 2, 3, 4),
+                                         (1, 3, 3, 3)])
 def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
     # F_l is the row span of the PBW evaluation matrix over all of g, built
     # independently by _pbw_images; its rref rows are the canonical basis.
@@ -383,14 +386,73 @@ def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
 
 
 def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch):
-    import vermajet.filtration as filtration
     m, n, d = 1, 2, 2
+    ctx = build_context(m, n)
     basis = sym_basis(m, n, d)
     mixed = PlethysmVector({basis[1]: 1, basis[-1]: 1})
     assert weight_of(basis[1], m + n) != weight_of(basis[-1], m + n)
-    monkeypatch.setattr(filtration, "act", lambda x, vec: mixed)
-    with pytest.raises(ArithmeticError):
+    # p still acts truly, so the p-eigenvector certificate passes first
+    monkeypatch.setattr(filtration, "act", lambda x, vec: (
+        mixed if ctx.contains(x, SubalgebraTag.N) else act(x, vec)))
+    with pytest.raises(CertificateError, match="mixes weights"):
         canonical_filtration(m, n, d, 1)
+
+
+def _moving_e12(x, vec):
+    # E_12 lies in p (m = 2) but now also lowers: v is no p-eigenvector
+    image = act(x, vec)
+    if x.entries == {(1, 2): 1}:
+        image = image + act(build_context(2, 2).E(3, 1), vec)
+    return image
+
+
+def test_a_p_element_moving_v_fails_the_certificate(monkeypatch):
+    monkeypatch.setattr(filtration, "act", _moving_e12)
+    with pytest.raises(CertificateError, match="p does not act"):
+        canonical_filtration(2, 2, 3, 2)
+    with pytest.raises(CertificateError, match="p does not act"):
+        multi_filtration(2, 2, [2, 3], 1)
+    assert not char_ideal_generator_check(2, 2, 3, 1)
+
+
+def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch):
+    # (2,2,4) to level 3: the 4 elements of n act on the 1, 4 and 10 vectors
+    # that left new pivots at levels 0, 1, 2 (60 actions), and the 11
+    # elements of p act once on v for the certificate
+    calls = []
+
+    def counted(x, vec):
+        calls.append(x)
+        return act(x, vec)
+
+    monkeypatch.setattr(filtration, "act", counted)
+    assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
+    ctx = build_context(2, 2)
+    assert len(calls) == 71
+    assert sum(ctx.contains(x, SubalgebraTag.N) for x in calls) == 60
+
+
+def test_saturated_levels_are_not_read_again(monkeypatch):
+    # (2,2,3) saturates at level 6; levels 0..6 grew, so the echelon is read
+    # 7 times however far the growth is asked to go
+    reads = []
+    canonical_rows = Echelon.canonical_rows
+
+    def counted(self):
+        reads.append(self)
+        return canonical_rows(self)
+
+    monkeypatch.setattr(Echelon, "canonical_rows", counted)
+    grown = canonical_filtration(2, 2, 3, 50)
+    assert len(reads) == 7
+    assert grown.saturation_level == 6
+    assert grown.dims[6:] == [grown.module_dim] * 45 == [50] * 45
+    for k in (0, 5, 6, 7, 9, 50):
+        shorter = canonical_filtration(2, 2, 3, k)
+        sliced = replace(grown, levels=grown.levels[:k + 1])
+        assert sliced.dims == shorter.dims
+        assert sliced.saturation_level == shorter.saturation_level
+        assert sliced.levels[k].basis == shorter.levels[k].basis
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
