@@ -17,9 +17,8 @@ parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
 identity, so membership of the image in every generator is exact by
 construction.  The pullbacks of the degree-k monomials are integer
 polynomials in (b, c), grown from those of degree k-1 by
-`polynomials.graded_pullbacks` (the one pullback the Plücker monomials of
-`jets` share), and the eliminant search grows them once, degree after
-degree, up to the highest degree its caller asks for.  They are kept as
+`polynomials.graded_pullbacks`, and the eliminant search grows them once,
+degree after degree, up to the highest degree its caller asks for.  They are kept as
 packed-monomial dicts (see `polynomials`): a degree-k pullback has
 b-exponent at most k*(l+1) and c-exponents at most k, so every degree is
 packed once, at the field width of the highest one.  The coefficient of

@@ -354,7 +354,7 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
     ctx = build_context(m, n)
-    enveloping_dim(m, n, l, monomial_cap)
+    _pbw_count(m * n, l, monomial_cap)  # the images are walked over n
     bases = [sym_basis(m, n, d, cap) for d in degrees]
     echelon = Echelon(sum(map(len, bases)))
     offset = 0

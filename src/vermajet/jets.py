@@ -10,21 +10,20 @@ rows {1..m} (the local trivialization) is identically 1, so a section is
 an honest polynomial in the chart variables and its order-l jet is literal
 truncation at total degree l.
 
-A section carries both its chart polynomial and its coordinates in the
-degree-d Plücker monomial spanning set; the latter is what pairs against
-module vectors.  `section_space` adds each monomial's integer chart row,
-followed by a provenance 1 in its own column, to one `Echelon`; the basis
-sections are the rows of `Echelon.canonical_rows` with a chart pivot, so
-the chart coefficients and Plücker coordinates arrive scaled to 1 at the
-pivot and in canonical form (an `int` when integral).
+A section carries its chart polynomial and its coordinates in the degree-d
+Plücker monomials, which pair against module vectors.  The basis is Hodge's
+standard monomials: one per chain w_1 <= ... <= w_d of m-subsets in the
+componentwise order (a semistandard tableau), multiplied from its parent
+chain, with the single coordinate {chain: 1}.  Sections of different torus
+weights are independent, so each weight block takes one exact `Echelon`
+rank; a dependent block, or a chain count other than `weyl_dim_oracle`
+(Borel-Weil), raises CertificateError, and otherwise the chains are a basis.
 
-Chart columns are in graded order and the span is graded, so every basis
-section is homogeneous and its pivot is its lowest-degree chart term.  Its
-l-jet is nonzero exactly when the pivot has degree <= l, and those jets
-keep distinct pivot columns, so `taylor_rank` counts them with no second
-elimination.  `kernel_sections` keeps the sections whose l-jet vanishes and
-certifies their count against it (basis size - rank, else CertificateError);
-the rank of `taylor_matrix` is its count of nonzero rows.
+A Plücker coordinate is homogeneous of degree its number of rows > m, so a
+basis section is homogeneous of t-degree its chain's number of entries > m,
+and the basis is ordered by (t-degree, chain).  So `taylor_rank` counts the
+sections of degree <= l, `kernel_sections` is the basis after them, and the
+rank of `taylor_matrix` is its count of nonzero rows.
 
 `level_duality` checks the filtration/jet duality on a level of a canonical
 filtration the caller has grown, so one filtration serves every level;
@@ -43,12 +42,10 @@ their index, keyed by (m, n, l).  `plucker_polynomial` returns a new
 `SectionPolynomial` (chart and Plücker map copied) on every call, and
 `jet_monomials` a new list.
 
-`section_space` reads every factor of every monomial through
+`section_space` reads every factor of every Plücker monomial through
 `plucker_polynomial` on every call and keys `_reduced_family`, an
 `lru_cache` with `maxsize=1`, by (nvars, d, (wedge, minor term items) per
-wedge).  Only a miss multiplies, taking the monomials from the degree-d
-layer of `polynomials.graded_pullbacks` of the packed minors; it sorts the
-columns, eliminates in a provenance `Echelon` and reads `canonical_rows`.
+wedge).  Only a miss multiplies the chains and ranks their weight blocks.
 A changed minor never meets a stale basis; a case's calls are consecutive
 in every caller, so one entry catches every repeat; every call returns new
 sections.  The factors are read on a hit only because the benchmark's desk
@@ -62,17 +59,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
+from operator import le
 from typing import Mapping, Sequence
 
 from .errors import CertificateError
-from .filtration import FiltrationLevel, canonical_filtration
+from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pairing_vanishes, sym_basis
-from .polynomials import (Poly, _field_width, _pack_terms, _unpack, det, graded_monomials,
-                          graded_pullbacks)
+from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, _unpack, det,
+                          graded_monomials)
 
 
 def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
@@ -80,10 +77,7 @@ def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m + 1, m + n + 1) for j in range(1, m + 1)]
 
 
-_ONE = Fraction(1)  # immutable, so every Plücker map may share it
-
-
-@dataclass
+@dataclass(slots=True)
 class SectionPolynomial:
     """A global section in chart coordinates, with Plücker-monomial provenance."""
 
@@ -113,8 +107,9 @@ def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
 
 def _chart_copy(nvars: int, terms: dict) -> Poly:
     """A Poly owning a copy of `terms`, which are already canonical."""
-    chart = Poly(nvars)
-    chart.terms = dict(terms)
+    chart = Poly.__new__(Poly)
+    chart.nvars = nvars
+    chart.terms = terms.copy()
     return chart
 
 
@@ -134,7 +129,7 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
     normalized so the minor for rows {1..m} is 1."""
     rows, minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
-    return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {(rows,): _ONE})
+    return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {(rows,): 1})
 
 
 def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
@@ -142,7 +137,7 @@ def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
     chart = Poly.const(m * n, 1)
     for subset in multiset:
         chart = chart * plucker_polynomial(subset, m, n).chart
-    return SectionPolynomial(chart, {tuple(sorted(multiset)): _ONE})
+    return SectionPolynomial(chart, {tuple(sorted(multiset)): 1})
 
 
 def monomial_sections(m: int, n: int, d: int,
@@ -178,53 +173,64 @@ def jet_truncation(section: SectionPolynomial, m: int, n: int,
 
 
 @lru_cache(maxsize=1)
-def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, dict], ...]:
-    """(chart terms, Plücker coordinates) of each basis section of the span
-    of the degree-d monomials in `minors`, (wedge, chart term items) per wedge,
-    packed at d times their largest exponent; the caller copies both dicts."""
-    wedges = [wedge for wedge, _ in minors]
+def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, SymIndex], ...]:
+    """(chart terms, chain) of each standard monomial of degree d over
+    `minors`, (wedge, chart term items) per wedge, certified a basis and in
+    (t-degree, chain) order; the caller copies the chart terms."""
+    m = len(minors[0][0])
     bits = _field_width(d * max((e for _, items in minors for exps, _ in items for e in exps),
                                 default=0))
-    products = next(islice(graded_pullbacks([_pack_terms(dict(items), bits)
-                                             for _, items in minors], d), d - 1, None))
-    family = list(combinations_with_replacement(wedges, d))  # `sym_basis` order
-    charts = [{_unpack(key, nvars, bits): c
-               for key, c in products[tuple(map(idx.count, wedges))].items()} for idx in family]
-    columns = sorted({exps for terms in charts for exps in terms},
-                     key=lambda e: (sum(e), e))
-    col_index = {exps: k for k, exps in enumerate(columns)}
-    width = len(columns)
-    echelon = Echelon(width + len(family))
-    for r, terms in enumerate(charts):
-        row = {col_index[exps]: c for exps, c in terms.items()}
-        row[width + r] = 1  # provenance tracking
-        echelon.add(row)
-    basis = []
-    for pivot, row in echelon.canonical_rows():
-        if pivot >= width:
-            break  # pure Plücker relations, not sections, pivot last
-        basis.append(({columns[c]: v for c, v in row.items() if c < width},
-                      {family[c - width]: v for c, v in row.items() if c >= width}))
-    return tuple(basis)
+    packed = {wedge: _pack_terms(dict(items), bits) for wedge, items in minors}
+    wedges = list(packed)  # in lex order
+    above = {w: [v for v in wedges if all(map(le, w, v))] for w in wedges}  # v >= w
+    above[None] = wedges
+    # A chain is a multiset of wedges and its torus weight a multiset of row
+    # indices, each packed in one int: the count of wedge k, or of index i,
+    # sits in bits [k*shift, (k+1)*shift), or [i*shift, (i+1)*shift); no
+    # count exceeds d.
+    shift = d.bit_length()
+    units = {w: 1 << shift * k for k, w in enumerate(wedges)}
+    weights = {w: sum(1 << shift * i for i in w) for w in wedges}
+    layer = [(0, None, 0, {0: 1})]  # (chain, last wedge, weight, packed product)
+    for _ in range(d):  # in lex order of the chains
+        layer = [(chain + units[v], v, weight + weights[v], _packed_product(packed[v], product))
+                 for chain, last, weight, product in layer for v in above[last]]
+    expected = weyl_dim_oracle(m, nvars // m, d)
+    if len(layer) != expected:
+        raise CertificateError(f"{len(layer)} standard monomials, expected {expected}")
+    blocks: dict[int, list[dict]] = {}
+    for _, _, weight, product in layer:
+        blocks.setdefault(weight, []).append(product)
+    for products in blocks.values():
+        echelon = Echelon(1 << bits * nvars)  # columns are the packed monomials
+        if not all(echelon.add(product) for product in products):
+            raise CertificateError(f"{len(products)} standard monomials of a weight are dependent")
+    exps = {key: _unpack(key, nvars, bits)
+            for key in set().union(*(product for _, _, _, product in layer))}
+
+    def wedges_of(chain: int) -> SymIndex:
+        return tuple(w for w, k in zip(wedges, _unpack(chain, len(wedges), shift))
+                     for _ in range(k))
+
+    family = [({exps[key]: c for key, c in product.items()}, wedges_of(chain))
+              for chain, _, _, product in layer]
+    family.sort(key=lambda section: sum(next(iter(section[0]))))  # stable: (t-degree, chain)
+    return tuple(family)
 
 
 def section_space(m: int, n: int, d: int,
                   cap: int = DEFAULT_AMBIENT_CAP) -> list[SectionPolynomial]:
-    """Row-reduced basis of the span of all degree-d Plücker monomials.
-
-    Plücker relations are handled implicitly: dependent monomials reduce
-    away, and each basis section keeps exact coordinates over the monomial
-    family so it can be paired against module vectors.  The products and
-    their elimination are `_reduced_family`, memoized on the minor of each
-    wedge; every call returns fresh copies (see the module docstring).
-    """
+    """The standard monomials of degree d, a certified basis of the sections
+    ordered by (t-degree, chain), each with Plücker coordinates {chain: 1};
+    memoized on the minor of each wedge, returned as fresh copies (see the
+    module docstring)."""
     minors = {}  # first seen in `wedge_basis` order
     for idx in sym_basis(m, n, d, cap):
         for s in idx:
             minors[s] = plucker_polynomial(s, m, n).chart.terms
     key = tuple((wedge, tuple(terms.items())) for wedge, terms in minors.items())
-    return [SectionPolynomial(_chart_copy(m * n, chart), dict(plucker))
-            for chart, plucker in _reduced_family(m * n, d, key)]
+    return [SectionPolynomial(_chart_copy(m * n, chart), {chain: 1})
+            for chart, chain in _reduced_family(m * n, d, key)]
 
 
 def taylor_matrix(m: int, n: int, d: int, l: int,
@@ -242,14 +248,12 @@ def taylor_matrix(m: int, n: int, d: int, l: int,
 
 def taylor_rank(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:
     """Rank of the Taylor map to l-jets at the origin: the number of basis
-    sections with a chart term of degree <= l.  The basis is the reduced
-    echelon form over graded chart columns, so a section's pivot is its
-    lowest-degree term and its l-jet is nonzero exactly when the pivot has
-    degree <= l; those jets keep distinct pivot columns, so are independent."""
+    sections of t-degree <= l.  Each is homogeneous, so it is its own l-jet
+    when its degree is <= l and has l-jet 0 otherwise, and the basis is
+    independent."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    return sum(1 for s in section_space(m, n, d, cap)
-               if any(sum(exps) <= l for exps in s.chart.terms))
+    return sum(1 for s in section_space(m, n, d, cap) if sum(next(iter(s.chart.terms))) <= l)
 
 
 def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction, ...]:
@@ -273,16 +277,11 @@ def kernel_sections(m: int, n: int, d: int, l: int,
                     cap: int = DEFAULT_AMBIENT_CAP
                     ) -> tuple[list[SectionPolynomial], int]:
     """Basis of the sections whose order-l jet vanishes, with its dimension:
-    the basis sections with no chart term of degree <= l, certified by the
-    Taylor rank."""
+    the basis sections of t-degree > l, which follow the first
+    `taylor_rank` sections in basis order."""
     if not 1 <= l <= d:
         raise ValueError("l must satisfy 1 <= l <= d")
-    basis = section_space(m, n, d, cap)
-    rank = taylor_rank(m, n, d, l, cap)
-    out = [s for s in basis if s.chart.truncate(l).is_zero]
-    if len(out) != len(basis) - rank:
-        raise CertificateError(f"{len(out)} sections with vanishing {l}-jet, "
-                               f"expected {len(basis)} - {rank}")
+    out = section_space(m, n, d, cap)[taylor_rank(m, n, d, l, cap):]
     return out, len(out)
 
 

@@ -11,9 +11,9 @@ arithmetic, differentiation, truncation, composition and evaluation cover
 everything the chart expansions and eliminants need.  `prefix_steps` is
 the one graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of
 `filtration` and `graded_pullbacks`, the one pullback of the graded
-monomials, which the Plücker monomials and the eliminants share.
+monomials, behind the eliminants.
 
-The two hot product loops, the minors of `det` and `graded_pullbacks`,
+The hot product loops (`det`, `graded_pullbacks`, the chains of `jets`)
 key their terms by packed monomials instead: exponent i sits in bits
 [i*w, (i+1)*w) of one `int`, so multiplying two monomials is adding their
 keys.  The field width w is the bit length of a proven bound on every
@@ -282,7 +282,7 @@ def _pack(exps: Sequence[int], width: int) -> int:
 
 def _unpack(key: int, nvars: int, width: int) -> tuple[int, ...]:
     mask = (1 << width) - 1
-    return tuple(key >> (width * i) & mask for i in range(nvars))
+    return tuple([key >> width * i & mask for i in range(nvars)])
 
 
 def _pack_terms(terms: Mapping[tuple[int, ...], int | Fraction], width: int) -> dict:

@@ -294,12 +294,14 @@ def test_suite_monomial_cap_is_checked_at_the_annihilator(capsys, tmp_path):
 def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
     from vermajet import jets
 
-    original = jets.taylor_rank
+    minor = jets.plucker_polynomial
 
-    def off_by_one(*args):
-        return original(*args) + 1
+    def zero_at_2(subset, m, n):
+        # The chain (1), (1), (2) then has chart 0: a rank-deficient weight block.
+        s = minor(subset, m, n)
+        return jets.SectionPolynomial(0 * s.chart, s.plucker) if tuple(subset) == (2,) else s
 
-    monkeypatch.setattr(jets, "taylor_rank", off_by_one)
+    monkeypatch.setattr(jets, "plucker_polynomial", zero_at_2)
     code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
     assert code == 1
     assert out == ""

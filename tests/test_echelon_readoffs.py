@@ -2,10 +2,11 @@
 the second eliminations they replace: Taylor kernels against the transposed
 `kernel_basis`, U_l(g) . v dimensions against evaluation-matrix ranks, and
 binomial-row forms against the incidence parametrization.  The Taylor rank
-is read off the section echelon's pivot degrees, so the `kernel_sections`
-count certificate is checked by injecting a wrong `taylor_rank`, and the
-default desk suite must build no `SparseMatrix` and call no `linalg`
-elimination.  A source scan keeps reading the reduced rows inside `linalg`."""
+is read off the t-degrees of the standard monomials and checked against the
+all-monomials oracle of `test_jets`; the weight-block rank certificate is
+checked by injecting a zero minor, and the default desk suite must build no
+`SparseMatrix` and call no `linalg` elimination.  A source scan keeps
+reading the reduced rows inside `linalg`."""
 
 import ast
 import hashlib
@@ -22,9 +23,12 @@ from vermajet.discriminant import (_incidence_parametrization,
 from vermajet.filtration import (annihilator_dim, evaluation_matrix,
                                  verma_split_check)
 from vermajet.lie import SubalgebraTag, build_context
-from vermajet.linalg import kernel_basis, rank, span_dim
+from vermajet.errors import CertificateError
+from vermajet.linalg import SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
+
+from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
 KERNEL_CASES = list(DESK_CASES) + [(2, 2, 4), (2, 3, 3), (3, 3, 2)]
@@ -56,20 +60,36 @@ def test_kernel_sections_match_transposed_kernel_basis(m, n, d):
         assert span_dim(ours + reference, width) == len(combos)
 
 
-@pytest.mark.parametrize("m,n,d", KERNEL_CASES)
+@pytest.mark.parametrize("m,n,d", KERNEL_CASES + [(1, 1, 6), (1, 3, 3)])
 def test_section_space_basis_is_homogeneous(m, n, d):
-    for s in jets.section_space(m, n, d):
-        assert len({sum(exps) for exps in s.chart.terms}) == 1
+    # Each section is homogeneous of its chain's number of entries > m, in
+    # increasing degree, so the Taylor rank at l counts the degrees <= l.
+    basis = jets.section_space(m, n, d)
+    degrees = []
+    for s in basis:
+        ((chain, _),) = s.plucker.items()
+        degrees.append(sum(i > m for wedge in chain for i in wedge))
+        assert {sum(exps) for exps in s.chart.terms} == {degrees[-1]}
+    assert degrees == sorted(degrees)
+    reference = _section_space_by_fractions(m, n, d)
+    for l in range(1, d + 1):
+        jets_l = [jets.jet_truncation(s, m, n, l) for s in reference]
+        expected = rank(SparseMatrix.from_rows(jets_l, cols=comb(m * n + l, m * n)))
+        assert sum(degree <= l for degree in degrees) == jets.taylor_rank(m, n, d, l) == expected
+    _assert_same_chart_span(basis, reference)
 
 
-def test_kernel_sections_certifies_its_count(monkeypatch):
-    original = jets.taylor_rank
+def test_a_rank_deficient_weight_block_fails_its_certificate(monkeypatch):
+    minor = jets.plucker_polynomial
 
-    def off_by_one(*args):
-        return original(*args) + 1
+    def zero_at_13(subset, m, n):
+        s = minor(subset, m, n)
+        if tuple(sorted(subset)) == (1, 3):
+            return jets.SectionPolynomial(0 * s.chart, s.plucker)
+        return s
 
-    monkeypatch.setattr(jets, "taylor_rank", off_by_one)
-    with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(jets, "plucker_polynomial", zero_at_13)
+    with pytest.raises(CertificateError, match="standard monomials of a weight are dependent"):
         jets.kernel_sections(2, 2, 3, 1)
 
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from vermajet.errors import CertificateError
+from vermajet.errors import CertificateError, SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import Echelon, SparseMatrix, rank, rref
 from vermajet.plethysm import (PlethysmVector, act, coordinates, highest_weight_vector,
@@ -336,6 +336,10 @@ def test_char_ideal_check_matches_reference(m, n, d, l):
 @pytest.mark.parametrize("m,n,degrees,l", [(1, 1, (2, 3), 1), (2, 2, (2, 2), 1),
                                            (1, 2, (2, 3), 2), (2, 2, (2, 3), 2)])
 def test_multi_filtration_matches_reference(m, n, degrees, l):
+    assert multi_filtration(m, n, degrees, l) == _multi_filtration_reference(m, n, degrees, l)
+
+
+def _multi_filtration_reference(m, n, degrees, l):
     # the reference applies all of g; multi_filtration applies only n
     ctx = build_context(m, n)
     rows, offset = [], 0
@@ -346,7 +350,15 @@ def test_multi_filtration_matches_reference(m, n, degrees, l):
                  for image in _reference_images(ctx.basis, l, highest_weight_vector(m, n, d))
                  if not image.is_zero]
         offset += len(basis)
-    assert multi_filtration(m, n, degrees, l) == rank(SparseMatrix.from_rows(rows, cols=offset))
+    return rank(SparseMatrix.from_rows(rows, cols=offset))
+
+
+def test_multi_filtration_caps_the_pbw_monomials_over_n():
+    # dim U_2(n) = C(4 + 2, 2) = 15 fits a cap of 100; dim U_2(g) = 136 does not.
+    assert multi_filtration(2, 2, [2, 2], 2, monomial_cap=100) == \
+        _multi_filtration_reference(2, 2, (2, 2), 2)
+    with pytest.raises(SizeCapError):
+        multi_filtration(2, 2, [2, 2], 2, monomial_cap=14)
 
 
 # -- canonical filtration grown in one echelon --------------------------------

@@ -9,7 +9,7 @@ from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, pair,
                                pairing_vanishes, sym_basis)
 from vermajet.polynomials import Poly
-from vermajet import jets, polynomials
+from vermajet import jets
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            duality_check, jet_monomials, jet_truncation,
                            kernel_sections, level_duality, monomial_jet_projective,
@@ -182,13 +182,9 @@ def test_jet_monomial_count_formula():
 def test_section_provenance_matches_chart():
     # The Plücker coordinates of each basis section rebuild its chart
     # polynomial exactly.
-    from vermajet.jets import section_monomial
     for m, n, d in [(1, 2, 2), (2, 2, 2)]:
         for s in section_space(m, n, d):
-            rebuilt = Poly.zero(m * n)
-            for multiset, coeff in s.plucker.items():
-                rebuilt = rebuilt + coeff * section_monomial(multiset, m, n).chart
-            assert rebuilt == s.chart
+            assert _rebuilt(s, m, n) == s.chart
 
 
 def test_memoized_results_are_isolated_from_callers():
@@ -249,8 +245,10 @@ def test_empty_section_monomial_is_one():
 
 
 def _section_space_by_fractions(m, n, d):
-    # The basis read with Fraction(v, pivot) and the validating Poly
-    # constructor, from the same echelon as `section_space`.
+    # The all-monomials oracle: every degree-d Plücker monomial eliminated in
+    # one echelon with a provenance column each, the basis read with
+    # Fraction(v, pivot) and the validating Poly constructor.  Its span has
+    # dimension dim V(d w_m).
     from vermajet.jets import SectionPolynomial
     from vermajet.linalg import Echelon
     raw = monomial_sections(m, n, d)
@@ -274,6 +272,28 @@ def _section_space_by_fractions(m, n, d):
     return basis
 
 
+def _chart_span_dim(*bases):
+    """Dimension of the span of the chart polynomials of all the sections."""
+    index = {}
+    rows = [{index.setdefault(exps, len(index)): c for exps, c in s.chart.terms.items()}
+            for basis in bases for s in basis]
+    return span_dim(rows, len(index))
+
+
+def _assert_same_chart_span(basis, reference):
+    assert len(basis) == len(reference) == _chart_span_dim(basis) == \
+        _chart_span_dim(reference) == _chart_span_dim(basis, reference)
+
+
+def _rebuilt(section, m, n):
+    """The chart polynomial its Plücker coordinates give through `section_monomial`."""
+    from vermajet.jets import section_monomial
+    rebuilt = Poly.zero(m * n)
+    for multiset, coeff in section.plucker.items():
+        rebuilt = rebuilt + coeff * section_monomial(multiset, m, n).chart
+    return rebuilt
+
+
 def _suite_taylor_levels(d):
     return sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d})
 
@@ -287,12 +307,13 @@ DEEPER_CASES = ((2, 2, 4), (2, 3, 3), (3, 3, 2))
 def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
     basis = section_space(m, n, d)
     reference = _section_space_by_fractions(m, n, d)
-    assert basis == reference
-    for section, expected in zip(basis, reference):
-        assert [type(c) for c in section.chart.terms.values()] == \
-            [type(c) for c in expected.chart.terms.values()]
-        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-                   for c in section.plucker.values())
+    assert len(reference) == weyl_dim_oracle(m, n, d)
+    _assert_same_chart_span(basis, reference)
+    for section in basis:
+        assert all(type(c) is int for c in section.chart.terms.values())
+        ((_, one),) = section.plucker.items()
+        assert type(one) is int and one == 1
+        assert _rebuilt(section, m, n) == section.chart
     for l in _suite_taylor_levels(d):
         matrix, matrix_rank = taylor_matrix(m, n, d, l)
         expected = SparseMatrix.from_rows([jet_truncation(s, m, n, l) for s in basis],
@@ -372,22 +393,23 @@ def test_a_changed_family_misses_the_memo(monkeypatch):
     monkeypatch.setattr(jets, "plucker_polynomial", doubled)
     got = section_space(m, n, d)
     assert jets._reduced_family.cache_info().misses == misses + 1
-    # Each monomial's chart is 2^d times the old one, so the charts scaled
-    # to 1 at their pivots agree and the Plücker coordinates are 2^-d times.
-    assert [s.chart for s in got] == [s.chart for s in want]
-    assert [s.plucker for s in got] == [
-        {k: Fraction(v, 2 ** d) for k, v in s.plucker.items()} for s in want]
+    # Each standard monomial's chart is 2^d times the old one, with the same
+    # Plücker coordinates, and the span is the patched oracle's.
+    assert [s.chart for s in got] == [2 ** d * s.chart for s in want]
+    assert [s.plucker for s in got] == [s.plucker for s in want]
+    _assert_same_chart_span(got, _section_space_by_fractions(m, n, d))
 
 
-# A miss makes one packed product per monomial of degree 1..d in the
-# N = C(m+n, m) wedge minors, sum over k of C(N+k-1, k): quadratic in d at N = 2.
-@pytest.mark.parametrize("m,n,d,products", [(2, 2, 4, 209), (1, 1, 60, 1890)])
+# A miss makes one packed product per standard monomial (chain) of degree
+# 1..d, sum over k of dim V(k w_m): quadratic in d at m = n = 1, where every
+# monomial is a chain.
+@pytest.mark.parametrize("m,n,d,products", [(2, 2, 4, 181), (1, 1, 60, 1890)])
 def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypatch, m, n, d,
                                                                        products):
     indices = sym_basis(m, n, d)
     section_space(m, n, d)  # warms `_chart_minor`, so `det` adds no products
     calls = {"plucker": 0, "packed": 0, "mul": 0}
-    minor, packed, mul = jets.plucker_polynomial, polynomials._packed_product, Poly.__mul__
+    minor, packed, mul = jets.plucker_polynomial, jets._packed_product, Poly.__mul__
 
     def counted_minor(subset, m, n):
         calls["plucker"] += 1
@@ -402,9 +424,9 @@ def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypat
         return mul(self, other)
 
     monkeypatch.setattr(jets, "plucker_polynomial", counted_minor)
-    monkeypatch.setattr(polynomials, "_packed_product", counted_packed)
+    monkeypatch.setattr(jets, "_packed_product", counted_packed)
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    assert products == sum(comb(comb(m + n, m) + k - 1, k) for k in range(1, d + 1))
+    assert products == sum(weyl_dim_oracle(m, n, k) for k in range(1, d + 1))
     factors = sum(len(idx) for idx in indices)
     jets._reduced_family.cache_clear()
     cold = section_space(m, n, d)
@@ -430,7 +452,9 @@ def test_a_miss_multiplies_the_factors_of_its_key(monkeypatch):
     monkeypatch.setattr(jets, "plucker_polynomial", scaled)
     got = section_space(m, n, d)
     assert jets._reduced_family.cache_info().misses == misses + 1
-    # The reference multiplies the same patched factors through
+    # The references multiply the same patched factors through
     # `section_monomial`; a miss that re-read the unpatched minors would
-    # give Plücker coordinates 3^k times too large.
-    assert got == _section_space_by_fractions(m, n, d)
+    # give charts 3^-k times the rebuilt ones.
+    _assert_same_chart_span(got, _section_space_by_fractions(m, n, d))
+    assert all(_rebuilt(s, m, n) == s.chart for s in got)
+    assert any((1, 3) in chain for s in got for chain in s.plucker)
