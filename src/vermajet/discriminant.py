@@ -22,11 +22,16 @@ degree after degree, up to the highest degree its caller asks for.  They are kep
 packed-monomial dicts (see `polynomials`): a degree-k pullback has
 b-exponent at most k*(l+1) and c-exponents at most k, so every degree is
 packed once, at the field width of the highest one.  The coefficient of
-each packed (b, c)-monomial gives one equation, and the equations go into
-one integer `Echelon`, sparsest first, whose `Echelon.kernel` is the
-piece, each vector made a primitive integer polynomial; the reduced form
-is unique, so row order cannot change the kernel, only the cost of
-reaching it.
+each packed (b, c)-monomial gives one equation.  With a_r, b and c_j of
+weight r, 1 and j, a degree-k a-monomial of weight w pulls back to weight
+w, so each equation involves one weight and the kernel is the union of
+the weight blocks' kernels.  Only the upper half, 2w >= kd, is pulled back
+and eliminated, in one integer `Echelon`, sparsest first (the reduced form
+is unique, so row order changes only the cost).  Swapping x0 and x1 keeps
+every root's multiplicity, so the mirror a_r -> a_(d-r) maps the piece to
+itself and block w to block kd - w: the mirrored kernel of the blocks
+w > kd/2 spans the lower half, put in the canonical form of
+`Echelon.kernel` by one more `Echelon` over the reversed columns.
 `_incidence_parametrization` stays a list of `Poly`s, and
 `graded_relations` stays the public entry point for a single degree.
 
@@ -195,28 +200,49 @@ def _pullback_width(k: int, l: int) -> int:
     return _field_width(k * (l + 1))
 
 
+def _weight(exps: tuple[int, ...]) -> int:
+    """sum r*e_r: the weight of the a-monomial, a_r of weight r."""
+    return sum(r * e for r, e in enumerate(exps))
+
+
 def _pullbacks_by_degree(d: int, l: int,
                         max_degree: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
-    """`graded_pullbacks` of a_0..a_d along the parametrization, packed at
-    `_pullback_width(max_degree, l)`, which holds every degree yielded."""
+    """`graded_pullbacks` of the degree-k a-monomials of weight 2w >= kd, packed
+    at `_pullback_width(max_degree, l)`, which holds every degree yielded.  A
+    prefix drops the smallest index, at most w/k, so it keeps 2w' >= (k-1)d."""
     width = _pullback_width(max_degree, l)
     yield from graded_pullbacks([_pack_terms(p.terms, width)
-                                 for p in _incidence_parametrization(d, l)], max_degree)
+                                 for p in _incidence_parametrization(d, l)], max_degree,
+                                lambda exps: 2 * _weight(exps) >= d * sum(exps))
 
 
 def _kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]], d: int) -> list[Poly]:
-    """Primitive integer combinations of the a-monomials whose pullbacks
-    sum to zero: one equation per packed (b, c)-monomial, sparsest first."""
-    a_monomials = list(pullbacks)
+    """Primitive integer combinations of the degree-k a-monomials whose
+    pullbacks sum to zero, one per free column in `degree_monomials` order:
+    the kernel of the upper half's equations (eliminated sparsest first) and
+    that kernel's mirror (see the module docstring)."""
+    upper = list(pullbacks)
+    k = sum(upper[0])
+    reversed_columns = list(degree_monomials(k, d + 1))[::-1]
+    column = {exps: j for j, exps in enumerate(reversed_columns)}
     equations: dict[int, dict[int, int]] = {}
     for col, terms in enumerate(pullbacks.values()):
         for key, c in terms.items():
             equations.setdefault(key, {})[col] = c
-    echelon = Echelon(len(a_monomials))
+    echelon = Echelon(len(upper))
     for row in sorted(equations.values(), key=len):
         echelon.add(row)
-    return [integer_primitive(Poly(d + 1, {a_monomials[j]: v for j, v in sorted(vector.items())}))
-            for vector in echelon.kernel()]
+    vectors = {}  # by exponent tuples: sorted, they are in `degree_monomials` order
+    mirror = Echelon(len(column))
+    for vector in echelon.kernel():
+        free = upper[max(vector)]
+        vectors[free] = {upper[j]: v for j, v in vector.items()}
+        if 2 * _weight(free) > k * d:
+            mirror.add({column[upper[j][::-1]]: v for j, v in vector.items()})
+    for p, row in mirror.canonical_rows():
+        vectors[reversed_columns[p]] = {reversed_columns[j]: v for j, v in row.items()}
+    return [integer_primitive(Poly(d + 1, dict(sorted(vector.items()))))
+            for _, vector in sorted(vectors.items())]
 
 
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:

@@ -214,17 +214,19 @@ def pairing_vanishes(functionals: Sequence[PlethysmVector], sections: Sequence) 
     sections given as for `pair`.
 
     One sparse integer product replaces the all-pairs `pair` loop: each
-    section's Plücker coordinates are scaled to primitive integers once and
-    weighted by `_matching_count` once per index, and each functional,
-    scaled to primitive integers on the indices some section carries,
-    accumulates its pairings with every section into one dict.  Scaling a
-    functional or a section by a nonzero rational moves no zero, so the
-    answer is exactly that of `pair`.
+    section's Plücker coordinates are scaled to primitive integers once (one
+    entry to [1]) and weighted by `_matching_count` once per index, and each
+    functional, scaled to primitive integers on the indices some section
+    carries, accumulates its pairings with every section into one dict.
+    Scaling a functional or a section by a nonzero rational moves no zero,
+    so the answer is exactly that of `pair`.
     """
     columns: dict[SymIndex, list[tuple[int, int]]] = {}
     for j, section in enumerate(sections):
         coords = getattr(section, "plucker", section)
-        for idx, v in zip(coords, primitive_integers(list(coords.values()), 0)):
+        values = list(coords.values())
+        scaled = [1] if len(values) == 1 and values[0] else primitive_integers(values, 0)
+        for idx, v in zip(coords, scaled):
             columns.setdefault(idx, []).append((j, v))
     for idx, column in columns.items():
         weight = _matching_count(idx)

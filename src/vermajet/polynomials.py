@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .linalg import canonical, canonical_values, primitive_integers
 
@@ -404,15 +404,17 @@ def prefix_steps(nvars: int, degree: int):
         e[i] += 1
 
 
-def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int):
-    """For k = 1..max_degree, {exps: packed pullback of z^exps} over the
-    degree-k exponent tuples, grown from degree k - 1 along `prefix_steps`;
-    z_i pulls back to images[i], of one width that holds degree max_degree."""
+def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int,
+                     keep: Callable[[tuple[int, ...]], bool] | None = None):
+    """For k = 1..max_degree, {exps: packed pullback of z^exps} over the degree-k
+    tuples `keep` holds (all if None; it must hold each kept prefix), grown along
+    `prefix_steps`; z_i pulls back to images[i], of one width for max_degree."""
     pullbacks = {(0,) * len(images): {0: 1}}
     for k in range(1, max_degree + 1):
         previous, pullbacks = pullbacks, {}
         for exps, i, prefix in prefix_steps(len(images), k):
-            pullbacks[exps] = _packed_product(images[i], previous[prefix])
+            if keep is None or keep(exps):
+                pullbacks[exps] = _packed_product(images[i], previous[prefix])
         yield pullbacks
 
 

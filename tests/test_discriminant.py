@@ -359,10 +359,22 @@ def _reference_graded_relations(d, l, degree):
             for combo in kernel_basis(matrix.transpose())]
 
 
+def _closed_under_mirror(piece, d, degree):
+    """The span of the piece holds its image under a_r -> a_(d-r) (an exact
+    rank)."""
+    columns = {exps: j for j, exps in enumerate(degree_monomials(degree, d + 1))}
+    rows = [{columns[e]: c for e, c in p.terms.items()} for p in piece]
+    mirrored = [{columns[e[::-1]]: c for e, c in p.terms.items()} for p in piece]
+    return span_dim(rows + mirrored, len(columns)) == len(piece)
+
+
 @pytest.mark.parametrize("d,l", [(4, 2), (5, 2), (5, 3), (6, 3)])
 def test_graded_relations_match_pullback_matrix_kernel(d, l):
-    for degree in range(1, 6):
+    """The upper weight half and its mirror give the kernel of all the
+    equations, at kd odd and even."""
+    for degree in range(1, 7):
         got = graded_relations(d, l, degree)
         assert [p.to_string() for p in got] == \
             [p.to_string() for p in _reference_graded_relations(d, l, degree)]
         assert all(type(c) is int for p in got for c in p.terms.values())
+        assert _closed_under_mirror(got, d, degree)

@@ -1,5 +1,6 @@
-"""The eliminant pipeline: pullbacks grown once per eliminant, equations
-eliminated in any order, and the binary-forms references of the benchmark."""
+"""The eliminant pipeline: pullbacks of the upper weight half grown once per
+eliminant, equations eliminated in any order, the lower half read off the
+mirror, and the binary-forms references of the benchmark."""
 
 import importlib.util
 import random
@@ -9,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from test_discriminant import _reference_graded_relations
+from test_discriminant import _closed_under_mirror, _reference_graded_relations
 from vermajet import discriminant
 from vermajet.discriminant import (_generators_cut_codimension, _incidence_parametrization,
                                    _kernel_piece, _pullback_width, _pullbacks_by_degree,
-                                   classical_discriminant_oracle, eliminant_generators,
+                                   _weight, classical_discriminant_oracle, eliminant_generators,
                                    graded_relations)
 from vermajet.linalg import Echelon
-from vermajet.polynomials import Poly, _unpack, degree_monomials
+from vermajet.polynomials import (Poly, _pack_terms, _unpack, degree_monomials, graded_pullbacks,
+                                  prefix_steps)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -28,8 +30,19 @@ def _strings(polys):
 @pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
 def test_shared_pullback_growth_matches_graded_relations(d, l):
     for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l, 5)):
-        assert list(pullbacks) == list(degree_monomials(degree, d + 1))
+        assert list(pullbacks) == [exps for exps in degree_monomials(degree, d + 1)
+                                   if 2 * _weight(exps) >= degree * d]
         assert _strings(_kernel_piece(pullbacks, d)) == _strings(graded_relations(d, l, degree))
+
+
+def test_kept_monomials_hold_their_prefixes():
+    """The upper half 2w >= kd holds the leftmost prefix of each of its
+    monomials, so `graded_pullbacks` can grow it alone."""
+    for d in range(1, 9):
+        for degree in range(1, 9):
+            for exps, _, prefix in prefix_steps(d + 1, degree):
+                if 2 * _weight(exps) >= degree * d:
+                    assert 2 * _weight(prefix) >= (degree - 1) * d
 
 
 @pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
@@ -59,6 +72,7 @@ def test_graded_relations_match_pullback_matrix_kernel_at_6_2():
         got = graded_relations(6, 2, degree)
         assert _strings(got) == _strings(_reference_graded_relations(6, 2, degree))
         assert all(type(c) is int for p in got for c in p.terms.values())
+        assert _closed_under_mirror(got, 6, degree)
     assert [len(graded_relations(6, 2, k)) for k in range(1, 6)] == [0, 0, 0, 1, 10]
 
 
@@ -79,7 +93,8 @@ def _kernel(rows, cols):
 
 
 def test_equation_kernel_is_independent_of_row_order():
-    pullbacks = next(islice(_pullbacks_by_degree(6, 2, 5), 4, None))  # degree 5
+    images = [_pack_terms(p.terms, _pullback_width(5, 2)) for p in _incidence_parametrization(6, 2)]
+    pullbacks = next(islice(graded_pullbacks(images, 5), 4, None))  # all of degree 5
     rows = _equation_rows(pullbacks)
     cols = len(pullbacks)
     expected = _kernel(rows, cols)

@@ -229,3 +229,16 @@ def test_pairing_vanishes_needs_every_pair_zero():
     assert pairing_vanishes([u], [orthogonal, other]) is False
     assert pairing_vanishes([u, PlethysmVector({b: 5})], [orthogonal]) is False
     assert pairing_vanishes([], [other]) is True and pairing_vanishes([u], []) is True
+
+
+def test_one_entry_sections_pair_as_pair_does():
+    """A one-entry section scales to [1] whatever its nonzero value, and a
+    zero entry pairs to zero."""
+    a, b, c = sym_basis(1, 1, 2)
+    functionals = [PlethysmVector({a: 1, b: -2}), PlethysmVector({c: Fraction(2, 7)}),
+                   PlethysmVector({b: 3})]
+    for idx in (a, b, c):
+        for value in (-3, Fraction(-5, 4), Fraction(2, 9), 0):
+            section = {idx: value}
+            for u in functionals:
+                assert pairing_vanishes([u], [section]) is (pair(u, section) == 0)
