@@ -12,28 +12,24 @@ determinant (the production path for codimension one).  Both go through
 `polynomials.det` but not through the same expansion: the banded Sylvester
 rows are reordered, the dense Bezout rows are not.  For higher
 multiplicity the generators of the eliminant ideal are found degree by
-degree as the exact kernel of the pullback along the incidence
-parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  That is a polynomial
-identity, so membership of the image in every generator is exact by
-construction.  The pullbacks of the degree-k monomials are integer
-polynomials in (b, c), grown from those of degree k-1 by
-`polynomials.graded_pullbacks`, and the eliminant search grows them once,
-degree after degree, up to the highest degree its caller asks for.  They are kept as
-packed-monomial dicts (see `polynomials`): a degree-k pullback has
-b-exponent at most k*(l+1) and c-exponents at most k, so every degree is
-packed once, at the field width of the highest one.  The coefficient of
-each packed (b, c)-monomial gives one equation.  With a_r, b and c_j of
-weight r, 1 and j, a degree-k a-monomial of weight w pulls back to weight
-w, so each equation involves one weight and the kernel is the union of
-the weight blocks' kernels.  Only the upper half, 2w >= kd, is pulled back
-and eliminated, in one integer `Echelon`, sparsest first (the reduced form
-is unique, so row order changes only the cost).  Swapping x0 and x1 keeps
-every root's multiplicity, so the mirror a_r -> a_(d-r) maps the piece to
-itself and block w to block kd - w: the mirrored kernel of the blocks
-w > kd/2 spans the lower half, put in the canonical form of
+degree as exact kernel pieces.  The locus is swept out by the unipotent
+group from one linear space (Feher-Nemethi-Rimanyi 2006; Chipalkatti
+2003): with e = d - l - 1 and L = {a_r = 0 for r > e}, the forms divisible
+by x0^(l+1), it is {f(x0 - b*x1, x1) : f in L}, the image of the incidence
+parametrization (b, g) -> (x0 - b*x1)^(l+1) * g.  With the derivation
+delta(a_s) = -(d - s + 1) a_(s-1), F(f(x0 - b*x1, x1)) is
+sum_j (b^j / j!) (delta^j F)(f), so F vanishes on the locus exactly when no
+delta^j F has a monomial in a_0..a_e alone.  delta lowers the weight
+sum r*e_r by one, so the kernel is the union of the weight blocks' kernels,
+and block w's rows are R_w = delta^T(R_(w-1)) + the unit rows of the
+monomials of weight w in a_0..a_e alone; block w's piece is the
+`Echelon.kernel` of R_w over its columns in `degree_monomials` order.  Only
+w <= kd/2 is eliminated, each block seeded with the canonical rows of the
+block below, and no polynomial in (b, c) is formed.  Swapping x0 and x1
+keeps every root's multiplicity, so the mirror a_r -> a_(d-r) maps the
+piece to itself and block w to block kd - w: the mirrored kernel of the
+blocks w < kd/2 spans the upper half, put in the canonical form of
 `Echelon.kernel` by one more `Echelon` over the reversed columns.
-`_incidence_parametrization` stays a list of `Poly`s, and
-`graded_relations` stays the public entry point for a single degree.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
 Each univariate restriction is proved irreducible over Q by mod-p degree
@@ -58,17 +54,16 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import comb, gcd
-from typing import Iterator, Sequence, Union
+from operator import mul
+from typing import Sequence, Union
 
 from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
 from .linalg import Echelon, canonical, kernel_basis, primitive_integers  # noqa: F401
-from .polynomials import (Poly, _field_width, _pack_terms, degree_monomials, det,
-                          divide_by_variable, graded_pullbacks, integer_primitive,
-                          restrict_to_line, strip_variable_factors)
+from .polynomials import (Poly, _from_terms, degree_monomials, det, divide_by_variable,
+                          integer_primitive, restrict_to_line, strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -193,56 +188,72 @@ def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fract
         for r in range(d + 1)))
 
 
-def _pullback_width(k: int, l: int) -> int:
-    """Field width of the packed (b, c) monomials of the degree-k pullbacks:
-    each is a product of k parametrization coefficients, so b has exponent
-    at most k*(l+1) and each c at most k."""
-    return _field_width(k * (l + 1))
-
-
 def _weight(exps: tuple[int, ...]) -> int:
     """sum r*e_r: the weight of the a-monomial, a_r of weight r."""
-    return sum(r * e for r, e in enumerate(exps))
+    return sum(map(mul, exps, range(len(exps))))
 
 
-def _pullbacks_by_degree(d: int, l: int,
-                        max_degree: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
-    """`graded_pullbacks` of the degree-k a-monomials of weight 2w >= kd, packed
-    at `_pullback_width(max_degree, l)`, which holds every degree yielded.  A
-    prefix drops the smallest index, at most w/k, so it keeps 2w' >= (k-1)d."""
-    width = _pullback_width(max_degree, l)
-    yield from graded_pullbacks([_pack_terms(p.terms, width)
-                                 for p in _incidence_parametrization(d, l)], max_degree,
-                                lambda exps: 2 * _weight(exps) >= d * sum(exps))
+def _row_space(block: list[tuple[int, ...]], below: list[tuple[int, ...]] | None,
+               previous: Echelon | None, e: int) -> Echelon:
+    """R_w over the weight block `block`: a unit row per monomial in a_0..a_e
+    alone, then delta^T of each canonical row of R_(w-1) (`previous`, over the
+    block `below`) with those columns dropped, sparsest first."""
+    d = len(block[0]) - 1
+    index = {exps: j for j, exps in enumerate(block)}
+    echelon = Echelon(len(block))
+    pure = {j for j, exps in enumerate(block) if not any(exps[e + 1:])}
+    for j in pure:
+        echelon.add({j: 1})
+    lifts: dict[int, list[tuple[int, int]]] = {}
+    images = []
+    for _, row in previous.canonical_rows() if previous else ():
+        image: dict[int, int] = {}
+        for col, v in zip(row, primitive_integers(list(row.values()), 0)):
+            lift = lifts.get(col)
+            if lift is None:
+                # delta^T(m*) = sum_s (d-s+1)(m_s+1) (m + e_s - e_(s-1))*, up to sign
+                m = below[col]
+                lift = lifts[col] = [
+                    (index[m[:s - 1] + (m[s - 1] - 1, m[s] + 1) + m[s + 1:]],
+                     (d - s + 1) * (m[s] + 1))
+                    for s in range(1, d + 1) if m[s - 1]]
+            for j, factor in lift:
+                if j not in pure:
+                    image[j] = image.get(j, 0) + v * factor
+        images.append(image)
+    for image in sorted(images, key=len):
+        echelon.add(image)
+    return echelon
 
 
-def _kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]], d: int) -> list[Poly]:
-    """Primitive integer combinations of the degree-k a-monomials whose
-    pullbacks sum to zero, one per free column in `degree_monomials` order:
-    the kernel of the upper half's equations (eliminated sparsest first) and
-    that kernel's mirror (see the module docstring)."""
-    upper = list(pullbacks)
-    k = sum(upper[0])
-    reversed_columns = list(degree_monomials(k, d + 1))[::-1]
-    column = {exps: j for j, exps in enumerate(reversed_columns)}
-    equations: dict[int, dict[int, int]] = {}
-    for col, terms in enumerate(pullbacks.values()):
-        for key, c in terms.items():
-            equations.setdefault(key, {})[col] = c
-    echelon = Echelon(len(upper))
-    for row in sorted(equations.values(), key=len):
-        echelon.add(row)
+def _kernel_piece(d: int, l: int, k: int) -> list[Poly]:
+    """Primitive integer combinations of the degree-k a-monomials vanishing on
+    the locus, one per free column in `degree_monomials` order: the kernel of
+    R_w for each weight block w <= kd/2 and that kernel's mirror (see the
+    module docstring)."""
+    columns = list(degree_monomials(k, d + 1))
+    blocks: dict[int, list[tuple[int, ...]]] = {}
+    for exps in columns:
+        blocks.setdefault(_weight(exps), []).append(exps)
+    reversed_column = {exps: j for j, exps in enumerate(reversed(columns))}
     vectors = {}  # by exponent tuples: sorted, they are in `degree_monomials` order
-    mirror = Echelon(len(column))
-    for vector in echelon.kernel():
-        free = upper[max(vector)]
-        vectors[free] = {upper[j]: v for j, v in vector.items()}
-        if 2 * _weight(free) > k * d:
-            mirror.add({column[upper[j][::-1]]: v for j, v in vector.items()})
+    mirror = Echelon(len(columns))
+    echelon = None
+    for w in range(k * d // 2 + 1):
+        block = blocks[w]
+        echelon = _row_space(block, blocks.get(w - 1), echelon, d - l - 1)
+        for vector in echelon.kernel():
+            vectors[block[max(vector)]] = {block[j]: v for j, v in vector.items()}
+            if 2 * w < k * d:
+                mirror.add({reversed_column[block[j][::-1]]: v for j, v in vector.items()})
     for p, row in mirror.canonical_rows():
-        vectors[reversed_columns[p]] = {reversed_columns[j]: v for j, v in row.items()}
-    return [integer_primitive(Poly(d + 1, dict(sorted(vector.items()))))
-            for _, vector in sorted(vectors.items())]
+        vectors[columns[-1 - p]] = {columns[-1 - j]: v for j, v in row.items()}
+    pieces = []
+    for _, vector in sorted(vectors.items()):
+        terms = sorted(vector)  # lex-first term positive, as in `integer_primitive`
+        pieces.append(_from_terms(d + 1, dict(zip(terms, primitive_integers(
+            [vector[exps] for exps in terms], 0)))))
+    return pieces
 
 
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
@@ -252,7 +263,7 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
         raise ValueError("need 1 <= l < d")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    return _kernel_piece(next(islice(_pullbacks_by_degree(d, l, degree), degree - 1, None)), d)
+    return _kernel_piece(d, l, degree)
 
 
 def _new_generators(piece: list[Poly], collected: list[Poly],
@@ -339,8 +350,8 @@ def _multiple_root_eliminant(d: int, l: int,
         determinant = det(_bezout_matrix(d))
         return _make_eliminant(strip_variable_factors(determinant))
     collected: list[Poly] = []
-    for degree, pullbacks in enumerate(_pullbacks_by_degree(d, l, 2 * (d - 1)), 1):
-        piece = _kernel_piece(pullbacks, d)
+    for degree in range(1, 2 * (d - 1) + 1):
+        piece = _kernel_piece(d, l, degree)
         collected.extend(_new_generators(piece, collected, degree, d))
         if collected and _generators_cut_codimension(collected, d, l):
             break

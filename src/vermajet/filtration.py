@@ -28,10 +28,10 @@ n-side is the independence flag of `pbw_filtration`, and
 
 The PBW images behind evaluation matrices, PBW filtrations and direct sums
 are built in one pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v),
-i the leftmost nonzero exponent, walked by `polynomials.prefix_steps` as
-the eliminant pullbacks of `discriminant` are; only the nonzero images of
-one degree are kept while the next is built, images that are only ranked
-go straight into an `Echelon`, and nothing is memoized across calls.
+i the leftmost nonzero exponent, walked by `polynomials.prefix_steps`; only
+the nonzero images of one degree are kept while the next is built, images
+that are only ranked go straight into an `Echelon`, and nothing is memoized
+across calls.
 `apply_pbw_monomial` stays as the row-by-row reference.
 """
 

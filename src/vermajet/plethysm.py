@@ -219,7 +219,8 @@ def pairing_vanishes(functionals: Sequence[PlethysmVector], sections: Sequence) 
     functional, scaled to primitive integers on the indices some section
     carries, accumulates its pairings with every section into one dict.
     Scaling a functional or a section by a nonzero rational moves no zero,
-    so the answer is exactly that of `pair`.
+    so the answer is exactly that of `pair`.  When every section has one
+    entry each pairing is one product, which a weight >= 1 cannot zero.
     """
     columns: dict[SymIndex, list[tuple[int, int]]] = {}
     for j, section in enumerate(sections):
@@ -228,10 +229,11 @@ def pairing_vanishes(functionals: Sequence[PlethysmVector], sections: Sequence) 
         scaled = [1] if len(values) == 1 and values[0] else primitive_integers(values, 0)
         for idx, v in zip(coords, scaled):
             columns.setdefault(idx, []).append((j, v))
-    for idx, column in columns.items():
-        weight = _matching_count(idx)
-        if weight != 1:
-            column[:] = [(j, v * weight) for j, v in column]
+    if any(len(getattr(section, "plucker", section)) != 1 for section in sections):
+        for idx, column in columns.items():
+            weight = _matching_count(idx)
+            if weight != 1:
+                column[:] = [(j, v * weight) for j, v in column]
     for functional in functionals:
         keys = [idx for idx in functional.coeffs if idx in columns]
         acc: dict[int, int] = {}

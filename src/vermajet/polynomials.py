@@ -4,22 +4,21 @@ coefficients kept as `int`.
 A polynomial over a fixed number of variables is a map from exponent
 tuples to nonzero coefficients, each an `int` when it is integral and a
 `Fraction` only when it is not.  The constructor and every operation keep
-that canonical form, so the integer polynomials that chart minors,
-eliminants and pullbacks are made of run in plain integer arithmetic;
-`evaluate` returns a canonical value too.  This is deliberately minimal:
-arithmetic, differentiation, truncation, composition and evaluation cover
-everything the chart expansions and eliminants need.  `prefix_steps` is
-the one graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of
-`filtration` and `graded_pullbacks`, the one pullback of the graded
-monomials, behind the eliminants.
+that canonical form, so the integer polynomials that chart minors and
+eliminants are made of run in plain integer arithmetic; `evaluate`
+returns a canonical value too.  This is deliberately minimal: arithmetic,
+differentiation, truncation, composition and evaluation cover everything
+the chart expansions and eliminants need.  `prefix_steps` is the one
+graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of `filtration`;
+`degree_monomials` orders the columns of the eliminant kernels.
 
-The hot product loops (`det`, `graded_pullbacks`, the chains of `jets`)
-key their terms by packed monomials instead: exponent i sits in bits
-[i*w, (i+1)*w) of one `int`, so multiplying two monomials is adding their
-keys.  The field width w is the bit length of a proven bound on every
-exponent the loop can produce, so a sum of keys never carries into a
-neighbouring field; `_pack` raises `OverflowError` on an exponent that
-does not fit.  A `Poly` keeps exponent tuples at every boundary.
+The hot product loops (`det` and the chains of `jets`) key their terms
+by packed monomials instead: exponent i sits in bits [i*w, (i+1)*w) of
+one `int`, so multiplying two monomials is adding their keys.  The field
+width w is the bit length of a proven bound on every exponent the loop
+can produce, so a sum of keys never carries into a neighbouring field;
+`_pack` raises `OverflowError` on an exponent that does not fit.  A
+`Poly` keeps exponent tuples at every boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .linalg import canonical, canonical_values, primitive_integers
 
@@ -402,20 +401,6 @@ def prefix_steps(nvars: int, degree: int):
         e[i] -= 1
         yield exps, i, tuple(e)
         e[i] += 1
-
-
-def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int,
-                     keep: Callable[[tuple[int, ...]], bool] | None = None):
-    """For k = 1..max_degree, {exps: packed pullback of z^exps} over the degree-k
-    tuples `keep` holds (all if None; it must hold each kept prefix), grown along
-    `prefix_steps`; z_i pulls back to images[i], of one width for max_degree."""
-    pullbacks = {(0,) * len(images): {0: 1}}
-    for k in range(1, max_degree + 1):
-        previous, pullbacks = pullbacks, {}
-        for exps, i, prefix in prefix_steps(len(images), k):
-            if keep is None or keep(exps):
-                pullbacks[exps] = _packed_product(images[i], previous[prefix])
-        yield pullbacks
 
 
 def integer_primitive(p: Poly) -> Poly:

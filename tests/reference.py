@@ -1,0 +1,89 @@
+"""The pullback route to the eliminant kernel pieces, kept as the oracle of
+`discriminant._kernel_piece`.
+
+Each degree-k a-monomial is pulled back along the incidence parametrization
+(b, g) -> (x0 - b*x1)^(l+1) * g to an integer polynomial in (b, c), grown from
+the degree-(k-1) pullbacks; the coefficient of each (b, c)-monomial is one
+equation, and the kernel of the equations is the piece.  Only the upper
+weight half 2w >= kd is pulled back and eliminated; the lower half is that
+kernel's mirror a_r -> a_(d-r), put in canonical form by one more `Echelon`
+over the reversed columns.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Iterator, Mapping, Sequence
+
+from vermajet.discriminant import _incidence_parametrization, _weight
+from vermajet.linalg import Echelon
+from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product,
+                                  degree_monomials, integer_primitive, prefix_steps)
+
+
+def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int,
+                     keep: Callable[[tuple[int, ...]], bool] | None = None):
+    """For k = 1..max_degree, {exps: packed pullback of z^exps} over the degree-k
+    tuples `keep` holds (all if None; it must hold each kept prefix), grown along
+    `prefix_steps`; z_i pulls back to images[i], of one width for max_degree."""
+    pullbacks = {(0,) * len(images): {0: 1}}
+    for k in range(1, max_degree + 1):
+        previous, pullbacks = pullbacks, {}
+        for exps, i, prefix in prefix_steps(len(images), k):
+            if keep is None or keep(exps):
+                pullbacks[exps] = _packed_product(images[i], previous[prefix])
+        yield pullbacks
+
+
+def pullback_width(k: int, l: int) -> int:
+    """Field width of the packed (b, c) monomials of the degree-k pullbacks:
+    each is a product of k parametrization coefficients, so b has exponent
+    at most k*(l+1) and each c at most k."""
+    return _field_width(k * (l + 1))
+
+
+def pullbacks_by_degree(d: int, l: int,
+                        max_degree: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
+    """`graded_pullbacks` of the degree-k a-monomials of weight 2w >= kd, packed
+    at `pullback_width(max_degree, l)`, which holds every degree yielded.  A
+    prefix drops the smallest index, at most w/k, so it keeps 2w' >= (k-1)d."""
+    width = pullback_width(max_degree, l)
+    yield from graded_pullbacks([_pack_terms(p.terms, width)
+                                 for p in _incidence_parametrization(d, l)], max_degree,
+                                lambda exps: 2 * _weight(exps) >= d * sum(exps))
+
+
+def pullback_kernel_piece(pullbacks: dict[tuple[int, ...], dict[int, int]],
+                          d: int) -> list[Poly]:
+    """Primitive integer combinations of the degree-k a-monomials whose
+    pullbacks sum to zero, one per free column in `degree_monomials` order:
+    the kernel of the upper half's equations (eliminated sparsest first) and
+    that kernel's mirror."""
+    upper = list(pullbacks)
+    k = sum(upper[0])
+    reversed_columns = list(degree_monomials(k, d + 1))[::-1]
+    column = {exps: j for j, exps in enumerate(reversed_columns)}
+    equations: dict[int, dict[int, int]] = {}
+    for col, terms in enumerate(pullbacks.values()):
+        for key, c in terms.items():
+            equations.setdefault(key, {})[col] = c
+    echelon = Echelon(len(upper))
+    for row in sorted(equations.values(), key=len):
+        echelon.add(row)
+    vectors = {}  # by exponent tuples: sorted, they are in `degree_monomials` order
+    mirror = Echelon(len(column))
+    for vector in echelon.kernel():
+        free = upper[max(vector)]
+        vectors[free] = {upper[j]: v for j, v in vector.items()}
+        if 2 * _weight(free) > k * d:
+            mirror.add({column[upper[j][::-1]]: v for j, v in vector.items()})
+    for p, row in mirror.canonical_rows():
+        vectors[reversed_columns[p]] = {reversed_columns[j]: v for j, v in row.items()}
+    return [integer_primitive(Poly(d + 1, dict(sorted(vector.items()))))
+            for _, vector in sorted(vectors.items())]
+
+
+def pullback_pieces(d: int, l: int, max_degree: int) -> list[list[Poly]]:
+    """The pieces of degree 1..max_degree by the pullback route."""
+    return [pullback_kernel_piece(pullbacks, d)
+            for pullbacks in pullbacks_by_degree(d, l, max_degree)]

@@ -370,7 +370,7 @@ def _closed_under_mirror(piece, d, degree):
 
 @pytest.mark.parametrize("d,l", [(4, 2), (5, 2), (5, 3), (6, 3)])
 def test_graded_relations_match_pullback_matrix_kernel(d, l):
-    """The upper weight half and its mirror give the kernel of all the
+    """The lower weight half and its mirror give the kernel of all the
     equations, at kd odd and even."""
     for degree in range(1, 7):
         got = graded_relations(d, l, degree)

