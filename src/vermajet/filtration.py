@@ -48,7 +48,7 @@ from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
 from .linalg import Echelon, SparseMatrix
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
-                       highest_weight_vector, sym_basis, weight_of)
+                       highest_weight_vector, indexed_basis, module_dim, weight_of)
 from .polynomials import graded_monomials, prefix_steps
 
 DEFAULT_MONOMIAL_CAP = 50000
@@ -87,19 +87,19 @@ def pbw_monomials(num_generators: int, max_degree: int,
 
 
 def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int],
-                       start: PlethysmVector) -> PlethysmVector:
+                       start: PlethysmVector, m: int) -> PlethysmVector:
     """Apply z_1^{a_1} ... z_k^{a_k} to a vector, rightmost factor first."""
     vec = start
     for g, e in zip(reversed(generators), reversed(list(exponents))):
         for _ in range(e):
             if vec.is_zero:
                 return vec
-            vec = act(g, vec)
+            vec = act(g, vec, m)
     return vec
 
 
 def _pbw_images(generators: Sequence[LieElement], max_degree: int,
-                start: PlethysmVector) -> Iterator[tuple[int, PlethysmVector]]:
+                start: PlethysmVector, m: int) -> Iterator[tuple[int, PlethysmVector]]:
     """(position in pbw_monomials order, z^a start) for every exponent
     vector a of total degree <= max_degree whose image is nonzero, in order.
 
@@ -120,7 +120,7 @@ def _pbw_images(generators: Sequence[LieElement], max_degree: int,
         for exps, i, prefix in prefix_steps(len(generators), degree):
             base = layer.get(prefix)
             if base is not None:
-                image = act(generators[i], base)
+                image = act(generators[i], base, m)
                 if not image.is_zero:
                     grown[exps] = image
                     yield position, image
@@ -163,7 +163,7 @@ class FiltrationResult:
 
 def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
     """Whether y . v = rho(y) v for every y in the parabolic basis."""
-    return all((act(y, v) - rho_character(ctx, d, y) * v).is_zero
+    return all((act(y, v, ctx.m) - rho_character(ctx, d, y) * v).is_zero
                for y in ctx.subalgebra_basis(SubalgebraTag.P))
 
 
@@ -173,9 +173,8 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     ctx = build_context(m, n)
-    basis = sym_basis(m, n, d, cap)
-    index_of = {idx: i for i, idx in enumerate(basis)}
-    weight_at = cache(lambda c: weight_of(basis[c], ctx.size))
+    basis, index_of = indexed_basis(m, n, d, cap)
+    weight_at = cache(lambda c: weight_of(basis[c], m, n))
     target = weyl_dim_oracle(m, n, d)
     v = highest_weight_vector(m, n, d)
     if not _p_eigenvector(ctx, d, v):
@@ -188,7 +187,7 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
 
     for level in range(l_max + 1):
         if level > 0:
-            new = [act(x, vec) for vec in new for x in nilpotent]
+            new = [act(x, vec, m) for vec in new for x in nilpotent]
         new = [vec for vec in new if echelon.add(coordinates(vec, index_of))]
         if level > 0 and not new:  # F_level = F_(level-1), and so is every later level
             levels += [replace(levels[-1], level=k) for k in range(level, l_max + 1)]
@@ -215,13 +214,12 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     if l < 1:
         raise ValueError("l must be at least 1")
     ctx = build_context(m, n)
-    basis = sym_basis(m, n, d, cap)
-    index_of = {idx: i for i, idx in enumerate(basis)}
+    _, index_of = indexed_basis(m, n, d, cap)
     generators = ctx.subalgebra_basis(SubalgebraTag.N)
     count = _pbw_count(len(generators), l, monomial_cap)
     vectors = [PlethysmVector() for _ in range(count)]
-    echelon = Echelon(len(basis))
-    for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d)):
+    echelon = Echelon(len(index_of))
+    for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m):
         vectors[row] = image
         echelon.add(coordinates(image, index_of))
     return vectors, echelon.rank == count
@@ -236,14 +234,13 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     if l < 0:
         raise ValueError("l must be non-negative")
     ctx = build_context(m, n)
-    basis = sym_basis(m, n, d, cap)
-    index_of = {idx: i for i, idx in enumerate(basis)}
+    _, index_of = indexed_basis(m, n, d, cap)
     generators = _generators(ctx, subalgebra)
     count = _pbw_count(len(generators), l, monomial_cap)
     entries = {(row, c): value
-               for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d))
+               for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m)
                for c, value in coordinates(image, index_of).items()}
-    return SparseMatrix(count, len(basis), entries)
+    return SparseMatrix(count, len(index_of), entries)
 
 
 def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:
@@ -257,7 +254,7 @@ def annihilator_dim(m: int, n: int, d: int, l: int,
                     monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> int:
     """Dimension of the degree <= l part of the annihilator of v inside the
     full enveloping algebra filtration: dim U_l(g) - dim U_l(g) . v."""
-    sym_basis(m, n, d, cap)  # enforce the ambient cap before the monomial cap
+    module_dim(m, n, d, cap)  # enforce the ambient cap before the monomial cap
     total = enveloping_dim(m, n, l, monomial_cap)
     return total - canonical_filtration(m, n, d, l, cap).dims[l]
 
@@ -311,7 +308,7 @@ def serre_power_check(m: int, n: int, d: int,
     The expected power is 1 for every simple root except the m-th, where it
     is d + 1 (so the d-th power is still nonzero).
     """
-    sym_basis(m, n, d, cap)  # enforce the ambient cap before acting
+    module_dim(m, n, d, cap)  # enforce the ambient cap before acting
     ctx = build_context(m, n)
     v = highest_weight_vector(m, n, d)
     out = []
@@ -320,11 +317,11 @@ def serre_power_check(m: int, n: int, d: int,
         vec = v
         below_nonzero = True
         for _ in range(power - 1):
-            vec = act(root.lowering, vec)
+            vec = act(root.lowering, vec, m)
             if vec.is_zero:
                 below_nonzero = False
                 break
-        at_power_zero = below_nonzero and act(root.lowering, vec).is_zero
+        at_power_zero = below_nonzero and act(root.lowering, vec, m).is_zero
         out.append(RootPowerReport(root.index, power, below_nonzero, at_power_zero))
     return out
 
@@ -337,7 +334,7 @@ def char_ideal_generator_check(m: int, n: int, d: int, l: int,
     if l < 1:
         raise ValueError("l must be at least 1")
     ctx = build_context(m, n)
-    sym_basis(m, n, d, cap)
+    module_dim(m, n, d, cap)
     v = highest_weight_vector(m, n, d)
     enveloping_dim(m, n, l - 1, monomial_cap)
     # x(y - rho(y)) v = 0 for every x exactly when (y - rho(y)) v = 0
@@ -355,15 +352,14 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
     ctx = build_context(m, n)
     _pbw_count(m * n, l, monomial_cap)  # the images are walked over n
-    bases = [sym_basis(m, n, d, cap) for d in degrees]
-    echelon = Echelon(sum(map(len, bases)))
+    indices = [indexed_basis(m, n, d, cap)[1] for d in degrees]
+    echelon = Echelon(sum(map(len, indices)))
     offset = 0
-    for d, basis in zip(degrees, bases):
-        index_of = {idx: i + offset for i, idx in enumerate(basis)}
+    for d, index_of in zip(degrees, indices):
         v = highest_weight_vector(m, n, d)
         if not _p_eigenvector(ctx, d, v):
             raise CertificateError(f"p does not act on the degree-{d} v by its character")
-        for _, image in _pbw_images(ctx.subalgebra_basis(SubalgebraTag.N), l, v):
-            echelon.add(coordinates(image, index_of))
-        offset += len(basis)
+        for _, image in _pbw_images(ctx.subalgebra_basis(SubalgebraTag.N), l, v, m):
+            echelon.add({index_of[idx] + offset: value for idx, value in image.coeffs.items()})
+        offset += len(index_of)
     return echelon.rank

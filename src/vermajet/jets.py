@@ -14,10 +14,13 @@ A section carries its chart polynomial and its coordinates in the degree-d
 Plücker monomials, which pair against module vectors.  The basis is Hodge's
 standard monomials: one per chain w_1 <= ... <= w_d of m-subsets in the
 componentwise order (a semistandard tableau), multiplied from its parent
-chain, with the single coordinate {chain: 1}.  Sections of different torus
-weights are independent, so each weight block takes one exact `Echelon`
-rank; a dependent block, or a chain count other than `weyl_dim_oracle`
-(Borel-Weil), raises CertificateError, and otherwise the chains are a basis.
+chain, with the single coordinate {chain: 1}.  Plücker coordinates are
+keyed as in `plethysm`, by exponent vectors over `wedge_basis(m, n)`: one
+minor by its unit vector, a chain by its wedge counts.  Sections of
+different torus weights are independent, so each weight block takes one
+exact `Echelon` rank; a dependent block, or a chain count other than
+`weyl_dim_oracle` (Borel-Weil), raises CertificateError, and otherwise the
+chains are a basis.
 
 A Plücker coordinate is homogeneous of degree its number of rows > m, so a
 basis section is homogeneous of t-degree its chain's number of entries > m,
@@ -43,9 +46,10 @@ their index, keyed by (m, n, l).  `plucker_polynomial` returns a new
 `jet_monomials` a new list.
 
 `section_space` reads every factor of every Plücker monomial through
-`plucker_polynomial` on every call and keys `_reduced_family`, an
-`lru_cache` with `maxsize=1`, by (nvars, d, (wedge, minor term items) per
-wedge).  Only a miss multiplies the chains and ranks their weight blocks.
+`plucker_polynomial` on every call (each wedge as often as its total
+exponent over the degree-d monomials, the same for every wedge) and keys
+`_reduced_family`, an `lru_cache` with `maxsize=1`, by (nvars, d, (wedge,
+minor term items) per wedge).  Only a miss multiplies the chains and ranks their weight blocks.
 A changed minor never meets a stale basis; a case's calls are consecutive
 in every caller, so one entry catches every repeat; every call returns new
 sections.  The factors are read on a hit only because the benchmark's desk
@@ -67,7 +71,8 @@ from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
-from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, pairing_vanishes, sym_basis
+from .plethysm import (DEFAULT_AMBIENT_CAP, SymIndex, module_dim, pairing_vanishes, sym_basis,
+                       wedge_basis)
 from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, _unpack, det,
                           graded_monomials)
 
@@ -114,30 +119,32 @@ def _chart_copy(nvars: int, terms: dict) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[tuple[int, ...], Poly]:
-    """The sorted rows of a valid subset and their chart minor; an invalid
-    subset raises and is not stored."""
+def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[SymIndex, Poly]:
+    """The unit exponent vector of a valid subset's wedge and its chart
+    minor; an invalid subset raises and is not stored."""
     rows = tuple(sorted(subset))
     if len(rows) != m or len(set(rows)) != m:
         raise ValueError(f"need {m} distinct row indices")
     if rows[0] < 1 or rows[-1] > m + n:
         raise ValueError(f"row indices must lie in 1..{m + n}")
-    return rows, _chart_minor(rows, m, n)
+    return tuple(int(w == rows) for w in wedge_basis(m, n)), _chart_minor(rows, m, n)
 
 
 def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
     normalized so the minor for rows {1..m} is 1."""
-    rows, minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
-    return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {(rows,): 1})
+    unit, minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
+    return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {unit: 1})
 
 
 def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
-    """Product of Plücker chart polynomials over a degree-d multiset (test reference)."""
+    """Product of Plücker chart polynomials over a degree-d multiset, given
+    as its exponent vector over `wedge_basis(m, n)` (test reference)."""
     chart = Poly.const(m * n, 1)
-    for subset in multiset:
-        chart = chart * plucker_polynomial(subset, m, n).chart
-    return SectionPolynomial(chart, {tuple(sorted(multiset)): 1})
+    for wedge, e in zip(wedge_basis(m, n), multiset):
+        for _ in range(e):
+            chart = chart * plucker_polynomial(wedge, m, n).chart
+    return SectionPolynomial(chart, {tuple(multiset): 1})
 
 
 def monomial_sections(m: int, n: int, d: int,
@@ -176,7 +183,8 @@ def jet_truncation(section: SectionPolynomial, m: int, n: int,
 def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, SymIndex], ...]:
     """(chart terms, chain) of each standard monomial of degree d over
     `minors`, (wedge, chart term items) per wedge, certified a basis and in
-    (t-degree, chain) order; the caller copies the chart terms."""
+    (t-degree, chain) order, the chain as its exponent vector over the
+    wedges; the caller copies the chart terms."""
     m = len(minors[0][0])
     bits = _field_width(d * max((e for _, items in minors for exps, _ in items for e in exps),
                                 default=0))
@@ -207,12 +215,7 @@ def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, SymI
             raise CertificateError(f"{len(products)} standard monomials of a weight are dependent")
     exps = {key: _unpack(key, nvars, bits)
             for key in set().union(*(product for _, _, _, product in layer))}
-
-    def wedges_of(chain: int) -> SymIndex:
-        return tuple(w for w, k in zip(wedges, _unpack(chain, len(wedges), shift))
-                     for _ in range(k))
-
-    family = [({exps[key]: c for key, c in product.items()}, wedges_of(chain))
+    family = [({exps[key]: c for key, c in product.items()}, _unpack(chain, len(wedges), shift))
               for chain, _, _, product in layer]
     family.sort(key=lambda section: sum(next(iter(section[0]))))  # stable: (t-degree, chain)
     return tuple(family)
@@ -224,10 +227,12 @@ def section_space(m: int, n: int, d: int,
     ordered by (t-degree, chain), each with Plücker coordinates {chain: 1};
     memoized on the minor of each wedge, returned as fresh copies (see the
     module docstring)."""
-    minors = {}  # first seen in `wedge_basis` order
-    for idx in sym_basis(m, n, d, cap):
-        for s in idx:
-            minors[s] = plucker_polynomial(s, m, n).chart.terms
+    wedges = wedge_basis(m, n)
+    reads = module_dim(m, n, d, cap) * d // len(wedges)  # each wedge's total exponent
+    minors = {}
+    for wedge in wedges:
+        for _ in range(reads):
+            minors[wedge] = plucker_polynomial(wedge, m, n).chart.terms
     key = tuple((wedge, tuple(terms.items())) for wedge, terms in minors.items())
     return [SectionPolynomial(_chart_copy(m * n, chart), {chain: 1})
             for chart, chain in _reduced_family(m * n, d, key)]

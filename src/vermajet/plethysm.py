@@ -1,8 +1,13 @@
 """The module Sym^d of the m-th wedge power of the defining representation.
 
-Basis encoding: a wedge factor is a strictly increasing tuple of 1-based
-indices (an m-subset of {1..m+n}); a symmetric basis index is a sorted
-tuple of d wedge factors.  A module element is a sparse map from symmetric
+Basis encoding: a wedge factor is an m-subset of {1..m+n} as a strictly
+increasing tuple, and `wedge_basis(m, n)` lists them in lex order.  A
+symmetric basis index, a multiset of d wedges, is its exponent vector over
+`wedge_basis(m, n)`; `sym_basis` lists the indices in reverse
+`polynomials.degree_monomials` order (the lex order of the multisets as
+sorted d-tuples of wedges), and `indexed_basis` adds each one's column.  The
+length C(m+n, m) leaves m open (C(s, m) = C(s, s - m)), so `act` and
+`weight_of` take it.  A module element is a sparse map from symmetric
 basis indices to nonzero rationals, each an `int` when it is integral and a
 `Fraction` only when it is not (`linalg.canonical`).  Sums, scalar
 multiples and `act` keep that form, so the highest weight vector and
@@ -12,24 +17,25 @@ integer arithmetic, and `coordinates` hands `Echelon.add` all-`int` rows.
 A Lie algebra element acts as a derivation across the d symmetric factors
 and, inside each factor, as a derivation across the m wedge slots; a
 substituted wedge slot is re-sorted and the sign of the sorting permutation
-is applied (a repeated index kills the term).
+is applied (a repeated index kills the term).  The e copies of a wedge give
+one term, so `act` moves one copy and scales by e.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
 from .errors import SizeCapError
 from .lie import LieElement, Weight
 from .linalg import canonical, canonical_values, primitive_integers
+from .polynomials import degree_monomials
 
 Wedge = tuple[int, ...]
-SymIndex = tuple[Wedge, ...]
+SymIndex = tuple[int, ...]  # exponent vector over wedge_basis(m, n)
 
 DEFAULT_AMBIENT_CAP = 20000
 
@@ -89,6 +95,7 @@ class PlethysmVector:
         return f"PlethysmVector({body})"
 
 
+@lru_cache(maxsize=None)
 def wedge_basis(m: int, n: int) -> tuple[Wedge, ...]:
     """All m-subsets of {1..m+n}, ascending, in lexicographic order."""
     return tuple(combinations(range(1, m + n + 1), m))
@@ -105,80 +112,73 @@ def module_dim(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sym_basis_cached(m: int, n: int, d: int) -> tuple[SymIndex, ...]:
-    return tuple(combinations_with_replacement(wedge_basis(m, n), d))
+def _indexed_basis(m: int, n: int, d: int) -> tuple[tuple[SymIndex, ...], dict[SymIndex, int]]:
+    basis = tuple(degree_monomials(d, comb(m + n, m)))[::-1]
+    return basis, {idx: k for k, idx in enumerate(basis)}
+
+
+def indexed_basis(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP
+                  ) -> tuple[tuple[SymIndex, ...], dict[SymIndex, int]]:
+    """The canonical ordered basis of the ambient module and the column of
+    each index in it; shared, not to be mutated."""
+    module_dim(m, n, d, cap)
+    return _indexed_basis(m, n, d)
 
 
 def sym_basis(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP) -> tuple[SymIndex, ...]:
     """The canonical ordered basis of the ambient module."""
-    module_dim(m, n, d, cap)
-    return _sym_basis_cached(m, n, d)
+    return indexed_basis(m, n, d, cap)[0]
 
 
 def highest_weight_vector(m: int, n: int, d: int) -> PlethysmVector:
     """(e_1 ^ ... ^ e_m)^d with coefficient 1."""
-    wedge = tuple(range(1, m + 1))
-    return PlethysmVector({(wedge,) * d: 1})
+    return PlethysmVector({(d,) + (0,) * (comb(m + n, m) - 1): 1})
 
 
-def _replace_slot(wedge: Wedge, slot: int, new_index: int) -> tuple[Wedge | None, int]:
-    old = wedge[slot]
-    if new_index == old:
-        return wedge, 1
-    rest = wedge[:slot] + wedge[slot + 1:]
-    pos = bisect_left(rest, new_index)
-    if pos < len(rest) and rest[pos] == new_index:
-        return None, 0
-    sign = -1 if (slot - pos) % 2 else 1
-    return rest[:pos] + (new_index,) + rest[pos:], sign
+@lru_cache(maxsize=None)
+def _moves(m: int, size: int) -> tuple[dict[tuple[int, int], tuple[int, int]], ...]:
+    """Per wedge k of `wedge_basis(m, size - m)`, {(i, j): (k', sign)}: E_ij
+    sends wedge k to sign * wedge k' (no entry when i is another index of it)."""
+    wedges = wedge_basis(m, size - m)
+    position = {wedge: k for k, wedge in enumerate(wedges)}
+    return tuple({(i, j): (position[tuple(sorted(set(wedge) - {j} | {i}))],
+                           (-1) ** sum(min(i, j) < v < max(i, j) for v in wedge))
+                  for j in wedge for i in range(1, size + 1) if i == j or i not in wedge}
+                 for wedge in wedges)
 
 
-def act(x: LieElement, w: PlethysmVector) -> PlethysmVector:
-    """Derivation action of a Lie algebra element on a module vector."""
-    columns: dict[int, list[tuple[int, int | Fraction]]] = {}
-    for (i, j), c in x.entries.items():
-        columns.setdefault(j, []).append((i, c))
+def act(x: LieElement, w: PlethysmVector, m: int) -> PlethysmVector:
+    """Derivation action of a Lie algebra element on a vector of Sym^d(Λ^m V)."""
+    moves = _moves(m, x.size)
     acc: dict[SymIndex, int | Fraction] = {}
     for idx, coeff in w.coeffs.items():
-        for k, wedge in enumerate(idx):
-            for slot, value in enumerate(wedge):
-                for new_index, c in columns.get(value, ()):
-                    new_wedge, sign = _replace_slot(wedge, slot, new_index)
-                    if new_wedge is None:
-                        continue
-                    new_idx = tuple(sorted(idx[:k] + (new_wedge,) + idx[k + 1:]))
-                    contrib = coeff * c * sign
-                    total = acc.get(new_idx, 0) + contrib
-                    if total:
-                        acc[new_idx] = total
-                    else:
-                        acc.pop(new_idx, None)
+        for k, e in enumerate(idx):
+            if e:
+                for key, c in x.entries.items():
+                    move = moves[k].get(key)
+                    if move is not None:
+                        counts = list(idx)
+                        counts[k] -= 1
+                        counts[move[0]] += 1
+                        new_idx = tuple(counts)
+                        acc[new_idx] = acc.get(new_idx, 0) + coeff * c * move[1] * e
     out = PlethysmVector()
-    out.coeffs = canonical_values(acc)
+    out.coeffs = canonical_values({idx: v for idx, v in acc.items() if v})
     return out
 
 
-def weight_of(idx: SymIndex, size: int) -> Weight:
+def weight_of(idx: SymIndex, m: int, n: int) -> Weight:
     """Coordinate k counts the occurrences of index k across all wedge factors."""
-    counts = [0] * size
-    for wedge in idx:
+    counts = [0] * (m + n)
+    for wedge, e in zip(wedge_basis(m, n), idx):
         for value in wedge:
-            counts[value - 1] += 1
+            counts[value - 1] += e
     return Weight(counts)
 
 
 def _matching_count(idx: SymIndex) -> int:
-    # Number of bijections matching the multiset with itself: product of
-    # factorials of the multiplicities.
-    total = 1
-    i = 0
-    while i < len(idx):
-        j = i
-        while j < len(idx) and idx[j] == idx[i]:
-            j += 1
-        total *= factorial(j - i)
-        i = j
-    return total
+    """The number of bijections matching the multiset with itself, prod e_w!."""
+    return prod(factorial(e) for e in idx if e > 1)
 
 
 def pair(functional: PlethysmVector, section) -> int | Fraction:
@@ -193,8 +193,8 @@ def pair(functional: PlethysmVector, section) -> int | Fraction:
     coords = getattr(section, "plucker", section)
     if type(coords) is not dict and not isinstance(coords, Mapping):
         raise TypeError("section must provide Plücker-monomial coordinates")
-    deg_left = {len(idx) for idx in functional.coeffs}
-    deg_right = {len(idx) for idx in coords}
+    deg_left = {sum(idx) for idx in functional.coeffs}
+    deg_right = {sum(idx) for idx in coords}
     if len(deg_left) > 1 or len(deg_right) > 1:
         raise ValueError("inhomogeneous degree on one side of the pairing")
     if deg_left and deg_right and deg_left != deg_right:
@@ -247,7 +247,4 @@ def pairing_vanishes(functionals: Sequence[PlethysmVector], sections: Sequence) 
 
 def coordinates(w: PlethysmVector, index_of: Mapping[SymIndex, int]) -> dict[int, int | Fraction]:
     """Sparse coordinate row of a vector against an indexed basis."""
-    out = {}
-    for idx, v in w.coeffs.items():
-        out[index_of[idx]] = v
-    return out
+    return {index_of[idx]: v for idx, v in w.coeffs.items()}

@@ -1,22 +1,33 @@
-"""The pullback route to the eliminant kernel pieces, kept as the oracle of
-`discriminant._kernel_piece`.
+"""Oracles kept out of `src/`.
 
-Each degree-k a-monomial is pulled back along the incidence parametrization
-(b, g) -> (x0 - b*x1)^(l+1) * g to an integer polynomial in (b, c), grown from
-the degree-(k-1) pullbacks; the coefficient of each (b, c)-monomial is one
-equation, and the kernel of the equations is the piece.  Only the upper
-weight half 2w >= kd is pulled back and eliminated; the lower half is that
-kernel's mirror a_r -> a_(d-r), put in canonical form by one more `Echelon`
-over the reversed columns.
+The pullback route to the eliminant kernel pieces, the oracle of
+`discriminant._kernel_piece`.  Each degree-k a-monomial is pulled back along
+the incidence parametrization (b, g) -> (x0 - b*x1)^(l+1) * g to an integer
+polynomial in (b, c), grown from the degree-(k-1) pullbacks; the coefficient
+of each (b, c)-monomial is one equation, and the kernel of the equations is
+the piece.  Only the upper weight half 2w >= kd is pulled back and
+eliminated; the lower half is that kernel's mirror a_r -> a_(d-r), put in
+canonical form by one more `Echelon` over the reversed columns.
+
+The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
+basis index is the sorted d-tuple of its wedges, the basis is
+`combinations_with_replacement(wedge_basis(m, n), d)`, and the action,
+weights, matching counts and canonical filtration bases are computed on
+those tuples over `Fraction`.  `to_counts` and `to_tuple` are the bijection
+with the exponent vectors over `wedge_basis(m, n)` that `plethysm` uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from vermajet.discriminant import _incidence_parametrization, _weight
+from vermajet.lie import LieElement, SubalgebraTag, Weight, build_context
 from vermajet.linalg import Echelon
+from vermajet.plethysm import wedge_basis
 from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product,
                                   degree_monomials, integer_primitive, prefix_steps)
 
@@ -87,3 +98,79 @@ def pullback_pieces(d: int, l: int, max_degree: int) -> list[list[Poly]]:
     """The pieces of degree 1..max_degree by the pullback route."""
     return [pullback_kernel_piece(pullbacks, d)
             for pullbacks in pullbacks_by_degree(d, l, max_degree)]
+
+
+Wedges = tuple[tuple[int, ...], ...]  # a sorted d-tuple of wedges
+
+
+def to_counts(idx: Wedges, m: int, n: int) -> tuple[int, ...]:
+    """The exponent vector over `wedge_basis(m, n)` of a sorted d-tuple."""
+    return tuple(idx.count(wedge) for wedge in wedge_basis(m, n))
+
+
+def to_tuple(counts: Sequence[int], m: int, n: int) -> Wedges:
+    """The sorted d-tuple of wedges of an exponent vector."""
+    return tuple(w for w, e in zip(wedge_basis(m, n), counts) for _ in range(e))
+
+
+def tuple_act(x: LieElement, coeffs: Mapping[Wedges, int | Fraction]) -> dict[Wedges, Fraction]:
+    """The derivation action over Fraction only: E_ij sends wedge slot value j
+    to i, the wedge is re-sorted with the sign of its permutation, a repeated
+    value kills the term, and the d-tuple is re-sorted."""
+    out = {}
+    for idx, coeff in coeffs.items():
+        for k, wedge in enumerate(idx):
+            for slot, value in enumerate(wedge):
+                for (i, j), c in x.entries.items():
+                    if j != value:
+                        continue
+                    values = list(wedge)
+                    values[slot] = i
+                    if len(set(values)) < len(values):
+                        continue
+                    inversions = sum(a > b for p, a in enumerate(values) for b in values[p + 1:])
+                    new_idx = tuple(sorted(idx[:k] + (tuple(sorted(values)),) + idx[k + 1:]))
+                    term = Fraction(coeff) * Fraction(c) * (-1) ** inversions
+                    out[new_idx] = out.get(new_idx, Fraction(0)) + term
+    return {idx: v for idx, v in out.items() if v}
+
+
+def tuple_weight_of(idx: Wedges, size: int) -> Weight:
+    """Coordinate k counts the occurrences of index k across all wedges."""
+    counts = [0] * size
+    for wedge in idx:
+        for value in wedge:
+            counts[value - 1] += 1
+    return Weight(counts)
+
+
+def tuple_matching_count(idx: Wedges) -> int:
+    """The product of the factorials of the run lengths of the sorted tuple."""
+    total, i = 1, 0
+    while i < len(idx):
+        j = i
+        while j < len(idx) and idx[j] == idx[i]:
+            j += 1
+        total *= factorial(j - i)
+        i = j
+    return total
+
+
+def tuple_filtration_bases(m: int, n: int, d: int,
+                           l_max: int) -> list[list[dict[Wedges, int | Fraction]]]:
+    """The canonical reduced bases of levels 0..l_max of the canonical
+    filtration, grown F_(l+1) = F_l + n . (vectors new at level l) with
+    `tuple_act` over the `combinations_with_replacement` columns."""
+    nilpotent = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
+    basis = list(combinations_with_replacement(wedge_basis(m, n), d))
+    column = {idx: k for k, idx in enumerate(basis)}
+    echelon = Echelon(len(basis))
+    new = [{(tuple(range(1, m + 1)),) * d: 1}]
+    levels = []
+    for level in range(l_max + 1):
+        if level:
+            new = [tuple_act(x, vec) for vec in new for x in nilpotent]
+        new = [vec for vec in new if echelon.add({column[idx]: v for idx, v in vec.items()})]
+        levels.append([{basis[c]: v for c, v in row.items()}
+                       for _, row in echelon.canonical_rows()])
+    return levels

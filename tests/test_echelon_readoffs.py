@@ -28,6 +28,7 @@ from vermajet.linalg import SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
+from reference import to_tuple
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -68,7 +69,7 @@ def test_section_space_basis_is_homogeneous(m, n, d):
     degrees = []
     for s in basis:
         ((chain, _),) = s.plucker.items()
-        degrees.append(sum(i > m for wedge in chain for i in wedge))
+        degrees.append(sum(i > m for wedge in to_tuple(chain, m, n) for i in wedge))
         assert {sum(exps) for exps in s.chart.terms} == {degrees[-1]}
     assert degrees == sorted(degrees)
     reference = _section_space_by_fractions(m, n, d)

@@ -121,6 +121,38 @@ def test_annihilator_dims():
     assert annihilator_dim(2, 2, 2, 0) == 0
 
 
+def test_cap_checks_build_no_basis(monkeypatch):
+    """The three checks enforce the ambient cap through `module_dim`: with
+    the basis builders raising (all of them for the two that act on v alone)
+    each returns its desk value and raises the same cap errors in order."""
+    from vermajet import plethysm
+
+    def no_basis(*args):
+        raise AssertionError("the ambient basis was built")
+
+    monkeypatch.setattr(plethysm, "sym_basis", no_basis)
+    monkeypatch.setattr(filtration, "sym_basis", no_basis, raising=False)
+    assert annihilator_dim(1, 1, 3, 1) == 2
+    assert annihilator_dim(1, 5, 3, 3) == 8380
+    monkeypatch.setattr(filtration, "indexed_basis", no_basis)
+    for m, n, d in DESK_CASES:
+        reports = serre_power_check(m, n, d)
+        assert [r.power for r in reports] == [d + 1 if k == m else 1 for k in range(1, m + n)]
+        assert all(r.ok for r in reports)
+        assert char_ideal_generator_check(m, n, d, 1) and char_ideal_generator_check(m, n, d, 2)
+    # (3,3,6) has 177,100 > 20,000 basis indices; dim U_2(sl_6) = 666 > 1.
+    for call in (lambda: annihilator_dim(3, 3, 6, 2, monomial_cap=1),
+                 lambda: serre_power_check(3, 3, 6),
+                 lambda: char_ideal_generator_check(3, 3, 6, 3, monomial_cap=1)):
+        with pytest.raises(SizeCapError) as info:
+            call()
+        assert (info.value.what, info.value.needed) == ("ambient module dimension", 177100)
+    for call in (lambda: annihilator_dim(1, 1, 3, 2, monomial_cap=1),
+                 lambda: char_ideal_generator_check(1, 1, 3, 3, monomial_cap=1)):
+        with pytest.raises(SizeCapError, match="PBW monomial count"):
+            call()
+
+
 def test_annihilator_realizes_rank_nullity():
     for m, n, d, l in [(1, 1, 3, 1), (1, 1, 3, 2), (2, 2, 2, 1), (1, 2, 3, 1)]:
         ctx = build_context(m, n)
@@ -164,7 +196,7 @@ def test_serre_powers_projective():
     # E31 also moves v: a non-simple lowering reaches e3 directly.
     ctx = build_context(1, 2)
     v = highest_weight_vector(1, 2, 1)
-    assert not act(ctx.E(3, 1), v).is_zero
+    assert not act(ctx.E(3, 1), v, 1).is_zero
 
 
 def test_char_ideal_containment():
@@ -253,8 +285,8 @@ def test_levels_are_nested():
 # -- PBW images by prefix recurrence against the row-by-row reference --------
 
 
-def _reference_images(generators, max_degree, start):
-    return [apply_pbw_monomial(generators, exps, start)
+def _reference_images(generators, max_degree, start, m):
+    return [apply_pbw_monomial(generators, exps, start, m)
             for exps in pbw_monomials(len(generators), max_degree)]
 
 
@@ -266,7 +298,7 @@ def test_evaluation_matrix_matches_row_by_row_reference(m, n, d, l, subalgebra):
     ctx = build_context(m, n)
     index_of = {idx: i for i, idx in enumerate(sym_basis(m, n, d))}
     generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
-    images = _reference_images(generators, l, highest_weight_vector(m, n, d))
+    images = _reference_images(generators, l, highest_weight_vector(m, n, d), m)
     reference = SparseMatrix.from_rows([coordinates(v, index_of) for v in images],
                                        cols=len(index_of))
     assert evaluation_matrix(m, n, d, l, subalgebra) == reference
@@ -276,7 +308,7 @@ def test_evaluation_matrix_matches_row_by_row_reference(m, n, d, l, subalgebra):
                                      (1, 3, 2, 3)])
 def test_pbw_filtration_vectors_match_reference(m, n, d, l):
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
-    reference = _reference_images(generators, l, highest_weight_vector(m, n, d))
+    reference = _reference_images(generators, l, highest_weight_vector(m, n, d), m)
     index_of = {idx: i for i, idx in enumerate(sym_basis(m, n, d))}
     reference_rank = rank(SparseMatrix.from_rows(
         [coordinates(v, index_of) for v in reference], cols=len(index_of)))
@@ -290,13 +322,13 @@ def test_pbw_images_of_an_arbitrary_start_match_reference():
     m, n, d = 2, 2, 2
     ctx = build_context(m, n)
     v = highest_weight_vector(m, n, d)
-    start = act(ctx.subalgebra_basis(SubalgebraTag.N)[0], v) + 3 * v
+    start = act(ctx.subalgebra_basis(SubalgebraTag.N)[0], v, m) + 3 * v
     for generators in (list(ctx.basis), ctx.subalgebra_basis(SubalgebraTag.N)):
-        reference = _reference_images(generators, 2, start)
-        got = list(_pbw_images(generators, 2, start))
+        reference = _reference_images(generators, 2, start, m)
+        got = list(_pbw_images(generators, 2, start, m))
         assert got == [(row, image) for row, image in enumerate(reference)
                        if not image.is_zero]
-        assert list(_pbw_images(generators, 2, 0 * start)) == []
+        assert list(_pbw_images(generators, 2, 0 * start, m)) == []
 
 
 @pytest.mark.parametrize("subalgebra", ["all", SubalgebraTag.N])
@@ -305,18 +337,18 @@ def test_pbw_images_act_only_on_nonzero_prefix_images(monkeypatch, subalgebra):
     generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
     v = highest_weight_vector(2, 2, 2)
     steps = [step for degree in (1, 2) for step in prefix_steps(len(generators), degree)]
-    expected = sum(not apply_pbw_monomial(generators, prefix, v).is_zero
+    expected = sum(not apply_pbw_monomial(generators, prefix, v, 2).is_zero
                    for _, _, prefix in steps)
     # over all of g some degree-1 images vanish, so their extensions are pruned
     assert (expected < len(steps)) == (subalgebra == "all")
     calls = []
 
-    def counted(x, vec):
+    def counted(x, vec, m):
         calls.append(x)
-        return act(x, vec)
+        return act(x, vec, m)
 
     monkeypatch.setattr(filtration, "act", counted)
-    list(filtration._pbw_images(generators, 2, v))
+    list(filtration._pbw_images(generators, 2, v, 2))
     assert len(calls) == expected
 
 
@@ -329,7 +361,7 @@ def test_char_ideal_check_matches_reference(m, n, d, l):
         image.is_zero
         for y in ctx.subalgebra_basis(SubalgebraTag.P)
         for image in _reference_images(ctx.basis, l - 1,
-                                       act(y, v) - rho_character(ctx, d, y) * v))
+                                       act(y, v, m) - rho_character(ctx, d, y) * v, m))
     assert char_ideal_generator_check(m, n, d, l) == reference
 
 
@@ -347,7 +379,7 @@ def _multi_filtration_reference(m, n, degrees, l):
         basis = sym_basis(m, n, d)
         index_of = {idx: i + offset for i, idx in enumerate(basis)}
         rows += [coordinates(image, index_of)
-                 for image in _reference_images(ctx.basis, l, highest_weight_vector(m, n, d))
+                 for image in _reference_images(ctx.basis, l, highest_weight_vector(m, n, d), m)
                  if not image.is_zero]
         offset += len(basis)
     return rank(SparseMatrix.from_rows(rows, cols=offset))
@@ -371,7 +403,6 @@ def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
     # F_l is the row span of the PBW evaluation matrix over all of g, built
     # independently by _pbw_images; its rref rows are the canonical basis.
     basis = sym_basis(m, n, d)
-    size = m + n
     result = canonical_filtration(m, n, d, l_max)
     for l, level in enumerate(result.levels):
         reference = rref(evaluation_matrix(m, n, d, l, "all"))
@@ -383,7 +414,7 @@ def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
         # per-weight dimensions: rank of the rows restricted to one weight
         by_weight = {}
         for c, idx in enumerate(basis):
-            by_weight.setdefault(weight_of(idx, size), set()).add(c)
+            by_weight.setdefault(weight_of(idx, m, n), set()).add(c)
         expected = {}
         for weight, cols in by_weight.items():
             restricted = [{c: v for (r, c), v in reference.reduced.entries.items()
@@ -402,19 +433,19 @@ def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch):
     ctx = build_context(m, n)
     basis = sym_basis(m, n, d)
     mixed = PlethysmVector({basis[1]: 1, basis[-1]: 1})
-    assert weight_of(basis[1], m + n) != weight_of(basis[-1], m + n)
+    assert weight_of(basis[1], m, n) != weight_of(basis[-1], m, n)
     # p still acts truly, so the p-eigenvector certificate passes first
-    monkeypatch.setattr(filtration, "act", lambda x, vec: (
-        mixed if ctx.contains(x, SubalgebraTag.N) else act(x, vec)))
+    monkeypatch.setattr(filtration, "act", lambda x, vec, m: (
+        mixed if ctx.contains(x, SubalgebraTag.N) else act(x, vec, m)))
     with pytest.raises(CertificateError, match="mixes weights"):
         canonical_filtration(m, n, d, 1)
 
 
-def _moving_e12(x, vec):
+def _moving_e12(x, vec, m):
     # E_12 lies in p (m = 2) but now also lowers: v is no p-eigenvector
-    image = act(x, vec)
+    image = act(x, vec, m)
     if x.entries == {(1, 2): 1}:
-        image = image + act(build_context(2, 2).E(3, 1), vec)
+        image = image + act(build_context(2, 2).E(3, 1), vec, m)
     return image
 
 
@@ -433,9 +464,9 @@ def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch):
     # elements of p act once on v for the certificate
     calls = []
 
-    def counted(x, vec):
+    def counted(x, vec, m):
         calls.append(x)
-        return act(x, vec)
+        return act(x, vec, m)
 
     monkeypatch.setattr(filtration, "act", counted)
     assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]

@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
 
+from vermajet import filtration
 from vermajet.errors import SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, bracket, build_context, highest_weight, rho_character
-from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector,
-                               module_dim, pair, pairing_vanishes, sym_basis, weight_of)
+from vermajet.plethysm import (PlethysmVector, _matching_count, act, highest_weight_vector,
+                               indexed_basis, module_dim, pair, pairing_vanishes, sym_basis,
+                               wedge_basis, weight_of)
+from vermajet.suite import DESK_CASES
+
+from reference import (to_counts, to_tuple, tuple_act, tuple_filtration_bases,
+                       tuple_matching_count, tuple_weight_of)
 
 
 def test_module_dim_sl2():
@@ -29,26 +35,26 @@ def test_module_dim_cap():
 def test_lowering_on_cubic():
     ctx = build_context(1, 1)
     v = highest_weight_vector(1, 1, 3)
-    expected = PlethysmVector({((1,), (1,), (2,)): 3})
-    assert act(ctx.E(2, 1), v) == expected
+    expected = PlethysmVector({(2, 1): 3})
+    assert act(ctx.E(2, 1), v, 1) == expected
 
 
 def test_raising_kills_highest_weight():
     ctx = build_context(2, 2)
     v = highest_weight_vector(2, 2, 2)
-    assert act(ctx.E(1, 2), v).is_zero
+    assert act(ctx.E(1, 2), v, 2).is_zero
 
 
 def test_wedge_substitution_with_sign():
     ctx = build_context(2, 2)
     v = highest_weight_vector(2, 2, 2)
-    expected = PlethysmVector({((1, 2), (1, 3)): 2})
-    assert act(ctx.E(3, 2), v) == expected
+    expected = PlethysmVector({(1, 1, 0, 0, 0, 0): 2})
+    assert act(ctx.E(3, 2), v, 2) == expected
 
 
 def test_highest_weight_vector_shape():
-    assert highest_weight_vector(1, 1, 3) == PlethysmVector({((1,),) * 3: 1})
-    assert highest_weight_vector(2, 2, 2) == PlethysmVector({((1, 2), (1, 2)): 1})
+    assert highest_weight_vector(1, 1, 3) == PlethysmVector({(3, 0): 1})
+    assert highest_weight_vector(2, 2, 2) == PlethysmVector({(2, 0, 0, 0, 0, 0): 1})
 
 
 def test_weight_of_v_is_highest():
@@ -56,17 +62,17 @@ def test_weight_of_v_is_highest():
         ctx = build_context(m, n)
         v = highest_weight_vector(m, n, d)
         (idx,) = v.coeffs
-        assert weight_of(idx, ctx.size) == highest_weight(ctx, d)
+        assert weight_of(idx, m, n) == highest_weight(ctx, d)
 
 
 def test_weight_of_examples():
-    assert weight_of(((1,), (1,), (1,)), 2) == Weight((3, 0))
-    assert weight_of(((1, 2), (1, 3)), 4) == Weight((2, 1, 1, 0))
+    assert weight_of((3, 0), 1, 1) == Weight((3, 0))
+    assert weight_of((1, 1, 0, 0, 0, 0), 2, 2) == Weight((2, 1, 1, 0))
 
 
 def test_weight_coordinate_sum():
     for idx in sym_basis(2, 2, 2):
-        assert sum(weight_of(idx, 4).coords) == 2 * 2
+        assert sum(weight_of(idx, 2, 2).coords) == 2 * 2
 
 
 def _random_vector(rng, basis, size=4):
@@ -82,8 +88,8 @@ def test_action_is_a_lie_action_sl2():
         w = _random_vector(rng, basis)
         for x in ctx.basis:
             for y in ctx.basis:
-                lhs = act(bracket(x, y), w)
-                rhs = act(x, act(y, w)) - act(y, act(x, w))
+                lhs = act(bracket(x, y), w, 1)
+                rhs = act(x, act(y, w, 1), 1) - act(y, act(x, w, 1), 1)
                 assert lhs == rhs
 
 
@@ -95,7 +101,7 @@ def test_action_is_a_lie_action_sl4_sampled():
         w = _random_vector(rng, basis)
         x = rng.choice(ctx.basis)
         y = rng.choice(ctx.basis)
-        assert act(bracket(x, y), w) == act(x, act(y, w)) - act(y, act(x, w))
+        assert act(bracket(x, y), w, 2) == act(x, act(y, w, 2), 2) - act(y, act(x, w, 2), 2)
 
 
 def test_cartan_and_raising_on_highest_weight():
@@ -104,11 +110,11 @@ def test_cartan_and_raising_on_highest_weight():
         v = highest_weight_vector(m, n, d)
         lam = highest_weight(ctx, d)
         for x in ctx.subalgebra_basis(SubalgebraTag.G_PLUS):
-            assert act(x, v).is_zero
+            assert act(x, v, m).is_zero
         for k in range(1, ctx.size):
             h = ctx.H(k)
             value = lam.coords[k - 1] - lam.coords[k]
-            assert act(h, v) == value * v
+            assert act(h, v, m) == value * v
 
 
 def test_parabolic_stabilizes_the_line():
@@ -116,66 +122,49 @@ def test_parabolic_stabilizes_the_line():
     d = 2
     v = highest_weight_vector(2, 2, d)
     for y in ctx.subalgebra_basis(SubalgebraTag.P):
-        assert act(y, v) == rho_character(ctx, d, y) * v
+        assert act(y, v, 2) == rho_character(ctx, d, y) * v
 
 
 def test_action_shifts_weights_by_roots():
     ctx = build_context(2, 2)
     basis = sym_basis(2, 2, 2)
     for idx in basis[:8]:
-        w = weight_of(idx, ctx.size)
+        w = weight_of(idx, 2, 2)
         for i in range(1, ctx.size + 1):
             for j in range(1, ctx.size + 1):
                 if i == j:
                     continue
-                image = act(ctx.E(i, j), PlethysmVector({idx: 1}))
+                image = act(ctx.E(i, j), PlethysmVector({idx: 1}), 2)
                 shift = [0] * ctx.size
                 shift[i - 1] += 1
                 shift[j - 1] -= 1
                 for out_idx in image.coeffs:
-                    assert weight_of(out_idx, ctx.size) == w + Weight(shift)
+                    assert weight_of(out_idx, 2, 2) == w + Weight(shift)
 
 
 def test_pair_dual_monomials():
     d = 3
     v = highest_weight_vector(1, 1, d)
-    section = {((1,),) * d: Fraction(1)}
+    section = {(d, 0): Fraction(1)}
     assert pair(v, section) == factorial(d)
 
 
 def test_pair_disjoint_supports():
     d = 3
     v = highest_weight_vector(1, 1, d)
-    section = {((2,),) * d: Fraction(1)}
+    section = {(0, d): Fraction(1)}
     assert pair(v, section) == 0
 
 
 def test_pair_degree_mismatch():
     v = highest_weight_vector(1, 1, 3)
     with pytest.raises(ValueError):
-        pair(v, {((1,), (1,)): Fraction(1)})
-
-
-def _reference_act(x, coeffs):
-    # The derivation action over Fraction only: E_ij sends wedge slot value j
-    # to i, the wedge is re-sorted with the sign of its permutation, and a
-    # repeated value kills the term.
-    out = {}
-    for idx, coeff in coeffs.items():
-        for k, wedge in enumerate(idx):
-            for slot, value in enumerate(wedge):
-                for (i, j), c in x.entries.items():
-                    if j != value:
-                        continue
-                    values = list(wedge)
-                    values[slot] = i
-                    if len(set(values)) < len(values):
-                        continue
-                    inversions = sum(a > b for p, a in enumerate(values) for b in values[p + 1:])
-                    new_idx = tuple(sorted(idx[:k] + (tuple(sorted(values)),) + idx[k + 1:]))
-                    term = Fraction(coeff) * Fraction(c) * (-1) ** inversions
-                    out[new_idx] = out.get(new_idx, Fraction(0)) + term
-    return {idx: v for idx, v in out.items() if v}
+        pair(v, {(2, 0): Fraction(1)})
+    # Exponent vectors of one length (the wedge count) and different degrees.
+    w = highest_weight_vector(2, 2, 2)
+    for section in ({(1, 0, 0, 0, 0, 0): 1}, {(0, 1, 0, 0, 2, 0): 1}):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            pair(w, section)
 
 
 def _in_canonical_form(coeffs):
@@ -183,7 +172,14 @@ def _in_canonical_form(coeffs):
                for v in coeffs.values())
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 1, 3), (1, 2, 2), (2, 1, 3), (2, 2, 2)])
+ORACLE_CASES = [(1, 1, 3), (1, 2, 2), (2, 1, 3), (2, 2, 2), (2, 3, 2)]
+
+
+def _through_tuples(coeffs, m, n):
+    return {to_tuple(idx, m, n): v for idx, v in coeffs.items()}
+
+
+@pytest.mark.parametrize("m,n,d", ORACLE_CASES)
 def test_act_matches_fraction_reference(m, n, d):
     rng = random.Random(m * 100 + n * 10 + d)
     ctx = build_context(m, n)
@@ -196,16 +192,47 @@ def test_act_matches_fraction_reference(m, n, d):
     for w in vectors:
         assert _in_canonical_form(w.coeffs)
         integral = all(type(v) is int for v in w.coeffs.values())
+        tuples = _through_tuples(w.coeffs, m, n)
         for x in ctx.basis:
             assert all(type(v) is int for v in x.entries.values())
-            image = act(x, w)
-            assert image.coeffs == _reference_act(x, w.coeffs)
+            image = act(x, w, m)
+            assert _through_tuples(image.coeffs, m, n) == tuple_act(x, tuples)
             assert _in_canonical_form(image.coeffs)
             if integral:  # integer in, integer out
                 assert all(type(v) is int for v in image.coeffs.values())
             scaled = Fraction(3, 2) * x
-            assert act(scaled, w).coeffs == _reference_act(scaled, w.coeffs)
-            assert _in_canonical_form(act(scaled, w).coeffs)
+            image = act(scaled, w, m)
+            assert _through_tuples(image.coeffs, m, n) == tuple_act(scaled, tuples)
+            assert _in_canonical_form(image.coeffs)
+
+
+@pytest.mark.parametrize("m,n,d", ORACLE_CASES)
+def test_weights_and_matching_counts_match_the_tuple_oracle(m, n, d):
+    rng = random.Random(m * 1000 + n * 100 + d)
+    basis = sym_basis(m, n, d)
+    for idx in rng.sample(basis, min(40, len(basis))):
+        wedges = to_tuple(idx, m, n)
+        assert to_counts(wedges, m, n) == idx and sum(idx) == d
+        assert weight_of(idx, m, n).coords == tuple_weight_of(wedges, m + n).coords
+        assert _matching_count(idx) == tuple_matching_count(wedges)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 1, 3), (2, 2, 3), (1, 3, 2), (3, 1, 2), (2, 3, 3)])
+def test_column_order_is_the_sorted_wedge_tuples_in_lex_order(m, n, d):
+    basis, index = indexed_basis(m, n, d)
+    tuples = list(combinations_with_replacement(wedge_basis(m, n), d))
+    assert [to_tuple(idx, m, n) for idx in basis] == tuples
+    assert index == {idx: k for k, idx in enumerate(basis)}
+    assert sym_basis(m, n, d) is basis and len(basis) == module_dim(m, n, d)
+
+
+@pytest.mark.parametrize("m,n,d,l_max", [(m, n, d, min(d, 3)) for m, n, d in DESK_CASES]
+                         + [(2, 2, 4, 3), (2, 3, 3, 2), (3, 3, 2, 1)])
+def test_canonical_bases_match_the_tuple_oracle(m, n, d, l_max):
+    levels = filtration.canonical_filtration(m, n, d, l_max).levels
+    oracle = tuple_filtration_bases(m, n, d, l_max)
+    assert [[_through_tuples(vec.coeffs, m, n) for vec in level.basis] for level in levels] \
+        == oracle
 
 
 def test_vector_arithmetic_keeps_canonical_form():
