@@ -8,7 +8,7 @@ from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   simple_roots)
 from .linalg import SparseMatrix, kernel_basis, rank, rref, span_dim
 from .plethysm import (PlethysmVector, act, highest_weight_vector, module_dim,
-                       pair, sym_basis, weight_of)
+                       sym_basis, weight_of)
 from .filtration import (annihilator_dim, canonical_filtration,
                          char_ideal_generator_check, evaluation_matrix,
                          multi_filtration, pbw_filtration, serre_power_check,
@@ -27,7 +27,7 @@ __all__ = [
     "LieAlgebraContext", "LieElement", "SubalgebraTag", "Weight",
     "bracket", "build_context", "highest_weight", "rho_character", "simple_roots",
     "SparseMatrix", "kernel_basis", "rank", "rref", "span_dim",
-    "PlethysmVector", "act", "highest_weight_vector", "module_dim", "pair",
+    "PlethysmVector", "act", "highest_weight_vector", "module_dim",
     "sym_basis", "weight_of",
     "annihilator_dim", "canonical_filtration", "char_ideal_generator_check",
     "evaluation_matrix", "multi_filtration", "pbw_filtration",

@@ -42,9 +42,10 @@ through one generator of a codimension-l ideal says nothing about the locus.
 for the life of the process, keyed by all their arguments (d, cap) and
 (d, l, cap); a call that fails a check is not stored.  Both return the
 shared `Eliminant` objects, so callers treat them as read-only; a list of
-generators is a new list on every call.  The parametrization's gradients
-are memoized by (d, l) and shared read-only too.  Sampled values are
-canonical, so integer sample points give both Jacobian checks `int` rows.
+generators is a new list on every call.  The parametrization's Jacobian
+rows are read off its closed form at each sample, so no polynomial in
+(b, c) is formed anywhere.  Sampled values are canonical, so integer
+sample points give both Jacobian checks `int` rows.
 """
 
 from __future__ import annotations
@@ -153,24 +154,6 @@ def _bezout_matrix(d: int) -> list[list[Poly]]:
     return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
                   for v in range(min(i, j) + 1)), zero)
              for j in range(d)] for i in range(d)]
-
-
-def _incidence_parametrization(d: int, l: int) -> list[Poly]:
-    """Coefficients of (x0 - b*x1)^(l+1) * g as polynomials in (b, c_0..c_e),
-    where g = sum c_k x0^(e-k) x1^k and e = d - l - 1."""
-    e = d - l - 1
-    nvars = 1 + (e + 1)
-    b = Poly.variable(nvars, 0)
-    c = [Poly.variable(nvars, 1 + k) for k in range(e + 1)]
-    out = []
-    for r in range(d + 1):
-        total = Poly.zero(nvars)
-        for j in range(l + 2):
-            k = r - j
-            if 0 <= k <= e:
-                total = total + comb(l + 1, j) * ((-1) ** j) * (b ** j) * c[k]
-        out.append(total)
-    return out
 
 
 def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fraction]) -> BinaryForm:
@@ -296,15 +279,6 @@ def _sample_point(d: int, l: int, rng: random.Random) -> tuple[int, list[int]]:
     return b, g
 
 
-def _jacobian_rank(gradients: Sequence[Sequence[Poly]],
-                   point: Sequence[int | Fraction]) -> int:
-    """Exact rank of the Jacobian whose rows are the gradients at the point."""
-    jacobian = Echelon(len(point))
-    for gradient in gradients:
-        jacobian.add({j: partial.evaluate(point) for j, partial in enumerate(gradient)})
-    return jacobian.rank
-
-
 def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     """The generators' Jacobian reaches rank l at three generic points of the
     parametrization, so they cut the locus to the expected codimension.
@@ -316,7 +290,10 @@ def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     successes = 0
     for _ in range(60):
         point = parametrized_form(d, l, *_sample_point(d, l, rng)).coeffs
-        if _jacobian_rank(gradients, point) == l:
+        jacobian = Echelon(d + 1)
+        for gradient in gradients:
+            jacobian.add({j: partial.evaluate(point) for j, partial in enumerate(gradient)})
+        if jacobian.rank == l:
             successes += 1
             if successes == 3:
                 return True
@@ -369,17 +346,12 @@ def eliminant_generators(d: int, l: int, cap: int = DEFAULT_DEGREE_CAP) -> list[
 # -- incidence parametrization: exact Jacobian ranks -----------------------
 
 
-@lru_cache(maxsize=None)
-def _parametrization_gradients(d: int, l: int) -> tuple[tuple[Poly, ...], ...]:
-    """The gradient in (b, c_0..c_e) of each parametrization coefficient;
-    shared, so callers treat it as read-only."""
-    polys = _incidence_parametrization(d, l)
-    return tuple(tuple(p.derivative(v) for v in range(p.nvars)) for p in polys)
-
-
 def parametrization_jacobian_rank(d: int, l: int,
                                   sample: tuple[int | Fraction, Sequence[int | Fraction]]) -> int:
-    """Exact rank of the Jacobian of the parametrization at a sample point."""
+    """Exact rank of the Jacobian of the parametrization at a sample point:
+    coefficient r is sum_j C(l+1, j) (-b)^j c_(r-j), so row r is read off
+    as sum_j -j C(l+1, j) (-b)^(j-1) c_(r-j) at b and C(l+1, j) (-b)^j at
+    c_(r-j)."""
     b, g = sample
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
@@ -387,7 +359,15 @@ def parametrization_jacobian_rank(d: int, l: int,
         raise ValueError(f"cofactor needs {d - l} coefficients")
     if not g[0]:
         raise ValueError("degenerate sample: cofactor has zero leading coefficient")
-    return _jacobian_rank(_parametrization_gradients(d, l), [b, *g])
+    b, g = canonical(b), [canonical(v) for v in g]
+    binomial = [comb(l + 1, j) * (-b) ** j for j in range(l + 2)]
+    slope = [-j * comb(l + 1, j) * (-b) ** (j - 1) for j in range(1, l + 2)]
+    jacobian = Echelon(d - l + 1)
+    for r in range(d + 1):
+        ks = range(max(0, r - l - 1), min(r, d - l - 1) + 1)
+        jacobian.add({0: sum(slope[r - k - 1] * g[k] for k in ks if k < r),
+                      **{1 + k: binomial[r - k] for k in ks}})
+    return jacobian.rank
 
 
 def sample_jacobian_ranks(d: int, l: int, count: int,

@@ -30,12 +30,10 @@ rank of `taylor_matrix` is its count of nonzero rows.
 
 `level_duality` checks the filtration/jet duality on a level of a canonical
 filtration the caller has grown, so one filtration serves every level;
-`duality_check(m, n, d, l)` grows level l and calls it.  The pairing of the
-level basis with the vanishing-jet sections is one sparse integer product
-(`plethysm.pairing_vanishes`): the sections' Plücker coordinates and the
-level vectors are scaled to primitive integers, which moves no zero, and
-the matching-count weights are folded in once per index; `plethysm.pair`
-stays as the all-pairs reference.
+`duality_check(m, n, d, l)` grows level l and calls it.  Each basis section
+is the one Plücker monomial of its chain, so the level pairs to zero with
+the vanishing-jet sections exactly when no level vector has a coordinate at
+one of their chains; the all-pairs pairing is the test reference.
 
 Memoized for the life of the process: the chart minor behind
 `plucker_polynomial`, keyed by (sorted rows, m, n); the argument check and
@@ -71,8 +69,7 @@ from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
-from .plethysm import (DEFAULT_AMBIENT_CAP, SymIndex, module_dim, pairing_vanishes, sym_basis,
-                       wedge_basis)
+from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, sym_basis, wedge_basis
 from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, _unpack, det,
                           graded_monomials)
 
@@ -306,12 +303,17 @@ def level_duality(m: int, n: int, d: int, level: FiltrationLevel,
                   cap: int) -> DualityReport:
     """Level l, 1 <= l < d, of the canonical filtration of degree d and the
     space of l-jets have equal dimension, and every vector of the level
-    pairs to zero with every vanishing-jet section."""
+    pairs to zero with every vanishing-jet section.  A vector u pairs with a
+    section s to the sum of u[idx] * s[idx] * prod e_w! (the matching count,
+    >= 1) over their common indices; a basis section is {chain: 1}, built so
+    in `section_space`, so the pairing is zero exactly when u has no
+    coordinate at the chain."""
     l = level.level
     rank = taylor_rank(m, n, d, l, cap)
     vanishing, _ = kernel_sections(m, n, d, l, cap)
+    chains = {chain for s in vanishing for chain in s.plucker}
     return DualityReport(level.dim, rank, level.dim == rank,
-                         pairing_vanishes(level.basis, vanishing))
+                         all(chains.isdisjoint(u.coeffs) for u in level.basis))
 
 
 def duality_check(m: int, n: int, d: int, l: int,

@@ -18,7 +18,8 @@ A Lie algebra element acts as a derivation across the d symmetric factors
 and, inside each factor, as a derivation across the m wedge slots; a
 substituted wedge slot is re-sorted and the sign of the sorting permutation
 is applied (a repeated index kills the term).  The e copies of a wedge give
-one term, so `act` moves one copy and scales by e.
+one term, so `act` moves one copy and scales by e.  No pairing with sections
+is defined: `jets.level_duality` reads it off the supports.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
-from typing import Mapping, Sequence
+from math import comb
+from typing import Mapping
 
 from .errors import SizeCapError
 from .lie import LieElement, Weight
-from .linalg import canonical, canonical_values, primitive_integers
+from .linalg import canonical, canonical_values
 from .polynomials import degree_monomials
 
 Wedge = tuple[int, ...]
@@ -174,75 +175,6 @@ def weight_of(idx: SymIndex, m: int, n: int) -> Weight:
         for value in wedge:
             counts[value - 1] += e
     return Weight(counts)
-
-
-def _matching_count(idx: SymIndex) -> int:
-    """The number of bijections matching the multiset with itself, prod e_w!."""
-    return prod(factorial(e) for e in idx if e > 1)
-
-
-def pair(functional: PlethysmVector, section) -> int | Fraction:
-    """Canonical pairing of a module vector with a section.
-
-    The section may be anything carrying Plücker-monomial coordinates: a
-    mapping from symmetric basis indices to rationals, or an object with a
-    ``plucker`` attribute holding one.  Both sides must have the same
-    symmetric degree.  The normalization is factorial-free, so only
-    vanishing statements are meaningful.
-    """
-    coords = getattr(section, "plucker", section)
-    if type(coords) is not dict and not isinstance(coords, Mapping):
-        raise TypeError("section must provide Plücker-monomial coordinates")
-    deg_left = {sum(idx) for idx in functional.coeffs}
-    deg_right = {sum(idx) for idx in coords}
-    if len(deg_left) > 1 or len(deg_right) > 1:
-        raise ValueError("inhomogeneous degree on one side of the pairing")
-    if deg_left and deg_right and deg_left != deg_right:
-        raise ValueError("degree mismatch in pairing")
-    total = 0
-    small, large = (functional.coeffs, coords) if len(functional.coeffs) <= len(coords) \
-        else (coords, functional.coeffs)
-    for idx, c in small.items():
-        other = large.get(idx)
-        if other:
-            total += c * other * _matching_count(idx)
-    return total
-
-
-def pairing_vanishes(functionals: Sequence[PlethysmVector], sections: Sequence) -> bool:
-    """Whether every functional pairs to zero with every section, the
-    sections given as for `pair`.
-
-    One sparse integer product replaces the all-pairs `pair` loop: each
-    section's Plücker coordinates are scaled to primitive integers once (one
-    entry to [1]) and weighted by `_matching_count` once per index, and each
-    functional, scaled to primitive integers on the indices some section
-    carries, accumulates its pairings with every section into one dict.
-    Scaling a functional or a section by a nonzero rational moves no zero,
-    so the answer is exactly that of `pair`.  When every section has one
-    entry each pairing is one product, which a weight >= 1 cannot zero.
-    """
-    columns: dict[SymIndex, list[tuple[int, int]]] = {}
-    for j, section in enumerate(sections):
-        coords = getattr(section, "plucker", section)
-        values = list(coords.values())
-        scaled = [1] if len(values) == 1 and values[0] else primitive_integers(values, 0)
-        for idx, v in zip(coords, scaled):
-            columns.setdefault(idx, []).append((j, v))
-    if any(len(getattr(section, "plucker", section)) != 1 for section in sections):
-        for idx, column in columns.items():
-            weight = _matching_count(idx)
-            if weight != 1:
-                column[:] = [(j, v * weight) for j, v in column]
-    for functional in functionals:
-        keys = [idx for idx in functional.coeffs if idx in columns]
-        acc: dict[int, int] = {}
-        for idx, c in zip(keys, primitive_integers([functional.coeffs[k] for k in keys], 0)):
-            for j, v in columns[idx]:
-                acc[j] = acc.get(j, 0) + c * v
-        if any(acc.values()):
-            return False
-    return True
 
 
 def coordinates(w: PlethysmVector, index_of: Mapping[SymIndex, int]) -> dict[int, int | Fraction]:

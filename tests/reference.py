@@ -1,9 +1,19 @@
 """Oracles kept out of `src/`.
 
+The incidence parametrization (b, g) -> (x0 - b*x1)^(l+1) * g as polynomials
+in (b, c_0..c_e): the oracle of `discriminant.parametrized_form`, of the
+closed-form rows of `discriminant.parametrization_jacobian_rank` (through
+its gradients) and, below, of the kernel pieces.
+
+The all-pairs pairing of module vectors with Plücker monomial sections, the
+oracle of `jets.level_duality`: `pair` sums u[idx] * s[idx] over the common
+indices, each weighted by `matching_count`, the prod e_w! bijections of the
+multiset with itself.  The normalization is factorial-free, so only its
+zeros are meaningful.
+
 The pullback route to the eliminant kernel pieces, the oracle of
 `discriminant._kernel_piece`.  Each degree-k a-monomial is pulled back along
-the incidence parametrization (b, g) -> (x0 - b*x1)^(l+1) * g to an integer
-polynomial in (b, c), grown from the degree-(k-1) pullbacks; the coefficient
+`incidence_parametrization` to an integer polynomial in (b, c), grown from the degree-(k-1) pullbacks; the coefficient
 of each (b, c)-monomial is one equation, and the kernel of the equations is
 the piece.  Only the upper weight half 2w >= kd is pulled back and
 eliminated; the lower half is that kernel's mirror a_r -> a_(d-r), put in
@@ -21,15 +31,65 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Mapping, Sequence
 
-from vermajet.discriminant import _incidence_parametrization, _weight
+from vermajet.discriminant import _weight
 from vermajet.lie import LieElement, SubalgebraTag, Weight, build_context
 from vermajet.linalg import Echelon
-from vermajet.plethysm import wedge_basis
+from vermajet.plethysm import PlethysmVector, wedge_basis
 from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product,
                                   degree_monomials, integer_primitive, prefix_steps)
+
+
+def incidence_parametrization(d: int, l: int) -> list[Poly]:
+    """Coefficients of (x0 - b*x1)^(l+1) * g as polynomials in (b, c_0..c_e),
+    where g = sum c_k x0^(e-k) x1^k and e = d - l - 1."""
+    e = d - l - 1
+    nvars = 1 + (e + 1)
+    b = Poly.variable(nvars, 0)
+    c = [Poly.variable(nvars, 1 + k) for k in range(e + 1)]
+    out = []
+    for r in range(d + 1):
+        total = Poly.zero(nvars)
+        for j in range(l + 2):
+            k = r - j
+            if 0 <= k <= e:
+                total = total + comb(l + 1, j) * ((-1) ** j) * (b ** j) * c[k]
+        out.append(total)
+    return out
+
+
+def matching_count(idx: Sequence[int]) -> int:
+    """The number of bijections matching the multiset with itself, prod e_w!."""
+    return prod(factorial(e) for e in idx if e > 1)
+
+
+def pair(functional: PlethysmVector, section) -> int | Fraction:
+    """Canonical pairing of a module vector with a section.
+
+    The section may be anything carrying Plücker-monomial coordinates: a
+    mapping from symmetric basis indices to rationals, or an object with a
+    ``plucker`` attribute holding one.  Both sides must have the same
+    symmetric degree.
+    """
+    coords = getattr(section, "plucker", section)
+    if type(coords) is not dict and not isinstance(coords, Mapping):
+        raise TypeError("section must provide Plücker-monomial coordinates")
+    deg_left = {sum(idx) for idx in functional.coeffs}
+    deg_right = {sum(idx) for idx in coords}
+    if len(deg_left) > 1 or len(deg_right) > 1:
+        raise ValueError("inhomogeneous degree on one side of the pairing")
+    if deg_left and deg_right and deg_left != deg_right:
+        raise ValueError("degree mismatch in pairing")
+    total = 0
+    small, large = (functional.coeffs, coords) if len(functional.coeffs) <= len(coords) \
+        else (coords, functional.coeffs)
+    for idx, c in small.items():
+        other = large.get(idx)
+        if other:
+            total += c * other * matching_count(idx)
+    return total
 
 
 def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int,
@@ -60,7 +120,7 @@ def pullbacks_by_degree(d: int, l: int,
     prefix drops the smallest index, at most w/k, so it keeps 2w' >= (k-1)d."""
     width = pullback_width(max_degree, l)
     yield from graded_pullbacks([_pack_terms(p.terms, width)
-                                 for p in _incidence_parametrization(d, l)], max_degree,
+                                 for p in incidence_parametrization(d, l)], max_degree,
                                 lambda exps: 2 * _weight(exps) >= d * sum(exps))
 
 

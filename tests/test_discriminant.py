@@ -5,10 +5,9 @@ import pytest
 
 from vermajet import discriminant
 from vermajet.errors import SizeCapError
-from vermajet.linalg import SparseMatrix, kernel_basis, primitive_integers, span_dim
+from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, span_dim
 from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
 from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
-                                   _incidence_parametrization,
                                    _uni_from_poly, _uni_irreducible_q,
                                    classical_discriminant_oracle,
                                    eliminant_generators, graded_relations,
@@ -18,6 +17,8 @@ from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
                                    parametrized_form,
                                    sample_jacobian_ranks,
                                    samples_satisfy_generators)
+
+from reference import incidence_parametrization
 
 
 def _a_poly(d, terms):
@@ -185,18 +186,41 @@ def test_jacobian_rank_sampling():
         assert ranks == [d - l + 1] * 5
 
 
-def test_jacobian_sampling_builds_the_parametrization_once(monkeypatch):
-    calls = []
-    build = discriminant._incidence_parametrization
+def _cofactor_points(d, l, rng):
+    """Integer and Fraction points (b, g) with g[0] != 0: random ones, and
+    ones with g divisible by (x0 - b*x1), where the rank drops."""
+    e = d - l - 1
+    for _ in range(12):
+        b = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+        g = [rng.randint(-3, 3) for _ in range(e + 1)]
+        g[0] = g[0] or 1
+        yield b, g
+        if e:  # g = (x0 - b*x1) * h, h[0] != 0
+            h = [rng.randint(-3, 3) for _ in range(e)]
+            h[0] = h[0] or 1
+            yield b, [(h[k] if k < e else 0) - (b * h[k - 1] if k else 0) for k in range(e + 1)]
 
-    def counted(d, l):
-        calls.append((d, l))
-        return build(d, l)
 
-    monkeypatch.setattr(discriminant, "_incidence_parametrization", counted)
-    discriminant._parametrization_gradients.cache_clear()
-    assert sample_jacobian_ranks(6, 2, 5, random.Random(17)) == [5] * 5
-    assert calls == [(6, 2)]
+def test_jacobian_closed_form_matches_the_gradients_and_the_root_rule():
+    """The rank is that of the reference gradients, and it is d - l + 1
+    exactly when (x0 - b*x1) does not divide g, that is when
+    g(b, 1) = sum_k c_k b^(e-k) is not zero, and d - l otherwise."""
+    rng = random.Random(25)
+    deficient = 0
+    for d in range(2, 8):
+        for l in range(1, d):
+            gradients = [[p.derivative(v) for v in range(p.nvars)]
+                         for p in incidence_parametrization(d, l)]
+            for b, g in _cofactor_points(d, l, rng):
+                reference = Echelon(d - l + 1)
+                for gradient in gradients:
+                    reference.add({j: partial.evaluate([b, *g])
+                                   for j, partial in enumerate(gradient)})
+                at_root = sum(c * b ** (len(g) - 1 - k) for k, c in enumerate(g)) == 0
+                rank = parametrization_jacobian_rank(d, l, (b, g))
+                assert rank == reference.rank == d - l + 1 - at_root
+                deficient += at_root
+    assert deficient > 50
 
 
 def test_jacobian_rejects_degenerate_cofactor():
@@ -345,7 +369,7 @@ def test_memoized_eliminants_are_isolated_from_callers():
 def _reference_graded_relations(d, l, degree):
     """Kernel of the pullback matrix, each pullback a product of powers of
     the parametrization polynomials, ranked as one SparseMatrix."""
-    params = _incidence_parametrization(d, l)
+    params = incidence_parametrization(d, l)
     a_monomials = sorted(degree_monomials(degree, d + 1))
     columns = {}
     rows = []

@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from vermajet import filtration, jets, linalg
-from vermajet.discriminant import (_incidence_parametrization,
-                                   irreducibility_witness, parametrized_form)
+from vermajet.discriminant import irreducibility_witness, parametrized_form
 from vermajet.filtration import (annihilator_dim, evaluation_matrix,
                                  verma_split_check)
 from vermajet.lie import SubalgebraTag, build_context
@@ -28,7 +27,7 @@ from vermajet.linalg import SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
-from reference import to_tuple
+from reference import incidence_parametrization, to_tuple
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -116,7 +115,7 @@ def test_parametrized_form_matches_incidence_parametrization():
         d = rng.randint(2, 7)
         l = rng.randint(1, d - 1)
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d - l + 1)]
-        expected = tuple(p.evaluate(point) for p in _incidence_parametrization(d, l))
+        expected = tuple(p.evaluate(point) for p in incidence_parametrization(d, l))
         assert parametrized_form(d, l, point[0], point[1:]).coeffs == expected
 
 

@@ -12,12 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from reference import (graded_pullbacks, pullback_kernel_piece, pullback_pieces,
-                       pullback_width, pullbacks_by_degree)
+from reference import (graded_pullbacks, incidence_parametrization, pullback_kernel_piece,
+                       pullback_pieces, pullback_width, pullbacks_by_degree)
 from test_discriminant import _closed_under_mirror, _reference_graded_relations
 from vermajet import discriminant
-from vermajet.discriminant import (_generators_cut_codimension, _incidence_parametrization,
-                                   _kernel_piece, _weight, classical_discriminant_oracle,
+from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece, _weight, classical_discriminant_oracle,
                                    eliminant_generators, graded_relations)
 from vermajet.linalg import Echelon
 from vermajet.polynomials import Poly, _pack_terms, _unpack, degree_monomials, prefix_steps
@@ -50,7 +49,7 @@ def test_kept_monomials_hold_their_prefixes():
 
 @pytest.mark.parametrize("d,l", [(5, 2), (6, 2), (6, 3)])
 def test_packed_pullbacks_unpack_to_parametrization_products(d, l):
-    params = _incidence_parametrization(d, l)
+    params = incidence_parametrization(d, l)
     nvars = params[0].nvars
     width = pullback_width(5, l)
     for degree, pullbacks in zip(range(1, 6), pullbacks_by_degree(d, l, 5)):
@@ -92,7 +91,7 @@ def test_swept_pieces_equal_the_pullback_oracle(d, l, max_degree):
 def _vanishes_on_the_parametrization(piece, d, l):
     """Every F in the piece composed with the parametrization coefficients is
     the zero polynomial in (b, c), by `Poly` products of the coefficients."""
-    params = _incidence_parametrization(d, l)
+    params = incidence_parametrization(d, l)
     nvars = params[0].nvars
     pullbacks = {}
     for p in piece:
@@ -133,7 +132,7 @@ def _kernel(rows, cols):
 
 
 def test_equation_kernel_is_independent_of_row_order():
-    images = [_pack_terms(p.terms, pullback_width(5, 2)) for p in _incidence_parametrization(6, 2)]
+    images = [_pack_terms(p.terms, pullback_width(5, 2)) for p in incidence_parametrization(6, 2)]
     pullbacks = next(islice(graded_pullbacks(images, 5), 4, None))  # all of degree 5
     rows = _equation_rows(pullbacks)
     cols = len(pullbacks)

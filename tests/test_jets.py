@@ -6,8 +6,7 @@ import pytest
 from vermajet.filtration import canonical_filtration, evaluation_matrix, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
-from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, pair,
-                               pairing_vanishes, sym_basis)
+from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, sym_basis, wedge_basis
 from vermajet.polynomials import Poly
 from vermajet import jets
 from vermajet.jets import (chart_homogeneity_check, chart_variables,
@@ -17,7 +16,7 @@ from vermajet.jets import (chart_homogeneity_check, chart_variables,
                            section_space, taylor_matrix)
 from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
-from reference import to_tuple
+from reference import pair, to_tuple
 
 
 def _t(m, n, i, j):
@@ -335,8 +334,30 @@ def test_level_duality_equals_duality_check(m, n, d):
         assert report == duality_check(m, n, d, l)
 
 
+@pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
+def test_sections_carry_one_plucker_coordinate_equal_to_one(m, n, d):
+    # The support check of `level_duality` reads the pairing off this.
+    chains = []
+    for section in section_space(m, n, d):
+        ((chain, one),) = section.plucker.items()
+        assert type(one) is int and one == 1 and sum(chain) == d
+        chains.append(chain)
+    assert len(set(chains)) == len(chains)
+    for k, wedge in enumerate(wedge_basis(m, n)):
+        ((unit, one),) = plucker_polynomial(wedge, m, n).plucker.items()
+        assert type(one) is int and one == 1
+        assert unit == tuple(int(j == k) for j in range(len(unit)))
+
+
+def _support_check(m, n, d, level, sections, monkeypatch):
+    """`level_duality`'s verdict with `sections` as the vanishing-jet sections."""
+    with monkeypatch.context() as patch:
+        patch.setattr(jets, "kernel_sections", lambda *args: (sections, len(sections)))
+        return level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes
+
+
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
-def test_integer_pairing_equals_all_pairs_reference(m, n, d):
+def test_integer_pairing_equals_all_pairs_reference(m, n, d, monkeypatch):
     grown = canonical_filtration(m, n, d, d - 1)
     basis = section_space(m, n, d)
     for l in range(1, d):
@@ -344,12 +365,15 @@ def test_integer_pairing_equals_all_pairs_reference(m, n, d):
         # Level l against the sections whose l-jet vanishes: the duality.
         vanishing, _ = kernel_sections(m, n, d, l)
         assert all(pair(u, s) == 0 for u in level.basis for s in vanishing)
-        assert pairing_vanishes(level.basis, vanishing) is True
         assert level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
         # Against the sections whose (l-1)-jet vanishes some pairing is not zero.
         wider = [s for s in basis if s.chart.truncate(l - 1).is_zero]
         assert not all(pair(u, s) == 0 for u in level.basis for s in wider)
-        assert pairing_vanishes(level.basis, wider) is False
+        assert _support_check(m, n, d, level, wider, monkeypatch) is False
+        # Section by section, the support check is the all-pairs pairing.
+        for s in basis:
+            assert _support_check(m, n, d, level, [s], monkeypatch) \
+                is all(pair(u, s) == 0 for u in level.basis)
 
 
 def _as_data(basis):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vermajet.discriminant import _incidence_parametrization
 from vermajet.linalg import (Echelon, SparseMatrix, canonical, canonical_values, in_span,
                              kernel_basis, primitive_integers, rank, rref, span_dim)
 from vermajet.polynomials import Poly, degree_monomials
+
+from reference import incidence_parametrization
 
 
 def test_identity_rref():
@@ -228,7 +229,7 @@ def test_rref_matches_sympy_on_graded_relations_matrix():
     # monomials in a_0..a_5, columns the monomials in (b, c) of their
     # pullbacks.  graded_relations takes the kernel of its transpose.
     sympy = pytest.importorskip("sympy")
-    params = _incidence_parametrization(5, 2)
+    params = incidence_parametrization(5, 2)
     columns: dict[tuple[int, ...], int] = {}
     pullback_rows = []
     for exps in sorted(degree_monomials(3, 6)):

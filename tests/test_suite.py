@@ -135,8 +135,7 @@ def test_desk_report_is_byte_identical_with_warm_memos():
     from vermajet import discriminant
     for memo in (jets._chart_minor, jets._checked_minor, jets._reduced_family,
                  discriminant._classical_discriminant,
-                 discriminant._multiple_root_eliminant,
-                 discriminant._parametrization_gradients):
+                 discriminant._multiple_root_eliminant):
         memo.cache_clear()
     first = render_report(run_suite(SuiteConfig()), "json")
     second = render_report(run_suite(SuiteConfig()), "json")
