@@ -51,7 +51,6 @@ sample points give both Jacobian checks `int` rows.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -372,8 +371,10 @@ def parametrization_jacobian_rank(d: int, l: int,
 
 def sample_jacobian_ranks(d: int, l: int, count: int,
                           rng: random.Random) -> list[int]:
-    """Jacobian ranks at `count` random rational samples, resampling (with a
-    warning) when a sample happens to be rank-deficient."""
+    """Jacobian ranks at `count` random rational samples.  A rank-deficient
+    draw (one where x0 - b*x1 divides the cofactor) is redrawn silently, up
+    to 50 times, so the ranks and the stream of draws do not depend on the
+    warning filters."""
     expected = d - l + 1
     out = []
     for _ in range(count):
@@ -382,7 +383,6 @@ def sample_jacobian_ranks(d: int, l: int, count: int,
             r = parametrization_jacobian_rank(d, l, _sample_point(d, l, rng))
             if r == expected:
                 break
-            warnings.warn(f"rank-deficient sample for (d={d}, l={l}); resampling")
         out.append(r)
     return out
 

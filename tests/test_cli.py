@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -333,3 +334,13 @@ def test_crash_exits_4_with_one_line(capsys, monkeypatch):
     assert out == ""
     assert err == "error: internal error: RuntimeError: unexpected state\n"
     assert "Traceback" not in err
+
+
+def test_resampled_jacobian_is_silent_under_warnings_as_errors(capsys):
+    # Seed 10 draws a rank-deficient Jacobian sample at (3,1) and redraws it;
+    # the redraw must not warn, or `python -W error` would exit 4.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--seed", "10", "suite")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "pass"

@@ -334,6 +334,16 @@ def test_level_duality_equals_duality_check(m, n, d):
         assert report == duality_check(m, n, d, l)
 
 
+@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (1, 3, 2), (2, 3, 2), (1, 4, 2), (2, 2, 3),
+                                   (1, 2, 4)])
+def test_dual_grassmannians_have_equal_filtrations_and_taylor_ranks(m, n, d):
+    # Gr(m, m+n) and Gr(n, m+n) are isomorphic, so a convention that mixes up
+    # m and n shows as a difference between the two sides.
+    assert canonical_filtration(m, n, d, d).dims == canonical_filtration(n, m, d, d).dims
+    for l in range(1, d + 1):
+        assert jets.taylor_rank(m, n, d, l) == jets.taylor_rank(n, m, d, l)
+
+
 @pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
 def test_sections_carry_one_plucker_coordinate_equal_to_one(m, n, d):
     # The support check of `level_duality` reads the pairing off this.
