@@ -4,9 +4,11 @@ and discriminants of binary forms.
 
 The package namespace is lazy (PEP 562): importing `vermajet`, or one of
 its modules, runs only that module and what it imports.  The one eager
-import is `act`, which loads `errors`, `lie`, `linalg`, `polynomials` and
-`plethysm`; it stays a real package global because the benchmark's layer
-tracer rebinds `vermajet.act` with every other copy of a layer function.
+import is `act`, which loads `errors`, `linalg`, `polynomials` and
+`plethysm`, and not `lie`: `plethysm` names Lie algebra elements only in
+annotations, so the discriminant layer never compiles `lie`.  `act` stays a
+real package global because the benchmark's layer tracer rebinds
+`vermajet.act` with every other copy of a layer function.
 Every other exported name is read from its module on each access and is
 not cached here, so it is always the module's current binding (a copy
 cached while the tracer is installed would outlive it).  Submodules
@@ -24,14 +26,12 @@ _EXPORTS = {
     "lie": ("LieAlgebraContext", "LieElement", "SubalgebraTag", "Weight",
             "bracket", "build_context", "highest_weight", "rho_character", "simple_roots"),
     "linalg": ("SparseMatrix", "kernel_basis", "rank", "rref", "span_dim"),
-    "plethysm": ("PlethysmVector", "act", "highest_weight_vector", "module_dim",
-                 "sym_basis", "weight_of"),
+    "plethysm": ("PlethysmVector", "act", "highest_weight_vector", "module_dim", "sym_basis"),
     "filtration": ("annihilator_dim", "canonical_filtration", "char_ideal_generator_check",
-                   "evaluation_matrix", "multi_filtration", "pbw_filtration",
-                   "serre_power_check", "verma_split_check", "weyl_dim_oracle"),
-    "jets": ("SectionPolynomial", "chart_homogeneity_check", "duality_check",
-             "jet_truncation", "kernel_sections", "monomial_jet_projective",
-             "plucker_polynomial", "section_space", "taylor_matrix"),
+                   "multi_filtration", "pbw_filtration", "serre_power_check",
+                   "verma_split_check", "weight_of", "weyl_dim_oracle"),
+    "jets": ("SectionPolynomial", "duality_check", "kernel_sections", "plucker_polynomial",
+             "section_space", "taylor_matrix"),
     "discriminant": ("BinaryForm", "Eliminant", "classical_discriminant_oracle",
                      "irreducibility_witness", "multiple_root_eliminant",
                      "parametrization_jacobian_rank", "parametrized_form"),

@@ -22,16 +22,15 @@ the levels, so a result sliced to levels 0..k reports what
 A PBW monomial is an exponent vector over a fixed ordered basis (of n or of
 g); it acts by applying its factors right to left as module actions, and
 no enveloping-algebra product is ever formed.  The annihilator dimension
-and the g-side of the split are read off `canonical_filtration` dims, the
-n-side is the independence flag of `pbw_filtration`, and
-`evaluation_matrix` over all of g is public API and the tests' reference.
+and the g-side of the split are read off `canonical_filtration` dims, and
+the n-side is the independence flag of `pbw_filtration`; the evaluation
+matrix over all of g is the tests' reference (`tests/reference.py`).
 
-The PBW images behind evaluation matrices, PBW filtrations and direct sums
-are built in one pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v),
-i the leftmost nonzero exponent, walked by `polynomials.prefix_steps`; only
-the nonzero images of one degree are kept while the next is built, images
-that are only ranked go straight into an `Echelon`, and nothing is memoized
-across calls.
+The PBW images behind PBW filtrations and direct sums are built in one
+pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v), i the leftmost
+nonzero exponent, walked by `polynomials.prefix_steps`; only the nonzero
+images of one degree are kept while the next is built, images that are only
+ranked go straight into an `Echelon`, and nothing is memoized across calls.
 `apply_pbw_monomial` stays as the row-by-row reference.
 """
 
@@ -41,19 +40,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
-from .linalg import Echelon, SparseMatrix
-from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
-                       highest_weight_vector, indexed_basis, module_dim, weight_of)
-from .polynomials import graded_monomials, prefix_steps
+from .linalg import Echelon
+from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, act, coordinates,
+                       highest_weight_vector, indexed_basis, module_dim, wedge_basis)
+from .polynomials import prefix_steps
 
 DEFAULT_MONOMIAL_CAP = 50000
-
-Subalgebra = Union[SubalgebraTag, str]
 
 
 def weyl_dim_oracle(m: int, n: int, d: int) -> int:
@@ -69,6 +66,15 @@ def weyl_dim_oracle(m: int, n: int, d: int) -> int:
     return value.numerator
 
 
+def weight_of(idx: SymIndex, m: int, n: int) -> Weight:
+    """Coordinate k counts the occurrences of index k across all wedge factors."""
+    counts = [0] * (m + n)
+    for wedge, e in zip(wedge_basis(m, n), idx):
+        for value in wedge:
+            counts[value - 1] += e
+    return Weight(counts)
+
+
 def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
     """Number of exponent vectors of total degree <= max_degree, within the cap."""
     if max_degree < 0:
@@ -77,13 +83,6 @@ def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
     if count > cap:
         raise SizeCapError("PBW monomial count", count, cap)
     return count
-
-
-def pbw_monomials(num_generators: int, max_degree: int,
-                  cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
-    _pbw_count(num_generators, max_degree, cap)
-    return list(graded_monomials(num_generators, max_degree))
 
 
 def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int],
@@ -100,8 +99,9 @@ def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int
 
 def _pbw_images(generators: Sequence[LieElement], max_degree: int,
                 start: PlethysmVector, m: int) -> Iterator[tuple[int, PlethysmVector]]:
-    """(position in pbw_monomials order, z^a start) for every exponent
-    vector a of total degree <= max_degree whose image is nonzero, in order.
+    """(position in `polynomials.graded_monomials` order, z^a start) for
+    every exponent vector a of total degree <= max_degree whose image is
+    nonzero, in order.
 
     z^a start = z_i (z^(a - e_i) start) for the leftmost nonzero a_i (the
     `prefix_steps` walk), which is the last action apply_pbw_monomial
@@ -126,13 +126,6 @@ def _pbw_images(generators: Sequence[LieElement], max_degree: int,
                     yield position, image
             position += 1
         layer = grown
-
-
-def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieElement]:
-    if isinstance(subalgebra, str) and subalgebra == "all":
-        return list(ctx.basis)
-    tag = SubalgebraTag(subalgebra)
-    return ctx.subalgebra_basis(tag)
 
 
 @dataclass
@@ -223,24 +216,6 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
         vectors[row] = image
         echelon.add(coordinates(image, index_of))
     return vectors, echelon.rank == count
-
-
-def evaluation_matrix(m: int, n: int, d: int, l: int,
-                      subalgebra: Subalgebra = "all",
-                      cap: int = DEFAULT_AMBIENT_CAP,
-                      monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> SparseMatrix:
-    """Row r is the image of the r-th PBW monomial applied to v; columns are
-    the ambient module coordinates."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    ctx = build_context(m, n)
-    _, index_of = indexed_basis(m, n, d, cap)
-    generators = _generators(ctx, subalgebra)
-    count = _pbw_count(len(generators), l, monomial_cap)
-    entries = {(row, c): value
-               for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m)
-               for c, value in coordinates(image, index_of).items()}
-    return SparseMatrix(count, len(index_of), entries)
 
 
 def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:

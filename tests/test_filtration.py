@@ -9,17 +9,17 @@ import pytest
 from vermajet.errors import CertificateError, SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import Echelon, SparseMatrix, rank, rref
-from vermajet.plethysm import (PlethysmVector, act, coordinates, highest_weight_vector,
-                               sym_basis, weight_of)
+from vermajet.plethysm import PlethysmVector, act, coordinates, highest_weight_vector, sym_basis
 from vermajet import filtration
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration,
-                                 char_ideal_generator_check, evaluation_matrix,
-                                 multi_filtration, pbw_filtration,
-                                 pbw_monomials, serre_power_check,
-                                 verma_split_check, weyl_dim_oracle)
+                                 char_ideal_generator_check, multi_filtration,
+                                 pbw_filtration, serre_power_check,
+                                 verma_split_check, weight_of, weyl_dim_oracle)
 from vermajet.polynomials import graded_monomials, prefix_steps
 from vermajet.suite import DESK_CASES
+
+from reference import evaluation_matrix, pbw_monomials
 
 
 def test_weyl_dim_small_wedge():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vermajet.linalg import (Echelon, SparseMatrix, canonical, canonical_values, in_span,
+from vermajet.linalg import (Echelon, SparseMatrix, canonical, canonical_values,
                              kernel_basis, primitive_integers, rank, rref, span_dim)
 from vermajet.polynomials import Poly, degree_monomials
 
-from reference import incidence_parametrization
+from reference import in_span, incidence_parametrization
 
 
 def test_identity_rref():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-EAGER = {"errors", "lie", "linalg", "polynomials", "plethysm"}
+EAGER = {"errors", "linalg", "polynomials", "plethysm"}
 LOADED = ("import json, sys; print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules"
           " if m.startswith('vermajet.'))))")
 
@@ -31,7 +31,7 @@ def test_package_import_loads_only_what_act_needs():
 def test_discriminant_import_loads_no_grassmannian_layer():
     loaded = set(fresh("import vermajet.discriminant; " + LOADED))
     assert loaded == EAGER | {"discriminant"}
-    assert not loaded & {"filtration", "jets", "suite", "cli"}
+    assert not loaded & {"lie", "filtration", "jets", "suite", "cli"}
 
 
 def test_every_export_is_its_module_attribute():
@@ -42,7 +42,7 @@ def test_every_export_is_its_module_attribute():
                  "exec('from vermajet import *', star)\n"
                  "print(json.dumps({n: getattr(home[n], n) is getattr(vermajet, n) is star[n]"
                  " for n in names}))")
-    assert len(same) == 47 and all(same.values())
+    assert len(same) == 43 and all(same.values())
 
 
 @pytest.mark.parametrize("name", ["jets", "suite", "cli", "polynomials"])

@@ -6,10 +6,11 @@ from math import factorial
 import pytest
 
 from vermajet import filtration
+from vermajet.filtration import weight_of
 from vermajet.errors import SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, bracket, build_context, highest_weight, rho_character
 from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector, indexed_basis,
-                               module_dim, sym_basis, wedge_basis, weight_of)
+                               module_dim, sym_basis, wedge_basis)
 from vermajet.suite import DESK_CASES
 
 from reference import (matching_count, pair, to_counts, to_tuple, tuple_act,
