@@ -35,23 +35,29 @@ is the one Plücker monomial of its chain, so the level pairs to zero with
 the vanishing-jet sections exactly when no level vector has a coordinate at
 one of their chains; the all-pairs pairing is the test reference.
 
-Memoized for the life of the process: the chart minor behind
-`plucker_polynomial`, keyed by (sorted rows, m, n); the argument check and
-sort of `plucker_polynomial`, keyed by the subset as given (an invalid subset
-raises on every call and is not stored); and the jet-monomial columns with
-their index, keyed by (m, n, l).  `plucker_polynomial` returns a new
-`SectionPolynomial` (chart and Plücker map copied) on every call.
+A chart minor is built in closed form, with no determinant expansion: a
+row r <= m of [[I_m], [T]] is the unit row e_r, so the minor with rows R is
++-det T[R ∖ {1..m}, {1..m} ∖ R], a signed sum of k! distinct monomials
+with coefficients +-1, k = |R ∖ {1..m}|.  Memoized for the life of the
+process: that minor, keyed by (sorted rows, m, n); the argument check and
+sort of `plucker_polynomial` with the minor's terms and its stored Plücker
+map {unit: 1}, keyed by the subset as given (an invalid subset raises on
+every call and is not stored); and the jet-monomial columns with their
+index, keyed by (m, n, l).  Every section leaves through `_fresh_section`,
+which copies the stored chart terms and Plücker map (`dict.copy` rehashes
+no exponent-vector key), so each call returns new objects.
 
 `section_space` reads every factor of every Plücker monomial through
 `plucker_polynomial` on every call (each wedge as often as its total
 exponent over the degree-d monomials, the same for every wedge) and keys
 `_reduced_family`, an `lru_cache` with `maxsize=1`, by (nvars, d, (wedge,
-minor term items) per wedge).  Only a miss multiplies the chains and ranks their weight blocks.
-A changed minor never meets a stale basis; a case's calls are consecutive
-in every caller, so one entry catches every repeat; every call returns new
-sections.  The factors are read on a hit only because the benchmark's desk
-workload pins the `section_space` (90) and `plucker_polynomial` (4,640)
-call counts; once ROADMAP item 1 re-pins them, key on (m, n, d, cap).
+minor term items) per wedge).  Only a miss multiplies the chains and ranks
+their weight blocks; it stores each section's chart terms and its Plücker
+map {chain: 1}.  A changed minor never meets a stale basis; a case's calls
+are consecutive in every caller, so one entry catches every repeat.  The
+factors are read on a hit only because the benchmark's desk workload pins
+the `section_space` (90) and `plucker_polynomial` (4,640) call counts; once
+ROADMAP item 1 re-pins them, key on (m, n, d, cap).
 The Plücker monomial products, literal jet truncations and the re-expansion
 at another chart point that the tests compare against are in
 `tests/reference.py`.
@@ -62,17 +68,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from operator import le
 from typing import Sequence
 
 from .errors import CertificateError
 from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
-# kernel_basis is unused here but stays bound: perfbench's layer tracer
-# rebinds and checks `jets.kernel_basis`.
+# kernel_basis and det are unused here but stay bound: perfbench's layer
+# tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
 from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, wedge_basis
-from .polynomials import (Poly, _field_width, _pack_terms, _packed_product, _unpack, det,
-                          graded_monomials)
+from .polynomials import Poly, _field_width, _pack_terms, _packed_product, _unpack, graded_monomials
+from .polynomials import det  # noqa: F401
 
 
 def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
@@ -93,46 +100,53 @@ class SectionPolynomial:
 
 @lru_cache(maxsize=None)
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
-    """The minor with the given (sorted, checked) rows of [[I_m], [T]]."""
-    variables = chart_variables(m, n)
-    var_index = {pos: k for k, pos in enumerate(variables)}
-    nvars = len(variables)
-    matrix: list[list[Poly]] = []
-    for r in rows:
-        if r <= m:
-            matrix.append([Poly.const(nvars, 1 if c == r else 0)
-                           for c in range(1, m + 1)])
-        else:
-            matrix.append([Poly.variable(nvars, var_index[(r, c)])
-                           for c in range(1, m + 1)])
-    return det(matrix)
+    """The minor with the given (sorted, checked) rows of [[I_m], [T]], in
+    closed form.  A row r <= m is the unit row e_r and takes column r, so the
+    minor sums sign(p) * prod t_{r, p(r)} over the bijections p of the rows
+    > m onto the columns left free: distinct monomials with coefficients
+    +-1, sign(p) the parity of the column sequence (rows <= m, then p)."""
+    units = [r for r in rows if r <= m]
+    free = [r for r in rows if r > m]
+    terms = {}
+    for p in permutations([c for c in range(1, m + 1) if c not in units]):
+        exps = [0] * (m * n)
+        for r, c in zip(free, p):
+            exps[(r - m - 1) * m + c - 1] = 1
+        cols = units + list(p)
+        terms[tuple(exps)] = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return Poly(m * n, terms)
 
 
-def _chart_copy(nvars: int, terms: dict) -> Poly:
-    """A Poly owning a copy of `terms`, which are already canonical."""
+def _fresh_section(nvars: int, terms: dict, plucker: dict) -> SectionPolynomial:
+    """A section owning copies of chart `terms` (already canonical) and of
+    `plucker`; neither constructor runs, and `dict.copy` rehashes no key."""
     chart = Poly.__new__(Poly)
     chart.nvars = nvars
     chart.terms = terms.copy()
-    return chart
+    section = SectionPolynomial.__new__(SectionPolynomial)
+    section.chart = chart
+    section.plucker = plucker.copy()
+    return section
 
 
 @lru_cache(maxsize=None)
-def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[SymIndex, Poly]:
-    """The unit exponent vector of a valid subset's wedge and its chart
-    minor; an invalid subset raises and is not stored."""
+def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, dict]:
+    """(nvars, chart terms, Plücker map {unit: 1}) of a valid subset's minor,
+    the unit the exponent vector of its wedge; an invalid subset raises and
+    is not stored."""
     rows = tuple(sorted(subset))
     if len(rows) != m or len(set(rows)) != m:
         raise ValueError(f"need {m} distinct row indices")
     if rows[0] < 1 or rows[-1] > m + n:
         raise ValueError(f"row indices must lie in 1..{m + n}")
-    return tuple(int(w == rows) for w in wedge_basis(m, n)), _chart_minor(rows, m, n)
+    unit = tuple(int(w == rows) for w in wedge_basis(m, n))
+    return m * n, _chart_minor(rows, m, n).terms, {unit: 1}
 
 
 def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
     normalized so the minor for rows {1..m} is 1."""
-    unit, minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
-    return SectionPolynomial(_chart_copy(minor.nvars, minor.terms), {unit: 1})
+    return _fresh_section(*_checked_minor(subset if type(subset) is tuple else tuple(subset), m, n))
 
 
 @lru_cache(maxsize=None)
@@ -145,11 +159,11 @@ def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
 
 
 @lru_cache(maxsize=1)
-def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, SymIndex], ...]:
-    """(chart terms, chain) of each standard monomial of degree d over
-    `minors`, (wedge, chart term items) per wedge, certified a basis and in
-    (t-degree, chain) order, the chain as its exponent vector over the
-    wedges; the caller copies the chart terms."""
+def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, dict], ...]:
+    """(chart terms, Plücker map {chain: 1}) of each standard monomial of
+    degree d over `minors`, (wedge, chart term items) per wedge, certified a
+    basis and in (t-degree, chain) order, the chain as its exponent vector
+    over the wedges; the caller copies both maps."""
     m = len(minors[0][0])
     bits = _field_width(d * max((e for _, items in minors for exps, _ in items for e in exps),
                                 default=0))
@@ -180,8 +194,8 @@ def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, SymI
             raise CertificateError(f"{len(products)} standard monomials of a weight are dependent")
     exps = {key: _unpack(key, nvars, bits)
             for key in set().union(*(product for _, _, _, product in layer))}
-    family = [({exps[key]: c for key, c in product.items()}, _unpack(chain, len(wedges), shift))
-              for chain, _, _, product in layer]
+    family = [({exps[key]: c for key, c in product.items()},
+               {_unpack(chain, len(wedges), shift): 1}) for chain, _, _, product in layer]
     family.sort(key=lambda section: sum(next(iter(section[0]))))  # stable: (t-degree, chain)
     return tuple(family)
 
@@ -194,13 +208,13 @@ def section_space(m: int, n: int, d: int,
     module docstring)."""
     wedges = wedge_basis(m, n)
     reads = module_dim(m, n, d, cap) * d // len(wedges)  # each wedge's total exponent
-    minors = {}
+    key = []
     for wedge in wedges:
         for _ in range(reads):
-            minors[wedge] = plucker_polynomial(wedge, m, n).chart.terms
-    key = tuple((wedge, tuple(terms.items())) for wedge, terms in minors.items())
-    return [SectionPolynomial(_chart_copy(m * n, chart), {chain: 1})
-            for chart, chain in _reduced_family(m * n, d, key)]
+            terms = plucker_polynomial(wedge, m, n).chart.terms
+        key.append((wedge, tuple(terms.items())))
+    return [_fresh_section(m * n, chart, plucker)
+            for chart, plucker in _reduced_family(m * n, d, tuple(key))]
 
 
 def taylor_matrix(m: int, n: int, d: int, l: int,

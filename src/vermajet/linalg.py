@@ -78,19 +78,6 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
-
-    def matvec(self, x: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        if len(x) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            if x[c]:
-                out[r] += v * x[c]
-        return tuple(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented

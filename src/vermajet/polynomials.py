@@ -7,7 +7,7 @@ tuples to nonzero coefficients, each an `int` when it is integral and a
 that canonical form, so the integer polynomials that chart minors and
 eliminants are made of run in plain integer arithmetic; `evaluate`
 returns a canonical value too.  This is deliberately minimal: arithmetic,
-differentiation, truncation, composition and evaluation cover everything
+differentiation, composition and evaluation cover everything
 the chart expansions and eliminants need.  `prefix_steps` is the one
 graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of `filtration`;
 `degree_monomials` orders the columns of the eliminant kernels.
@@ -178,12 +178,6 @@ class Poly:
                 else:
                     terms.pop(key, None)
         return _from_terms(self.nvars, terms)
-
-    def truncate(self, max_degree: int) -> "Poly":
-        """Drop every term of total degree above max_degree."""
-        out = Poly(self.nvars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
-        return out
 
     def evaluate(self, point: Sequence[int | Fraction]) -> int | Fraction:
         if len(point) != self.nvars:

@@ -35,6 +35,14 @@ space (m = 1) a monomial's jet is a unit vector, `monomial_jet_projective`;
 and `chart_homogeneity_check` re-expands the sections around another chart
 point, where the jet rank must equal `jets.taylor_rank` at the origin.
 
+The chart minor by generic expansion, the oracle of `jets._chart_minor`'s
+closed form: `polynomials.det` of the m x m submatrix of [[I_m], [T]] with
+`Poly` entries, the route `jets` took before the closed form.
+
+`transpose` and `matvec` of a `SparseMatrix` and `truncate` of a `Poly`
+(drop the terms of total degree above a bound) serve the kernel, rank and
+jet checks.
+
 The PBW evaluation matrix, the oracle of `canonical_filtration` and
 `pbw_filtration`: row r is the highest weight vector v under the r-th PBW
 monomial (`pbw_monomials` order) over all of g or over a subalgebra, built
@@ -56,7 +64,7 @@ from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, b
 from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, coordinates,
                                highest_weight_vector, indexed_basis, sym_basis, wedge_basis)
-from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product,
+from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product, det,
                                   degree_monomials, graded_monomials, integer_primitive,
                                   prefix_steps)
 
@@ -334,9 +342,39 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
     columns, col_index = jets._jet_columns(m, n, l)
     shifted = Echelon(len(columns))
     for s in jets.section_space(m, n, d, cap):
-        jet = s.chart.substitute(subs, nvars_out=nvars).truncate(l)
+        jet = truncate(s.chart.substitute(subs, nvars_out=nvars), l)
         shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
     return shifted.rank == jets.taylor_rank(m, n, d, l, cap)
+
+
+def chart_minor_by_det(rows: Sequence[int], m: int, n: int) -> Poly:
+    """The minor with the given sorted rows of [[I_m], [T]], expanded by
+    `det` over `Poly` entries: unit rows for r <= m, chart variables below."""
+    variables = jets.chart_variables(m, n)
+    nvars = len(variables)
+    return det([[Poly.const(nvars, int(c == r)) if r <= m
+                 else Poly.variable(nvars, variables.index((r, c)))
+                 for c in range(1, m + 1)] for r in rows])
+
+
+def transpose(matrix: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(matrix.cols, matrix.rows,
+                        {(c, r): v for (r, c), v in matrix.entries.items()})
+
+
+def matvec(matrix: SparseMatrix, x: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
+    if len(x) != matrix.cols:
+        raise ValueError("vector length does not match column count")
+    out = [Fraction(0)] * matrix.rows
+    for (r, c), v in matrix.entries.items():
+        if x[c]:
+            out[r] += v * x[c]
+    return tuple(out)
+
+
+def truncate(p: Poly, max_degree: int) -> Poly:
+    """`p` without its terms of total degree above max_degree."""
+    return Poly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= max_degree})
 
 
 Subalgebra = Union[SubalgebraTag, str]

@@ -23,7 +23,7 @@ from vermajet.discriminant import (classical_discriminant_oracle,
                                    sample_jacobian_ranks)
 from vermajet.suite import DESK_CASES
 
-from reference import (evaluation_matrix, jet_truncation, monomial_jet_projective,
+from reference import (evaluation_matrix, jet_truncation, matvec, monomial_jet_projective,
                        monomial_sections, to_tuple)
 
 SPLIT_MONOMIAL_BUDGET = 2000
@@ -205,7 +205,7 @@ def test_criterion_12_property_suites():
         kernel = kernel_basis(matrix)
         ok = ok and rank + len(kernel) == matrix.cols
         for vec in kernel:
-            ok = ok and all(v == 0 for v in matrix.matvec(vec))
+            ok = ok and all(v == 0 for v in matvec(matrix, vec))
 
     # Annihilator dimensions complement the filtration dimensions.
     for m, n, d in DESK_CASES[:4]:

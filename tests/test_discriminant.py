@@ -18,7 +18,7 @@ from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
                                    sample_jacobian_ranks,
                                    samples_satisfy_generators)
 
-from reference import incidence_parametrization
+from reference import incidence_parametrization, transpose
 
 
 def _a_poly(d, terms):
@@ -380,7 +380,7 @@ def _reference_graded_relations(d, l, degree):
         rows.append({columns.setdefault(bc, len(columns)): c for bc, c in pullback.terms.items()})
     matrix = SparseMatrix.from_rows(rows, cols=len(columns))
     return [integer_primitive(Poly(d + 1, {e: c for e, c in zip(a_monomials, combo) if c}))
-            for combo in kernel_basis(matrix.transpose())]
+            for combo in kernel_basis(transpose(matrix))]
 
 
 def _closed_under_mirror(piece, d, degree):

@@ -26,7 +26,8 @@ from vermajet.linalg import SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
-from reference import evaluation_matrix, incidence_parametrization, jet_truncation, to_tuple
+from reference import (evaluation_matrix, incidence_parametrization, jet_truncation, to_tuple,
+                       transpose)
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -45,7 +46,7 @@ def test_kernel_sections_match_transposed_kernel_basis(m, n, d):
     width = len(sym_basis(m, n, d))
     for l in range(1, d + 1):
         sections, dim = jets.kernel_sections(m, n, d, l)
-        combos = kernel_basis(jets.taylor_matrix(m, n, d, l)[0].transpose())
+        combos = kernel_basis(transpose(jets.taylor_matrix(m, n, d, l)[0]))
         reference = []
         for combo in combos:
             row = {}

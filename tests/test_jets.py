@@ -15,7 +15,7 @@ from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
 from reference import (chart_homogeneity_check, evaluation_matrix, jet_monomials,
                        jet_truncation, monomial_jet_projective, monomial_sections, pair,
-                       to_tuple)
+                       to_tuple, truncate)
 
 
 def _t(m, n, i, j):
@@ -128,7 +128,7 @@ def test_kernel_sections_have_vanishing_jets():
     for m, n, d, l in [(1, 1, 3, 1), (2, 2, 2, 1), (1, 2, 3, 2)]:
         sections, _ = kernel_sections(m, n, d, l)
         for s in sections:
-            assert s.chart.truncate(l).is_zero
+            assert truncate(s.chart, l).is_zero
 
 
 def test_duality_reports():
@@ -236,6 +236,17 @@ def test_plucker_polynomial_sorts_its_rows():
     assert unsorted.chart == ordered.chart == _t(2, 2, 3, 2)
     assert unsorted.plucker == ordered.plucker == {(0, 1, 0, 0, 0, 0): 1}
     assert plucker_polynomial([3, 1], 2, 2).plucker == ordered.plucker
+
+
+def test_plucker_polynomial_returns_fresh_maps():
+    first = plucker_polynomial((2, 4), 2, 2)
+    want = (dict(first.chart.terms), dict(first.plucker))
+    first.chart.terms.clear()
+    first.plucker[(9,) * 6] = 5
+    second = plucker_polynomial((2, 4), 2, 2)
+    assert (second.chart.terms, second.plucker) == want
+    assert second.chart is not first.chart and second.plucker is not first.plucker
+    assert type(second) is jets.SectionPolynomial and second.chart.nvars == 4
 
 
 def test_empty_section_monomial_is_one():
@@ -376,7 +387,7 @@ def test_integer_pairing_equals_all_pairs_reference(m, n, d, monkeypatch):
         assert all(pair(u, s) == 0 for u in level.basis for s in vanishing)
         assert level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
         # Against the sections whose (l-1)-jet vanishes some pairing is not zero.
-        wider = [s for s in basis if s.chart.truncate(l - 1).is_zero]
+        wider = [s for s in basis if truncate(s.chart, l - 1).is_zero]
         assert not all(pair(u, s) == 0 for u in level.basis for s in wider)
         assert _support_check(m, n, d, level, wider, monkeypatch) is False
         # Section by section, the support check is the all-pairs pairing.
@@ -442,7 +453,9 @@ def test_a_changed_family_misses_the_memo(monkeypatch):
 def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypatch, m, n, d,
                                                                        products):
     indices = sym_basis(m, n, d)
-    section_space(m, n, d)  # warms `_chart_minor`, so `det` adds no products
+    # Cold minors too: `_chart_minor` is a closed form and multiplies nothing.
+    jets._checked_minor.cache_clear()
+    jets._chart_minor.cache_clear()
     calls = {"plucker": 0, "packed": 0, "mul": 0}
     minor, packed, mul = jets.plucker_polynomial, jets._packed_product, Poly.__mul__
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itertools import combinations, product
 
-from reference import graded_pullbacks
+from reference import chart_minor_by_det, graded_pullbacks, truncate
 from vermajet import discriminant, jets, polynomials
 from vermajet.polynomials import (Poly, det, divide_by_variable,
                                   integer_primitive, restrict_to_line,
@@ -42,8 +42,8 @@ def test_derivative():
 def test_truncate():
     x, y = _xy()
     p = 1 + x + x * y + x ** 2 * y
-    assert p.truncate(1) == 1 + x
-    assert p.truncate(2) == 1 + x + x * y
+    assert truncate(p, 1) == 1 + x
+    assert truncate(p, 2) == 1 + x + x * y
 
 
 def test_substitute_composes():
@@ -463,7 +463,7 @@ def test_sylvester_det_is_sympy_resultant(d):
     assert det(discriminant._sylvester_matrix(p, q)).terms == expected
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1), (2, 4), (4, 2), (3, 4)])
 def test_every_chart_minor_is_sympy_det(m, n):
     sympy = pytest.importorskip("sympy")
     variables = jets.chart_variables(m, n)
@@ -475,6 +475,20 @@ def test_every_chart_minor_is_sympy_det(m, n):
         expected = full.extract([r - 1 for r in rows], list(range(m))).det()
         got = jets._chart_minor(rows, m, n)
         assert got.terms == _sympy_terms(sympy, expected, names)
+
+
+def test_every_chart_minor_is_the_det_expansion():
+    """The closed form against the generic `det` route, every wedge with
+    m + n <= 7: k! distinct monomials, k the number of rows > m, each with
+    coefficient +-1 and of total degree k."""
+    for m in range(1, 7):
+        for n in range(1, 8 - m):
+            for rows in combinations(range(1, m + n + 1), m):
+                got = jets._chart_minor(rows, m, n)
+                assert got == chart_minor_by_det(rows, m, n)
+                k = sum(r > m for r in rows)
+                assert len(got.terms) == math.factorial(k)
+                assert all(c in (1, -1) and sum(e) == k for e, c in got.terms.items())
 
 
 def test_sylvester_det_builds_few_minors(monkeypatch):
