@@ -12,7 +12,9 @@ determinant (the production path for codimension one).  Both go through
 `polynomials.det` but not through the same expansion: the banded Sylvester
 rows are reordered, the dense Bezout rows are not.  For higher
 multiplicity the generators of the eliminant ideal are found degree by
-degree as exact kernel pieces.  The locus is swept out by the unipotent
+degree as exact kernel pieces I_k: an element of I_k is new unless it lies
+in the span of a_0..a_d times I_(k-1), the degree-k part of the ideal of
+the generators kept below degree k.  The locus is swept out by the unipotent
 group from one linear space (Feher-Nemethi-Rimanyi 2006; Chipalkatti
 2003): with e = d - l - 1 and L = {a_r = 0 for r > e}, the forms divisible
 by x0^(l+1), it is {f(x0 - b*x1, x1) : f in L}, the image of the incidence
@@ -38,11 +40,12 @@ proved reducible only by a rational root, and otherwise left unknown.  For
 l > 1 the witness is "heuristic" by policy and restricts nothing: a line
 through one generator of a codimension-l ideal says nothing about the locus.
 
-`classical_discriminant_oracle` and `multiple_root_eliminant` are memoized
-for the life of the process, keyed by all their arguments (d, cap) and
-(d, l, cap); a call that fails a check is not stored.  Both return the
-shared `Eliminant` objects, so callers treat them as read-only; a list of
-generators is a new list on every call.  The parametrization's Jacobian
+`classical_discriminant_oracle` is memoized for the life of the process,
+keyed by its arguments as passed, and so is `_eliminants(d, l, cap)`, the
+one tuple behind `multiple_root_eliminant` and `eliminant_generators` (a
+1-tuple at l = 1); a call that fails a check is not stored.  Both return
+the shared `Eliminant` objects, so callers treat them as read-only; a list
+of generators is a new list on every call.  The parametrization's Jacobian
 rows are read off its closed form at each sample, so no polynomial in
 (b, c) is formed anywhere.  Sampled values are canonical, so integer
 sample points give both Jacobian checks `int` rows.
@@ -56,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
@@ -122,14 +125,10 @@ def _sylvester_matrix(p: list[Poly], q: list[Poly]) -> list[list[Poly]]:
     return rows
 
 
+@lru_cache(maxsize=None)
 def classical_discriminant_oracle(d: int, cap: int = DEFAULT_DEGREE_CAP) -> Eliminant:
     """Sylvester resultant of the form and its derivative, divided by the
     leading coefficient and normalized."""
-    return _classical_discriminant(d, cap)
-
-
-@lru_cache(maxsize=None)
-def _classical_discriminant(d: int, cap: int) -> Eliminant:
     if d < 2:
         raise ValueError("the discriminant needs degree at least 2")
     if d > cap:
@@ -248,24 +247,16 @@ def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
     return _kernel_piece(d, l, degree)
 
 
-def _new_generators(piece: list[Poly], collected: list[Poly],
-                    degree: int, d: int) -> list[Poly]:
-    """Kernel elements not already in (collected) * monomials."""
-    if not collected:
-        return list(piece)
+def _new_generators(piece: list[Poly], below: list[Poly], degree: int, d: int) -> list[Poly]:
+    """Elements of the kernel piece I_k not in a_0..a_d times I_(k-1), `below`:
+    the degree-k part of the ideal of the generators kept in degrees < k,
+    since those generate every I_j, j < k, and I_0 = 0."""
     columns = {exps: i for i, exps in enumerate(degree_monomials(degree, d + 1))}
-
-    def row_of(p: Poly) -> dict[int, int]:
-        return {columns[e]: c for e, c in p.terms.items()}
-
     echelon = Echelon(len(columns))
-    for g in collected:
-        gap = degree - g.total_degree()
-        if gap < 0:
-            continue
-        for mono in degree_monomials(gap, d + 1):
-            echelon.add(row_of(g * Poly(d + 1, {mono: 1})))
-    return [q for q in piece if echelon.add(row_of(q))]
+    for p in below:
+        for i in range(d + 1):
+            echelon.add({columns[e[:i] + (e[i] + 1,) + e[i + 1:]]: c for e, c in p.terms.items()})
+    return [q for q in piece if echelon.add({columns[e]: c for e, c in q.terms.items()})]
 
 
 def _sample_point(d: int, l: int, rng: random.Random) -> tuple[int, list[int]]:
@@ -300,8 +291,7 @@ def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
 
 
 def multiple_root_eliminant(d: int, l: int,
-                            cap: int = DEFAULT_DEGREE_CAP
-                            ) -> Union[Eliminant, list[Eliminant]]:
+                            cap: int = DEFAULT_DEGREE_CAP) -> Eliminant | list[Eliminant]:
     """Eliminant of the locus of forms with a root of multiplicity >= l+1.
 
     For l = 1 the locus is a hypersurface and a single generator is
@@ -311,24 +301,23 @@ def multiple_root_eliminant(d: int, l: int,
     their Jacobian cuts the locus to its expected codimension l at sampled
     points of the parametrization; the list is new on every call.
     """
-    result = _multiple_root_eliminant(d, l, cap)
-    return list(result) if isinstance(result, tuple) else result
+    return _eliminants(d, l, cap)[0] if l == 1 else list(_eliminants(d, l, cap))
 
 
 @lru_cache(maxsize=None)
-def _multiple_root_eliminant(d: int, l: int,
-                             cap: int) -> Union[Eliminant, tuple[Eliminant, ...]]:
+def _eliminants(d: int, l: int, cap: int) -> tuple[Eliminant, ...]:
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
     if d > cap:
         raise SizeCapError("binary form degree", d, cap)
     if l == 1:
-        determinant = det(_bezout_matrix(d))
-        return _make_eliminant(strip_variable_factors(determinant))
+        return (_make_eliminant(strip_variable_factors(det(_bezout_matrix(d)))),)
     collected: list[Poly] = []
+    below: list[Poly] = []
     for degree in range(1, 2 * (d - 1) + 1):
         piece = _kernel_piece(d, l, degree)
-        collected.extend(_new_generators(piece, collected, degree, d))
+        collected.extend(_new_generators(piece, below, degree, d) if below else piece)
+        below = piece
         if collected and _generators_cut_codimension(collected, d, l):
             break
     if not collected:
@@ -338,8 +327,7 @@ def _multiple_root_eliminant(d: int, l: int,
 
 def eliminant_generators(d: int, l: int, cap: int = DEFAULT_DEGREE_CAP) -> list[Eliminant]:
     """Uniform list view of multiple_root_eliminant."""
-    result = multiple_root_eliminant(d, l, cap)
-    return [result] if isinstance(result, Eliminant) else result
+    return list(_eliminants(d, l, cap))
 
 
 # -- incidence parametrization: exact Jacobian ranks -----------------------
@@ -402,18 +390,6 @@ def samples_satisfy_generators(d: int, l: int, count: int,
 
 
 # -- univariate irreducibility over the rationals ---------------------------
-
-
-def _uni_from_poly(p: Poly) -> list[int | Fraction]:
-    if p.nvars != 1:
-        raise ValueError("not univariate")
-    if p.is_zero:
-        return []
-    deg = max(e[0] for e in p.terms)
-    out = [0] * (deg + 1)
-    for (e,), c in p.terms.items():
-        out[e] = c
-    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -596,7 +572,6 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
 
     target = multiple_root_eliminant(d, 1, cap).poly
     details["oracle_match"] = target == classical_discriminant_oracle(d, cap).poly
-    total_degree = target.total_degree()
     rng = random.Random(seed)
     lines = []
     for _ in range(3):
@@ -607,9 +582,9 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
             if not any(direction):
                 continue
             restricted = restrict_to_line(target, base, direction)
-            coeffs = primitive_integers(_uni_from_poly(restricted), -1)
-            if len(coeffs) - 1 != total_degree:
+            if restricted[-1] == 0:
                 continue  # degree dropped: unlucky direction
+            coeffs = primitive_integers(restricted, -1)
             record = {"base": base, "direction": direction,
                       "degree": len(coeffs) - 1,
                       "irreducible": _uni_irreducible_q(coeffs)}

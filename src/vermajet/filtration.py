@@ -165,6 +165,8 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     """Levels 0..l_max of the canonical filtration, with canonical bases."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
+    if l_max > cap:  # one level is stored per l, stabilized or not
+        raise SizeCapError("filtration level", l_max, cap)
     ctx = build_context(m, n)
     basis, index_of = indexed_basis(m, n, d, cap)
     weight_at = cache(lambda c: weight_of(basis[c], m, n))

@@ -38,14 +38,14 @@ one of their chains; the all-pairs pairing is the test reference.
 A chart minor is built in closed form, with no determinant expansion: a
 row r <= m of [[I_m], [T]] is the unit row e_r, so the minor with rows R is
 +-det T[R ∖ {1..m}, {1..m} ∖ R], a signed sum of k! distinct monomials
-with coefficients +-1, k = |R ∖ {1..m}|.  Memoized for the life of the
-process: that minor, keyed by (sorted rows, m, n); the argument check and
-sort of `plucker_polynomial` with the minor's terms and its stored Plücker
-map {unit: 1}, keyed by the subset as given (an invalid subset raises on
-every call and is not stored); and the jet-monomial columns with their
-index, keyed by (m, n, l).  Every section leaves through `_fresh_section`,
-which copies the stored chart terms and Plücker map (`dict.copy` rehashes
-no exponent-vector key), so each call returns new objects.
+with coefficients +-1, k = |R ∖ {1..m}|.  The minor and the jet columns
+are built on each call; the one memo for the life of the process is the
+argument check and sort of `plucker_polynomial` with the minor's terms and
+its stored Plücker map {unit: 1}, keyed by the subset as given (an invalid
+subset raises on every call and is not stored).  Every section leaves
+through `_fresh_section`, which copies the stored chart terms and Plücker
+map (`dict.copy` rehashes no exponent-vector key), so each call returns
+new objects.
 
 `section_space` reads every factor of every Plücker monomial through
 `plucker_polynomial` on every call (each wedge as often as its total
@@ -98,7 +98,6 @@ class SectionPolynomial:
         return self.chart.coefficient((0,) * self.chart.nvars)
 
 
-@lru_cache(maxsize=None)
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
     """The minor with the given (sorted, checked) rows of [[I_m], [T]], in
     closed form.  A row r <= m is the unit row e_r and takes column r, so the
@@ -149,7 +148,6 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
     return _fresh_section(*_checked_minor(subset if type(subset) is tuple else tuple(subset), m, n))
 
 
-@lru_cache(maxsize=None)
 def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
     """The jet monomials of degree <= l and their column index."""
     if l < 0:

@@ -430,8 +430,10 @@ def strip_variable_factors(p: Poly) -> Poly:
 
 
 def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
-                     direction: Sequence[int | Fraction]) -> Poly:
-    """Univariate restriction t -> p(base + t*direction).
+                     direction: Sequence[int | Fraction]) -> list[int | Fraction]:
+    """Canonical coefficients of t -> p(base + t*direction), constant first,
+    one per degree up to the total degree of p (a vanished top coefficient
+    stays as a trailing 0; the zero polynomial gives []).
 
     Each term is expanded as a product of coefficient lists of the binomial
     powers (base_i + direction_i t)^e, so integer input stays in integers.
@@ -458,4 +460,4 @@ def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
         out.extend([0] * (len(coeffs) - len(out)))
         for k, v in enumerate(coeffs):
             out[k] += v
-    return Poly(1, {(k,): v for k, v in enumerate(out)})
+    return [canonical(v) for v in out]

@@ -20,6 +20,11 @@ the piece.  Only the upper weight half 2w >= kd is pulled back and
 eliminated; the lower half is that kernel's mirror a_r -> a_(d-r), put in
 canonical form by one more `Echelon` over the reversed columns.
 
+The generator rule by products, the oracle of
+`discriminant._new_generators`: an element of the kernel piece I_k is new
+unless it lies in the span of every generator kept so far times every
+a-monomial of its gap degree, each product formed by `Poly.__mul__`.
+
 The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
 `combinations_with_replacement(wedge_basis(m, n), d)`, and the action,
@@ -185,6 +190,17 @@ def pullback_pieces(d: int, l: int, max_degree: int) -> list[list[Poly]]:
     """The pieces of degree 1..max_degree by the pullback route."""
     return [pullback_kernel_piece(pullbacks, d)
             for pullbacks in pullbacks_by_degree(d, l, max_degree)]
+
+
+def new_generators_by_products(piece: list[Poly], collected: list[Poly],
+                               degree: int, d: int) -> list[Poly]:
+    """Kernel elements not already in (collected) * monomials."""
+    columns = {exps: i for i, exps in enumerate(degree_monomials(degree, d + 1))}
+    echelon = Echelon(len(columns))
+    for g in collected:
+        for mono in degree_monomials(degree - g.total_degree(), d + 1):
+            echelon.add({columns[e]: c for e, c in (g * Poly(d + 1, {mono: 1})).terms.items()})
+    return [q for q in piece if echelon.add({columns[e]: c for e, c in q.terms.items()})]
 
 
 Wedges = tuple[tuple[int, ...], ...]  # a sorted d-tuple of wedges

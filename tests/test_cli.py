@@ -90,6 +90,20 @@ def test_size_cap_exits_3(capsys):
     assert report["error"] == "size-cap"
 
 
+def test_filtration_level_cap_exits_3(capsys):
+    # One level is stored per l past stabilization, so l_max is capped by
+    # the ambient cap before any work; the cap itself still runs.
+    code, out, _ = run_cli(capsys, "filtration", "--m", "2", "--n", "2",
+                           "--d", "3", "--lmax", "20001")
+    assert code == 3
+    assert json.loads(out) == {"schema": "vermajet/1", "error": "size-cap",
+                               "what": "filtration level", "needed": 20001, "cap": 20000}
+    code, out, _ = run_cli(capsys, "filtration", "--m", "1", "--n", "1",
+                           "--d", "2", "--lmax", "20000")
+    assert code == 0
+    assert len(json.loads(out)["dims"]) == 20001
+
+
 def test_filtration_certificate_failure_exits_1(capsys, monkeypatch):
     from test_filtration import _moving_e12
     from vermajet import filtration

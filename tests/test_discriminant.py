@@ -8,7 +8,7 @@ from vermajet.errors import SizeCapError
 from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, span_dim
 from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
 from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
-                                   _uni_from_poly, _uni_irreducible_q,
+                                   _uni_irreducible_q,
                                    classical_discriminant_oracle,
                                    eliminant_generators, graded_relations,
                                    irreducibility_witness,
@@ -297,8 +297,7 @@ def _random_primitive_polys(rng):
 def _witness_lines(d, seed):
     target = multiple_root_eliminant(d, 1).poly
     witness = irreducibility_witness(d, 1, seed)
-    return [primitive_integers(_uni_from_poly(
-                restrict_to_line(target, r["base"], r["direction"])), -1)
+    return [primitive_integers(restrict_to_line(target, r["base"], r["direction"]), -1)
             for r in witness.details["lines"] if not r.get("degenerate")]
 
 
@@ -351,6 +350,21 @@ def test_witness_certified_at_every_seed():
 def test_witness_line_verdicts_pinned(d):
     lines = irreducibility_witness(d, 1, 0).details["lines"]
     assert [r["irreducible"] for r in lines] == [False, True, True]
+
+
+def test_witness_redraws_a_line_whose_degree_drops(monkeypatch):
+    # At (2,1) seed 1 the restriction to one drawn line has a vanished top
+    # coefficient; that line is redrawn, so only lines of the full degree
+    # 2(d - 1) = 2 are recorded, and the records stay as pinned.
+    restricted = []
+    monkeypatch.setattr(discriminant, "restrict_to_line",
+                        lambda *args: restricted.append(restrict_to_line(*args)) or restricted[-1])
+    lines = irreducibility_witness(2, 1, 1).details["lines"]
+    assert len(restricted) == 4 and sum(r[-1] == 0 for r in restricted) == 1
+    assert lines == [
+        {"base": [-2, 1, 3], "direction": [3, 3, -3], "degree": 2, "irreducible": True},
+        {"base": [2, 0, 3], "direction": [-2, -3, 0], "degree": 2, "irreducible": True},
+        {"base": [-3, 3, 0], "direction": [0, 1, 3], "degree": 2, "irreducible": True}]
 
 
 def test_memoized_eliminants_are_isolated_from_callers():

@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from reference import (graded_pullbacks, incidence_parametrization, pullback_kernel_piece,
-                       pullback_pieces, pullback_width, pullbacks_by_degree)
+from reference import (graded_pullbacks, incidence_parametrization, new_generators_by_products,
+                       pullback_kernel_piece, pullback_pieces, pullback_width,
+                       pullbacks_by_degree)
 from test_discriminant import _closed_under_mirror, _reference_graded_relations
 from vermajet import discriminant
-from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece, _weight, classical_discriminant_oracle,
-                                   eliminant_generators, graded_relations)
+from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece, _new_generators,
+                                   _weight, classical_discriminant_oracle, eliminant_generators,
+                                   graded_relations)
 from vermajet.linalg import Echelon
 from vermajet.polynomials import Poly, _pack_terms, _unpack, degree_monomials, prefix_steps
 
@@ -143,6 +145,20 @@ def test_equation_kernel_is_independent_of_row_order():
         shuffled = list(rows)
         random.Random(seed).shuffle(shuffled)
         assert _kernel(shuffled, cols) == expected
+
+
+@pytest.mark.parametrize("d,l", [(d, l) for d in range(3, 7) for l in range(2, d)])
+def test_new_generators_match_the_product_rule(d, l):
+    # With no stop rule: a_0..a_d times I_(k-1) spans what the generators kept
+    # below degree k span in degree k, so both rules keep the same elements.
+    collected, below = [], []
+    for k in range(1, 8):
+        piece = graded_relations(d, l, k)
+        new = _new_generators(piece, below, k, d)
+        assert new == new_generators_by_products(piece, collected, k, d), k
+        collected += new
+        below = piece
+    assert collected
 
 
 def test_too_few_generators_draw_no_sample(monkeypatch):

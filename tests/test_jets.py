@@ -455,7 +455,6 @@ def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypat
     indices = sym_basis(m, n, d)
     # Cold minors too: `_chart_minor` is a closed form and multiplies nothing.
     jets._checked_minor.cache_clear()
-    jets._chart_minor.cache_clear()
     calls = {"plucker": 0, "packed": 0, "mul": 0}
     minor, packed, mul = jets.plucker_polynomial, jets._packed_product, Poly.__mul__
 

@@ -118,9 +118,14 @@ def test_variable_factor_stripping():
 def test_restrict_to_line():
     x, y = _xy()
     p = x * y
-    q = restrict_to_line(p, [1, 2], [1, -1])
-    t = Poly.variable(1, 0)
-    assert q == (t + 1) * (2 - t)
+    assert restrict_to_line(p, [1, 2], [1, -1]) == [2, 1, -1]  # (t + 1) * (2 - t)
+
+
+def test_restrict_to_line_keeps_a_vanished_top_coefficient():
+    # a1^2 - 4*a0*a2 along a0 alone has degree 1 < 2: one coefficient per
+    # degree up to the total degree, so the dropped top one reads as 0.
+    a0, a1, a2 = (Poly.variable(3, i) for i in range(3))
+    assert restrict_to_line(a1 * a1 - 4 * a0 * a2, [1, 2, 3], [1, 0, 0]) == [-8, -12, 0]
 
 
 def test_to_string_ordering():
@@ -145,10 +150,10 @@ def test_restrict_to_line_agrees_with_substitute():
         expected = p.substitute([Poly.const(1, b) + t * w for b, w in zip(base, direction)],
                                 nvars_out=1)
         restricted = restrict_to_line(p, base, direction)
-        assert restricted == expected
-        assert all(_canonical_coefficient(c) for c in restricted.terms.values())
+        assert restricted == [expected.coefficient((k,)) for k in range(p.total_degree() + 1)]
+        assert all(_canonical_coefficient(c) for c in restricted)
         integral = restrict_to_line(integer_primitive(p), [math.floor(b) for b in base], direction)
-        assert all(type(c) is int for c in integral.terms.values())
+        assert all(type(c) is int for c in integral)
 
 
 # -- integer-or-Fraction coefficients against a plain Fraction reference -----

@@ -133,9 +133,8 @@ def test_desk_report_is_byte_identical_with_warm_memos():
     # The first run starts from cold process-lifetime memos, the second
     # reads every one of them warm; the report may not tell them apart.
     from vermajet import discriminant
-    for memo in (jets._chart_minor, jets._checked_minor, jets._reduced_family,
-                 discriminant._classical_discriminant,
-                 discriminant._multiple_root_eliminant):
+    for memo in (jets._checked_minor, jets._reduced_family,
+                 discriminant.classical_discriminant_oracle, discriminant._eliminants):
         memo.cache_clear()
     first = render_report(run_suite(SuiteConfig()), "json")
     second = render_report(run_suite(SuiteConfig()), "json")
