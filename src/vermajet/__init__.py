@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CertificateError", "SizeCapError"),
     "lie": ("LieAlgebraContext", "LieElement", "SubalgebraTag", "Weight",
-            "bracket", "build_context", "highest_weight", "rho_character", "simple_roots"),
+            "build_context", "rho_character", "simple_roots"),
     "linalg": ("SparseMatrix", "kernel_basis", "rank", "rref", "span_dim"),
     "plethysm": ("PlethysmVector", "act", "highest_weight_vector", "module_dim", "sym_basis"),
     "filtration": ("annihilator_dim", "canonical_filtration", "char_ideal_generator_check",

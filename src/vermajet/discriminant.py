@@ -26,12 +26,13 @@ sum r*e_r by one, so the kernel is the union of the weight blocks' kernels,
 and block w's rows are R_w = delta^T(R_(w-1)) + the unit rows of the
 monomials of weight w in a_0..a_e alone; block w's piece is the
 `Echelon.kernel` of R_w over its columns in `degree_monomials` order.  Only
-w <= kd/2 is eliminated, each block seeded with the canonical rows of the
-block below, and no polynomial in (b, c) is formed.  Swapping x0 and x1
-keeps every root's multiplicity, so the mirror a_r -> a_(d-r) maps the
-piece to itself and block w to block kd - w: the mirrored kernel of the
-blocks w < kd/2 spans the upper half, put in the canonical form of
-`Echelon.kernel` by one more `Echelon` over the reversed columns.
+w <= kd/2 is eliminated, each block seeded with the stored integer rows of
+the block below (`Echelon.echelon_rows`; R_w needs only the row space of
+R_(w-1)), and no polynomial in (b, c) is formed.  Swapping x0 and x1 keeps
+every root's multiplicity, so the mirror a_r -> a_(d-r) maps the piece to
+itself and block w to block kd - w: the mirrored kernel of the blocks
+w < kd/2 spans the upper half, put in `Echelon.kernel`'s canonical form by
+one more `Echelon` over the reversed columns.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
 Each univariate restriction is proved irreducible over Q by mod-p degree
@@ -177,8 +178,8 @@ def _weight(exps: tuple[int, ...]) -> int:
 def _row_space(block: list[tuple[int, ...]], below: list[tuple[int, ...]] | None,
                previous: Echelon | None, e: int) -> Echelon:
     """R_w over the weight block `block`: a unit row per monomial in a_0..a_e
-    alone, then delta^T of each canonical row of R_(w-1) (`previous`, over the
-    block `below`) with those columns dropped, sparsest first."""
+    alone, then delta^T of each stored integer row of R_(w-1) (`previous`,
+    over the block `below`) with those columns dropped, sparsest first."""
     d = len(block[0]) - 1
     index = {exps: j for j, exps in enumerate(block)}
     echelon = Echelon(len(block))
@@ -187,9 +188,9 @@ def _row_space(block: list[tuple[int, ...]], below: list[tuple[int, ...]] | None
         echelon.add({j: 1})
     lifts: dict[int, list[tuple[int, int]]] = {}
     images = []
-    for _, row in previous.canonical_rows() if previous else ():
+    for row in previous.echelon_rows() if previous else ():
         image: dict[int, int] = {}
-        for col, v in zip(row, primitive_integers(list(row.values()), 0)):
+        for col, v in row.items():
             lift = lifts.get(col)
             if lift is None:
                 # delta^T(m*) = sum_s (d-s+1)(m_s+1) (m + e_s - e_(s-1))*, up to sign

@@ -8,7 +8,8 @@ weight vector.  It grows by the nilpotent complement n alone:
     hence F_(l+1) = F_l + n . F_l = F_l + n . (the vectors new at level l).
 The second line is an exact certificate checked first (CertificateError
 otherwise; `char_ideal_generator_check` reads the same test), and the same
-proof lets `multi_filtration` apply only n to a span of p-eigenvectors.
+proof lets `multi_filtration` apply only n to each summand's v; the summands
+have disjoint columns, so it sums their ranks, one per distinct degree.
 All levels grow in one `Echelon`, read off `Echelon.canonical_rows` (unique
 reduced rows, 1 at the pivot, an `int` when integral); a level that adds no
 pivot repeats the one before, as does every later level, so the echelon is
@@ -29,8 +30,8 @@ matrix over all of g is the tests' reference (`tests/reference.py`).
 The PBW images behind PBW filtrations and direct sums are built in one
 pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v), i the leftmost
 nonzero exponent, walked by `polynomials.prefix_steps`; only the nonzero
-images of one degree are kept while the next is built, images that are only
-ranked go straight into an `Echelon`, and nothing is memoized across calls.
+images of one degree are kept while the next is built, one rank routine
+(`_pbw_rank`) ranks them, and nothing is memoized across calls.
 `apply_pbw_monomial` stays as the row-by-row reference.
 """
 
@@ -208,16 +209,21 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     exact independence flag (rank equals the monomial count)."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    ctx = build_context(m, n)
     _, index_of = indexed_basis(m, n, d, cap)
-    generators = ctx.subalgebra_basis(SubalgebraTag.N)
-    count = _pbw_count(len(generators), l, monomial_cap)
-    vectors = [PlethysmVector() for _ in range(count)]
+    vectors = [PlethysmVector() for _ in range(_pbw_count(m * n, l, monomial_cap))]
+    return vectors, _pbw_rank(m, n, d, l, index_of, vectors) == len(vectors)
+
+
+def _pbw_rank(m: int, n: int, d: int, l: int, index_of: dict[SymIndex, int],
+              vectors: list[PlethysmVector] | None = None) -> int:
+    """Rank of z^a v over n, |a| <= l; each image also fills `vectors` if given."""
     echelon = Echelon(len(index_of))
+    generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
     for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m):
-        vectors[row] = image
+        if vectors is not None:
+            vectors[row] = image
         echelon.add(coordinates(image, index_of))
-    return vectors, echelon.rank == count
+    return echelon.rank
 
 
 def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:
@@ -329,14 +335,10 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
     ctx = build_context(m, n)
     _pbw_count(m * n, l, monomial_cap)  # the images are walked over n
-    indices = [indexed_basis(m, n, d, cap)[1] for d in degrees]
-    echelon = Echelon(sum(map(len, indices)))
-    offset = 0
-    for d, index_of in zip(degrees, indices):
-        v = highest_weight_vector(m, n, d)
-        if not _p_eigenvector(ctx, d, v):
+    indices = {d: indexed_basis(m, n, d, cap)[1] for d in degrees}
+    ranks = {}
+    for d, index_of in indices.items():
+        if not _p_eigenvector(ctx, d, highest_weight_vector(m, n, d)):
             raise CertificateError(f"p does not act on the degree-{d} v by its character")
-        for _, image in _pbw_images(ctx.subalgebra_basis(SubalgebraTag.N), l, v, m):
-            echelon.add({index_of[idx] + offset: value for idx, value in image.coeffs.items()})
-        offset += len(index_of)
-    return echelon.rank
+        ranks[d] = _pbw_rank(m, n, d, l, index_of)
+    return sum(ranks[d] for d in degrees)

@@ -2,8 +2,9 @@
 
 An element is a sparse traceless matrix whose entries are each an `int`
 when integral and a `Fraction` only when not (the canonical form of
-`linalg.canonical`); sums, scalar multiples, brackets and `rho_character`
-keep that form, so the matrix units E_ij and the H_k stay integral.
+`linalg.canonical`); sums, scalar multiples and `rho_character` keep that
+form, so the matrix units E_ij and the H_k stay integral.  The commutator
+`bracket`, a test oracle of the action, lives in `tests/reference.py`.
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -19,8 +20,9 @@ Conventions, fixed once and used everywhere downstream:
   are equal exactly when their difference is constant.
 
 `build_context` is memoized per (m, n) for the life of the process; every
-caller shares one context, which is read-only (`basis` and `basis_names`
-are tuples).  Invalid block sizes raise and are never stored.
+caller shares one context, which is read-only (`basis`, `basis_names` and
+each subalgebra basis, the filter of `basis` by `contains`, are tuples built
+once).  Invalid block sizes raise and are never stored.
 """
 
 from __future__ import annotations
@@ -172,6 +174,8 @@ class LieAlgebraContext:
             tuple(self.E(i, j) for i, j in units) + tuple(self.H(k) for k in cartan))
         self.basis_names: tuple[str, ...] = (
             tuple(f"E{i},{j}" for i, j in units) + tuple(f"H{k}" for k in cartan))
+        self._subalgebras = {tag: tuple(x for x in self.basis if self.contains(x, tag))
+                             for tag in SubalgebraTag}
 
     def E(self, i: int, j: int) -> LieElement:
         if i == j:
@@ -189,15 +193,7 @@ class LieAlgebraContext:
         return all(_position_allowed(tag, self.m, i, j) for (i, j) in x.entries)
 
     def subalgebra_basis(self, tag: SubalgebraTag) -> list[LieElement]:
-        if tag is SubalgebraTag.H:
-            return [self.H(k) for k in range(1, self.size)]
-        out = [self.E(i, j)
-               for i in range(1, self.size + 1)
-               for j in range(1, self.size + 1)
-               if i != j and _position_allowed(tag, self.m, i, j)]
-        if tag is SubalgebraTag.P:
-            out.extend(self.H(k) for k in range(1, self.size))
-        return out
+        return list(self._subalgebras[tag])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebraContext):
@@ -215,26 +211,6 @@ class LieAlgebraContext:
 def build_context(m: int, n: int) -> LieAlgebraContext:
     """The shared, read-only sl(m+n) context for blocks of sizes m and n."""
     return LieAlgebraContext(m, n)
-
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Matrix commutator [x, y] = xy - yx."""
-    if x.size != y.size:
-        raise ValueError("elements live in different algebras")
-    acc: dict[tuple[int, int], int | Fraction] = {}
-    y_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
-    x_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
-    for (i, j), v in y.entries.items():
-        y_rows.setdefault(i, []).append((j, v))
-    for (i, j), v in x.entries.items():
-        x_rows.setdefault(i, []).append((j, v))
-    for (i, k), xv in x.entries.items():
-        for j, yv in y_rows.get(k, ()):
-            acc[(i, j)] = acc.get((i, j), 0) + xv * yv
-    for (i, k), yv in y.entries.items():
-        for j, xv in x_rows.get(k, ()):
-            acc[(i, j)] = acc.get((i, j), 0) - yv * xv
-    return LieElement(x.size, acc)
 
 
 @dataclass(frozen=True)
@@ -255,14 +231,6 @@ def simple_roots(ctx: LieAlgebraContext) -> list[SimpleRoot]:
     return out
 
 
-def root_weight(ctx: LieAlgebraContext, i: int, j: int) -> Weight:
-    """The root L_i - L_j carried by the matrix unit E_ij."""
-    coords = [0] * ctx.size
-    coords[i - 1] += 1
-    coords[j - 1] -= 1
-    return Weight(coords)
-
-
 def rho_character(ctx: LieAlgebraContext, d: int, y: LieElement) -> int | Fraction:
     """d times the trace of the upper-left m x m block of y (y must be in p)."""
     if not ctx.contains(y, SubalgebraTag.P):
@@ -270,8 +238,3 @@ def rho_character(ctx: LieAlgebraContext, d: int, y: LieElement) -> int | Fracti
     block_trace = sum(y.entries.get((i, i), 0) for i in range(1, ctx.m + 1))
     return canonical(d * block_trace)
 
-
-def highest_weight(ctx: LieAlgebraContext, d: int) -> Weight:
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return Weight((d,) * ctx.m + (0,) * ctx.n)

@@ -14,7 +14,8 @@ row's entries are in no particular column order.  Back-substitution runs
 only when the reduced form or a kernel is asked for.  The reduced form is
 unique, and `Echelon.canonical_rows` and `Echelon.kernel` (built on it) are
 its only read-off, each row scaled to 1 at its pivot with canonical entries;
-`rref` and `kernel_basis` use them too, so no other module sees the rows.
+`rref` and `kernel_basis` use them too.  `Echelon.echelon_rows` reads the
+stored rows as they stand, a row-space basis with no back-substitution.
 
 `canonical` and `canonical_values` keep a coefficient an `int` when it is
 integral and a `Fraction` only when it is not; polynomials, Lie algebra
@@ -210,6 +211,10 @@ class Echelon:
                     rows[col] = _store_primitive(row, col)
             self._reduced = True
         return [rows[c] for c in pivots]
+
+    def echelon_rows(self) -> list[dict[int, int]]:
+        """The stored rows (read-only) in pivot order; no normal form is promised."""
+        return [self._rows[c] for c in self.pivots]
 
     def canonical_rows(self) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
         """(pivot, row) of the reduced form in pivot order, each row a new

@@ -53,6 +53,11 @@ The PBW evaluation matrix, the oracle of `canonical_filtration` and
 monomial (`pbw_monomials` order) over all of g or over a subalgebra, built
 by `filtration._pbw_images`, so over g its row span is U_l(g) . v.
 `in_span` decides span membership by one `Echelon.add`.
+
+The matrix commutator `bracket`, the oracle of `plethysm.act`'s
+representation law [x, y] . w = x . (y . w) - y . (x . w), with the root
+`root_weight` of a matrix unit and the `highest_weight` of the module of
+degree d.
 """
 
 from __future__ import annotations
@@ -435,3 +440,37 @@ def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int |
     matrix = _rows_matrix(list(vectors) + [candidate], dim)
     *rows, last = matrix.row_dicts()
     return not _echelon(rows, matrix.cols).add(last)
+
+
+def bracket(x: LieElement, y: LieElement) -> LieElement:
+    """Matrix commutator [x, y] = xy - yx."""
+    if x.size != y.size:
+        raise ValueError("elements live in different algebras")
+    acc: dict[tuple[int, int], int | Fraction] = {}
+    y_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
+    x_rows: dict[int, list[tuple[int, int | Fraction]]] = {}
+    for (i, j), v in y.entries.items():
+        y_rows.setdefault(i, []).append((j, v))
+    for (i, j), v in x.entries.items():
+        x_rows.setdefault(i, []).append((j, v))
+    for (i, k), xv in x.entries.items():
+        for j, yv in y_rows.get(k, ()):
+            acc[(i, j)] = acc.get((i, j), 0) + xv * yv
+    for (i, k), yv in y.entries.items():
+        for j, xv in x_rows.get(k, ()):
+            acc[(i, j)] = acc.get((i, j), 0) - yv * xv
+    return LieElement(x.size, acc)
+
+
+def root_weight(ctx: LieAlgebraContext, i: int, j: int) -> Weight:
+    """The root L_i - L_j carried by the matrix unit E_ij."""
+    coords = [0] * ctx.size
+    coords[i - 1] += 1
+    coords[j - 1] -= 1
+    return Weight(coords)
+
+
+def highest_weight(ctx: LieAlgebraContext, d: int) -> Weight:
+    if d < 1:
+        raise ValueError("degree must be positive")
+    return Weight((d,) * ctx.m + (0,) * ctx.n)

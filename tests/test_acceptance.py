@@ -9,7 +9,7 @@ import itertools
 import random
 from math import comb
 
-from vermajet.lie import SubalgebraTag, bracket, build_context
+from vermajet.lie import SubalgebraTag, build_context
 from vermajet.linalg import kernel_basis, rref
 from vermajet.plethysm import PlethysmVector, act, sym_basis
 from vermajet.filtration import (annihilator_dim, canonical_filtration,
@@ -23,8 +23,8 @@ from vermajet.discriminant import (classical_discriminant_oracle,
                                    sample_jacobian_ranks)
 from vermajet.suite import DESK_CASES
 
-from reference import (evaluation_matrix, jet_truncation, matvec, monomial_jet_projective,
-                       monomial_sections, to_tuple)
+from reference import (bracket, evaluation_matrix, jet_truncation, matvec,
+                       monomial_jet_projective, monomial_sections, to_tuple)
 
 SPLIT_MONOMIAL_BUDGET = 2000
 

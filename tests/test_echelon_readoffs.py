@@ -6,23 +6,26 @@ is read off the t-degrees of the standard monomials and checked against the
 all-monomials oracle of `test_jets`; the weight-block rank certificate is
 checked by injecting a zero minor, and the default desk suite must build no
 `SparseMatrix` and call no `linalg` elimination.  A source scan keeps
-reading the reduced rows inside `linalg`."""
+reading the reduced rows inside `linalg`; the eliminant sweep seeds each
+weight block from the stored integer rows of the block below, whose span
+is checked against the canonical rows."""
 
 import ast
 import hashlib
 import random
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
 from vermajet import filtration, jets, linalg
-from vermajet.discriminant import irreducibility_witness, parametrized_form
+from vermajet.discriminant import _kernel_piece, irreducibility_witness, parametrized_form
 from vermajet.filtration import annihilator_dim, verma_split_check
 from vermajet.lie import SubalgebraTag, build_context
 from vermajet.errors import CertificateError
-from vermajet.linalg import SparseMatrix, kernel_basis, rank, span_dim
+from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
@@ -157,3 +160,40 @@ def test_only_linalg_reads_the_primitive_reduced_rows():
                     and node.func.attr == "reduced"):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_echelon_rows_are_primitive_integers_spanning_the_canonical_rows():
+    rng = random.Random(30)
+    entries = [0, 0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3)]
+    for _ in range(60):
+        cols = rng.randint(1, 7)
+        echelon = Echelon(cols)
+        for _ in range(rng.randint(1, 8)):
+            echelon.add({c: rng.choice(entries) for c in range(cols)})
+        for stage in ("as stored", "back-substituted"):
+            rows = echelon.echelon_rows()
+            assert [min(row) for row in rows] == echelon.pivots, stage
+            for row in rows:
+                assert all(type(v) is int for v in row.values()), stage
+                assert row[min(row)] > 0 and gcd(*row.values()) == 1, stage
+            again = Echelon(cols)
+            assert all(again.add(row) for row in rows), stage
+            # the reduced form is unique, so equal canonical rows mean one row space
+            assert list(again.canonical_rows()) == list(echelon.canonical_rows()), stage
+
+
+def test_eliminant_blocks_are_seeded_without_canonical_rows(monkeypatch):
+    # Each block's kernel reads the canonical rows, and so does the mirror
+    # once; `_row_space` reads the block below only through `echelon_rows`.
+    callers = []
+    canonical_rows = Echelon.canonical_rows
+
+    def counted(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return canonical_rows(self)
+
+    monkeypatch.setattr(Echelon, "canonical_rows", counted)
+    _kernel_piece(6, 4, 5)
+    assert "_row_space" not in callers
+    assert callers.count("_kernel_piece") == 1
+    assert set(callers) == {"kernel", "_kernel_piece"}

@@ -366,7 +366,8 @@ def test_char_ideal_check_matches_reference(m, n, d, l):
 
 
 @pytest.mark.parametrize("m,n,degrees,l", [(1, 1, (2, 3), 1), (2, 2, (2, 2), 1),
-                                           (1, 2, (2, 3), 2), (2, 2, (2, 3), 2)])
+                                           (1, 2, (2, 3), 2), (2, 2, (2, 3), 2),
+                                           (2, 2, (2, 2, 2), 1), (1, 1, (2, 3, 3), 2)])
 def test_multi_filtration_matches_reference(m, n, degrees, l):
     assert multi_filtration(m, n, degrees, l) == _multi_filtration_reference(m, n, degrees, l)
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from vermajet.lie import (LieElement, SubalgebraTag, Weight, bracket,
-                          build_context, highest_weight, rho_character,
-                          root_weight, simple_roots)
+from vermajet import lie
+from vermajet.lie import (LieElement, SubalgebraTag, Weight, build_context, rho_character,
+                          simple_roots)
+
+from reference import bracket, highest_weight, root_weight
 
 
 def n_basis_names(ctx):
@@ -156,6 +158,45 @@ def test_build_context_is_shared_and_read_only():
     assert ctx.basis_names[0] == "E1,2" and ctx.basis_names[-1] == "H4"
     with pytest.raises(TypeError):
         ctx.basis[0] = ctx.H(1)
+
+
+_UNIT_ALLOWED = {
+    SubalgebraTag.G_MINUS: lambda m, i, j: i > j,
+    SubalgebraTag.H: lambda m, i, j: False,
+    SubalgebraTag.G_PLUS: lambda m, i, j: i < j,
+    SubalgebraTag.P: lambda m, i, j: not (i > m and j <= m),
+    SubalgebraTag.N: lambda m, i, j: i > m and j <= m,
+}
+
+
+def test_subalgebra_bases_are_built_once_and_copied(monkeypatch):
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        ctx = build_context(m, n)
+        for tag in SubalgebraTag:
+            # matrix units by position in (i, j) order, then the Cartan
+            # part for h and p: the construction before the bases were stored
+            units = [ctx.E(i, j) for i in range(1, ctx.size + 1)
+                     for j in range(1, ctx.size + 1)
+                     if i != j and _UNIT_ALLOWED[tag](m, i, j)]
+            cartan = [ctx.H(k) for k in range(1, ctx.size)]
+            expected = units + (cartan if tag in (SubalgebraTag.H, SubalgebraTag.P) else [])
+            assert expected == [x for x in ctx.basis if ctx.contains(x, tag)]
+            first = ctx.subalgebra_basis(tag)
+            assert type(first) is list and first == expected
+            first.clear()
+            second = ctx.subalgebra_basis(tag)
+            assert second is not first and second == expected
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return True
+
+    monkeypatch.setattr(lie, "_position_allowed", counted)
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        for tag in SubalgebraTag:
+            build_context(m, n).subalgebra_basis(tag)
+    assert calls == []
 
 
 def test_build_context_invalid_blocks_raise_every_time():

@@ -8,13 +8,14 @@ import pytest
 from vermajet import filtration
 from vermajet.filtration import weight_of
 from vermajet.errors import SizeCapError
-from vermajet.lie import SubalgebraTag, Weight, bracket, build_context, highest_weight, rho_character
+from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector, indexed_basis,
                                module_dim, sym_basis, wedge_basis)
 from vermajet.suite import DESK_CASES
 
-from reference import (matching_count, pair, to_counts, to_tuple, tuple_act,
-                       tuple_filtration_bases, tuple_matching_count, tuple_weight_of)
+from reference import (bracket, highest_weight, matching_count, pair, to_counts, to_tuple,
+                       tuple_act, tuple_filtration_bases, tuple_matching_count,
+                       tuple_weight_of)
 
 
 def test_module_dim_sl2():

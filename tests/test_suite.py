@@ -108,25 +108,36 @@ DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508c
 
 
 def test_desk_suite_grows_one_filtration_per_case(monkeypatch):
-    # 6 cases and 4 direct-sum summands; the case records read every level
-    # off one filtration, so neither annihilator_dim nor duality_check runs.
-    calls = []
-    grow = filtration.canonical_filtration
+    # 6 cases and 3 distinct direct-sum summands ((2, 3) and (2, 2)); the
+    # case records read every level off one filtration, so neither
+    # annihilator_dim nor duality_check runs.  One character-ideal check per
+    # case (6); the p-eigenvector certificate runs in each of those, in each
+    # of the 9 filtrations and once per distinct summand degree of the
+    # direct sums (2 + 1): 6 + 9 + 3 = 18.
+    calls = {"canonical_filtration": 0, "char_ideal_generator_check": 0, "_p_eigenvector": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return grow(*args)
+    def counted(name):
+        original = getattr(filtration, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the desk suite must read this off its filtration")
 
-    monkeypatch.setattr(filtration, "canonical_filtration", counted)
-    monkeypatch.setattr(jets, "canonical_filtration", counted)
+    grow = counted("canonical_filtration")
+    monkeypatch.setattr(filtration, "canonical_filtration", grow)
+    monkeypatch.setattr(jets, "canonical_filtration", grow)
+    for name in ("char_ideal_generator_check", "_p_eigenvector"):
+        monkeypatch.setattr(filtration, name, counted(name))
     monkeypatch.setattr(filtration, "annihilator_dim", forbidden)
     monkeypatch.setattr(jets, "duality_check", forbidden)
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
-    assert len(calls) == 10
+    assert calls == {"canonical_filtration": 9, "char_ideal_generator_check": 6,
+                     "_p_eigenvector": 18}
 
 
 def test_desk_report_is_byte_identical_with_warm_memos():
