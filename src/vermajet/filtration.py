@@ -10,6 +10,7 @@ The second line is an exact certificate checked first (CertificateError
 otherwise; `char_ideal_generator_check` reads the same test), and the same
 proof lets `multi_filtration` apply only n to each summand's v; the summands
 have disjoint columns, so it sums their ranks, one per distinct degree.
+`_certified` runs that certificate once per (m, n, d) for the process.
 All levels grow in one `Echelon`, read off `Echelon.canonical_rows` (unique
 reduced rows, 1 at the pivot, an `int` when integral); a level that adds no
 pivot repeats the one before, as does every later level, so the echelon is
@@ -18,7 +19,8 @@ the weight of its pivot column (compared on raw coordinates: every index
 has total m d) and the weight multiset counts pivot weights.  The
 saturation level, the first level of full module dimension, is read off
 the levels, so a result sliced to levels 0..k reports what
-`canonical_filtration(m, n, d, k)` does.
+`canonical_filtration(m, n, d, k)` does; a call that the one stored growth
+(keyed by (m, n, d, cap)) reaches returns that slice, its levels shared.
 
 A PBW monomial is an exponent vector over a fixed ordered basis (of n or of
 g); it acts by applying its factors right to left as module actions, and
@@ -45,7 +47,7 @@ from typing import Iterator, Sequence
 
 from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
-                  build_context, rho_character, simple_roots)
+                  build_context, simple_roots)
 from .linalg import Echelon
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, act, coordinates,
                        highest_weight_vector, indexed_basis, module_dim, wedge_basis)
@@ -156,29 +158,47 @@ class FiltrationResult:
 
 
 def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
-    """Whether y . v = rho(y) v for every y in the parabolic basis."""
-    return all((act(y, v, ctx.m) - rho_character(ctx, d, y) * v).is_zero
+    """Whether y . v = rho(y) v for every y in the stored parabolic basis;
+    rho(y) is read as `rho_character` does, less its test that y lies in p."""
+    return all((act(y, v, ctx.m)
+                - d * sum(y.entries.get((i, i), 0) for i in range(1, ctx.m + 1)) * v).is_zero
                for y in ctx.subalgebra_basis(SubalgebraTag.P))
+
+
+@cache
+def _certified(m: int, n: int, d: int) -> bool:
+    """The p-eigenvector certificate of the degree-d highest weight vector."""
+    return _p_eigenvector(build_context(m, n), d, highest_weight_vector(m, n, d))
+
+
+_grown: dict[tuple[int, int, int, int], FiltrationResult] = {}  # the last growth only
 
 
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
-    """Levels 0..l_max of the canonical filtration, with canonical bases."""
+    """Levels 0..l_max of the canonical filtration, with canonical bases: a
+    slice of the one stored growth when it has the key (m, n, d, cap) and
+    reaches l_max, else a new growth that replaces it.  Every call returns a
+    new result and `levels` list; the `FiltrationLevel`s are shared and
+    read-only.  v is certified once per (m, n, d) (`_certified`)."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if l_max > cap:  # one level is stored per l, stabilized or not
         raise SizeCapError("filtration level", l_max, cap)
+    grown = _grown.get((m, n, d, cap))
+    if grown is not None and len(grown.levels) > l_max:
+        return replace(grown, levels=grown.levels[:l_max + 1])
+    _grown.clear()
     ctx = build_context(m, n)
     basis, index_of = indexed_basis(m, n, d, cap)
     weight_at = cache(lambda c: weight_of(basis[c], m, n))
     target = weyl_dim_oracle(m, n, d)
-    v = highest_weight_vector(m, n, d)
-    if not _p_eigenvector(ctx, d, v):
+    if not _certified(m, n, d):
         raise CertificateError("p does not act on v by its character")
     nilpotent = ctx.subalgebra_basis(SubalgebraTag.N)
 
     echelon = Echelon(len(basis))
-    new = [v]
+    new = [highest_weight_vector(m, n, d)]
     levels: list[FiltrationLevel] = []
 
     for level in range(l_max + 1):
@@ -198,7 +218,8 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
         levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
                                       echelon.rank == target))
 
-    return FiltrationResult(m, n, d, target, levels)
+    grown = _grown[m, n, d, cap] = FiltrationResult(m, n, d, target, levels)
+    return replace(grown, levels=levels[:])
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,
@@ -316,12 +337,10 @@ def char_ideal_generator_check(m: int, n: int, d: int, l: int,
     basis, annihilates v: the character ideal sits inside the annihilator."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    ctx = build_context(m, n)
     module_dim(m, n, d, cap)
-    v = highest_weight_vector(m, n, d)
     enveloping_dim(m, n, l - 1, monomial_cap)
     # x(y - rho(y)) v = 0 for every x exactly when (y - rho(y)) v = 0
-    return _p_eigenvector(ctx, d, v)
+    return _certified(m, n, d)
 
 
 def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
@@ -333,12 +352,11 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
         raise ValueError("need at least one degree")
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
-    ctx = build_context(m, n)
     _pbw_count(m * n, l, monomial_cap)  # the images are walked over n
     indices = {d: indexed_basis(m, n, d, cap)[1] for d in degrees}
     ranks = {}
     for d, index_of in indices.items():
-        if not _p_eigenvector(ctx, d, highest_weight_vector(m, n, d)):
+        if not _certified(m, n, d):
             raise CertificateError(f"p does not act on the degree-{d} v by its character")
         ranks[d] = _pbw_rank(m, n, d, l, index_of)
     return sum(ranks[d] for d in degrees)

@@ -30,7 +30,7 @@ rank of `taylor_matrix` is its count of nonzero rows.
 
 `level_duality` checks the filtration/jet duality on a level of a canonical
 filtration the caller has grown, so one filtration serves every level;
-`duality_check(m, n, d, l)` grows level l and calls it.  Each basis section
+`duality_check(m, n, d, l)` reads level l and calls it.  Each basis section
 is the one Plücker monomial of its chain, so the level pairs to zero with
 the vanishing-jet sections exactly when no level vector has a coordinate at
 one of their chains; the all-pairs pairing is the test reference.
@@ -281,7 +281,7 @@ def level_duality(m: int, n: int, d: int, level: FiltrationLevel,
 
 def duality_check(m: int, n: int, d: int, l: int,
                   cap: int = DEFAULT_AMBIENT_CAP) -> DualityReport:
-    """`level_duality` on level l of a newly grown canonical filtration."""
+    """`level_duality` on level l of `canonical_filtration(m, n, d, l)`."""
     if not 1 <= l < d:
         raise ValueError("the duality is only asserted for 1 <= l < d")
     return level_duality(m, n, d, canonical_filtration(m, n, d, l, cap).levels[l], cap)

@@ -103,12 +103,14 @@ class LieElement:
 
 
 class Weight:
-    """Integer weight vector, considered modulo the all-ones vector."""
+    """Integer weight vector, considered modulo the all-ones vector; the hash
+    of its normalized coordinates is taken once, at construction."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Sequence[int]):
         self.coords = tuple(int(c) for c in coords)
+        self._hash = hash(self.normalized())
 
     def normalized(self) -> tuple[int, ...]:
         base = min(self.coords) if self.coords else 0
@@ -123,7 +125,7 @@ class Weight:
         return len(diffs) <= 1
 
     def __hash__(self):
-        return hash(self.normalized())
+        return self._hash
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))

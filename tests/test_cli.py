@@ -104,7 +104,7 @@ def test_filtration_level_cap_exits_3(capsys):
     assert len(json.loads(out)["dims"]) == 20001
 
 
-def test_filtration_certificate_failure_exits_1(capsys, monkeypatch):
+def test_filtration_certificate_failure_exits_1(capsys, monkeypatch, cold_filtration):
     from test_filtration import _moving_e12
     from vermajet import filtration
     monkeypatch.setattr(filtration, "act", _moving_e12)

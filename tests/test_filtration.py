@@ -1,16 +1,21 @@
+import importlib.util
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from vermajet.errors import CertificateError, SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import Echelon, SparseMatrix, rank, rref
-from vermajet.plethysm import PlethysmVector, act, coordinates, highest_weight_vector, sym_basis
+from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
+                               highest_weight_vector, sym_basis)
 from vermajet import filtration
+from vermajet.jets import duality_check
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration,
                                  char_ideal_generator_check, multi_filtration,
@@ -332,7 +337,7 @@ def test_pbw_images_of_an_arbitrary_start_match_reference():
 
 
 @pytest.mark.parametrize("subalgebra", ["all", SubalgebraTag.N])
-def test_pbw_images_act_only_on_nonzero_prefix_images(monkeypatch, subalgebra):
+def test_pbw_images_act_only_on_nonzero_prefix_images(monkeypatch, subalgebra, cold_filtration):
     ctx = build_context(2, 2)
     generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
     v = highest_weight_vector(2, 2, 2)
@@ -429,7 +434,7 @@ def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
     assert result.saturation_level == (saturated[0] if saturated else None)
 
 
-def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch):
+def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch, cold_filtration):
     m, n, d = 1, 2, 2
     ctx = build_context(m, n)
     basis = sym_basis(m, n, d)
@@ -450,7 +455,7 @@ def _moving_e12(x, vec, m):
     return image
 
 
-def test_a_p_element_moving_v_fails_the_certificate(monkeypatch):
+def test_a_p_element_moving_v_fails_the_certificate(monkeypatch, cold_filtration):
     monkeypatch.setattr(filtration, "act", _moving_e12)
     with pytest.raises(CertificateError, match="p does not act"):
         canonical_filtration(2, 2, 3, 2)
@@ -459,7 +464,7 @@ def test_a_p_element_moving_v_fails_the_certificate(monkeypatch):
     assert not char_ideal_generator_check(2, 2, 3, 1)
 
 
-def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch):
+def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch, cold_filtration):
     # (2,2,4) to level 3: the 4 elements of n act on the 1, 4 and 10 vectors
     # that left new pivots at levels 0, 1, 2 (60 actions), and the 11
     # elements of p act once on v for the certificate
@@ -476,7 +481,7 @@ def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch):
     assert sum(ctx.contains(x, SubalgebraTag.N) for x in calls) == 60
 
 
-def test_saturated_levels_are_not_read_again(monkeypatch):
+def test_saturated_levels_are_not_read_again(monkeypatch, cold_filtration):
     # (2,2,3) saturates at level 6; levels 0..6 grew, so the echelon is read
     # 7 times however far the growth is asked to go
     reads = []
@@ -492,6 +497,7 @@ def test_saturated_levels_are_not_read_again(monkeypatch):
     assert grown.saturation_level == 6
     assert grown.dims[6:] == [grown.module_dim] * 45 == [50] * 45
     for k in (0, 5, 6, 7, 9, 50):
+        filtration._grown.clear()  # a new growth, not a slice of `grown`
         shorter = canonical_filtration(2, 2, 3, k)
         sliced = replace(grown, levels=grown.levels[:k + 1])
         assert sliced.dims == shorter.dims
@@ -500,12 +506,13 @@ def test_saturated_levels_are_not_read_again(monkeypatch):
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
-def test_sliced_filtration_matches_shorter_growth(m, n, d):
+def test_sliced_filtration_matches_shorter_growth(m, n, d, cold_filtration):
     # The desk suite grows each filtration to level d and slices it; the
     # saturation level must come out as a shorter growth reports it.
     grown = canonical_filtration(m, n, d, d)
     for k in range(d + 1):
         sliced = replace(grown, levels=grown.levels[:k + 1])
+        filtration._grown.clear()  # a new growth, not a slice of `grown`
         shorter = canonical_filtration(m, n, d, k)
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
@@ -517,3 +524,125 @@ def test_level_bases_store_ints_unless_fractional(m, n, d):
         for vec in level.basis:
             assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
                        for v in vec.coeffs.values())
+
+
+def _counted(monkeypatch, module, name):
+    """The arguments of every call to `module.name` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class _CountedStore(dict):
+    """The growth memo, recording the key of every growth it stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def _growths(monkeypatch):
+    store = _CountedStore()
+    monkeypatch.setattr(filtration, "_grown", store)
+    return store.stored
+
+
+def test_checks_after_a_growth_grow_nothing(monkeypatch, cold_filtration):
+    # The duality and annihilator checks read level 3 of the stored (2,2,4)
+    # growth and act on nothing; the split check acts only in its walk of
+    # the PBW images over n, as `pbw_filtration` alone does.
+    acts = _counted(monkeypatch, filtration, "act")
+    assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
+    assert len(acts) == 71
+    acts.clear()
+    report = duality_check(2, 2, 4, 3)
+    assert (report.filtration_dim, report.taylor_rank, report.dim_match,
+            report.pairing_vanishes) == (35, 35, True, True)
+    assert annihilator_dim(2, 2, 4, 3) == 781
+    assert acts == []
+    split = verma_split_check(2, 2, 4, 3)
+    assert (split.dim_ul_g, split.dim_ul_n, split.dim_ann, split.split_holds) \
+        == (816, 35, 781, True)
+    walk = len(acts)
+    acts.clear()
+    pbw_filtration(2, 2, 4, 3)
+    assert len(acts) == walk > 0
+
+
+def test_a_deeper_level_grows_once(monkeypatch, cold_filtration):
+    growths = _growths(monkeypatch)
+    assert canonical_filtration(2, 2, 4, 2).dims == [1, 5, 15]
+    deeper = canonical_filtration(2, 2, 4, 4)
+    assert deeper.dims == [1, 5, 15, 35, 70]
+    for l in (4, 3, 0, 2):
+        assert canonical_filtration(2, 2, 4, l).dims == deeper.dims[:l + 1]
+    assert growths == [(2, 2, 4, DEFAULT_AMBIENT_CAP)] * 2
+
+
+def test_a_different_cap_grows_once(monkeypatch, cold_filtration):
+    # One growth is stored: going back to the default cap grows again.
+    growths = _growths(monkeypatch)
+    grown = canonical_filtration(2, 2, 3, 3)
+    assert canonical_filtration(2, 2, 3, 3, cap=100) == grown
+    assert canonical_filtration(2, 2, 3, 2, cap=100).dims == grown.dims[:3]
+    assert canonical_filtration(2, 2, 3, 3) == grown
+    assert growths == [(2, 2, 3, DEFAULT_AMBIENT_CAP), (2, 2, 3, 100),
+                       (2, 2, 3, DEFAULT_AMBIENT_CAP)]
+
+
+def test_each_call_returns_a_new_result_over_shared_levels(monkeypatch, cold_filtration):
+    # Emptying a returned `levels` list leaves the stored growth whole.
+    growths = _growths(monkeypatch)
+    first = canonical_filtration(2, 2, 3, 3)
+    second = canonical_filtration(2, 2, 3, 3)
+    assert first is not second and first.levels is not second.levels
+    assert all(a is b for a, b in zip(first.levels, second.levels, strict=True))
+    first.levels.clear()
+    second.levels.pop()
+    assert canonical_filtration(2, 2, 3, 3).dims == [1, 5, 15, 35]
+    assert len(growths) == 1
+
+
+def test_each_v_is_certified_once(monkeypatch, cold_filtration):
+    certified = _counted(monkeypatch, filtration, "_p_eigenvector")
+    canonical_filtration(2, 2, 3, 2)
+    assert char_ideal_generator_check(2, 2, 3, 1)
+    assert multi_filtration(2, 2, [2, 3, 3], 1) == 15
+    canonical_filtration(2, 2, 2, 1)
+    assert char_ideal_generator_check(2, 2, 2, 2)
+    assert [args[1] for args in certified] == [3, 2]
+    # a failed certificate is stored too, and raises on every call
+    monkeypatch.setattr(filtration, "act", _moving_e12)
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="p does not act"):
+            canonical_filtration(2, 2, 4, 1)
+    assert not char_ideal_generator_check(2, 2, 4, 1)
+    assert [args[1] for args in certified] == [3, 2, 4]
+
+
+def test_grassmannian_jobs_grow_and_certify_each_case_once(monkeypatch, cold_filtration):
+    # Three cases grown to level min(d - 1, 3), each read again by its
+    # duality job, and two annihilator cases: 5 growths and 5 certificates;
+    # the character-ideal job at (2,2,4) reads the first case's certificate.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    growths = _growths(monkeypatch)
+    certified = _counted(monkeypatch, filtration, "_p_eigenvector")
+    for job in workloads.grassmannian_jobs(0):
+        assert job.check(job.call()) is None, job.label
+    assert len(growths) == 5
+    assert len(certified) == 5

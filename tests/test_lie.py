@@ -127,6 +127,17 @@ def test_weight_equality_modulo_constant():
     assert Weight((3, 0)) != Weight((3, 1))
 
 
+def test_weight_hash_is_taken_at_construction(monkeypatch):
+    weight, shifted = Weight((3, 0, 1)), Weight((4, 1, 2))
+
+    def normalized(self):
+        raise AssertionError("the weight was normalized again")
+
+    monkeypatch.setattr(Weight, "normalized", normalized)
+    assert hash(weight) == hash(shifted)
+    assert {weight: 1}[shifted] == 1
+
+
 def test_jacobi_identity_sl2_exhaustive():
     ctx = build_context(1, 1)
     for x, y, z in itertools.product(ctx.basis, repeat=3):

@@ -107,13 +107,12 @@ def test_formula_ok_checks_every_level_below_d():
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
 
 
-def test_desk_suite_grows_one_filtration_per_case(monkeypatch):
+def test_desk_suite_grows_one_filtration_per_case(monkeypatch, cold_filtration):
     # 6 cases and 3 distinct direct-sum summands ((2, 3) and (2, 2)); the
     # case records read every level off one filtration, so neither
     # annihilator_dim nor duality_check runs.  One character-ideal check per
-    # case (6); the p-eigenvector certificate runs in each of those, in each
-    # of the 9 filtrations and once per distinct summand degree of the
-    # direct sums (2 + 1): 6 + 9 + 3 = 18.
+    # case (6); the p-eigenvector certificate runs once per distinct
+    # (m, n, d): the 6 cases and the one summand that is no case, 7.
     calls = {"canonical_filtration": 0, "char_ideal_generator_check": 0, "_p_eigenvector": 0}
 
     def counted(name):
@@ -137,10 +136,10 @@ def test_desk_suite_grows_one_filtration_per_case(monkeypatch):
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
     assert calls == {"canonical_filtration": 9, "char_ideal_generator_check": 6,
-                     "_p_eigenvector": 18}
+                     "_p_eigenvector": 7}
 
 
-def test_desk_report_is_byte_identical_with_warm_memos():
+def test_desk_report_is_byte_identical_with_warm_memos(cold_filtration):
     # The first run starts from cold process-lifetime memos, the second
     # reads every one of them warm; the report may not tell them apart.
     from vermajet import discriminant
