@@ -16,10 +16,17 @@ standard monomials: one per chain w_1 <= ... <= w_d of m-subsets in the
 componentwise order (a semistandard tableau), multiplied from its parent
 chain, with the single coordinate {chain: 1}.  Plücker coordinates are
 keyed as in `plethysm`, by exponent vectors over `wedge_basis(m, n)`: one
-minor by its unit vector, a chain by its wedge counts.  Sections of
-different torus weights are independent, so each weight block takes one
-exact `Echelon` rank; a dependent block, or a chain count other than
-`weyl_dim_oracle` (Borel-Weil), raises CertificateError, and otherwise the
+minor by its unit vector, a chain by its wedge counts.  The chains are
+certified a basis by initial terms (Sturmfels, Algorithms in Invariant
+Theory, 3.1), with no elimination.  Under lex order x_11 > x_12 > ... >
+x_21 > ... on the entries of the generic m x (m+n) matrix X, the leading
+term of the bracket det X[:, w] is its diagonal x_(1,w_1)...x_(m,w_m) (a
+test checks this; it depends on `wedge_basis` alone), and leading terms
+multiply, so a chain's initial monomial records the content of each row
+of its tableau.  Chains with distinct initial monomials are independent
+in k[X], hence as sections (one vanishing on the dense chart is zero).  Two
+chains sharing an initial monomial, or a chain count other than
+`weyl_dim_oracle` (Borel-Weil), raise CertificateError; otherwise the
 chains are a basis.
 
 A Plücker coordinate is homogeneous of degree its number of rows > m, so a
@@ -51,16 +58,17 @@ new objects.
 `plucker_polynomial` on every call (each wedge as often as its total
 exponent over the degree-d monomials, the same for every wedge) and keys
 `_reduced_family`, an `lru_cache` with `maxsize=1`, by (nvars, d, (wedge,
-minor term items) per wedge).  Only a miss multiplies the chains and ranks
-their weight blocks; it stores each section's chart terms and its Plücker
-map {chain: 1}.  A changed minor never meets a stale basis; a case's calls
+minor term items) per wedge).  Only a miss multiplies the chains and
+certifies them; it stores each section's chart terms and its Plücker map
+{chain: 1}.  A changed minor never meets a stale basis; a case's calls
 are consecutive in every caller, so one entry catches every repeat.  The
 factors are read on a hit only because the benchmark's desk workload pins
 the `section_space` (90) and `plucker_polynomial` (4,640) call counts; once
 ROADMAP item 1 re-pins them, key on (m, n, d, cap).
-The Plücker monomial products, literal jet truncations and the re-expansion
-at another chart point that the tests compare against are in
-`tests/reference.py`.
+The Plücker monomial products, literal jet truncations, the re-expansion
+at another chart point and the exact rank of each torus-weight block of
+the chains (the oracle of the initial-term certificate) that the tests
+compare against are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -76,15 +84,10 @@ from .errors import CertificateError
 from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # kernel_basis and det are unused here but stay bound: perfbench's layer
 # tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
-from .linalg import Echelon, SparseMatrix, kernel_basis  # noqa: F401
+from .linalg import SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, wedge_basis
 from .polynomials import Poly, _field_width, _pack_terms, _packed_product, _unpack, graded_monomials
 from .polynomials import det  # noqa: F401
-
-
-def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
-    """The mn chart positions (i, j), i in m+1..m+n, j in 1..m, in lex order."""
-    return [(i, j) for i in range(m + 1, m + n + 1) for j in range(1, m + 1)]
 
 
 @dataclass(slots=True)
@@ -93,9 +96,6 @@ class SectionPolynomial:
 
     chart: Poly
     plucker: dict[SymIndex, int | Fraction]
-
-    def value_at_origin(self) -> int | Fraction:
-        return self.chart.coefficient((0,) * self.chart.nvars)
 
 
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
@@ -169,27 +169,22 @@ def _reduced_family(nvars: int, d: int, minors: tuple) -> tuple[tuple[dict, dict
     wedges = list(packed)  # in lex order
     above = {w: [v for v in wedges if all(map(le, w, v))] for w in wedges}  # v >= w
     above[None] = wedges
-    # A chain is a multiset of wedges and its torus weight a multiset of row
-    # indices, each packed in one int: the count of wedge k, or of index i,
-    # sits in bits [k*shift, (k+1)*shift), or [i*shift, (i+1)*shift); no
-    # count exceeds d.
-    shift = d.bit_length()
+    # A chain is a multiset of wedges and its initial monomial a monomial in
+    # the entries x_(r, i) of X, each packed in one int: the count of wedge k
+    # sits in bits [k*shift, (k+1)*shift), the exponent of x_(r, i) (r from 0)
+    # in field r*(m+n) + i; no count or exponent exceeds d.
+    shift, n = d.bit_length(), nvars // m
     units = {w: 1 << shift * k for k, w in enumerate(wedges)}
-    weights = {w: sum(1 << shift * i for i in w) for w in wedges}
-    layer = [(0, None, 0, {0: 1})]  # (chain, last wedge, weight, packed product)
+    initials = {w: sum(1 << shift * (r * (m + n) + i) for r, i in enumerate(w)) for w in wedges}
+    layer = [(0, None, 0, {0: 1})]  # (chain, last wedge, initial monomial, packed product)
     for _ in range(d):  # in lex order of the chains
-        layer = [(chain + units[v], v, weight + weights[v], _packed_product(packed[v], product))
-                 for chain, last, weight, product in layer for v in above[last]]
-    expected = weyl_dim_oracle(m, nvars // m, d)
+        layer = [(chain + units[v], v, initial + initials[v], _packed_product(packed[v], product))
+                 for chain, last, initial, product in layer for v in above[last]]
+    if len({initial for _, _, initial, _ in layer}) != len(layer):
+        raise CertificateError("two standard monomials share an initial monomial")
+    expected = weyl_dim_oracle(m, n, d)
     if len(layer) != expected:
         raise CertificateError(f"{len(layer)} standard monomials, expected {expected}")
-    blocks: dict[int, list[dict]] = {}
-    for _, _, weight, product in layer:
-        blocks.setdefault(weight, []).append(product)
-    for products in blocks.values():
-        echelon = Echelon(1 << bits * nvars)  # columns are the packed monomials
-        if not all(echelon.add(product) for product in products):
-            raise CertificateError(f"{len(products)} standard monomials of a weight are dependent")
     exps = {key: _unpack(key, nvars, bits)
             for key in set().union(*(product for _, _, _, product in layer))}
     family = [({exps[key]: c for key, c in product.items()},

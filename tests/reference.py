@@ -40,13 +40,21 @@ space (m = 1) a monomial's jet is a unit vector, `monomial_jet_projective`;
 and `chart_homogeneity_check` re-expands the sections around another chart
 point, where the jet rank must equal `jets.taylor_rank` at the origin.
 
+The block-rank route, the oracle of the initial-term certificate of
+`jets.section_space`: sections of different torus weights are independent,
+so `weight_block_ranks` multiplies each standard monomial out of
+`jets.plucker_polynomial` factors, groups the products by torus weight
+(the multiset of row indices of the chain) and takes one `Echelon` rank
+per block.
+
 The chart minor by generic expansion, the oracle of `jets._chart_minor`'s
 closed form: `polynomials.det` of the m x m submatrix of [[I_m], [T]] with
 `Poly` entries, the route `jets` took before the closed form.
 
-`transpose` and `matvec` of a `SparseMatrix` and `truncate` of a `Poly`
-(drop the terms of total degree above a bound) serve the kernel, rank and
-jet checks.
+`chart_variables` lists the chart positions in the order of the chart
+variables.  `transpose` and `matvec` of a `SparseMatrix` and `truncate` of
+a `Poly` (drop the terms of total degree above a bound) serve the kernel,
+rank and jet checks.
 
 The PBW evaluation matrix, the oracle of `canonical_filtration` and
 `pbw_filtration`: row r is the highest weight vector v under the r-th PBW
@@ -65,6 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
+from operator import le
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from vermajet import jets
@@ -294,6 +303,26 @@ def section_monomial(multiset: SymIndex, m: int, n: int) -> jets.SectionPolynomi
     return jets.SectionPolynomial(chart, {tuple(multiset): 1})
 
 
+def weight_block_ranks(m: int, n: int, d: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """(standard monomials, rank of their chart polynomials) per torus weight
+    of degree d; a chain w_1 <= ... <= w_d is standard when each sorted
+    neighbour pair is componentwise ordered."""
+    blocks: dict[tuple[int, ...], list[Poly]] = {}
+    for idx in sym_basis(m, n, d):
+        chain = to_tuple(idx, m, n)
+        if all(all(map(le, w, v)) for w, v in zip(chain, chain[1:])):
+            weight = tuple(sorted(i for wedge in chain for i in wedge))
+            blocks.setdefault(weight, []).append(section_monomial(idx, m, n).chart)
+    ranks = {}
+    for weight, charts in blocks.items():
+        columns = {e: k for k, e in enumerate({e for p in charts for e in p.terms})}
+        echelon = Echelon(len(columns))
+        for p in charts:
+            echelon.add({columns[e]: c for e, c in p.terms.items()})
+        ranks[weight] = (len(charts), echelon.rank)
+    return ranks
+
+
 def monomial_sections(m: int, n: int, d: int,
                       cap: int = DEFAULT_AMBIENT_CAP) -> list[jets.SectionPolynomial]:
     """The degree-d Plücker monomial family in canonical basis order."""
@@ -334,8 +363,13 @@ def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction,
     return tuple(out)
 
 
+def chart_variables(m: int, n: int) -> list[tuple[int, int]]:
+    """The mn chart positions (i, j), i in m+1..m+n, j in 1..m, in lex order."""
+    return [(i, j) for i in range(m + 1, m + n + 1) for j in range(1, m + 1)]
+
+
 def _chart_point(m: int, n: int, point) -> dict[tuple[int, int], Fraction]:
-    variables = jets.chart_variables(m, n)
+    variables = chart_variables(m, n)
     if isinstance(point, Mapping):
         values = {pos: Fraction(point.get(pos, 0)) for pos in variables}
         extra = set(point) - set(variables)
@@ -356,7 +390,7 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
     if l < 1:
         raise ValueError("l must be at least 1")
     values = _chart_point(m, n, point)
-    variables = jets.chart_variables(m, n)
+    variables = chart_variables(m, n)
     nvars = len(variables)
     subs = [Poly.variable(nvars, k) + values[pos]
             for k, pos in enumerate(variables)]
@@ -371,7 +405,7 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
 def chart_minor_by_det(rows: Sequence[int], m: int, n: int) -> Poly:
     """The minor with the given sorted rows of [[I_m], [T]], expanded by
     `det` over `Poly` entries: unit rows for r <= m, chart variables below."""
-    variables = jets.chart_variables(m, n)
+    variables = chart_variables(m, n)
     nvars = len(variables)
     return det([[Poly.const(nvars, int(c == r)) if r <= m
                  else Poly.variable(nvars, variables.index((r, c)))

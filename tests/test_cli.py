@@ -308,19 +308,16 @@ def test_suite_monomial_cap_is_checked_at_the_annihilator(capsys, tmp_path):
 
 def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
     from vermajet import jets
+    from vermajet.filtration import weyl_dim_oracle
 
-    minor = jets.plucker_polynomial
-
-    def zero_at_2(subset, m, n):
-        # The chain (1), (1), (2) then has chart 0: a rank-deficient weight block.
-        s = minor(subset, m, n)
-        return jets.SectionPolynomial(0 * s.chart, s.plucker) if tuple(subset) == (2,) else s
-
-    monkeypatch.setattr(jets, "plucker_polynomial", zero_at_2)
+    # A Borel-Weil count one too high: the 4 standard monomials of degree 3
+    # on P^1 then fail the count check of a fresh section space.
+    jets._reduced_family.cache_clear()
+    monkeypatch.setattr(jets, "weyl_dim_oracle", lambda m, n, d: weyl_dim_oracle(m, n, d) + 1)
     code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: certificate failed: ") and err.count("\n") == 1
+    assert err == "error: certificate failed: 4 standard monomials, expected 5\n"
     assert "Traceback" not in err
 
 

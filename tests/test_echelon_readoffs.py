@@ -3,12 +3,16 @@ the second eliminations they replace: Taylor kernels against the transposed
 `kernel_basis`, U_l(g) . v dimensions against evaluation-matrix ranks, and
 binomial-row forms against the incidence parametrization.  The Taylor rank
 is read off the t-degrees of the standard monomials and checked against the
-all-monomials oracle of `test_jets`; the weight-block rank certificate is
-checked by injecting a zero minor, and the default desk suite must build no
-`SparseMatrix` and call no `linalg` elimination.  A source scan keeps
-reading the reduced rows inside `linalg`; the eliminant sweep seeds each
-weight block from the stored integer rows of the block below, whose span
-is checked against the canonical rows."""
+all-monomials oracle of `test_jets`.  The section basis is certified by
+initial terms with no elimination: each bracket leads with its diagonal
+under lex order, a chain walk that admits non-standard chains or a wrong
+Borel-Weil count raises, the oracle's weight-block ranks find every block
+independent and report an injected zero minor, and a source scan keeps
+`Echelon` out of `jets`.  The default
+desk suite must build no `SparseMatrix` and call no `linalg` elimination.
+A source scan keeps reading the reduced rows inside `linalg`; the eliminant
+sweep seeds each weight block from the stored integer rows of the block
+below, whose span is checked against the canonical rows."""
 
 import ast
 import hashlib
@@ -22,15 +26,16 @@ import pytest
 
 from vermajet import filtration, jets, linalg
 from vermajet.discriminant import _kernel_piece, irreducibility_witness, parametrized_form
-from vermajet.filtration import annihilator_dim, verma_split_check
+from vermajet.filtration import annihilator_dim, verma_split_check, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag, build_context
 from vermajet.errors import CertificateError
 from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, rank, span_dim
-from vermajet.plethysm import sym_basis
+from vermajet.plethysm import sym_basis, wedge_basis
+from vermajet.polynomials import Poly, det
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
 from reference import (evaluation_matrix, incidence_parametrization, jet_truncation, to_tuple,
-                       transpose)
+                       transpose, weight_block_ranks)
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -82,6 +87,52 @@ def test_section_space_basis_is_homogeneous(m, n, d):
     _assert_same_chart_span(basis, reference)
 
 
+def _entry_product(cols, size):
+    """x_(1, cols[0]) ... x_(m, cols[m-1]) over an m x size matrix X."""
+    exps = [0] * (len(cols) * size)
+    for r, i in enumerate(cols):
+        exps[r * size + i - 1] = 1
+    return tuple(exps)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_each_bracket_leads_with_its_diagonal(m):
+    # Lex order x_11 > x_12 > ... > x_21 > ... on the generic m x (m+n)
+    # matrix is the order of the exponent tuples, so the leading term of
+    # det X[:, w] is its largest term; for m > 1 it is not the anti-diagonal.
+    for n in range(1, 8 - m):
+        size = m + n
+        x = [[Poly.variable(m * size, r * size + c) for c in range(size)] for r in range(m)]
+        for w in wedge_basis(m, n):
+            terms = det([[x[r][i - 1] for i in w] for r in range(m)]).terms
+            lead = max(terms)
+            assert lead == _entry_product(w, size) and terms[lead] == 1, (m, n, w)
+            assert (lead == _entry_product(w[::-1], size)) == (m == 1), (m, n, w)
+
+
+def test_a_walk_admitting_non_standard_chains_fails_its_certificate(monkeypatch):
+    # Every wedge after every wedge: permuted chains share initial monomials.
+    monkeypatch.setattr(jets, "le", lambda a, b: True)
+    for m, n, d in [(1, 2, 2), (2, 2, 2)]:
+        jets._reduced_family.cache_clear()
+        with pytest.raises(CertificateError, match="share an initial monomial"):
+            jets.section_space(m, n, d)
+
+
+def test_a_wrong_borel_weil_count_fails_its_certificate(monkeypatch):
+    jets._reduced_family.cache_clear()
+    monkeypatch.setattr(jets, "weyl_dim_oracle", lambda m, n, d: weyl_dim_oracle(m, n, d) + 1)
+    with pytest.raises(CertificateError, match="standard monomials, expected 21"):
+        jets.section_space(2, 2, 2)
+
+
+@pytest.mark.parametrize("m,n,d", KERNEL_CASES)
+def test_every_weight_block_is_independent(m, n, d):
+    ranks = weight_block_ranks(m, n, d)
+    assert all(size == rank for size, rank in ranks.values())
+    assert sum(size for size, _ in ranks.values()) == weyl_dim_oracle(m, n, d)
+
+
 def test_a_rank_deficient_weight_block_fails_its_certificate(monkeypatch):
     minor = jets.plucker_polynomial
 
@@ -92,8 +143,22 @@ def test_a_rank_deficient_weight_block_fails_its_certificate(monkeypatch):
         return s
 
     monkeypatch.setattr(jets, "plucker_polynomial", zero_at_13)
-    with pytest.raises(CertificateError, match="standard monomials of a weight are dependent"):
-        jets.kernel_sections(2, 2, 3, 1)
+    dependent = {weight for weight, (size, rank) in weight_block_ranks(2, 2, 3).items()
+                 if rank < size}
+    assert (1, 1, 1, 2, 3, 3) in dependent
+
+
+def test_a_section_space_miss_builds_no_echelon(monkeypatch):
+    nodes = list(ast.walk(ast.parse(Path(jets.__file__).read_text())))
+    assert "Echelon" not in {getattr(node, key, None) for node in nodes
+                             for key in ("id", "attr", "name")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the section basis is certified by initial terms")
+
+    monkeypatch.setattr(linalg.Echelon, "__init__", forbidden)
+    jets._reduced_family.cache_clear()
+    assert len(jets.section_space(3, 3, 2)) == weyl_dim_oracle(3, 3, 2)
 
 
 @pytest.mark.parametrize("m,n,d", SPLIT_CASES)

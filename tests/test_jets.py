@@ -9,13 +9,13 @@ from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, sym_basis, wedge_basis
 from vermajet.polynomials import Poly
 from vermajet import jets
-from vermajet.jets import (chart_variables, duality_check, kernel_sections, level_duality,
-                           plucker_polynomial, section_space, taylor_matrix)
+from vermajet.jets import (duality_check, kernel_sections, level_duality, plucker_polynomial,
+                           section_space, taylor_matrix)
 from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
-from reference import (chart_homogeneity_check, evaluation_matrix, jet_monomials,
-                       jet_truncation, monomial_jet_projective, monomial_sections, pair,
-                       to_tuple, truncate)
+from reference import (chart_homogeneity_check, chart_variables, evaluation_matrix,
+                       jet_monomials, jet_truncation, monomial_jet_projective,
+                       monomial_sections, pair, to_tuple, truncate)
 
 
 def _t(m, n, i, j):
@@ -154,7 +154,7 @@ def test_pairing_measures_value_at_origin():
     for m, n, d in [(1, 1, 3), (2, 2, 2)]:
         v = highest_weight_vector(m, n, d)
         for s in section_space(m, n, d):
-            assert pair(v, s) == factorial(d) * s.value_at_origin()
+            assert pair(v, s) == factorial(d) * s.chart.coefficient((0,) * m * n)
 
 
 def test_chart_homogeneity():

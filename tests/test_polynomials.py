@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itertools import combinations, product
 
-from reference import chart_minor_by_det, graded_pullbacks, truncate
+from reference import chart_minor_by_det, chart_variables, graded_pullbacks, truncate
 from vermajet import discriminant, jets, polynomials
 from vermajet.polynomials import (Poly, det, divide_by_variable,
                                   integer_primitive, restrict_to_line,
@@ -471,7 +471,7 @@ def test_sylvester_det_is_sympy_resultant(d):
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1), (2, 4), (4, 2), (3, 4)])
 def test_every_chart_minor_is_sympy_det(m, n):
     sympy = pytest.importorskip("sympy")
-    variables = jets.chart_variables(m, n)
+    variables = chart_variables(m, n)
     names = sympy.symbols(f"t0:{len(variables)}")
     full = sympy.Matrix([[int(r == c) for c in range(1, m + 1)] for r in range(1, m + 1)]
                         + [[names[variables.index((r, c))] for c in range(1, m + 1)]
