@@ -12,11 +12,11 @@ the chart expansions and eliminants need.  `prefix_steps` is the one
 graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of `filtration`;
 `degree_monomials` orders the columns of the eliminant kernels.
 
-The hot product loops (`det` and the chains of `jets`) key their terms
-by packed monomials instead: exponent i sits in bits [i*w, (i+1)*w) of
-one `int`, so multiplying two monomials is adding their keys.  The field
-width w is the bit length of a proven bound on every exponent the loop
-can produce, so a sum of keys never carries into a neighbouring field;
+The hot product loop of `det` keys its terms by packed monomials
+instead: exponent i sits in bits [i*w, (i+1)*w) of one `int`, so
+multiplying two monomials is adding their keys.  The field width w is the
+bit length of a proven bound on every exponent the loop can produce, so a
+sum of keys never carries into a neighbouring field;
 `_pack` raises `OverflowError` on an exponent that does not fit.  A
 `Poly` keeps exponent tuples at every boundary.
 """
@@ -291,13 +291,6 @@ def _add_product(terms: dict, p: Mapping[int, int | Fraction],
         for e2, c2 in q.items():
             key = e1 + e2
             terms[key] = get(key, 0) + c1 * c2
-
-
-def _packed_product(p: Mapping[int, int | Fraction],
-                    q: Mapping[int, int | Fraction]) -> dict:
-    terms: dict = {}
-    _add_product(terms, p, q)
-    return {key: c for key, c in terms.items() if c}
 
 
 def _cofactor_expansion(row: Sequence[dict], cols: tuple[int, ...], minor) -> dict:

@@ -14,7 +14,9 @@ zeros are meaningful.
 
 The pullback route to the eliminant kernel pieces, the oracle of
 `discriminant._kernel_piece`.  Each degree-k a-monomial is pulled back along
-`incidence_parametrization` to an integer polynomial in (b, c), grown from the degree-(k-1) pullbacks; the coefficient
+`incidence_parametrization` to an integer polynomial in (b, c), grown from
+the degree-(k-1) pullbacks by `_packed_product`, the one packed product
+outside `polynomials.det`; the coefficient
 of each (b, c)-monomial is one equation, and the kernel of the equations is
 the piece.  Only the upper weight half 2w >= kd is pulled back and
 eliminated; the lower half is that kernel's mirror a_r -> a_(d-r), put in
@@ -32,13 +34,18 @@ weights, matching counts and canonical filtration bases are computed on
 those tuples over `Fraction`.  `to_counts` and `to_tuple` are the bijection
 with the exponent vectors over `wedge_basis(m, n)` that `plethysm` uses.
 
-The Plücker monomial family, the oracle of `jets.section_space`: each
-degree-d monomial multiplied out of `jets.plucker_polynomial` factors (read
-through the module, so a patched minor shows), and its literal order-l
-truncation over the jet columns of `jets.taylor_matrix`.  On projective
+The Plücker monomial family, the oracle of `jets.section_space`, whose
+basis sections are chains with no chart polynomial: `section_monomial`
+multiplies a degree-d monomial (a chain, say) out of
+`jets.plucker_polynomial` factors (read through the module, so a patched
+minor shows), and `jet_truncation` is its literal order-l truncation over
+the jet columns of `jets.taylor_matrix`, the oracle of every row.
+`standard_chains` lists the chains among the `sym_basis` indices in their
+order, and `pair` takes a chain as the monomial {chain: 1}.  On projective
 space (m = 1) a monomial's jet is a unit vector, `monomial_jet_projective`;
-and `chart_homogeneity_check` re-expands the sections around another chart
-point, where the jet rank must equal `jets.taylor_rank` at the origin.
+and `chart_homogeneity_check` re-expands the chains' products around
+another chart point, where the jet rank must equal `jets.taylor_rank` at
+the origin.
 
 The block-rank route, the oracle of the initial-term certificate of
 `jets.section_space`: sections of different torus weights are independent,
@@ -83,7 +90,7 @@ from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, b
 from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, coordinates,
                                highest_weight_vector, indexed_basis, sym_basis, wedge_basis)
-from vermajet.polynomials import (Poly, _field_width, _pack_terms, _packed_product, det,
+from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
                                   degree_monomials, graded_monomials, integer_primitive,
                                   prefix_steps)
 
@@ -115,11 +122,12 @@ def pair(functional: PlethysmVector, section) -> int | Fraction:
     """Canonical pairing of a module vector with a section.
 
     The section may be anything carrying Plücker-monomial coordinates: a
-    mapping from symmetric basis indices to rationals, or an object with a
+    basis chain of `jets.section_space` (the monomial {chain: 1}), a mapping
+    from symmetric basis indices to rationals, or an object with a
     ``plucker`` attribute holding one.  Both sides must have the same
     symmetric degree.
     """
-    coords = getattr(section, "plucker", section)
+    coords = {section: 1} if type(section) is tuple else getattr(section, "plucker", section)
     if type(coords) is not dict and not isinstance(coords, Mapping):
         raise TypeError("section must provide Plücker-monomial coordinates")
     deg_left = {sum(idx) for idx in functional.coeffs}
@@ -136,6 +144,14 @@ def pair(functional: PlethysmVector, section) -> int | Fraction:
         if other:
             total += c * other * matching_count(idx)
     return total
+
+
+def _packed_product(p: Mapping[int, int | Fraction],
+                    q: Mapping[int, int | Fraction]) -> dict:
+    """p * q on packed monomials of one width, zero terms dropped."""
+    terms: dict = {}
+    _add_product(terms, p, q)
+    return {key: c for key, c in terms.items() if c}
 
 
 def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int,
@@ -303,16 +319,25 @@ def section_monomial(multiset: SymIndex, m: int, n: int) -> jets.SectionPolynomi
     return jets.SectionPolynomial(chart, {tuple(multiset): 1})
 
 
+def standard_chains(m: int, n: int, d: int) -> list[SymIndex]:
+    """The degree-d indices of `sym_basis`, in its order, whose sorted wedges
+    w_1 <= ... <= w_d form a chain: each neighbour pair is componentwise
+    ordered."""
+    out = []
+    for idx in sym_basis(m, n, d):
+        wedges = to_tuple(idx, m, n)
+        if all(all(map(le, w, v)) for w, v in zip(wedges, wedges[1:])):
+            out.append(idx)
+    return out
+
+
 def weight_block_ranks(m: int, n: int, d: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """(standard monomials, rank of their chart polynomials) per torus weight
-    of degree d; a chain w_1 <= ... <= w_d is standard when each sorted
-    neighbour pair is componentwise ordered."""
+    of degree d."""
     blocks: dict[tuple[int, ...], list[Poly]] = {}
-    for idx in sym_basis(m, n, d):
-        chain = to_tuple(idx, m, n)
-        if all(all(map(le, w, v)) for w, v in zip(chain, chain[1:])):
-            weight = tuple(sorted(i for wedge in chain for i in wedge))
-            blocks.setdefault(weight, []).append(section_monomial(idx, m, n).chart)
+    for idx in standard_chains(m, n, d):
+        weight = tuple(sorted(i for wedge in to_tuple(idx, m, n) for i in wedge))
+        blocks.setdefault(weight, []).append(section_monomial(idx, m, n).chart)
     ranks = {}
     for weight, charts in blocks.items():
         columns = {e: k for k, e in enumerate({e for p in charts for e in p.terms})}
@@ -396,8 +421,8 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
             for k, pos in enumerate(variables)]
     columns, col_index = jets._jet_columns(m, n, l)
     shifted = Echelon(len(columns))
-    for s in jets.section_space(m, n, d, cap):
-        jet = truncate(s.chart.substitute(subs, nvars_out=nvars), l)
+    for chain in jets.section_space(m, n, d, cap):
+        jet = truncate(section_monomial(chain, m, n).chart.substitute(subs, nvars_out=nvars), l)
         shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
     return shifted.rank == jets.taylor_rank(m, n, d, l, cap)
 

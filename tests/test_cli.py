@@ -311,7 +311,8 @@ def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
     from vermajet.filtration import weyl_dim_oracle
 
     # A Borel-Weil count one too high: the 4 standard monomials of degree 3
-    # on P^1 then fail the count check of a fresh section space.
+    # on P^1 then fail the count check of a fresh section space.  The memo is
+    # keyed by (m, n, d) alone, so only a cleared one walks the chains again.
     jets._reduced_family.cache_clear()
     monkeypatch.setattr(jets, "weyl_dim_oracle", lambda m, n, d: weyl_dim_oracle(m, n, d) + 1)
     code, out, err = run_cli(capsys, "taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
@@ -319,6 +320,31 @@ def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):
     assert out == ""
     assert err == "error: certificate failed: 4 standard monomials, expected 5\n"
     assert "Traceback" not in err
+
+
+def test_a_zero_chart_minor_leaves_the_taylor_report_unchanged(capsys, monkeypatch):
+    # The section basis and the Taylor ranks are read off the chains alone,
+    # so a cold walk with a zero minor at (2,) reports the same numbers.
+    from vermajet import jets
+    from vermajet.polynomials import Poly
+
+    minor = jets.plucker_polynomial
+
+    def zero_at_2(subset, m, n):
+        s = minor(subset, m, n)
+        if tuple(subset) == (2,):
+            return jets.SectionPolynomial(Poly.zero(m * n), s.plucker)
+        return s
+
+    argv = ("taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")
+    want = run_cli(capsys, *argv)
+    jets._reduced_family.cache_clear()
+    monkeypatch.setattr(jets, "plucker_polynomial", zero_at_2)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == want
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["rank"], report["kernel"], report["section_dim"]) == (2, 2, 4)
 
 
 def test_other_arithmetic_errors_are_internal_errors(capsys, monkeypatch):

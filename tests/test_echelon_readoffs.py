@@ -34,8 +34,8 @@ from vermajet.plethysm import sym_basis, wedge_basis
 from vermajet.polynomials import Poly, det
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
-from reference import (evaluation_matrix, incidence_parametrization, jet_truncation, to_tuple,
-                       transpose, weight_block_ranks)
+from reference import (evaluation_matrix, incidence_parametrization, jet_truncation,
+                       section_monomial, to_tuple, transpose, weight_block_ranks)
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -43,9 +43,9 @@ KERNEL_CASES = list(DESK_CASES) + [(2, 2, 4), (2, 3, 3), (3, 3, 2)]
 SPLIT_CASES = list(DESK_CASES) + [(1, 4, 4), (1, 5, 3)]
 
 
-def _plucker_rows(m, n, d, sections):
+def _plucker_rows(m, n, d, chains):
     index = {idx: k for k, idx in enumerate(sym_basis(m, n, d))}
-    return [{index[key]: v for key, v in s.plucker.items()} for s in sections]
+    return [{index[chain]: 1} for chain in chains]
 
 
 @pytest.mark.parametrize("m,n,d", KERNEL_CASES)
@@ -70,9 +70,10 @@ def test_kernel_sections_match_transposed_kernel_basis(m, n, d):
 
 @pytest.mark.parametrize("m,n,d", KERNEL_CASES + [(1, 1, 6), (1, 3, 3)])
 def test_section_space_basis_is_homogeneous(m, n, d):
-    # Each section is homogeneous of its chain's number of entries > m, in
-    # increasing degree, so the Taylor rank at l counts the degrees <= l.
-    basis = jets.section_space(m, n, d)
+    # Each chain's reference product is homogeneous of the chain's number of
+    # entries > m, its t-degree, and the chains come in increasing degree, so
+    # the Taylor rank at l counts the degrees <= l.
+    basis = [section_monomial(chain, m, n) for chain in jets.section_space(m, n, d)]
     degrees = []
     for s in basis:
         ((chain, _),) = s.plucker.items()

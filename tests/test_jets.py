@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -8,19 +10,30 @@ from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, sym_basis, wedge_basis
 from vermajet.polynomials import Poly
-from vermajet import jets
+from vermajet import cli, jets, suite
 from vermajet.jets import (duality_check, kernel_sections, level_duality, plucker_polynomial,
                            section_space, taylor_matrix)
 from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
 from reference import (chart_homogeneity_check, chart_variables, evaluation_matrix,
                        jet_monomials, jet_truncation, monomial_jet_projective,
-                       monomial_sections, pair, to_tuple, truncate)
+                       monomial_sections, pair, section_monomial, standard_chains, to_tuple,
+                       truncate)
 
 
 def _t(m, n, i, j):
     variables = chart_variables(m, n)
     return Poly.variable(len(variables), variables.index((i, j)))
+
+
+def _chart(chain, m, n):
+    """The chart polynomial of a basis chain: its minors multiplied out."""
+    return section_monomial(chain, m, n).chart
+
+
+def _t_degree(chain, m, n):
+    """The chain's number of row indices > m."""
+    return sum(i > m for wedge in to_tuple(chain, m, n) for i in wedge)
 
 
 def test_plucker_minors_gr24():
@@ -54,11 +67,11 @@ def test_degree_one_chart_polynomials_independent():
 
 
 def test_section_space_projective_line():
+    # The chain (a, b) is x_1^a x_2^b, whose chart polynomial is t^b.
     basis = section_space(1, 1, 3)
-    assert len(basis) == 4
-    charts = {s.chart for s in basis}
+    assert basis == ((3, 0), (2, 1), (1, 2), (0, 3))
     t = Poly.variable(1, 0)
-    assert charts == {Poly.const(1, 1), t, t * t, t * t * t}
+    assert [_chart(chain, 1, 1) for chain in basis] == [Poly.const(1, 1), t, t * t, t * t * t]
 
 
 def test_section_space_dimensions():
@@ -112,7 +125,7 @@ def test_kernel_sections_projective_line():
     assert dim == 2
     t = Poly.variable(1, 0)
     columns = jet_monomials(1, 1, 3)
-    vectors = [jet_truncation(s, 1, 1, 3) for s in sections]
+    vectors = [jet_truncation(section_monomial(c, 1, 1), 1, 1, 3) for c in sections]
     expected = [_coeff_vector(t ** 2, columns), _coeff_vector(t ** 3, columns)]
     assert span_dim(vectors + expected) == 2
 
@@ -127,8 +140,8 @@ def test_kernel_dimension_rank_nullity():
 def test_kernel_sections_have_vanishing_jets():
     for m, n, d, l in [(1, 1, 3, 1), (2, 2, 2, 1), (1, 2, 3, 2)]:
         sections, _ = kernel_sections(m, n, d, l)
-        for s in sections:
-            assert truncate(s.chart, l).is_zero
+        for chain in sections:
+            assert truncate(_chart(chain, m, n), l).is_zero
 
 
 def test_duality_reports():
@@ -153,8 +166,8 @@ def test_pairing_measures_value_at_origin():
     # distinguished point, so sections vanishing there pair to zero.
     for m, n, d in [(1, 1, 3), (2, 2, 2)]:
         v = highest_weight_vector(m, n, d)
-        for s in section_space(m, n, d):
-            assert pair(v, s) == factorial(d) * s.chart.coefficient((0,) * m * n)
+        for chain in section_space(m, n, d):
+            assert pair(v, chain) == factorial(d) * _chart(chain, m, n).coefficient((0,) * m * n)
 
 
 def test_chart_homogeneity():
@@ -170,7 +183,7 @@ def test_chart_homogeneity_mapping_form():
 def test_taylor_matrix_equals_origin_truncations():
     matrix, _ = taylor_matrix(1, 1, 3, 2)
     basis = section_space(1, 1, 3)
-    rows = [jet_truncation(s, 1, 1, 2) for s in basis]
+    rows = [jet_truncation(section_monomial(c, 1, 1), 1, 1, 2) for c in basis]
     assert matrix == SparseMatrix.from_rows(rows, cols=3)
 
 
@@ -180,11 +193,17 @@ def test_jet_monomial_count_formula():
 
 
 def test_section_provenance_matches_chart():
-    # The Plücker coordinates of each basis section rebuild its chart
-    # polynomial exactly.
+    # At the top t-degree every row of the Taylor matrix is a whole chart
+    # polynomial: the product of the minors of its chain.
     for m, n, d in [(1, 2, 2), (2, 2, 2)]:
-        for s in section_space(m, n, d):
-            assert _rebuilt(s, m, n) == s.chart
+        top = min(m, n) * d
+        matrix, taylor_rank = taylor_matrix(m, n, d, top)
+        basis = section_space(m, n, d)
+        assert taylor_rank == len(basis)
+        columns = jet_monomials(m, n, top)
+        for r, chain in enumerate(basis):
+            row = {columns[c]: v for (i, c), v in matrix.entries.items() if i == r}
+            assert Poly(m * n, row) == _chart(chain, m, n)
 
 
 def test_memoized_results_are_isolated_from_callers():
@@ -296,15 +315,6 @@ def _assert_same_chart_span(basis, reference):
         _chart_span_dim(reference) == _chart_span_dim(basis, reference)
 
 
-def _rebuilt(section, m, n):
-    """The chart polynomial its Plücker coordinates give through `section_monomial`."""
-    from reference import section_monomial
-    rebuilt = Poly.zero(m * n)
-    for multiset, coeff in section.plucker.items():
-        rebuilt = rebuilt + coeff * section_monomial(multiset, m, n).chart
-    return rebuilt
-
-
 def _suite_taylor_levels(d):
     return sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d})
 
@@ -315,24 +325,56 @@ DEEPER_CASES = ((2, 2, 4), (2, 3, 3), (3, 3, 2))
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
+def test_section_space_is_the_standard_chains_by_t_degree(m, n, d):
+    standard = standard_chains(m, n, d)
+    assert section_space(m, n, d) == tuple(sorted(standard, key=lambda c: _t_degree(c, m, n)))
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
 def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
     basis = section_space(m, n, d)
     reference = _section_space_by_fractions(m, n, d)
     assert len(reference) == weyl_dim_oracle(m, n, d)
-    _assert_same_chart_span(basis, reference)
-    for section in basis:
-        assert all(type(c) is int for c in section.chart.terms.values())
-        ((_, one),) = section.plucker.items()
-        assert type(one) is int and one == 1
-        assert _rebuilt(section, m, n) == section.chart
+    sections = [section_monomial(chain, m, n) for chain in basis]
+    _assert_same_chart_span(sections, reference)
     for l in _suite_taylor_levels(d):
+        # Every row, the empty rows of the sections of degree > l included,
+        # is the literal truncation of its chain's product.
         matrix, matrix_rank = taylor_matrix(m, n, d, l)
-        expected = SparseMatrix.from_rows([jet_truncation(s, m, n, l) for s in basis],
+        expected = SparseMatrix.from_rows([jet_truncation(s, m, n, l) for s in sections],
                                           cols=comb(m * n + l, m * n))
         assert matrix == expected
         assert all(type(v) is Fraction for v in matrix.entries.values())
         assert matrix_rank == rank(matrix)
         assert jets.taylor_rank(m, n, d, l) == rank(matrix)
+
+
+def test_a_patched_minor_shows_in_taylor_matrix_and_not_in_section_space(monkeypatch):
+    m, n, d, l = 2, 2, 3, 3
+    want = section_space(m, n, d)
+    minor = jets.plucker_polynomial
+
+    def scaled(subset, m, n):
+        s = minor(subset, m, n)
+        if tuple(sorted(subset)) == (1, 3):
+            return jets.SectionPolynomial(s.chart * 3, s.plucker)
+        return s
+
+    monkeypatch.setattr(jets, "plucker_polynomial", scaled)
+    jets._reduced_family.cache_clear()
+    assert section_space(m, n, d) == want
+    # `section_monomial` multiplies the same patched factors, so each row
+    # is 3^k times the unpatched one, k the count of (1, 3) in its chain.
+    matrix, matrix_rank = taylor_matrix(m, n, d, l)
+    expected = [jet_truncation(section_monomial(chain, m, n), m, n, l) for chain in want]
+    assert matrix == SparseMatrix.from_rows(expected, cols=comb(m * n + l, m * n))
+    assert matrix_rank == jets.taylor_rank(m, n, d, l)
+    monkeypatch.undo()
+    unpatched, _ = taylor_matrix(m, n, d, l)
+    k = wedge_basis(m, n).index((1, 3))
+    scale = {r: 3 ** chain[k] for r, chain in enumerate(want)}
+    assert matrix.entries == {(r, c): v * scale[r] for (r, c), v in unpatched.entries.items()}
+    assert any(scale[r] > 1 for r, _ in unpatched.entries)
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
@@ -356,12 +398,13 @@ def test_dual_grassmannians_have_equal_filtrations_and_taylor_ranks(m, n, d):
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
 def test_sections_carry_one_plucker_coordinate_equal_to_one(m, n, d):
-    # The support check of `level_duality` reads the pairing off this.
-    chains = []
-    for section in section_space(m, n, d):
-        ((chain, one),) = section.plucker.items()
-        assert type(one) is int and one == 1 and sum(chain) == d
-        chains.append(chain)
+    # A basis section is its chain, the Plücker monomial {chain: 1}; the
+    # support check of `level_duality` reads the pairing off this.
+    chains = section_space(m, n, d)
+    assert type(chains) is tuple
+    for chain in chains:
+        assert type(chain) is tuple and len(chain) == len(wedge_basis(m, n))
+        assert all(type(e) is int for e in chain) and sum(chain) == d
     assert len(set(chains)) == len(chains)
     for k, wedge in enumerate(wedge_basis(m, n)):
         ((unit, one),) = plucker_polynomial(wedge, m, n).plucker.items()
@@ -387,7 +430,7 @@ def test_integer_pairing_equals_all_pairs_reference(m, n, d, monkeypatch):
         assert all(pair(u, s) == 0 for u in level.basis for s in vanishing)
         assert level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
         # Against the sections whose (l-1)-jet vanishes some pairing is not zero.
-        wider = [s for s in basis if truncate(s.chart, l - 1).is_zero]
+        wider = [s for s in basis if truncate(_chart(s, m, n), l - 1).is_zero]
         assert not all(pair(u, s) == 0 for u in level.basis for s in wider)
         assert _support_check(m, n, d, level, wider, monkeypatch) is False
         # Section by section, the support check is the all-pairs pairing.
@@ -396,112 +439,70 @@ def test_integer_pairing_equals_all_pairs_reference(m, n, d, monkeypatch):
                 is all(pair(u, s) == 0 for u in level.basis)
 
 
-def _as_data(basis):
-    return [(dict(s.chart.terms), dict(s.plucker)) for s in basis]
-
-
-def test_section_space_repeats_return_equal_fresh_bases():
-    first = section_space(2, 2, 2)
-    second = section_space(2, 2, 2)
-    assert _as_data(first) == _as_data(second)
-    assert all(a.chart is not b.chart and a.chart.terms is not b.chart.terms
-               and a.plucker is not b.plucker for a, b in zip(first, second))
-
-
 def test_mutating_a_section_leaves_the_memo_unchanged():
-    want = _as_data(section_space(2, 2, 2))
+    # The basis is a tuple of tuples of ints: every call returns the one
+    # stored tuple, and no caller can change it.
     basis = section_space(2, 2, 2)
-    basis[0].chart.terms[(9, 9, 9, 9)] = 5
-    basis[0].plucker.clear()
-    basis[-1].chart.terms.clear()
-    basis[-1].plucker[(2, 0, 0, 0, 0, 0)] = 7
-    assert _as_data(section_space(2, 2, 2)) == want
+    want = [list(chain) for chain in basis]
+    with pytest.raises(TypeError):
+        basis[0] = (9,) * 6
+    with pytest.raises(TypeError):
+        basis[-1][0] = 7
+    again = section_space(2, 2, 2)
+    assert again is basis and [list(chain) for chain in again] == want
 
 
 def test_desk_suite_eliminates_each_family_once():
+    # One miss per case; every `section_space` call and every `taylor_rank`
+    # call after it reads the stored family.
     from vermajet.suite import SuiteConfig, run_suite
     jets._reduced_family.cache_clear()
     run_suite(SuiteConfig())
     info = jets._reduced_family.cache_info()
-    assert (info.misses, info.hits) == (6, 84)
+    assert (info.misses, info.hits) == (6, 140)
 
 
-def test_a_changed_family_misses_the_memo(monkeypatch):
-    m, n, d = 2, 2, 2
-    want = section_space(m, n, d)
-    misses = jets._reduced_family.cache_info().misses
-    minor = jets.plucker_polynomial
-
-    def doubled(subset, m, n):
-        s = minor(subset, m, n)
-        return jets.SectionPolynomial(s.chart * 2, s.plucker)
-
-    monkeypatch.setattr(jets, "plucker_polynomial", doubled)
-    got = section_space(m, n, d)
-    assert jets._reduced_family.cache_info().misses == misses + 1
-    # Each standard monomial's chart is 2^d times the old one, with the same
-    # Plücker coordinates, and the span is the patched oracle's.
-    assert [s.chart for s in got] == [2 ** d * s.chart for s in want]
-    assert [s.plucker for s in got] == [s.plucker for s in want]
-    _assert_same_chart_span(got, _section_space_by_fractions(m, n, d))
-
-
-# A miss makes one packed product per standard monomial (chain) of degree
-# 1..d, sum over k of dim V(k w_m): quadratic in d at m = n = 1, where every
-# monomial is a chain.
-@pytest.mark.parametrize("m,n,d,products", [(2, 2, 4, 181), (1, 1, 60, 1890)])
-def test_section_space_reads_each_factor_and_multiplies_on_a_miss_only(monkeypatch, m, n, d,
-                                                                       products):
-    indices = sym_basis(m, n, d)
-    # Cold minors too: `_chart_minor` is a closed form and multiplies nothing.
+@pytest.mark.parametrize("m,n,d", [(2, 2, 4), (1, 1, 60)])
+def test_section_space_reads_each_factor_and_multiplies_nothing(monkeypatch, m, n, d):
+    # The pinned reads run on every call, cold or warm, and no call forms a
+    # chart product.
     jets._checked_minor.cache_clear()
-    calls = {"plucker": 0, "packed": 0, "mul": 0}
-    minor, packed, mul = jets.plucker_polynomial, jets._packed_product, Poly.__mul__
+    calls = {"plucker": 0, "mul": 0}
+    minor, mul = jets.plucker_polynomial, Poly.__mul__
 
     def counted_minor(subset, m, n):
         calls["plucker"] += 1
         return minor(subset, m, n)
-
-    def counted_packed(p, q):
-        calls["packed"] += 1
-        return packed(p, q)
 
     def counted_mul(self, other):
         calls["mul"] += 1
         return mul(self, other)
 
     monkeypatch.setattr(jets, "plucker_polynomial", counted_minor)
-    monkeypatch.setattr(jets, "_packed_product", counted_packed)
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    assert products == sum(weyl_dim_oracle(m, n, k) for k in range(1, d + 1))
-    factors = sum(sum(idx) for idx in indices)
+    factors = sum(sum(idx) for idx in sym_basis(m, n, d))
     jets._reduced_family.cache_clear()
     cold = section_space(m, n, d)
-    assert calls == {"plucker": factors, "packed": products, "mul": 0}
-    calls.update(plucker=0, packed=0)
-    assert _as_data(section_space(m, n, d)) == _as_data(cold)
-    assert calls == {"plucker": factors, "packed": 0, "mul": 0}
+    assert calls == {"plucker": factors, "mul": 0}
+    calls.update(plucker=0)
+    assert section_space(m, n, d) is cold
+    assert calls == {"plucker": factors, "mul": 0}
     assert jets._reduced_family.cache_info()[:2] == (1, 1)
 
 
-def test_a_miss_multiplies_the_factors_of_its_key(monkeypatch):
-    m, n, d = 2, 2, 3
-    section_space(m, n, d)
-    misses = jets._reduced_family.cache_info().misses
-    minor = jets.plucker_polynomial
-
-    def scaled(subset, m, n):
-        s = minor(subset, m, n)
-        if tuple(sorted(subset)) == (1, 3):
-            return jets.SectionPolynomial(s.chart * 3, s.plucker)
-        return s
-
-    monkeypatch.setattr(jets, "plucker_polynomial", scaled)
-    got = section_space(m, n, d)
-    assert jets._reduced_family.cache_info().misses == misses + 1
-    # The references multiply the same patched factors through
-    # `section_monomial`; a miss that re-read the unpatched minors would
-    # give charts 3^-k times the rebuilt ones.
-    _assert_same_chart_span(got, _section_space_by_fractions(m, n, d))
-    assert all(_rebuilt(s, m, n) == s.chart for s in got)
-    assert any((1, 3) in to_tuple(chain, m, n) for s in got for chain in s.plucker)
+def test_only_taylor_matrix_reads_a_chart():
+    # `_fresh_section` stores a chart; `taylor_matrix` is the one reader.
+    tree = ast.parse(Path(jets.__file__).read_text())
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and node.attr == "chart" and isinstance(node.ctx, ast.Load)}
+    assert readers == {"taylor_matrix"}
+    names = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "name")}
+    assert "_packed_product" not in names
+    # Nor do the suite and the command line, which reach the sections only
+    # through `section_space`, `taylor_rank`, `kernel_sections` and
+    # `level_duality`.
+    for module in (suite, cli):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert "chart" not in {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)}
