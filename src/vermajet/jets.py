@@ -35,7 +35,10 @@ stored t-degrees <= l and `kernel_sections` is the chains after them, with
 no chart polynomial formed.  `taylor_matrix` is the one place a section's
 chart polynomial is formed: it multiplies the minors of the first
 `taylor_rank` chains, and every later row is empty, its section homogeneous
-of degree > l.  Its rank is its count of nonzero rows.
+of degree > l.  Its rank is its count of nonzero rows.  The products run on
+packed monomial keys with `det`'s product loop, in fields wide enough for d
+times the largest exponent of the minors it read (a patched minor need not
+be multilinear), and each product's terms are unpacked to the jet columns.
 
 `level_duality` checks the filtration/jet duality on a level of a canonical
 filtration the caller has grown, so one filtration serves every level;
@@ -51,10 +54,9 @@ with coefficients +-1, k = |R ∖ {1..m}|.  The minor and the jet columns
 are built on each call; the memo of `plucker_polynomial` for the life of
 the process is its argument check and sort with the minor's terms and its
 stored Plücker map {unit: 1}, keyed by the subset as given (an invalid
-subset raises on every call and is not stored).  Each minor leaves through
-`_fresh_section`, which copies the stored chart terms and Plücker map
-(`dict.copy` rehashes no exponent-vector key), so each call returns new
-objects.
+subset, or m < 1 or n < 1, raises on every call and is not stored).  A read
+is one memo lookup and two `dict.copy` calls into two new objects, so each
+call returns new maps.
 
 The basis lives in `_reduced_family`, an `lru_cache` with `maxsize=1` keyed
 by (m, n, d): a miss walks the chains in lex order, certifies them, and
@@ -80,7 +82,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import prod
 from operator import itemgetter, le
 from typing import Sequence
 
@@ -90,7 +91,8 @@ from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
 from .linalg import SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, wedge_basis
-from .polynomials import Poly, _unpack, graded_monomials
+from .polynomials import (Poly, _add_product, _field_width, _pack_terms, _unpack,
+                          graded_monomials)
 from .polynomials import det  # noqa: F401
 
 
@@ -120,23 +122,13 @@ def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
     return Poly(m * n, terms)
 
 
-def _fresh_section(nvars: int, terms: dict, plucker: dict) -> SectionPolynomial:
-    """A section owning copies of chart `terms` (already canonical) and of
-    `plucker`; neither constructor runs, and `dict.copy` rehashes no key."""
-    chart = Poly.__new__(Poly)
-    chart.nvars = nvars
-    chart.terms = terms.copy()
-    section = SectionPolynomial.__new__(SectionPolynomial)
-    section.chart = chart
-    section.plucker = plucker.copy()
-    return section
-
-
 @lru_cache(maxsize=None)
 def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, dict]:
     """(nvars, chart terms, Plücker map {unit: 1}) of a valid subset's minor,
     the unit the exponent vector of its wedge; an invalid subset raises and
     is not stored."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must both be at least 1")
     rows = tuple(sorted(subset))
     if len(rows) != m or len(set(rows)) != m:
         raise ValueError(f"need {m} distinct row indices")
@@ -148,8 +140,17 @@ def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, 
 
 def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
-    normalized so the minor for rows {1..m} is 1."""
-    return _fresh_section(*_checked_minor(subset if type(subset) is tuple else tuple(subset), m, n))
+    normalized so the minor for rows {1..m} is 1.  The section owns copies
+    of the stored chart terms and Plücker map; neither constructor runs, and
+    `dict.copy` rehashes no key."""
+    nvars, terms, plucker = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
+    chart = Poly.__new__(Poly)
+    chart.nvars = nvars
+    chart.terms = terms.copy()
+    section = SectionPolynomial.__new__(SectionPolynomial)
+    section.chart = chart
+    section.plucker = plucker.copy()
+    return section
 
 
 def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
@@ -211,19 +212,27 @@ def taylor_matrix(m: int, n: int, d: int, l: int,
     returns the matrix together with its exact rank, the number of nonzero
     rows (see `taylor_rank`).  Only the first `taylor_rank` chains are
     multiplied out of their minors: every later section is homogeneous of
-    degree > l, so its row is empty."""
+    degree > l, so its row is empty.  The products run on packed monomial
+    keys (see the module docstring)."""
     rank = taylor_rank(m, n, d, l, cap)  # checks l and the cap
     columns, index = _jet_columns(m, n, l)
     chains, _ = _reduced_family(m, n, d)
-    minors = [plucker_polynomial(wedge, m, n).chart for wedge in wedge_basis(m, n)]
-    rows = []
-    for chain in chains[:rank]:
-        factors = (minor for minor, e in zip(minors, chain) for _ in range(e))
-        product = prod(factors, start=Poly.const(m * n, 1))
-        rows.append({index[exps]: c for exps, c in product.terms.items() if exps in index})
-    nonzero = sum(1 for row in rows if row)
-    rows += [{}] * (len(chains) - len(rows))
-    return SparseMatrix.from_rows(rows, cols=len(columns)), nonzero
+    minors = [plucker_polynomial(wedge, m, n).chart.terms for wedge in wedge_basis(m, n)]
+    top = max((max(exps) for terms in minors for exps in terms), default=0)
+    width = _field_width(d * top)
+    packed = [_pack_terms(terms, width) for terms in minors]
+    nvars, entries, nonzero = m * n, {}, 0
+    for r, chain in enumerate(chains[:rank]):
+        product, *factors = [minor for minor, e in zip(packed, chain) if e for _ in range(e)]
+        for minor in factors:
+            terms = {}
+            _add_product(terms, product, minor)
+            product = {key: c for key, c in terms.items() if c}
+        row = {(r, index[exps]): c for key, c in product.items()
+               if (exps := _unpack(key, nvars, width)) in index}
+        nonzero += bool(row)
+        entries.update(row)
+    return SparseMatrix(len(chains), len(columns), entries), nonzero
 
 
 def taylor_rank(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:

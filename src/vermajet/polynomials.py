@@ -12,13 +12,13 @@ the chart expansions and eliminants need.  `prefix_steps` is the one
 graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of `filtration`;
 `degree_monomials` orders the columns of the eliminant kernels.
 
-The hot product loop of `det` keys its terms by packed monomials
-instead: exponent i sits in bits [i*w, (i+1)*w) of one `int`, so
-multiplying two monomials is adding their keys.  The field width w is the
-bit length of a proven bound on every exponent the loop can produce, so a
-sum of keys never carries into a neighbouring field;
-`_pack` raises `OverflowError` on an exponent that does not fit.  A
-`Poly` keeps exponent tuples at every boundary.
+The hot product loop `_add_product`, shared by `det` and the Taylor
+matrices of `jets`, keys its terms by packed monomials instead: exponent i
+sits in bits [i*w, (i+1)*w) of one `int`, so multiplying two monomials is
+adding their keys.  The field width w is the bit length of a proven bound
+on every exponent the loop can produce, so a sum of keys never carries into
+a neighbouring field; `_pack` raises `OverflowError` on an exponent that
+does not fit.  A `Poly` keeps exponent tuples at every boundary.
 """
 
 from __future__ import annotations

@@ -78,6 +78,7 @@ degree d.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from operator import le
@@ -359,11 +360,19 @@ def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
     return list(jets._jet_columns(m, n, l)[0])
 
 
+@lru_cache(maxsize=None)
+def _jet_index(m: int, n: int, l: int) -> tuple[int, dict]:
+    """The count and index of the jet columns, built once per level: the
+    tests truncate every section of a case at one level."""
+    columns, index = jets._jet_columns(m, n, l)
+    return len(columns), index
+
+
 def jet_truncation(section: jets.SectionPolynomial, m: int, n: int,
                    l: int) -> tuple[int | Fraction, ...]:
     """Coefficient vector of the order-l truncation at the origin."""
-    columns, index = jets._jet_columns(m, n, l)
-    out = [Fraction(0)] * len(columns)
+    width, index = _jet_index(m, n, l)
+    out = [Fraction(0)] * width
     for exps, c in section.chart.terms.items():
         k = index.get(exps)
         if k is not None:

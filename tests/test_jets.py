@@ -250,6 +250,16 @@ def test_plucker_polynomial_rejects_invalid_rows_on_every_call(subset):
             plucker_polynomial(list(subset), 2, 2)
 
 
+@pytest.mark.parametrize("subset,m,n", [((), 0, 2), ((1,), 1, 0), ((), 0, 0), ((1,), 1, -1)])
+def test_plucker_polynomial_rejects_an_empty_grassmannian_on_every_call(subset, m, n):
+    # `module_dim` refuses m < 1 or n < 1, and so does every minor read.
+    stored = jets._checked_minor.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 1"):
+            plucker_polynomial(subset, m, n)
+    assert jets._checked_minor.cache_info().currsize == stored
+
+
 def test_plucker_polynomial_sorts_its_rows():
     unsorted, ordered = plucker_polynomial((3, 1), 2, 2), plucker_polynomial((1, 3), 2, 2)
     assert unsorted.chart == ordered.chart == _t(2, 2, 3, 2)
@@ -315,10 +325,6 @@ def _assert_same_chart_span(basis, reference):
         _chart_span_dim(reference) == _chart_span_dim(basis, reference)
 
 
-def _suite_taylor_levels(d):
-    return sorted(set(range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1)) | {d})
-
-
 # The grassmannian cases of the benchmark; (2,2,4) multiplies along
 # prefixes of length up to 3.
 DEEPER_CASES = ((2, 2, 4), (2, 3, 3), (3, 3, 2))
@@ -337,7 +343,9 @@ def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
     assert len(reference) == weyl_dim_oracle(m, n, d)
     sections = [section_monomial(chain, m, n) for chain in basis]
     _assert_same_chart_span(sections, reference)
-    for l in _suite_taylor_levels(d):
+    # Every level from 1 through one past the top t-degree min(m, n) * d,
+    # from which on every row is its whole chart product.
+    for l in range(1, min(m, n) * d + 2):
         # Every row, the empty rows of the sections of degree > l included,
         # is the literal truncation of its chain's product.
         matrix, matrix_rank = taylor_matrix(m, n, d, l)
@@ -375,6 +383,59 @@ def test_a_patched_minor_shows_in_taylor_matrix_and_not_in_section_space(monkeyp
     scale = {r: 3 ** chain[k] for r, chain in enumerate(want)}
     assert matrix.entries == {(r, c): v * scale[r] for (r, c), v in unpatched.entries.items()}
     assert any(scale[r] > 1 for r, _ in unpatched.entries)
+
+
+def test_taylor_matrix_packs_the_exponents_of_the_minors_read(monkeypatch):
+    # A patched minor t32^2 gives the chain (1,3)^3 the exponent 6 on t32,
+    # past the 2 bits of d = 3 that multilinear minors would need.
+    m, n, d = 2, 2, 3
+    minor = jets.plucker_polynomial
+
+    def squared(subset, m, n):
+        s = minor(subset, m, n)
+        if tuple(sorted(subset)) == (1, 3):
+            return jets.SectionPolynomial(s.chart * s.chart, s.plucker)
+        return s
+
+    monkeypatch.setattr(jets, "plucker_polynomial", squared)
+    chains = section_space(m, n, d)
+    for l in (d, 2 * d, 2 * d + 1):
+        matrix, nonzero = taylor_matrix(m, n, d, l)
+        expected = [jet_truncation(section_monomial(chain, m, n), m, n, l) for chain in chains]
+        assert matrix == SparseMatrix.from_rows(expected, cols=comb(m * n + l, m * n))
+        assert nonzero == sum(1 for row in expected if any(row))
+
+
+def _counted_reads_and_products(monkeypatch):
+    """Live counts of `jets.plucker_polynomial` reads and `Poly.__mul__` calls."""
+    calls = {"plucker": 0, "mul": 0}
+    minor, mul = jets.plucker_polynomial, Poly.__mul__
+
+    def counted_minor(subset, m, n):
+        calls["plucker"] += 1
+        return minor(subset, m, n)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(jets, "plucker_polynomial", counted_minor)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    return calls
+
+
+@pytest.mark.parametrize("m,n,d", DEEPER_CASES)
+def test_taylor_matrix_multiplies_no_poly_and_reads_each_minor_once(monkeypatch, m, n, d):
+    # Beyond the reads of its `taylor_rank` call, `taylor_matrix` reads each
+    # wedge's minor once, and its products run on packed keys.
+    calls = _counted_reads_and_products(monkeypatch)
+    for l in (1, d):
+        jets.taylor_rank(m, n, d, l)
+        reads = calls["plucker"]
+        calls["plucker"] = 0
+        taylor_matrix(m, n, d, l)
+        assert calls == {"plucker": reads + comb(m + n, m), "mul": 0}
+        calls["plucker"] = 0
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
@@ -467,19 +528,7 @@ def test_section_space_reads_each_factor_and_multiplies_nothing(monkeypatch, m, 
     # The pinned reads run on every call, cold or warm, and no call forms a
     # chart product.
     jets._checked_minor.cache_clear()
-    calls = {"plucker": 0, "mul": 0}
-    minor, mul = jets.plucker_polynomial, Poly.__mul__
-
-    def counted_minor(subset, m, n):
-        calls["plucker"] += 1
-        return minor(subset, m, n)
-
-    def counted_mul(self, other):
-        calls["mul"] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(jets, "plucker_polynomial", counted_minor)
-    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    calls = _counted_reads_and_products(monkeypatch)
     factors = sum(sum(idx) for idx in sym_basis(m, n, d))
     jets._reduced_family.cache_clear()
     cold = section_space(m, n, d)
@@ -491,7 +540,7 @@ def test_section_space_reads_each_factor_and_multiplies_nothing(monkeypatch, m, 
 
 
 def test_only_taylor_matrix_reads_a_chart():
-    # `_fresh_section` stores a chart; `taylor_matrix` is the one reader.
+    # `plucker_polynomial` stores a chart; `taylor_matrix` is the one reader.
     tree = ast.parse(Path(jets.__file__).read_text())
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Attribute)
