@@ -144,15 +144,18 @@ def _bezout_matrix(d: int) -> list[list[Poly]]:
     """Bezout matrix of the form p and its derivative q; entries in a_0..a_d.
 
     (p(x)q(y) - p(y)q(x)) / (x - y) = sum B_ij x^i y^j, where
-    B_ij = sum_{v <= min(i,j)} (P_{i+j+1-v} Q_v - P_v Q_{i+j+1-v}) and P_u,
-    Q_u are the x^u coefficients of p and q (zero past the degree)."""
-    zero = Poly.zero(d + 1)
-    form = _form_coefficients(d)
-    p = form[::-1] + [zero] * d
-    q = _derivative_coefficients(form)[::-1] + [zero] * (d + 1)
-    return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
-                  for v in range(min(i, j) + 1)), zero)
-             for j in range(d)] for i in range(d)]
+    B_ij = sum_{v <= min(i,j)} (P_{i+j+1-v} Q_v - P_v Q_{i+j+1-v}) over the x^u
+    coefficients P_u = a_(d-u), Q_u = (u+1) a_(d-1-u) of p and q (zero past
+    the degree), so each product is one monomial, added straight into B_ij."""
+    rows = [[{} for _ in range(d)] for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, terms in enumerate(row):
+            for v in range(min(i, j) + 1):
+                for k, u, sign in ((i + j + 1 - v, v, 1), (v, i + j + 1 - v, -1)):
+                    if k <= d and u < d:
+                        key = tuple((r == d - k) + (r == d - 1 - u) for r in range(d + 1))
+                        terms[key] = terms.get(key, 0) + sign * (u + 1)
+    return [[Poly(d + 1, terms) for terms in row] for row in rows]
 
 
 def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fraction]) -> BinaryForm:
@@ -411,9 +414,9 @@ def _has_rational_root(coeffs: Sequence[int]) -> bool:
     q | coeffs[-1] and sum_k coeffs[k] p^k q^(n-k) = 0, all in integers."""
     if coeffs[0] == 0:
         return True  # root at 0
-    n = len(coeffs) - 1
+    n, leads = len(coeffs) - 1, _divisors(coeffs[-1])
     for p in _divisors(coeffs[0]):
-        for q in _divisors(coeffs[-1]):
+        for q in leads:
             if gcd(p, q) != 1:
                 continue
             for num in (p, -p):

@@ -12,20 +12,23 @@ the chart expansions and eliminants need.  `prefix_steps` is the one
 graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of `filtration`;
 `degree_monomials` orders the columns of the eliminant kernels.
 
-The hot product loop `_add_product`, shared by `det` and the Taylor
-matrices of `jets`, keys its terms by packed monomials instead: exponent i
-sits in bits [i*w, (i+1)*w) of one `int`, so multiplying two monomials is
-adding their keys.  The field width w is the bit length of a proven bound
-on every exponent the loop can produce, so a sum of keys never carries into
-a neighbouring field; `_pack` raises `OverflowError` on an exponent that
-does not fit.  A `Poly` keeps exponent tuples at every boundary.
+The hot product loop `_add_product`, shared by `det` and the Taylor matrices
+of `jets`, keys its terms by packed monomials instead: exponent i sits in
+bits [i*w, (i+1)*w) of one `int`, so multiplying two monomials is adding
+their keys.  The field width w is the bit length of a proven bound on every
+exponent the loop can produce, so a sum of keys never carries into a
+neighbouring field; `_pack` raises `OverflowError` on an exponent that does
+not fit.  `det` memoizes minors by column bitmask.  `restrict_to_line` packs
+coefficients (Kronecker substitution at t = 2^K: coefficient k is signed
+K-bit field k of one `int`).  A `Poly` keeps exponent tuples at every
+boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from operator import add
+from math import lcm, prod
+from operator import add, getitem
 from typing import Mapping, Sequence, Union
 
 from .linalg import canonical, canonical_values, primitive_integers
@@ -293,17 +296,16 @@ def _add_product(terms: dict, p: Mapping[int, int | Fraction],
             terms[key] = get(key, 0) + c1 * c2
 
 
-def _cofactor_expansion(row: Sequence[dict], cols: tuple[int, ...], minor) -> dict:
-    """One packed minor: the sum over k of (-1)^k row[cols[k]] times
-    minor(cols without cols[k]), accumulated into one dict, zero terms
-    dropped once, at the end."""
+def _cofactor_expansion(row: Sequence[tuple], cols: int, minor) -> dict:
+    """One packed minor over the column bitmask `cols`: the sum over its
+    columns c of (-1)^k row[c] minor(cols without c), k its columns below c,
+    zero terms dropped once; `row` holds (c, entry, -entry) per nonzero entry."""
     terms: dict = {}
-    for k, c in enumerate(cols):
-        entry = row[c]
-        if entry:
-            if k % 2:
-                entry = {e: -v for e, v in entry.items()}
-            _add_product(terms, entry, minor(cols[:k] + cols[k + 1:]))
+    for c, entry, negated in row:
+        bit = 1 << c
+        if cols & bit:
+            _add_product(terms, negated if (cols & bit - 1).bit_count() % 2 else entry,
+                         minor(cols ^ bit))
     return {key: c for key, c in terms.items() if c}
 
 
@@ -315,18 +317,17 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     column), all-zero rows last, and the expansion's result is multiplied
     by the sign of that permutation.  A banded matrix such as a Sylvester
     matrix then keeps every memoized minor inside its band; a dense matrix
-    keeps its row order.  The entries and memoized minors are packed
-    monomial dicts (see the module docstring), with a field width covering
-    the sum over rows of each row's largest entry degree, which no exponent
-    of any minor can exceed.  Each minor adds sign * c1 * c2 for every term
-    pair of entry x sub-minor into one dict by adding keys, and drops its
-    zero coefficients once; only the result is unpacked into a `Poly`."""
+    keeps its row order.  Entries and minors are packed monomial dicts (see
+    the module docstring) of a width covering the sum over rows of each
+    row's largest entry degree, which bounds every exponent of a minor.  A
+    minor is keyed by its column bitmask; each row keeps its nonzero entries
+    with their negations, and the cofactor sign is the parity of the set
+    columns below.  Only the result is unpacked into a `Poly`."""
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant needs a square matrix")
     nvars = next((e.nvars for row in rows for e in row if isinstance(e, Poly)), 0)
-    lifted = [[e if isinstance(e, Poly) else Poly.const(nvars, e) for e in row]
-              for row in rows]
+    lifted = [[e if isinstance(e, Poly) else Poly.const(nvars, e) for e in row] for row in rows]
 
     def band(r: int) -> tuple[int, int]:
         cols = [c for c, e in enumerate(lifted[r]) if e.terms]
@@ -336,17 +337,20 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
     width = _field_width(sum(max((sum(e) for entry in row for e in entry.terms), default=0)
                              for row in lifted))
-    packed = [[_pack_terms(entry.terms, width) for entry in lifted[r]] for r in order]
-    cache: dict[tuple[int, ...], dict] = {(): {0: 1}}
+    packed = [[(c, t, {k: -v for k, v in t.items()}) for c, t in enumerate(
+        _pack_terms(e.terms, width) for e in lifted[r]) if t] for r in order]
+    cache: dict[int, dict] = {0: {0: 1}}
 
-    def minor(cols: tuple[int, ...]) -> dict:
+    def minor(cols: int) -> dict:
         terms = cache.get(cols)
         if terms is None:
-            terms = cache[cols] = _cofactor_expansion(packed[size - len(cols)], cols, minor)
+            row = packed[size - cols.bit_count()]
+            terms = cache[cols] = _cofactor_expansion(row, cols, minor)
         return terms
 
     result = _from_terms(nvars, {_unpack(key, nvars, width): c
-                                 for key, c in minor(tuple(range(size))).items()})
+                                 for key, c in minor((1 << size) - 1).items()})
+    cache.clear()  # `minor` refers to itself, so the memo would wait for the cycle collector
     return -result if odd else result
 
 
@@ -428,29 +432,27 @@ def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
     one per degree up to the total degree of p (a vanished top coefficient
     stays as a trailing 0; the zero polynomial gives []).
 
-    Each term is expanded as a product of coefficient lists of the binomial
-    powers (base_i + direction_i t)^e, so integer input stays in integers.
+    By Kronecker substitution: with denominators cleared (b_i = B_i/s,
+    w_i = W_i/s, coefficients over one denominator, each term scaled by s to
+    the top degree), each term is one product of the ints B_i + W_i 2^K, K
+    one bit past the bit length of sum |c| prod (|B_i| + |W_i|)^(e_i), which
+    bounds each coefficient, read back as a signed K-bit field (ints in, ints out).
     """
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ValueError("base and direction must match the variable count")
-    powers: dict[tuple[int, int], list] = {}
-    out: list = []
-    for exps, c in p.terms.items():
-        coeffs = [c]
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            power = powers.get((i, e))
-            if power is None:
-                b, w = base[i], direction[i]
-                power = powers[(i, e)] = [comb(e, k) * b ** (e - k) * w ** k
-                                          for k in range(e + 1)]
-            product = [0] * (len(coeffs) + e)
-            for j, a in enumerate(coeffs):
-                for k, v in enumerate(power):
-                    product[j + k] += a * v
-            coeffs = product
-        out.extend([0] * (len(coeffs) - len(out)))
-        for k, v in enumerate(coeffs):
-            out[k] += v
-    return [canonical(v) for v in out]
+    top = max(map(sum, p.terms), default=-1)  # no coefficient for the zero polynomial
+    scale = lcm(*(x.denominator for x in (*base, *direction)))
+    ints = [[int(x * scale) for x in xs] for xs in (base, direction)]
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = [int(c * denom) * scale ** (top - sum(e)) for e, c in p.terms.items()]
+
+    def evaluate(points, weights):
+        tables = [[x ** k for k in range(top + 1)] for x in points]
+        return sum(c * prod(map(getitem, tables, e)) for c, e in zip(weights, p.terms))
+
+    width = evaluate([abs(b) + abs(w) for b, w in zip(*ints)], map(abs, coeffs)).bit_length() + 1
+    half, mask = 1 << width - 1, (1 << width) - 1
+    packed = evaluate([b + (w << width) for b, w in zip(*ints)], coeffs)
+    packed += half * (((1 << width * (top + 1)) - 1) // mask)  # every field made nonnegative
+    return [canonical(Fraction((packed >> width * k & mask) - half, denom * scale ** top))
+            for k in range(top + 1)]

@@ -27,6 +27,12 @@ The generator rule by products, the oracle of
 unless it lies in the span of every generator kept so far times every
 a-monomial of its gap degree, each product formed by `Poly.__mul__`.
 
+The l = 1 witness path by `Poly` and list arithmetic: the line restriction
+as a term-by-term convolution of binomial-power coefficient lists, the
+oracle of `polynomials.restrict_to_line`'s Kronecker substitution, and the
+Bezout matrix by `Poly` products, the oracle of
+`discriminant._bezout_matrix`'s monomial sums.
+
 The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
 `combinations_with_replacement(wedge_basis(m, n), d)`, and the action,
@@ -88,7 +94,7 @@ from vermajet import jets
 from vermajet.discriminant import _weight
 from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, _pbw_images
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
-from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix
+from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix, canonical
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, coordinates,
                                highest_weight_vector, indexed_basis, sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
@@ -232,6 +238,49 @@ def new_generators_by_products(piece: list[Poly], collected: list[Poly],
         for mono in degree_monomials(degree - g.total_degree(), d + 1):
             echelon.add({columns[e]: c for e, c in (g * Poly(d + 1, {mono: 1})).terms.items()})
     return [q for q in piece if echelon.add({columns[e]: c for e, c in q.terms.items()})]
+
+
+def restrict_to_line_by_convolution(p: Poly, base: Sequence[int | Fraction],
+                                    direction: Sequence[int | Fraction]) -> list[int | Fraction]:
+    """The restriction t -> p(base + t*direction), constant first, one
+    coefficient per degree up to the total degree: each term expanded as a
+    product of coefficient lists of the binomial powers (b_i + w_i t)^e."""
+    if len(base) != p.nvars or len(direction) != p.nvars:
+        raise ValueError("base and direction must match the variable count")
+    powers: dict[tuple[int, int], list] = {}
+    out: list = []
+    for exps, c in p.terms.items():
+        coeffs = [c]
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            power = powers.get((i, e))
+            if power is None:
+                b, w = base[i], direction[i]
+                power = powers[(i, e)] = [comb(e, k) * b ** (e - k) * w ** k
+                                          for k in range(e + 1)]
+            product = [0] * (len(coeffs) + e)
+            for j, a in enumerate(coeffs):
+                for k, v in enumerate(power):
+                    product[j + k] += a * v
+            coeffs = product
+        out.extend([0] * (len(coeffs) - len(out)))
+        for k, v in enumerate(coeffs):
+            out[k] += v
+    return [canonical(v) for v in out]
+
+
+def bezout_matrix_by_products(d: int) -> list[list[Poly]]:
+    """The Bezout matrix of the form and its derivative by `Poly` arithmetic:
+    B_ij = sum_{v <= min(i,j)} (P_{i+j+1-v} Q_v - P_v Q_{i+j+1-v}) over the
+    coefficient polynomials P_u, Q_u of x^u, zero past the degree."""
+    zero = Poly.zero(d + 1)
+    form = [Poly.variable(d + 1, k) for k in range(d + 1)]
+    p = form[::-1] + [zero] * d
+    q = [(d - k) * form[k] for k in range(d)][::-1] + [zero] * (d + 1)
+    return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
+                  for v in range(min(i, j) + 1)), zero)
+             for j in range(d)] for i in range(d)]
 
 
 Wedges = tuple[tuple[int, ...], ...]  # a sorted d-tuple of wedges

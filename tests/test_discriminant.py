@@ -18,7 +18,7 @@ from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
                                    sample_jacobian_ranks,
                                    samples_satisfy_generators)
 
-from reference import incidence_parametrization, transpose
+from reference import bezout_matrix_by_products, incidence_parametrization, transpose
 
 
 def _a_poly(d, terms):
@@ -165,6 +165,37 @@ def test_has_rational_root_in_integers():
     assert has_root([-1, 3, -2])  # -2x^2 + 3x - 1, roots 1/2 and 1
     assert has_root([1, 3, 2])  # 2x^2 + 3x + 1, roots -1/2 and -1
     assert not has_root([-1, 0, -1])  # -x^2 - 1
+
+
+def test_has_rational_root_lists_each_end_coefficients_divisors_once(monkeypatch):
+    calls = []
+    divisors = discriminant._divisors
+    monkeypatch.setattr(discriminant, "_divisors", lambda n: calls.append(n) or divisors(n))
+    # 360 x^4 - 7: 24 divisors of 360 and 2 of 7, no rational root
+    assert not discriminant._has_rational_root([-7, 0, 0, 0, 360])
+    assert sorted(calls) == [-7, 360]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_bezout_matrix_matches_the_poly_product_reference(d):
+    assert discriminant._bezout_matrix(d) == bezout_matrix_by_products(d)
+
+
+def test_bezout_matrix_multiplies_no_poly(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    for d in range(2, 9):
+        discriminant._bezout_matrix(d)
+    assert not calls
+    bezout_matrix_by_products(3)
+    assert calls  # the counter sees the reference's products
 
 
 def test_every_sample_is_a_zero_of_every_generator():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from itertools import combinations, product
 
-from reference import chart_minor_by_det, chart_variables, graded_pullbacks, truncate
+from reference import (chart_minor_by_det, chart_variables, graded_pullbacks,
+                       restrict_to_line_by_convolution, truncate)
 from vermajet import discriminant, jets, polynomials
 from vermajet.polynomials import (Poly, det, divide_by_variable,
                                   integer_primitive, restrict_to_line,
@@ -156,6 +157,57 @@ def test_restrict_to_line_agrees_with_substitute():
         assert all(type(c) is int for c in integral)
 
 
+def _line_value(rng, kind):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "big":
+        return rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 80)
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+
+
+def test_restrict_to_line_matches_the_convolution_reference():
+    """Kronecker substitution against the term-by-term convolution: int,
+    big and Fraction coefficients, base points and directions, nvars from 0
+    to 5, equal lists with equal element types."""
+    rng = random.Random(35)
+    kinds = ("int", "big", "frac")
+    seen = {"vanished": 0, "zero": 0, "constant": 0}
+    for trial in range(600):
+        nvars = trial % 6
+        coeff_kind, base_kind, direction_kind = (kinds[(trial // 6 + k) % 3] for k in range(3))
+        p = Poly(nvars, {tuple(rng.randint(0, 4) for _ in range(nvars)): _line_value(rng, coeff_kind)
+                         for _ in range(rng.choice((0, 1, 3, 8)))})
+        base = [_line_value(rng, base_kind) for _ in range(nvars)]
+        direction = [_line_value(rng, direction_kind) * (rng.random() < 0.8)
+                     for _ in range(nvars)]
+        got = restrict_to_line(p, base, direction)
+        expected = restrict_to_line_by_convolution(p, base, direction)
+        assert got == expected
+        assert [type(c) for c in got] == [type(c) for c in expected]
+        assert len(got) == p.total_degree() + 1
+        if "frac" not in (coeff_kind, base_kind, direction_kind):
+            assert all(type(c) is int for c in got)
+        seen["vanished"] += bool(got) and got[-1] == 0
+        seen["zero"] += p.is_zero
+        seen["constant"] += p.total_degree() == 0
+    assert min(seen.values()) >= 10
+
+
+def test_restrict_to_line_edge_inputs():
+    a0, a1, a2 = (Poly.variable(3, i) for i in range(3))
+    assert restrict_to_line(Poly.zero(3), [1, 2, 3], [1, 0, 0]) == []
+    assert restrict_to_line(Poly.const(0, Fraction(-4, 6)), [], []) == [Fraction(-2, 3)]
+    assert restrict_to_line(Poly.const(2, -2 ** 70), [5, Fraction(1, 3)], [0, 7]) == [-2 ** 70]
+    big = 2 ** 64 + 1
+    assert restrict_to_line(big * a0 * a0 - a1, [-big, 0, 0], [big, 1, 0]) == [
+        big ** 3, -2 * big ** 3 - 1, big ** 3]
+    half = restrict_to_line(Fraction(1, 2) * a1 * a1 - 2 * a0 * a2, [Fraction(1, 2), 1, 3],
+                            [Fraction(-1, 3), 0, 0])
+    assert half == [Fraction(-5, 2), 2, 0] and [type(c) for c in half] == [Fraction, int, int]
+    with pytest.raises(ValueError, match="must match the variable count"):
+        restrict_to_line(a0, [1, 2], [1, 2, 3])
+
+
 # -- integer-or-Fraction coefficients against a plain Fraction reference -----
 
 _NVARS = 3
@@ -299,6 +351,17 @@ def test_det_cancels_to_exact_zero():
     rows = [first, second, [a + b for a, b in zip(first, second)]]
     assert det(rows).is_zero and det(rows).terms == {}
     assert det([[x, y], [x, y]]) == Poly.zero(2)
+
+
+def test_det_of_empty_single_and_zero_row_matrices():
+    x, y = _xy()
+    assert det([]) == Poly.const(0, 1)
+    assert det([[Fraction(-3, 4)]]) == Poly.const(0, Fraction(-3, 4))
+    assert det([[x * y - 2]]) == x * y - 2
+    for zero_row in range(3):
+        rows = [[x, y, 1], [y, 2, x], [x * x, 0, y]]
+        rows[zero_row] = [0, Poly.zero(2), 0]
+        assert det(rows).terms == {}
 
 
 # -- det in band order --------------------------------------------------------
@@ -497,16 +560,17 @@ def test_every_chart_minor_is_the_det_expansion():
 
 
 def test_sylvester_det_builds_few_minors(monkeypatch):
-    """Each memoized minor is made by one `_cofactor_expansion` call.
-    Expanded top to bottom (all p-rows, then all q-rows) the d = 4, 5, 6
-    matrices built 119, 465 and 1,815 minors; in band order the memo stays
-    inside the band."""
+    """Each memoized minor, keyed by its column bitmask, is made by one
+    `_cofactor_expansion` call.  Expanded top to bottom (all p-rows, then
+    all q-rows) the d = 4, 5, 6 matrices built 119, 465 and 1,815 minors;
+    in band order the memo stays inside the band."""
     built = []
     original = polynomials._cofactor_expansion
 
-    def counting(row, cols, minor):
-        built.append(1)
-        return original(row, cols, minor)
+    def counting(row, mask, minor):
+        assert type(mask) is int and mask not in built
+        built.append(mask)
+        return original(row, mask, minor)
 
     forms = {d: discriminant._form_coefficients(d) for d in (4, 5, 6)}
     matrices = {d: discriminant._sylvester_matrix(p, discriminant._derivative_coefficients(p))
