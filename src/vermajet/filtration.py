@@ -5,36 +5,46 @@ Level l of the canonical filtration is F_l = U_l(g) . v, v the highest
 weight vector.  It grows by the nilpotent complement n alone:
     x u v = u x v + [x, u] v  for x in p, u in U_l(g), [x, u] in U_l(g);
     y v = rho(y) v for every y in p, so p . F_l lies in F_l;
-    hence F_(l+1) = F_l + n . F_l = F_l + n . (the vectors new at level l).
-The second line is an exact certificate checked first (CertificateError
-otherwise; `char_ideal_generator_check` reads the same test), and the same
-proof lets `multi_filtration` apply only n to each summand's v; the summands
-have disjoint columns, so it sums their ranks, one per distinct degree.
-`_certified` runs that certificate once per (m, n, d) for the process.
-All levels grow in one `Echelon`, read off `Echelon.canonical_rows` (unique
-reduced rows, 1 at the pivot, an `int` when integral); a level that adds no
-pivot repeats the one before, as does every later level, so the echelon is
-not read again.  F_l is a sum of weight spaces, so every reduced row has
-the weight of its pivot column (compared on raw coordinates: every index
-has total m d) and the weight multiset counts pivot weights.  The
-saturation level, the first level of full module dimension, is read off
-the levels, so a result sliced to levels 0..k reports what
-`canonical_filtration(m, n, d, k)` does; a call that the one stored growth
-(keyed by (m, n, d, cap)) reaches returns that slice, its levels shared.
+    hence F_l = U_l(n) . v, spanned by the z^a v with |a| <= l.
+The second line is an exact certificate checked first, once per (m, n, d)
+(`_certified`; CertificateError otherwise).  n is abelian, and each E_ij in
+it (i > m >= j) raises the t-degree of an index (its wedge entries above m)
+by 1, so z^a v lies in the piece V_|a| and F_l = V_0 + ... + V_l.
+
+The growth walks one PBW basis, the Feigin-Fourier-Littelmann points of
+d omega_m (Transform. Groups 16, 2011): the a, read row by row as the n x m
+matrix (z_ij), with exponent sum <= d on every path from z_(m+1,1) to
+z_(m+n,m) moving one row down or one column right (`_fflv_point`); every a
+with |a| <= d is one.  The degree-k points are the children a + e_i, i at
+most the leftmost nonzero index of a, of the degree-(k - 1) points, so each
+image is one action on its prefix's, z^a v = z_i (z^(a - e_i) v), and only
+the previous degree's images are kept.  The walk needs no trust in the
+theorem: each image must leave a new pivot in its piece (CertificateError
+otherwise).  For l_max <= d that proves that the C(mn + l, l) images span
+F_l.  Past d the walk runs to its last point and must count the Weyl
+dimension, so that each degree's images span their piece.
+
+Each piece has its own `Echelon` over the `indexed_basis` columns, read
+once (`Echelon.canonical_rows`: unique reduced rows, 1 at the pivot, an
+`int` when integral); pieces have disjoint columns, so level l's canonical
+basis is level l - 1's plus piece l's rows, merged in pivot order.  Each
+new row must have the weight of its pivot column (compared on raw
+coordinates: every index has total m d), of t-degree l, and the weight
+multiset counts pivot weights.  The saturation level, the first level of
+full module dimension, is read off the levels, so a result sliced to
+levels 0..k reports what `canonical_filtration(m, n, d, k)` does; a call
+that the one stored growth (keyed by (m, n, d, cap)) reaches returns that
+slice, its levels shared.
 
 A PBW monomial is an exponent vector over a fixed ordered basis (of n or of
-g); it acts by applying its factors right to left as module actions, and
-no enveloping-algebra product is ever formed.  The annihilator dimension
-and the g-side of the split are read off `canonical_filtration` dims, and
-the n-side is the independence flag of `pbw_filtration`; the evaluation
-matrix over all of g is the tests' reference (`tests/reference.py`).
-
-The PBW images behind PBW filtrations and direct sums are built in one
-pass by the prefix recurrence z^a v = z_i (z^(a - e_i) v), i the leftmost
-nonzero exponent, walked by `polynomials.prefix_steps`; only the nonzero
-images of one degree are kept while the next is built, one rank routine
-(`_pbw_rank`) ranks them, and nothing is memoized across calls.
-`apply_pbw_monomial` stays as the row-by-row reference.
+g); it acts by applying its factors right to left as module actions, and no
+enveloping-algebra product is ever formed.  As the z^a v, |a| <= l, span
+F_l, they are independent exactly when dims[l] = C(mn + l, l): the flag of
+`pbw_filtration` (whose images `apply_pbw_monomial` builds row by row) and
+the n-side of the split.  `multi_filtration` sums the summands' dims[l],
+and the annihilator dimension and the g-side of the split are read off the
+dims too; the evaluation matrix over all of g is the tests' reference
+(`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
@@ -51,7 +62,7 @@ from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
 from .linalg import Echelon
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, act, coordinates,
                        highest_weight_vector, indexed_basis, module_dim, wedge_basis)
-from .polynomials import prefix_steps
+from .polynomials import graded_monomials
 
 DEFAULT_MONOMIAL_CAP = 50000
 
@@ -100,35 +111,14 @@ def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int
     return vec
 
 
-def _pbw_images(generators: Sequence[LieElement], max_degree: int,
-                start: PlethysmVector, m: int) -> Iterator[tuple[int, PlethysmVector]]:
-    """(position in `polynomials.graded_monomials` order, z^a start) for
-    every exponent vector a of total degree <= max_degree whose image is
-    nonzero, in order.
-
-    z^a start = z_i (z^(a - e_i) start) for the leftmost nonzero a_i (the
-    `prefix_steps` walk), which is the last action apply_pbw_monomial
-    performs, so each image is one action on a nonzero image of one degree
-    less and equals the reference exactly.  Only the nonzero images of the
-    previous degree are kept; a vector whose prefix image vanishes is
-    never acted on.
-    """
-    if start.is_zero:
-        return
-    layer = {(0,) * len(generators): start}
-    yield 0, start
-    position = 1
-    for degree in range(1, max_degree + 1):
-        grown = {}
-        for exps, i, prefix in prefix_steps(len(generators), degree):
-            base = layer.get(prefix)
-            if base is not None:
-                image = act(generators[i], base, m)
-                if not image.is_zero:
-                    grown[exps] = image
-                    yield position, image
-            position += 1
-        layer = grown
+def _fflv_point(exps: Sequence[int], m: int, d: int) -> bool:
+    """Whether exps, over the n-basis read row by row as the n x m matrix
+    (z_ij), has exponent sum <= d on every path from z_(m+1,1) to z_(m+n,m)
+    that moves one row down or one column right."""
+    best: list[int] = []  # the largest path sum from z_(m+1,1) to each entry
+    for k, e in enumerate(exps):
+        best.append(e + max(best[k - m] if k >= m else 0, best[k - 1] if k % m else 0))
+    return best[-1] <= d
 
 
 @dataclass
@@ -178,9 +168,11 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
     """Levels 0..l_max of the canonical filtration, with canonical bases: a
     slice of the one stored growth when it has the key (m, n, d, cap) and
-    reaches l_max, else a new growth that replaces it.  Every call returns a
-    new result and `levels` list; the `FiltrationLevel`s are shared and
-    read-only.  v is certified once per (m, n, d) (`_certified`)."""
+    reaches l_max, else a new growth that replaces it; past l_max = d the
+    walk runs to its last point, and the growth stored reaches saturation.
+    Every call returns a new result and `levels` list; the
+    `FiltrationLevel`s are shared and read-only.  v is certified once per
+    (m, n, d) (`_certified`)."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if l_max > cap:  # one level is stored per l, stabilized or not
@@ -189,62 +181,66 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     if grown is not None and len(grown.levels) > l_max:
         return replace(grown, levels=grown.levels[:l_max + 1])
     _grown.clear()
-    ctx = build_context(m, n)
     basis, index_of = indexed_basis(m, n, d, cap)
     weight_at = cache(lambda c: weight_of(basis[c], m, n))
     target = weyl_dim_oracle(m, n, d)
     if not _certified(m, n, d):
         raise CertificateError("p does not act on v by its character")
-    nilpotent = ctx.subalgebra_basis(SubalgebraTag.N)
+    nilpotent = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
 
-    echelon = Echelon(len(basis))
-    new = [highest_weight_vector(m, n, d)]
+    # (a, the leftmost nonzero index of a, z^a v) for the points of one degree
+    layer = [((0,) * (m * n), m * n - 1, highest_weight_vector(m, n, d))]
+    rows: list[tuple[int, PlethysmVector]] = []  # (pivot, row) of the last level
+    multiset: dict[Weight, int] = {}
     levels: list[FiltrationLevel] = []
-
-    for level in range(l_max + 1):
-        if level > 0:
-            new = [act(x, vec, m) for vec in new for x in nilpotent]
-        new = [vec for vec in new if echelon.add(coordinates(vec, index_of))]
-        if level > 0 and not new:  # F_level = F_(level-1), and so is every later level
-            levels += [replace(levels[-1], level=k) for k in range(level, l_max + 1)]
-            break
-        level_basis, multiset = [], {}
-        for pivot, row in echelon.canonical_rows():
+    while layer:
+        level = len(levels)
+        piece = Echelon(len(basis))
+        for exps, _, image in layer:
+            if not piece.add(coordinates(image, index_of)):
+                raise CertificateError(f"the image of z^{exps} is dependent at level {level}")
+        multiset, new = dict(multiset), []
+        for pivot, row in piece.canonical_rows():
             weight = weight_at(pivot)
+            if sum(weight.coords[m:]) != level:
+                raise CertificateError(f"level {level} row lies in another t-degree")
             if any(weight_at(c).coords != weight.coords for c in row):
                 raise CertificateError(f"level {level} row mixes weights")
             multiset[weight] = multiset.get(weight, 0) + 1
-            level_basis.append(PlethysmVector({basis[c]: value for c, value in row.items()}))
-        levels.append(FiltrationLevel(level, echelon.rank, level_basis, multiset,
-                                      echelon.rank == target))
-
+            new.append((pivot, PlethysmVector({basis[c]: value for c, value in row.items()})))
+        rows = sorted(rows + new, key=itemgetter(0))
+        levels.append(FiltrationLevel(level, len(rows), [vec for _, vec in rows], multiset,
+                                      len(rows) == target))
+        if level == l_max <= d:  # the independent images span F_l_max
+            break
+        layer, parents = [], layer
+        for exps, lead, image in parents:
+            for i in range(lead + 1):
+                child = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                if level < d or _fflv_point(child, m, d):  # |a| <= d: a point
+                    layer.append((child, i, act(nilpotent[i], image, m)))
+    if l_max > d and levels[-1].dim != target:
+        raise CertificateError(f"{levels[-1].dim} PBW basis images, expected {target}")
+    levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1)]
     grown = _grown[m, n, d, cap] = FiltrationResult(m, n, d, target, levels)
-    return replace(grown, levels=levels[:])
+    return replace(grown, levels=levels[:l_max + 1])
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,
                    cap: int = DEFAULT_AMBIENT_CAP,
                    monomial_cap: int = DEFAULT_MONOMIAL_CAP
                    ) -> tuple[list[PlethysmVector], bool]:
-    """All PBW monomial images z^a v, |a| <= l, over the n-basis, plus an
-    exact independence flag (rank equals the monomial count)."""
+    """All PBW monomial images z^a v, |a| <= l, over the n-basis, each built
+    by `apply_pbw_monomial`, plus an exact independence flag: they span F_l,
+    so they are independent exactly when dim F_l is their count."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    _, index_of = indexed_basis(m, n, d, cap)
-    vectors = [PlethysmVector() for _ in range(_pbw_count(m * n, l, monomial_cap))]
-    return vectors, _pbw_rank(m, n, d, l, index_of, vectors) == len(vectors)
-
-
-def _pbw_rank(m: int, n: int, d: int, l: int, index_of: dict[SymIndex, int],
-              vectors: list[PlethysmVector] | None = None) -> int:
-    """Rank of z^a v over n, |a| <= l; each image also fills `vectors` if given."""
-    echelon = Echelon(len(index_of))
+    module_dim(m, n, d, cap)  # enforce the ambient cap before the monomial cap
+    count = _pbw_count(m * n, l, monomial_cap)
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
-    for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m):
-        if vectors is not None:
-            vectors[row] = image
-        echelon.add(coordinates(image, index_of))
-    return echelon.rank
+    v = highest_weight_vector(m, n, d)
+    vectors = [apply_pbw_monomial(generators, exps, v, m) for exps in graded_monomials(m * n, l)]
+    return vectors, canonical_filtration(m, n, d, l, cap).dims[l] == count
 
 
 def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:
@@ -271,14 +267,12 @@ class SplitReport:
     split_holds: bool
 
 
-def split_report(m: int, n: int, l: int, level_dim: int,
-                 n_independent: bool) -> SplitReport:
-    """U_l(g) = U_l(n) + Ann_l(v) exactly when the U_l(n) monomial images are
-    independent and span F_l = U_l(g) . v, whose dimension is `level_dim`."""
+def split_report(m: int, n: int, l: int, level_dim: int) -> SplitReport:
+    """U_l(g) = U_l(n) + Ann_l(v) exactly when u -> u . v maps U_l(n) onto
+    F_l = U_l(n) . v, whose dimension is `level_dim`, injectively."""
     dim_ul_g = comb(build_context(m, n).N + l, l)
     dim_ul_n = comb(m * n + l, l)
-    return SplitReport(dim_ul_g, dim_ul_n, dim_ul_g - level_dim,
-                       n_independent and level_dim == dim_ul_n)
+    return SplitReport(dim_ul_g, dim_ul_n, dim_ul_g - level_dim, level_dim == dim_ul_n)
 
 
 def verma_split_check(m: int, n: int, d: int, l: int,
@@ -287,10 +281,10 @@ def verma_split_check(m: int, n: int, d: int, l: int,
     """Exact check that U_l(g) splits as U_l(n) plus the annihilator piece."""
     if not 1 <= l < d:
         raise ValueError("the split is only asserted for 1 <= l < d")
-    _, n_independent = pbw_filtration(m, n, d, l, cap, monomial_cap)
+    module_dim(m, n, d, cap)  # the ambient cap, then U_l(n) and U_l(g) within the monomial cap
+    _pbw_count(m * n, l, monomial_cap)
     enveloping_dim(m, n, l, monomial_cap)
-    level_dim = canonical_filtration(m, n, d, l, cap).dims[l]
-    return split_report(m, n, l, level_dim, n_independent)
+    return split_report(m, n, l, canonical_filtration(m, n, d, l, cap).dims[l])
 
 
 @dataclass
@@ -347,16 +341,12 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
                      cap: int = DEFAULT_AMBIENT_CAP,
                      monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> int:
     """Dimension of U_l(g) applied to the span of the highest weight vectors
-    of a direct sum of modules of the given degrees."""
+    of a direct sum of modules of the given degrees: the summands have
+    disjoint columns, so it sums their dims[l], each degree grown once."""
     if not degrees:
         raise ValueError("need at least one degree")
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
-    _pbw_count(m * n, l, monomial_cap)  # the images are walked over n
-    indices = {d: indexed_basis(m, n, d, cap)[1] for d in degrees}
-    ranks = {}
-    for d, index_of in indices.items():
-        if not _certified(m, n, d):
-            raise CertificateError(f"p does not act on the degree-{d} v by its character")
-        ranks[d] = _pbw_rank(m, n, d, l, index_of)
-    return sum(ranks[d] for d in degrees)
+    _pbw_count(m * n, l, monomial_cap)  # the growth walks the images over n
+    dims = {d: canonical_filtration(m, n, d, l, cap).dims[l] for d in dict.fromkeys(degrees)}
+    return sum(dims[d] for d in degrees)

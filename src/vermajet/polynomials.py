@@ -8,9 +8,10 @@ that canonical form, so the integer polynomials that chart minors and
 eliminants are made of run in plain integer arithmetic; `evaluate`
 returns a canonical value too.  This is deliberately minimal: arithmetic,
 differentiation, composition and evaluation cover everything
-the chart expansions and eliminants need.  `prefix_steps` is the one
-graded walk (z^a = z_i z^(a - e_i)) behind the PBW images of `filtration`;
-`degree_monomials` orders the columns of the eliminant kernels.
+the chart expansions and eliminants need.  `degree_monomials` is the one
+monomial enumerator: it orders the ambient basis of `plethysm`, the
+columns of the eliminant kernels and, by degree (`graded_monomials`), the
+jet columns of `jets` and the PBW monomials of `filtration.pbw_filtration`.
 
 The hot product loop `_add_product`, shared by `det` and the Taylor matrices
 of `jets`, keys its terms by packed monomials instead: exponent i sits in
@@ -354,44 +355,27 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
     return -result if odd else result
 
 
-def _lex_walk(total: int, nvars: int):
-    """(e, i) per exponent tuple of the given total degree in lex order: e one
-    list updated in place, i its leftmost nonzero index.  The successor moves
-    one unit from the rightmost nonzero exponent k to k - 1, the rest to the end."""
+def degree_monomials(total: int, nvars: int):
+    """Exponent tuples over nvars variables with the given total degree, in
+    lex order.  The successor moves one unit from the rightmost nonzero
+    exponent k to k - 1, the rest to the end."""
     e = [0] * nvars
     e[-1] = total
-    k = i = nvars - 1 if total else 0  # rightmost and leftmost nonzero index
+    k = nvars - 1 if total else 0  # the rightmost nonzero index
     while True:
-        yield e, i
+        yield tuple(e)
         if k == 0:
             return
         tail, e[k] = e[k], 0
         e[k - 1] += 1
         e[-1] += tail - 1
-        i, k = min(i, k - 1), nvars - 1 if tail > 1 else k - 1
-
-
-def degree_monomials(total: int, nvars: int):
-    """Exponent tuples over nvars variables with the given total degree, in lex order."""
-    for e, _ in _lex_walk(total, nvars):
-        yield tuple(e)
+        k = nvars - 1 if tail > 1 else k - 1
 
 
 def graded_monomials(nvars: int, max_degree: int):
     """Exponent tuples of total degree <= max_degree, by degree, then lex."""
     for degree in range(max_degree + 1):
         yield from degree_monomials(degree, nvars)
-
-
-def prefix_steps(nvars: int, degree: int):
-    """(exps, i, prefix) for every exponent tuple exps of the given total
-    degree >= 1, in `degree_monomials` order: i is the leftmost nonzero
-    index of exps and prefix = exps - e_i, so z^exps = z_i z^prefix."""
-    for e, i in _lex_walk(degree, nvars):
-        exps = tuple(e)
-        e[i] -= 1
-        yield exps, i, tuple(e)
-        e[i] += 1
 
 
 def integer_primitive(p: Poly) -> Poly:

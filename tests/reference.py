@@ -71,9 +71,13 @@ rank and jet checks.
 
 The PBW evaluation matrix, the oracle of `canonical_filtration` and
 `pbw_filtration`: row r is the highest weight vector v under the r-th PBW
-monomial (`pbw_monomials` order) over all of g or over a subalgebra, built
-by `filtration._pbw_images`, so over g its row span is U_l(g) . v.
-`in_span` decides span membership by one `Echelon.add`.
+monomial (`pbw_monomials` order) over all of g or over a subalgebra, each
+built row by row by `filtration.apply_pbw_monomial`, with none of the
+growth's walk, so over g its row span is U_l(g) . v.  `in_span` decides
+span membership by one `Echelon.add`.
+
+`prefix_steps`, the prefix walk z^a = z_i z^(a - e_i) with i the leftmost
+nonzero index, grows `graded_pullbacks`.
 
 The matrix commutator `bracket`, the oracle of `plethysm.act`'s
 representation law [x, y] . w = x . (y . w) - y . (x . w), with the root
@@ -92,14 +96,13 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from vermajet import jets
 from vermajet.discriminant import _weight
-from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, _pbw_images
+from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
 from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix, canonical
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, coordinates,
                                highest_weight_vector, indexed_basis, sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
-                                  degree_monomials, graded_monomials, integer_primitive,
-                                  prefix_steps)
+                                  degree_monomials, graded_monomials, integer_primitive)
 
 
 def incidence_parametrization(d: int, l: int) -> list[Poly]:
@@ -159,6 +162,15 @@ def _packed_product(p: Mapping[int, int | Fraction],
     terms: dict = {}
     _add_product(terms, p, q)
     return {key: c for key, c in terms.items() if c}
+
+
+def prefix_steps(nvars: int, degree: int):
+    """(exps, i, prefix) for every exponent tuple exps of the given total
+    degree >= 1, in `degree_monomials` order: i is the leftmost nonzero
+    index of exps and prefix = exps - e_i, so z^exps = z_i z^prefix."""
+    for exps in degree_monomials(degree, nvars):
+        i = next(k for k, e in enumerate(exps) if e)
+        yield exps, i, exps[:i] + (exps[i] - 1,) + exps[i + 1:]
 
 
 def graded_pullbacks(images: Sequence[Mapping[int, int | Fraction]], max_degree: int,
@@ -544,9 +556,11 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     _, index_of = indexed_basis(m, n, d, cap)
     generators = _generators(ctx, subalgebra)
     count = _pbw_count(len(generators), l, monomial_cap)
+    v = highest_weight_vector(m, n, d)
     entries = {(row, c): value
-               for row, image in _pbw_images(generators, l, highest_weight_vector(m, n, d), m)
-               for c, value in coordinates(image, index_of).items()}
+               for row, exps in enumerate(graded_monomials(len(generators), l))
+               for c, value in coordinates(apply_pbw_monomial(generators, exps, v, m),
+                                           index_of).items()}
     return SparseMatrix(count, len(index_of), entries)
 
 

@@ -13,15 +13,15 @@ from pathlib import Path
 import pytest
 
 from reference import (graded_pullbacks, incidence_parametrization, new_generators_by_products,
-                       pullback_kernel_piece, pullback_pieces, pullback_width,
-                       pullbacks_by_degree)
+                       prefix_steps, pullback_kernel_piece, pullback_pieces,
+                       pullback_width, pullbacks_by_degree)
 from test_discriminant import _closed_under_mirror, _reference_graded_relations
 from vermajet import discriminant
 from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece, _new_generators,
                                    _weight, classical_discriminant_oracle, eliminant_generators,
                                    graded_relations)
 from vermajet.linalg import Echelon
-from vermajet.polynomials import Poly, _pack_terms, _unpack, degree_monomials, prefix_steps
+from vermajet.polynomials import Poly, _pack_terms, _unpack, degree_monomials
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

@@ -3,7 +3,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  char_ideal_generator_check, multi_filtration,
                                  pbw_filtration, serre_power_check,
                                  verma_split_check, weight_of, weyl_dim_oracle)
-from vermajet.polynomials import graded_monomials, prefix_steps
+from vermajet.polynomials import graded_monomials
 from vermajet.suite import DESK_CASES
 
 from reference import evaluation_matrix, pbw_monomials
@@ -322,41 +322,6 @@ def test_pbw_filtration_vectors_match_reference(m, n, d, l):
     assert independent == (reference_rank == len(reference))
 
 
-def test_pbw_images_of_an_arbitrary_start_match_reference():
-    from vermajet.filtration import _pbw_images
-    m, n, d = 2, 2, 2
-    ctx = build_context(m, n)
-    v = highest_weight_vector(m, n, d)
-    start = act(ctx.subalgebra_basis(SubalgebraTag.N)[0], v, m) + 3 * v
-    for generators in (list(ctx.basis), ctx.subalgebra_basis(SubalgebraTag.N)):
-        reference = _reference_images(generators, 2, start, m)
-        got = list(_pbw_images(generators, 2, start, m))
-        assert got == [(row, image) for row, image in enumerate(reference)
-                       if not image.is_zero]
-        assert list(_pbw_images(generators, 2, 0 * start, m)) == []
-
-
-@pytest.mark.parametrize("subalgebra", ["all", SubalgebraTag.N])
-def test_pbw_images_act_only_on_nonzero_prefix_images(monkeypatch, subalgebra, cold_filtration):
-    ctx = build_context(2, 2)
-    generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
-    v = highest_weight_vector(2, 2, 2)
-    steps = [step for degree in (1, 2) for step in prefix_steps(len(generators), degree)]
-    expected = sum(not apply_pbw_monomial(generators, prefix, v, 2).is_zero
-                   for _, _, prefix in steps)
-    # over all of g some degree-1 images vanish, so their extensions are pruned
-    assert (expected < len(steps)) == (subalgebra == "all")
-    calls = []
-
-    def counted(x, vec, m):
-        calls.append(x)
-        return act(x, vec, m)
-
-    monkeypatch.setattr(filtration, "act", counted)
-    list(filtration._pbw_images(generators, 2, v, 2))
-    assert len(calls) == expected
-
-
 @pytest.mark.parametrize("m,n,d,l", [(1, 1, 3, 1), (1, 2, 3, 2), (2, 2, 2, 2),
                                      (2, 2, 4, 2)])
 def test_char_ideal_check_matches_reference(m, n, d, l):
@@ -399,7 +364,7 @@ def test_multi_filtration_caps_the_pbw_monomials_over_n():
         multi_filtration(2, 2, [2, 2], 2, monomial_cap=14)
 
 
-# -- canonical filtration grown in one echelon --------------------------------
+# -- canonical filtration grown as one certified PBW walk ----------------------
 
 
 @pytest.mark.parametrize("m,n,d,l_max", [(2, 2, 4, 3), (1, 1, 5, 4), (2, 3, 3, 2),
@@ -407,7 +372,7 @@ def test_multi_filtration_caps_the_pbw_monomials_over_n():
                                          (1, 3, 3, 3)])
 def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
     # F_l is the row span of the PBW evaluation matrix over all of g, built
-    # independently by _pbw_images; its rref rows are the canonical basis.
+    # row by row by apply_pbw_monomial; its rref rows are the canonical basis.
     basis = sym_basis(m, n, d)
     result = canonical_filtration(m, n, d, l_max)
     for l, level in enumerate(result.levels):
@@ -440,9 +405,18 @@ def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch, cold_fil
     basis = sym_basis(m, n, d)
     mixed = PlethysmVector({basis[1]: 1, basis[-1]: 1})
     assert weight_of(basis[1], m, n) != weight_of(basis[-1], m, n)
-    # p still acts truly, so the p-eigenvector certificate passes first
-    monkeypatch.setattr(filtration, "act", lambda x, vec, m: (
-        mixed if ctx.contains(x, SubalgebraTag.N) else act(x, vec, m)))
+    # p still acts truly, so the p-eigenvector certificate passes first; only
+    # the first n-action is replaced, so the level-1 images stay independent
+    # and the mixed row reaches the weight check
+    n_actions = []
+
+    def first_mixed(x, vec, m):
+        if not ctx.contains(x, SubalgebraTag.N):
+            return act(x, vec, m)
+        n_actions.append(x)
+        return mixed if len(n_actions) == 1 else act(x, vec, m)
+
+    monkeypatch.setattr(filtration, "act", first_mixed)
     with pytest.raises(CertificateError, match="mixes weights"):
         canonical_filtration(m, n, d, 1)
 
@@ -465,9 +439,9 @@ def test_a_p_element_moving_v_fails_the_certificate(monkeypatch, cold_filtration
 
 
 def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch, cold_filtration):
-    # (2,2,4) to level 3: the 4 elements of n act on the 1, 4 and 10 vectors
-    # that left new pivots at levels 0, 1, 2 (60 actions), and the 11
-    # elements of p act once on v for the certificate
+    # (2,2,4) to level 3: one action of n per PBW basis image z^a v with
+    # 1 <= |a| <= 3, on the image of its prefix (4 + 10 + 20 = 34 actions),
+    # and the 11 elements of p act once on v for the certificate
     calls = []
 
     def counted(x, vec, m):
@@ -477,8 +451,103 @@ def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch, cold_filtr
     monkeypatch.setattr(filtration, "act", counted)
     assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
     ctx = build_context(2, 2)
-    assert len(calls) == 71
-    assert sum(ctx.contains(x, SubalgebraTag.N) for x in calls) == 60
+    assert len(calls) == 45
+    assert sum(ctx.contains(x, SubalgebraTag.N) for x in calls) == 34
+
+
+def _path_sums(exps, m):
+    # every path from the top left to the bottom right entry of the n x m
+    # matrix of exps (row by row), one row down or one column right a step
+    n = len(exps) // m
+    for downs in combinations(range(m + n - 2), n - 1):
+        r = c = 0
+        total = exps[0]
+        for step in range(m + n - 2):
+            r, c = (r + 1, c) if step in downs else (r, c + 1)
+            total += exps[r * m + c]
+        yield total
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 3, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2),
+                                   (3, 2, 2), (3, 3, 2)])
+def test_fflv_points_bound_every_path_and_count_the_weyl_dimension(m, n, d):
+    points = 0
+    for exps in product(range(d + 1), repeat=m * n):
+        inside = filtration._fflv_point(exps, m, d)
+        assert inside == (max(_path_sums(exps, m)) <= d)
+        assert inside or sum(exps) > d
+        points += inside
+    assert points == weyl_dim_oracle(m, n, d)
+
+
+def _one_path(exps, m, d):
+    # only the path down the first column and along the last row
+    n = len(exps) // m
+    return sum(exps[::m]) + sum(exps[(n - 1) * m + 1:]) <= d
+
+
+_FFLV_POINT = filtration._fflv_point
+WRONG_POLYTOPES = {
+    "simplex": (lambda exps, m, d: sum(exps) <= d, "PBW basis images, expected"),
+    "bound d + 1": (lambda exps, m, d: _FFLV_POINT(exps, m, d + 1), "is dependent"),
+    "one path": (_one_path, "is dependent"),
+}
+
+
+@pytest.mark.parametrize("m,n,d", [(2, 2, 2), (2, 3, 3), (3, 3, 2)])
+@pytest.mark.parametrize("polytope", sorted(WRONG_POLYTOPES))
+def test_a_wrong_polytope_fails_the_certificate(monkeypatch, cold_filtration, m, n, d,
+                                                polytope):
+    # the simplex falls short of the Weyl dimension; the two larger sets
+    # admit an image that depends on the others of its degree
+    top = d * min(m, n)
+    assert canonical_filtration(m, n, d, top + 1).saturation_level == top
+    filtration._grown.clear()
+    point, message = WRONG_POLYTOPES[polytope]
+    monkeypatch.setattr(filtration, "_fflv_point", point)
+    with pytest.raises(CertificateError, match=message):
+        canonical_filtration(m, n, d, top + 1)
+
+
+@pytest.mark.parametrize("m,n,d", [(2, 2, 2), (2, 3, 3), (3, 3, 2)])
+@pytest.mark.parametrize("l_max", [1, 9])
+def test_an_injected_dependent_image_fails_the_certificate(monkeypatch, cold_filtration,
+                                                           m, n, d, l_max):
+    # the second n-action returns twice the first one's image: two level-1
+    # images are dependent, at l_max <= d and past it
+    ctx = build_context(m, n)
+    images = []
+
+    def repeating(x, vec, m):
+        image = act(x, vec, m)
+        if ctx.contains(x, SubalgebraTag.N):
+            images.append(image)
+            if len(images) == 2:
+                return 2 * images[0]
+        return image
+
+    monkeypatch.setattr(filtration, "act", repeating)
+    with pytest.raises(CertificateError, match=r"the image of z\^\(.*\) is dependent"):
+        canonical_filtration(m, n, d, l_max)
+
+
+@pytest.mark.parametrize("m,n,d", [(2, 2, 2), (2, 3, 3), (3, 3, 2)])
+def test_an_image_of_another_t_degree_fails_the_certificate(monkeypatch, cold_filtration,
+                                                            m, n, d):
+    # the first n-action acts twice: a weight vector of t-degree 2 among the
+    # level-1 images, independent of them, but outside the level-1 piece
+    ctx = build_context(m, n)
+    n_actions = []
+
+    def twice_first(x, vec, m):
+        if not ctx.contains(x, SubalgebraTag.N):
+            return act(x, vec, m)
+        n_actions.append(x)
+        return act(x, act(x, vec, m), m) if len(n_actions) == 1 else act(x, vec, m)
+
+    monkeypatch.setattr(filtration, "act", twice_first)
+    with pytest.raises(CertificateError, match="level 1 row lies in another t-degree"):
+        canonical_filtration(m, n, d, 1)
 
 
 def test_saturated_levels_are_not_read_again(monkeypatch, cold_filtration):
@@ -558,25 +627,24 @@ def _growths(monkeypatch):
 
 
 def test_checks_after_a_growth_grow_nothing(monkeypatch, cold_filtration):
-    # The duality and annihilator checks read level 3 of the stored (2,2,4)
-    # growth and act on nothing; the split check acts only in its walk of
-    # the PBW images over n, as `pbw_filtration` alone does.
+    # The duality, annihilator and split checks read level 3 of the stored
+    # (2,2,4) growth and act on nothing; `pbw_filtration` acts only to build
+    # its image list row by row, |a| actions per monomial.
     acts = _counted(monkeypatch, filtration, "act")
     assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
-    assert len(acts) == 71
+    assert len(acts) == 45
     acts.clear()
     report = duality_check(2, 2, 4, 3)
     assert (report.filtration_dim, report.taylor_rank, report.dim_match,
             report.pairing_vanishes) == (35, 35, True, True)
     assert annihilator_dim(2, 2, 4, 3) == 781
-    assert acts == []
     split = verma_split_check(2, 2, 4, 3)
     assert (split.dim_ul_g, split.dim_ul_n, split.dim_ann, split.split_holds) \
         == (816, 35, 781, True)
-    walk = len(acts)
-    acts.clear()
-    pbw_filtration(2, 2, 4, 3)
-    assert len(acts) == walk > 0
+    assert acts == []
+    vectors, independent = pbw_filtration(2, 2, 4, 3)
+    assert (len(vectors), independent) == (35, True)
+    assert len(acts) == sum(map(sum, graded_monomials(4, 3))) == 84
 
 
 def test_a_deeper_level_grows_once(monkeypatch, cold_filtration):

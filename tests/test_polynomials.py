@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itertools import combinations, product
 
-from reference import (chart_minor_by_det, chart_variables, graded_pullbacks,
+from reference import (chart_minor_by_det, chart_variables, graded_pullbacks, prefix_steps,
                        restrict_to_line_by_convolution, truncate)
 from vermajet import discriminant, jets, polynomials
 from vermajet.polynomials import (Poly, det, divide_by_variable,
@@ -78,7 +78,7 @@ def test_evaluate_at_an_integer_point_is_an_int():
 def test_prefix_steps_walk_degree_monomials():
     for nvars in range(1, 6):
         for degree in range(1, 6):
-            steps = list(polynomials.prefix_steps(nvars, degree))
+            steps = list(prefix_steps(nvars, degree))
             assert [exps for exps, _, _ in steps] == list(
                 polynomials.degree_monomials(degree, nvars))
             for exps, i, prefix in steps:
