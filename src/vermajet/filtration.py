@@ -24,13 +24,13 @@ otherwise).  For l_max <= d that proves that the C(mn + l, l) images span
 F_l.  Past d the walk runs to its last point and must count the Weyl
 dimension, so that each degree's images span their piece.
 
-Each piece has its own `Echelon` over the `indexed_basis` columns, read
-once (`Echelon.canonical_rows`: unique reduced rows, 1 at the pivot, an
-`int` when integral); pieces have disjoint columns, so level l's canonical
-basis is level l - 1's plus piece l's rows, merged in pivot order.  Each
-new row must have the weight of its pivot column (compared on raw
-coordinates: every index has total m d), of t-degree l, and the weight
-multiset counts pivot weights.  The saturation level, the first level of
+Each piece has its own `Echelon` over the columns key(v) - key of its
+images' keys (`plethysm`), with no ambient index, read once
+(`Echelon.canonical_rows`: unique reduced rows, 1 at the pivot, an `int`
+when integral); pieces have disjoint columns, so level l's canonical basis
+is level l - 1's plus piece l's rows, merged in pivot order.  Every term of
+a new row must have its pivot's weight (raw counts, read off its key), of
+t-degree l; the weight multiset counts pivot weights.  The saturation level, the first level of
 full module dimension, is read off the levels, so a result sliced to
 levels 0..k reports what `canonical_filtration(m, n, d, k)` does; a call
 that the one stored growth (keyed by (m, n, d, cap)) reaches returns that
@@ -60,8 +60,8 @@ from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, simple_roots)
 from .linalg import Echelon
-from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, act, coordinates,
-                       highest_weight_vector, indexed_basis, module_dim, wedge_basis)
+from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
+                       module_dim, wedge_basis, wedge_counts)
 from .polynomials import graded_monomials
 
 DEFAULT_MONOMIAL_CAP = 50000
@@ -80,13 +80,24 @@ def weyl_dim_oracle(m: int, n: int, d: int) -> int:
     return value.numerator
 
 
-def weight_of(idx: SymIndex, m: int, n: int) -> Weight:
-    """Coordinate k counts the occurrences of index k across all wedge factors."""
-    counts = [0] * (m + n)
-    for wedge, e in zip(wedge_basis(m, n), idx):
-        for value in wedge:
-            counts[value - 1] += e
-    return Weight(counts)
+@cache
+def _wedge_weights(m: int, n: int, d: int) -> tuple[int, ...]:
+    """Per wedge, its weight as a key: field i - 1 counts index i (at most d)."""
+    return tuple(sum(1 << d.bit_length() * (i - 1) for i in w) for w in wedge_basis(m, n))
+
+
+def _packed_weight(key: int, m: int, n: int, d: int) -> int:
+    """The weight of a degree-d key, packed as `_wedge_weights` packs it."""
+    weights, total = _wedge_weights(m, n, d), 0
+    for k, e in wedge_counts(key, m, n, d):
+        total += e * weights[k]
+    return total
+
+
+def weight_of(key: int, m: int, n: int, d: int) -> Weight:
+    """The weight of a degree-d key: coordinate i - 1 counts index i."""
+    width, packed = d.bit_length(), _packed_weight(key, m, n, d)
+    return Weight([packed >> width * i & (1 << width) - 1 for i in range(m + n)])
 
 
 def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
@@ -100,14 +111,14 @@ def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
 
 
 def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int],
-                       start: PlethysmVector, m: int) -> PlethysmVector:
+                       start: PlethysmVector, m: int, d: int) -> PlethysmVector:
     """Apply z_1^{a_1} ... z_k^{a_k} to a vector, rightmost factor first."""
     vec = start
     for g, e in zip(reversed(generators), reversed(list(exponents))):
         for _ in range(e):
             if vec.is_zero:
                 return vec
-            vec = act(g, vec, m)
+            vec = act(g, vec, m, d)
     return vec
 
 
@@ -150,7 +161,7 @@ class FiltrationResult:
 def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
     """Whether y . v = rho(y) v for every y in the stored parabolic basis;
     rho(y) is read as `rho_character` does, less its test that y lies in p."""
-    return all((act(y, v, ctx.m)
+    return all((act(y, v, ctx.m, d)
                 - d * sum(y.entries.get((i, i), 0) for i in range(1, ctx.m + 1)) * v).is_zero
                for y in ctx.subalgebra_basis(SubalgebraTag.P))
 
@@ -181,33 +192,34 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     if grown is not None and len(grown.levels) > l_max:
         return replace(grown, levels=grown.levels[:l_max + 1])
     _grown.clear()
-    basis, index_of = indexed_basis(m, n, d, cap)
-    weight_at = cache(lambda c: weight_of(basis[c], m, n))
+    module_dim(m, n, d, cap)
     target = weyl_dim_oracle(m, n, d)
     if not _certified(m, n, d):
         raise CertificateError("p does not act on v by its character")
     nilpotent = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
 
     # (a, the leftmost nonzero index of a, z^a v) for the points of one degree
-    layer = [((0,) * (m * n), m * n - 1, highest_weight_vector(m, n, d))]
+    v = highest_weight_vector(m, n, d)
+    (top,) = v.coeffs  # the column of a key is top - key
+    layer = [((0,) * (m * n), m * n - 1, v)]
     rows: list[tuple[int, PlethysmVector]] = []  # (pivot, row) of the last level
     multiset: dict[Weight, int] = {}
     levels: list[FiltrationLevel] = []
     while layer:
         level = len(levels)
-        piece = Echelon(len(basis))
+        piece = Echelon(top + 1)
         for exps, _, image in layer:
-            if not piece.add(coordinates(image, index_of)):
+            if not piece.add({top - key: c for key, c in image.coeffs.items()}):
                 raise CertificateError(f"the image of z^{exps} is dependent at level {level}")
         multiset, new = dict(multiset), []
         for pivot, row in piece.canonical_rows():
-            weight = weight_at(pivot)
+            weight = weight_of(top - pivot, m, n, d)
             if sum(weight.coords[m:]) != level:
                 raise CertificateError(f"level {level} row lies in another t-degree")
-            if any(weight_at(c).coords != weight.coords for c in row):
+            if len({_packed_weight(top - c, m, n, d) for c in row}) > 1:
                 raise CertificateError(f"level {level} row mixes weights")
             multiset[weight] = multiset.get(weight, 0) + 1
-            new.append((pivot, PlethysmVector({basis[c]: value for c, value in row.items()})))
+            new.append((pivot, PlethysmVector({top - c: value for c, value in row.items()})))
         rows = sorted(rows + new, key=itemgetter(0))
         levels.append(FiltrationLevel(level, len(rows), [vec for _, vec in rows], multiset,
                                       len(rows) == target))
@@ -218,7 +230,7 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
             for i in range(lead + 1):
                 child = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
                 if level < d or _fflv_point(child, m, d):  # |a| <= d: a point
-                    layer.append((child, i, act(nilpotent[i], image, m)))
+                    layer.append((child, i, act(nilpotent[i], image, m, d)))
     if l_max > d and levels[-1].dim != target:
         raise CertificateError(f"{levels[-1].dim} PBW basis images, expected {target}")
     levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1)]
@@ -239,7 +251,7 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     count = _pbw_count(m * n, l, monomial_cap)
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
     v = highest_weight_vector(m, n, d)
-    vectors = [apply_pbw_monomial(generators, exps, v, m) for exps in graded_monomials(m * n, l)]
+    vectors = [apply_pbw_monomial(generators, a, v, m, d) for a in graded_monomials(m * n, l)]
     return vectors, canonical_filtration(m, n, d, l, cap).dims[l] == count
 
 
@@ -315,11 +327,11 @@ def serre_power_check(m: int, n: int, d: int,
         vec = v
         below_nonzero = True
         for _ in range(power - 1):
-            vec = act(root.lowering, vec, m)
+            vec = act(root.lowering, vec, m, d)
             if vec.is_zero:
                 below_nonzero = False
                 break
-        at_power_zero = below_nonzero and act(root.lowering, vec, m).is_zero
+        at_power_zero = below_nonzero and act(root.lowering, vec, m, d).is_zero
         out.append(RootPowerReport(root.index, power, below_nonzero, at_power_zero))
     return out
 

@@ -13,20 +13,19 @@ truncation at total degree l.
 The basis is Hodge's standard monomials: one per chain w_1 <= ... <= w_d of
 m-subsets in the componentwise order (a semistandard tableau), and a basis
 section is its chain, the Plücker monomial {chain: 1}, which pairs against
-module vectors.  Plücker coordinates are keyed as in `plethysm`, by
-exponent vectors over `wedge_basis(m, n)`: one minor by its unit vector, a
-chain by its wedge counts.  The chains are certified a basis by initial
-terms (Sturmfels, Algorithms in Invariant Theory, 3.1), with no
-elimination.  Under lex order x_11 > x_12 > ... > x_21 > ... on the
-entries of the generic m x (m+n) matrix X, the leading
-term of the bracket det X[:, w] is its diagonal x_(1,w_1)...x_(m,w_m) (a
-test checks this; it depends on `wedge_basis` alone), and leading terms
-multiply, so a chain's initial monomial records the content of each row
-of its tableau.  Chains with distinct initial monomials are independent
-in k[X], hence as sections (one vanishing on the dense chart is zero).  Two
-chains sharing an initial monomial, or a chain count other than
-`weyl_dim_oracle` (Borel-Weil), raise CertificateError; otherwise the
-chains are a basis.
+module vectors.  Plücker coordinates are keyed as module vectors are
+(`plethysm`): one minor by its wedge's degree-1 key, a chain by its
+degree-d key.  The chains are certified a basis by initial terms
+(Sturmfels, Algorithms in Invariant Theory, 3.1), with no elimination.
+Under lex order x_11 > x_12 > ... > x_21 > ... on the entries of the
+generic m x (m+n) matrix X, the leading term of the bracket det X[:, w] is
+its diagonal x_(1,w_1)...x_(m,w_m) (a test checks this; it depends on
+`wedge_basis` alone), and leading terms multiply, so a chain's initial
+monomial records the content of each row of its tableau.  Chains with
+distinct initial monomials are independent in k[X], hence as sections (one
+vanishing on the dense chart is zero).  Two chains sharing an initial
+monomial, or a chain count other than `weyl_dim_oracle` (Borel-Weil), raise
+CertificateError; otherwise the chains are a basis.
 
 A Plücker coordinate is homogeneous of degree its number of rows > m, so a
 basis section is homogeneous of t-degree its chain's number of entries > m,
@@ -44,7 +43,7 @@ be multilinear), and each product's terms are unpacked to the jet columns.
 filtration the caller has grown, so one filtration serves every level;
 `duality_check(m, n, d, l)` reads level l and calls it.  The level pairs to
 zero with the vanishing-jet sections, each the monomial {chain: 1},
-exactly when no level vector has a coordinate at one of their chains; the
+exactly when no level vector holds the key of one of their chains; the
 all-pairs pairing is the test reference.
 
 A chart minor is built in closed form, with no determinant expansion: a
@@ -60,9 +59,9 @@ call returns new maps.
 
 The basis lives in `_reduced_family`, an `lru_cache` with `maxsize=1` keyed
 by (m, n, d): a miss walks the chains in lex order, certifies them, and
-stores them, each as its exponent vector, sorted stably by t-degree, with
-their t-degrees.  A case's calls are consecutive in every caller, so one
-entry catches every repeat.  `section_space` returns the stored tuple of
+stores their keys, sorted stably by t-degree, with their t-degrees.  A
+case's calls are consecutive in every caller, so one entry catches every
+repeat.  `section_space` returns the stored tuple of
 chains, which is immutable, so no call copies it.  It still reads every
 factor of every Plücker monomial through `plucker_polynomial` on every call
 (each wedge as often as its total exponent over the degree-d monomials,
@@ -90,7 +89,7 @@ from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
 # kernel_basis and det are unused here but stay bound: perfbench's layer
 # tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
 from .linalg import SparseMatrix, kernel_basis  # noqa: F401
-from .plethysm import DEFAULT_AMBIENT_CAP, SymIndex, module_dim, wedge_basis
+from .plethysm import DEFAULT_AMBIENT_CAP, module_dim, wedge_basis, wedge_counts, wedge_keys
 from .polynomials import (Poly, _add_product, _field_width, _pack_terms, _unpack,
                           graded_monomials)
 from .polynomials import det  # noqa: F401
@@ -101,7 +100,7 @@ class SectionPolynomial:
     """A global section in chart coordinates, with Plücker-monomial provenance."""
 
     chart: Poly
-    plucker: dict[SymIndex, int | Fraction]
+    plucker: dict[int, int | Fraction]
 
 
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
@@ -125,8 +124,7 @@ def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
 @lru_cache(maxsize=None)
 def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, dict]:
     """(nvars, chart terms, Plücker map {unit: 1}) of a valid subset's minor,
-    the unit the exponent vector of its wedge; an invalid subset raises and
-    is not stored."""
+    the unit its wedge's degree-1 key; an invalid subset raises, unstored."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     rows = tuple(sorted(subset))
@@ -134,7 +132,7 @@ def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, 
         raise ValueError(f"need {m} distinct row indices")
     if rows[0] < 1 or rows[-1] > m + n:
         raise ValueError(f"row indices must lie in 1..{m + n}")
-    unit = tuple(int(w == rows) for w in wedge_basis(m, n))
+    unit = wedge_keys(m, n, 1)[wedge_basis(m, n).index(rows)]
     return m * n, _chart_minor(rows, m, n).terms, {unit: 1}
 
 
@@ -162,19 +160,17 @@ def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
 
 
 @lru_cache(maxsize=1)
-def _reduced_family(m: int, n: int, d: int) -> tuple[tuple[SymIndex, ...], tuple[int, ...]]:
+def _reduced_family(m: int, n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The standard monomials of degree d, certified a basis, as chains (each
-    its exponent vector over the wedges) in (t-degree, chain) order, and
-    their t-degrees in the same order."""
+    its key, as in `plethysm`) in (t-degree, chain) order, and their
+    t-degrees in the same order."""
     wedges = wedge_basis(m, n)  # in lex order
     above = {w: [v for v in wedges if all(map(le, w, v))] for w in wedges}  # v >= w
     above[None] = wedges
-    # A chain is a multiset of wedges and its initial monomial a monomial in
-    # the entries x_(r, i) of X, each packed in one int: the count of wedge k
-    # sits in bits [k*shift, (k+1)*shift), the exponent of x_(r, i) (r from 0)
-    # in field r*(m+n) + i; no count or exponent exceeds d.
+    # A chain is one key, and its initial monomial in the entries x_(r, i) of
+    # X one int: x_(r, i)'s exponent (at most d) in field r*(m+n) + i, r >= 0.
     shift = d.bit_length()
-    units = {w: 1 << shift * k for k, w in enumerate(wedges)}
+    units = dict(zip(wedges, wedge_keys(m, n, d)))
     initials = {w: sum(1 << shift * (r * (m + n) + i) for r, i in enumerate(w)) for w in wedges}
     degrees = {w: sum(i > m for i in w) for w in wedges}
     layer = [(0, None, 0, 0)]  # (chain, last wedge, initial monomial, t-degree)
@@ -187,15 +183,14 @@ def _reduced_family(m: int, n: int, d: int) -> tuple[tuple[SymIndex, ...], tuple
     if len(layer) != expected:
         raise CertificateError(f"{len(layer)} standard monomials, expected {expected}")
     layer.sort(key=itemgetter(3))  # stable: (t-degree, chain)
-    return (tuple(_unpack(chain, len(wedges), shift) for chain, _, _, _ in layer),
-            tuple(degree for _, _, _, degree in layer))
+    return tuple(chain for chain, _, _, _ in layer), tuple(degree for _, _, _, degree in layer)
 
 
 def section_space(m: int, n: int, d: int,
-                  cap: int = DEFAULT_AMBIENT_CAP) -> tuple[SymIndex, ...]:
+                  cap: int = DEFAULT_AMBIENT_CAP) -> tuple[int, ...]:
     """The standard monomials of degree d, a certified basis of the sections
-    ordered by (t-degree, chain), each as its chain: the one stored tuple
-    (see the module docstring)."""
+    ordered by (t-degree, chain), each as its chain's key: the one stored
+    tuple (see the module docstring)."""
     wedges = wedge_basis(m, n)
     reads = module_dim(m, n, d, cap) * d // len(wedges)  # each wedge's total exponent
     # No chain reads a minor: these reads stay only because the benchmark
@@ -223,7 +218,7 @@ def taylor_matrix(m: int, n: int, d: int, l: int,
     packed = [_pack_terms(terms, width) for terms in minors]
     nvars, entries, nonzero = m * n, {}, 0
     for r, chain in enumerate(chains[:rank]):
-        product, *factors = [minor for minor, e in zip(packed, chain) if e for _ in range(e)]
+        product, *factors = [packed[k] for k, e in wedge_counts(chain, m, n, d) for _ in range(e)]
         for minor in factors:
             terms = {}
             _add_product(terms, product, minor)
@@ -247,7 +242,7 @@ def taylor_rank(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) 
 
 
 def kernel_sections(m: int, n: int, d: int, l: int,
-                    cap: int = DEFAULT_AMBIENT_CAP) -> tuple[tuple[SymIndex, ...], int]:
+                    cap: int = DEFAULT_AMBIENT_CAP) -> tuple[tuple[int, ...], int]:
     """Basis of the sections whose order-l jet vanishes, with its dimension:
     the chains of t-degree > l, which follow the first `taylor_rank` chains
     in basis order."""

@@ -1,34 +1,36 @@
 """The module Sym^d of the m-th wedge power of the defining representation.
 
-Basis encoding: a wedge factor is an m-subset of {1..m+n} as a strictly
-increasing tuple, and `wedge_basis(m, n)` lists them in lex order.  A
-symmetric basis index, a multiset of d wedges, is its exponent vector over
-`wedge_basis(m, n)`; `sym_basis` lists the indices in reverse
-`polynomials.degree_monomials` order (the lex order of the multisets as
-sorted d-tuples of wedges), and `indexed_basis` adds each one's column.  The
-length C(m+n, m) leaves m open (C(s, m) = C(s, s - m)), so `act` and
-`filtration.weight_of` take it.  A module element is a sparse map from
-symmetric basis indices to nonzero rationals, each an `int` when it is
-integral and a `Fraction` only when it is not (`linalg.canonical`).  Sums,
-scalar multiples and `act` keep that form, so the highest weight vector and
-everything the integral basis elements E_ij, H_k make of it stay in
-integer arithmetic, and `coordinates` hands `Echelon.add` all-`int` rows.
+A wedge factor is an m-subset of {1..m+n} as a strictly increasing tuple;
+`wedge_basis(m, n)` lists the N = C(m+n, m) of them in lex order.  A basis
+index, a multiset of d wedges, is one int, its key: wedge k's count sits
+in field N - 1 - k of `d.bit_length()` bits, so no count carries and key
+order is the lex order of the exponent vectors.  Only `wedge_keys` (one
+copy of each wedge) and `wedge_counts` (a key's nonzero fields) read the
+layout; a key carries neither its width nor m, so they, `act` and
+`filtration.weight_of` take both.  `sym_basis` lists the keys in
+descending order, v = (e_1 ^ ... ^ e_m)^d first (the lex order of the
+sorted d-tuples of wedges): the column key(v) - key.  A module element is
+a sparse map from keys to nonzero rationals, each an `int` when integral
+and a `Fraction` only when not (`linalg.canonical`); sums, scalar
+multiples and `act` keep that form, so the integral basis elements E_ij,
+H_k keep v's orbit in integer arithmetic and `Echelon.add` gets `int` rows.
 
 A Lie algebra element acts as a derivation across the d symmetric factors
 and, inside each factor, as a derivation across the m wedge slots; a
 substituted wedge slot is re-sorted and the sign of the sorting permutation
 is applied (a repeated index kills the term).  The e copies of a wedge give
-one term, so `act` moves one copy and scales by e.  No pairing with sections
-is defined: `jets.level_duality` reads it off the supports.
+one term, so `act` visits only a key's nonzero fields (at most d), moves
+one copy by adding a precomputed key delta and scales by e.  No pairing
+with sections is defined: `jets.level_duality` reads it off the supports.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Mapping
+from operator import mul
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import SizeCapError
 from .linalg import canonical, canonical_values
@@ -37,25 +39,16 @@ from .polynomials import degree_monomials
 if TYPE_CHECKING:  # an annotation only: the package's eager `act` must not load `lie`
     from .lie import LieElement
 
-Wedge = tuple[int, ...]
-SymIndex = tuple[int, ...]  # exponent vector over wedge_basis(m, n)
-
 DEFAULT_AMBIENT_CAP = 20000
 
 
 class PlethysmVector:
-    """Sparse vector over the symmetric basis indices."""
+    """Sparse vector over the symmetric basis keys."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[SymIndex, int | Fraction] | None = None):
-        clean: dict[SymIndex, int | Fraction] = {}
-        if coeffs:
-            for idx, value in coeffs.items():
-                v = canonical(value)
-                if v:
-                    clean[idx] = v
-        self.coeffs = clean
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+        self.coeffs = {key: v for key, value in (coeffs or {}).items() if (v := canonical(value))}
 
     def __add__(self, other: "PlethysmVector") -> "PlethysmVector":
         coeffs = dict(self.coeffs)
@@ -99,9 +92,26 @@ class PlethysmVector:
 
 
 @lru_cache(maxsize=None)
-def wedge_basis(m: int, n: int) -> tuple[Wedge, ...]:
+def wedge_basis(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All m-subsets of {1..m+n}, ascending, in lexicographic order."""
     return tuple(combinations(range(1, m + n + 1), m))
+
+
+def wedge_keys(m: int, n: int, d: int) -> tuple[int, ...]:
+    """The degree-d key of one copy of each wedge of `wedge_basis(m, n)`."""
+    size, width = comb(m + n, m), d.bit_length()
+    return tuple(1 << width * (size - 1 - k) for k in range(size))
+
+
+def wedge_counts(key: int, m: int, n: int, d: int) -> Iterator[tuple[int, int]]:
+    """(k, e) for each wedge k of `wedge_basis(m, n)` that a degree-d key
+    holds e > 0 copies of, in wedge order: its nonzero fields only."""
+    last, width = comb(m + n, m) - 1, d.bit_length()
+    while key:
+        f = (key.bit_length() - 1) // width  # the top nonzero field
+        e = key >> f * width
+        key -= e << f * width
+        yield last - f, e
 
 
 def module_dim(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:
@@ -114,62 +124,43 @@ def module_dim(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _indexed_basis(m: int, n: int, d: int) -> tuple[tuple[SymIndex, ...], dict[SymIndex, int]]:
-    basis = tuple(degree_monomials(d, comb(m + n, m)))[::-1]
-    return basis, {idx: k for k, idx in enumerate(basis)}
-
-
-def indexed_basis(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP
-                  ) -> tuple[tuple[SymIndex, ...], dict[SymIndex, int]]:
-    """The canonical ordered basis of the ambient module and the column of
-    each index in it; shared, not to be mutated."""
+def sym_basis(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP) -> tuple[int, ...]:
+    """The keys of the ambient module in column order: descending, v first."""
     module_dim(m, n, d, cap)
-    return _indexed_basis(m, n, d)
-
-
-def sym_basis(m: int, n: int, d: int, cap: int = DEFAULT_AMBIENT_CAP) -> tuple[SymIndex, ...]:
-    """The canonical ordered basis of the ambient module."""
-    return indexed_basis(m, n, d, cap)[0]
+    units = wedge_keys(m, n, d)
+    return tuple(sum(map(mul, exps, units)) for exps in degree_monomials(d, len(units)))[::-1]
 
 
 def highest_weight_vector(m: int, n: int, d: int) -> PlethysmVector:
     """(e_1 ^ ... ^ e_m)^d with coefficient 1."""
-    return PlethysmVector({(d,) + (0,) * (comb(m + n, m) - 1): 1})
+    return PlethysmVector({d * wedge_keys(m, n, d)[0]: 1})
 
 
 @lru_cache(maxsize=None)
-def _moves(m: int, size: int) -> tuple[dict[tuple[int, int], tuple[int, int]], ...]:
-    """Per wedge k of `wedge_basis(m, size - m)`, {(i, j): (k', sign)}: E_ij
-    sends wedge k to sign * wedge k' (no entry when i is another index of it)."""
+def _moves(m: int, size: int, d: int) -> dict[tuple[int, int], tuple]:
+    """Per (i, j), per wedge of `wedge_basis(m, size - m)`: (delta, sign) when
+    E_ij sends it to sign * the wedge whose degree-d key is its own plus
+    delta, None when it lacks j or holds i != j."""
     wedges = wedge_basis(m, size - m)
-    position = {wedge: k for k, wedge in enumerate(wedges)}
-    return tuple({(i, j): (position[tuple(sorted(set(wedge) - {j} | {i}))],
-                           (-1) ** sum(min(i, j) < v < max(i, j) for v in wedge))
-                  for j in wedge for i in range(1, size + 1) if i == j or i not in wedge}
-                 for wedge in wedges)
+    key = dict(zip(wedges, wedge_keys(m, size - m, d)))
+    return {(i, j): tuple((key[tuple(sorted(set(w) - {j} | {i}))] - key[w],
+                           (-1) ** sum(min(i, j) < v < max(i, j) for v in w))
+                          if j in w and (i == j or i not in w) else None for w in wedges)
+            for i in range(1, size + 1) for j in range(1, size + 1)}
 
 
-def act(x: LieElement, w: PlethysmVector, m: int) -> PlethysmVector:
+def act(x: LieElement, w: PlethysmVector, m: int, d: int) -> PlethysmVector:
     """Derivation action of a Lie algebra element on a vector of Sym^d(Λ^m V)."""
-    moves = _moves(m, x.size)
-    acc: dict[SymIndex, int | Fraction] = {}
-    for idx, coeff in w.coeffs.items():
-        for k, e in enumerate(idx):
-            if e:
-                for key, c in x.entries.items():
-                    move = moves[k].get(key)
-                    if move is not None:
-                        counts = list(idx)
-                        counts[k] -= 1
-                        counts[move[0]] += 1
-                        new_idx = tuple(counts)
-                        acc[new_idx] = acc.get(new_idx, 0) + coeff * c * move[1] * e
+    moves = _moves(m, x.size, d)
+    acc: dict[int, int | Fraction] = {}
+    for ij, c in x.entries.items():
+        table = moves[ij]
+        for key, coeff in w.coeffs.items():
+            for k, e in wedge_counts(key, m, x.size - m, d):
+                move = table[k]
+                if move is not None:
+                    new = key + move[0]
+                    acc[new] = acc.get(new, 0) + coeff * c * move[1] * e
     out = PlethysmVector()
-    out.coeffs = canonical_values({idx: v for idx, v in acc.items() if v})
+    out.coeffs = canonical_values({key: v for key, v in acc.items() if v})
     return out
-
-
-def coordinates(w: PlethysmVector, index_of: Mapping[SymIndex, int]) -> dict[int, int | Fraction]:
-    """Sparse coordinate row of a vector against an indexed basis."""
-    return {index_of[idx]: v for idx, v in w.coeffs.items()}

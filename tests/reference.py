@@ -7,10 +7,11 @@ closed-form rows of `discriminant.parametrization_jacobian_rank` (through
 its gradients) and, below, of the kernel pieces.
 
 The all-pairs pairing of module vectors with Plücker monomial sections, the
-oracle of `jets.level_duality`: `pair` sums u[idx] * s[idx] over the common
-indices, each weighted by `matching_count`, the prod e_w! bijections of the
-multiset with itself.  The normalization is factorial-free, so only its
-zeros are meaningful.
+oracle of `jets.level_duality`: `pair` unpacks both sides to sorted
+d-tuples and sums u[idx] * s[idx] over the common ones, each weighted by
+`tuple_matching_count`, the prod e_w! bijections of the multiset with
+itself.  The normalization is factorial-free, so only its zeros are
+meaningful.
 
 The pullback route to the eliminant kernel pieces, the oracle of
 `discriminant._kernel_piece`.  Each degree-k a-monomial is pulled back along
@@ -37,16 +38,18 @@ The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
 `combinations_with_replacement(wedge_basis(m, n), d)`, and the action,
 weights, matching counts and canonical filtration bases are computed on
-those tuples over `Fraction`.  `to_counts` and `to_tuple` are the bijection
-with the exponent vectors over `wedge_basis(m, n)` that `plethysm` uses.
+those tuples over `Fraction`.  `pack` and `unpack` are the one bijection
+with the packed keys of `plethysm`, written from its layout alone: of the
+N = C(m+n, m) wedges, wedge k's count in field N - 1 - k, each field
+d.bit_length() bits wide.
 
 The Plücker monomial family, the oracle of `jets.section_space`, whose
 basis sections are chains with no chart polynomial: `section_monomial`
-multiplies a degree-d monomial (a chain, say) out of
+multiplies a degree-d monomial (a chain's key, say) out of
 `jets.plucker_polynomial` factors (read through the module, so a patched
 minor shows), and `jet_truncation` is its literal order-l truncation over
 the jet columns of `jets.taylor_matrix`, the oracle of every row.
-`standard_chains` lists the chains among the `sym_basis` indices in their
+`standard_chains` packs the chains among the sorted d-tuples in their
 order, and `pair` takes a chain as the monomial {chain: 1}.  On projective
 space (m = 1) a monomial's jet is a unit vector, `monomial_jet_projective`;
 and `chart_homogeneity_check` re-expands the chains' products around
@@ -90,7 +93,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import le
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -99,8 +102,8 @@ from vermajet.discriminant import _weight
 from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
 from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix, canonical
-from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, SymIndex, coordinates,
-                               highest_weight_vector, indexed_basis, sym_basis, wedge_basis)
+from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, highest_weight_vector,
+                               sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
                                   degree_monomials, graded_monomials, integer_primitive)
 
@@ -123,37 +126,22 @@ def incidence_parametrization(d: int, l: int) -> list[Poly]:
     return out
 
 
-def matching_count(idx: Sequence[int]) -> int:
-    """The number of bijections matching the multiset with itself, prod e_w!."""
-    return prod(factorial(e) for e in idx if e > 1)
-
-
-def pair(functional: PlethysmVector, section) -> int | Fraction:
-    """Canonical pairing of a module vector with a section.
+def pair(functional: PlethysmVector, section, m: int, n: int, d: int) -> int | Fraction:
+    """Canonical pairing of a module vector with a section, on sorted d-tuples.
 
     The section may be anything carrying Plücker-monomial coordinates: a
-    basis chain of `jets.section_space` (the monomial {chain: 1}), a mapping
-    from symmetric basis indices to rationals, or an object with a
-    ``plucker`` attribute holding one.  Both sides must have the same
-    symmetric degree.
+    basis chain's key of `jets.section_space` (the monomial {chain: 1}), a
+    mapping from keys to rationals, or an object with a ``plucker``
+    attribute holding one.  Every key of both sides is unpacked at degree
+    d, so one that does not hold d wedges raises ValueError.
     """
-    coords = {section: 1} if type(section) is tuple else getattr(section, "plucker", section)
-    if type(coords) is not dict and not isinstance(coords, Mapping):
+    coords = {section: 1} if type(section) is int else getattr(section, "plucker", section)
+    if not isinstance(coords, Mapping):
         raise TypeError("section must provide Plücker-monomial coordinates")
-    deg_left = {sum(idx) for idx in functional.coeffs}
-    deg_right = {sum(idx) for idx in coords}
-    if len(deg_left) > 1 or len(deg_right) > 1:
-        raise ValueError("inhomogeneous degree on one side of the pairing")
-    if deg_left and deg_right and deg_left != deg_right:
-        raise ValueError("degree mismatch in pairing")
-    total = 0
-    small, large = (functional.coeffs, coords) if len(functional.coeffs) <= len(coords) \
-        else (coords, functional.coeffs)
-    for idx, c in small.items():
-        other = large.get(idx)
-        if other:
-            total += c * other * matching_count(idx)
-    return total
+    left = {unpack(key, m, n, d): c for key, c in functional.coeffs.items()}
+    right = {unpack(key, m, n, d): c for key, c in coords.items()}
+    return sum(c * right[idx] * tuple_matching_count(idx) for idx, c in left.items()
+               if idx in right)
 
 
 def _packed_product(p: Mapping[int, int | Fraction],
@@ -298,13 +286,20 @@ def bezout_matrix_by_products(d: int) -> list[list[Poly]]:
 Wedges = tuple[tuple[int, ...], ...]  # a sorted d-tuple of wedges
 
 
-def to_counts(idx: Wedges, m: int, n: int) -> tuple[int, ...]:
-    """The exponent vector over `wedge_basis(m, n)` of a sorted d-tuple."""
-    return tuple(idx.count(wedge) for wedge in wedge_basis(m, n))
+def pack(idx: Wedges, m: int, n: int) -> int:
+    """The key of a sorted d-tuple of wedges."""
+    width, size = len(idx).bit_length(), comb(m + n, m)
+    return sum(idx.count(wedge) << width * (size - 1 - k)
+               for k, wedge in enumerate(wedge_basis(m, n)))
 
 
-def to_tuple(counts: Sequence[int], m: int, n: int) -> Wedges:
-    """The sorted d-tuple of wedges of an exponent vector."""
+def unpack(key: int, m: int, n: int, d: int) -> Wedges:
+    """The sorted d-tuple of wedges of a degree-d key; ValueError when its
+    fields do not hold d wedges."""
+    width, size = d.bit_length(), comb(m + n, m)
+    counts = [key >> width * (size - 1 - k) & (1 << width) - 1 for k in range(size)]
+    if key < 0 or key >> width * size or sum(counts) != d:
+        raise ValueError(f"key {key} holds no {d} wedges")
     return tuple(w for w, e in zip(wedge_basis(m, n), counts) for _ in range(e))
 
 
@@ -371,35 +366,30 @@ def tuple_filtration_bases(m: int, n: int, d: int,
     return levels
 
 
-def section_monomial(multiset: SymIndex, m: int, n: int) -> jets.SectionPolynomial:
+def section_monomial(key: int, m: int, n: int, d: int) -> jets.SectionPolynomial:
     """Product of Plücker chart polynomials over a degree-d multiset, given
-    as its exponent vector over `wedge_basis(m, n)`."""
+    as its key."""
     chart = Poly.const(m * n, 1)
-    for wedge, e in zip(wedge_basis(m, n), multiset):
-        for _ in range(e):
-            chart = chart * jets.plucker_polynomial(wedge, m, n).chart
-    return jets.SectionPolynomial(chart, {tuple(multiset): 1})
+    for wedge in unpack(key, m, n, d):
+        chart = chart * jets.plucker_polynomial(wedge, m, n).chart
+    return jets.SectionPolynomial(chart, {key: 1})
 
 
-def standard_chains(m: int, n: int, d: int) -> list[SymIndex]:
-    """The degree-d indices of `sym_basis`, in its order, whose sorted wedges
-    w_1 <= ... <= w_d form a chain: each neighbour pair is componentwise
+def standard_chains(m: int, n: int, d: int) -> list[int]:
+    """The keys of the sorted d-tuples of wedges, in their lex order, that
+    form a chain w_1 <= ... <= w_d: each neighbour pair is componentwise
     ordered."""
-    out = []
-    for idx in sym_basis(m, n, d):
-        wedges = to_tuple(idx, m, n)
-        if all(all(map(le, w, v)) for w, v in zip(wedges, wedges[1:])):
-            out.append(idx)
-    return out
+    return [pack(idx, m, n) for idx in combinations_with_replacement(wedge_basis(m, n), d)
+            if all(all(map(le, w, v)) for w, v in zip(idx, idx[1:]))]
 
 
 def weight_block_ranks(m: int, n: int, d: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """(standard monomials, rank of their chart polynomials) per torus weight
     of degree d."""
     blocks: dict[tuple[int, ...], list[Poly]] = {}
-    for idx in standard_chains(m, n, d):
-        weight = tuple(sorted(i for wedge in to_tuple(idx, m, n) for i in wedge))
-        blocks.setdefault(weight, []).append(section_monomial(idx, m, n).chart)
+    for chain in standard_chains(m, n, d):
+        weight = tuple(sorted(i for wedge in unpack(chain, m, n, d) for i in wedge))
+        blocks.setdefault(weight, []).append(section_monomial(chain, m, n, d).chart)
     ranks = {}
     for weight, charts in blocks.items():
         columns = {e: k for k, e in enumerate({e for p in charts for e in p.terms})}
@@ -413,7 +403,7 @@ def weight_block_ranks(m: int, n: int, d: int) -> dict[tuple[int, ...], tuple[in
 def monomial_sections(m: int, n: int, d: int,
                       cap: int = DEFAULT_AMBIENT_CAP) -> list[jets.SectionPolynomial]:
     """The degree-d Plücker monomial family in canonical basis order."""
-    return [section_monomial(idx, m, n) for idx in sym_basis(m, n, d, cap)]
+    return [section_monomial(key, m, n, d) for key in sym_basis(m, n, d, cap)]
 
 
 def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
@@ -492,7 +482,8 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
     columns, col_index = jets._jet_columns(m, n, l)
     shifted = Echelon(len(columns))
     for chain in jets.section_space(m, n, d, cap):
-        jet = truncate(section_monomial(chain, m, n).chart.substitute(subs, nvars_out=nvars), l)
+        jet = truncate(section_monomial(chain, m, n, d).chart.substitute(subs, nvars_out=nvars),
+                       l)
         shifted.add({col_index[exps]: c for exps, c in jet.terms.items()})
     return shifted.rank == jets.taylor_rank(m, n, d, l, cap)
 
@@ -553,15 +544,14 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     if l < 0:
         raise ValueError("l must be non-negative")
     ctx = build_context(m, n)
-    _, index_of = indexed_basis(m, n, d, cap)
+    column = {key: c for c, key in enumerate(sym_basis(m, n, d, cap))}
     generators = _generators(ctx, subalgebra)
     count = _pbw_count(len(generators), l, monomial_cap)
     v = highest_weight_vector(m, n, d)
-    entries = {(row, c): value
+    entries = {(row, column[key]): value
                for row, exps in enumerate(graded_monomials(len(generators), l))
-               for c, value in coordinates(apply_pbw_monomial(generators, exps, v, m),
-                                           index_of).items()}
-    return SparseMatrix(count, len(index_of), entries)
+               for key, value in apply_pbw_monomial(generators, exps, v, m, d).coeffs.items()}
+    return SparseMatrix(count, len(column), entries)
 
 
 def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],

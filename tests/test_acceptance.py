@@ -24,7 +24,7 @@ from vermajet.discriminant import (classical_discriminant_oracle,
 from vermajet.suite import DESK_CASES
 
 from reference import (bracket, evaluation_matrix, jet_truncation, matvec,
-                       monomial_jet_projective, monomial_sections, to_tuple)
+                       monomial_jet_projective, monomial_sections, unpack)
 
 SPLIT_MONOMIAL_BUDGET = 2000
 
@@ -128,7 +128,7 @@ def test_criterion_9_projective_special_case():
                 for s in sections:
                     (multiset,) = s.plucker
                     exps = [0] * (n + 1)
-                    for (k,) in to_tuple(multiset, 1, n):
+                    for (k,) in unpack(multiset, 1, n, d):
                         exps[k - 1] += 1
                     ok = ok and (jet_truncation(s, 1, n, l)
                                  == monomial_jet_projective(exps, l))
@@ -188,7 +188,8 @@ def test_criterion_12_property_suites():
             w = PlethysmVector({basis[i]: rng.randint(-5, 5) for i in picks})
             x = rng.choice(ctx.basis)
             y = rng.choice(ctx.basis)
-            law = act(bracket(x, y), w, m) == act(x, act(y, w, m), m) - act(y, act(x, w, m), m)
+            law = act(bracket(x, y), w, m, d) \
+                == act(x, act(y, w, m, d), m, d) - act(y, act(x, w, m, d), m, d)
             ok = ok and law
 
     # Rank-nullity on the matrices the desk suite produces.

@@ -35,7 +35,7 @@ from vermajet.polynomials import Poly, det
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
 from reference import (evaluation_matrix, incidence_parametrization, jet_truncation,
-                       section_monomial, to_tuple, transpose, weight_block_ranks)
+                       section_monomial, transpose, unpack, weight_block_ranks)
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -73,11 +73,11 @@ def test_section_space_basis_is_homogeneous(m, n, d):
     # Each chain's reference product is homogeneous of the chain's number of
     # entries > m, its t-degree, and the chains come in increasing degree, so
     # the Taylor rank at l counts the degrees <= l.
-    basis = [section_monomial(chain, m, n) for chain in jets.section_space(m, n, d)]
+    basis = [section_monomial(chain, m, n, d) for chain in jets.section_space(m, n, d)]
     degrees = []
     for s in basis:
         ((chain, _),) = s.plucker.items()
-        degrees.append(sum(i > m for wedge in to_tuple(chain, m, n) for i in wedge))
+        degrees.append(sum(i > m for wedge in unpack(chain, m, n, d) for i in wedge))
         assert {sum(exps) for exps in s.chart.terms} == {degrees[-1]}
     assert degrees == sorted(degrees)
     reference = _section_space_by_fractions(m, n, d)

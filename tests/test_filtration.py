@@ -12,8 +12,8 @@ import pytest
 from vermajet.errors import CertificateError, SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import Echelon, SparseMatrix, rank, rref
-from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, coordinates,
-                               highest_weight_vector, sym_basis)
+from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
+                               sym_basis)
 from vermajet import filtration
 from vermajet.jets import duality_check
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
@@ -24,7 +24,16 @@ from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
 from vermajet.polynomials import graded_monomials
 from vermajet.suite import DESK_CASES
 
-from reference import evaluation_matrix, pbw_monomials
+from reference import evaluation_matrix, pack, pbw_monomials, tuple_act
+
+
+def _row(vec, column):
+    """The coordinate row of a vector over the columns of its keys."""
+    return {column[key]: v for key, v in vec.coeffs.items()}
+
+
+def _columns(m, n, d):
+    return {key: c for c, key in enumerate(sym_basis(m, n, d))}
 
 
 def test_weyl_dim_small_wedge():
@@ -98,13 +107,12 @@ def test_pbw_dependent_beyond_weight_range():
 
 def test_pbw_spans_the_canonical_level():
     for m, n, d, l in [(1, 1, 3, 2), (2, 2, 2, 1), (1, 2, 3, 2)]:
-        basis = sym_basis(m, n, d)
-        index_of = {idx: i for i, idx in enumerate(basis)}
+        column = _columns(m, n, d)
         level = canonical_filtration(m, n, d, l).levels[l]
         vectors, _ = pbw_filtration(m, n, d, l)
-        rows = [coordinates(v, index_of) for v in level.basis]
-        rows += [coordinates(v, index_of) for v in vectors if not v.is_zero]
-        stacked = rref(SparseMatrix.from_rows(rows, cols=len(basis))).rank
+        rows = [_row(v, column) for v in level.basis]
+        rows += [_row(v, column) for v in vectors if not v.is_zero]
+        stacked = rref(SparseMatrix.from_rows(rows, cols=len(column))).rank
         assert stacked == level.dim
 
 
@@ -126,20 +134,29 @@ def test_annihilator_dims():
     assert annihilator_dim(2, 2, 2, 0) == 0
 
 
-def test_cap_checks_build_no_basis(monkeypatch):
-    """The three checks enforce the ambient cap through `module_dim`: with
-    the basis builders raising (all of them for the two that act on v alone)
-    each returns its desk value and raises the same cap errors in order."""
-    from vermajet import plethysm
+def test_cap_checks_build_no_basis(monkeypatch, cold_filtration):
+    """The three checks enforce the ambient cap through `module_dim`, and no
+    growth builds an ambient basis: with every enumerator of one raising,
+    the growths return their dims and the checks their desk values, and
+    the same cap errors are raised in order."""
+    from vermajet import jets, plethysm, suite
 
     def no_basis(*args):
         raise AssertionError("the ambient basis was built")
 
-    monkeypatch.setattr(plethysm, "sym_basis", no_basis)
-    monkeypatch.setattr(filtration, "sym_basis", no_basis, raising=False)
+    desk_dims = {(m, n, d): canonical_filtration(m, n, d, d).dims for m, n, d in DESK_CASES}
+    filtration._grown.clear()
+    # `sym_basis` and the monomial walk behind it, wherever they are bound
+    for module in (plethysm, filtration, jets, suite):
+        for name in ("sym_basis", "degree_monomials"):
+            monkeypatch.setattr(module, name, no_basis, raising=hasattr(module, name))
+    for m, n, d in DESK_CASES:
+        filtration._grown.clear()
+        assert canonical_filtration(m, n, d, d).dims == desk_dims[m, n, d]
+    assert canonical_filtration(2, 2, 4, 9).dims == [1, 5, 15, 35, 70, 90, 100, 104, 105, 105]
+    assert canonical_filtration(2, 2, 4, 9).saturation_level == 8
     assert annihilator_dim(1, 1, 3, 1) == 2
     assert annihilator_dim(1, 5, 3, 3) == 8380
-    monkeypatch.setattr(filtration, "indexed_basis", no_basis)
     for m, n, d in DESK_CASES:
         reports = serre_power_check(m, n, d)
         assert [r.power for r in reports] == [d + 1 if k == m else 1 for k in range(1, m + n)]
@@ -201,7 +218,7 @@ def test_serre_powers_projective():
     # E31 also moves v: a non-simple lowering reaches e3 directly.
     ctx = build_context(1, 2)
     v = highest_weight_vector(1, 2, 1)
-    assert not act(ctx.E(3, 1), v, 1).is_zero
+    assert not act(ctx.E(3, 1), v, 1, 1).is_zero
 
 
 def test_char_ideal_containment():
@@ -276,23 +293,36 @@ def test_weight_multiset_sums_to_dimension():
 
 def test_levels_are_nested():
     for m, n, d in [(1, 1, 3), (2, 2, 2), (1, 2, 3)]:
-        basis = sym_basis(m, n, d)
-        index_of = {idx: i for i, idx in enumerate(basis)}
+        column = _columns(m, n, d)
         result = canonical_filtration(m, n, d, min(d, 3))
         for lower, upper in zip(result.levels, result.levels[1:]):
             assert lower.dim <= upper.dim
-            rows = [coordinates(v, index_of) for v in upper.basis]
-            rows += [coordinates(v, index_of) for v in lower.basis]
-            stacked = rref(SparseMatrix.from_rows(rows, cols=len(basis))).rank
+            rows = [_row(v, column) for v in upper.basis]
+            rows += [_row(v, column) for v in lower.basis]
+            stacked = rref(SparseMatrix.from_rows(rows, cols=len(column))).rank
             assert stacked == upper.dim
 
 
-# -- PBW images by prefix recurrence against the row-by-row reference --------
+# -- PBW images against the tuple-encoded and row-by-row references ----------
 
 
-def _reference_images(generators, max_degree, start, m):
-    return [apply_pbw_monomial(generators, exps, start, m)
+def _reference_images(generators, max_degree, start, m, d):
+    return [apply_pbw_monomial(generators, exps, start, m, d)
             for exps in pbw_monomials(len(generators), max_degree)]
+
+
+def _tuple_images(generators, max_degree, m, n, d):
+    """z^a v for every PBW monomial a, in `pbw_monomials` order, by
+    `reference.tuple_act` on sorted wedge tuples (rightmost factor first),
+    packed only at the end: no code shared with `plethysm.act`."""
+    images = []
+    for exps in pbw_monomials(len(generators), max_degree):
+        vec = {(tuple(range(1, m + 1)),) * d: 1}
+        for g, e in zip(reversed(generators), reversed(exps)):
+            for _ in range(e):
+                vec = tuple_act(g, vec)
+        images.append(PlethysmVector({pack(idx, m, n): v for idx, v in vec.items()}))
+    return images
 
 
 @pytest.mark.parametrize("m,n,d,l", [(1, 1, 3, 0), (1, 1, 3, 4), (1, 2, 3, 2),
@@ -301,11 +331,10 @@ def _reference_images(generators, max_degree, start, m):
 @pytest.mark.parametrize("subalgebra", ["all", SubalgebraTag.N])
 def test_evaluation_matrix_matches_row_by_row_reference(m, n, d, l, subalgebra):
     ctx = build_context(m, n)
-    index_of = {idx: i for i, idx in enumerate(sym_basis(m, n, d))}
+    column = _columns(m, n, d)
     generators = list(ctx.basis) if subalgebra == "all" else ctx.subalgebra_basis(subalgebra)
-    images = _reference_images(generators, l, highest_weight_vector(m, n, d), m)
-    reference = SparseMatrix.from_rows([coordinates(v, index_of) for v in images],
-                                       cols=len(index_of))
+    images = _tuple_images(generators, l, m, n, d)
+    reference = SparseMatrix.from_rows([_row(v, column) for v in images], cols=len(column))
     assert evaluation_matrix(m, n, d, l, subalgebra) == reference
 
 
@@ -313,10 +342,10 @@ def test_evaluation_matrix_matches_row_by_row_reference(m, n, d, l, subalgebra):
                                      (1, 3, 2, 3)])
 def test_pbw_filtration_vectors_match_reference(m, n, d, l):
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
-    reference = _reference_images(generators, l, highest_weight_vector(m, n, d), m)
-    index_of = {idx: i for i, idx in enumerate(sym_basis(m, n, d))}
+    reference = _tuple_images(generators, l, m, n, d)
+    column = _columns(m, n, d)
     reference_rank = rank(SparseMatrix.from_rows(
-        [coordinates(v, index_of) for v in reference], cols=len(index_of)))
+        [_row(v, column) for v in reference], cols=len(column)))
     vectors, independent = pbw_filtration(m, n, d, l)
     assert vectors == reference
     assert independent == (reference_rank == len(reference))
@@ -331,7 +360,7 @@ def test_char_ideal_check_matches_reference(m, n, d, l):
         image.is_zero
         for y in ctx.subalgebra_basis(SubalgebraTag.P)
         for image in _reference_images(ctx.basis, l - 1,
-                                       act(y, v, m) - rho_character(ctx, d, y) * v, m))
+                                       act(y, v, m, d) - rho_character(ctx, d, y) * v, m, d))
     assert char_ideal_generator_check(m, n, d, l) == reference
 
 
@@ -347,12 +376,12 @@ def _multi_filtration_reference(m, n, degrees, l):
     ctx = build_context(m, n)
     rows, offset = [], 0
     for d in degrees:
-        basis = sym_basis(m, n, d)
-        index_of = {idx: i + offset for i, idx in enumerate(basis)}
-        rows += [coordinates(image, index_of)
-                 for image in _reference_images(ctx.basis, l, highest_weight_vector(m, n, d), m)
+        column = {key: c + offset for key, c in _columns(m, n, d).items()}
+        rows += [_row(image, column)
+                 for image in _reference_images(ctx.basis, l, highest_weight_vector(m, n, d),
+                                                m, d)
                  if not image.is_zero]
-        offset += len(basis)
+        offset += len(column)
     return rank(SparseMatrix.from_rows(rows, cols=offset))
 
 
@@ -384,8 +413,8 @@ def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
         assert level.dim == reference.rank
         # per-weight dimensions: rank of the rows restricted to one weight
         by_weight = {}
-        for c, idx in enumerate(basis):
-            by_weight.setdefault(weight_of(idx, m, n), set()).add(c)
+        for c, key in enumerate(basis):
+            by_weight.setdefault(weight_of(key, m, n, d), set()).add(c)
         expected = {}
         for weight, cols in by_weight.items():
             restricted = [{c: v for (r, c), v in reference.reduced.entries.items()
@@ -404,28 +433,28 @@ def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch, cold_fil
     ctx = build_context(m, n)
     basis = sym_basis(m, n, d)
     mixed = PlethysmVector({basis[1]: 1, basis[-1]: 1})
-    assert weight_of(basis[1], m, n) != weight_of(basis[-1], m, n)
+    assert weight_of(basis[1], m, n, d) != weight_of(basis[-1], m, n, d)
     # p still acts truly, so the p-eigenvector certificate passes first; only
     # the first n-action is replaced, so the level-1 images stay independent
     # and the mixed row reaches the weight check
     n_actions = []
 
-    def first_mixed(x, vec, m):
+    def first_mixed(x, vec, m, d):
         if not ctx.contains(x, SubalgebraTag.N):
-            return act(x, vec, m)
+            return act(x, vec, m, d)
         n_actions.append(x)
-        return mixed if len(n_actions) == 1 else act(x, vec, m)
+        return mixed if len(n_actions) == 1 else act(x, vec, m, d)
 
     monkeypatch.setattr(filtration, "act", first_mixed)
     with pytest.raises(CertificateError, match="mixes weights"):
         canonical_filtration(m, n, d, 1)
 
 
-def _moving_e12(x, vec, m):
+def _moving_e12(x, vec, m, d):
     # E_12 lies in p (m = 2) but now also lowers: v is no p-eigenvector
-    image = act(x, vec, m)
+    image = act(x, vec, m, d)
     if x.entries == {(1, 2): 1}:
-        image = image + act(build_context(2, 2).E(3, 1), vec, m)
+        image = image + act(build_context(2, 2).E(3, 1), vec, m, d)
     return image
 
 
@@ -444,9 +473,9 @@ def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch, cold_filtr
     # and the 11 elements of p act once on v for the certificate
     calls = []
 
-    def counted(x, vec, m):
+    def counted(x, vec, m, d):
         calls.append(x)
-        return act(x, vec, m)
+        return act(x, vec, m, d)
 
     monkeypatch.setattr(filtration, "act", counted)
     assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
@@ -518,8 +547,8 @@ def test_an_injected_dependent_image_fails_the_certificate(monkeypatch, cold_fil
     ctx = build_context(m, n)
     images = []
 
-    def repeating(x, vec, m):
-        image = act(x, vec, m)
+    def repeating(x, vec, m, d):
+        image = act(x, vec, m, d)
         if ctx.contains(x, SubalgebraTag.N):
             images.append(image)
             if len(images) == 2:
@@ -539,11 +568,11 @@ def test_an_image_of_another_t_degree_fails_the_certificate(monkeypatch, cold_fi
     ctx = build_context(m, n)
     n_actions = []
 
-    def twice_first(x, vec, m):
+    def twice_first(x, vec, m, d):
         if not ctx.contains(x, SubalgebraTag.N):
-            return act(x, vec, m)
+            return act(x, vec, m, d)
         n_actions.append(x)
-        return act(x, act(x, vec, m), m) if len(n_actions) == 1 else act(x, vec, m)
+        return act(x, act(x, vec, m, d), m, d) if len(n_actions) == 1 else act(x, vec, m, d)
 
     monkeypatch.setattr(filtration, "act", twice_first)
     with pytest.raises(CertificateError, match="level 1 row lies in another t-degree"):

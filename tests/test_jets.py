@@ -8,7 +8,8 @@ import pytest
 from vermajet.filtration import canonical_filtration, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
-from vermajet.plethysm import DEFAULT_AMBIENT_CAP, highest_weight_vector, sym_basis, wedge_basis
+from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, module_dim,
+                               wedge_basis, wedge_keys)
 from vermajet.polynomials import Poly
 from vermajet import cli, jets, suite
 from vermajet.jets import (duality_check, kernel_sections, level_duality, plucker_polynomial,
@@ -17,8 +18,8 @@ from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
 from reference import (chart_homogeneity_check, chart_variables, evaluation_matrix,
                        jet_monomials, jet_truncation, monomial_jet_projective,
-                       monomial_sections, pair, section_monomial, standard_chains, to_tuple,
-                       truncate)
+                       monomial_sections, pack, pair, section_monomial, standard_chains,
+                       truncate, unpack)
 
 
 def _t(m, n, i, j):
@@ -26,14 +27,14 @@ def _t(m, n, i, j):
     return Poly.variable(len(variables), variables.index((i, j)))
 
 
-def _chart(chain, m, n):
+def _chart(chain, m, n, d):
     """The chart polynomial of a basis chain: its minors multiplied out."""
-    return section_monomial(chain, m, n).chart
+    return section_monomial(chain, m, n, d).chart
 
 
-def _t_degree(chain, m, n):
+def _t_degree(chain, m, n, d):
     """The chain's number of row indices > m."""
-    return sum(i > m for wedge in to_tuple(chain, m, n) for i in wedge)
+    return sum(i > m for wedge in unpack(chain, m, n, d) for i in wedge)
 
 
 def test_plucker_minors_gr24():
@@ -67,11 +68,13 @@ def test_degree_one_chart_polynomials_independent():
 
 
 def test_section_space_projective_line():
-    # The chain (a, b) is x_1^a x_2^b, whose chart polynomial is t^b.
+    # The chain x_1^a x_2^b, a + b = 3, is the key (a << 2) + b, whose chart
+    # polynomial is t^b.
     basis = section_space(1, 1, 3)
-    assert basis == ((3, 0), (2, 1), (1, 2), (0, 3))
+    assert basis == (12, 9, 6, 3)
+    assert basis == tuple(pack(((1,),) * a + ((2,),) * (3 - a), 1, 1) for a in (3, 2, 1, 0))
     t = Poly.variable(1, 0)
-    assert [_chart(chain, 1, 1) for chain in basis] == [Poly.const(1, 1), t, t * t, t * t * t]
+    assert [_chart(chain, 1, 1, 3) for chain in basis] == [Poly.const(1, 1), t, t * t, t * t * t]
 
 
 def test_section_space_dimensions():
@@ -111,7 +114,7 @@ def test_taylor_matches_projective_rule_entrywise():
                 for s in sections:
                     (multiset,) = s.plucker
                     exps = [0] * (n + 1)
-                    for (k,) in to_tuple(multiset, m, n):
+                    for (k,) in unpack(multiset, m, n, d):
                         exps[k - 1] += 1
                     assert jet_truncation(s, m, n, l) == monomial_jet_projective(exps, l)
 
@@ -125,7 +128,7 @@ def test_kernel_sections_projective_line():
     assert dim == 2
     t = Poly.variable(1, 0)
     columns = jet_monomials(1, 1, 3)
-    vectors = [jet_truncation(section_monomial(c, 1, 1), 1, 1, 3) for c in sections]
+    vectors = [jet_truncation(section_monomial(c, 1, 1, 3), 1, 1, 3) for c in sections]
     expected = [_coeff_vector(t ** 2, columns), _coeff_vector(t ** 3, columns)]
     assert span_dim(vectors + expected) == 2
 
@@ -141,7 +144,7 @@ def test_kernel_sections_have_vanishing_jets():
     for m, n, d, l in [(1, 1, 3, 1), (2, 2, 2, 1), (1, 2, 3, 2)]:
         sections, _ = kernel_sections(m, n, d, l)
         for chain in sections:
-            assert truncate(_chart(chain, m, n), l).is_zero
+            assert truncate(_chart(chain, m, n, d), l).is_zero
 
 
 def test_duality_reports():
@@ -167,7 +170,8 @@ def test_pairing_measures_value_at_origin():
     for m, n, d in [(1, 1, 3), (2, 2, 2)]:
         v = highest_weight_vector(m, n, d)
         for chain in section_space(m, n, d):
-            assert pair(v, chain) == factorial(d) * _chart(chain, m, n).coefficient((0,) * m * n)
+            assert pair(v, chain, m, n, d) == \
+                factorial(d) * _chart(chain, m, n, d).coefficient((0,) * m * n)
 
 
 def test_chart_homogeneity():
@@ -183,7 +187,7 @@ def test_chart_homogeneity_mapping_form():
 def test_taylor_matrix_equals_origin_truncations():
     matrix, _ = taylor_matrix(1, 1, 3, 2)
     basis = section_space(1, 1, 3)
-    rows = [jet_truncation(section_monomial(c, 1, 1), 1, 1, 2) for c in basis]
+    rows = [jet_truncation(section_monomial(c, 1, 1, 3), 1, 1, 2) for c in basis]
     assert matrix == SparseMatrix.from_rows(rows, cols=3)
 
 
@@ -203,13 +207,13 @@ def test_section_provenance_matches_chart():
         columns = jet_monomials(m, n, top)
         for r, chain in enumerate(basis):
             row = {columns[c]: v for (i, c), v in matrix.entries.items() if i == r}
-            assert Poly(m * n, row) == _chart(chain, m, n)
+            assert Poly(m * n, row) == _chart(chain, m, n, d)
 
 
 def test_memoized_results_are_isolated_from_callers():
     first = plucker_polynomial((1, 3), 2, 2)
     plucker, chart = dict(first.plucker), dict(first.chart.terms)
-    first.plucker[(1, 0, 0, 0, 0, 0)] = Fraction(5)
+    first.plucker[1 << 5] = Fraction(5)
     first.chart.terms.clear()
     again = plucker_polynomial((1, 3), 2, 2)
     assert again.plucker == plucker and again.chart.terms == chart
@@ -263,7 +267,8 @@ def test_plucker_polynomial_rejects_an_empty_grassmannian_on_every_call(subset, 
 def test_plucker_polynomial_sorts_its_rows():
     unsorted, ordered = plucker_polynomial((3, 1), 2, 2), plucker_polynomial((1, 3), 2, 2)
     assert unsorted.chart == ordered.chart == _t(2, 2, 3, 2)
-    assert unsorted.plucker == ordered.plucker == {(0, 1, 0, 0, 0, 0): 1}
+    # (1, 3) is wedge 1 of 6: its count sits in field 4 of 1-bit fields
+    assert unsorted.plucker == ordered.plucker == {1 << 4: 1}
     assert plucker_polynomial([3, 1], 2, 2).plucker == ordered.plucker
 
 
@@ -271,7 +276,7 @@ def test_plucker_polynomial_returns_fresh_maps():
     first = plucker_polynomial((2, 4), 2, 2)
     want = (dict(first.chart.terms), dict(first.plucker))
     first.chart.terms.clear()
-    first.plucker[(9,) * 6] = 5
+    first.plucker[(1 << 6) - 1] = 5
     second = plucker_polynomial((2, 4), 2, 2)
     assert (second.chart.terms, second.plucker) == want
     assert second.chart is not first.chart and second.plucker is not first.plucker
@@ -280,8 +285,8 @@ def test_plucker_polynomial_returns_fresh_maps():
 
 def test_empty_section_monomial_is_one():
     from reference import section_monomial
-    empty = section_monomial((0,) * 6, 2, 2)
-    assert empty.chart == Poly.const(4, 1) and empty.plucker == {(0,) * 6: 1}
+    empty = section_monomial(0, 2, 2, 0)
+    assert empty.chart == Poly.const(4, 1) and empty.plucker == {0: 1}
 
 
 def _section_space_by_fractions(m, n, d):
@@ -333,7 +338,8 @@ DEEPER_CASES = ((2, 2, 4), (2, 3, 3), (3, 3, 2))
 @pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
 def test_section_space_is_the_standard_chains_by_t_degree(m, n, d):
     standard = standard_chains(m, n, d)
-    assert section_space(m, n, d) == tuple(sorted(standard, key=lambda c: _t_degree(c, m, n)))
+    assert section_space(m, n, d) == tuple(sorted(standard,
+                                                  key=lambda c: _t_degree(c, m, n, d)))
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
@@ -341,7 +347,7 @@ def test_section_space_and_taylor_matrix_match_fraction_references(m, n, d):
     basis = section_space(m, n, d)
     reference = _section_space_by_fractions(m, n, d)
     assert len(reference) == weyl_dim_oracle(m, n, d)
-    sections = [section_monomial(chain, m, n) for chain in basis]
+    sections = [section_monomial(chain, m, n, d) for chain in basis]
     _assert_same_chart_span(sections, reference)
     # Every level from 1 through one past the top t-degree min(m, n) * d,
     # from which on every row is its whole chart product.
@@ -374,13 +380,12 @@ def test_a_patched_minor_shows_in_taylor_matrix_and_not_in_section_space(monkeyp
     # `section_monomial` multiplies the same patched factors, so each row
     # is 3^k times the unpatched one, k the count of (1, 3) in its chain.
     matrix, matrix_rank = taylor_matrix(m, n, d, l)
-    expected = [jet_truncation(section_monomial(chain, m, n), m, n, l) for chain in want]
+    expected = [jet_truncation(section_monomial(chain, m, n, d), m, n, l) for chain in want]
     assert matrix == SparseMatrix.from_rows(expected, cols=comb(m * n + l, m * n))
     assert matrix_rank == jets.taylor_rank(m, n, d, l)
     monkeypatch.undo()
     unpatched, _ = taylor_matrix(m, n, d, l)
-    k = wedge_basis(m, n).index((1, 3))
-    scale = {r: 3 ** chain[k] for r, chain in enumerate(want)}
+    scale = {r: 3 ** unpack(chain, m, n, d).count((1, 3)) for r, chain in enumerate(want)}
     assert matrix.entries == {(r, c): v * scale[r] for (r, c), v in unpatched.entries.items()}
     assert any(scale[r] > 1 for r, _ in unpatched.entries)
 
@@ -401,7 +406,8 @@ def test_taylor_matrix_packs_the_exponents_of_the_minors_read(monkeypatch):
     chains = section_space(m, n, d)
     for l in (d, 2 * d, 2 * d + 1):
         matrix, nonzero = taylor_matrix(m, n, d, l)
-        expected = [jet_truncation(section_monomial(chain, m, n), m, n, l) for chain in chains]
+        expected = [jet_truncation(section_monomial(chain, m, n, d), m, n, l)
+                    for chain in chains]
         assert matrix == SparseMatrix.from_rows(expected, cols=comb(m * n + l, m * n))
         assert nonzero == sum(1 for row in expected if any(row))
 
@@ -459,18 +465,18 @@ def test_dual_grassmannians_have_equal_filtrations_and_taylor_ranks(m, n, d):
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
 def test_sections_carry_one_plucker_coordinate_equal_to_one(m, n, d):
-    # A basis section is its chain, the Plücker monomial {chain: 1}; the
-    # support check of `level_duality` reads the pairing off this.
+    # A basis section is its chain, the Plücker monomial {chain: 1}, keyed
+    # as module vectors are; the support check of `level_duality` reads the
+    # pairing off this.
     chains = section_space(m, n, d)
     assert type(chains) is tuple
     for chain in chains:
-        assert type(chain) is tuple and len(chain) == len(wedge_basis(m, n))
-        assert all(type(e) is int for e in chain) and sum(chain) == d
+        assert type(chain) is int and len(unpack(chain, m, n, d)) == d
     assert len(set(chains)) == len(chains)
     for k, wedge in enumerate(wedge_basis(m, n)):
         ((unit, one),) = plucker_polynomial(wedge, m, n).plucker.items()
         assert type(one) is int and one == 1
-        assert unit == tuple(int(j == k) for j in range(len(unit)))
+        assert unit == wedge_keys(m, n, 1)[k] == pack((wedge,), m, n)
 
 
 def _support_check(m, n, d, level, sections, monkeypatch):
@@ -488,29 +494,29 @@ def test_integer_pairing_equals_all_pairs_reference(m, n, d, monkeypatch):
         level = grown.levels[l]
         # Level l against the sections whose l-jet vanishes: the duality.
         vanishing, _ = kernel_sections(m, n, d, l)
-        assert all(pair(u, s) == 0 for u in level.basis for s in vanishing)
+        assert all(pair(u, s, m, n, d) == 0 for u in level.basis for s in vanishing)
         assert level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
         # Against the sections whose (l-1)-jet vanishes some pairing is not zero.
-        wider = [s for s in basis if truncate(_chart(s, m, n), l - 1).is_zero]
-        assert not all(pair(u, s) == 0 for u in level.basis for s in wider)
+        wider = [s for s in basis if truncate(_chart(s, m, n, d), l - 1).is_zero]
+        assert not all(pair(u, s, m, n, d) == 0 for u in level.basis for s in wider)
         assert _support_check(m, n, d, level, wider, monkeypatch) is False
         # Section by section, the support check is the all-pairs pairing.
         for s in basis:
             assert _support_check(m, n, d, level, [s], monkeypatch) \
-                is all(pair(u, s) == 0 for u in level.basis)
+                is all(pair(u, s, m, n, d) == 0 for u in level.basis)
 
 
 def test_mutating_a_section_leaves_the_memo_unchanged():
-    # The basis is a tuple of tuples of ints: every call returns the one
-    # stored tuple, and no caller can change it.
+    # The basis is a tuple of ints: every call returns the one stored
+    # tuple, and no caller can change it.
     basis = section_space(2, 2, 2)
-    want = [list(chain) for chain in basis]
+    want = list(basis)
     with pytest.raises(TypeError):
-        basis[0] = (9,) * 6
+        basis[0] = 9
     with pytest.raises(TypeError):
         basis[-1][0] = 7
     again = section_space(2, 2, 2)
-    assert again is basis and [list(chain) for chain in again] == want
+    assert again is basis and list(again) == want
 
 
 def test_desk_suite_eliminates_each_family_once():
@@ -529,7 +535,7 @@ def test_section_space_reads_each_factor_and_multiplies_nothing(monkeypatch, m, 
     # chart product.
     jets._checked_minor.cache_clear()
     calls = _counted_reads_and_products(monkeypatch)
-    factors = sum(sum(idx) for idx in sym_basis(m, n, d))
+    factors = module_dim(m, n, d) * d  # d factors per degree-d monomial
     jets._reduced_family.cache_clear()
     cold = section_space(m, n, d)
     assert calls == {"plucker": factors, "mul": 0}

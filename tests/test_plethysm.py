@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -9,13 +9,17 @@ from vermajet import filtration
 from vermajet.filtration import weight_of
 from vermajet.errors import SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
-from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector, indexed_basis,
-                               module_dim, sym_basis, wedge_basis)
+from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector, module_dim,
+                               sym_basis, wedge_basis, wedge_counts, wedge_keys)
 from vermajet.suite import DESK_CASES
 
-from reference import (bracket, highest_weight, matching_count, pair, to_counts, to_tuple,
-                       tuple_act, tuple_filtration_bases, tuple_matching_count,
-                       tuple_weight_of)
+from reference import (bracket, highest_weight, pack, pair, tuple_act,
+                       tuple_filtration_bases, tuple_matching_count, tuple_weight_of, unpack)
+
+
+def _key(m, n, *wedges):
+    """The key of the multiset of the given wedges."""
+    return pack(tuple(sorted(wedges)), m, n)
 
 
 def test_module_dim_sl2():
@@ -36,44 +40,46 @@ def test_module_dim_cap():
 def test_lowering_on_cubic():
     ctx = build_context(1, 1)
     v = highest_weight_vector(1, 1, 3)
-    expected = PlethysmVector({(2, 1): 3})
-    assert act(ctx.E(2, 1), v, 1) == expected
+    expected = PlethysmVector({_key(1, 1, (1,), (1,), (2,)): 3})
+    assert act(ctx.E(2, 1), v, 1, 3) == expected
 
 
 def test_raising_kills_highest_weight():
     ctx = build_context(2, 2)
     v = highest_weight_vector(2, 2, 2)
-    assert act(ctx.E(1, 2), v, 2).is_zero
+    assert act(ctx.E(1, 2), v, 2, 2).is_zero
 
 
 def test_wedge_substitution_with_sign():
     ctx = build_context(2, 2)
     v = highest_weight_vector(2, 2, 2)
-    expected = PlethysmVector({(1, 1, 0, 0, 0, 0): 2})
-    assert act(ctx.E(3, 2), v, 2) == expected
+    expected = PlethysmVector({_key(2, 2, (1, 2), (1, 3)): 2})
+    assert act(ctx.E(3, 2), v, 2, 2) == expected
 
 
 def test_highest_weight_vector_shape():
-    assert highest_weight_vector(1, 1, 3) == PlethysmVector({(3, 0): 1})
-    assert highest_weight_vector(2, 2, 2) == PlethysmVector({(2, 0, 0, 0, 0, 0): 1})
+    # Wedge 0's count sits in the top field: 3 in field 1 of 2-bit fields,
+    # and 2 in field 5 of 2-bit fields.
+    assert highest_weight_vector(1, 1, 3) == PlethysmVector({3 << 2: 1})
+    assert highest_weight_vector(2, 2, 2) == PlethysmVector({2 << 10: 1})
 
 
 def test_weight_of_v_is_highest():
     for m, n, d in [(1, 1, 3), (2, 2, 2), (1, 2, 4)]:
         ctx = build_context(m, n)
         v = highest_weight_vector(m, n, d)
-        (idx,) = v.coeffs
-        assert weight_of(idx, m, n) == highest_weight(ctx, d)
+        (key,) = v.coeffs
+        assert weight_of(key, m, n, d) == highest_weight(ctx, d)
 
 
 def test_weight_of_examples():
-    assert weight_of((3, 0), 1, 1) == Weight((3, 0))
-    assert weight_of((1, 1, 0, 0, 0, 0), 2, 2) == Weight((2, 1, 1, 0))
+    assert weight_of(_key(1, 1, (1,), (1,), (1,)), 1, 1, 3) == Weight((3, 0))
+    assert weight_of(_key(2, 2, (1, 2), (1, 3)), 2, 2, 2) == Weight((2, 1, 1, 0))
 
 
 def test_weight_coordinate_sum():
-    for idx in sym_basis(2, 2, 2):
-        assert sum(weight_of(idx, 2, 2).coords) == 2 * 2
+    for key in sym_basis(2, 2, 2):
+        assert sum(weight_of(key, 2, 2, 2).coords) == 2 * 2
 
 
 def _random_vector(rng, basis, size=4):
@@ -89,8 +95,8 @@ def test_action_is_a_lie_action_sl2():
         w = _random_vector(rng, basis)
         for x in ctx.basis:
             for y in ctx.basis:
-                lhs = act(bracket(x, y), w, 1)
-                rhs = act(x, act(y, w, 1), 1) - act(y, act(x, w, 1), 1)
+                lhs = act(bracket(x, y), w, 1, 3)
+                rhs = act(x, act(y, w, 1, 3), 1, 3) - act(y, act(x, w, 1, 3), 1, 3)
                 assert lhs == rhs
 
 
@@ -102,7 +108,8 @@ def test_action_is_a_lie_action_sl4_sampled():
         w = _random_vector(rng, basis)
         x = rng.choice(ctx.basis)
         y = rng.choice(ctx.basis)
-        assert act(bracket(x, y), w, 2) == act(x, act(y, w, 2), 2) - act(y, act(x, w, 2), 2)
+        assert act(bracket(x, y), w, 2, 2) \
+            == act(x, act(y, w, 2, 2), 2, 2) - act(y, act(x, w, 2, 2), 2, 2)
 
 
 def test_cartan_and_raising_on_highest_weight():
@@ -111,11 +118,11 @@ def test_cartan_and_raising_on_highest_weight():
         v = highest_weight_vector(m, n, d)
         lam = highest_weight(ctx, d)
         for x in ctx.subalgebra_basis(SubalgebraTag.G_PLUS):
-            assert act(x, v, m).is_zero
+            assert act(x, v, m, d).is_zero
         for k in range(1, ctx.size):
             h = ctx.H(k)
             value = lam.coords[k - 1] - lam.coords[k]
-            assert act(h, v, m) == value * v
+            assert act(h, v, m, d) == value * v
 
 
 def test_parabolic_stabilizes_the_line():
@@ -123,49 +130,52 @@ def test_parabolic_stabilizes_the_line():
     d = 2
     v = highest_weight_vector(2, 2, d)
     for y in ctx.subalgebra_basis(SubalgebraTag.P):
-        assert act(y, v, 2) == rho_character(ctx, d, y) * v
+        assert act(y, v, 2, d) == rho_character(ctx, d, y) * v
 
 
 def test_action_shifts_weights_by_roots():
     ctx = build_context(2, 2)
     basis = sym_basis(2, 2, 2)
-    for idx in basis[:8]:
-        w = weight_of(idx, 2, 2)
+    for key in basis[:8]:
+        w = weight_of(key, 2, 2, 2)
         for i in range(1, ctx.size + 1):
             for j in range(1, ctx.size + 1):
                 if i == j:
                     continue
-                image = act(ctx.E(i, j), PlethysmVector({idx: 1}), 2)
+                image = act(ctx.E(i, j), PlethysmVector({key: 1}), 2, 2)
                 shift = [0] * ctx.size
                 shift[i - 1] += 1
                 shift[j - 1] -= 1
-                for out_idx in image.coeffs:
-                    assert weight_of(out_idx, 2, 2) == w + Weight(shift)
+                for out_key in image.coeffs:
+                    assert weight_of(out_key, 2, 2, 2) == w + Weight(shift)
 
 
 def test_pair_dual_monomials():
     d = 3
     v = highest_weight_vector(1, 1, d)
-    section = {(d, 0): Fraction(1)}
-    assert pair(v, section) == factorial(d)
+    section = {_key(1, 1, *[(1,)] * d): Fraction(1)}
+    assert pair(v, section, 1, 1, d) == factorial(d)
 
 
 def test_pair_disjoint_supports():
     d = 3
     v = highest_weight_vector(1, 1, d)
-    section = {(0, d): Fraction(1)}
-    assert pair(v, section) == 0
+    section = {_key(1, 1, *[(2,)] * d): Fraction(1)}
+    assert pair(v, section, 1, 1, d) == 0
 
 
 def test_pair_degree_mismatch():
+    # A key does not carry its degree: one whose fields, read at degree d,
+    # do not hold d wedges is refused on either side.
     v = highest_weight_vector(1, 1, 3)
-    with pytest.raises(ValueError):
-        pair(v, {(2, 0): Fraction(1)})
-    # Exponent vectors of one length (the wedge count) and different degrees.
+    with pytest.raises(ValueError, match="holds no 3 wedges"):
+        pair(v, {_key(1, 1, (1,), (1,)): Fraction(1)}, 1, 1, 3)
     w = highest_weight_vector(2, 2, 2)
-    for section in ({(1, 0, 0, 0, 0, 0): 1}, {(0, 1, 0, 0, 2, 0): 1}):
-        with pytest.raises(ValueError, match="degree mismatch"):
-            pair(w, section)
+    for section in ({1 << 10: 1}, {(1 << 8) + (2 << 2): 1}, {1 << 12: 1}):
+        with pytest.raises(ValueError, match="holds no 2 wedges"):
+            pair(w, section, 2, 2, 2)
+    with pytest.raises(ValueError, match="holds no 2 wedges"):
+        pair(v, {}, 2, 2, 2)
 
 
 def _in_canonical_form(coeffs):
@@ -174,18 +184,30 @@ def _in_canonical_form(coeffs):
 
 
 ORACLE_CASES = [(1, 1, 3), (1, 2, 2), (2, 1, 3), (2, 2, 2), (2, 3, 2)]
+# d = 1, 2, 3, 4, 7 and 8: each side of every change of the field width
+# d.bit_length(); (4,4,2) has 70 wedges of 2 bits, keys past 64 bits.
+LAYOUT_CASES = [(1, 2, 1), (2, 2, 1), (1, 3, 2), (1, 2, 3), (2, 2, 3), (1, 2, 4),
+                (1, 1, 7), (1, 2, 7), (1, 1, 8), (1, 2, 8), (4, 4, 2)]
 
 
-def _through_tuples(coeffs, m, n):
-    return {to_tuple(idx, m, n): v for idx, v in coeffs.items()}
+def _through_tuples(coeffs, m, n, d):
+    return {unpack(key, m, n, d): v for key, v in coeffs.items()}
 
 
-@pytest.mark.parametrize("m,n,d", ORACLE_CASES)
+def _full_fields(m, n, d):
+    """Vectors with one field at d: the first, a middle and the last wedge
+    to the d-th power, where a field too narrow for d would carry."""
+    units = wedge_keys(m, n, d)
+    return [PlethysmVector({d * units[k]: 1}) for k in sorted({0, len(units) // 2, -1})]
+
+
+@pytest.mark.parametrize("m,n,d", ORACLE_CASES + LAYOUT_CASES)
 def test_act_matches_fraction_reference(m, n, d):
     rng = random.Random(m * 100 + n * 10 + d)
     ctx = build_context(m, n)
     basis = sym_basis(m, n, d)
     vectors = [highest_weight_vector(m, n, d), _random_vector(rng, basis, 6)]
+    vectors += _full_fields(m, n, d)
     # Halves and thirds, so that sums and products land on integers too.
     vectors += [PlethysmVector({basis[i]: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
                                 for i in rng.sample(range(len(basis)), min(6, len(basis)))})
@@ -193,17 +215,17 @@ def test_act_matches_fraction_reference(m, n, d):
     for w in vectors:
         assert _in_canonical_form(w.coeffs)
         integral = all(type(v) is int for v in w.coeffs.values())
-        tuples = _through_tuples(w.coeffs, m, n)
+        tuples = _through_tuples(w.coeffs, m, n, d)
         for x in ctx.basis:
             assert all(type(v) is int for v in x.entries.values())
-            image = act(x, w, m)
-            assert _through_tuples(image.coeffs, m, n) == tuple_act(x, tuples)
+            image = act(x, w, m, d)
+            assert _through_tuples(image.coeffs, m, n, d) == tuple_act(x, tuples)
             assert _in_canonical_form(image.coeffs)
             if integral:  # integer in, integer out
                 assert all(type(v) is int for v in image.coeffs.values())
             scaled = Fraction(3, 2) * x
-            image = act(scaled, w, m)
-            assert _through_tuples(image.coeffs, m, n) == tuple_act(scaled, tuples)
+            image = act(scaled, w, m, d)
+            assert _through_tuples(image.coeffs, m, n, d) == tuple_act(scaled, tuples)
             assert _in_canonical_form(image.coeffs)
 
 
@@ -211,20 +233,52 @@ def test_act_matches_fraction_reference(m, n, d):
 def test_weights_and_matching_counts_match_the_tuple_oracle(m, n, d):
     rng = random.Random(m * 1000 + n * 100 + d)
     basis = sym_basis(m, n, d)
-    for idx in rng.sample(basis, min(40, len(basis))):
-        wedges = to_tuple(idx, m, n)
-        assert to_counts(wedges, m, n) == idx and sum(idx) == d
-        assert weight_of(idx, m, n).coords == tuple_weight_of(wedges, m + n).coords
-        assert matching_count(idx) == tuple_matching_count(wedges)
+    for key in rng.sample(basis, min(40, len(basis))):
+        wedges = unpack(key, m, n, d)
+        assert pack(wedges, m, n) == key and len(wedges) == d
+        assert weight_of(key, m, n, d).coords == tuple_weight_of(wedges, m + n).coords
+        counts = [e for _, e in wedge_counts(key, m, n, d)]
+        assert sum(counts) == d
+        assert tuple_matching_count(wedges) == prod(map(factorial, counts))
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 1, 3), (2, 2, 3), (1, 3, 2), (3, 1, 2), (2, 3, 3)])
+@pytest.mark.parametrize("m,n,d", LAYOUT_CASES)
+def test_pack_and_unpack_round_trip_against_the_fields(m, n, d):
+    # Every sorted d-tuple (a sample at (4,4,2)) packs to a key whose fields,
+    # read by `plethysm.wedge_counts`, are its wedge counts, and unpacks back.
+    wedges = wedge_basis(m, n)
+    tuples = list(combinations_with_replacement(wedges, d))
+    if len(tuples) > 600:
+        tuples = random.Random(d).sample(tuples, 600) + [tuples[0], tuples[-1]]
+    width, size = d.bit_length(), comb(m + n, m)
+    for idx in tuples:
+        key = pack(idx, m, n)
+        assert unpack(key, m, n, d) == idx
+        assert key.bit_length() <= width * size
+        counts = {wedges[k]: e for k, e in wedge_counts(key, m, n, d)}
+        assert counts == {w: idx.count(w) for w in set(idx)}
+    if (m, n) == (4, 4):
+        assert max(pack(idx, m, n) for idx in tuples).bit_length() > 64
+    assert pack((wedges[0],) * d, m, n) == d * wedge_keys(m, n, d)[0]
+
+
+ORDER_CASES = [(1, 1, 3), (2, 2, 3), (1, 3, 2), (3, 1, 2), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("m,n,d", ORDER_CASES + [c for c in LAYOUT_CASES if c not in ORDER_CASES])
 def test_column_order_is_the_sorted_wedge_tuples_in_lex_order(m, n, d):
-    basis, index = indexed_basis(m, n, d)
+    # `sym_basis` lists the keys in descending order, so the column
+    # key(v) - key runs 0, 1, ... in the `combinations_with_replacement`
+    # order of the sorted wedge tuples, v first.
+    basis = sym_basis(m, n, d)
     tuples = list(combinations_with_replacement(wedge_basis(m, n), d))
-    assert [to_tuple(idx, m, n) for idx in basis] == tuples
-    assert index == {idx: k for k, idx in enumerate(basis)}
-    assert sym_basis(m, n, d) is basis and len(basis) == module_dim(m, n, d)
+    assert [unpack(key, m, n, d) for key in basis] == tuples
+    assert [pack(idx, m, n) for idx in tuples] == list(basis)
+    top = basis[0]
+    assert highest_weight_vector(m, n, d).coeffs == {top: 1}
+    columns = [top - key for key in basis]
+    assert columns[0] == 0 and columns == sorted(set(columns))
+    assert len(basis) == module_dim(m, n, d)
 
 
 @pytest.mark.parametrize("m,n,d,l_max", [(m, n, d, min(d, 3)) for m, n, d in DESK_CASES]
@@ -232,7 +286,7 @@ def test_column_order_is_the_sorted_wedge_tuples_in_lex_order(m, n, d):
 def test_canonical_bases_match_the_tuple_oracle(m, n, d, l_max):
     levels = filtration.canonical_filtration(m, n, d, l_max).levels
     oracle = tuple_filtration_bases(m, n, d, l_max)
-    assert [[_through_tuples(vec.coeffs, m, n) for vec in level.basis] for level in levels] \
+    assert [[_through_tuples(vec.coeffs, m, n, d) for vec in level.basis] for level in levels] \
         == oracle
 
 
