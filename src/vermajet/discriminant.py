@@ -25,7 +25,8 @@ delta^j F has a monomial in a_0..a_e alone.  delta lowers the weight
 sum r*e_r by one, so the kernel is the union of the weight blocks' kernels,
 and block w's rows are R_w = delta^T(R_(w-1)) + the unit rows of the
 monomials of weight w in a_0..a_e alone; block w's piece is the
-`Echelon.kernel` of R_w over its columns in `degree_monomials` order.  Only
+`Echelon.kernel` of R_w over its columns in `degree_monomials` order, each
+vector put in `integer_primitive`'s normal form.  Only
 w <= kd/2 is eliminated, each block seeded with the stored integer rows of
 the block below (`Echelon.echelon_rows`; R_w needs only the row space of
 R_(w-1)), and no polynomial in (b, c) is formed.  Swapping x0 and x1 keeps
@@ -233,12 +234,7 @@ def _kernel_piece(d: int, l: int, k: int) -> list[Poly]:
                 mirror.add({reversed_column[block[j][::-1]]: v for j, v in vector.items()})
     for p, row in mirror.canonical_rows():
         vectors[columns[-1 - p]] = {columns[-1 - j]: v for j, v in row.items()}
-    pieces = []
-    for _, vector in sorted(vectors.items()):
-        terms = sorted(vector)  # lex-first term positive, as in `integer_primitive`
-        pieces.append(_from_terms(d + 1, dict(zip(terms, primitive_integers(
-            [vector[exps] for exps in terms], 0)))))
-    return pieces
+    return [integer_primitive(_from_terms(d + 1, vector)) for _, vector in sorted(vectors.items())]
 
 
 def graded_relations(d: int, l: int, degree: int) -> list[Poly]:
@@ -320,7 +316,7 @@ def _eliminants(d: int, l: int, cap: int) -> tuple[Eliminant, ...]:
     below: list[Poly] = []
     for degree in range(1, 2 * (d - 1) + 1):
         piece = _kernel_piece(d, l, degree)
-        collected.extend(_new_generators(piece, below, degree, d) if below else piece)
+        collected.extend(_new_generators(piece, below, degree, d))
         below = piece
         if collected and _generators_cut_codimension(collected, d, l):
             break

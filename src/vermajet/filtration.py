@@ -62,7 +62,7 @@ from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
 from .linalg import Echelon
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
                        module_dim, wedge_basis, wedge_counts)
-from .polynomials import graded_monomials
+from .polynomials import _unpack, graded_monomials
 
 DEFAULT_MONOMIAL_CAP = 50000
 
@@ -96,8 +96,7 @@ def _packed_weight(key: int, m: int, n: int, d: int) -> int:
 
 def weight_of(key: int, m: int, n: int, d: int) -> Weight:
     """The weight of a degree-d key: coordinate i - 1 counts index i."""
-    width, packed = d.bit_length(), _packed_weight(key, m, n, d)
-    return Weight([packed >> width * i & (1 << width) - 1 for i in range(m + n)])
+    return Weight(_unpack(_packed_weight(key, m, n, d), m + n, d.bit_length()))
 
 
 def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:

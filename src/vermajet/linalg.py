@@ -271,7 +271,7 @@ def kernel_basis(matrix: SparseMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of {x : M x = 0}; one dense vector per free column of the
     rref, 1 at that column."""
     return [tuple(Fraction(vector.get(c, 0)) for c in range(matrix.cols))
-            for vector in rref(matrix).echelon.kernel()]
+            for vector in _echelon(matrix.row_dicts(), matrix.cols).kernel()]
 
 
 def _rows_matrix(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],

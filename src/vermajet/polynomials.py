@@ -13,15 +13,16 @@ monomial enumerator: it orders the ambient basis of `plethysm`, the
 columns of the eliminant kernels and, by degree (`graded_monomials`), the
 jet columns of `jets` and the PBW monomials of `filtration.pbw_filtration`.
 
-The hot product loop `_add_product`, shared by `det` and the Taylor matrices
-of `jets`, keys its terms by packed monomials instead: exponent i sits in
-bits [i*w, (i+1)*w) of one `int`, so multiplying two monomials is adding
-their keys.  The field width w is the bit length of a proven bound on every
-exponent the loop can produce, so a sum of keys never carries into a
-neighbouring field; `_pack` raises `OverflowError` on an exponent that does
-not fit.  `det` memoizes minors by column bitmask.  `restrict_to_line` packs
-coefficients (Kronecker substitution at t = 2^K: coefficient k is signed
-K-bit field k of one `int`).  A `Poly` keeps exponent tuples at every
+The one product loop `_add_product`, behind `Poly.__mul__`, `det` and the
+Taylor matrices of `jets`, keys its terms by packed monomials instead:
+exponent i sits in bits [i*w, (i+1)*w) of one `int`, so multiplying two
+monomials is adding their keys.  The field width w is the bit length of a
+proven bound on every exponent the loop can produce (for `Poly.__mul__`,
+the sum of the factors' total degrees), so a sum of keys never carries into
+a neighbouring field; `_pack` raises `OverflowError` on an exponent that
+does not fit.  `det` memoizes minors by column bitmask.  `restrict_to_line`
+packs coefficients (Kronecker substitution at t = 2^K: coefficient k is
+signed K-bit field k of one `int`).  A `Poly` keeps exponent tuples at every
 boundary.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, getitem
+from operator import getitem, sub
 from typing import Mapping, Sequence, Union
 
 from .linalg import canonical, canonical_values, primitive_integers
@@ -115,16 +116,11 @@ class Poly:
             return _from_terms(self.nvars, {e: v * c for e, v in self.terms.items()} if c else {})
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                new = terms.get(exps, 0) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    terms.pop(exps, None)
-        return _from_terms(self.nvars, terms)
+        width = _field_width(max(self.total_degree(), 0) + max(other.total_degree(), 0))
+        terms: dict = {}
+        _add_product(terms, _pack_terms(self.terms, width), _pack_terms(other.terms, width))
+        return _from_terms(self.nvars, {_unpack(key, self.nvars, width): c
+                                        for key, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -137,8 +133,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -169,19 +166,9 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def derivative(self, index: int) -> "Poly":
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e:
-                lowered = list(exps)
-                lowered[index] = e - 1
-                key = tuple(lowered)
-                new = terms.get(key, 0) + c * e
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
-        return _from_terms(self.nvars, terms)
+        # Lowering one exponent is injective and c * e != 0: no terms merge.
+        return _from_terms(self.nvars, {exps[:index] + (e - 1,) + exps[index + 1:]: c * e
+                                        for exps, c in self.terms.items() if (e := exps[index])})
 
     def evaluate(self, point: Sequence[int | Fraction]) -> int | Fraction:
         if len(point) != self.nvars:
@@ -387,27 +374,23 @@ def integer_primitive(p: Poly) -> Poly:
     return Poly(p.nvars, dict(zip(exps, coeffs)))
 
 
-def divisible_by_variable(p: Poly, index: int) -> bool:
-    return bool(p.terms) and all(e[index] >= 1 for e in p.terms)
-
-
-def divide_by_variable(p: Poly, index: int) -> Poly:
-    if not divisible_by_variable(p, index):
-        raise ValueError(f"polynomial is not divisible by variable {index}")
+def _lowered(p: Poly, low: Sequence[int]) -> Poly:
+    """p divided by the monomial with exponents `low`, which divides every term."""
     out = Poly(p.nvars)
-    for exps, c in p.terms.items():
-        lowered = list(exps)
-        lowered[index] -= 1
-        out.terms[tuple(lowered)] = c
+    out.terms = {tuple(map(sub, exps, low)): c for exps, c in p.terms.items()}
     return out
 
 
+def divide_by_variable(p: Poly, index: int) -> Poly:
+    if not p.terms or not all(e[index] for e in p.terms):
+        raise ValueError(f"polynomial is not divisible by variable {index}")
+    return _lowered(p, [int(i == index) for i in range(p.nvars)])
+
+
 def strip_variable_factors(p: Poly) -> Poly:
-    """Remove every single-variable factor x_i dividing the polynomial."""
-    for i in range(p.nvars):
-        while divisible_by_variable(p, i):
-            p = divide_by_variable(p, i)
-    return p
+    """Remove every single-variable factor x_i dividing the polynomial: each
+    exponent less its least value over the terms, in one pass."""
+    return _lowered(p, list(map(min, zip(*p.terms)))) if p.terms else p
 
 
 def restrict_to_line(p: Poly, base: Sequence[int | Fraction],

@@ -114,6 +114,15 @@ def test_variable_factor_stripping():
     assert strip_variable_factors(p) == x + y
     with pytest.raises(ValueError):
         divide_by_variable(x + y, 0)
+    with pytest.raises(ValueError):
+        divide_by_variable(Poly.zero(2), 1)
+    assert strip_variable_factors(Poly.zero(2)).is_zero
+    assert strip_variable_factors(Poly.const(2, -7)) == Poly.const(2, -7)
+    a, b, c = (Poly.variable(3, i) for i in range(3))
+    assert strip_variable_factors(a * a * b * c ** 3 * (a + b * c + 1)) == a + b * c + 1
+    assert strip_variable_factors(Fraction(5, 3) * a ** 3 * b) == Poly.const(3, Fraction(5, 3))
+    halves = strip_variable_factors(Fraction(1, 2) * x ** 3 * y - Fraction(2, 3) * x * y ** 4)
+    assert halves.terms == {(2, 0): Fraction(1, 2), (0, 3): Fraction(-2, 3)}
 
 
 def test_restrict_to_line():
@@ -514,6 +523,51 @@ def test_det_with_large_exponents_matches_cofactor_reference():
                                for _ in range(rng.randint(0, 2))})
                  for _ in range(size)] for _ in range(size)]
         assert _agrees(det(rows), _lifted_reference(rows))
+
+
+def _assert_product(p: Poly, q: Poly) -> Poly:
+    product = p * q
+    assert _agrees(product, _ref_mul(_reference(p), _reference(q)))
+    return product
+
+
+def test_product_matches_reference_at_packed_field_boundaries():
+    """`Poly.__mul__` packs at the width of the summed total degrees: zero
+    and constant factors, exponent sums that need one more bit, keys past
+    64 bits, Fractions that cancel or turn integral, and cubes."""
+    x, y, z = (Poly.variable(_NVARS, i) for i in range(_NVARS))
+    p = Fraction(3, 2) * x * y - z ** 4 + 7
+    zero = Poly.zero(_NVARS)
+    for a, b in [(p, zero), (zero, p), (zero, zero), (x, zero), (zero, Poly.const(_NVARS, 5))]:
+        assert _assert_product(a, b).is_zero
+    for c in (Poly.const(_NVARS, Fraction(-2, 3)), Poly.const(_NVARS, 4)):
+        _assert_product(c, p)
+        _assert_product(p, c)
+        assert _assert_product(c, c) == Poly.const(_NVARS, c.coefficient((0, 0, 0)) ** 2)
+    assert Poly.const(0, 2) * Poly.const(0, Fraction(1, 2)) == Poly.const(0, 1)
+    for k in (1, 7, 127, 128, 255, 256):  # k + 1 = 2^j needs one more bit than k
+        assert _assert_product(x ** k, x).terms == {(k + 1, 0, 0): 1}
+        _assert_product(x ** k + y ** k - z, x + y * z + 1)
+    assert _assert_product(x ** 128, x ** 127).terms == {(255, 0, 0): 1}
+    nvars, rng = 12, random.Random(1264)
+    wide = [Poly(nvars, {tuple(rng.randint(0, 20) for _ in range(nvars)):
+                         rng.choice((-3, 1, Fraction(5, 2))) for _ in range(4)})
+            for _ in range(3)]
+    for a, b in combinations(wide, 2):
+        width = polynomials._field_width(a.total_degree() + b.total_degree())
+        assert max(polynomials._pack(e, width) for e in _assert_product(a, b).terms) >> 64
+    cancel = _assert_product(x * Fraction(1, 2) + y * Fraction(1, 3),
+                             x * Fraction(1, 2) - y * Fraction(1, 3))
+    assert cancel.terms == {(2, 0, 0): Fraction(1, 4), (0, 2, 0): Fraction(-1, 9)}
+    integral = _assert_product(Fraction(2, 3) * x, Fraction(3, 2) * y)
+    assert integral.terms == {(1, 1, 0): 1} and type(integral.terms[(1, 1, 0)]) is int
+    assert _assert_product(Fraction(1, 2) * x - Fraction(1, 2) * y, x + y).terms == {
+        (2, 0, 0): Fraction(1, 2), (0, 2, 0): Fraction(-1, 2)}
+    for base in (p, x + y + z + 1, Fraction(1, 3) * x - y, zero, Poly.const(_NVARS, 2)):
+        expected = {(0, 0, 0): Fraction(1)}
+        for _ in range(3):
+            expected = _ref_mul(expected, _reference(base))
+        assert _agrees(base ** 3, expected)
 
 
 def _sympy_terms(sympy, expr, names) -> dict:
