@@ -36,11 +36,12 @@ w < kd/2 spans the upper half, put in `Echelon.kernel`'s canonical form by
 one more `Echelon` over the reversed columns.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
-Each univariate restriction is proved irreducible over Q by mod-p degree
-patterns (distinct-degree factorization over GF(p) at several primes),
-proved reducible only by a rational root, and otherwise left unknown.  For
-l > 1 the witness is "heuristic" by policy and restricts nothing: a line
-through one generator of a codimension-l ideal says nothing about the locus.
+Each univariate restriction is proved reducible only by a rational root
+(one p-adic lift, Loos 1983), proved irreducible over Q by mod-p degree
+patterns (distinct-degree factorization over GF(p) at several primes), and
+otherwise left unknown.  For l > 1 the witness is "heuristic" by policy and
+restricts nothing: a line through one generator of a codimension-l ideal
+says nothing about the locus.
 
 `classical_discriminant_oracle` is memoized for the life of the process,
 keyed by its arguments as passed, and so is `_eliminants(d, l, cap)`, the
@@ -58,8 +59,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from functools import lru_cache, reduce
+from itertools import chain, count
+from math import comb
 from operator import mul
 from typing import Sequence
 
@@ -392,35 +394,6 @@ def samples_satisfy_generators(d: int, l: int, count: int,
 # -- univariate irreducibility over the rationals ---------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
-
-
-def _has_rational_root(coeffs: Sequence[int]) -> bool:
-    """Whether sum_k coeffs[k] x^k has a rational root p/q: p | coeffs[0],
-    q | coeffs[-1] and sum_k coeffs[k] p^k q^(n-k) = 0, all in integers."""
-    if coeffs[0] == 0:
-        return True  # root at 0
-    n, leads = len(coeffs) - 1, _divisors(coeffs[-1])
-    for p in _divisors(coeffs[0]):
-        for q in leads:
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                if not sum(c * num ** k * q ** (n - k) for k, c in enumerate(coeffs)):
-                    return True
-    return False
-
-
 def _gfp_trim(coeffs: Sequence[int], p: int) -> list[int]:
     """Coefficients reduced mod p, trailing zeros stripped."""
     out = [c % p for c in coeffs]
@@ -461,13 +434,12 @@ def _gfp_mulmod(a, b, f, p):
 
 
 def _gfp_powmod(base, exponent, f, p):
-    result = [1]
-    b = base
-    while exponent:
-        if exponent & 1:
-            result = _gfp_mulmod(result, b, f, p)
-        b = _gfp_mulmod(b, b, f, p)
-        exponent >>= 1
+    """base^exponent mod f over GF(p) from the top bit; base reduced mod f."""
+    result = base
+    for bit in bin(exponent)[3:]:
+        result = _gfp_mulmod(result, result, f, p)
+        if bit == "1":
+            result = _gfp_mulmod(result, base, f, p)
     return result
 
 
@@ -502,35 +474,103 @@ def _gfp_factor_degrees(f: Sequence[int], p: int) -> list[int]:
     return degrees
 
 
+def _squarefree_mod(coeffs: Sequence[int], p: int) -> list[int] | None:
+    """coeffs mod p, trimmed, if p is usable (see `_uni_irreducible_q`)."""
+    f = _gfp_trim(coeffs, p)
+    slope = [k * c for k, c in enumerate(f)][1:]
+    return f if coeffs[-1] % p and len(_gfp_gcd(f, slope, p)) == 1 else None
+
+
+def _primes():
+    """2, 3, 5, ... by an incremental sieve of Eratosthenes: `crossed` maps
+    the next multiple of each prime found so far to that prime."""
+    crossed: dict[int, int] = {}
+    for n in count(2):
+        step = crossed.pop(n, 0)
+        if not step:
+            yield n
+            step = n
+        crossed[next(m for m in count(n + step, step) if m not in crossed)] = step
+
+
+def _squarefree_part(coeffs: Sequence[int]) -> list[int]:
+    """f / gcd(f, f') over Q as primitive integers: f's roots, each once."""
+    def divmod_q(a, b):
+        quotient, r = [], list(a)
+        while len(r) >= len(b):
+            quotient.insert(0, Fraction(r[-1]) / b[-1])
+            r = [c - quotient[0] * e for c, e in zip(r, [0] * (len(r) - len(b)) + b)][:-1]
+        while r and not r[-1]:
+            r.pop()
+        return quotient, r
+    g, h = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+    while h:
+        g, h = h, divmod_q(g, h)[1]
+    return primitive_integers(divmod_q(coeffs, g)[0], -1)
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    return reduce(lambda value, c: value * x + c, reversed(coeffs), 0)
+
+
+def _has_rational_root(coeffs: Sequence[int], p: int | None = None) -> bool:
+    """Whether f = sum_k coeffs[k] x^k has a rational root, by p-adic lifting
+    (Loos 1983) at a prime p not dividing c_n with f squarefree mod p; for p
+    None, f's squarefree part at the first such prime past 31.  A root a/b in
+    lowest terms has a | c_0 and b | c_n, so it is a simple root r mod p.
+    Newton's step lifts r to the root mod M > 2|c_0 c_n|, and a/b is then the
+    one fraction congruent to it with |a| <= |c_0| and 0 < b <= |c_n|, read
+    off the remainder sequence of (M, r) and checked in integers."""
+    if p is None:
+        coeffs = _squarefree_part(coeffs)
+        p = next(q for q in _primes() if q > 31 and _squarefree_mod(coeffs, q))
+    n, top, bound = len(coeffs) - 1, abs(coeffs[-1]), abs(coeffs[0])
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    for r in range(p):
+        if _horner(coeffs, r) % p:
+            continue
+        modulus = p
+        while modulus <= 2 * bound * top:
+            r = (r - _horner(coeffs, r) * pow(_horner(slope, r), -1, modulus)) % modulus ** 2
+            modulus **= 2
+        r0, a, b0, b = modulus, r, 0, 1
+        while a > bound:
+            q = r0 // a
+            r0, a, b0, b = a, r0 - q * a, b, b0 - q * b
+        if abs(b) <= top and not sum(c * a ** k * b ** (n - k) for k, c in enumerate(coeffs)):
+            return True
+    return False
+
+
 def _uni_irreducible_q(coeffs: list[int]):
     """True / False / None (unknown) for irreducibility over Q.
 
-    True is certified by mod-p degree patterns (Musser 1978): a factor over
-    Q of degree k would give, for every prime p not dividing the leading
-    coefficient with f squarefree mod p, a set of factors over GF(p) whose
-    degrees sum to k.  When no 0 < k < n is such a subset sum for every
-    usable prime, f is irreducible.  False comes only from a rational root.
+    A prime is usable when it does not divide the leading coefficient and f
+    is squarefree mod p.  False comes only from a rational root, decided once
+    at the first usable prime (or on f's squarefree part past 31 if none is).
+    True is certified by mod-p degree patterns (Musser 1978): a factor of
+    degree k over Q gives, at every usable prime, factors over GF(p) whose
+    degrees sum to k, so f is irreducible when no 0 < k < n is such a subset
+    sum at every usable prime.  A linear factor keeps 1 among the sums at
+    every prime, so testing roots first changes no verdict.
     """
     degree = len(coeffs) - 1
     if degree <= 0:
         return False
     if degree == 1:
         return True
+    usable = ((p, f) for p in _CERT_PRIMES if (f := _squarefree_mod(coeffs, p)))
+    first = next(usable, None)
+    if _has_rational_root(coeffs, first[0] if first else None):
+        return False
     possible = set(range(degree + 1))
-    for p in _CERT_PRIMES:
-        if coeffs[-1] % p == 0:
-            continue
-        f = _gfp_trim(coeffs, p)
-        if len(_gfp_gcd(f, [k * c for k, c in enumerate(f)][1:], p)) > 1:
-            continue  # not squarefree mod p
+    for p, f in chain([first] if first else [], usable):
         sums = {0}
         for k in _gfp_factor_degrees(f, p):
             sums |= {s + k for s in sums}
         possible &= sums
         if possible == {0, degree}:
             return True
-    if _has_rational_root(coeffs):
-        return False
     return True if degree <= 3 else None
 
 

@@ -32,7 +32,10 @@ The l = 1 witness path by `Poly` and list arithmetic: the line restriction
 as a term-by-term convolution of binomial-power coefficient lists, the
 oracle of `polynomials.restrict_to_line`'s Kronecker substitution, and the
 Bezout matrix by `Poly` products, the oracle of
-`discriminant._bezout_matrix`'s monomial sums.
+`discriminant._bezout_matrix`'s monomial sums.  The rational-root test by
+divisor search, the oracle of `discriminant._has_rational_root`'s p-adic
+lift: every p/q with p | c_0 and q | c_n, the divisors listed once per end
+coefficient by trial division up to the square root, tried in integers.
 
 The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
@@ -93,7 +96,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import le
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -281,6 +284,36 @@ def bezout_matrix_by_products(d: int) -> list[list[Poly]]:
     return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
                   for v in range(min(i, j) + 1)), zero)
              for j in range(d)] for i in range(d)]
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of |n| in increasing order, by trial division."""
+    n = abs(n)
+    small, large = [], []
+    k = 1
+    while k * k <= n:
+        if n % k == 0:
+            small.append(k)
+            if k != n // k:
+                large.append(n // k)
+        k += 1
+    return small + large[::-1]
+
+
+def rational_root_by_divisors(coeffs: Sequence[int]) -> bool:
+    """Whether sum_k coeffs[k] x^k has a rational root p/q: p | coeffs[0],
+    q | coeffs[-1] and sum_k coeffs[k] p^k q^(n-k) = 0, all in integers."""
+    if coeffs[0] == 0:
+        return True  # root at 0
+    n, leads = len(coeffs) - 1, divisors(coeffs[-1])
+    for p in divisors(coeffs[0]):
+        for q in leads:
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                if not sum(c * num ** k * q ** (n - k) for k, c in enumerate(coeffs)):
+                    return True
+    return False
 
 
 Wedges = tuple[tuple[int, ...], ...]  # a sorted d-tuple of wedges

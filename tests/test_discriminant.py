@@ -7,7 +7,7 @@ from vermajet import discriminant
 from vermajet.errors import SizeCapError
 from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, span_dim
 from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
-from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
+from vermajet.discriminant import (_gfp_factor_degrees, _gfp_monic, _gfp_trim,
                                    _uni_irreducible_q,
                                    classical_discriminant_oracle,
                                    eliminant_generators, graded_relations,
@@ -18,6 +18,7 @@ from vermajet.discriminant import (_gfp_factor_degrees, _gfp_trim,
                                    sample_jacobian_ranks,
                                    samples_satisfy_generators)
 
+import reference
 from reference import bezout_matrix_by_products, incidence_parametrization, transpose
 
 
@@ -169,10 +170,10 @@ def test_has_rational_root_in_integers():
 
 def test_has_rational_root_lists_each_end_coefficients_divisors_once(monkeypatch):
     calls = []
-    divisors = discriminant._divisors
-    monkeypatch.setattr(discriminant, "_divisors", lambda n: calls.append(n) or divisors(n))
+    divisors = reference.divisors
+    monkeypatch.setattr(reference, "divisors", lambda n: calls.append(n) or divisors(n))
     # 360 x^4 - 7: 24 divisors of 360 and 2 of 7, no rational root
-    assert not discriminant._has_rational_root([-7, 0, 0, 0, 360])
+    assert not reference.rational_root_by_divisors([-7, 0, 0, 0, 360])
     assert sorted(calls) == [-7, 360]
 
 
@@ -365,6 +366,109 @@ def test_mod_p_factor_degrees_agree_with_sympy():
         expected = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
         assert sorted(_gfp_factor_degrees(_gfp_trim(coeffs, p), p)) == expected
         checked += 1
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_factored_polys(rng, count):
+    """Integer polynomials of degree 1..9, ascending coefficients, built from
+    factors (bx - a)^k, squared quadratics, x itself and random factors."""
+    out = []
+    while len(out) < count:
+        degree, f = rng.randint(1, 9), [rng.choice([-3, -1, 1, 2, 5])]
+        while len(f) - 1 < degree:
+            room, kind = degree - len(f) + 1, rng.random()
+            if kind < 0.15:
+                linear = [-rng.randint(-12, 12), rng.randint(1, 12)]
+                for _ in range(rng.randint(1, min(room, 3))):
+                    f = _times(f, linear)
+            elif kind < 0.18:
+                f = _times(f, [0, 1])  # a root at 0
+            elif kind < 0.33 and room >= 4:
+                quadratic = [rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 6)]
+                f = _times(_times(f, quadratic), quadratic)
+            else:
+                size = rng.randint(min(room, 2), min(room, 3))
+                f = _times(f, [rng.randint(-30, 30) for _ in range(size)] + [rng.randint(1, 9)])
+        out.append(f)
+    return out
+
+
+def test_rational_root_lift_matches_the_divisor_search():
+    polys = _random_factored_polys(random.Random(39), 2000)
+    for d in range(2, 7):
+        for seed in range(21):
+            polys.extend(_witness_lines(d, seed))
+    found = 0
+    for coeffs in polys:
+        expected = reference.rational_root_by_divisors(coeffs)
+        found += expected
+        assert discriminant._has_rational_root(coeffs) == expected, coeffs
+        for p in discriminant._CERT_PRIMES:
+            if discriminant._squarefree_mod(coeffs, p):
+                assert discriminant._has_rational_root(coeffs, p) == expected, (coeffs, p)
+    assert 0 < found < len(polys)
+
+
+def test_squarefree_part_and_primes_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for coeffs in _random_factored_polys(random.Random(7), 200):
+        expected = sympy.Poly(coeffs[::-1], x).sqf_part().all_coeffs()[::-1]
+        assert discriminant._squarefree_part(coeffs) == primitive_integers(
+            [int(c) for c in expected], -1), coeffs
+    primes = discriminant._primes()
+    assert [next(primes) for _ in range(303)] == list(sympy.primerange(2, 2000))
+
+
+def test_gfp_powmod_matches_repeated_products():
+    rng = random.Random(3)
+    for p in (3, 7, 31):
+        for _ in range(20):
+            f = _gfp_monic(_gfp_trim([rng.randrange(p) for _ in range(5)] + [1], p), p)
+            base = _gfp_trim([rng.randrange(p) for _ in range(5)], p) or [1]
+            power = base
+            for exponent in range(1, 40):
+                assert discriminant._gfp_powmod(base, exponent, f, p) == power
+                power = discriminant._gfp_mulmod(power, base, f, p)
+
+
+# 3 * 5 * ... * 31: every certification prime divides the lead.
+_ALL_CERT_PRIMES = 100280245065
+
+
+def test_uni_irreducible_q_walks_past_the_certification_primes():
+    for coeffs in ([-1, 0, _ALL_CERT_PRIMES], _times([-1, _ALL_CERT_PRIMES], [-2, 1])):
+        assert not any(discriminant._squarefree_mod(coeffs, p) for p in discriminant._CERT_PRIMES)
+    assert _uni_irreducible_q([-1, 0, _ALL_CERT_PRIMES]) is True
+    assert _uni_irreducible_q(_times([-1, _ALL_CERT_PRIMES], [-2, 1])) is False
+
+
+def test_uni_irreducible_q_on_inputs_that_are_not_squarefree():
+    square = _times([-2, 0, 1], [-2, 0, 1])  # (x^2 - 2)^2
+    assert _uni_irreducible_q(_times(square, [-1, 3])) is False
+    assert _uni_irreducible_q(_times(square, [1, 0, 1])) is None
+
+
+def test_rational_roots_with_thirty_bit_prime_products_at_both_ends():
+    # the divisor search would try about 2^30 trial divisors of each end
+    p1, p2, p3, p4 = 1073741789, 1073740819, 1073739817, 1073738821
+    with_root = _times([-p2, p1], [p4, p3])  # roots p2/p1 and -p4/p3
+    assert abs(with_root[0]) == p2 * p4 and with_root[-1] == p1 * p3
+    assert discriminant._has_rational_root(with_root)
+    assert _uni_irreducible_q(with_root) is False
+    assert _uni_irreducible_q(_times([-p2, p1], [p4, 0, p3])) is False
+    assert not discriminant._has_rational_root([p2 * p4, 1, p1 * p3])
+    assert _uni_irreducible_q([p2 * p4, 1, p1 * p3]) is True
+    no_root = _times([p2, 0, p1], [p4, 0, p3])  # (p1 x^2 + p2)(p3 x^2 + p4)
+    assert not discriminant._has_rational_root(no_root)
+    assert _uni_irreducible_q(no_root) is None
 
 
 def test_witness_certified_at_every_seed():
