@@ -32,7 +32,7 @@ _EXPORTS = {
                    "verma_split_check", "weight_of", "weyl_dim_oracle"),
     "jets": ("SectionPolynomial", "duality_check", "kernel_sections", "plucker_polynomial",
              "section_space", "taylor_matrix"),
-    "discriminant": ("BinaryForm", "Eliminant", "classical_discriminant_oracle",
+    "discriminant": ("Eliminant", "classical_discriminant_oracle",
                      "irreducibility_witness", "multiple_root_eliminant",
                      "parametrization_jacobian_rank", "parametrized_form"),
 }

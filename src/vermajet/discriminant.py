@@ -78,15 +78,6 @@ _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 @dataclass(frozen=True)
-class BinaryForm:
-    coeffs: tuple[int | Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class Eliminant:
     """Primitive integer polynomial in a_0..a_d, sign-normalized."""
 
@@ -161,8 +152,10 @@ def _bezout_matrix(d: int) -> list[list[Poly]]:
     return [[Poly(d + 1, terms) for terms in row] for row in rows]
 
 
-def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fraction]) -> BinaryForm:
-    """The form (x0 - b*x1)^(l+1) * g at a concrete parameter point."""
+def parametrized_form(d: int, l: int, b: int | Fraction,
+                      g: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
+    """The coefficients a_0..a_d of the form (x0 - b*x1)^(l+1) * g at a
+    concrete parameter point."""
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
     if len(g) != d - l:
@@ -170,10 +163,9 @@ def parametrized_form(d: int, l: int, b: int | Fraction, g: Sequence[int | Fract
     # coefficient r is sum_j C(l+1, j) (-b)^j g_(r-j)
     binomial = [comb(l + 1, j) * (-canonical(b)) ** j for j in range(l + 2)]
     cofactor = [canonical(v) for v in g]
-    return BinaryForm(tuple(
-        canonical(sum(binomial[j] * cofactor[r - j]
-                      for j in range(max(0, r - len(g) + 1), min(r, l + 1) + 1)))
-        for r in range(d + 1)))
+    return tuple(canonical(sum(binomial[j] * cofactor[r - j]
+                               for j in range(max(0, r - len(g) + 1), min(r, l + 1) + 1)))
+                 for r in range(d + 1))
 
 
 def _weight(exps: tuple[int, ...]) -> int:
@@ -281,7 +273,7 @@ def _generators_cut_codimension(generators: list[Poly], d: int, l: int) -> bool:
     rng = random.Random(20111)
     successes = 0
     for _ in range(60):
-        point = parametrized_form(d, l, *_sample_point(d, l, rng)).coeffs
+        point = parametrized_form(d, l, *_sample_point(d, l, rng))
         jacobian = Echelon(d + 1)
         for gradient in gradients:
             jacobian.add({j: partial.evaluate(point) for j, partial in enumerate(gradient)})
@@ -386,7 +378,7 @@ def samples_satisfy_generators(d: int, l: int, count: int,
     for _ in range(count):
         form = parametrized_form(d, l, *_sample_point(d, l, rng))
         for gen in generators:
-            if gen.poly.evaluate(form.coeffs) != 0:
+            if gen.poly.evaluate(form) != 0:
                 return False
     return True
 
@@ -408,18 +400,17 @@ def _gfp_monic(f: Sequence[int], p: int) -> list[int]:
 
 
 def _gfp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder over GF(p); a and b trimmed, b nonzero."""
-    inv = pow(b[-1], p - 2, p)
-    quotient = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        factor = r[-1] * inv % p
-        offset = len(r) - len(b)
-        quotient[offset] = factor
-        for i, c in enumerate(b):
-            r[offset + i] = (r[offset + i] - factor * c) % p
-        while r and r[-1] == 0:
-            r.pop()
+    """Quotient and remainder over GF(p); a trimmed, b trimmed and monic."""
+    top = len(b) - 1
+    quotient, r = [0] * max(len(a) - top, 0), list(a)
+    for offset in reversed(range(len(quotient))):
+        factor = quotient[offset] = r[offset + top]
+        if factor:
+            for i, c in enumerate(b, offset):
+                r[i] = (r[i] - factor * c) % p
+    del r[top:]
+    while r and r[-1] == 0:
+        r.pop()
     return quotient, r
 
 
@@ -447,6 +438,7 @@ def _gfp_gcd(a, b, p):
     """Monic gcd over GF(p); empty when both are zero mod p."""
     a, b = _gfp_trim(a, p), _gfp_trim(b, p)
     while b:
+        b = _gfp_monic(b, p)
         a, b = b, _gfp_divmod(a, b, p)[1]
     return _gfp_monic(a, p) if a else a
 

@@ -58,7 +58,7 @@ from typing import Sequence
 
 from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
-                  build_context, simple_roots)
+                  build_context, rho_character, simple_roots)
 from .linalg import Echelon
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
                        module_dim, wedge_basis, wedge_counts)
@@ -158,10 +158,9 @@ class FiltrationResult:
 
 
 def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
-    """Whether y . v = rho(y) v for every y in the stored parabolic basis;
-    rho(y) is read as `rho_character` does, less its test that y lies in p."""
-    return all((act(y, v, ctx.m, d)
-                - d * sum(y.entries.get((i, i), 0) for i in range(1, ctx.m + 1)) * v).is_zero
+    """Whether y . v = rho(y) v for every y in the stored parabolic basis,
+    with rho the degree-d character `rho_character`."""
+    return all((act(y, v, ctx.m, d) - rho_character(ctx, d, y) * v).is_zero
                for y in ctx.subalgebra_basis(SubalgebraTag.P))
 
 

@@ -79,12 +79,6 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            dict(self.entries) == dict(other.entries)
-
 
 def _all_int(values: Iterable) -> bool:
     # isinstance(v, int) for every value, with no Python-level loop.
@@ -244,7 +238,6 @@ class RrefResult(NamedTuple):
     rank: int
     pivots: list[int]
     reduced: SparseMatrix
-    echelon: Echelon
 
 
 def _echelon(rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> Echelon:
@@ -260,7 +253,7 @@ def rref(matrix: SparseMatrix) -> RrefResult:
     entries = {(i, c): v for i, (_, row) in enumerate(echelon.canonical_rows())
                for c, v in row.items()}
     reduced = SparseMatrix(matrix.rows, matrix.cols, entries)
-    return RrefResult(echelon.rank, echelon.pivots, reduced, echelon)
+    return RrefResult(echelon.rank, echelon.pivots, reduced)
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -274,19 +267,7 @@ def kernel_basis(matrix: SparseMatrix) -> list[tuple[Fraction, ...]]:
             for vector in _echelon(matrix.row_dicts(), matrix.cols).kernel()]
 
 
-def _rows_matrix(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
-                 dim: int | None) -> SparseMatrix:
-    if not vectors:
-        return SparseMatrix(0, dim or 0, {})
-    if dim is None:
-        first = vectors[0]
-        if isinstance(first, Mapping):
-            raise ValueError("dim is required when vectors are mappings")
-        dim = len(first)
-    return SparseMatrix.from_rows(vectors, cols=dim)
-
-
 def span_dim(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],
              dim: int | None = None) -> int:
     """Dimension of the span of the given vectors."""
-    return rank(_rows_matrix(vectors, dim))
+    return rank(SparseMatrix.from_rows(vectors, dim))

@@ -104,7 +104,7 @@ from vermajet import jets
 from vermajet.discriminant import _weight
 from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
-from vermajet.linalg import Echelon, SparseMatrix, _echelon, _rows_matrix, canonical
+from vermajet.linalg import Echelon, SparseMatrix, _echelon, canonical
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, highest_weight_vector,
                                sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
@@ -591,7 +591,7 @@ def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int |
             candidate: Union[Sequence[int | Fraction], Mapping[int, int | Fraction]],
             dim: int | None = None) -> bool:
     """Whether candidate lies in the span of the given vectors."""
-    matrix = _rows_matrix(list(vectors) + [candidate], dim)
+    matrix = SparseMatrix.from_rows(list(vectors) + [candidate], dim)
     *rows, last = matrix.row_dicts()
     return not _echelon(rows, matrix.cols).add(last)
 

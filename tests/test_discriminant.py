@@ -146,16 +146,15 @@ def test_graded_relations_empty_below_ideal():
 
 def test_parametrized_form_values():
     # (x0 - 2 x1)^2 * x0 = x0^3 - 4 x0^2 x1 + 4 x0 x1^2.
-    form = parametrized_form(3, 1, 2, [1, 0])
-    assert form.coeffs == (1, -4, 4, 0)
+    assert parametrized_form(3, 1, 2, [1, 0]) == (1, -4, 4, 0)
 
 
 def test_parametrized_form_at_integer_inputs_is_all_int():
     rng = random.Random(5)
     for d, l in [(3, 1), (4, 2), (6, 3)]:
         form = parametrized_form(d, l, *discriminant._sample_point(d, l, rng))
-        assert all(type(c) is int for c in form.coeffs)
-    assert all(type(c) is int for c in parametrized_form(3, 1, Fraction(2), [Fraction(1), 0]).coeffs)
+        assert all(type(c) is int for c in form)
+    assert all(type(c) is int for c in parametrized_form(3, 1, Fraction(2), [Fraction(1), 0]))
 
 
 def test_has_rational_root_in_integers():
@@ -551,3 +550,36 @@ def test_graded_relations_match_pullback_matrix_kernel(d, l):
             [p.to_string() for p in _reference_graded_relations(d, l, degree)]
         assert all(type(c) is int for p in got for c in p.terms.values())
         assert _closed_under_mirror(got, d, degree)
+
+
+@pytest.mark.parametrize("p", [*discriminant._CERT_PRIMES, 37])
+def test_gfp_gcd_and_monic_division_agree_with_sympy(p):
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def dense(f):  # sympy's GF(p) lists run from the leading coefficient
+        return galois.gf_strip([c % p for c in reversed(f)])
+
+    rng = random.Random(p)
+
+    def poly(degree):  # unreduced, with a leading coefficient that is not 1 mod p
+        return [rng.randrange(-p, 2 * p) for _ in range(degree)] + [rng.choice([2, p + 2, -1])]
+
+    pairs = [([], []), ([0, p], poly(3)), (poly(4), [2 * p]), ([p + 2], poly(3)),
+             (poly(5), [-1])]
+    while sum(len(galois.gf_gcd(dense(a), dense(b), p, ZZ)) == 1 for a, b in pairs) < 8:
+        pairs.append((poly(rng.randint(1, 6)), poly(rng.randint(1, 6))))  # coprime pairs
+    for _ in range(8):
+        common = poly(rng.randint(1, 3))
+        pairs.append((_times(common, poly(rng.randint(0, 4))),
+                      _times(common, poly(rng.randint(0, 4)))))
+        pairs.append((common, common))
+    for a, b in pairs:
+        got = discriminant._gfp_gcd(a, b, p)
+        assert got == list(reversed(galois.gf_gcd(dense(a), dense(b), p, ZZ))), (a, b)
+        for f, g in ((a, b), (b, a)):
+            f, g = _gfp_trim(f, p), _gfp_trim(g, p)
+            if g:
+                g = _gfp_monic(g, p)
+                q, r = galois.gf_div(dense(f), dense(g), p, ZZ)
+                assert discriminant._gfp_divmod(f, g, p) == (q[::-1], r[::-1]), (f, g)

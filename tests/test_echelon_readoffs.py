@@ -185,7 +185,7 @@ def test_parametrized_form_matches_incidence_parametrization():
         l = rng.randint(1, d - 1)
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d - l + 1)]
         expected = tuple(p.evaluate(point) for p in incidence_parametrization(d, l))
-        assert parametrized_form(d, l, point[0], point[1:]).coeffs == expected
+        assert parametrized_form(d, l, point[0], point[1:]) == expected
 
 
 @pytest.mark.parametrize("d,l", [(3, 2), (4, 2), (4, 3), (6, 3)])

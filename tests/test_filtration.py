@@ -743,3 +743,14 @@ def test_grassmannian_jobs_grow_and_certify_each_case_once(monkeypatch, cold_fil
         assert job.check(job.call()) is None, job.label
     assert len(growths) == 5
     assert len(certified) == 5
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_p_eigenvector_reads_rho_of_degree_d(m, n, d):
+    # p acts on the degree-d highest weight vector, and on any multiple of
+    # it, by rho = d * (trace of the upper-left m x m block); the degree
+    # d + 1 character is not the one v carries.
+    ctx = build_context(m, n)
+    v = highest_weight_vector(m, n, d)
+    assert filtration._p_eigenvector(ctx, d, 3 * v)
+    assert not filtration._p_eigenvector(ctx, d + 1, v)

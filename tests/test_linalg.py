@@ -366,3 +366,35 @@ def test_canonical_keeps_fractions_and_unwraps_integral_ones():
     coeffs = {"a": Fraction(4, 2), "b": half, "c": 5}
     assert canonical_values(coeffs) is coeffs
     assert coeffs == {"a": 2, "b": half, "c": 5} and type(coeffs["a"]) is int
+
+
+def test_span_dim_reads_every_row_shape():
+    # Empty input, sequences with their width inferred, mapping rows after a
+    # sequence row or with `dim`, and the shapes that must raise.
+    assert span_dim([], 4) == 0
+    assert span_dim([(1, 2, 3), (2, 4, 6), (0, 1, Fraction(1, 2))]) == 2
+    assert span_dim([(0, 0), (0, 0)]) == 0
+    # a sequence row fixes the width for the mapping rows after it
+    assert span_dim([(1, 0, 0), {1: 1}, {0: 2, 1: Fraction(3, 2)}]) == 2
+    assert span_dim([(1, 0, 0), {2: 1}, {0: 1, 1: 5}]) == 3
+    assert span_dim([{0: 1}, {2: 5}, {0: 2, 2: 10}], 3) == 2
+    with pytest.raises(ValueError):
+        span_dim([{0: 1}, (1, 0)])  # a mapping first needs `dim`
+    with pytest.raises(ValueError):
+        span_dim([(1, 0, 0), {3: 1}])  # column 3 of a width-3 matrix
+    with pytest.raises(ValueError):
+        span_dim([(1, 0), (1, 0, 0)])
+
+
+def test_sparse_matrix_equality_is_on_shape_and_entries():
+    base = SparseMatrix(2, 3, {(0, 0): Fraction(1), (1, 2): Fraction(-2)})
+    assert base == SparseMatrix(2, 3, {(1, 2): Fraction(-2), (0, 0): Fraction(1)})
+    assert base != SparseMatrix(3, 3, base.entries)
+    assert base != SparseMatrix(2, 4, base.entries)
+    assert base != SparseMatrix(2, 3, {(0, 0): Fraction(1), (1, 2): Fraction(2)})
+    assert base != SparseMatrix(2, 3, {(0, 0): Fraction(1)})
+    # int entries are stored as Fractions and zeros are dropped
+    assert SparseMatrix.from_rows([[1, 0, 0], [0, 0, -2]]) == base
+    assert SparseMatrix(2, 3, {(0, 0): 1, (0, 1): 0, (1, 2): -2}) == base
+    assert base != dict(base.entries) and not base == dict(base.entries)
+    assert SparseMatrix(0, 0) == SparseMatrix.from_rows([])
