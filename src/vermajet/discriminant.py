@@ -437,10 +437,12 @@ def _gfp_powmod(base, exponent, f, p):
 def _gfp_gcd(a, b, p):
     """Monic gcd over GF(p); empty when both are zero mod p."""
     a, b = _gfp_trim(a, p), _gfp_trim(b, p)
+    if not b:  # the loop, which leaves its last divisor monic, would not run
+        return _gfp_monic(a, p) if a else a
     while b:
         b = _gfp_monic(b, p)
         a, b = b, _gfp_divmod(a, b, p)[1]
-    return _gfp_monic(a, p) if a else a
+    return a
 
 
 def _gfp_factor_degrees(f: Sequence[int], p: int) -> list[int]:

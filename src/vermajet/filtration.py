@@ -6,53 +6,48 @@ weight vector.  It grows by the nilpotent complement n alone:
     x u v = u x v + [x, u] v  for x in p, u in U_l(g), [x, u] in U_l(g);
     y v = rho(y) v for every y in p, so p . F_l lies in F_l;
     hence F_l = U_l(n) . v, spanned by the z^a v with |a| <= l.
-The second line is an exact certificate checked first, once per (m, n, d)
-(`_certified`; CertificateError otherwise).  n is abelian, and each E_ij in
-it (i > m >= j) raises the t-degree of an index (its wedge entries above m)
-by 1, so z^a v lies in the piece V_|a| and F_l = V_0 + ... + V_l.
+Two exact certificates run once per (m, n, d), CertificateError otherwise:
+the second line (`_certified`), and the move table's (`_moves_certified`):
+each E_ij in n (i > m >= j) sends a wedge to the one with j swapped for i,
+one more index above m.  So every term of z^a v has weight d omega_m +
+sum a_ij (e_i - e_j) and t-degree |a| (the piece V_|a|): F_l = V_0 + ... + V_l.
 
 The growth walks one PBW basis, the Feigin-Fourier-Littelmann points of
 d omega_m (Transform. Groups 16, 2011): the a, read row by row as the n x m
 matrix (z_ij), with exponent sum <= d on every path from z_(m+1,1) to
 z_(m+n,m) moving one row down or one column right (`_fflv_point`); every a
 with |a| <= d is one.  The degree-k points are the children a + e_i, i at
-most the leftmost nonzero index of a, of the degree-(k - 1) points, so each
-image is one action on its prefix's, z^a v = z_i (z^(a - e_i) v), and only
-the previous degree's images are kept.  The walk needs no trust in the
-theorem: each image must leave a new pivot in its piece (CertificateError
-otherwise).  For l_max <= d that proves that the C(mn + l, l) images span
+most the leftmost nonzero index of a, of the degree-(k - 1) points, so
+z^a v = z_i (z^(a - e_i) v): an image's children that are points are built
+in one walk over its keys (`plethysm.act_all`; no key is read here).  The
+walk needs no trust in the theorem: each image must leave a new pivot in
+its piece.  For l_max <= d that proves that the C(mn + l, l) images span
 F_l.  Past d the walk runs to its last point and must count the Weyl
 dimension, so that each degree's images span their piece.
 
-Each piece has its own `Echelon` over the columns key(v) - key of its
-images' keys (`plethysm`), with no ambient index, read once
+Each piece has its own `Echelon` over the columns key(v) - key, read once
 (`Echelon.canonical_rows`: unique reduced rows, 1 at the pivot, an `int`
-when integral); pieces have disjoint columns, so level l's canonical basis
-is level l - 1's plus piece l's rows, merged in pivot order.  Every term of
-a new row must have its pivot's weight (raw counts, read off its key), of
-t-degree l; the weight multiset counts pivot weights.  The saturation level, the first level of
-full module dimension, is read off the levels, so a result sliced to
-levels 0..k reports what `canonical_filtration(m, n, d, k)` does; a call
-that the one stored growth (keyed by (m, n, d, cap)) reaches returns that
-slice, its levels shared.
+when integral); level l's basis is level l - 1's plus piece l's rows.
+Images of different weights have disjoint columns, so the weight multiset
+counts the images' closed-form weights.  The saturation level is the first
+level of full module dimension; a call that the one stored growth (keyed
+by (m, n, d, cap)) reaches gets the slice a shorter growth would report.
 
-A PBW monomial is an exponent vector over a fixed ordered basis (of n or of
-g); it acts by applying its factors right to left as module actions, and no
-enveloping-algebra product is ever formed.  As the z^a v, |a| <= l, span
-F_l, they are independent exactly when dims[l] = C(mn + l, l): the flag of
-`pbw_filtration` (whose images `apply_pbw_monomial` builds row by row) and
-the n-side of the split.  `multi_filtration` sums the summands' dims[l],
+A PBW monomial, an exponent vector over a fixed ordered basis of n or of g,
+acts factor by factor, right to left; no enveloping-algebra product is
+formed.  The z^a v, |a| <= l, are independent exactly when dims[l] =
+C(mn + l, l): the flag of `pbw_filtration` (images by `apply_pbw_monomial`)
+and the n-side of the split.  `multi_filtration` sums the summands' dims[l],
 and the annihilator dimension and the g-side of the split are read off the
-dims too; the evaluation matrix over all of g is the tests' reference
-(`tests/reference.py`).
+dims too; the evaluation matrix over g is the tests' reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 from typing import Sequence
 
@@ -60,9 +55,9 @@ from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
                   build_context, rho_character, simple_roots)
 from .linalg import Echelon
-from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
-                       module_dim, wedge_basis, wedge_counts)
-from .polynomials import _unpack, graded_monomials
+from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, _moves, act, act_all,
+                       highest_weight_vector, module_dim, wedge_basis, wedge_counts, wedge_keys)
+from .polynomials import graded_monomials
 
 DEFAULT_MONOMIAL_CAP = 50000
 
@@ -71,32 +66,17 @@ def weyl_dim_oracle(m: int, n: int, d: int) -> int:
     """Hook-content product over the m x n rectangle; always an integer."""
     if m < 1 or n < 1 or d < 1:
         raise ValueError("m, n and d must all be at least 1")
-    value = Fraction(1)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            value *= Fraction(d + i + j - 1, i + j - 1)
-    if value.denominator != 1:
+    hooks = [i + j - 1 for i in range(1, m + 1) for j in range(1, n + 1)]
+    product, hook_product = prod(d + h for h in hooks), prod(hooks)
+    if product % hook_product:
         raise CertificateError("hook-content product is not an integer")
-    return value.numerator
-
-
-@cache
-def _wedge_weights(m: int, n: int, d: int) -> tuple[int, ...]:
-    """Per wedge, its weight as a key: field i - 1 counts index i (at most d)."""
-    return tuple(sum(1 << d.bit_length() * (i - 1) for i in w) for w in wedge_basis(m, n))
-
-
-def _packed_weight(key: int, m: int, n: int, d: int) -> int:
-    """The weight of a degree-d key, packed as `_wedge_weights` packs it."""
-    weights, total = _wedge_weights(m, n, d), 0
-    for k, e in wedge_counts(key, m, n, d):
-        total += e * weights[k]
-    return total
+    return product // hook_product
 
 
 def weight_of(key: int, m: int, n: int, d: int) -> Weight:
     """The weight of a degree-d key: coordinate i - 1 counts index i."""
-    return Weight(_unpack(_packed_weight(key, m, n, d), m + n, d.bit_length()))
+    counts = Counter(i for k, e in wedge_counts(key, m, n, d) for i in wedge_basis(m, n)[k] * e)
+    return Weight([counts[i] for i in range(1, m + n + 1)])
 
 
 def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
@@ -160,7 +140,7 @@ class FiltrationResult:
 def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
     """Whether y . v = rho(y) v for every y in the stored parabolic basis,
     with rho the degree-d character `rho_character`."""
-    return all((act(y, v, ctx.m, d) - rho_character(ctx, d, y) * v).is_zero
+    return all(act(y, v, ctx.m, d) == rho_character(ctx, d, y) * v
                for y in ctx.subalgebra_basis(SubalgebraTag.P))
 
 
@@ -168,6 +148,22 @@ def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
 def _certified(m: int, n: int, d: int) -> bool:
     """The p-eigenvector certificate of the degree-d highest weight vector."""
     return _p_eigenvector(build_context(m, n), d, highest_weight_vector(m, n, d))
+
+
+@cache
+def _moves_certified(m: int, n: int, d: int) -> None:
+    """The table certificate: each move of an E_ij in n sends a wedge to the
+    one with j swapped for i (its weight plus e_i - e_j), which holds one
+    more index above m; CertificateError otherwise."""
+    wedge_at = dict(zip(wedge_keys(m, n, d), wedge_basis(m, n)))
+    for (i, j), moves in _moves(m, m + n, d).items():
+        for (unit, w), move in zip(wedge_at.items(), moves) if i > m >= j else ():
+            if move is not None:
+                target = wedge_at.get(unit + move[0], ())
+                if sum(v > m for v in target) != sum(v > m for v in w) + 1:
+                    raise CertificateError(f"E_{i},{j} keeps the t-degree of wedge {w}")
+                if set(target) != set(w) - {j} | {i}:
+                    raise CertificateError(f"E_{i},{j} does not shift the weight of wedge {w}")
 
 
 _grown: dict[tuple[int, int, int, int], FiltrationResult] = {}  # the last growth only
@@ -180,8 +176,8 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     reaches l_max, else a new growth that replaces it; past l_max = d the
     walk runs to its last point, and the growth stored reaches saturation.
     Every call returns a new result and `levels` list; the
-    `FiltrationLevel`s are shared and read-only.  v is certified once per
-    (m, n, d) (`_certified`)."""
+    `FiltrationLevel`s are shared and read-only.  v and the move table are
+    certified once per (m, n, d) (`_certified`, `_moves_certified`)."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if l_max > cap:  # one level is stored per l, stabilized or not
@@ -194,6 +190,7 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     target = weyl_dim_oracle(m, n, d)
     if not _certified(m, n, d):
         raise CertificateError("p does not act on v by its character")
+    _moves_certified(m, n, d)
     nilpotent = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
 
     # (a, the leftmost nonzero index of a, z^a v) for the points of one degree
@@ -209,26 +206,23 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
         for exps, _, image in layer:
             if not piece.add({top - key: c for key, c in image.coeffs.items()}):
                 raise CertificateError(f"the image of z^{exps} is dependent at level {level}")
-        multiset, new = dict(multiset), []
-        for pivot, row in piece.canonical_rows():
-            weight = weight_of(top - pivot, m, n, d)
-            if sum(weight.coords[m:]) != level:
-                raise CertificateError(f"level {level} row lies in another t-degree")
-            if len({_packed_weight(top - c, m, n, d) for c in row}) > 1:
-                raise CertificateError(f"level {level} row mixes weights")
-            multiset[weight] = multiset.get(weight, 0) + 1
-            new.append((pivot, PlethysmVector({top - c: value for c, value in row.items()})))
-        rows = sorted(rows + new, key=itemgetter(0))
+        multiset = dict(multiset)  # plus the images' closed-form weights
+        for coords, k in Counter((*(d - sum(a[c::m]) for c in range(m)),
+                                  *(sum(a[r:r + m]) for r in range(0, m * n, m)))
+                                 for a, _, _ in layer).items():
+            multiset[weight] = multiset.get(weight := Weight(coords), 0) + k
+        rows = sorted(rows + [(pivot, PlethysmVector._of({top - c: val for c, val in row.items()}))
+                              for pivot, row in piece.canonical_rows()], key=itemgetter(0))
         levels.append(FiltrationLevel(level, len(rows), [vec for _, vec in rows], multiset,
                                       len(rows) == target))
         if level == l_max <= d:  # the independent images span F_l_max
             break
         layer, parents = [], layer
-        for exps, lead, image in parents:
-            for i in range(lead + 1):
-                child = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                if level < d or _fflv_point(child, m, d):  # |a| <= d: a point
-                    layer.append((child, i, act(nilpotent[i], image, m, d)))
+        for exps, lead, image in parents:  # the children that are points, in one walk
+            kids = [(exps[:i] + (exps[i] + 1,) + exps[i + 1:], i) for i in range(lead + 1)]
+            kids = [(a, i) for a, i in kids if level < d or _fflv_point(a, m, d)]  # |a| <= d: point
+            images = act_all([nilpotent[i] for _, i in kids], image, m, d)
+            layer += [(a, i, z) for (a, i), z in zip(kids, images)]
     if l_max > d and levels[-1].dim != target:
         raise CertificateError(f"{levels[-1].dim} PBW basis images, expected {target}")
     levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1)]

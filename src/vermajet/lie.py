@@ -109,12 +109,12 @@ class Weight:
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Sequence[int]):
-        self.coords = tuple(int(c) for c in coords)
+        self.coords = tuple(map(int, coords))
         self._hash = hash(self.normalized())
 
     def normalized(self) -> tuple[int, ...]:
         base = min(self.coords) if self.coords else 0
-        return tuple(c - base for c in self.coords)
+        return tuple([c - base for c in self.coords])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Weight):

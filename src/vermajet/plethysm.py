@@ -6,7 +6,7 @@ index, a multiset of d wedges, is one int, its key: wedge k's count sits
 in field N - 1 - k of `d.bit_length()` bits, so no count carries and key
 order is the lex order of the exponent vectors.  Only `wedge_keys` (one
 copy of each wedge) and `wedge_counts` (a key's nonzero fields) read the
-layout; a key carries neither its width nor m, so they, `act` and
+layout; a key carries neither its width nor m, so they, `act_all` and
 `filtration.weight_of` take both.  `sym_basis` lists the keys in
 descending order, v = (e_1 ^ ... ^ e_m)^d first (the lex order of the
 sorted d-tuples of wedges): the column key(v) - key.  A module element is
@@ -16,12 +16,12 @@ multiples and `act` keep that form, so the integral basis elements E_ij,
 H_k keep v's orbit in integer arithmetic and `Echelon.add` gets `int` rows.
 
 A Lie algebra element acts as a derivation across the d symmetric factors
-and, inside each factor, as a derivation across the m wedge slots; a
-substituted wedge slot is re-sorted and the sign of the sorting permutation
-is applied (a repeated index kills the term).  The e copies of a wedge give
-one term, so `act` visits only a key's nonzero fields (at most d), moves
-one copy by adding a precomputed key delta and scales by e.  No pairing
-with sections is defined: `jets.level_duality` reads it off the supports.
+and, inside each factor, across the m wedge slots; a substituted wedge is
+re-sorted with the sign of the sorting (a repeated index kills the term),
+one move of `_moves` (a key delta and a sign).  `act_all` acts by several
+elements in one walk over a vector's keys, reading each key's nonzero fields
+(at most d) once, one term scaled by e for the e copies of a wedge; `act` is
+its one-element case.  `jets.level_duality` reads pairings off supports.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import SizeCapError
 from .linalg import canonical, canonical_values
@@ -48,7 +48,15 @@ class PlethysmVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
-        self.coeffs = {key: v for key, value in (coeffs or {}).items() if (v := canonical(value))}
+        self.coeffs = {key: v for key, value in (coeffs or {}).items()
+                       if (v := value if type(value) is int else canonical(value))}
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, int | Fraction]) -> "PlethysmVector":
+        """The vector over `coeffs`, kept as given: nonzero canonical values."""
+        out = cls()
+        out.coeffs = coeffs
+        return out
 
     def __add__(self, other: "PlethysmVector") -> "PlethysmVector":
         coeffs = dict(self.coeffs)
@@ -58,19 +66,15 @@ class PlethysmVector:
                 coeffs[idx] = new
             else:
                 coeffs.pop(idx, None)
-        out = PlethysmVector()
-        out.coeffs = canonical_values(coeffs)
-        return out
+        return PlethysmVector._of(canonical_values(coeffs))
 
     def __sub__(self, other: "PlethysmVector") -> "PlethysmVector":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int | Fraction) -> "PlethysmVector":
         c = canonical(scalar)
-        out = PlethysmVector()
-        if c:
-            out.coeffs = canonical_values({idx: c * v for idx, v in self.coeffs.items()})
-        return out
+        return PlethysmVector._of(canonical_values({idx: c * v for idx, v in self.coeffs.items()})
+                                  if c else {})
 
     def __neg__(self) -> "PlethysmVector":
         return (-1) * self
@@ -140,27 +144,37 @@ def highest_weight_vector(m: int, n: int, d: int) -> PlethysmVector:
 def _moves(m: int, size: int, d: int) -> dict[tuple[int, int], tuple]:
     """Per (i, j), per wedge of `wedge_basis(m, size - m)`: (delta, sign) when
     E_ij sends it to sign * the wedge whose degree-d key is its own plus
-    delta, None when it lacks j or holds i != j."""
+    delta, None when it lacks j or holds i != j; filled wedge by wedge."""
     wedges = wedge_basis(m, size - m)
-    key = dict(zip(wedges, wedge_keys(m, size - m, d)))
-    return {(i, j): tuple((key[tuple(sorted(set(w) - {j} | {i}))] - key[w],
-                           (-1) ** sum(min(i, j) < v < max(i, j) for v in w))
-                          if j in w and (i == j or i not in w) else None for w in wedges)
-            for i in range(1, size + 1) for j in range(1, size + 1)}
+    masks = [sum(1 << v for v in w) for w in wedges]  # a wedge's indices as bits
+    key = dict(zip(masks, wedge_keys(m, size - m, d)))
+    table = {(i, j): [None] * len(wedges) for i in range(1, size + 1) for j in range(1, size + 1)}
+    for k, (w, mask) in enumerate(zip(wedges, masks)):
+        for j in w:
+            for i in (j, *(i for i in range(1, size + 1) if not mask >> i & 1)):
+                inner = mask & (1 << max(i, j)) - (2 << min(i, j)) if i != j else 0
+                table[i, j][k] = key[mask ^ 1 << j | 1 << i] - key[mask], (-1) ** inner.bit_count()
+    return {ij: tuple(row) for ij, row in table.items()}
+
+
+def act_all(xs: Sequence[LieElement], w: PlethysmVector, m: int, d: int) -> list[PlethysmVector]:
+    """[act(x, w, m, d) for x in xs], in one walk over w's keys that reads the
+    fields of each key once."""
+    if not xs:
+        return []
+    size, accs = xs[0].size, [{} for _ in xs]
+    terms = [(acc, _moves(m, size, d)[ij], c)
+             for acc, x in zip(accs, xs) for ij, c in x.entries.items()]
+    for key, coeff in w.coeffs.items():
+        fields = list(wedge_counts(key, m, size - m, d))
+        for acc, table, c in terms:
+            for k, e in fields:
+                move = table[k]
+                if move is not None:
+                    acc[new] = acc.get(new := key + move[0], 0) + coeff * c * move[1] * e
+    return [PlethysmVector(acc) for acc in accs]
 
 
 def act(x: LieElement, w: PlethysmVector, m: int, d: int) -> PlethysmVector:
     """Derivation action of a Lie algebra element on a vector of Sym^d(Λ^m V)."""
-    moves = _moves(m, x.size, d)
-    acc: dict[int, int | Fraction] = {}
-    for ij, c in x.entries.items():
-        table = moves[ij]
-        for key, coeff in w.coeffs.items():
-            for k, e in wedge_counts(key, m, x.size - m, d):
-                move = table[k]
-                if move is not None:
-                    new = key + move[0]
-                    acc[new] = acc.get(new, 0) + coeff * c * move[1] * e
-    out = PlethysmVector()
-    out.coeffs = canonical_values({key: v for key, v in acc.items() if v})
-    return out
+    return act_all((x,), w, m, d)[0]

@@ -136,7 +136,9 @@ def pair(functional: PlethysmVector, section, m: int, n: int, d: int) -> int | F
     basis chain's key of `jets.section_space` (the monomial {chain: 1}), a
     mapping from keys to rationals, or an object with a ``plucker``
     attribute holding one.  Every key of both sides is unpacked at degree
-    d, so one that does not hold d wedges raises ValueError.
+    d, so one whose fields, read at degree d, do not sum to d raises
+    ValueError.  A key carries no degree: one of another degree whose fields
+    happen to sum to d is read as a multiset of d wedges.
     """
     coords = {section: 1} if type(section) is int else getattr(section, "plucker", section)
     if not isinstance(coords, Mapping):

@@ -583,3 +583,29 @@ def test_gfp_gcd_and_monic_division_agree_with_sympy(p):
                 g = _gfp_monic(g, p)
                 q, r = galois.gf_div(dense(f), dense(g), p, ZZ)
                 assert discriminant._gfp_divmod(f, g, p) == (q[::-1], r[::-1]), (f, g)
+
+
+def test_gfp_gcd_makes_a_result_monic_once(monkeypatch):
+    # Each divisor of the loop is made monic, and the last one is the gcd;
+    # only a second argument that is zero mod p leaves the first to scale.
+    # Mod 7: 2x^2 + 3 = 2(x^2 + 5); x^2 + 5x + 6 = (x + 2)(x + 3);
+    # x^2 + 1 has no root, so it is prime to 2x + 3; 3x + 2 = 3(x + 3).
+    calls = {"monic": 0, "divmod": 0}
+    for name in calls:
+        original = getattr(discriminant, f"_gfp_{name}")
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(discriminant, f"_gfp_{name}", counted)
+    p = 7
+    for a, b, gcd, monics in [([3, 0, 2], [14], [5, 0, 1], 1), ([], [0, 7], [], 0),
+                              ([6, 5, 1], [2, 1], [2, 1], 1), ([1, 0, 1], [3, 2], [1], 2),
+                              ([2, 3], [6, 5, 1], [3, 1], 2)]:
+        for name in calls:
+            calls[name] = 0
+        assert discriminant._gfp_gcd(a, b, p) == gcd
+        assert calls["monic"] == monics
+        assert calls["divmod"] == (monics if _gfp_trim(b, p) else 0)
+

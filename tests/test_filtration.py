@@ -13,8 +13,8 @@ from vermajet.errors import CertificateError, SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import Echelon, SparseMatrix, rank, rref
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
-                               sym_basis)
-from vermajet import filtration
+                               sym_basis, wedge_basis, wedge_keys)
+from vermajet import filtration, plethysm
 from vermajet.jets import duality_check
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration,
@@ -428,26 +428,72 @@ def test_canonical_bases_match_rref_of_evaluation_matrix(m, n, d, l_max):
     assert result.saturation_level == (saturated[0] if saturated else None)
 
 
+def _patched_move(monkeypatch, m, n, d, ij, wedge, target):
+    """Make E_ij send `wedge` to `target` in the stored move table, with sign 1."""
+    table, wedges = plethysm._moves(m, m + n, d), wedge_basis(m, n)
+    units = wedge_keys(m, n, d)
+    k = wedges.index(wedge)
+    moves = list(table[ij])
+    assert moves[k] is not None
+    moves[k] = (units[wedges.index(target)] - units[k], 1)
+    monkeypatch.setitem(table, ij, tuple(moves))
+
+
 def test_canonical_filtration_rejects_a_row_of_two_weights(monkeypatch, cold_filtration):
+    # E_21 sends the wedge (1,) to (3,) instead of (2,): one more index above
+    # m = 1 still, but the weight of the image moves by e_3 - e_1, so a row
+    # of E_21 v and E_31 v would mix weights.  The table certificate refuses
+    # the move before any image is built.
     m, n, d = 1, 2, 2
-    ctx = build_context(m, n)
-    basis = sym_basis(m, n, d)
-    mixed = PlethysmVector({basis[1]: 1, basis[-1]: 1})
-    assert weight_of(basis[1], m, n, d) != weight_of(basis[-1], m, n, d)
-    # p still acts truly, so the p-eigenvector certificate passes first; only
-    # the first n-action is replaced, so the level-1 images stay independent
-    # and the mixed row reaches the weight check
-    n_actions = []
-
-    def first_mixed(x, vec, m, d):
-        if not ctx.contains(x, SubalgebraTag.N):
-            return act(x, vec, m, d)
-        n_actions.append(x)
-        return mixed if len(n_actions) == 1 else act(x, vec, m, d)
-
-    monkeypatch.setattr(filtration, "act", first_mixed)
-    with pytest.raises(CertificateError, match="mixes weights"):
+    assert weight_of(pack(((1,), (3,)), m, n), m, n, d) \
+        != weight_of(pack(((1,), (2,)), m, n), m, n, d)
+    _patched_move(monkeypatch, m, n, d, (2, 1), (1,), (3,))
+    acts = _counted(monkeypatch, filtration, "act_all")
+    with pytest.raises(CertificateError, match=r"E_2,1 does not shift the weight of wedge \(1,\)"):
         canonical_filtration(m, n, d, 1)
+    assert acts == []
+
+
+@pytest.mark.parametrize("m,n,d", [(2, 2, 4), (2, 3, 3), (3, 3, 2)])
+def test_the_walk_children_are_the_actions_of_n(monkeypatch, cold_filtration, m, n, d):
+    # Every walk of the growth to saturation returns act(z_i, image) for each
+    # child z_i of n it is given, and the walks return one image per PBW
+    # basis point but v.
+    nilpotent = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
+    walks = []
+    walk = filtration.act_all
+
+    def recorded(xs, image, m, d):
+        walks.append((xs, image, walk(xs, image, m, d)))
+        return walks[-1][2]
+
+    monkeypatch.setattr(filtration, "act_all", recorded)
+    assert canonical_filtration(m, n, d, 3 * d).saturation_level == d * min(m, n)
+    assert sum(len(images) for *_, images in walks) + 1 == weyl_dim_oracle(m, n, d)
+    for xs, image, images in walks:
+        assert all(x in nilpotent for x in xs)
+        assert images == [act(x, image, m, d) for x in xs]
+
+
+@pytest.mark.parametrize("m,n,d,l", [(1, 1, 5, 6), (1, 3, 4, 5), (2, 2, 4, 9), (2, 3, 3, 7),
+                                     (3, 3, 3, 10), (2, 4, 4, 9)])
+def test_closed_form_weights_are_the_weights_of_the_basis(m, n, d, l):
+    # The multiset counted from the images' exponent vectors is the one that
+    # `weight_of` reads off each level's canonical basis, row by row: every
+    # term of a row has its pivot's weight, and rows new at level k hold
+    # k indices above m in every term.
+    result = canonical_filtration(m, n, d, l, 10**6)
+    for level in result.levels:
+        read = Counter()
+        for vec in level.basis:
+            (weight,) = {weight_of(key, m, n, d) for key in vec.coeffs}
+            read[weight] += 1
+        assert read == level.weight_multiset
+    for lower, upper in zip(result.levels, result.levels[1:]):
+        new = [vec for vec in upper.basis if vec not in lower.basis]
+        assert len(new) == upper.dim - lower.dim
+        assert {sum(weight_of(key, m, n, d).coords[m:]) for vec in new for key in vec.coeffs} \
+            <= {upper.level}
 
 
 def _moving_e12(x, vec, m, d):
@@ -468,20 +514,20 @@ def test_a_p_element_moving_v_fails_the_certificate(monkeypatch, cold_filtration
 
 
 def test_filtration_acts_only_by_n_after_the_certificate(monkeypatch, cold_filtration):
-    # (2,2,4) to level 3: one action of n per PBW basis image z^a v with
-    # 1 <= |a| <= 3, on the image of its prefix (4 + 10 + 20 = 34 actions),
-    # and the 11 elements of p act once on v for the certificate
-    calls = []
-
-    def counted(x, vec, m, d):
-        calls.append(x)
-        return act(x, vec, m, d)
-
-    monkeypatch.setattr(filtration, "act", counted)
+    # (2,2,4) to level 3: the 11 elements of p act once on v for the
+    # certificate, and n acts in one walk per image of levels 0..2
+    # (1 + 4 + 10 = 15 walks), one child per PBW basis image z^a v with
+    # 1 <= |a| <= 3 (4 + 10 + 20 = 34 children)
+    acts = _counted(monkeypatch, filtration, "act")
+    walks = _counted(monkeypatch, filtration, "act_all")
     assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
     ctx = build_context(2, 2)
-    assert len(calls) == 45
-    assert sum(ctx.contains(x, SubalgebraTag.N) for x in calls) == 34
+    assert len(acts) == 11
+    assert all(ctx.contains(x, SubalgebraTag.P) for x, *_ in acts)
+    assert len(walks) == 15
+    children = [x for xs, *_ in walks for x in xs]
+    assert len(children) == 34
+    assert all(ctx.contains(x, SubalgebraTag.N) for x in children)
 
 
 def _path_sums(exps, m):
@@ -542,41 +588,56 @@ def test_a_wrong_polytope_fails_the_certificate(monkeypatch, cold_filtration, m,
 @pytest.mark.parametrize("l_max", [1, 9])
 def test_an_injected_dependent_image_fails_the_certificate(monkeypatch, cold_filtration,
                                                            m, n, d, l_max):
-    # the second n-action returns twice the first one's image: two level-1
-    # images are dependent, at l_max <= d and past it
-    ctx = build_context(m, n)
-    images = []
+    # the walk from v returns twice the first child's image as the second
+    # child's: two level-1 images are dependent, at l_max <= d and past it
+    walk = filtration.act_all
 
-    def repeating(x, vec, m, d):
-        image = act(x, vec, m, d)
-        if ctx.contains(x, SubalgebraTag.N):
-            images.append(image)
-            if len(images) == 2:
-                return 2 * images[0]
-        return image
+    def repeating(xs, vec, m, d):
+        images = walk(xs, vec, m, d)
+        if vec == highest_weight_vector(m, n, d):
+            images[1] = 2 * images[0]
+        return images
 
-    monkeypatch.setattr(filtration, "act", repeating)
-    with pytest.raises(CertificateError, match=r"the image of z\^\(.*\) is dependent"):
+    monkeypatch.setattr(filtration, "act_all", repeating)
+    with pytest.raises(CertificateError,
+                       match=r"the image of z\^\(0, 1(, 0)*\) is dependent at level 1"):
         canonical_filtration(m, n, d, l_max)
 
 
 @pytest.mark.parametrize("m,n,d", [(2, 2, 2), (2, 3, 3), (3, 3, 2)])
 def test_an_image_of_another_t_degree_fails_the_certificate(monkeypatch, cold_filtration,
                                                             m, n, d):
-    # the first n-action acts twice: a weight vector of t-degree 2 among the
-    # level-1 images, independent of them, but outside the level-1 piece
-    ctx = build_context(m, n)
-    n_actions = []
-
-    def twice_first(x, vec, m, d):
-        if not ctx.contains(x, SubalgebraTag.N):
-            return act(x, vec, m, d)
-        n_actions.append(x)
-        return act(x, act(x, vec, m, d), m, d) if len(n_actions) == 1 else act(x, vec, m, d)
-
-    monkeypatch.setattr(filtration, "act", twice_first)
-    with pytest.raises(CertificateError, match="level 1 row lies in another t-degree"):
+    # E_(m+1),1 leaves the first wedge where it is: no index above m is
+    # added, so E_(m+1),1 v would be a multiple of v, of t-degree 0, among
+    # the level-1 images.  The table certificate refuses the move.
+    first = tuple(range(1, m + 1))
+    _patched_move(monkeypatch, m, n, d, (m + 1, 1), first, first)
+    with pytest.raises(CertificateError, match=rf"E_{m + 1},1 keeps the t-degree of wedge"):
         canonical_filtration(m, n, d, 1)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 2), (2, 2, 2), (2, 3, 1)])
+def test_every_wrong_move_of_n_fails_the_table_certificate(monkeypatch, cold_filtration,
+                                                           m, n, d):
+    # Each live move of each n-generator, sent to any other wedge, is refused;
+    # the true table passes.
+    canonical_filtration(m, n, d, 1)
+    wedges = wedge_basis(m, n)
+    for x in build_context(m, n).subalgebra_basis(SubalgebraTag.N):
+        ((i, j),) = x.entries
+        for w, move in zip(wedges, plethysm._moves(m, m + n, d)[i, j]):
+            if move is None:
+                continue
+            true = tuple(sorted(set(w) - {j} | {i}))
+            for target in wedges:
+                if target != true:
+                    with monkeypatch.context() as patch:
+                        _patched_move(patch, m, n, d, (i, j), w, target)
+                        filtration._moves_certified.cache_clear()
+                        with pytest.raises(CertificateError, match=f"E_{i},{j}"):
+                            filtration._moves_certified(m, n, d)
+    filtration._moves_certified.cache_clear()
+    filtration._moves_certified(m, n, d)
 
 
 def test_saturated_levels_are_not_read_again(monkeypatch, cold_filtration):
@@ -660,9 +721,11 @@ def test_checks_after_a_growth_grow_nothing(monkeypatch, cold_filtration):
     # (2,2,4) growth and act on nothing; `pbw_filtration` acts only to build
     # its image list row by row, |a| actions per monomial.
     acts = _counted(monkeypatch, filtration, "act")
+    walks = _counted(monkeypatch, filtration, "act_all")
     assert canonical_filtration(2, 2, 4, 3).dims == [1, 5, 15, 35]
-    assert len(acts) == 45
+    assert (len(acts), len(walks)) == (11, 15)
     acts.clear()
+    walks.clear()
     report = duality_check(2, 2, 4, 3)
     assert (report.filtration_dim, report.taylor_rank, report.dim_match,
             report.pairing_vanishes) == (35, 35, True, True)
@@ -670,10 +733,11 @@ def test_checks_after_a_growth_grow_nothing(monkeypatch, cold_filtration):
     split = verma_split_check(2, 2, 4, 3)
     assert (split.dim_ul_g, split.dim_ul_n, split.dim_ann, split.split_holds) \
         == (816, 35, 781, True)
-    assert acts == []
+    assert acts == walks == []
     vectors, independent = pbw_filtration(2, 2, 4, 3)
     assert (len(vectors), independent) == (35, True)
     assert len(acts) == sum(map(sum, graded_monomials(4, 3))) == 84
+    assert walks == []
 
 
 def test_a_deeper_level_grows_once(monkeypatch, cold_filtration):

@@ -5,11 +5,11 @@ from math import comb, factorial, prod
 
 import pytest
 
-from vermajet import filtration
+from vermajet import filtration, plethysm
 from vermajet.filtration import weight_of
 from vermajet.errors import SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
-from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector, module_dim,
+from vermajet.plethysm import (PlethysmVector, act, act_all, highest_weight_vector, module_dim,
                                sym_basis, wedge_basis, wedge_counts, wedge_keys)
 from vermajet.suite import DESK_CASES
 
@@ -166,7 +166,9 @@ def test_pair_disjoint_supports():
 
 def test_pair_degree_mismatch():
     # A key does not carry its degree: one whose fields, read at degree d,
-    # do not hold d wedges is refused on either side.
+    # do not sum to d is refused on either side.  One of another degree
+    # whose fields sum to d is not: the degree-1 key 1 << 5 of (2,2), wedge
+    # (1, 2), reads at d = 2 as two copies of wedge (2, 3).
     v = highest_weight_vector(1, 1, 3)
     with pytest.raises(ValueError, match="holds no 3 wedges"):
         pair(v, {_key(1, 1, (1,), (1,)): Fraction(1)}, 1, 1, 3)
@@ -176,6 +178,10 @@ def test_pair_degree_mismatch():
             pair(w, section, 2, 2, 2)
     with pytest.raises(ValueError, match="holds no 2 wedges"):
         pair(v, {}, 2, 2, 2)
+    assert unpack(1 << 5, 2, 2, 1) == ((1, 2),)
+    assert unpack(1 << 5, 2, 2, 2) == ((2, 3), (2, 3))
+    assert pair(w, {1 << 5: 1}, 2, 2, 2) == 0
+    assert pair(PlethysmVector({1 << 5: 1}), {1 << 5: 3}, 2, 2, 2) == 3 * 2
 
 
 def _in_canonical_form(coeffs):
@@ -227,6 +233,50 @@ def test_act_matches_fraction_reference(m, n, d):
             image = act(scaled, w, m, d)
             assert _through_tuples(image.coeffs, m, n, d) == tuple_act(scaled, tuples)
             assert _in_canonical_form(image.coeffs)
+
+
+@pytest.mark.parametrize("m,n,d", ORACLE_CASES + LAYOUT_CASES)
+def test_one_walk_acts_as_each_element_alone(m, n, d):
+    # `act_all` over any list of elements, repeats and Fraction multiples
+    # among them, gives each element's own action; no elements, no images.
+    rng = random.Random(m * 10000 + n * 100 + d)
+    ctx = build_context(m, n)
+    basis = sym_basis(m, n, d)
+    w = _random_vector(rng, basis, 6) + Fraction(1, 3) * highest_weight_vector(m, n, d)
+    xs = list(ctx.basis) + [Fraction(3, 2) * ctx.basis[0], ctx.basis[-1]]
+    rng.shuffle(xs)
+    assert act_all(xs, w, m, d) == [act(x, w, m, d) for x in xs]
+    assert act_all([], w, m, d) == []
+    tuples = _through_tuples(w.coeffs, m, n, d)
+    for x, image in zip(xs, act_all(xs, w, m, d)):
+        assert _through_tuples(image.coeffs, m, n, d) == tuple_act(x, tuples)
+
+
+class _Unit:
+    """E_ij for any i, j, E_ii included: `reference.tuple_act` reads only
+    `entries`, and a LieElement must be traceless."""
+
+    def __init__(self, i, j):
+        self.entries = {(i, j): 1}
+
+
+@pytest.mark.parametrize("m,n,d", ORACLE_CASES + LAYOUT_CASES + [(3, 3, 6), (2, 4, 5)])
+def test_move_table_matches_the_tuple_action(m, n, d):
+    # Each entry of `_moves` is read off the tuple action of E_ij on one
+    # copy of the wedge: (key delta, sign) of its one image term, or None
+    # when the image is zero.
+    units = dict(zip(wedge_basis(m, n), wedge_keys(m, n, d)))
+    expected = {}
+    for i in range(1, m + n + 1):
+        for j in range(1, m + n + 1):
+            row = []
+            for wedge in wedge_basis(m, n):
+                image = tuple_act(_Unit(i, j), {(wedge,): 1})
+                assert len(image) <= 1
+                row.append(next(((units[target] - units[wedge], int(sign))
+                                 for (target,), sign in image.items()), None))
+            expected[i, j] = tuple(row)
+    assert plethysm._moves(m, m + n, d) == expected
 
 
 @pytest.mark.parametrize("m,n,d", ORACLE_CASES)
