@@ -28,12 +28,11 @@ def _base_record(**fields) -> dict:
 
 
 def _cmd_filtration(args) -> tuple[dict, bool]:
-    result = filt.canonical_filtration(args.m, args.n, args.d, args.lmax)
+    result = filt.filtration_walk(args.m, args.n, args.d, args.lmax)
     dims = result.dims
     formula_ok = suite_mod.formula_ok(args.m, args.n, args.d, dims)
-    record = _base_record(m=args.m, n=args.n, d=args.d, lmax=args.lmax,
-                          dims=dims, formula_ok=formula_ok,
-                          module_dim=result.module_dim,
+    record = _base_record(m=args.m, n=args.n, d=args.d, lmax=args.lmax, dims=dims,
+                          formula_ok=formula_ok, module_dim=result.module_dim,
                           saturation_level=result.saturation_level)
     return record, formula_ok
 

@@ -12,26 +12,27 @@ each E_ij in n (i > m >= j) sends a wedge to the one with j swapped for i,
 one more index above m.  So every term of z^a v has weight d omega_m +
 sum a_ij (e_i - e_j) and t-degree |a| (the piece V_|a|): F_l = V_0 + ... + V_l.
 
-The growth walks one PBW basis, the Feigin-Fourier-Littelmann points of
+The walk runs over one PBW basis, the Feigin-Fourier-Littelmann points of
 d omega_m (Transform. Groups 16, 2011): the a, read row by row as the n x m
 matrix (z_ij), with exponent sum <= d on every path from z_(m+1,1) to
-z_(m+n,m) moving one row down or one column right (`_fflv_point`); every a
-with |a| <= d is one.  The degree-k points are the children a + e_i, i at
-most the leftmost nonzero index of a, of the degree-(k - 1) points, so
-z^a v = z_i (z^(a - e_i) v): an image's children that are points are built
-in one walk over its keys (`plethysm.act_all`; no key is read here).  The
-walk needs no trust in the theorem: each image must leave a new pivot in
-its piece.  For l_max <= d that proves that the C(mn + l, l) images span
-F_l.  Past d the walk runs to its last point and must count the Weyl
-dimension, so that each degree's images span their piece.
+z_(m+n,m) moving one row down or one column right; every a with |a| <= d
+is one.  The degree-k points are the children a + e_i, i at most the
+leftmost nonzero index of a, of the degree-(k - 1) points (past d, one
+path-sum table per parent decides them: `_fflv_children`), so z^a v =
+z_i (z^(a - e_i) v), built in one walk over the parent's keys
+(`plethysm.act_all`).  The walk needs no trust in the theorem: each image
+must leave a new pivot in its piece's `Echelon` (columns key(v) - key).
+For l_max <= d that proves that the C(mn + l, l) images span F_l.  Past d
+the walk runs to its last point and must count the Weyl dimension.
 
-Each piece has its own `Echelon` over the columns key(v) - key, read once
-(`Echelon.canonical_rows`: unique reduced rows, 1 at the pivot, an `int`
-when integral); level l's basis is level l - 1's plus piece l's rows.
-Images of different weights have disjoint columns, so the weight multiset
-counts the images' closed-form weights.  The saturation level is the first
-level of full module dimension; a call that the one stored growth (keyed
-by (m, n, d, cap)) reaches gets the slice a shorter growth would report.
+`filtration_walk` keeps dims, the saturation level (the first level of full
+module dimension) and the keys of each piece l < d, whose union over 0..l
+is F_l's support; every dims reader reads it.  Only `canonical_filtration`
+builds bases: level l's is level l - 1's plus piece l's
+`Echelon.canonical_rows` (unique, 1 at the pivot, an `int` when integral),
+and its weight multiset counts the images' closed-form weights.  The one
+stored growth, keyed by (m, n, d, cap), serves every request it reaches
+(one with bases a walk's too) with the slice a shorter growth would report.
 
 A PBW monomial, an exponent vector over a fixed ordered basis of n or of g,
 acts factor by factor, right to left; no enveloping-algebra product is
@@ -101,14 +102,15 @@ def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int
     return vec
 
 
-def _fflv_point(exps: Sequence[int], m: int, d: int) -> bool:
-    """Whether exps, over the n-basis read row by row as the n x m matrix
-    (z_ij), has exponent sum <= d on every path from z_(m+1,1) to z_(m+n,m)
-    that moves one row down or one column right."""
-    best: list[int] = []  # the largest path sum from z_(m+1,1) to each entry
-    for k, e in enumerate(exps):
-        best.append(e + max(best[k - m] if k >= m else 0, best[k - 1] if k % m else 0))
-    return best[-1] <= d
+def _fflv_children(exps: Sequence[int], lead: int, m: int, d: int) -> list[int]:
+    """The i <= lead whose child exps + e_i is a point, exps a point with no
+    nonzero entry before lead.  The child adds 1 to the paths through z_i
+    alone, whose largest sum is the forward plus the backward path sum at i,
+    less exps[i]: the forward sums are 0 before lead and exps[lead] at it."""
+    below = [0] * (len(exps) + m)  # the largest path sum from each entry to z_(m+n,m)
+    for k in range(len(exps) - 1, -1, -1):
+        below[k] = exps[k] + max(below[k + m], below[k + 1] if (k + 1) % m else 0)
+    return [i for i in range(lead + 1) if below[i] < d]
 
 
 @dataclass
@@ -135,6 +137,18 @@ class FiltrationResult:
     @property
     def saturation_level(self) -> int | None:
         return next((lvl.level for lvl in self.levels if lvl.saturated), None)
+
+
+@dataclass
+class FiltrationWalk:
+    """The certified walk: dims[l] = dim F_l, and the keys of each piece l < d."""
+    module_dim: int
+    dims: list[int]
+    supports: list[frozenset[int]]
+
+    @property
+    def saturation_level(self) -> int | None:
+        return next((l for l, dim in enumerate(self.dims) if dim == self.module_dim), None)
 
 
 def _p_eigenvector(ctx: LieAlgebraContext, d: int, v: PlethysmVector) -> bool:
@@ -166,25 +180,21 @@ def _moves_certified(m: int, n: int, d: int) -> None:
                     raise CertificateError(f"E_{i},{j} does not shift the weight of wedge {w}")
 
 
-_grown: dict[tuple[int, int, int, int], FiltrationResult] = {}  # the last growth only
+# the last growth only: (m, n, d, cap) -> (walk, result with bases or None)
+_grown: dict[tuple[int, int, int, int], tuple[FiltrationWalk, FiltrationResult | None]] = {}
 
 
-def canonical_filtration(m: int, n: int, d: int, l_max: int,
-                         cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
-    """Levels 0..l_max of the canonical filtration, with canonical bases: a
-    slice of the one stored growth when it has the key (m, n, d, cap) and
-    reaches l_max, else a new growth that replaces it; past l_max = d the
-    walk runs to its last point, and the growth stored reaches saturation.
-    Every call returns a new result and `levels` list; the
-    `FiltrationLevel`s are shared and read-only.  v and the move table are
-    certified once per (m, n, d) (`_certified`, `_moves_certified`)."""
+def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> tuple:
+    """The stored growth if it reaches l_max, with bases if asked; else the
+    walk to l_max (past d, to its last point), with each piece through l_max
+    reduced as it completes if `bases`, stored in its place."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if l_max > cap:  # one level is stored per l, stabilized or not
         raise SizeCapError("filtration level", l_max, cap)
-    grown = _grown.get((m, n, d, cap))
-    if grown is not None and len(grown.levels) > l_max:
-        return replace(grown, levels=grown.levels[:l_max + 1])
+    stored = _grown.get((m, n, d, cap), (None, None))[bases]  # the result if bases, else the walk
+    if stored is not None and len(stored.dims) > l_max:
+        return _grown[m, n, d, cap]
     _grown.clear()
     module_dim(m, n, d, cap)
     target = weyl_dim_oracle(m, n, d)
@@ -197,37 +207,57 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
     v = highest_weight_vector(m, n, d)
     (top,) = v.coeffs  # the column of a key is top - key
     layer = [((0,) * (m * n), m * n - 1, v)]
-    rows: list[tuple[int, PlethysmVector]] = []  # (pivot, row) of the last level
-    multiset: dict[Weight, int] = {}
-    levels: list[FiltrationLevel] = []
+    dims, supports, levels, multiset, rows = [], [], [], {}, []  # rows: (pivot, row)
     while layer:
-        level = len(levels)
+        level = len(dims)
         piece = Echelon(top + 1)
         for exps, _, image in layer:
             if not piece.add({top - key: c for key, c in image.coeffs.items()}):
                 raise CertificateError(f"the image of z^{exps} is dependent at level {level}")
-        multiset = dict(multiset)  # plus the images' closed-form weights
-        for coords, k in Counter((*(d - sum(a[c::m]) for c in range(m)),
-                                  *(sum(a[r:r + m]) for r in range(0, m * n, m)))
-                                 for a, _, _ in layer).items():
-            multiset[weight] = multiset.get(weight := Weight(coords), 0) + k
-        rows = sorted(rows + [(pivot, PlethysmVector._of({top - c: val for c, val in row.items()}))
-                              for pivot, row in piece.canonical_rows()], key=itemgetter(0))
-        levels.append(FiltrationLevel(level, len(rows), [vec for _, vec in rows], multiset,
-                                      len(rows) == target))
+        dims.append(piece.rank + (dims[-1] if dims else 0))
+        if level < d:
+            supports.append(frozenset().union(*(image.coeffs for _, _, image in layer)))
+        if bases and level <= l_max:  # the images' closed-form weights, piece l's rows
+            weights = Counter((*(d - sum(a[c::m]) for c in range(m)),
+                               *(sum(a[r:r + m]) for r in range(0, m * n, m))) for a, _, _ in layer)
+            multiset = Counter(multiset) + Counter({Weight(c): k for c, k in weights.items()})
+            rows = sorted(rows + [(p, PlethysmVector._of({top - c: val for c, val in row.items()}))
+                                  for p, row in piece.canonical_rows()], key=itemgetter(0))
+            levels.append(FiltrationLevel(level, len(rows), [vec for _, vec in rows], multiset,
+                                          len(rows) == target))
         if level == l_max <= d:  # the independent images span F_l_max
             break
-        layer, parents = [], layer
-        for exps, lead, image in parents:  # the children that are points, in one walk
-            kids = [(exps[:i] + (exps[i] + 1,) + exps[i + 1:], i) for i in range(lead + 1)]
-            kids = [(a, i) for a, i in kids if level < d or _fflv_point(a, m, d)]  # |a| <= d: point
+        layer, parents = [], layer[::-1]
+        while parents:  # the children that are points, in one walk; each parent freed
+            exps, lead, image = parents.pop()
+            kids = range(lead + 1) if level < d else _fflv_children(exps, lead, m, d)  # |a| <= d
+            kids = [(exps[:i] + (exps[i] + 1,) + exps[i + 1:], i) for i in kids]
             images = act_all([nilpotent[i] for _, i in kids], image, m, d)
             layer += [(a, i, z) for (a, i), z in zip(kids, images)]
-    if l_max > d and levels[-1].dim != target:
-        raise CertificateError(f"{levels[-1].dim} PBW basis images, expected {target}")
-    levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1)]
-    grown = _grown[m, n, d, cap] = FiltrationResult(m, n, d, target, levels)
-    return replace(grown, levels=levels[:l_max + 1])
+    if l_max > d and dims[-1] != target:
+        raise CertificateError(f"{dims[-1]} PBW basis images, expected {target}")
+    dims += dims[-1:] * (l_max + 1 - len(dims))
+    levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1) if bases]
+    grown = _grown[m, n, d, cap] = (FiltrationWalk(target, dims, supports),
+                                    FiltrationResult(m, n, d, target, levels) if bases else None)
+    return grown
+
+
+def filtration_walk(m: int, n: int, d: int, l_max: int,
+                    cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationWalk:
+    """dims[0..l_max], the saturation level and the keys of pieces
+    0..min(l_max, d - 1), with no basis: a slice of `_growth`'s walk."""
+    walk, _ = _growth(m, n, d, l_max, cap, False)
+    return replace(walk, dims=walk.dims[:l_max + 1], supports=walk.supports[:l_max + 1])
+
+
+def canonical_filtration(m: int, n: int, d: int, l_max: int,
+                         cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
+    """Levels 0..l_max of the canonical filtration, with canonical bases and
+    weight multisets: a slice of the stored growth (see `_growth`), in a new
+    result and `levels` list; the `FiltrationLevel`s are shared, read-only."""
+    _, grown = _growth(m, n, d, l_max, cap, True)
+    return replace(grown, levels=grown.levels[:l_max + 1])
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,
@@ -244,7 +274,7 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
     v = highest_weight_vector(m, n, d)
     vectors = [apply_pbw_monomial(generators, a, v, m, d) for a in graded_monomials(m * n, l)]
-    return vectors, canonical_filtration(m, n, d, l, cap).dims[l] == count
+    return vectors, filtration_walk(m, n, d, l, cap).dims[l] == count
 
 
 def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:
@@ -260,7 +290,7 @@ def annihilator_dim(m: int, n: int, d: int, l: int,
     full enveloping algebra filtration: dim U_l(g) - dim U_l(g) . v."""
     module_dim(m, n, d, cap)  # enforce the ambient cap before the monomial cap
     total = enveloping_dim(m, n, l, monomial_cap)
-    return total - canonical_filtration(m, n, d, l, cap).dims[l]
+    return total - filtration_walk(m, n, d, l, cap).dims[l]
 
 
 @dataclass
@@ -288,7 +318,7 @@ def verma_split_check(m: int, n: int, d: int, l: int,
     module_dim(m, n, d, cap)  # the ambient cap, then U_l(n) and U_l(g) within the monomial cap
     _pbw_count(m * n, l, monomial_cap)
     enveloping_dim(m, n, l, monomial_cap)
-    return split_report(m, n, l, canonical_filtration(m, n, d, l, cap).dims[l])
+    return split_report(m, n, l, filtration_walk(m, n, d, l, cap).dims[l])
 
 
 @dataclass
@@ -352,5 +382,5 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
     _pbw_count(m * n, l, monomial_cap)  # the growth walks the images over n
-    dims = {d: canonical_filtration(m, n, d, l, cap).dims[l] for d in dict.fromkeys(degrees)}
+    dims = {d: filtration_walk(m, n, d, l, cap).dims[l] for d in dict.fromkeys(degrees)}
     return sum(dims[d] for d in degrees)

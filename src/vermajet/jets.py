@@ -39,39 +39,26 @@ packed monomial keys with `det`'s product loop, in fields wide enough for d
 times the largest exponent of the minors it read (a patched minor need not
 be multilinear), and each product's terms are unpacked to the jet columns.
 
-`level_duality` checks the filtration/jet duality on a level of a canonical
-filtration the caller has grown, so one filtration serves every level;
-`duality_check(m, n, d, l)` reads level l and calls it.  The level pairs to
-zero with the vanishing-jet sections, each the monomial {chain: 1},
-exactly when no level vector holds the key of one of their chains; the
-all-pairs pairing is the test reference.
+`level_duality` checks the filtration/jet duality at level l of a walk
+(`filtration.filtration_walk`) of degree d that the caller has run, so one
+walk serves every level; `duality_check(m, n, d, l)` runs the walk to l and
+calls it.  F_l pairs to zero with the vanishing-jet sections, each the
+monomial {chain: 1}, exactly when none of their chains is a key of pieces
+0..l of the walk: the images z^a v, |a| <= l, span F_l, and a span's
+support is the union of its spanning set's.  No basis is read: bases come
+only from `filtration.canonical_filtration`, whose all-pairs pairing is
+the test reference.
 
-A chart minor is built in closed form, with no determinant expansion: a
-row r <= m of [[I_m], [T]] is the unit row e_r, so the minor with rows R is
-+-det T[R ∖ {1..m}, {1..m} ∖ R], a signed sum of k! distinct monomials
-with coefficients +-1, k = |R ∖ {1..m}|.  The minor and the jet columns
-are built on each call; the memo of `plucker_polynomial` for the life of
-the process is its argument check and sort with the minor's terms and its
-stored Plücker map {unit: 1}, keyed by the subset as given (an invalid
-subset, or m < 1 or n < 1, raises on every call and is not stored).  A read
-is one memo lookup and two `dict.copy` calls into two new objects, so each
-call returns new maps.
-
-The basis lives in `_reduced_family`, an `lru_cache` with `maxsize=1` keyed
-by (m, n, d): a miss walks the chains in lex order, certifies them, and
-stores their keys, sorted stably by t-degree, with their t-degrees.  A
-case's calls are consecutive in every caller, so one entry catches every
-repeat.  `section_space` returns the stored tuple of
-chains, which is immutable, so no call copies it.  It still reads every
-factor of every Plücker monomial through `plucker_polynomial` on every call
-(each wedge as often as its total exponent over the degree-d monomials,
-the same for every wedge), though no chain reads a minor: the benchmark's
-desk workload pins the `section_space` (90) and `plucker_polynomial`
-(4,640) call counts, and the reads go once those are re-pinned.
-The Plücker monomial products, literal jet truncations, the re-expansion
-at another chart point and the exact rank of each torus-weight block of
-the chains (the oracle of the initial-term certificate) that the tests
-compare against are in `tests/reference.py`.
+Chart minors are built in closed form (`_chart_minor`) and stored by
+`_checked_minor`; each `plucker_polynomial` read copies its maps.  The
+basis is stored by `_reduced_family` (`maxsize=1`: a case's calls are
+consecutive in every caller).  `section_space` still reads every factor of
+every Plücker monomial through `plucker_polynomial` on every call, though no
+chain reads a minor: the benchmark's desk workload pins the `section_space`
+(90) and `plucker_polynomial` (4,640) call counts, and the reads go once
+those are re-pinned.  The Plücker monomial products, literal jet
+truncations, the re-expansion at another chart point and the block-rank
+oracle of the initial-term certificate are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -85,7 +72,7 @@ from operator import itemgetter, le
 from typing import Sequence
 
 from .errors import CertificateError
-from .filtration import FiltrationLevel, canonical_filtration, weyl_dim_oracle
+from .filtration import FiltrationWalk, filtration_walk, weyl_dim_oracle
 # kernel_basis and det are unused here but stay bound: perfbench's layer
 # tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
 from .linalg import SparseMatrix, kernel_basis  # noqa: F401
@@ -264,26 +251,22 @@ class DualityReport:
         return self.dim_match and self.pairing_vanishes
 
 
-def level_duality(m: int, n: int, d: int, level: FiltrationLevel,
+def level_duality(m: int, n: int, d: int, walk: FiltrationWalk, l: int,
                   cap: int) -> DualityReport:
-    """Level l, 1 <= l < d, of the canonical filtration of degree d and the
-    space of l-jets have equal dimension, and every vector of the level
-    pairs to zero with every vanishing-jet section.  A vector u pairs with a
-    section s to the sum of u[idx] * s[idx] * prod e_w! (the matching count,
-    >= 1) over their common indices; a basis section is {chain: 1}, built so
-    in `section_space`, so the pairing is zero exactly when u has no
-    coordinate at the chain."""
-    l = level.level
+    """Level l, 1 <= l < d, of a walk and the space of l-jets have equal
+    dimension, and every vector of F_l pairs to zero with every vanishing-jet
+    section.  A vector u pairs with a section s to the sum of u[idx] * s[idx]
+    * prod e_w! (the matching count, >= 1) over their common indices, so with
+    {chain: 1} to zero exactly when the chain is not in u's support."""
     rank = taylor_rank(m, n, d, l, cap)
-    vanishing, _ = kernel_sections(m, n, d, l, cap)
-    chains = set(vanishing)
-    return DualityReport(level.dim, rank, level.dim == rank,
-                         all(chains.isdisjoint(u.coeffs) for u in level.basis))
+    chains = set(kernel_sections(m, n, d, l, cap)[0])
+    return DualityReport(walk.dims[l], rank, walk.dims[l] == rank,
+                         all(chains.isdisjoint(keys) for keys in walk.supports[:l + 1]))
 
 
 def duality_check(m: int, n: int, d: int, l: int,
                   cap: int = DEFAULT_AMBIENT_CAP) -> DualityReport:
-    """`level_duality` on level l of `canonical_filtration(m, n, d, l)`."""
+    """`level_duality` on `filtration_walk(m, n, d, l)`."""
     if not 1 <= l < d:
         raise ValueError("the duality is only asserted for 1 <= l < d")
-    return level_duality(m, n, d, canonical_filtration(m, n, d, l, cap).levels[l], cap)
+    return level_duality(m, n, d, filtration_walk(m, n, d, l, cap), l, cap)

@@ -7,10 +7,11 @@ fields are exact integers; nothing is rounded.  Reports are deterministic
 (byte-identical JSON) for a fixed seed and configuration; wall-clock
 timings are therefore opt-in and never part of the verdict.
 
-Each case grows its canonical filtration once, through level d, which the
-filtration (levels 0..min(d - 1, 3)), split, annihilator-at-d and duality
-records all read; one character-ideal certificate fills every l's record,
-and a direct sum grows each distinct summand degree once.
+Each case walks its canonical filtration once, through level d, with no
+basis (`filtration.filtration_walk`); the filtration (levels 0..min(d - 1,
+3)), split, annihilator-at-d and duality records all read that walk; one
+character-ideal certificate fills every l's record, and a direct sum walks
+each distinct summand degree once.
 """
 
 from __future__ import annotations
@@ -127,15 +128,14 @@ def formula_ok(m: int, n: int, d: int, dims: Sequence[int]) -> bool:
                                 for l in range(1, len(dims)) if l < d)
 
 
-def _filtration_record(m: int, n: int, d: int, grown: filt.FiltrationResult) -> dict:
+def _filtration_record(m: int, n: int, d: int, walk: filt.FiltrationWalk) -> dict:
     l_max = min(d - 1, MAX_FILTRATION_LEVEL)
-    result = replace(grown, levels=grown.levels[:l_max + 1])
-    dims = result.dims
+    dims = walk.dims[:l_max + 1]
     return {
         "lmax": l_max,
         "dims": dims,
         "formula_ok": formula_ok(m, n, d, dims),
-        "saturation_level": result.saturation_level,
+        "saturation_level": replace(walk, dims=dims).saturation_level,
         # the images z^a v, |a| <= l, span F_l (`filtration.pbw_filtration`)
         "pbw": [{"l": l, "independent": dims[l] == comb(m * n + l, l)}
                 for l in range(1, l_max + 1)],
@@ -143,17 +143,10 @@ def _filtration_record(m: int, n: int, d: int, grown: filt.FiltrationResult) -> 
 
 
 def _split_records(m: int, n: int, d: int, filtration: dict) -> list[dict]:
-    out = []
-    for l in range(1, min(d - 1, MAX_SPLIT_LEVEL) + 1):
-        report = filt.split_report(m, n, l, filtration["dims"][l])
-        out.append({
-            "l": l,
-            "dim_ul_g": report.dim_ul_g,
-            "dim_ul_n": report.dim_ul_n,
-            "dim_ann": report.dim_ann,
-            "holds": report.split_holds,
-        })
-    return out
+    reports = [(l, filt.split_report(m, n, l, filtration["dims"][l]))
+               for l in range(1, min(d - 1, MAX_SPLIT_LEVEL) + 1)]
+    return [{"l": l, "dim_ul_g": r.dim_ul_g, "dim_ul_n": r.dim_ul_n, "dim_ann": r.dim_ann,
+             "holds": r.split_holds} for l, r in reports]
 
 
 def _char_ideal_records(m: int, n: int, d: int, caps) -> list[dict]:
@@ -199,8 +192,8 @@ def duality_record(l: int, report: jets.DualityReport) -> dict:
 
 def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:
     caps = (ambient_cap, monomial_cap)
-    grown = filt.canonical_filtration(m, n, d, d, ambient_cap)
-    filtration = _filtration_record(m, n, d, grown)
+    walk = filt.filtration_walk(m, n, d, d, ambient_cap)
+    filtration = _filtration_record(m, n, d, walk)
     record = {
         "m": m, "n": n, "d": d,
         "module_dim": filt.weyl_dim_oracle(m, n, d),
@@ -208,24 +201,19 @@ def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> 
         # At the degree boundary l = d the annihilator dimension is reported
         # but nothing is asserted about it.
         "annihilator_dim_at_d": (filt.enveloping_dim(m, n, d, monomial_cap)
-                                 - grown.dims[d]),
+                                 - walk.dims[d]),
         "split": _split_records(m, n, d, filtration),
         "char_ideal": _char_ideal_records(m, n, d, caps),
         "serre": _serre_records(m, n, d, ambient_cap),
         "taylor": _taylor_record(m, n, d, ambient_cap),
-        "duality": [duality_record(l, jets.level_duality(m, n, d, grown.levels[l],
-                                                         ambient_cap))
+        "duality": [duality_record(l, jets.level_duality(m, n, d, walk, l, ambient_cap))
                     for l in range(1, filtration["lmax"] + 1)],
     }
-    ok = record["filtration"]["formula_ok"]
-    ok = ok and all(entry["independent"] for entry in record["filtration"]["pbw"])
-    ok = ok and all(entry["holds"] for entry in record["split"])
-    ok = ok and all(entry["contained"] for entry in record["char_ideal"])
-    ok = ok and all(entry["ok"] for entry in record["serre"])
-    ok = ok and record["taylor"]["section_dim_ok"]
-    ok = ok and all(entry["ok"] for entry in record["taylor"]["levels"])
-    ok = ok and all(entry["ok"] for entry in record["duality"])
-    record["ok"] = ok
+    checks = ((filtration["pbw"], "independent"), (record["split"], "holds"),
+              (record["char_ideal"], "contained"), (record["serre"], "ok"),
+              (record["taylor"]["levels"], "ok"), (record["duality"], "ok"))
+    record["ok"] = (filtration["formula_ok"] and record["taylor"]["section_dim_ok"]
+                    and all(entry[key] for entries, key in checks for entry in entries))
     return record
 
 

@@ -82,6 +82,11 @@ built row by row by `filtration.apply_pbw_monomial`, with none of the
 growth's walk, so over g its row span is U_l(g) . v.  `in_span` decides
 span membership by one `Echelon.add`.
 
+`fflv_point`, one forward path-sum table per exponent vector, decides
+whether it is a Feigin-Fourier-Littelmann point: the oracle of
+`filtration._fflv_children`, which decides all of a parent's children from
+one backward table.
+
 `prefix_steps`, the prefix walk z^a = z_i z^(a - e_i) with i the leftmost
 nonzero index, grows `graded_pullbacks`.
 
@@ -561,6 +566,17 @@ def pbw_monomials(num_generators: int, max_degree: int,
     """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
     _pbw_count(num_generators, max_degree, cap)
     return list(graded_monomials(num_generators, max_degree))
+
+
+def fflv_point(exps: Sequence[int], m: int, d: int) -> bool:
+    """Whether exps, over the n-basis read row by row as the n x m matrix
+    (z_ij), has exponent sum <= d on every path from z_(m+1,1) to z_(m+n,m)
+    that moves one row down or one column right: one forward path-sum table
+    per vector."""
+    best: list[int] = []  # the largest path sum from z_(m+1,1) to each entry
+    for k, e in enumerate(exps):
+        best.append(e + max(best[k - m] if k >= m else 0, best[k - 1] if k % m else 0))
+    return best[-1] <= d
 
 
 def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieElement]:

@@ -17,14 +17,14 @@ from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest
 from vermajet import filtration, plethysm
 from vermajet.jets import duality_check
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
-                                 canonical_filtration,
+                                 canonical_filtration, filtration_walk,
                                  char_ideal_generator_check, multi_filtration,
                                  pbw_filtration, serre_power_check,
                                  verma_split_check, weight_of, weyl_dim_oracle)
 from vermajet.polynomials import graded_monomials
 from vermajet.suite import DESK_CASES
 
-from reference import evaluation_matrix, pack, pbw_monomials, tuple_act
+from reference import evaluation_matrix, fflv_point, pack, pbw_monomials, tuple_act
 
 
 def _row(vec, column):
@@ -548,7 +548,7 @@ def _path_sums(exps, m):
 def test_fflv_points_bound_every_path_and_count_the_weyl_dimension(m, n, d):
     points = 0
     for exps in product(range(d + 1), repeat=m * n):
-        inside = filtration._fflv_point(exps, m, d)
+        inside = fflv_point(exps, m, d)
         assert inside == (max(_path_sums(exps, m)) <= d)
         assert inside or sum(exps) > d
         points += inside
@@ -561,10 +561,26 @@ def _one_path(exps, m, d):
     return sum(exps[::m]) + sum(exps[(n - 1) * m + 1:]) <= d
 
 
-_FFLV_POINT = filtration._fflv_point
+def _child(exps, i):
+    return exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 3, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2),
+                                   (3, 2, 2), (3, 3, 2)])
+def test_fflv_children_are_the_children_that_are_points(m, n, d):
+    # From every point, each child a + e_i with i at most the leftmost
+    # nonzero index is decided by the one backward table as by the forward
+    # table of the child itself.
+    for exps in product(range(d + 1), repeat=m * n):
+        if fflv_point(exps, m, d):
+            lead = next((i for i, e in enumerate(exps) if e), m * n - 1)
+            assert filtration._fflv_children(exps, lead, m, d) == \
+                [i for i in range(lead + 1) if fflv_point(_child(exps, i), m, d)]
+
+
 WRONG_POLYTOPES = {
     "simplex": (lambda exps, m, d: sum(exps) <= d, "PBW basis images, expected"),
-    "bound d + 1": (lambda exps, m, d: _FFLV_POINT(exps, m, d + 1), "is dependent"),
+    "bound d + 1": (lambda exps, m, d: fflv_point(exps, m, d + 1), "is dependent"),
     "one path": (_one_path, "is dependent"),
 }
 
@@ -579,7 +595,8 @@ def test_a_wrong_polytope_fails_the_certificate(monkeypatch, cold_filtration, m,
     assert canonical_filtration(m, n, d, top + 1).saturation_level == top
     filtration._grown.clear()
     point, message = WRONG_POLYTOPES[polytope]
-    monkeypatch.setattr(filtration, "_fflv_point", point)
+    monkeypatch.setattr(filtration, "_fflv_children", lambda exps, lead, m, d: [
+        i for i in range(lead + 1) if point(_child(exps, i), m, d)])
     with pytest.raises(CertificateError, match=message):
         canonical_filtration(m, n, d, top + 1)
 
@@ -662,6 +679,60 @@ def test_saturated_levels_are_not_read_again(monkeypatch, cold_filtration):
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
         assert sliced.levels[k].basis == shorter.levels[k].basis
+
+
+# the seven growths whose canonical bases the CI `filtration-scale` digest pins
+CI_BASIS_GROWTHS = [(1, 1, 5, 6), (1, 3, 4, 5), (2, 2, 4, 9), (2, 3, 3, 7), (3, 3, 3, 10),
+                    (2, 4, 4, 9), (3, 3, 5, 15)]
+
+
+@pytest.mark.parametrize("m,n,d,l", [(m, n, d, d) for m, n, d in DESK_CASES] + CI_BASIS_GROWTHS)
+def test_walk_and_canonical_filtration_agree(monkeypatch, cold_filtration, m, n, d, l):
+    # A walk and a growth with bases, each new, agree on dims and
+    # saturation; the stored full growth then serves the walk request.
+    growths = _growths(monkeypatch)
+    walk = filtration_walk(m, n, d, l, 10**6)
+    grown = canonical_filtration(m, n, d, l, 10**6)
+    assert (walk.dims, walk.saturation_level, walk.module_dim) \
+        == (grown.dims, grown.saturation_level, grown.module_dim)
+    assert filtration_walk(m, n, d, l, 10**6) == walk
+    assert growths == [(m, n, d, 10**6)] * 2
+    assert len(walk.supports) == min(l + 1, d)
+
+
+def test_a_full_growth_serves_a_walk_and_a_walk_serves_no_basis(monkeypatch, cold_filtration):
+    # A walk keeps no rows, so a request for bases grows again; a growth
+    # with bases serves every walk it reaches, and a deeper walk grows again.
+    growths = _growths(monkeypatch)
+    walk = filtration_walk(2, 2, 4, 3)
+    assert (walk.dims, walk.saturation_level) == ([1, 5, 15, 35], None)
+    assert filtration_walk(2, 2, 4, 1) == replace(walk, dims=[1, 5], supports=walk.supports[:2])
+    assert canonical_filtration(2, 2, 4, 3).dims == walk.dims
+    assert filtration_walk(2, 2, 4, 3) == walk
+    assert filtration_walk(2, 2, 4, 9).dims == [1, 5, 15, 35, 70, 90, 100, 104, 105, 105]
+    assert canonical_filtration(2, 2, 4, 2).dims == [1, 5, 15]
+    assert growths == [(2, 2, 4, DEFAULT_AMBIENT_CAP)] * 4
+
+
+def test_levels_past_l_max_are_walked_and_not_reduced(monkeypatch, cold_filtration):
+    # (2,2,4) saturates at level 8: a growth with bases to level 5 walks to
+    # the last point and reduces levels 0..5 only; its walk serves a walk to
+    # level 8, and a request for bases at level 6 grows again.
+    reads = []
+    canonical_rows = Echelon.canonical_rows
+
+    def counted(self):
+        reads.append(self)
+        return canonical_rows(self)
+
+    monkeypatch.setattr(Echelon, "canonical_rows", counted)
+    growths = _growths(monkeypatch)
+    assert canonical_filtration(2, 2, 4, 5).dims == [1, 5, 15, 35, 70, 90]
+    assert len(reads) == 6
+    assert filtration_walk(2, 2, 4, 8).dims == [1, 5, 15, 35, 70, 90, 100, 104, 105]
+    assert len(growths) == 1
+    assert canonical_filtration(2, 2, 4, 6).dims[6] == 100
+    assert (len(reads), len(growths)) == (13, 2)
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)

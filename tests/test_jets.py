@@ -1,11 +1,12 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
-from vermajet.filtration import canonical_filtration, weyl_dim_oracle
+from vermajet.filtration import canonical_filtration, filtration_walk, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag
 from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, module_dim,
@@ -446,10 +447,10 @@ def test_taylor_matrix_multiplies_no_poly_and_reads_each_minor_once(monkeypatch,
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
 def test_level_duality_equals_duality_check(m, n, d):
-    # One filtration grown to d serves every level, as in the desk suite.
-    grown = canonical_filtration(m, n, d, d)
+    # One walk to d serves every level, as in the desk suite.
+    walk = filtration_walk(m, n, d, d)
     for l in range(1, min(d - 1, MAX_FILTRATION_LEVEL) + 1):
-        report = level_duality(m, n, d, grown.levels[l], DEFAULT_AMBIENT_CAP)
+        report = level_duality(m, n, d, walk, l, DEFAULT_AMBIENT_CAP)
         assert report == duality_check(m, n, d, l)
 
 
@@ -479,31 +480,51 @@ def test_sections_carry_one_plucker_coordinate_equal_to_one(m, n, d):
         assert unit == wedge_keys(m, n, 1)[k] == pack((wedge,), m, n)
 
 
-def _support_check(m, n, d, level, sections, monkeypatch):
+def _support_check(m, n, d, walk, l, sections, monkeypatch):
     """`level_duality`'s verdict with `sections` as the vanishing-jet sections."""
     with monkeypatch.context() as patch:
         patch.setattr(jets, "kernel_sections", lambda *args: (sections, len(sections)))
-        return level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes
+        return level_duality(m, n, d, walk, l, DEFAULT_AMBIENT_CAP).pairing_vanishes
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
 def test_integer_pairing_equals_all_pairs_reference(m, n, d, monkeypatch):
+    # The walk's key sets against the all-pairs pairing of the canonical basis.
     grown = canonical_filtration(m, n, d, d - 1)
+    walk = filtration_walk(m, n, d, d - 1)
     basis = section_space(m, n, d)
     for l in range(1, d):
         level = grown.levels[l]
+        # F_l's support: the keys of pieces 0..l, those of the basis of level l.
+        assert set().union(*walk.supports[:l + 1]) == set().union(*(u.coeffs for u in level.basis))
         # Level l against the sections whose l-jet vanishes: the duality.
         vanishing, _ = kernel_sections(m, n, d, l)
         assert all(pair(u, s, m, n, d) == 0 for u in level.basis for s in vanishing)
-        assert level_duality(m, n, d, level, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
+        assert level_duality(m, n, d, walk, l, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
         # Against the sections whose (l-1)-jet vanishes some pairing is not zero.
         wider = [s for s in basis if truncate(_chart(s, m, n, d), l - 1).is_zero]
         assert not all(pair(u, s, m, n, d) == 0 for u in level.basis for s in wider)
-        assert _support_check(m, n, d, level, wider, monkeypatch) is False
+        assert _support_check(m, n, d, walk, l, wider, monkeypatch) is False
         # Section by section, the support check is the all-pairs pairing.
         for s in basis:
-            assert _support_check(m, n, d, level, [s], monkeypatch) \
+            assert _support_check(m, n, d, walk, l, [s], monkeypatch) \
                 is all(pair(u, s, m, n, d) == 0 for u in level.basis)
+
+
+@pytest.mark.parametrize("m,n,d", DESK_CASES)
+def test_a_planted_vanishing_chain_flips_the_pairing(m, n, d):
+    # One vanishing chain planted in the key set of any piece 0..l makes
+    # level l pair with it; planted in piece l + 1, it is not read.
+    walk = filtration_walk(m, n, d, d - 1)
+    for l in range(1, d):
+        vanishing, _ = kernel_sections(m, n, d, l)
+        assert level_duality(m, n, d, walk, l, DEFAULT_AMBIENT_CAP).pairing_vanishes is True
+        for k in range(min(l + 2, d)):
+            supports = list(walk.supports)
+            supports[k] = supports[k] | {vanishing[0]}
+            planted = replace(walk, supports=supports)
+            assert level_duality(m, n, d, planted, l, DEFAULT_AMBIENT_CAP).pairing_vanishes \
+                is (k > l)
 
 
 def test_mutating_a_section_leaves_the_memo_unchanged():

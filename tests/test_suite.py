@@ -1,9 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from vermajet import filtration, jets
+from vermajet.linalg import Echelon
 from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
 
@@ -108,12 +110,13 @@ DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508c
 
 
 def test_desk_suite_grows_one_filtration_per_case(monkeypatch, cold_filtration):
-    # 6 cases and 3 distinct direct-sum summands ((2, 3) and (2, 2)); the
-    # case records read every level off one filtration, so neither
-    # annihilator_dim nor duality_check runs.  One character-ideal check per
-    # case (6); the p-eigenvector certificate runs once per distinct
-    # (m, n, d): the 6 cases and the one summand that is no case, 7.
-    calls = {"canonical_filtration": 0, "char_ideal_generator_check": 0, "_p_eigenvector": 0}
+    # 6 cases and 3 distinct direct-sum summands ((2, 3) and (2, 2)), each
+    # one walk with no basis; the case records read every level off one
+    # walk, so neither annihilator_dim nor duality_check runs, and no
+    # canonical basis is grown.  One character-ideal check per case (6); the
+    # p-eigenvector certificate runs once per distinct (m, n, d): the 6
+    # cases and the one summand that is no case, 7.
+    calls = {"filtration_walk": 0, "char_ideal_generator_check": 0, "_p_eigenvector": 0}
 
     def counted(name):
         original = getattr(filtration, name)
@@ -124,19 +127,40 @@ def test_desk_suite_grows_one_filtration_per_case(monkeypatch, cold_filtration):
         return call
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the desk suite must read this off its filtration")
+        raise AssertionError("the desk suite must read this off its walk")
 
-    grow = counted("canonical_filtration")
-    monkeypatch.setattr(filtration, "canonical_filtration", grow)
-    monkeypatch.setattr(jets, "canonical_filtration", grow)
+    walk = counted("filtration_walk")
+    monkeypatch.setattr(filtration, "filtration_walk", walk)
+    monkeypatch.setattr(jets, "filtration_walk", walk)
     for name in ("char_ideal_generator_check", "_p_eigenvector"):
         monkeypatch.setattr(filtration, name, counted(name))
-    monkeypatch.setattr(filtration, "annihilator_dim", forbidden)
-    monkeypatch.setattr(jets, "duality_check", forbidden)
+    for module, name in ((filtration, "annihilator_dim"), (jets, "duality_check"),
+                         (filtration, "canonical_filtration")):
+        monkeypatch.setattr(module, name, forbidden)
     report = render_report(run_suite(SuiteConfig()), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
-    assert calls == {"canonical_filtration": 9, "char_ideal_generator_check": 6,
+    assert calls == {"filtration_walk": 9, "char_ideal_generator_check": 6,
                      "_p_eigenvector": 7}
+
+
+def test_desk_suite_reduces_no_filtration_piece(monkeypatch, cold_filtration):
+    # No canonical row is read in `filtration` (30 reads before the walk
+    # kept no bases) and no weight of a multiset is built (83 before).
+    reads = []
+    canonical_rows = Echelon.canonical_rows
+
+    def counted(self):
+        reads.append(sys._getframe(1).f_globals["__name__"])
+        return canonical_rows(self)
+
+    def forbidden(*args):
+        raise AssertionError("the desk suite builds no weight multiset")
+
+    monkeypatch.setattr(Echelon, "canonical_rows", counted)
+    monkeypatch.setattr(filtration, "Weight", forbidden)
+    report = render_report(run_suite(SuiteConfig()), "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == DESK_REPORT_SHA256
+    assert reads.count("vermajet.filtration") == 0
 
 
 def test_desk_report_is_byte_identical_with_warm_memos(cold_filtration):
