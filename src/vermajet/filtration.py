@@ -31,8 +31,8 @@ is F_l's support; every dims reader reads it.  Only `canonical_filtration`
 builds bases: level l's is level l - 1's plus piece l's
 `Echelon.canonical_rows` (unique, 1 at the pivot, an `int` when integral),
 and its weight multiset counts the images' closed-form weights.  The one
-stored growth, keyed by (m, n, d, cap), serves every request it reaches
-(one with bases a walk's too) with the slice a shorter growth would report.
+stored growth, keyed by (m, n, d, cap; one with bases a walk's too), serves
+every request it reaches and, once saturated, every longer one as a new growth would.
 
 A PBW monomial, an exponent vector over a fixed ordered basis of n or of g,
 acts factor by factor, right to left; no enveloping-algebra product is
@@ -185,15 +185,15 @@ _grown: dict[tuple[int, int, int, int], tuple[FiltrationWalk, FiltrationResult |
 
 
 def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> tuple:
-    """The stored growth if it reaches l_max, with bases if asked; else the
-    walk to l_max (past d, to its last point), with each piece through l_max
-    reduced as it completes if `bases`, stored in its place."""
+    """The stored growth if it reaches l_max or is saturated, with bases if
+    asked; else the walk to l_max (past d, to its last point), with each
+    piece through l_max reduced as it completes if `bases`, stored in its place."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if l_max > cap:  # one level is stored per l, stabilized or not
         raise SizeCapError("filtration level", l_max, cap)
     stored = _grown.get((m, n, d, cap), (None, None))[bases]  # the result if bases, else the walk
-    if stored is not None and len(stored.dims) > l_max:
+    if stored is not None and (len(stored.dims) > l_max or stored.saturation_level is not None):
         return _grown[m, n, d, cap]
     _grown.clear()
     module_dim(m, n, d, cap)
@@ -236,8 +236,6 @@ def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> tuple:
             layer += [(a, i, z) for (a, i), z in zip(kids, images)]
     if l_max > d and dims[-1] != target:
         raise CertificateError(f"{dims[-1]} PBW basis images, expected {target}")
-    dims += dims[-1:] * (l_max + 1 - len(dims))
-    levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1) if bases]
     grown = _grown[m, n, d, cap] = (FiltrationWalk(target, dims, supports),
                                     FiltrationResult(m, n, d, target, levels) if bases else None)
     return grown
@@ -246,18 +244,21 @@ def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> tuple:
 def filtration_walk(m: int, n: int, d: int, l_max: int,
                     cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationWalk:
     """dims[0..l_max], the saturation level and the keys of pieces
-    0..min(l_max, d - 1), with no basis: a slice of `_growth`'s walk."""
+    0..min(l_max, d - 1), with no basis: a padded slice of `_growth`'s walk."""
     walk, _ = _growth(m, n, d, l_max, cap, False)
-    return replace(walk, dims=walk.dims[:l_max + 1], supports=walk.supports[:l_max + 1])
+    return replace(walk, dims=(walk.dims + walk.dims[-1:] * l_max)[:l_max + 1],
+                   supports=walk.supports[:l_max + 1])
 
 
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
     """Levels 0..l_max of the canonical filtration, with canonical bases and
-    weight multisets: a slice of the stored growth (see `_growth`), in a new
-    result and `levels` list; the `FiltrationLevel`s are shared, read-only."""
+    weight multisets: a padded slice of the stored growth (see `_growth`), in
+    a new result and `levels` list; the stored levels are shared, read-only."""
     _, grown = _growth(m, n, d, l_max, cap, True)
-    return replace(grown, levels=grown.levels[:l_max + 1])
+    levels = grown.levels[:l_max + 1]
+    return replace(grown, levels=levels + [replace(levels[-1], level=k)
+                                           for k in range(len(levels), l_max + 1)])
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,

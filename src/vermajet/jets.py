@@ -37,7 +37,9 @@ chart polynomial is formed: it multiplies the minors of the first
 of degree > l.  Its rank is its count of nonzero rows.  The products run on
 packed monomial keys with `det`'s product loop, in fields wide enough for d
 times the largest exponent of the minors it read (a patched minor need not
-be multilinear), and each product's terms are unpacked to the jet columns.
+be multilinear); a chain's is its prefix's (less the last wedge, in the
+key's lowest nonzero field) times one minor, each prefix multiplied once per
+call.  A term's column is its graded-lex position in closed form (`_jet_column`).
 
 `level_duality` checks the filtration/jet duality at level l of a walk
 (`filtration.filtration_walk`) of degree d that the caller has run, so one
@@ -52,13 +54,14 @@ the test reference.
 Chart minors are built in closed form (`_chart_minor`) and stored by
 `_checked_minor`; each `plucker_polynomial` read copies its maps.  The
 basis is stored by `_reduced_family` (`maxsize=1`: a case's calls are
-consecutive in every caller).  `section_space` still reads every factor of
-every Plücker monomial through `plucker_polynomial` on every call, though no
-chain reads a minor: the benchmark's desk workload pins the `section_space`
-(90) and `plucker_polynomial` (4,640) call counts, and the reads go once
-those are re-pinned.  The Plücker monomial products, literal jet
-truncations, the re-expansion at another chart point and the block-rank
-oracle of the initial-term certificate are in `tests/reference.py`.
+consecutive in every caller).  `section_space` (and `taylor_rank`) still
+reads every factor of every Plücker monomial through `plucker_polynomial` on
+every call, though no chain reads a minor: the benchmark's desk workload
+pins the `section_space` (90) and `plucker_polynomial` (4,640) call counts,
+and the reads go once those are re-pinned; `taylor_matrix` runs none.  The
+Plücker monomial products, the enumerated jet columns (`_jet_columns`),
+literal jet truncations, the re-expansion at another chart point and the
+block-rank oracle of the initial-term certificate are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 from operator import itemgetter, le
 from typing import Sequence
 
@@ -76,9 +80,8 @@ from .filtration import FiltrationWalk, filtration_walk, weyl_dim_oracle
 # kernel_basis and det are unused here but stay bound: perfbench's layer
 # tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
 from .linalg import SparseMatrix, kernel_basis  # noqa: F401
-from .plethysm import DEFAULT_AMBIENT_CAP, module_dim, wedge_basis, wedge_counts, wedge_keys
-from .polynomials import (Poly, _add_product, _field_width, _pack_terms, _unpack,
-                          graded_monomials)
+from .plethysm import DEFAULT_AMBIENT_CAP, module_dim, wedge_basis, wedge_keys
+from .polynomials import Poly, _add_product, _field_width, _pack_terms, _unpack
 from .polynomials import det  # noqa: F401
 
 
@@ -138,12 +141,16 @@ def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomi
     return section
 
 
-def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
-    """The jet monomials of degree <= l and their column index."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    columns = tuple(graded_monomials(m * n, l))
-    return columns, {exps: k for k, exps in enumerate(columns)}
+def _jet_column(exps: tuple[int, ...]) -> int:
+    """The position of a monomial of degree t over N variables in
+    `graded_monomials(N, l)`, any l >= t: the C(t + N, N) monomials of degree
+    <= t, less itself and, for each 0 < j < N, the C(s - 1 + j, j) of degree t
+    that first exceed it at the entry before its last j, these of degree s."""
+    nvars, later, rest = len(exps), 0, 0
+    for j in range(1, nvars):
+        rest += exps[-j]
+        later += comb(rest - 1 + j, j)
+    return comb(rest + exps[0] + nvars, nvars) - 1 - later
 
 
 @lru_cache(maxsize=1)
@@ -192,29 +199,36 @@ def taylor_matrix(m: int, n: int, d: int, l: int,
                   cap: int = DEFAULT_AMBIENT_CAP) -> tuple[SparseMatrix, int]:
     """Rows are basis sections, columns the jet monomials of degree <= l;
     returns the matrix together with its exact rank, the number of nonzero
-    rows (see `taylor_rank`).  Only the first `taylor_rank` chains are
-    multiplied out of their minors: every later section is homogeneous of
-    degree > l, so its row is empty.  The products run on packed monomial
-    keys (see the module docstring)."""
-    rank = taylor_rank(m, n, d, l, cap)  # checks l and the cap
-    columns, index = _jet_columns(m, n, l)
-    chains, _ = _reduced_family(m, n, d)
+    rows (see `taylor_rank`, read off the stored degrees with no pinned
+    read).  Only the first `taylor_rank` chains are multiplied out of their
+    minors: every later section is homogeneous of degree > l, so its row is
+    empty.  See the module docstring for the products and the columns."""
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    module_dim(m, n, d, cap)
+    chains, degrees = _reduced_family(m, n, d)
+    rank = bisect_right(degrees, l)  # the degrees ascend
     minors = [plucker_polynomial(wedge, m, n).chart.terms for wedge in wedge_basis(m, n)]
     top = max((max(exps) for terms in minors for exps in terms), default=0)
-    width = _field_width(d * top)
-    packed = [_pack_terms(terms, width) for terms in minors]
-    nvars, entries, nonzero = m * n, {}, 0
+    nvars, width, shift, size = m * n, _field_width(d * top), d.bit_length(), comb(m * n + l, l)
+    packed = [_pack_terms(terms, width) for terms in reversed(minors)]  # wedge k in field N-1-k
+    products, columns, entries = {0: {0: 1}}, {}, {}
     for r, chain in enumerate(chains[:rank]):
-        product, *factors = [packed[k] for k, e in wedge_counts(chain, m, n, d) for _ in range(e)]
-        for minor in factors:
+        steps, key = [], chain
+        while key not in products:  # down to the longest prefix multiplied
+            field = ((key & -key).bit_length() - 1) // shift
+            steps.append((key, field))
+            key -= 1 << shift * field
+        product = products[key]
+        for key, field in reversed(steps):
             terms = {}
-            _add_product(terms, product, minor)
-            product = {key: c for key, c in terms.items() if c}
-        row = {(r, index[exps]): c for key, c in product.items()
-               if (exps := _unpack(key, nvars, width)) in index}
-        nonzero += bool(row)
-        entries.update(row)
-    return SparseMatrix(len(chains), len(columns), entries), nonzero
+            _add_product(terms, product, packed[field])
+            product = products[key] = {e: c for e, c in terms.items() if c}
+        columns.update({key: _jet_column(_unpack(key, nvars, width))
+                        for key in product if key not in columns})
+        # the jet columns are the first `size` monomials in graded order
+        entries.update({(r, columns[key]): c for key, c in product.items() if columns[key] < size})
+    return SparseMatrix(len(chains), size, entries), len({r for r, _ in entries})
 
 
 def taylor_rank(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:

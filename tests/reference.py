@@ -446,24 +446,27 @@ def monomial_sections(m: int, n: int, d: int,
     return [section_monomial(key, m, n, d) for key in sym_basis(m, n, d, cap)]
 
 
+@lru_cache(maxsize=None)
+def _jet_columns(m: int, n: int, l: int) -> tuple[tuple, dict]:
+    """The jet monomials of degree <= l by enumeration, and their column
+    index, the oracle of `jets._jet_column`; built once per level, as the
+    tests truncate every section of a case at one level."""
+    if l < 0:
+        raise ValueError("l must be non-negative")
+    columns = tuple(graded_monomials(m * n, l))
+    return columns, {exps: k for k, exps in enumerate(columns)}
+
+
 def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
     """Chart-variable exponent tuples of total degree <= l, graded lex."""
-    return list(jets._jet_columns(m, n, l)[0])
-
-
-@lru_cache(maxsize=None)
-def _jet_index(m: int, n: int, l: int) -> tuple[int, dict]:
-    """The count and index of the jet columns, built once per level: the
-    tests truncate every section of a case at one level."""
-    columns, index = jets._jet_columns(m, n, l)
-    return len(columns), index
+    return list(_jet_columns(m, n, l)[0])
 
 
 def jet_truncation(section: jets.SectionPolynomial, m: int, n: int,
                    l: int) -> tuple[int | Fraction, ...]:
     """Coefficient vector of the order-l truncation at the origin."""
-    width, index = _jet_index(m, n, l)
-    out = [Fraction(0)] * width
+    columns, index = _jet_columns(m, n, l)
+    out = [Fraction(0)] * len(columns)
     for exps, c in section.chart.terms.items():
         k = index.get(exps)
         if k is not None:
@@ -481,7 +484,7 @@ def monomial_jet_projective(exponents: Sequence[int], l: int) -> tuple[Fraction,
         raise ValueError("exponents must be non-negative")
     n = len(exponents) - 1
     tail = tuple(exponents[1:])
-    columns, index = jets._jet_columns(1, n, l)
+    columns, index = _jet_columns(1, n, l)
     out = [Fraction(0)] * len(columns)
     if sum(tail) <= l:
         out[index[tail]] = Fraction(1)
@@ -519,7 +522,7 @@ def chart_homogeneity_check(m: int, n: int, d: int, l: int, point,
     nvars = len(variables)
     subs = [Poly.variable(nvars, k) + values[pos]
             for k, pos in enumerate(variables)]
-    columns, col_index = jets._jet_columns(m, n, l)
+    columns, col_index = _jet_columns(m, n, l)
     shifted = Echelon(len(columns))
     for chain in jets.section_space(m, n, d, cap):
         jet = truncate(section_monomial(chain, m, n, d).chart.substitute(subs, nvars_out=nvars),

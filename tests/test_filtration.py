@@ -735,6 +735,29 @@ def test_levels_past_l_max_are_walked_and_not_reduced(monkeypatch, cold_filtrati
     assert (len(reads), len(growths)) == (13, 2)
 
 
+def test_a_saturated_growth_serves_every_longer_request(monkeypatch, cold_filtration):
+    # (2,2,4) saturates at level 8: a growth with bases to level 5 walks to
+    # the last point, so its walk serves walks to levels 9 and 31, padded;
+    # its bases stop at level 5, while a growth with bases to the saturation
+    # level serves every longer request for bases.  Each equals a new growth.
+    growths = _growths(monkeypatch)
+    canonical_filtration(2, 2, 4, 5)
+    walks = [filtration_walk(2, 2, 4, l) for l in (9, 31)]
+    assert walks[1].dims == [1, 5, 15, 35, 70, 90, 100, 104] + [105] * 24
+    assert len(growths) == 1
+    grown = canonical_filtration(2, 2, 4, 8)
+    longer = [canonical_filtration(2, 2, 4, l) for l in (9, 31)]
+    assert [len(result.levels) for result in longer] == [10, 32]
+    assert len(growths) == 2
+    for l, walk, result in zip((9, 31), walks, longer):
+        filtration._grown.clear()
+        assert filtration_walk(2, 2, 4, l) == walk
+        filtration._grown.clear()
+        assert canonical_filtration(2, 2, 4, l) == result
+        assert result.levels[:9] == grown.levels
+    assert len(growths) == 6
+
+
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
 def test_sliced_filtration_matches_shorter_growth(m, n, d, cold_filtration):
     # The desk suite grows each filtration to level d and slices it; the

@@ -17,8 +17,8 @@ from vermajet.jets import (duality_check, kernel_sections, level_duality, plucke
                            section_space, taylor_matrix)
 from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
-from reference import (chart_homogeneity_check, chart_variables, evaluation_matrix,
-                       jet_monomials, jet_truncation, monomial_jet_projective,
+from reference import (_jet_columns, chart_homogeneity_check, chart_variables,
+                       evaluation_matrix, jet_monomials, jet_truncation, monomial_jet_projective,
                        monomial_sections, pack, pair, section_monomial, standard_chains,
                        truncate, unpack)
 
@@ -433,16 +433,37 @@ def _counted_reads_and_products(monkeypatch):
 
 @pytest.mark.parametrize("m,n,d", DEEPER_CASES)
 def test_taylor_matrix_multiplies_no_poly_and_reads_each_minor_once(monkeypatch, m, n, d):
-    # Beyond the reads of its `taylor_rank` call, `taylor_matrix` reads each
-    # wedge's minor once, and its products run on packed keys.
+    # `taylor_matrix` reads each wedge's minor once and nothing else (none of
+    # `section_space`'s pinned reads), and its products run on packed keys.
     calls = _counted_reads_and_products(monkeypatch)
     for l in (1, d):
-        jets.taylor_rank(m, n, d, l)
-        reads = calls["plucker"]
-        calls["plucker"] = 0
         taylor_matrix(m, n, d, l)
-        assert calls == {"plucker": reads + comb(m + n, m), "mul": 0}
+        assert calls == {"plucker": comb(m + n, m), "mul": 0}
         calls["plucker"] = 0
+
+
+def test_jet_column_is_the_position_in_graded_order():
+    # the closed-form rank against the enumerated columns of `graded_monomials`
+    for nvars in range(1, 10):
+        for l in range(7):
+            columns, _ = _jet_columns(1, nvars, l)
+            assert [jets._jet_column(exps) for exps in columns] == list(range(len(columns)))
+
+
+# the (m, n, d) cases and Taylor levels of the benchmark's grassmannian workload
+GRASSMANNIAN_TAYLOR = {(2, 2, 4): (3, 4), (2, 3, 3): (2, 3), (3, 3, 2): (1, 2)}
+
+
+@pytest.mark.parametrize("m,n,d", GRASSMANNIAN_TAYLOR)
+def test_taylor_matrix_columns_do_not_depend_on_l(m, n, d):
+    # A monomial's column is its position in graded order, whatever l is, so
+    # the rows below `taylor_rank(l)` are the same at l and at l + 1.
+    for l in GRASSMANNIAN_TAYLOR[m, n, d]:
+        matrix, rank = taylor_matrix(m, n, d, l)
+        wider, _ = taylor_matrix(m, n, d, l + 1)
+        assert rank == jets.taylor_rank(m, n, d, l)
+        assert matrix.entries == {(r, c): v for (r, c), v in wider.entries.items() if r < rank}
+        assert (wider.rows, wider.cols) == (matrix.rows, comb(m * n + l + 1, l + 1))
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
