@@ -30,9 +30,9 @@ module dimension) and the keys of each piece l < d, whose union over 0..l
 is F_l's support; every dims reader reads it.  Only `canonical_filtration`
 builds bases: level l's is level l - 1's plus piece l's
 `Echelon.canonical_rows` (unique, 1 at the pivot, an `int` when integral),
-and its weight multiset counts the images' closed-form weights.  The one
-stored growth, keyed by (m, n, d, cap; one with bases a walk's too), serves
-every request it reaches and, once saturated, every longer one as a new growth would.
+and its weight multiset counts the images' closed-form weights.  The last
+walk is stored, keyed by (m, n, d), with no bases: it serves every walk it
+reaches and, once saturated, every longer one; a request for bases walks.
 
 A PBW monomial, an exponent vector over a fixed ordered basis of n or of g,
 acts factor by factor, right to left; no enveloping-algebra product is
@@ -124,27 +124,11 @@ class FiltrationLevel:
 
 @dataclass
 class FiltrationResult:
-    m: int
-    n: int
-    d: int
-    module_dim: int
-    levels: list[FiltrationLevel]
-
-    @property
-    def dims(self) -> list[int]:
-        return [lvl.dim for lvl in self.levels]
-
-    @property
-    def saturation_level(self) -> int | None:
-        return next((lvl.level for lvl in self.levels if lvl.saturated), None)
-
-
-@dataclass
-class FiltrationWalk:
-    """The certified walk: dims[l] = dim F_l, and the keys of each piece l < d."""
+    """dims[l] = dim F_l, the keys of each piece l < d and, with bases, the levels."""
     module_dim: int
     dims: list[int]
     supports: list[frozenset[int]]
+    levels: list[FiltrationLevel] | None = None
 
     @property
     def saturation_level(self) -> int | None:
@@ -180,23 +164,32 @@ def _moves_certified(m: int, n: int, d: int) -> None:
                     raise CertificateError(f"E_{i},{j} does not shift the weight of wedge {w}")
 
 
-# the last growth only: (m, n, d, cap) -> (walk, result with bases or None)
-_grown: dict[tuple[int, int, int, int], tuple[FiltrationWalk, FiltrationResult | None]] = {}
+# the last walk only, with no levels: (m, n, d) -> walk
+_grown: dict[tuple[int, int, int], FiltrationResult] = {}
 
 
-def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> tuple:
-    """The stored growth if it reaches l_max or is saturated, with bases if
-    asked; else the walk to l_max (past d, to its last point), with each
-    piece through l_max reduced as it completes if `bases`, stored in its place."""
+def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> FiltrationResult:
+    """Levels 0..l_max, padded past saturation, in a new result: of the stored walk
+    if no bases are asked and it reaches l_max or is saturated, else of a new walk, stored."""
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if l_max > cap:  # one level is stored per l, stabilized or not
         raise SizeCapError("filtration level", l_max, cap)
-    stored = _grown.get((m, n, d, cap), (None, None))[bases]  # the result if bases, else the walk
-    if stored is not None and (len(stored.dims) > l_max or stored.saturation_level is not None):
-        return _grown[m, n, d, cap]
-    _grown.clear()
     module_dim(m, n, d, cap)
+    walk, levels = _grown.get((m, n, d)), None
+    if bases or walk is None or len(walk.dims) <= l_max and walk.saturation_level is None:
+        _grown.clear()
+        walk, levels = _walk(m, n, d, l_max, bases)
+        _grown[m, n, d] = walk
+    if levels:  # the levels past the walk's last point repeat it
+        levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1)]
+    return FiltrationResult(walk.module_dim, (walk.dims + walk.dims[-1:] * l_max)[:l_max + 1],
+                            walk.supports[:l_max + 1], levels)
+
+
+def _walk(m: int, n: int, d: int, l_max: int, bases: bool) -> tuple:
+    """The certified walk to l_max (past d, to its last point), and the
+    levels through l_max if `bases`, each piece reduced as it completes."""
     target = weyl_dim_oracle(m, n, d)
     if not _certified(m, n, d):
         raise CertificateError("p does not act on v by its character")
@@ -236,29 +229,21 @@ def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> tuple:
             layer += [(a, i, z) for (a, i), z in zip(kids, images)]
     if l_max > d and dims[-1] != target:
         raise CertificateError(f"{dims[-1]} PBW basis images, expected {target}")
-    grown = _grown[m, n, d, cap] = (FiltrationWalk(target, dims, supports),
-                                    FiltrationResult(m, n, d, target, levels) if bases else None)
-    return grown
+    return FiltrationResult(target, dims, supports), levels if bases else None
 
 
 def filtration_walk(m: int, n: int, d: int, l_max: int,
-                    cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationWalk:
+                    cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
     """dims[0..l_max], the saturation level and the keys of pieces
-    0..min(l_max, d - 1), with no basis: a padded slice of `_growth`'s walk."""
-    walk, _ = _growth(m, n, d, l_max, cap, False)
-    return replace(walk, dims=(walk.dims + walk.dims[-1:] * l_max)[:l_max + 1],
-                   supports=walk.supports[:l_max + 1])
+    0..min(l_max, d - 1), with no basis (see `_growth`)."""
+    return _growth(m, n, d, l_max, cap, False)
 
 
 def canonical_filtration(m: int, n: int, d: int, l_max: int,
                          cap: int = DEFAULT_AMBIENT_CAP) -> FiltrationResult:
-    """Levels 0..l_max of the canonical filtration, with canonical bases and
-    weight multisets: a padded slice of the stored growth (see `_growth`), in
-    a new result and `levels` list; the stored levels are shared, read-only."""
-    _, grown = _growth(m, n, d, l_max, cap, True)
-    levels = grown.levels[:l_max + 1]
-    return replace(grown, levels=levels + [replace(levels[-1], level=k)
-                                           for k in range(len(levels), l_max + 1)])
+    """`filtration_walk` with the levels 0..l_max: canonical bases and
+    weight multisets, from a new walk (see `_growth`)."""
+    return _growth(m, n, d, l_max, cap, True)
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,

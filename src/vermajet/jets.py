@@ -76,7 +76,7 @@ from operator import itemgetter, le
 from typing import Sequence
 
 from .errors import CertificateError
-from .filtration import FiltrationWalk, filtration_walk, weyl_dim_oracle
+from .filtration import FiltrationResult, filtration_walk, weyl_dim_oracle
 # kernel_basis and det are unused here but stay bound: perfbench's layer
 # tracer rebinds and checks `jets.kernel_basis` and `jets.det`.
 from .linalg import SparseMatrix, kernel_basis  # noqa: F401
@@ -265,7 +265,7 @@ class DualityReport:
         return self.dim_match and self.pairing_vanishes
 
 
-def level_duality(m: int, n: int, d: int, walk: FiltrationWalk, l: int,
+def level_duality(m: int, n: int, d: int, walk: FiltrationResult, l: int,
                   cap: int) -> DualityReport:
     """Level l, 1 <= l < d, of a walk and the space of l-jets have equal
     dimension, and every vector of F_l pairs to zero with every vanishing-jet

@@ -128,7 +128,7 @@ def formula_ok(m: int, n: int, d: int, dims: Sequence[int]) -> bool:
                                 for l in range(1, len(dims)) if l < d)
 
 
-def _filtration_record(m: int, n: int, d: int, walk: filt.FiltrationWalk) -> dict:
+def _filtration_record(m: int, n: int, d: int, walk: filt.FiltrationResult) -> dict:
     l_max = min(d - 1, MAX_FILTRATION_LEVEL)
     dims = walk.dims[:l_max + 1]
     return {

@@ -125,6 +125,17 @@ def test_failure_maps_to_exit_1(capsys, monkeypatch):
     assert "fail" in out
 
 
+def test_config_format_selects_csv_without_the_flag(capsys, tmp_path):
+    config = tmp_path / "csv.json"
+    config.write_text(json.dumps({"cases": [[1, 1, 3]], "disc_cases": [], "direct_sums": [],
+                                  "format": "csv"}))
+    code, out, _ = run_cli(capsys, "suite", "--config", str(config))
+    assert code == 0
+    assert out.startswith("field,value\n")
+    assert "verdict,pass\n" in out
+    assert run_cli(capsys, "--format", "csv", "suite", "--config", str(config)) == (0, out, "")
+
+
 def test_suite_reports_are_byte_identical(capsys, tmp_path):
     config = tmp_path / "small.json"
     config.write_text(json.dumps({

@@ -12,7 +12,7 @@ import pytest
 from vermajet.errors import CertificateError, SizeCapError
 from vermajet.lie import SubalgebraTag, Weight, build_context, rho_character
 from vermajet.linalg import Echelon, SparseMatrix, rank, rref
-from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, act, highest_weight_vector,
+from vermajet.plethysm import (PlethysmVector, act, highest_weight_vector,
                                sym_basis, wedge_basis, wedge_keys)
 from vermajet import filtration, plethysm
 from vermajet.jets import duality_check
@@ -673,9 +673,8 @@ def test_saturated_levels_are_not_read_again(monkeypatch, cold_filtration):
     assert grown.saturation_level == 6
     assert grown.dims[6:] == [grown.module_dim] * 45 == [50] * 45
     for k in (0, 5, 6, 7, 9, 50):
-        filtration._grown.clear()  # a new growth, not a slice of `grown`
-        shorter = canonical_filtration(2, 2, 3, k)
-        sliced = replace(grown, levels=grown.levels[:k + 1])
+        shorter = canonical_filtration(2, 2, 3, k)  # a request for bases walks again
+        sliced = replace(grown, dims=grown.dims[:k + 1], levels=grown.levels[:k + 1])
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
         assert sliced.levels[k].basis == shorter.levels[k].basis
@@ -689,20 +688,21 @@ CI_BASIS_GROWTHS = [(1, 1, 5, 6), (1, 3, 4, 5), (2, 2, 4, 9), (2, 3, 3, 7), (3, 
 @pytest.mark.parametrize("m,n,d,l", [(m, n, d, d) for m, n, d in DESK_CASES] + CI_BASIS_GROWTHS)
 def test_walk_and_canonical_filtration_agree(monkeypatch, cold_filtration, m, n, d, l):
     # A walk and a growth with bases, each new, agree on dims and
-    # saturation; the stored full growth then serves the walk request.
+    # saturation; the growth's stored walk then serves the walk request.
     growths = _growths(monkeypatch)
     walk = filtration_walk(m, n, d, l, 10**6)
     grown = canonical_filtration(m, n, d, l, 10**6)
     assert (walk.dims, walk.saturation_level, walk.module_dim) \
         == (grown.dims, grown.saturation_level, grown.module_dim)
     assert filtration_walk(m, n, d, l, 10**6) == walk
-    assert growths == [(m, n, d, 10**6)] * 2
+    assert growths == [(m, n, d)] * 2
     assert len(walk.supports) == min(l + 1, d)
 
 
 def test_a_full_growth_serves_a_walk_and_a_walk_serves_no_basis(monkeypatch, cold_filtration):
     # A walk keeps no rows, so a request for bases grows again; a growth
-    # with bases serves every walk it reaches, and a deeper walk grows again.
+    # with bases stores its walk, which serves every walk it reaches, and a
+    # deeper walk grows again.
     growths = _growths(monkeypatch)
     walk = filtration_walk(2, 2, 4, 3)
     assert (walk.dims, walk.saturation_level) == ([1, 5, 15, 35], None)
@@ -711,7 +711,7 @@ def test_a_full_growth_serves_a_walk_and_a_walk_serves_no_basis(monkeypatch, col
     assert filtration_walk(2, 2, 4, 3) == walk
     assert filtration_walk(2, 2, 4, 9).dims == [1, 5, 15, 35, 70, 90, 100, 104, 105, 105]
     assert canonical_filtration(2, 2, 4, 2).dims == [1, 5, 15]
-    assert growths == [(2, 2, 4, DEFAULT_AMBIENT_CAP)] * 4
+    assert growths == [(2, 2, 4)] * 4
 
 
 def test_levels_past_l_max_are_walked_and_not_reduced(monkeypatch, cold_filtration):
@@ -737,9 +737,9 @@ def test_levels_past_l_max_are_walked_and_not_reduced(monkeypatch, cold_filtrati
 
 def test_a_saturated_growth_serves_every_longer_request(monkeypatch, cold_filtration):
     # (2,2,4) saturates at level 8: a growth with bases to level 5 walks to
-    # the last point, so its walk serves walks to levels 9 and 31, padded;
-    # its bases stop at level 5, while a growth with bases to the saturation
-    # level serves every longer request for bases.  Each equals a new growth.
+    # the last point, so its stored walk serves walks to levels 9 and 31,
+    # padded; every request for bases walks again, its levels padded past
+    # saturation.  Each equals a new growth.
     growths = _growths(monkeypatch)
     canonical_filtration(2, 2, 4, 5)
     walks = [filtration_walk(2, 2, 4, l) for l in (9, 31)]
@@ -748,14 +748,14 @@ def test_a_saturated_growth_serves_every_longer_request(monkeypatch, cold_filtra
     grown = canonical_filtration(2, 2, 4, 8)
     longer = [canonical_filtration(2, 2, 4, l) for l in (9, 31)]
     assert [len(result.levels) for result in longer] == [10, 32]
-    assert len(growths) == 2
+    assert len(growths) == 4
     for l, walk, result in zip((9, 31), walks, longer):
         filtration._grown.clear()
         assert filtration_walk(2, 2, 4, l) == walk
         filtration._grown.clear()
         assert canonical_filtration(2, 2, 4, l) == result
         assert result.levels[:9] == grown.levels
-    assert len(growths) == 6
+    assert len(growths) == 8
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
@@ -764,9 +764,8 @@ def test_sliced_filtration_matches_shorter_growth(m, n, d, cold_filtration):
     # saturation level must come out as a shorter growth reports it.
     grown = canonical_filtration(m, n, d, d)
     for k in range(d + 1):
-        sliced = replace(grown, levels=grown.levels[:k + 1])
-        filtration._grown.clear()  # a new growth, not a slice of `grown`
-        shorter = canonical_filtration(m, n, d, k)
+        sliced = replace(grown, dims=grown.dims[:k + 1], levels=grown.levels[:k + 1])
+        shorter = canonical_filtration(m, n, d, k)  # a request for bases walks again
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
 
@@ -835,37 +834,51 @@ def test_checks_after_a_growth_grow_nothing(monkeypatch, cold_filtration):
 
 
 def test_a_deeper_level_grows_once(monkeypatch, cold_filtration):
+    # The deeper growth's stored walk serves every shorter walk; a request
+    # for bases walks again.
     growths = _growths(monkeypatch)
     assert canonical_filtration(2, 2, 4, 2).dims == [1, 5, 15]
     deeper = canonical_filtration(2, 2, 4, 4)
     assert deeper.dims == [1, 5, 15, 35, 70]
     for l in (4, 3, 0, 2):
-        assert canonical_filtration(2, 2, 4, l).dims == deeper.dims[:l + 1]
-    assert growths == [(2, 2, 4, DEFAULT_AMBIENT_CAP)] * 2
+        assert filtration_walk(2, 2, 4, l).dims == deeper.dims[:l + 1]
+    assert growths == [(2, 2, 4)] * 2
+    assert canonical_filtration(2, 2, 4, 3).dims == deeper.dims[:4]
+    assert growths == [(2, 2, 4)] * 3
 
 
-def test_a_different_cap_grows_once(monkeypatch, cold_filtration):
-    # One growth is stored: going back to the default cap grows again.
+def test_the_cap_is_checked_before_the_stored_walk(monkeypatch, cold_filtration):
+    # The stored walk is keyed by (m, n, d): a walk request under any cap
+    # the module (56 indices) and l_max fit in reads it, and a smaller cap
+    # raises before the lookup, although the stored walk reaches l_max.
     growths = _growths(monkeypatch)
     grown = canonical_filtration(2, 2, 3, 3)
     assert canonical_filtration(2, 2, 3, 3, cap=100) == grown
-    assert canonical_filtration(2, 2, 3, 2, cap=100).dims == grown.dims[:3]
-    assert canonical_filtration(2, 2, 3, 3) == grown
-    assert growths == [(2, 2, 3, DEFAULT_AMBIENT_CAP), (2, 2, 3, 100),
-                       (2, 2, 3, DEFAULT_AMBIENT_CAP)]
+    assert filtration_walk(2, 2, 3, 2, cap=100).dims == grown.dims[:3]
+    assert filtration_walk(2, 2, 3, 3) == replace(grown, levels=None)
+    with pytest.raises(SizeCapError, match="ambient module dimension"):
+        filtration_walk(2, 2, 3, 2, cap=55)
+    with pytest.raises(SizeCapError, match="filtration level"):
+        filtration_walk(2, 2, 3, 3, cap=2)
+    assert growths == [(2, 2, 3)] * 2
 
 
-def test_each_call_returns_a_new_result_over_shared_levels(monkeypatch, cold_filtration):
-    # Emptying a returned `levels` list leaves the stored growth whole.
+def test_each_call_returns_a_new_result(monkeypatch, cold_filtration):
+    # Emptying a returned result's lists leaves the stored walk whole.
     growths = _growths(monkeypatch)
     first = canonical_filtration(2, 2, 3, 3)
     second = canonical_filtration(2, 2, 3, 3)
-    assert first is not second and first.levels is not second.levels
-    assert all(a is b for a, b in zip(first.levels, second.levels, strict=True))
+    walk = filtration_walk(2, 2, 3, 3)
+    assert first == second and first is not second and first.levels is not second.levels
+    assert not any(a is b for a, b in zip(first.levels, second.levels, strict=True))
+    for result in (first, walk):
+        result.dims.clear()
+        result.supports.clear()
     first.levels.clear()
     second.levels.pop()
+    assert filtration_walk(2, 2, 3, 3) == replace(second, levels=None)
     assert canonical_filtration(2, 2, 3, 3).dims == [1, 5, 15, 35]
-    assert len(growths) == 1
+    assert len(growths) == 3
 
 
 def test_each_v_is_certified_once(monkeypatch, cold_filtration):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from vermajet import filtration, jets
+from vermajet import filtration, jets, suite
 from vermajet.linalg import Echelon
 from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
@@ -18,6 +18,19 @@ def test_default_desk_suite_passes():
     assert len(report["cases"]) == 6
     assert len(report["discriminants"]) == 4
     assert len(report["direct_sums"]) == 2
+
+
+def test_failed_records_are_listed_in_order_and_fail_the_verdict(monkeypatch):
+    # Every record reads ok: false, so every entry of the desk config is a
+    # failure, labelled as `run_suite` labels it, in config order.
+    for name in ("case_report", "disc_report", "direct_sum_report"):
+        monkeypatch.setattr(suite, name, lambda *args: {"ok": False})
+    report = run_suite(SuiteConfig())
+    assert report["failures"] == [
+        "case (1,1,3)", "case (1,1,5)", "case (1,2,3)", "case (1,3,2)", "case (2,2,2)",
+        "case (2,2,3)", "discriminant (2,1)", "discriminant (3,1)", "discriminant (4,1)",
+        "discriminant (3,2)", "direct sum (1,1,[2, 3],1)", "direct sum (2,2,[2, 2],1)"]
+    assert report["verdict"] == "fail"
 
 
 def test_reports_are_reproducible():
