@@ -57,13 +57,12 @@ sample points give both Jacobian checks `int` rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, count
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
@@ -77,8 +76,7 @@ DEFAULT_DEGREE_CAP = 6
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-@dataclass(frozen=True)
-class Eliminant:
+class Eliminant(NamedTuple):
     """Primitive integer polynomial in a_0..a_d, sign-normalized."""
 
     poly: Poly
@@ -571,8 +569,7 @@ def _uni_irreducible_q(coeffs: list[int]):
 # -- irreducibility witnesses ------------------------------------------------
 
 
-@dataclass
-class IrreducibilityWitness:
+class IrreducibilityWitness(NamedTuple):
     status: str  # "certified" | "heuristic" | "unknown"
     details: dict
 

@@ -46,11 +46,10 @@ dims too; the evaluation matrix over g is the tests' reference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache
 from math import comb, prod
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, SizeCapError
 from .lie import (LieAlgebraContext, LieElement, SubalgebraTag, Weight,
@@ -113,8 +112,7 @@ def _fflv_children(exps: Sequence[int], lead: int, m: int, d: int) -> list[int]:
     return [i for i in range(lead + 1) if below[i] < d]
 
 
-@dataclass
-class FiltrationLevel:
+class FiltrationLevel(NamedTuple):
     level: int
     dim: int
     basis: list[PlethysmVector]
@@ -122,8 +120,7 @@ class FiltrationLevel:
     saturated: bool
 
 
-@dataclass
-class FiltrationResult:
+class FiltrationResult(NamedTuple):
     """dims[l] = dim F_l, the keys of each piece l < d and, with bases, the levels."""
     module_dim: int
     dims: list[int]
@@ -182,7 +179,7 @@ def _growth(m: int, n: int, d: int, l_max: int, cap: int, bases: bool) -> Filtra
         walk, levels = _walk(m, n, d, l_max, bases)
         _grown[m, n, d] = walk
     if levels:  # the levels past the walk's last point repeat it
-        levels += [replace(levels[-1], level=k) for k in range(len(levels), l_max + 1)]
+        levels += [levels[-1]._replace(level=k) for k in range(len(levels), l_max + 1)]
     return FiltrationResult(walk.module_dim, (walk.dims + walk.dims[-1:] * l_max)[:l_max + 1],
                             walk.supports[:l_max + 1], levels)
 
@@ -279,8 +276,7 @@ def annihilator_dim(m: int, n: int, d: int, l: int,
     return total - filtration_walk(m, n, d, l, cap).dims[l]
 
 
-@dataclass
-class SplitReport:
+class SplitReport(NamedTuple):
     dim_ul_g: int
     dim_ul_n: int
     dim_ann: int
@@ -307,8 +303,7 @@ def verma_split_check(m: int, n: int, d: int, l: int,
     return split_report(m, n, l, filtration_walk(m, n, d, l, cap).dims[l])
 
 
-@dataclass
-class RootPowerReport:
+class RootPowerReport(NamedTuple):
     index: int
     power: int
     below_nonzero: bool

@@ -52,7 +52,8 @@ only from `filtration.canonical_filtration`, whose all-pairs pairing is
 the test reference.
 
 Chart minors are built in closed form (`_chart_minor`) and stored by
-`_checked_minor`; each `plucker_polynomial` read copies its maps.  The
+`_checked_minor`; each `plucker_polynomial` read copies its maps into a
+`SectionPolynomial`, a plain two-slot class with no equality.  The
 basis is stored by `_reduced_family` (`maxsize=1`: a case's calls are
 consecutive in every caller).  `section_space` (and `taylor_rank`) still
 reads every factor of every Plücker monomial through `plucker_polynomial` on
@@ -67,13 +68,12 @@ block-rank oracle of the initial-term certificate are in `tests/reference.py`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
 from operator import itemgetter, le
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError
 from .filtration import FiltrationResult, filtration_walk, weyl_dim_oracle
@@ -85,12 +85,13 @@ from .polynomials import Poly, _add_product, _field_width, _pack_terms, _unpack
 from .polynomials import det  # noqa: F401
 
 
-@dataclass(slots=True)
 class SectionPolynomial:
     """A global section in chart coordinates, with Plücker-monomial provenance."""
 
-    chart: Poly
-    plucker: dict[int, int | Fraction]
+    __slots__ = ("chart", "plucker")
+
+    def __init__(self, chart: Poly, plucker: dict[int, int | Fraction]):
+        self.chart, self.plucker = chart, plucker
 
 
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
@@ -253,8 +254,7 @@ def kernel_sections(m: int, n: int, d: int, l: int,
     return out, len(out)
 
 
-@dataclass
-class DualityReport:
+class DualityReport(NamedTuple):
     filtration_dim: int
     taylor_rank: int
     dim_match: bool

@@ -5,6 +5,7 @@ when integral and a `Fraction` only when not (the canonical form of
 `linalg.canonical`); sums, scalar multiples and `rho_character` keep that
 form, so the matrix units E_ij and the H_k stay integral.  The commutator
 `bracket`, a test oracle of the action, lives in `tests/reference.py`.
+`simple_roots` returns `SimpleRoot` named tuples (index, weight, lowering).
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -27,11 +28,10 @@ once).  Invalid block sizes raise and are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import canonical
 
@@ -215,8 +215,7 @@ def build_context(m: int, n: int) -> LieAlgebraContext:
     return LieAlgebraContext(m, n)
 
 
-@dataclass(frozen=True)
-class SimpleRoot:
+class SimpleRoot(NamedTuple):
     index: int
     weight: Weight
     lowering: LieElement

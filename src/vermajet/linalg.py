@@ -24,31 +24,43 @@ elements and module vectors all store that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable sparse rational matrix; absent entries are zero."""
+    """Immutable sparse rational matrix; absent entries are zero.  Equal
+    matrices agree in rows, cols and entries; fields cannot be assigned."""
 
-    rows: int
-    cols: int
-    entries: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int,
+                 entries: Mapping[tuple[int, int], int | Fraction] | None = None):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         clean: dict[tuple[int, int], Fraction] = {}
-        for (r, c), value in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols} matrix")
+        for (r, c), value in (entries or {}).items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
             v = Fraction(value)
             if v:
                 clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
+        for name, value in zip(self.__slots__, (rows, cols, clean)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __repr__(self):
+        return f"SparseMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows: Iterable[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
 from math import comb
 from typing import Sequence
 
@@ -44,17 +43,19 @@ MAX_FILTRATION_LEVEL = 3
 MAX_SPLIT_LEVEL = 2
 
 
-@dataclass
 class SuiteConfig:
-    cases: list[tuple[int, int, int]] = field(default_factory=lambda: list(DESK_CASES))
-    disc_cases: list[tuple[int, int]] = field(default_factory=lambda: list(DESK_DISC_CASES))
-    direct_sums: list[tuple[int, int, tuple[int, ...], int]] = field(
-        default_factory=lambda: list(DESK_DIRECT_SUMS))
-    ambient_cap: int = DEFAULT_AMBIENT_CAP
-    monomial_cap: int = filt.DEFAULT_MONOMIAL_CAP
-    degree_cap: int = disc.DEFAULT_DEGREE_CAP
-    fmt: str = "json"
-    seed: int = 0
+    """The suite's inputs; each config holds its own case lists."""
+
+    def __init__(self, cases: Sequence[tuple[int, int, int]] = DESK_CASES,
+                 disc_cases: Sequence[tuple[int, int]] = DESK_DISC_CASES,
+                 direct_sums: Sequence[tuple[int, int, tuple[int, ...], int]] = DESK_DIRECT_SUMS,
+                 ambient_cap: int = DEFAULT_AMBIENT_CAP,
+                 monomial_cap: int = filt.DEFAULT_MONOMIAL_CAP,
+                 degree_cap: int = disc.DEFAULT_DEGREE_CAP, fmt: str = "json", seed: int = 0):
+        self.cases, self.disc_cases = list(cases), list(disc_cases)
+        self.direct_sums = list(direct_sums)
+        self.ambient_cap, self.monomial_cap, self.degree_cap = ambient_cap, monomial_cap, degree_cap
+        self.fmt, self.seed = fmt, seed
 
     def validate(self) -> None:
         if self.ambient_cap <= 0 or self.monomial_cap <= 0 or self.degree_cap <= 0:
@@ -135,7 +136,7 @@ def _filtration_record(m: int, n: int, d: int, walk: filt.FiltrationResult) -> d
         "lmax": l_max,
         "dims": dims,
         "formula_ok": formula_ok(m, n, d, dims),
-        "saturation_level": replace(walk, dims=dims).saturation_level,
+        "saturation_level": walk._replace(dims=dims).saturation_level,
         # the images z^a v, |a| <= l, span F_l (`filtration.pbw_filtration`)
         "pbw": [{"l": l, "independent": dims[l] == comb(m * n + l, l)}
                 for l in range(1, l_max + 1)],
@@ -155,7 +156,7 @@ def _char_ideal_records(m: int, n: int, d: int, caps) -> list[dict]:
 
 
 def _serre_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
-    return [{**asdict(r), "ok": r.ok} for r in filt.serre_power_check(m, n, d, ambient_cap)]
+    return [{**r._asdict(), "ok": r.ok} for r in filt.serre_power_check(m, n, d, ambient_cap)]
 
 
 def taylor_level_record(m: int, n: int, d: int, l: int, section_dim: int,
@@ -187,7 +188,7 @@ def _taylor_record(m: int, n: int, d: int, ambient_cap: int) -> dict:
 
 
 def duality_record(l: int, report: jets.DualityReport) -> dict:
-    return {"l": l, **asdict(report), "ok": report.ok}
+    return {"l": l, **report._asdict(), "ok": report.ok}
 
 
 def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:

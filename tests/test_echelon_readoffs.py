@@ -208,7 +208,7 @@ def test_desk_suite_builds_no_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the desk suite must read every rank off its echelons")
 
-    monkeypatch.setattr(linalg.SparseMatrix, "__post_init__", forbidden)
+    monkeypatch.setattr(linalg.SparseMatrix, "__init__", forbidden)
     for name in ("rref", "rank", "kernel_basis", "span_dim"):
         monkeypatch.setattr(linalg, name, forbidden)
     monkeypatch.setattr(jets, "kernel_basis", forbidden)

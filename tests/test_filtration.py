@@ -1,7 +1,6 @@
 import importlib.util
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -674,7 +673,7 @@ def test_saturated_levels_are_not_read_again(monkeypatch, cold_filtration):
     assert grown.dims[6:] == [grown.module_dim] * 45 == [50] * 45
     for k in (0, 5, 6, 7, 9, 50):
         shorter = canonical_filtration(2, 2, 3, k)  # a request for bases walks again
-        sliced = replace(grown, dims=grown.dims[:k + 1], levels=grown.levels[:k + 1])
+        sliced = grown._replace(dims=grown.dims[:k + 1], levels=grown.levels[:k + 1])
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
         assert sliced.levels[k].basis == shorter.levels[k].basis
@@ -699,6 +698,12 @@ def test_walk_and_canonical_filtration_agree(monkeypatch, cold_filtration, m, n,
     assert len(walk.supports) == min(l + 1, d)
 
 
+def test_a_result_holds_no_levels_unless_given():
+    result = filtration.FiltrationResult(3, [1, 3], [frozenset({1}), frozenset({2, 3})])
+    assert result.levels is None and result.saturation_level == 1
+    assert result._replace(dims=[1, 2]).saturation_level is None
+
+
 def test_a_full_growth_serves_a_walk_and_a_walk_serves_no_basis(monkeypatch, cold_filtration):
     # A walk keeps no rows, so a request for bases grows again; a growth
     # with bases stores its walk, which serves every walk it reaches, and a
@@ -706,7 +711,7 @@ def test_a_full_growth_serves_a_walk_and_a_walk_serves_no_basis(monkeypatch, col
     growths = _growths(monkeypatch)
     walk = filtration_walk(2, 2, 4, 3)
     assert (walk.dims, walk.saturation_level) == ([1, 5, 15, 35], None)
-    assert filtration_walk(2, 2, 4, 1) == replace(walk, dims=[1, 5], supports=walk.supports[:2])
+    assert filtration_walk(2, 2, 4, 1) == walk._replace(dims=[1, 5], supports=walk.supports[:2])
     assert canonical_filtration(2, 2, 4, 3).dims == walk.dims
     assert filtration_walk(2, 2, 4, 3) == walk
     assert filtration_walk(2, 2, 4, 9).dims == [1, 5, 15, 35, 70, 90, 100, 104, 105, 105]
@@ -764,7 +769,7 @@ def test_sliced_filtration_matches_shorter_growth(m, n, d, cold_filtration):
     # saturation level must come out as a shorter growth reports it.
     grown = canonical_filtration(m, n, d, d)
     for k in range(d + 1):
-        sliced = replace(grown, dims=grown.dims[:k + 1], levels=grown.levels[:k + 1])
+        sliced = grown._replace(dims=grown.dims[:k + 1], levels=grown.levels[:k + 1])
         shorter = canonical_filtration(m, n, d, k)  # a request for bases walks again
         assert sliced.dims == shorter.dims
         assert sliced.saturation_level == shorter.saturation_level
@@ -855,7 +860,7 @@ def test_the_cap_is_checked_before_the_stored_walk(monkeypatch, cold_filtration)
     grown = canonical_filtration(2, 2, 3, 3)
     assert canonical_filtration(2, 2, 3, 3, cap=100) == grown
     assert filtration_walk(2, 2, 3, 2, cap=100).dims == grown.dims[:3]
-    assert filtration_walk(2, 2, 3, 3) == replace(grown, levels=None)
+    assert filtration_walk(2, 2, 3, 3) == grown._replace(levels=None)
     with pytest.raises(SizeCapError, match="ambient module dimension"):
         filtration_walk(2, 2, 3, 2, cap=55)
     with pytest.raises(SizeCapError, match="filtration level"):
@@ -876,7 +881,7 @@ def test_each_call_returns_a_new_result(monkeypatch, cold_filtration):
         result.supports.clear()
     first.levels.clear()
     second.levels.pop()
-    assert filtration_walk(2, 2, 3, 3) == replace(second, levels=None)
+    assert filtration_walk(2, 2, 3, 3) == second._replace(levels=None)
     assert canonical_filtration(2, 2, 3, 3).dims == [1, 5, 15, 35]
     assert len(growths) == 3
 

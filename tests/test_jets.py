@@ -1,5 +1,4 @@
 import ast
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -543,7 +542,7 @@ def test_a_planted_vanishing_chain_flips_the_pairing(m, n, d):
         for k in range(min(l + 2, d)):
             supports = list(walk.supports)
             supports[k] = supports[k] | {vanishing[0]}
-            planted = replace(walk, supports=supports)
+            planted = walk._replace(supports=supports)
             assert level_duality(m, n, d, planted, l, DEFAULT_AMBIENT_CAP).pairing_vanishes \
                 is (k > l)
 

@@ -136,6 +136,27 @@ def test_entries_validated():
     import pytest
     with pytest.raises(ValueError):
         SparseMatrix(1, 1, {(1, 0): Fraction(1)})
+    with pytest.raises(ValueError):
+        SparseMatrix(-1, 1)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    matrix = SparseMatrix(1, 2, {(0, 1): 3})
+    for name, value in (("rows", 2), ("cols", 1), ("entries", {})):
+        with pytest.raises(AttributeError):
+            setattr(matrix, name, value)
+        with pytest.raises(AttributeError):
+            delattr(matrix, name)
+    assert matrix == SparseMatrix(1, 2, {(0, 1): Fraction(3)})
+    assert repr(matrix) == "SparseMatrix(rows=1, cols=2, entries={(0, 1): Fraction(3, 1)})"
+
+
+def test_matrices_are_equal_exactly_when_every_field_is():
+    base = SparseMatrix(2, 3, {(0, 1): 1})
+    assert base == SparseMatrix(2, 3, {(0, 1): Fraction(1), (1, 2): 0})
+    for other in (SparseMatrix(3, 3, {(0, 1): 1}), SparseMatrix(2, 4, {(0, 1): 1}),
+                  SparseMatrix(2, 3, {(0, 1): 2}), SparseMatrix(2, 3)):
+        assert base != other
 
 
 def test_primitive_integers_sign_conventions():

@@ -34,6 +34,14 @@ def test_discriminant_import_loads_no_grassmannian_layer():
     assert not loaded & {"lie", "filtration", "jets", "suite", "cli"}
 
 
+def test_cli_import_loads_no_dataclasses():
+    # The records are NamedTuples and plain classes, which compile no code
+    # when defined, so neither dataclasses nor the inspect and ast it needs load.
+    loaded = fresh("import json, sys, vermajet.cli, vermajet.suite; print(json.dumps("
+                   "sorted({'ast', 'dataclasses', 'inspect'} & set(sys.modules))))")
+    assert loaded == []
+
+
 def test_every_export_is_its_module_attribute():
     same = fresh("import json, sys, vermajet\n"
                  "names = [n for n in vermajet.__all__ if n != '__version__']\n"

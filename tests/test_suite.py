@@ -111,6 +111,29 @@ def test_config_validation():
         SuiteConfig(fmt="yaml").validate()
 
 
+def test_each_config_holds_its_own_case_lists():
+    first = SuiteConfig()
+    first.cases.append((3, 3, 3))
+    first.disc_cases.clear()
+    first.direct_sums.pop()
+    second = SuiteConfig()
+    assert second.cases == list(suite.DESK_CASES)
+    assert second.disc_cases == list(suite.DESK_DISC_CASES)
+    assert second.direct_sums == list(suite.DESK_DIRECT_SUMS)
+
+
+def test_report_records_keep_their_field_order():
+    # The fields of a root and a duality report are the keys of its record, in order.
+    root = filtration.RootPowerReport(1, 1, True, True)
+    assert list(root._asdict()) == ["index", "power", "below_nonzero", "at_power_zero"]
+    assert list(suite._serre_records(1, 1, 2, 10)[0]) == [*root._asdict(), "ok"]
+    duality = jets.DualityReport(3, 3, True, False)
+    assert list(duality._asdict()) == ["filtration_dim", "taylor_rank", "dim_match",
+                                       "pairing_vanishes"]
+    assert list(suite.duality_record(1, duality).items()) == [("l", 1), *duality._asdict().items(),
+                                                              ("ok", False)]
+
+
 def test_formula_ok_checks_every_level_below_d():
     assert formula_ok(2, 2, 3, [1, 5, 15])
     assert formula_ok(1, 1, 2, [1, 2, 3, 3, 3])  # levels l >= d are not asserted
