@@ -52,8 +52,9 @@ only from `filtration.canonical_filtration`, whose all-pairs pairing is
 the test reference.
 
 Chart minors are built in closed form (`_chart_minor`) and stored by
-`_checked_minor`; each `plucker_polynomial` read copies its maps into a
-`SectionPolynomial`, a plain two-slot class with no equality.  The
+`_checked_minor`; each `plucker_polynomial` read is a `SectionPolynomial`
+(a plain class with no equality) that holds the stored minor and copies a
+map on its first read, so a section nothing reads costs one lookup.  The
 basis is stored by `_reduced_family` (`maxsize=1`: a case's calls are
 consecutive in every caller).  `section_space` (and `taylor_rank`) still
 reads every factor of every Plücker monomial through `plucker_polynomial` on
@@ -86,12 +87,26 @@ from .polynomials import det  # noqa: F401
 
 
 class SectionPolynomial:
-    """A global section in chart coordinates, with Plücker-monomial provenance."""
+    """A global section in chart coordinates, with Plücker-monomial provenance:
+    the maps given, or a stored minor (`_minor`) whose maps are each copied once."""
 
-    __slots__ = ("chart", "plucker")
+    __slots__ = ("_chart", "_plucker", "_minor")
 
     def __init__(self, chart: Poly, plucker: dict[int, int | Fraction]):
-        self.chart, self.plucker = chart, plucker
+        self._chart, self._plucker, self._minor = chart, plucker, None
+
+    @property
+    def chart(self) -> Poly:
+        if self._chart is None:
+            self._chart = chart = Poly.__new__(Poly)
+            chart.nvars, chart.terms = self._minor[0], self._minor[1].copy()
+        return self._chart
+
+    @property
+    def plucker(self) -> dict[int, int | Fraction]:
+        if self._plucker is None:
+            self._plucker = self._minor[2].copy()
+        return self._plucker
 
 
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
@@ -129,16 +144,13 @@ def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, 
 
 def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
-    normalized so the minor for rows {1..m} is 1.  The section owns copies
-    of the stored chart terms and Plücker map; neither constructor runs, and
-    `dict.copy` rehashes no key."""
-    nvars, terms, plucker = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
-    chart = Poly.__new__(Poly)
-    chart.nvars = nvars
-    chart.terms = terms.copy()
+    normalized so the minor for rows {1..m} is 1.  The section holds the
+    stored minor and copies its chart terms and Plücker map on first read
+    (see `SectionPolynomial`), so a read that nothing reads costs the
+    argument check and the memo lookup alone."""
     section = SectionPolynomial.__new__(SectionPolynomial)
-    section.chart = chart
-    section.plucker = plucker.copy()
+    section._chart = section._plucker = None
+    section._minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
     return section
 
 
@@ -188,8 +200,8 @@ def section_space(m: int, n: int, d: int,
     tuple (see the module docstring)."""
     wedges = wedge_basis(m, n)
     reads = module_dim(m, n, d, cap) * d // len(wedges)  # each wedge's total exponent
-    # No chain reads a minor: these reads stay only because the benchmark
-    # pins the desk's `plucker_polynomial` call count, until it is re-pinned.
+    # No chain reads a minor, so each read is a memo lookup that copies no map:
+    # the reads stay only until the benchmark's desk call counts are re-pinned.
     for wedge in wedges:
         for _ in range(reads):
             plucker_polynomial(wedge, m, n)

@@ -176,7 +176,10 @@ class LieAlgebraContext:
             tuple(self.E(i, j) for i, j in units) + tuple(self.H(k) for k in cartan))
         self.basis_names: tuple[str, ...] = (
             tuple(f"E{i},{j}" for i, j in units) + tuple(f"H{k}" for k in cartan))
-        self._subalgebras = {tag: tuple(x for x in self.basis if self.contains(x, tag))
+        # H_k's two entries are both diagonal, so it is classified as (k, k)
+        positions = units + [(k, k) for k in cartan]
+        self._subalgebras = {tag: tuple(x for x, (i, j) in zip(self.basis, positions)
+                                        if _position_allowed(tag, m, i, j))
                              for tag in SubalgebraTag}
 
     def E(self, i: int, j: int) -> LieElement:

@@ -1,15 +1,16 @@
 import ast
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 
-from vermajet.filtration import canonical_filtration, filtration_walk, weyl_dim_oracle
-from vermajet.lie import SubalgebraTag
+from vermajet.filtration import (apply_pbw_monomial, canonical_filtration, filtration_walk,
+                                 weyl_dim_oracle)
+from vermajet.lie import SubalgebraTag, build_context
 from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, module_dim,
-                               wedge_basis, wedge_keys)
+                               wedge_basis, wedge_counts, wedge_keys)
 from vermajet.polynomials import Poly
 from vermajet import cli, jets, suite
 from vermajet.jets import (duality_check, kernel_sections, level_duality, plucker_polynomial,
@@ -281,6 +282,12 @@ def test_plucker_polynomial_returns_fresh_maps():
     assert (second.chart.terms, second.plucker) == want
     assert second.chart is not first.chart and second.plucker is not first.plucker
     assert type(second) is jets.SectionPolynomial and second.chart.nvars == 4
+    # each map is copied on its first read, and later reads return that copy
+    assert second.chart is second.chart and second.plucker is second.plucker
+    # the constructor stores the objects it is given
+    chart, plucker = Poly.const(4, 2), {1 << 4: 1}
+    made = jets.SectionPolynomial(chart, plucker)
+    assert made.chart is chart and made.plucker is plucker
 
 
 def test_empty_section_monomial_is_one():
@@ -465,6 +472,30 @@ def test_taylor_matrix_columns_do_not_depend_on_l(m, n, d):
         assert (wider.rows, wider.cols) == (matrix.rows, comb(m * n + l + 1, l + 1))
 
 
+@pytest.mark.parametrize("m,n,d", DESK_CASES + DEEPER_CASES)
+def test_module_action_is_the_taylor_matrix_scaled(m, n, d):
+    # n is abelian and each t_ij E_ij squares to 0 on V, so exp(sum t_ij E_ij)
+    # sends e_1 ^ ... ^ e_m to sum_w Delta_w(T) e_w, and
+    # sum_a t^a / a! z^a v = (sum_w Delta_w(T) e_w)^d.  At a key c with wedge
+    # counts c_w: z^a v [c] = a! (d! / prod c_w!) [t^a] prod Delta_w^(c_w),
+    # which at a standard chain is a! (d! / prod c_w!) times its Taylor
+    # entry.  The move table with `act` and the chart minors with their
+    # packed products are two constructions of one matrix.
+    l = d
+    generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
+    v = highest_weight_vector(m, n, d)
+    matrix, _ = taylor_matrix(m, n, d, l)
+    chains = section_space(m, n, d)
+    scale = [factorial(d) // prod(factorial(e) for _, e in wedge_counts(c, m, n, d))
+             for c in chains]
+    for column, a in enumerate(jet_monomials(m, n, l)):
+        image = apply_pbw_monomial(generators, a, v, m, d).coeffs
+        a_factorial = prod(map(factorial, a))
+        for r, chain in enumerate(chains):
+            assert image.get(chain, 0) == \
+                a_factorial * scale[r] * matrix.entries.get((r, column), 0)
+
+
 @pytest.mark.parametrize("m,n,d", DESK_CASES)
 def test_level_duality_equals_duality_check(m, n, d):
     # One walk to d serves every level, as in the desk suite.
@@ -573,16 +604,28 @@ def test_desk_suite_eliminates_each_family_once():
 @pytest.mark.parametrize("m,n,d", [(2, 2, 4), (1, 1, 60)])
 def test_section_space_reads_each_factor_and_multiplies_nothing(monkeypatch, m, n, d):
     # The pinned reads run on every call, cold or warm, and no call forms a
-    # chart product.
+    # chart product.  Nothing reads a section they return, so a cold call
+    # builds each stored minor's Poly once and a warm call builds none.
     jets._checked_minor.cache_clear()
     calls = _counted_reads_and_products(monkeypatch)
+    built = []
+
+    class CountedPoly(Poly):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(jets, "Poly", CountedPoly)
     factors = module_dim(m, n, d) * d  # d factors per degree-d monomial
     jets._reduced_family.cache_clear()
     cold = section_space(m, n, d)
     assert calls == {"plucker": factors, "mul": 0}
+    assert len(built) == comb(m + n, m)
     calls.update(plucker=0)
+    built.clear()
     assert section_space(m, n, d) is cold
     assert calls == {"plucker": factors, "mul": 0}
+    assert built == []
     assert jets._reduced_family.cache_info()[:2] == (1, 1)
 
 
