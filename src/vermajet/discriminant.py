@@ -24,16 +24,16 @@ sum_j (b^j / j!) (delta^j F)(f), so F vanishes on the locus exactly when no
 delta^j F has a monomial in a_0..a_e alone.  delta lowers the weight
 sum r*e_r by one, so the kernel is the union of the weight blocks' kernels,
 and block w's rows are R_w = delta^T(R_(w-1)) + the unit rows of the
-monomials of weight w in a_0..a_e alone; block w's piece is the
-`Echelon.kernel` of R_w over its columns in `degree_monomials` order, each
-vector put in `integer_primitive`'s normal form.  Only
-w <= kd/2 is eliminated, each block seeded with the stored integer rows of
-the block below (`Echelon.echelon_rows`; R_w needs only the row space of
-R_(w-1)), and no polynomial in (b, c) is formed.  Swapping x0 and x1 keeps
-every root's multiplicity, so the mirror a_r -> a_(d-r) maps the piece to
-itself and block w to block kd - w: the mirrored kernel of the blocks
-w < kd/2 spans the upper half, put in `Echelon.kernel`'s canonical form by
-one more `Echelon` over the reversed columns.
+monomials of weight w in a_0..a_e alone; block w's piece is the kernel of
+R_w over its columns in `degree_monomials` order, read with no `Fraction` by
+`Echelon.integer_readoff` (a vector counts only up to scale) and put in
+`integer_primitive`'s normal form.  Only w <= kd/2 is eliminated, each block
+seeded with the stored integer rows of the block below (`Echelon.echelon_rows`;
+R_w needs only the row space of R_(w-1)), and no polynomial in (b, c) is
+formed.  Swapping x0 and x1 keeps every root's multiplicity, so the mirror
+a_r -> a_(d-r) maps the piece to itself and block w to block kd - w: the
+mirrored kernel of the blocks w < kd/2 spans the upper half, whose basis is
+one more `Echelon`'s primitive reduced rows over the reversed columns.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
 Each univariate restriction is proved reducible only by a rational root
@@ -220,11 +220,11 @@ def _kernel_piece(d: int, l: int, k: int) -> list[Poly]:
     for w in range(k * d // 2 + 1):
         block = blocks[w]
         echelon = _row_space(block, blocks.get(w - 1), echelon, d - l - 1)
-        for vector in echelon.kernel():
+        for vector in echelon.integer_readoff()[1]:
             vectors[block[max(vector)]] = {block[j]: v for j, v in vector.items()}
             if 2 * w < k * d:
                 mirror.add({reversed_column[block[j][::-1]]: v for j, v in vector.items()})
-    for p, row in mirror.canonical_rows():
+    for p, row in mirror.integer_readoff()[0]:
         vectors[columns[-1 - p]] = {columns[-1 - j]: v for j, v in row.items()}
     return [integer_primitive(_from_terms(d + 1, vector)) for _, vector in sorted(vectors.items())]
 

@@ -12,10 +12,11 @@ increasing column order, and its content is removed once, when it is stored
 as a pivot row (a gcd of its values, signed by the pivot entry); a stored
 row's entries are in no particular column order.  Back-substitution runs
 only when the reduced form or a kernel is asked for.  The reduced form is
-unique, and `Echelon.canonical_rows` and `Echelon.kernel` (built on it) are
-its only read-off, each row scaled to 1 at its pivot with canonical entries;
-`rref` and `kernel_basis` use them too.  `Echelon.echelon_rows` reads the
-stored rows as they stand, a row-space basis with no back-substitution.
+unique, and `Echelon.integer_readoff` is its one read-off: the primitive
+rows and the kernel scaled to integers, with no `Fraction`; `canonical_rows`
+(1 at each pivot) and `kernel` (1 at each free column) are built on it, and
+`rref` and `kernel_basis` on them.  `Echelon.echelon_rows` reads the stored
+rows as they stand, a row-space basis with no back-substitution.
 
 `canonical` and `canonical_values` keep a coefficient an `int` when it is
 integral and a `Fraction` only when it is not; polynomials, Lie algebra
@@ -222,28 +223,43 @@ class Echelon:
         """The stored rows (read-only) in pivot order; no normal form is promised."""
         return [self._rows[c] for c in self.pivots]
 
-    def canonical_rows(self) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
-        """(pivot, row) of the reduced form in pivot order, each row a new
-        dict scaled to 1 at its pivot with canonical entries; lazy, so a
-        caller that stops early converts no later row."""
-        for col, row in zip(self.pivots, self.reduced()):
-            scale = row[col]
-            yield col, dict(row) if scale == 1 else {
-                c: v // scale if v % scale == 0 else Fraction(v, scale) for c, v in row.items()}
-
-    def kernel(self) -> list[dict[int, int | Fraction]]:
-        """Basis of {x : M x = 0}, one sparse vector per free column c in
-        increasing c, where M has the added rows: {c: 1, p: -row_p[c]} over
-        the pivots p.  At full column rank the kernel is zero and no
-        back-substitution runs."""
+    def integer_readoff(self) -> tuple[list[tuple[int, dict[int, int]]], Iterator[dict[int, int]]]:
+        """(pivot, row) of the primitive reduced rows in pivot order (read-only),
+        and a lazy kernel basis, one vector per free column c in increasing c:
+        L at c, -row_p[c] * L / row_p[p] at each pivot p whose row holds c, L
+        the lcm of those row_p[p].  Full column rank gives the identity rows."""
         if self.rank == self.cols:
-            return []
-        vectors = {c: {c: 1} for c in range(self.cols) if c not in self._rows}
-        for p, row in self.canonical_rows():
+            return [(c, {c: 1}) for c in range(self.cols)], iter(())
+        rows = list(zip(self.pivots, self.reduced()))
+        return rows, self._integer_kernel(rows)
+
+    def _integer_kernel(self, rows: list[tuple[int, dict[int, int]]]) -> Iterator[dict[int, int]]:
+        scales = dict.fromkeys(range(self.cols), 1)
+        for p, row in rows:
+            scales.update({c: lcm(scales[c], row[p]) for c in row})
+        vectors = {c: {c: scale} for c, scale in scales.items() if c not in self._rows}
+        for p, row in rows:
             for c, v in row.items():
                 if c != p:
-                    vectors[c][p] = -v
-        return list(vectors.values())
+                    vectors[c][p] = -v * (scales[c] // row[p])
+        yield from vectors.values()
+
+    def canonical_rows(self) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
+        """(pivot, row) of the reduced form in pivot order, each row a new dict,
+        1 at its pivot with canonical entries; lazy: stopping early converts no later row."""
+        for col, row in self.integer_readoff()[0]:
+            yield col, _divided(row, row[col])
+
+    def kernel(self) -> list[dict[int, int | Fraction]]:
+        """Basis of {x : M x = 0}, M the added rows: one vector per free column c
+        in increasing c, {c: 1, p: -row_p[c]} over the canonical rows' pivots p."""
+        return [_divided(vector, vector[max(vector)]) for vector in self.integer_readoff()[1]]
+
+
+def _divided(row: Mapping[int, int], scale: int) -> dict[int, int | Fraction]:
+    # A new dict of row / scale with canonical entries.
+    return dict(row) if scale == 1 else {
+        c: v // scale if v % scale == 0 else Fraction(v, scale) for c, v in row.items()}
 
 
 class RrefResult(NamedTuple):

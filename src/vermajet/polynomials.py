@@ -145,7 +145,9 @@ class Poly:
             return self == Poly.const(self.nvars, other)
         return NotImplemented
 
-    def __hash__(self):
+    def __hash__(self):  # a constant equals its scalar, so it hashes as one
+        if not any(map(any, self.terms)):
+            return hash(sum(self.terms.values()))  # the one term's value, or 0
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- queries -------------------------------------------------------
@@ -294,7 +296,9 @@ def _cofactor_expansion(row: Sequence[tuple], cols: int, minor) -> dict:
         if cols & bit:
             _add_product(terms, negated if (cols & bit - 1).bit_count() % 2 else entry,
                          minor(cols ^ bit))
-    return {key: c for key, c in terms.items() if c}
+    for key in [key for key, c in terms.items() if not c]:
+        del terms[key]
+    return terms
 
 
 def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
@@ -371,7 +375,7 @@ def integer_primitive(p: Poly) -> Poly:
         return p
     exps = list(p.terms)
     coeffs = primitive_integers(list(p.terms.values()), exps.index(min(exps)))
-    return Poly(p.nvars, dict(zip(exps, coeffs)))
+    return _from_terms(p.nvars, dict(zip(exps, coeffs)))
 
 
 def _lowered(p: Poly, low: Sequence[int]) -> Poly:

@@ -12,30 +12,34 @@ independent and report an injected zero minor, and a source scan keeps
 desk suite must build no `SparseMatrix` and call no `linalg` elimination.
 A source scan keeps reading the reduced rows inside `linalg`; the eliminant
 sweep seeds each weight block from the stored integer rows of the block
-below, whose span is checked against the canonical rows."""
+below, whose span is checked against the canonical rows, and reads each
+block's kernel and the mirror through the integer read-off, which scales
+`kernel` and `canonical_rows` to integers and builds no `Fraction`."""
 
 import ast
 import hashlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
 
 from vermajet import filtration, jets, linalg
-from vermajet.discriminant import _kernel_piece, irreducibility_witness, parametrized_form
+from vermajet.discriminant import (_eliminants, _kernel_piece, _weight, eliminant_generators,
+                                   graded_relations, irreducibility_witness, parametrized_form)
 from vermajet.filtration import annihilator_dim, verma_split_check, weyl_dim_oracle
 from vermajet.lie import SubalgebraTag, build_context
 from vermajet.errors import CertificateError
 from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, rank, span_dim
 from vermajet.plethysm import sym_basis, wedge_basis
-from vermajet.polynomials import Poly, det
+from vermajet.polynomials import Poly, degree_monomials, det
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
 from reference import (evaluation_matrix, incidence_parametrization, jet_truncation,
-                       section_monomial, transpose, unpack, weight_block_ranks)
+                       pullback_pieces, section_monomial, transpose, unpack, weight_block_ranks)
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
 DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
@@ -248,18 +252,88 @@ def test_echelon_rows_are_primitive_integers_spanning_the_canonical_rows():
             assert list(again.canonical_rows()) == list(echelon.canonical_rows()), stage
 
 
+def _readoff_kinds(seed, count):
+    """Seeded echelons from `int` and `Fraction` rows, with the kind of each:
+    zero columns, full column rank, or a nonzero kernel."""
+    rng = random.Random(seed)
+    entries = [0, 0, 0, 1, -2, 3, 4, Fraction(1, 2), Fraction(-5, 3), Fraction(6, 4)]
+    for _ in range(count):
+        cols = rng.randint(0, 7)
+        echelon = Echelon(cols)
+        for _ in range(rng.randint(0, 9)):
+            echelon.add({c: rng.choice(entries) for c in range(cols)})
+        kind = "zero columns" if not cols else "full rank" if echelon.rank == cols else "kernel"
+        yield kind, echelon
+
+
+def test_integer_readoff_scales_the_kernel_and_the_canonical_rows():
+    kinds = set()
+    for kind, echelon in _readoff_kinds(47, 120):
+        kinds.add(kind)
+        stored = [dict(row) for row in echelon.echelon_rows()]
+        rows, vectors = echelon.integer_readoff()
+        vectors = list(vectors)
+        if kind != "kernel":  # the identity, or nothing, with no back-substitution
+            assert rows == [(c, {c: 1}) for c in range(echelon.cols)] and vectors == []
+            assert echelon.echelon_rows() == stored
+        assert [p for p, _ in rows] == echelon.pivots
+        for (p, row), (q, canonical) in zip(rows, echelon.canonical_rows(), strict=True):
+            assert p == q and min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+            assert all(type(v) is int for v in row.values())
+            assert canonical == {c: Fraction(v, row[p]) for c, v in row.items()}
+        kernel = echelon.kernel()
+        assert len(vectors) == len(kernel) == echelon.cols - echelon.rank
+        for vector, reference in zip(vectors, kernel):
+            free = max(reference)
+            scale = vector[free]
+            assert reference[free] == 1 and type(scale) is int and scale > 0
+            assert scale == lcm(*[row[p] for p, row in rows if free in row])
+            assert all(type(v) is int for v in vector.values())
+            assert vector == {c: scale * v for c, v in reference.items()}
+    assert kinds == {"zero columns", "full rank", "kernel"}
+
+
+def test_eliminant_path_builds_no_fraction(monkeypatch):
+    # Every block kernel, mirror row and generator stays in integers from
+    # the first elimination to the last normalization.
+    def forbidden(cls, *args, **kwargs):
+        raise AssertionError("the eliminant path builds no Fraction")
+
+    oracle = pullback_pieces(6, 4, 5)[-1]
+    _eliminants.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(forbidden))
+    with pytest.raises(AssertionError, match="builds no Fraction"):
+        Fraction(1, 2)
+    assert graded_relations(6, 4, 5) == oracle and len(oracle) == 335
+    assert len(eliminant_generators(6, 2)) == 4
+
+
 def test_eliminant_blocks_are_seeded_without_canonical_rows(monkeypatch):
-    # Each block's kernel reads the canonical rows, and so does the mirror
-    # once; `_row_space` reads the block below only through `echelon_rows`.
-    callers = []
-    canonical_rows = Echelon.canonical_rows
+    # Each block's kernel is read once through the integer read-off, and so
+    # is the mirror, last and over every column; `_row_space` reads the
+    # block below only through `echelon_rows`, and no canonical row or
+    # rational kernel is read.
+    reads = []
 
-    def counted(self):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return canonical_rows(self)
+    def counted(method):
+        def read(self):
+            reads.append((method.__name__, sys._getframe(1).f_code.co_name, self.cols))
+            return method(self)
+        return read
 
-    monkeypatch.setattr(Echelon, "canonical_rows", counted)
+    def forbidden(self):
+        raise AssertionError("the eliminant reads its blocks in integers")
+
+    for method in (Echelon.integer_readoff, Echelon.echelon_rows):
+        monkeypatch.setattr(Echelon, method.__name__, counted(method))
+    monkeypatch.setattr(Echelon, "canonical_rows", forbidden)
+    monkeypatch.setattr(Echelon, "kernel", forbidden)
     _kernel_piece(6, 4, 5)
-    assert "_row_space" not in callers
-    assert callers.count("_kernel_piece") == 1
-    assert set(callers) == {"kernel", "_kernel_piece"}
+    blocks = Counter(map(_weight, degree_monomials(5, 7)))
+    expected = []
+    for w in range(16):
+        if w:
+            expected.append(("echelon_rows", "_row_space", blocks[w - 1]))
+        expected.append(("integer_readoff", "_kernel_piece", blocks[w]))
+    expected.append(("integer_readoff", "_kernel_piece", comb(11, 6)))
+    assert reads == expected

@@ -107,6 +107,22 @@ def test_integer_primitive_normalizes_content_and_sign():
     assert normal == 2 * y * y + x * y
 
 
+def test_equal_polynomials_and_scalars_hash_equal():
+    x = Poly.variable(2, 0)
+    equal_pairs = [
+        (Poly.const(3, 5), 5), (Poly.const(3, 5), Fraction(5)), (Poly.const(3, 5), Poly.const(3, 5)),
+        (Poly.const(2, Fraction(-3, 4)), Fraction(-3, 4)), (Poly.const(0, 7), 7),
+        (Poly.zero(2), 0), (Poly.zero(2), Fraction(0)), (x - x, Poly.zero(2)),
+        (x * x - 1, Poly(2, {(0, 0): Fraction(-2, 2), (2, 0): 1})),
+    ]
+    for a, b in equal_pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+    assert 5 in {Poly.const(3, 5)} and Poly.const(3, 5) in {5}
+    assert Fraction(-3, 4) in {Poly.const(2, Fraction(-3, 4))}
+    assert 0 in {Poly.zero(2)} and Poly.zero(1) in {0, x}
+    assert Poly.const(3, 5) != Poly.const(2, 5) and Poly.const(3, 5) != 6
+
+
 def test_variable_factor_stripping():
     x, y = _xy()
     p = x * x * y + x * y * y
