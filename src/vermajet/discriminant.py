@@ -60,14 +60,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, count
-from math import comb
+from math import comb, isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
-from .linalg import Echelon, canonical, kernel_basis, primitive_integers  # noqa: F401
+from .linalg import Echelon, canonical, kernel_basis, primitive  # noqa: F401
 from .polynomials import (Poly, _from_terms, degree_monomials, det, divide_by_variable,
                           integer_primitive, restrict_to_line, strip_variable_factors)
 
@@ -473,18 +473,6 @@ def _squarefree_mod(coeffs: Sequence[int], p: int) -> list[int] | None:
     return f if coeffs[-1] % p and len(_gfp_gcd(f, slope, p)) == 1 else None
 
 
-def _primes():
-    """2, 3, 5, ... by an incremental sieve of Eratosthenes: `crossed` maps
-    the next multiple of each prime found so far to that prime."""
-    crossed: dict[int, int] = {}
-    for n in count(2):
-        step = crossed.pop(n, 0)
-        if not step:
-            yield n
-            step = n
-        crossed[next(m for m in count(n + step, step) if m not in crossed)] = step
-
-
 def _squarefree_part(coeffs: Sequence[int]) -> list[int]:
     """f / gcd(f, f') over Q as primitive integers: f's roots, each once."""
     def divmod_q(a, b):
@@ -498,7 +486,8 @@ def _squarefree_part(coeffs: Sequence[int]) -> list[int]:
     g, h = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
     while h:
         g, h = h, divmod_q(g, h)[1]
-    return primitive_integers(divmod_q(coeffs, g)[0], -1)
+    quotient = divmod_q(coeffs, g)[0]
+    return list(primitive(dict(enumerate(quotient)), len(quotient) - 1).values())
 
 
 def _horner(coeffs: Sequence[int], x: int) -> int:
@@ -515,7 +504,8 @@ def _has_rational_root(coeffs: Sequence[int], p: int | None = None) -> bool:
     off the remainder sequence of (M, r) and checked in integers."""
     if p is None:
         coeffs = _squarefree_part(coeffs)
-        p = next(q for q in _primes() if q > 31 and _squarefree_mod(coeffs, q))
+        p = next(q for q in count(37, 2) if all(q % r for r in range(3, isqrt(q) + 1, 2))
+                 and _squarefree_mod(coeffs, q))
     n, top, bound = len(coeffs) - 1, abs(coeffs[-1]), abs(coeffs[0])
     slope = [k * c for k, c in enumerate(coeffs)][1:]
     for r in range(p):
@@ -615,7 +605,7 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
             restricted = restrict_to_line(target, base, direction)
             if restricted[-1] == 0:
                 continue  # degree dropped: unlucky direction
-            coeffs = primitive_integers(restricted, -1)
+            coeffs = list(primitive(dict(enumerate(restricted)), len(restricted) - 1).values())
             record = {"base": base, "direction": direction,
                       "degree": len(coeffs) - 1,
                       "irreducible": _uni_irreducible_q(coeffs)}

@@ -6,17 +6,18 @@ reduces to a rank computed here, with no floating point and no tolerance.
 
 All elimination runs in one `Echelon` of integer rows, each primitive (its
 entries share no common factor) with a positive pivot.  An added `int` row
-enters as it is; a row holding a `Fraction` is cleared of denominators (and
-made primitive) on entry.  It is reduced fraction-free against the pivots in
-increasing column order, and its content is removed once, when it is stored
-as a pivot row (a gcd of its values, signed by the pivot entry); a stored
-row's entries are in no particular column order.  Back-substitution runs
-only when the reduced form or a kernel is asked for.  The reduced form is
-unique, and `Echelon.integer_readoff` is its one read-off: the primitive
-rows and the kernel scaled to integers, with no `Fraction`; `canonical_rows`
-(1 at each pivot) and `kernel` (1 at each free column) are built on it, and
-`rref` and `kernel_basis` on them.  `Echelon.echelon_rows` reads the stored
-rows as they stand, a row-space basis with no back-substitution.
+enters as it is; a row holding a `Fraction` is made primitive on entry.  It
+is reduced fraction-free against the pivots in increasing column order, and
+its content is removed once, when it is stored as a pivot row; a stored
+row's entries are in no particular column order.  `primitive` is the one
+content normalizer, of these rows, of eliminants and of coefficient lists.
+Back-substitution runs only when the reduced form or a kernel is asked for.
+The reduced form is unique, and `Echelon.integer_readoff` is its one
+read-off: the primitive rows and the kernel scaled to integers, with no
+`Fraction`; `canonical_rows` (1 at each pivot) and `kernel` (1 at each free
+column) are built on it, and `rref` and `kernel_basis` on them.
+`Echelon.echelon_rows` reads the stored rows as they stand, a row-space
+basis with no back-substitution.
 
 `canonical` and `canonical_values` keep a coefficient an `int` when it is
 integral and a `Fraction` only when it is not; polynomials, Lie algebra
@@ -115,35 +116,20 @@ def canonical_values(coeffs: dict) -> dict:
     return coeffs
 
 
-def primitive_integers(values: Sequence[int | Fraction], lead: int) -> list[int]:
+def primitive(values: Mapping, lead) -> dict[object, int]:
     """`values` scaled by one rational factor to integers with no common
-    factor and values[lead] > 0; each caller picks its sign convention
-    through `lead`.  All-zero input comes back as zeros."""
-    if _all_int(values):
-        ints = list(values)
-    else:
-        denom = lcm(*[v.denominator for v in values])
-        ints = [v.numerator * (denom // v.denominator) for v in values]
-    content = gcd(*ints)
+    factor, positive at key `lead`; zeros stay zeros, and all-zero or empty
+    input comes back as it is.  A dict of ints already in that form is
+    returned itself, not copied."""
+    try:
+        ints, content = values, gcd(*values.values())
+    except TypeError:  # a Fraction among the values: clear the denominators
+        denom = lcm(*[v.denominator for v in values.values()])
+        ints = {k: v.numerator * (denom // v.denominator) for k, v in values.items()}
+        content = gcd(*ints.values())
     if content and ints[lead] < 0:
         content = -content
-    return ints if content in (0, 1) else [c // content for c in ints]
-
-
-def _primitive_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
-    # The nonzero entries as primitive integers, positive at the leftmost column.
-    cols = sorted(c for c, v in row.items() if v)
-    return dict(zip(cols, primitive_integers([row[c] for c in cols], 0)))
-
-
-def _store_primitive(row: dict[int, int], col: int) -> dict[int, int]:
-    # The integer row divided by its content, positive at its pivot `col`.
-    content = gcd(*row.values())
-    if row[col] < 0:
-        content = -content
-    if content == 1:
-        return row
-    return {c: v // content for c, v in row.items()}
+    return ints if content in (0, 1) else {k: v // content for k, v in ints.items()}
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> None:
@@ -185,16 +171,15 @@ class Echelon:
     def add(self, row: Mapping[int, int | Fraction]) -> bool:
         """Reduce `row` against the pivots in increasing column order; keep
         it and return True when it leaves a new pivot."""
-        if _all_int(row.values()):
-            work = {c: v for c, v in row.items() if v}
-        else:
-            work = _primitive_row(row)
+        work = {c: v for c, v in row.items() if v}
+        if not _all_int(work.values()):
+            work = primitive(work, min(work))  # any nonzero scale stores the same row
         rows = self._rows
         while work:
             col = min(work)
             pivot_row = rows.get(col)
             if pivot_row is None:
-                rows[col] = _store_primitive(work, col)
+                rows[col] = primitive(work, col)
                 self._reduced = False
                 return True
             if len(pivot_row) == 1:
@@ -215,7 +200,7 @@ class Echelon:
                 for c in targets:
                     _eliminate(row, rows[c], c)
                 if targets:
-                    rows[col] = _store_primitive(row, col)
+                    rows[col] = primitive(row, col)
             self._reduced = True
         return [rows[c] for c in pivots]
 

@@ -6,7 +6,8 @@ tuples to nonzero coefficients, each an `int` when it is integral and a
 `Fraction` only when it is not.  The constructor and every operation keep
 that canonical form, so the integer polynomials that chart minors and
 eliminants are made of run in plain integer arithmetic; `evaluate`
-returns a canonical value too.  This is deliberately minimal: arithmetic,
+returns a canonical value too; `integer_primitive` normalizes through
+`linalg.primitive`.  This is deliberately minimal: arithmetic,
 differentiation, composition and evaluation cover everything
 the chart expansions and eliminants need.  `degree_monomials` is the one
 monomial enumerator: it orders the ambient basis of `plethysm`, the
@@ -33,7 +34,7 @@ from math import lcm, prod
 from operator import getitem, sub
 from typing import Mapping, Sequence, Union
 
-from .linalg import canonical, canonical_values, primitive_integers
+from .linalg import canonical, canonical_values, primitive
 
 
 def _from_terms(nvars: int, terms: dict) -> "Poly":
@@ -370,12 +371,9 @@ def graded_monomials(nvars: int, max_degree: int):
 
 
 def integer_primitive(p: Poly) -> Poly:
-    """Scale to integer coefficients with content 1, lex-first term positive."""
-    if p.is_zero:
-        return p
-    exps = list(p.terms)
-    coeffs = primitive_integers(list(p.terms.values()), exps.index(min(exps)))
-    return _from_terms(p.nvars, dict(zip(exps, coeffs)))
+    """A new Poly, p scaled to integers with content 1, lex-first term positive."""
+    terms = primitive(p.terms, min(p.terms, default=None))
+    return _from_terms(p.nvars, dict(terms) if terms is p.terms else terms)
 
 
 def _lowered(p: Poly, low: Sequence[int]) -> Poly:

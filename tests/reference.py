@@ -69,6 +69,8 @@ per block.
 The chart minor by generic expansion, the oracle of `jets._chart_minor`'s
 closed form: `polynomials.det` of the m x m submatrix of [[I_m], [T]] with
 `Poly` entries, the route `jets` took before the closed form.
+`chart_product` multiplies these minors over a multiset of wedges, the
+chart side of z^a.v at every key of Sym^d(Λ^m V), not only at the chains.
 
 `chart_variables` lists the chart positions in the order of the chart
 variables.  `transpose` and `matvec` of a `SparseMatrix` and `truncate` of
@@ -98,11 +100,14 @@ degree d.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 from operator import le
+from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from vermajet import jets
@@ -114,6 +119,18 @@ from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, highest_weig
                                sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
                                   degree_monomials, graded_monomials, integer_primitive)
+
+
+@lru_cache(maxsize=None)
+def perfbench_workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded once by file path: the
+    one home of its pinned references, the desk report's sha256 among them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the defining module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def incidence_parametrization(d: int, l: int) -> list[Poly]:
@@ -539,6 +556,15 @@ def chart_minor_by_det(rows: Sequence[int], m: int, n: int) -> Poly:
     return det([[Poly.const(nvars, int(c == r)) if r <= m
                  else Poly.variable(nvars, variables.index((r, c)))
                  for c in range(1, m + 1)] for r in rows])
+
+
+@lru_cache(maxsize=None)
+def chart_product(idx: Wedges, m: int, n: int) -> Poly:
+    """prod_w Delta_w(T)^(c_w) over a sorted tuple of wedges, c_w the count of
+    w, each minor from `chart_minor_by_det`; every prefix is multiplied once."""
+    if not idx:
+        return Poly.const(m * n, 1)
+    return chart_product(idx[:-1], m, n) * chart_minor_by_det(idx[-1], m, n)
 
 
 def transpose(matrix: SparseMatrix) -> SparseMatrix:

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from vermajet import discriminant
 from vermajet.errors import SizeCapError
-from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, primitive_integers, span_dim
+from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, primitive, span_dim
 from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
 from vermajet.discriminant import (_gfp_factor_degrees, _gfp_monic, _gfp_trim,
                                    _uni_irreducible_q,
@@ -305,6 +306,11 @@ def test_eliminant_matches_sympy_discriminant(d):
                    {e: -int(c) for e, c in expected.items()})
 
 
+def _primitive_list(values):
+    # The coefficient list as primitive integers, top coefficient positive.
+    return list(primitive(dict(enumerate(values)), len(values) - 1).values())
+
+
 def _random_primitive_polys(rng):
     """Primitive integer polynomials of degree 2..10, ascending coefficients;
     every other one a product of two random factors."""
@@ -321,14 +327,14 @@ def _random_primitive_polys(rng):
                     coeffs[i + j] += cf * cg
         else:
             coeffs = [rng.randint(-20, 20) for _ in range(n)] + [rng.randint(1, 9)]
-        out.append(primitive_integers(coeffs, -1))
+        out.append(_primitive_list(coeffs))
     return out
 
 
 def _witness_lines(d, seed):
     target = multiple_root_eliminant(d, 1).poly
     witness = irreducibility_witness(d, 1, seed)
-    return [primitive_integers(restrict_to_line(target, r["base"], r["direction"]), -1)
+    return [_primitive_list(restrict_to_line(target, r["base"], r["direction"]))
             for r in witness.details["lines"] if not r.get("degenerate")]
 
 
@@ -415,15 +421,23 @@ def test_rational_root_lift_matches_the_divisor_search():
     assert 0 < found < len(polys)
 
 
-def test_squarefree_part_and_primes_agree_with_sympy():
+def test_squarefree_part_and_primes_agree_with_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for coeffs in _random_factored_polys(random.Random(7), 200):
         expected = sympy.Poly(coeffs[::-1], x).sqf_part().all_coeffs()[::-1]
-        assert discriminant._squarefree_part(coeffs) == primitive_integers(
-            [int(c) for c in expected], -1), coeffs
-    primes = discriminant._primes()
-    assert [next(primes) for _ in range(303)] == list(sympy.primerange(2, 2000))
+        assert discriminant._squarefree_part(coeffs) == _primitive_list(
+            [int(c) for c in expected]), coeffs
+    # Past 31 the rational-root test tries the primes in increasing order; a
+    # lead that every prime in [37, 2000) divides leaves the first usable one
+    # at 2003.
+    tried = []
+    squarefree_mod = discriminant._squarefree_mod
+    monkeypatch.setattr(discriminant, "_squarefree_mod",
+                        lambda f, q: tried.append(q) or squarefree_mod(f, q))
+    lead = prod(int(q) for q in sympy.primerange(37, 2000))
+    assert discriminant._has_rational_root([-1, 0, lead]) is False
+    assert tried == list(sympy.primerange(37, 2004))
 
 
 def test_gfp_powmod_matches_repeated_products():

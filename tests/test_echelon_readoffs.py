@@ -39,10 +39,11 @@ from vermajet.polynomials import Poly, degree_monomials, det
 from vermajet.suite import DESK_CASES, SuiteConfig, render_report, run_suite
 
 from reference import (evaluation_matrix, incidence_parametrization, jet_truncation,
-                       pullback_pieces, section_monomial, transpose, unpack, weight_block_ranks)
+                       perfbench_workloads, pullback_pieces, section_monomial, transpose, unpack,
+                       weight_block_ranks)
 from test_jets import _assert_same_chart_span, _section_space_by_fractions
 
-DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
+DESK_REPORT_SHA256 = perfbench_workloads().DESK_REPORT_SHA256
 KERNEL_CASES = list(DESK_CASES) + [(2, 2, 4), (2, 3, 3), (3, 3, 2)]
 SPLIT_CASES = list(DESK_CASES) + [(1, 4, 4), (1, 5, 3)]
 

@@ -4,16 +4,13 @@ the unipotent group, checked against the pullback oracle of `reference`
 lower half read off the mirror) and against the parametrization itself, and
 the binary-forms references of the benchmark."""
 
-import importlib.util
 import random
-import sys
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
 from reference import (graded_pullbacks, incidence_parametrization, new_generators_by_products,
-                       prefix_steps, pullback_kernel_piece, pullback_pieces,
+                       perfbench_workloads, prefix_steps, pullback_kernel_piece, pullback_pieces,
                        pullback_width, pullbacks_by_degree)
 from test_discriminant import _closed_under_mirror, _reference_graded_relations
 from vermajet import discriminant
@@ -22,8 +19,6 @@ from vermajet.discriminant import (_generators_cut_codimension, _kernel_piece, _
                                    graded_relations)
 from vermajet.linalg import Echelon
 from vermajet.polynomials import Poly, _pack_terms, _unpack, degree_monomials
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _strings(polys):
@@ -173,12 +168,8 @@ def test_too_few_generators_draw_no_sample(monkeypatch):
         _generators_cut_codimension([generator] * 2, 6, 2)
 
 
-def test_binary_forms_benchmark_references(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses look the defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+def test_binary_forms_benchmark_references():
+    workloads = perfbench_workloads()
     for (d, l), pinned in workloads.ELIMINANTS.items():
         strings = [g.to_string() for g in eliminant_generators(d, l)]
         assert (len(strings), workloads._digest(strings)) == pinned

@@ -1,10 +1,7 @@
-import importlib.util
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +20,8 @@ from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
 from vermajet.polynomials import graded_monomials
 from vermajet.suite import DESK_CASES
 
-from reference import evaluation_matrix, fflv_point, pack, pbw_monomials, tuple_act
+from reference import (evaluation_matrix, fflv_point, pack, pbw_monomials, perfbench_workloads,
+                       tuple_act)
 
 
 def _row(vec, column):
@@ -907,12 +905,7 @@ def test_grassmannian_jobs_grow_and_certify_each_case_once(monkeypatch, cold_fil
     # Three cases grown to level min(d - 1, 3), each read again by its
     # duality job, and two annihilator cases: 5 growths and 5 certificates;
     # the character-ideal job at (2,2,4) reads the first case's certificate.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses look the defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     growths = _growths(monkeypatch)
     certified = _counted(monkeypatch, filtration, "_p_eigenvector")
     for job in workloads.grassmannian_jobs(0):

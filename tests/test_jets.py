@@ -10,14 +10,14 @@ from vermajet.filtration import (apply_pbw_monomial, canonical_filtration, filtr
 from vermajet.lie import SubalgebraTag, build_context
 from vermajet.linalg import SparseMatrix, rank, span_dim
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, highest_weight_vector, module_dim,
-                               wedge_basis, wedge_counts, wedge_keys)
+                               sym_basis, wedge_basis, wedge_counts, wedge_keys)
 from vermajet.polynomials import Poly
 from vermajet import cli, jets, suite
 from vermajet.jets import (duality_check, kernel_sections, level_duality, plucker_polynomial,
                            section_space, taylor_matrix)
 from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
-from reference import (_jet_columns, chart_homogeneity_check, chart_variables,
+from reference import (_jet_columns, chart_homogeneity_check, chart_product, chart_variables,
                        evaluation_matrix, jet_monomials, jet_truncation, monomial_jet_projective,
                        monomial_sections, pack, pair, section_monomial, standard_chains,
                        truncate, unpack)
@@ -476,24 +476,29 @@ def test_taylor_matrix_columns_do_not_depend_on_l(m, n, d):
 def test_module_action_is_the_taylor_matrix_scaled(m, n, d):
     # n is abelian and each t_ij E_ij squares to 0 on V, so exp(sum t_ij E_ij)
     # sends e_1 ^ ... ^ e_m to sum_w Delta_w(T) e_w, and
-    # sum_a t^a / a! z^a v = (sum_w Delta_w(T) e_w)^d.  At a key c with wedge
-    # counts c_w: z^a v [c] = a! (d! / prod c_w!) [t^a] prod Delta_w^(c_w),
-    # which at a standard chain is a! (d! / prod c_w!) times its Taylor
-    # entry.  The move table with `act` and the chart minors with their
-    # packed products are two constructions of one matrix.
+    # sum_a t^a / a! z^a v = (sum_w Delta_w(T) e_w)^d.  At every key c with
+    # wedge counts c_w: z^a v [c] = a! (d! / prod c_w!) [t^a] prod Delta_w^(c_w),
+    # the product of chart minors expanded by `det` in `tests/reference.py`;
+    # at a standard chain that coefficient is also its Taylor entry.  The move
+    # table with `act` and the chart minors with their packed products are
+    # two constructions of one matrix.
     l = d
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
     v = highest_weight_vector(m, n, d)
     matrix, _ = taylor_matrix(m, n, d, l)
-    chains = section_space(m, n, d)
-    scale = [factorial(d) // prod(factorial(e) for _, e in wedge_counts(c, m, n, d))
-             for c in chains]
+    row = {chain: r for r, chain in enumerate(section_space(m, n, d))}
+    keys = sym_basis(m, n, d)
+    scale = {c: factorial(d) // prod(factorial(e) for _, e in wedge_counts(c, m, n, d))
+             for c in keys}
+    products = {c: chart_product(unpack(c, m, n, d), m, n).terms for c in keys}
     for column, a in enumerate(jet_monomials(m, n, l)):
         image = apply_pbw_monomial(generators, a, v, m, d).coeffs
         a_factorial = prod(map(factorial, a))
-        for r, chain in enumerate(chains):
-            assert image.get(chain, 0) == \
-                a_factorial * scale[r] * matrix.entries.get((r, column), 0)
+        assert image.keys() <= products.keys()
+        for c in keys:
+            assert image.get(c, 0) == a_factorial * scale[c] * products[c].get(a, 0)
+        for c, r in row.items():
+            assert products[c].get(a, 0) == matrix.entries.get((r, column), 0)
 
 
 @pytest.mark.parametrize("m,n,d", DESK_CASES)

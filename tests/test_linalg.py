@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vermajet.linalg import (Echelon, SparseMatrix, canonical, canonical_values,
-                             kernel_basis, primitive_integers, rank, rref, span_dim)
+                             kernel_basis, primitive, rank, rref, span_dim)
 from vermajet.polynomials import Poly, degree_monomials
 
 from reference import in_span, incidence_parametrization, matvec, transpose
@@ -159,12 +159,30 @@ def test_matrices_are_equal_exactly_when_every_field_is():
         assert base != other
 
 
-def test_primitive_integers_sign_conventions():
+def _checked_primitive(values, lead):
+    # primitive() on the list as a map by index, lead an index of the list;
+    # the input map is never mutated.
+    mapping = dict(enumerate(values))
+    got = primitive(mapping, lead % len(values) if values else None)
+    assert mapping == dict(enumerate(values))
+    assert list(got) == list(mapping)
+    return list(got.values())
+
+
+def test_primitive_sign_conventions():
     values = [Fraction(-2, 3), Fraction(4, 9), 0, Fraction(2)]
-    assert primitive_integers(values, 0) == [3, -2, 0, -9]
-    assert primitive_integers(values, -1) == [-3, 2, 0, 9]
-    assert primitive_integers([0, 0], 0) == [0, 0]
-    assert primitive_integers([], -1) == []
+    for lead, expected in ((0, [3, -2, 0, -9]), (-1, [-3, 2, 0, 9])):
+        assert _checked_primitive(values, lead) == expected
+        assert expected == _primitive_integers_by_lcm(values, lead)
+    assert _checked_primitive([0, 0], 0) == [0, 0]
+    assert _checked_primitive([], -1) == []
+    assert primitive({"a": 6, "b": -4}, "b") == {"a": -3, "b": 2}
+
+
+def test_primitive_returns_a_primitive_int_dict_itself():
+    values = {3: 2, 5: -1}
+    assert primitive(values, 3) is values
+    assert primitive(values, 5) == {3: -2, 5: 1} and values == {3: 2, 5: -1}
 
 
 _small_ints = st.integers(min_value=-6, max_value=6)
@@ -361,7 +379,7 @@ def _primitive_integers_by_lcm(values, lead):
     return ints if content in (0, 1) else [c // content for c in ints]
 
 
-def test_primitive_integers_int_mixed_and_zero_inputs():
+def test_primitive_int_mixed_and_zero_inputs():
     rng = random.Random(7)
     cases = [[0, 0, 0], [0], [-6, 0, 9, 12], [5, -10], [1, -1]]
     for _ in range(40):
@@ -372,10 +390,32 @@ def test_primitive_integers_int_mixed_and_zero_inputs():
                       for i, v in enumerate(row)])
     for values in cases:
         for lead in (0, -1):
-            got = primitive_integers(values, lead)
+            got = _checked_primitive(values, lead)
             assert got == _primitive_integers_by_lcm(values, lead)
             assert all(type(v) is int for v in got)
-    assert primitive_integers([], 0) == []
+    assert _checked_primitive([], 0) == []
+
+
+_nonzero_scales = st.one_of(
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool),
+              st.integers(min_value=1, max_value=6)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_integer_rows(), st.data())
+def test_scaled_rows_leave_the_same_echelon(case, data):
+    rows, cols = case
+    scales = data.draw(st.lists(_nonzero_scales, min_size=len(rows), max_size=len(rows)))
+    plain, scaled = Echelon(cols), Echelon(cols)
+    for row, scale in zip(rows, scales):
+        assert plain.add(dict(enumerate(row))) == scaled.add(
+            {c: scale * v for c, v in enumerate(row)})
+    assert plain.pivots == scaled.pivots
+    rows_read, kernel = plain.integer_readoff()
+    scaled_rows_read, scaled_kernel = scaled.integer_readoff()
+    assert scaled_rows_read == rows_read
+    assert list(scaled_kernel) == list(kernel)
 
 
 def test_canonical_keeps_fractions_and_unwraps_integral_ones():

@@ -107,6 +107,15 @@ def test_integer_primitive_normalizes_content_and_sign():
     assert normal == 2 * y * y + x * y
 
 
+def test_integer_primitive_never_shares_or_mutates_its_input():
+    x, y = _xy()
+    for p in (2 * y * y + x * y, 4 * x - 6 * y, Fraction(-1, 2) * x, Poly.zero(2)):
+        before = dict(p.terms)
+        normal = integer_primitive(p)
+        assert normal.terms is not p.terms and p.terms == before
+        assert integer_primitive(normal) == normal
+
+
 def test_equal_polynomials_and_scalars_hash_equal():
     x = Poly.variable(2, 0)
     equal_pairs = [

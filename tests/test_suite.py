@@ -9,6 +9,8 @@ from vermajet.linalg import Echelon
 from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
 
+from reference import perfbench_workloads
+
 
 def test_default_desk_suite_passes():
     report = run_suite(SuiteConfig())
@@ -142,7 +144,7 @@ def test_formula_ok_checks_every_level_below_d():
     assert not formula_ok(2, 2, 3, [2, 5, 15])
 
 
-DESK_REPORT_SHA256 = "0bfbf144b5f144dc34f259cd30d13586b42118b291c60768ba9a24508cc00fb6"
+DESK_REPORT_SHA256 = perfbench_workloads().DESK_REPORT_SHA256
 
 
 def test_desk_suite_grows_one_filtration_per_case(monkeypatch, cold_filtration):
