@@ -21,9 +21,10 @@ Conventions, fixed once and used everywhere downstream:
   are equal exactly when their difference is constant.
 
 `build_context` is memoized per (m, n) for the life of the process; every
-caller shares one context, which is read-only (`basis`, `basis_names` and
-each subalgebra basis, the filter of `basis` by `contains`, are tuples built
-once).  Invalid block sizes raise and are never stored.
+caller shares one context, which is read-only (`basis` and the bases of p
+and n, each the filter of `basis` by `contains`, are tuples built once).
+A tag is a `SubalgebraTag` or its value, "p" or "n", and any other tag
+raises `ValueError`; so do invalid block sizes, which are never stored.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class LieElement:
         c = canonical(scalar)
         return LieElement(self.size, {k: c * v for k, v in self.entries.items()})
 
-    def __neg__(self) -> "LieElement":
-        return (-1) * self
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -91,9 +89,6 @@ class LieElement:
         if not isinstance(other, LieElement):
             return NotImplemented
         return self.size == other.size and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.size, frozenset(self.entries.items())))
 
     def __repr__(self):
         if not self.entries:
@@ -130,37 +125,27 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __repr__(self):
         return f"Weight{self.coords}"
 
 
 class SubalgebraTag(str, Enum):
-    G_MINUS = "g_minus"
-    H = "h"
-    G_PLUS = "g_plus"
     P = "p"
     N = "n"
 
 
+def _tag(tag: SubalgebraTag | str) -> SubalgebraTag:
+    if tag not in ("p", "n"):  # each member equals its value
+        raise ValueError(f"unknown tag {tag!r}")
+    return SubalgebraTag(tag)
+
+
 def _position_allowed(tag: SubalgebraTag, m: int, i: int, j: int) -> bool:
-    if tag is SubalgebraTag.G_MINUS:
-        return i > j
-    if tag is SubalgebraTag.H:
-        return i == j
-    if tag is SubalgebraTag.G_PLUS:
-        return i < j
-    if tag is SubalgebraTag.P:
-        return not (i > m and j <= m)
-    if tag is SubalgebraTag.N:
-        return i > m and j <= m
-    raise ValueError(f"unknown tag {tag!r}")
+    return (i > m and j <= m) == (tag is SubalgebraTag.N)  # n: the lower-left block
 
 
 class LieAlgebraContext:
-    """sl(m+n) with its block decomposition relative to the first m coordinates."""
+    """sl(m+n) with its parabolic p and complement n, relative to the first m coordinates."""
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -174,8 +159,6 @@ class LieAlgebraContext:
         cartan = range(1, self.size)
         self.basis: tuple[LieElement, ...] = (
             tuple(self.E(i, j) for i, j in units) + tuple(self.H(k) for k in cartan))
-        self.basis_names: tuple[str, ...] = (
-            tuple(f"E{i},{j}" for i, j in units) + tuple(f"H{k}" for k in cartan))
         # H_k's two entries are both diagonal, so it is classified as (k, k)
         positions = units + [(k, k) for k in cartan]
         self._subalgebras = {tag: tuple(x for x, (i, j) in zip(self.basis, positions)
@@ -192,21 +175,14 @@ class LieAlgebraContext:
             raise ValueError(f"Cartan index {k} out of range")
         return LieElement(self.size, {(k, k): 1, (k + 1, k + 1): -1})
 
-    def contains(self, x: LieElement, tag: SubalgebraTag) -> bool:
+    def contains(self, x: LieElement, tag: SubalgebraTag | str) -> bool:
         if x.size != self.size:
             raise ValueError("element size mismatch")
+        tag = _tag(tag)
         return all(_position_allowed(tag, self.m, i, j) for (i, j) in x.entries)
 
-    def subalgebra_basis(self, tag: SubalgebraTag) -> list[LieElement]:
-        return list(self._subalgebras[tag])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieAlgebraContext):
-            return NotImplemented
-        return (self.m, self.n) == (other.m, other.n)
-
-    def __hash__(self):
-        return hash((self.m, self.n))
+    def subalgebra_basis(self, tag: SubalgebraTag | str) -> list[LieElement]:
+        return list(self._subalgebras[_tag(tag)])
 
     def __repr__(self):
         return f"LieAlgebraContext(m={self.m}, n={self.n})"

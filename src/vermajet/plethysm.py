@@ -76,9 +76,6 @@ class PlethysmVector:
         return PlethysmVector._of(canonical_values({idx: c * v for idx, v in self.coeffs.items()})
                                   if c else {})
 
-    def __neg__(self) -> "PlethysmVector":
-        return (-1) * self
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -108,9 +108,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = canonical(other)

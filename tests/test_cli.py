@@ -187,6 +187,11 @@ def _one_line_error(capsys, *argv):
     return err
 
 
+def test_taylor_level_past_d_exits_2(capsys):
+    err = _one_line_error(capsys, "taylor", "--m", "2", "--n", "2", "--d", "3", "--l", "4")
+    assert err == "error: taylor check needs 1 <= l <= d\n"
+
+
 def test_config_entry_of_wrong_type_exits_2(capsys, tmp_path):
     config = tmp_path / "typed.json"
     config.write_text(json.dumps({"cases": [[1, 1, "3"]]}))

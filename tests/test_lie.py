@@ -10,11 +10,6 @@ from vermajet.lie import (LieElement, SubalgebraTag, Weight, build_context, rho_
 from reference import bracket, highest_weight, root_weight
 
 
-def n_basis_names(ctx):
-    return [f"E{i},{j}" for i in range(ctx.m + 1, ctx.size + 1)
-            for j in range(1, ctx.m + 1)]
-
-
 def test_build_sl2():
     ctx = build_context(1, 1)
     assert ctx.N == 3
@@ -45,10 +40,7 @@ def test_reject_degenerate_blocks():
 def test_decomposition_dimensions():
     for m, n in [(1, 1), (2, 2), (1, 3), (2, 1)]:
         ctx = build_context(m, n)
-        lower = len(ctx.subalgebra_basis(SubalgebraTag.G_MINUS))
-        upper = len(ctx.subalgebra_basis(SubalgebraTag.G_PLUS))
-        cartan = len(ctx.subalgebra_basis(SubalgebraTag.H))
-        assert lower + cartan + upper == ctx.N
+        assert len(ctx.basis) == ctx.N
         nil = len(ctx.subalgebra_basis(SubalgebraTag.N))
         par = len(ctx.subalgebra_basis(SubalgebraTag.P))
         assert nil == m * n
@@ -164,17 +156,13 @@ def test_build_context_is_shared_and_read_only():
     ctx = build_context(2, 3)
     assert build_context(2, 3) is ctx
     assert build_context(3, 2) is not ctx
-    assert type(ctx.basis) is tuple and type(ctx.basis_names) is tuple
-    assert len(ctx.basis) == len(ctx.basis_names) == ctx.N
-    assert ctx.basis_names[0] == "E1,2" and ctx.basis_names[-1] == "H4"
+    assert type(ctx.basis) is tuple and len(ctx.basis) == ctx.N
+    assert ctx.basis[0] == ctx.E(1, 2) and ctx.basis[-1] == ctx.H(4)
     with pytest.raises(TypeError):
         ctx.basis[0] = ctx.H(1)
 
 
 _UNIT_ALLOWED = {
-    SubalgebraTag.G_MINUS: lambda m, i, j: i > j,
-    SubalgebraTag.H: lambda m, i, j: False,
-    SubalgebraTag.G_PLUS: lambda m, i, j: i < j,
     SubalgebraTag.P: lambda m, i, j: not (i > m and j <= m),
     SubalgebraTag.N: lambda m, i, j: i > m and j <= m,
 }
@@ -185,12 +173,12 @@ def test_subalgebra_bases_are_built_once_and_copied(monkeypatch):
         ctx = build_context(m, n)
         for tag in SubalgebraTag:
             # matrix units by position in (i, j) order, then the Cartan
-            # part for h and p: the construction before the bases were stored
+            # part for p: the construction before the bases were stored
             units = [ctx.E(i, j) for i in range(1, ctx.size + 1)
                      for j in range(1, ctx.size + 1)
                      if i != j and _UNIT_ALLOWED[tag](m, i, j)]
             cartan = [ctx.H(k) for k in range(1, ctx.size)]
-            expected = units + (cartan if tag in (SubalgebraTag.H, SubalgebraTag.P) else [])
+            expected = units + (cartan if tag is SubalgebraTag.P else [])
             assert expected == [x for x in ctx.basis if ctx.contains(x, tag)]
             first = ctx.subalgebra_basis(tag)
             assert type(first) is list and first == expected
@@ -232,3 +220,22 @@ def test_entries_are_ints_unless_fractional():
     assert type(rho_character(ctx, 3, ctx.H(1) + ctx.H(2))) is int
     assert rho_character(ctx, 3, Fraction(1, 2) * ctx.H(2)) == Fraction(3, 2)
     assert type(rho_character(ctx, 2, Fraction(1, 2) * ctx.H(2))) is int
+
+
+def test_a_tag_is_a_member_or_its_value_and_nothing_else():
+    ctx = build_context(2, 2)
+    assert [tag.value for tag in SubalgebraTag] == ["p", "n"]
+    for tag in SubalgebraTag:
+        assert ctx.subalgebra_basis(tag.value) == ctx.subalgebra_basis(tag)
+    assert len(ctx.subalgebra_basis("p")) == 11
+    assert ctx.contains(ctx.H(1), "p") and not ctx.contains(ctx.H(1), "n")
+    assert ctx.contains(ctx.E(3, 1), "n") and not ctx.contains(ctx.E(3, 1), "p")
+    zero = LieElement(ctx.size)
+    assert ctx.contains(zero, "p") and ctx.contains(zero, SubalgebraTag.N)
+    for bogus in ("bogus", "g_plus", "h", "P", "", None, 0):
+        with pytest.raises(ValueError) as info:
+            ctx.contains(zero, bogus)
+        assert str(info.value) == f"unknown tag {bogus!r}"
+        with pytest.raises(ValueError) as info:
+            ctx.subalgebra_basis(bogus)
+        assert str(info.value) == f"unknown tag {bogus!r}"

@@ -62,6 +62,13 @@ def test_csv_projection():
     assert any(line.startswith("verdict,") for line in lines)
 
 
+def test_csv_quotes_a_value_with_a_comma_or_a_quote():
+    report = {"failures": ["discriminant (2,1)", "case (1,1,3)"], "note": 'a "b"', "ok": True}
+    assert report_to_csv(report).splitlines() == [
+        "field,value", 'failures.0,"discriminant (2,1)"', 'failures.1,"case (1,1,3)"',
+        'note,"a ""b"""', "ok,True"]
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
