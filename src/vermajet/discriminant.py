@@ -8,9 +8,9 @@ the sign fixed so the lexicographically first term is positive.
 
 Two independent routes to the classical discriminant are kept separate on
 purpose: the Sylvester resultant (the oracle) and a Bezout-matrix
-determinant (the production path for codimension one).  Both go through
-`polynomials.det` but not through the same expansion: the banded Sylvester
-rows are reordered, the dense Bezout rows are not.  For higher
+determinant (the production path for codimension one).  Both are packed
+rows expanded by `polynomials._packed_det`, but not by the same expansion:
+the banded Sylvester rows are reordered, the dense Bezout rows are not.  For higher
 multiplicity the generators of the eliminant ideal are found degree by
 degree as exact kernel pieces I_k: an element of I_k is new unless it lies
 in the span of a_0..a_d times I_(k-1), the degree-k part of the ideal of
@@ -44,7 +44,7 @@ restricts nothing: a line through one generator of a codimension-l ideal
 says nothing about the locus.
 
 `classical_discriminant_oracle` is memoized for the life of the process,
-keyed by its arguments as passed, and so is `_eliminants(d, l, cap)`, the
+keyed by the resolved (d, cap), and so is `_eliminants(d, l, cap)`, the
 one tuple behind `multiple_root_eliminant` and `eliminant_generators` (a
 1-tuple at l = 1); a call that fails a check is not stored.  Both return
 the shared `Eliminant` objects, so callers treat them as read-only; a list
@@ -68,8 +68,9 @@ from .errors import CertificateError, SizeCapError
 # kernel_basis is unused here but stays bound: perfbench's layer tracer
 # rebinds and checks `discriminant.kernel_basis`.
 from .linalg import Echelon, canonical, kernel_basis, primitive  # noqa: F401
-from .polynomials import (Poly, _from_terms, degree_monomials, det, divide_by_variable,
-                          integer_primitive, restrict_to_line, strip_variable_factors)
+from .polynomials import (Poly, _field_width, _from_terms, _packed_det, degree_monomials,
+                          divide_by_variable, integer_primitive, restrict_to_line,
+                          strip_variable_factors)
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -94,60 +95,53 @@ def _make_eliminant(p: Poly) -> Eliminant:
     return Eliminant(normal, normal.total_degree())
 
 
-def _form_coefficients(d: int) -> list[Poly]:
-    """[a_0, .., a_d] as polynomials, descending powers of the root variable."""
-    return [Poly.variable(d + 1, k) for k in range(d + 1)]
-
-
-def _derivative_coefficients(coeffs: list[Poly]) -> list[Poly]:
-    d = len(coeffs) - 1
-    return [(d - k) * coeffs[k] for k in range(d)]
-
-
-def _sylvester_matrix(p: list[Poly], q: list[Poly]) -> list[list[Poly]]:
-    dp = len(p) - 1
-    dq = len(q) - 1
-    size = dp + dq
-    nvars = p[0].nvars
-    zero = Poly.zero(nvars)
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + p + [zero] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + q + [zero] * (size - dq - 1 - i))
-    return rows
+def classical_discriminant_oracle(d: int, cap: int = DEFAULT_DEGREE_CAP) -> Eliminant:
+    """Sylvester resultant of the form and its derivative, divided by the
+    leading coefficient and normalized; memoized by the resolved (d, cap)."""
+    return _oracle(d, cap)
 
 
 @lru_cache(maxsize=None)
-def classical_discriminant_oracle(d: int, cap: int = DEFAULT_DEGREE_CAP) -> Eliminant:
-    """Sylvester resultant of the form and its derivative, divided by the
-    leading coefficient and normalized."""
+def _oracle(d: int, cap: int) -> Eliminant:
     if d < 2:
         raise ValueError("the discriminant needs degree at least 2")
     if d > cap:
         raise SizeCapError("binary form degree", d, cap)
-    p = _form_coefficients(d)
-    q = _derivative_coefficients(p)
-    resultant = det(_sylvester_matrix(p, q))
+    resultant = _packed_det(_sylvester_rows(d), d + 1, _field_width(2 * d - 1))
     return _make_eliminant(divide_by_variable(resultant, 0))
 
 
-def _bezout_matrix(d: int) -> list[list[Poly]]:
-    """Bezout matrix of the form p and its derivative q; entries in a_0..a_d.
+classical_discriminant_oracle.cache_clear = _oracle.cache_clear  # the memo's one handle
+
+
+def _sylvester_rows(d: int) -> list[list[dict]]:
+    """Sylvester matrix of the form and its derivative, rows packed at width
+    `_field_width(2d - 1)`: d - 1 shifted rows of a_k, then d of (d - k) a_k."""
+    unit = [1 << _field_width(2 * d - 1) * r for r in range(d + 1)]
+    p = [{unit[k]: 1} for k in range(d + 1)]
+    q = [{unit[k]: d - k} for k in range(d)]
+    return ([[{}] * i + p + [{}] * (d - 2 - i) for i in range(d - 1)]
+            + [[{}] * i + q + [{}] * (d - 1 - i) for i in range(d)])
+
+
+def _bezout_matrix(d: int) -> list[list[dict]]:
+    """Bezout matrix of the form p and its derivative q, rows packed at width
+    `_field_width(2d)` (d rows of quadratic entries).
 
     (p(x)q(y) - p(y)q(x)) / (x - y) = sum B_ij x^i y^j, where
     B_ij = sum_{v <= min(i,j)} (P_{i+j+1-v} Q_v - P_v Q_{i+j+1-v}) over the x^u
     coefficients P_u = a_(d-u), Q_u = (u+1) a_(d-1-u) of p and q (zero past
     the degree), so each product is one monomial, added straight into B_ij."""
+    unit = [1 << _field_width(2 * d) * r for r in range(d + 1)]
     rows = [[{} for _ in range(d)] for _ in range(d)]
     for i, row in enumerate(rows):
         for j, terms in enumerate(row):
             for v in range(min(i, j) + 1):
                 for k, u, sign in ((i + j + 1 - v, v, 1), (v, i + j + 1 - v, -1)):
                     if k <= d and u < d:
-                        key = tuple((r == d - k) + (r == d - 1 - u) for r in range(d + 1))
+                        key = unit[d - k] + unit[d - 1 - u]
                         terms[key] = terms.get(key, 0) + sign * (u + 1)
-    return [[Poly(d + 1, terms) for terms in row] for row in rows]
+    return rows
 
 
 def parametrized_form(d: int, l: int, b: int | Fraction,
@@ -303,7 +297,8 @@ def _eliminants(d: int, l: int, cap: int) -> tuple[Eliminant, ...]:
     if d > cap:
         raise SizeCapError("binary form degree", d, cap)
     if l == 1:
-        return (_make_eliminant(strip_variable_factors(det(_bezout_matrix(d)))),)
+        bezout = _packed_det(_bezout_matrix(d), d + 1, _field_width(2 * d))
+        return (_make_eliminant(strip_variable_factors(bezout)),)
     collected: list[Poly] = []
     below: list[Poly] = []
     for degree in range(1, 2 * (d - 1) + 1):
@@ -474,20 +469,26 @@ def _squarefree_mod(coeffs: Sequence[int], p: int) -> list[int] | None:
 
 
 def _squarefree_part(coeffs: Sequence[int]) -> list[int]:
-    """f / gcd(f, f') over Q as primitive integers: f's roots, each once."""
-    def divmod_q(a, b):
+    """f / gcd(f, f') as primitive integers: f's roots, each once.  With
+    pseudo-division lc(b)^k a = q b + r over Z, the gcd ends the primitive
+    pseudo-remainder sequence of f and f', and q of f by it is a multiple of
+    their integral quotient (Gauss's lemma), which `primitive` recovers."""
+    def pseudo_divmod(a, b):
         quotient, r = [], list(a)
         while len(r) >= len(b):
-            quotient.insert(0, Fraction(r[-1]) / b[-1])
-            r = [c - quotient[0] * e for c, e in zip(r, [0] * (len(r) - len(b)) + b)][:-1]
+            factor = r[-1]
+            quotient = [c * b[-1] for c in quotient] + [factor]
+            r = [c * b[-1] - factor * e for c, e in zip(r, [0] * (len(r) - len(b)) + b)][:-1]
         while r and not r[-1]:
             r.pop()
-        return quotient, r
+        return quotient[::-1], r
+
+    def primitive_list(f):
+        return list(primitive(dict(enumerate(f)), len(f) - 1).values())
     g, h = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
     while h:
-        g, h = h, divmod_q(g, h)[1]
-    quotient = divmod_q(coeffs, g)[0]
-    return list(primitive(dict(enumerate(quotient)), len(quotient) - 1).values())
+        g, h = h, primitive_list(pseudo_divmod(g, h)[1])
+    return primitive_list(pseudo_divmod(coeffs, g)[0])
 
 
 def _horner(coeffs: Sequence[int], x: int) -> int:

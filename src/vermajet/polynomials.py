@@ -21,10 +21,12 @@ monomials is adding their keys.  The field width w is the bit length of a
 proven bound on every exponent the loop can produce (for `Poly.__mul__`,
 the sum of the factors' total degrees), so a sum of keys never carries into
 a neighbouring field; `_pack` raises `OverflowError` on an exponent that
-does not fit.  `det` memoizes minors by column bitmask.  `restrict_to_line`
-packs coefficients (Kronecker substitution at t = 2^K: coefficient k is
-signed K-bit field k of one `int`).  A `Poly` keeps exponent tuples at every
-boundary.
+does not fit.  `_packed_det`, the one expansion core, memoizes minors by
+column bitmask; `det` packs `Poly` entries for it, and the discriminant
+builds its rows packed.  `restrict_to_line` packs coefficients (Kronecker
+substitution at t = 2^K: coefficient k is signed K-bit field k of one
+`int`), K from a closed-form bound, so p is evaluated once.  A `Poly`
+keeps exponent tuples at every boundary.
 """
 
 from __future__ import annotations
@@ -299,36 +301,30 @@ def _cofactor_expansion(row: Sequence[tuple], cols: int, minor) -> dict:
     return terms
 
 
-def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
-    """Determinant of a square matrix of polynomials, by minor expansion
-    along the rows in band order, memoized by the remaining column set.
+def _packed_det(rows: Sequence[Sequence[dict]], nvars: int, width: int) -> Poly:
+    """Determinant of a square matrix of packed term dicts of one width
+    (empty for a zero entry), by minor expansion along the rows in band
+    order, memoized by the remaining column set.
 
     The rows are first stable-sorted by (first nonzero column, last nonzero
     column), all-zero rows last, and the expansion's result is multiplied
     by the sign of that permutation.  A banded matrix such as a Sylvester
     matrix then keeps every memoized minor inside its band; a dense matrix
-    keeps its row order.  Entries and minors are packed monomial dicts (see
-    the module docstring) of a width covering the sum over rows of each
+    keeps its row order.  `width` must cover the sum over rows of each
     row's largest entry degree, which bounds every exponent of a minor.  A
     minor is keyed by its column bitmask; each row keeps its nonzero entries
     with their negations, and the cofactor sign is the parity of the set
     columns below.  Only the result is unpacked into a `Poly`."""
     size = len(rows)
-    if any(len(row) != size for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    nvars = next((e.nvars for row in rows for e in row if isinstance(e, Poly)), 0)
-    lifted = [[e if isinstance(e, Poly) else Poly.const(nvars, e) for e in row] for row in rows]
 
     def band(r: int) -> tuple[int, int]:
-        cols = [c for c, e in enumerate(lifted[r]) if e.terms]
+        cols = [c for c, t in enumerate(rows[r]) if t]
         return (cols[0], cols[-1]) if cols else (size, size)
 
     order = sorted(range(size), key=band)
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
-    width = _field_width(sum(max((sum(e) for entry in row for e in entry.terms), default=0)
-                             for row in lifted))
-    packed = [[(c, t, {k: -v for k, v in t.items()}) for c, t in enumerate(
-        _pack_terms(e.terms, width) for e in lifted[r]) if t] for r in order]
+    packed = [[(c, t, {k: -v for k, v in t.items()}) for c, t in enumerate(rows[r]) if t]
+              for r in order]
     cache: dict[int, dict] = {0: {0: 1}}
 
     def minor(cols: int) -> dict:
@@ -342,6 +338,19 @@ def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
                                  for key, c in minor((1 << size) - 1).items()})
     cache.clear()  # `minor` refers to itself, so the memo would wait for the cycle collector
     return -result if odd else result
+
+
+def det(rows: Sequence[Sequence[Union[Poly, int, Fraction]]]) -> Poly:
+    """Determinant of a square matrix of polynomials: the entries lifted to
+    `Poly`, packed at the width of the sum over rows of each row's largest
+    entry degree, and expanded by `_packed_det`."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    nvars = next((e.nvars for row in rows for e in row if isinstance(e, Poly)), 0)
+    lifted = [[(e if isinstance(e, Poly) else Poly.const(nvars, e)).terms for e in row]
+              for row in rows]
+    width = _field_width(sum(max((sum(e) for t in row for e in t), default=0) for row in lifted))
+    return _packed_det([[_pack_terms(t, width) for t in row] for row in lifted], nvars, width)
 
 
 def degree_monomials(total: int, nvars: int):
@@ -399,26 +408,26 @@ def restrict_to_line(p: Poly, base: Sequence[int | Fraction],
     stays as a trailing 0; the zero polynomial gives []).
 
     By Kronecker substitution: with denominators cleared (b_i = B_i/s,
-    w_i = W_i/s, coefficients over one denominator, each term scaled by s to
-    the top degree), each term is one product of the ints B_i + W_i 2^K, K
-    one bit past the bit length of sum |c| prod (|B_i| + |W_i|)^(e_i), which
-    bounds each coefficient, read back as a signed K-bit field (ints in, ints out).
+    w_i = W_i/s, coefficients C_e over one denominator, each term scaled by
+    s to the top degree), each term is one product of the ints B_i + W_i 2^K,
+    K one bit past the bit length of sum |C_e| max(1, max|B_i| + max|W_i|)^top,
+    which bounds each coefficient, read back as a signed K-bit field (ints in, ints out).
     """
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ValueError("base and direction must match the variable count")
-    top = max(map(sum, p.terms), default=-1)  # no coefficient for the zero polynomial
+    if not p.terms:
+        return []
+    top = max(map(sum, p.terms))
     scale = lcm(*(x.denominator for x in (*base, *direction)))
     ints = [[int(x * scale) for x in xs] for xs in (base, direction)]
     denom = lcm(*(c.denominator for c in p.terms.values()))
     coeffs = [int(c * denom) * scale ** (top - sum(e)) for e, c in p.terms.items()]
-
-    def evaluate(points, weights):
-        tables = [[x ** k for k in range(top + 1)] for x in points]
-        return sum(c * prod(map(getitem, tables, e)) for c, e in zip(weights, p.terms))
-
-    width = evaluate([abs(b) + abs(w) for b, w in zip(*ints)], map(abs, coeffs)).bit_length() + 1
+    reach = max(1, sum(max(map(abs, xs), default=0) for xs in ints))
+    width = (sum(map(abs, coeffs)) * reach ** top).bit_length() + 1
     half, mask = 1 << width - 1, (1 << width) - 1
-    packed = evaluate([b + (w << width) for b, w in zip(*ints)], coeffs)
+    tables = [[x ** k for k in range(top + 1)] for x in (b + (w << width) for b, w in zip(*ints))]
+    packed = sum(c * prod(map(getitem, tables, e)) for c, e in zip(coeffs, p.terms))
     packed += half * (((1 << width * (top + 1)) - 1) // mask)  # every field made nonnegative
-    return [canonical(Fraction((packed >> width * k & mask) - half, denom * scale ** top))
-            for k in range(top + 1)]
+    fields = [(packed >> width * k & mask) - half for k in range(top + 1)]
+    common = denom * scale ** top
+    return fields if common == 1 else [canonical(Fraction(v, common)) for v in fields]

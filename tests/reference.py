@@ -36,6 +36,8 @@ Bezout matrix by `Poly` products, the oracle of
 divisor search, the oracle of `discriminant._has_rational_root`'s p-adic
 lift: every p/q with p | c_0 and q | c_n, the divisors listed once per end
 coefficient by trial division up to the square root, tried in integers.
+The squarefree part by Euclid over Q with `Fraction` quotients, the oracle
+of `discriminant._squarefree_part`'s primitive pseudo-remainder sequence.
 
 The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
@@ -114,7 +116,7 @@ from vermajet import jets
 from vermajet.discriminant import _weight
 from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
-from vermajet.linalg import Echelon, SparseMatrix, _echelon, canonical
+from vermajet.linalg import Echelon, SparseMatrix, _echelon, canonical, primitive
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, highest_weight_vector,
                                sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
@@ -308,6 +310,23 @@ def bezout_matrix_by_products(d: int) -> list[list[Poly]]:
     return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
                   for v in range(min(i, j) + 1)), zero)
              for j in range(d)] for i in range(d)]
+
+
+def squarefree_part_over_q(coeffs: Sequence[int]) -> list[int]:
+    """f / gcd(f, f') over Q as primitive integers, top coefficient positive."""
+    def divmod_q(a, b):
+        quotient, r = [], list(a)
+        while len(r) >= len(b):
+            quotient.insert(0, Fraction(r[-1]) / b[-1])
+            r = [c - quotient[0] * e for c, e in zip(r, [0] * (len(r) - len(b)) + b)][:-1]
+        while r and not r[-1]:
+            r.pop()
+        return quotient, r
+    g, h = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+    while h:
+        g, h = h, divmod_q(g, h)[1]
+    quotient = divmod_q(coeffs, g)[0]
+    return list(primitive(dict(enumerate(quotient)), len(quotient) - 1).values())
 
 
 def divisors(n: int) -> list[int]:

@@ -7,7 +7,8 @@ import pytest
 from vermajet import discriminant
 from vermajet.errors import SizeCapError
 from vermajet.linalg import Echelon, SparseMatrix, kernel_basis, primitive, span_dim
-from vermajet.polynomials import Poly, degree_monomials, integer_primitive, restrict_to_line
+from vermajet.polynomials import (Poly, _field_width, _unpack, degree_monomials,
+                                  integer_primitive, restrict_to_line)
 from vermajet.discriminant import (_gfp_factor_degrees, _gfp_monic, _gfp_trim,
                                    _uni_irreducible_q,
                                    classical_discriminant_oracle,
@@ -179,7 +180,10 @@ def test_has_rational_root_lists_each_end_coefficients_divisors_once(monkeypatch
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_bezout_matrix_matches_the_poly_product_reference(d):
-    assert discriminant._bezout_matrix(d) == bezout_matrix_by_products(d)
+    width = _field_width(2 * d)
+    unpacked = [[{_unpack(key, d + 1, width): c for key, c in terms.items()} for terms in row]
+                for row in discriminant._bezout_matrix(d)]
+    assert unpacked == [[entry.terms for entry in row] for row in bezout_matrix_by_products(d)]
 
 
 def test_bezout_matrix_multiplies_no_poly(monkeypatch):
@@ -336,6 +340,23 @@ def _witness_lines(d, seed):
     witness = irreducibility_witness(d, 1, seed)
     return [_primitive_list(restrict_to_line(target, r["base"], r["direction"]))
             for r in witness.details["lines"] if not r.get("degenerate")]
+
+
+def test_squarefree_part_matches_the_euclid_reference():
+    """The pseudo-remainder route against Euclid over Q: random primitive
+    polynomials, and squares and cubes of random factors times another."""
+    rng = random.Random(48)
+    polys = _random_primitive_polys(rng)
+    for _ in range(60):
+        factor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)]
+        other = [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [rng.choice([-2, 1, 3])]
+        for power in (2, 3):
+            f = other
+            for _ in range(power):
+                f = _times(f, factor)
+            polys.append(f)
+    for coeffs in polys:
+        assert discriminant._squarefree_part(coeffs) == reference.squarefree_part_over_q(coeffs)
 
 
 def test_univariate_verdicts_agree_with_sympy_factor_list():
@@ -513,6 +534,23 @@ def test_witness_redraws_a_line_whose_degree_drops(monkeypatch):
         {"base": [-2, 1, 3], "direction": [3, 3, -3], "degree": 2, "irreducible": True},
         {"base": [2, 0, 3], "direction": [-2, -3, 0], "degree": 2, "irreducible": True},
         {"base": [-3, 3, 0], "direction": [0, 1, 3], "degree": 2, "irreducible": True}]
+
+
+def test_oracle_is_memoized_by_resolved_arguments(monkeypatch):
+    # Every spelling of (6, 6) reads one entry, and the (6,1) witness's
+    # Bezout determinant is the only other expansion.
+    sizes = []
+    packed_det = discriminant._packed_det
+    monkeypatch.setattr(discriminant, "_packed_det",
+                        lambda rows, *args: sizes.append(len(rows)) or packed_det(rows, *args))
+    classical_discriminant_oracle.cache_clear()
+    discriminant._eliminants.cache_clear()
+    first = classical_discriminant_oracle(6)
+    irreducibility_witness(6, 1, 0)
+    for again in (classical_discriminant_oracle(d=6), classical_discriminant_oracle(6, cap=6),
+                  classical_discriminant_oracle(6, 6)):
+        assert again is first
+    assert sizes == [11, 6]
 
 
 def test_memoized_eliminants_are_isolated_from_callers():

@@ -242,6 +242,59 @@ def test_restrict_to_line_edge_inputs():
         restrict_to_line(a0, [1, 2], [1, 2, 3])
 
 
+def test_restrict_to_line_on_integers_returns_ints():
+    rng = random.Random(50)
+    for trial in range(200):
+        nvars = trial % 5 + 1
+        p = Poly(nvars, {tuple(rng.randint(0, 4) for _ in range(nvars)): rng.randint(-9, 9)
+                         for _ in range(rng.randint(1, 8))})
+        base = [rng.randint(-3, 3) for _ in range(nvars)]
+        direction = [rng.randint(-3, 3) for _ in range(nvars)]
+        got = restrict_to_line(p, base, direction)
+        assert got == restrict_to_line_by_convolution(p, base, direction)
+        assert all(type(c) is int for c in got)
+
+
+def test_restrict_to_line_without_variables_and_on_zero():
+    assert restrict_to_line(Poly.const(0, 7), [], []) == [7]
+    assert restrict_to_line(Poly.zero(0), [], []) == []
+    assert restrict_to_line(Poly.zero(2), [Fraction(1, 2), 3], [0, 1]) == []
+
+
+def test_restrict_to_line_at_the_origin_keeps_the_constant():
+    # base = direction = 0 leaves max|B| + max|W| = 0, so the bound needs its
+    # max(1, .): 0^top would size the field for no constant term at all.
+    x, y = _xy()
+    p = 5 * x * x * y - 3 * y + 9
+    assert restrict_to_line(p, [0, 0], [0, 0]) == [9, 0, 0, 0]
+    assert restrict_to_line(p - 18, [0, 0], [0, 0]) == [-9, 0, 0, 0]
+
+
+def test_restrict_to_line_coefficient_at_the_bound():
+    # +-x^3 along t -> 2t has top coefficient +-8, exactly the bound
+    # 1 * (0 + 2)^3; one field bit fewer would carry 8 into the next field.
+    x = Poly.variable(1, 0)
+    for sign in (1, -1):
+        assert restrict_to_line(sign * x ** 3, [0], [2]) == [0, 0, 0, 8 * sign]
+        assert restrict_to_line(sign * x ** 3, [-2], [0]) == [-8 * sign, 0, 0, 0]
+
+
+def test_restrict_to_line_on_fractions_matches_the_reference():
+    rng = random.Random(51)
+    for trial in range(200):
+        nvars = trial % 4 + 1
+        p = Poly(nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)):
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(rng.randint(1, 6))})
+        base = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)]
+        direction = [rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)))
+                     for _ in range(nvars)]
+        got = restrict_to_line(p, base, direction)
+        expected = restrict_to_line_by_convolution(p, base, direction)
+        assert got == expected
+        assert [type(c) for c in got] == [type(c) for c in expected]
+
+
 # -- integer-or-Fraction coefficients against a plain Fraction reference -----
 
 _NVARS = 3
@@ -376,6 +429,16 @@ def test_det_matches_cofactor_reference_on_seeded_matrices():
         assert _agrees(got, expected)
         assert all(_canonical_coefficient(c) for c in got.terms.values())
     assert cancelling >= 8
+
+
+def test_det_is_the_packed_core_of_its_packed_rows():
+    rng = random.Random(4242)
+    for trial in range(24):
+        size = rng.randint(1, 4)
+        rows = [[_random_poly(rng, trial % 2) for _ in range(size)] for _ in range(size)]
+        width = 8  # 8-bit fields hold every exponent of a minor, at most 2 * size
+        packed = [[polynomials._pack_terms(p.terms, width) for p in row] for row in rows]
+        assert polynomials._packed_det(packed, _NVARS, width) == det(rows)
 
 
 def test_det_cancels_to_exact_zero():
@@ -602,12 +665,11 @@ def _sympy_terms(sympy, expr, names) -> dict:
 @pytest.mark.parametrize("d", range(2, 7))
 def test_sylvester_det_is_sympy_resultant(d):
     sympy = pytest.importorskip("sympy")
-    p = discriminant._form_coefficients(d)
-    q = discriminant._derivative_coefficients(p)
     x, names = sympy.Symbol("x"), sympy.symbols(f"a0:{d + 1}")
     form = sum(names[k] * x ** (d - k) for k in range(d + 1))
     expected = _sympy_terms(sympy, sympy.resultant(form, sympy.diff(form, x), x), names)
-    assert det(discriminant._sylvester_matrix(p, q)).terms == expected
+    rows = discriminant._sylvester_rows(d)
+    assert polynomials._packed_det(rows, d + 1, polynomials._field_width(2 * d - 1)).terms == expected
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1), (2, 4), (4, 2), (3, 4)])
@@ -651,14 +713,12 @@ def test_sylvester_det_builds_few_minors(monkeypatch):
         built.append(mask)
         return original(row, mask, minor)
 
-    forms = {d: discriminant._form_coefficients(d) for d in (4, 5, 6)}
-    matrices = {d: discriminant._sylvester_matrix(p, discriminant._derivative_coefficients(p))
-                for d, p in forms.items()}
+    matrices = {d: discriminant._sylvester_rows(d) for d in (4, 5, 6)}
     monkeypatch.setattr(polynomials, "_cofactor_expansion", counting)
     counts = {}
-    for d, matrix in matrices.items():
+    for d, rows in matrices.items():
         built.clear()
-        det(matrix)
+        polynomials._packed_det(rows, d + 1, polynomials._field_width(2 * d - 1))
         counts[d] = len(built)
     assert counts == {4: 53, 5: 142, 6: 375}
 
