@@ -144,17 +144,22 @@ def _bezout_matrix(d: int) -> list[list[dict]]:
     return rows
 
 
-def parametrized_form(d: int, l: int, b: int | Fraction,
-                      g: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
-    """The coefficients a_0..a_d of the form (x0 - b*x1)^(l+1) * g at a
-    concrete parameter point."""
+def _parameter_point(d: int, l: int, b: int | Fraction, g: Sequence[int | Fraction]) -> tuple:
+    """The checked point (b, g), canonical, and the row C(l+1, j) (-b)^j, j <= l + 1."""
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
     if len(g) != d - l:
         raise ValueError(f"cofactor needs {d - l} coefficients")
+    b = canonical(b)
+    return b, [canonical(v) for v in g], [comb(l + 1, j) * (-b) ** j for j in range(l + 2)]
+
+
+def parametrized_form(d: int, l: int, b: int | Fraction,
+                      g: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
+    """The coefficients a_0..a_d of the form (x0 - b*x1)^(l+1) * g at a
+    concrete parameter point."""
     # coefficient r is sum_j C(l+1, j) (-b)^j g_(r-j)
-    binomial = [comb(l + 1, j) * (-canonical(b)) ** j for j in range(l + 2)]
-    cofactor = [canonical(v) for v in g]
+    _, cofactor, binomial = _parameter_point(d, l, b, g)
     return tuple(canonical(sum(binomial[j] * cofactor[r - j]
                                for j in range(max(0, r - len(g) + 1), min(r, l + 1) + 1)))
                  for r in range(d + 1))
@@ -326,15 +331,9 @@ def parametrization_jacobian_rank(d: int, l: int,
     coefficient r is sum_j C(l+1, j) (-b)^j c_(r-j), so row r is read off
     as sum_j -j C(l+1, j) (-b)^(j-1) c_(r-j) at b and C(l+1, j) (-b)^j at
     c_(r-j)."""
-    b, g = sample
-    if not 1 <= l < d:
-        raise ValueError("need 1 <= l < d")
-    if len(g) != d - l:
-        raise ValueError(f"cofactor needs {d - l} coefficients")
+    b, g, binomial = _parameter_point(d, l, *sample)
     if not g[0]:
         raise ValueError("degenerate sample: cofactor has zero leading coefficient")
-    b, g = canonical(b), [canonical(v) for v in g]
-    binomial = [comb(l + 1, j) * (-b) ** j for j in range(l + 2)]
     slope = [-j * comb(l + 1, j) * (-b) ** (j - 1) for j in range(1, l + 2)]
     jacobian = Echelon(d - l + 1)
     for r in range(d + 1):

@@ -40,7 +40,11 @@ formed.  The z^a v, |a| <= l, are independent exactly when dims[l] =
 C(mn + l, l): the flag of `pbw_filtration` (images by `apply_pbw_monomial`)
 and the n-side of the split.  `multi_filtration` sums the summands' dims[l],
 and the annihilator dimension and the g-side of the split are read off the
-dims too; the evaluation matrix over g is the tests' reference.
+dims too; the evaluation matrix over g is the tests' reference.  The
+ambient cap bounds all the work: `module_dim` refuses a larger module and
+the walk more levels, before any image; each image kept is a new pivot
+among `module_dim` columns.  `pbw_filtration`, the one enumeration of
+monomials, holds their count within it; dim U_l(g) is a binomial.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ from .linalg import Echelon
 from .plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, _moves, act, act_all,
                        highest_weight_vector, module_dim, wedge_basis, wedge_counts, wedge_keys)
 from .polynomials import graded_monomials
-
-DEFAULT_MONOMIAL_CAP = 50000
 
 
 def weyl_dim_oracle(m: int, n: int, d: int) -> int:
@@ -244,36 +246,32 @@ def canonical_filtration(m: int, n: int, d: int, l_max: int,
 
 
 def pbw_filtration(m: int, n: int, d: int, l: int,
-                   cap: int = DEFAULT_AMBIENT_CAP,
-                   monomial_cap: int = DEFAULT_MONOMIAL_CAP
-                   ) -> tuple[list[PlethysmVector], bool]:
+                   cap: int = DEFAULT_AMBIENT_CAP) -> tuple[list[PlethysmVector], bool]:
     """All PBW monomial images z^a v, |a| <= l, over the n-basis, each built
     by `apply_pbw_monomial`, plus an exact independence flag: they span F_l,
     so they are independent exactly when dim F_l is their count."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    module_dim(m, n, d, cap)  # enforce the ambient cap before the monomial cap
-    count = _pbw_count(m * n, l, monomial_cap)
+    module_dim(m, n, d, cap)
+    count = _pbw_count(m * n, l, cap)
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
     v = highest_weight_vector(m, n, d)
     vectors = [apply_pbw_monomial(generators, a, v, m, d) for a in graded_monomials(m * n, l)]
     return vectors, filtration_walk(m, n, d, l, cap).dims[l] == count
 
 
-def enveloping_dim(m: int, n: int, l: int, monomial_cap: int) -> int:
-    """dim U_l(g), the number of PBW monomials of degree <= l over g;
-    SizeCapError when it exceeds the monomial cap."""
-    return _pbw_count(build_context(m, n).N, l, monomial_cap)
+def enveloping_dim(m: int, n: int, l: int) -> int:
+    """dim U_l(g) = C(N + l, l), N = dim sl(m+n), counted in closed form:
+    no monomial is enumerated, so no cap applies."""
+    return comb((m + n) ** 2 - 1 + l, l)
 
 
-def annihilator_dim(m: int, n: int, d: int, l: int,
-                    cap: int = DEFAULT_AMBIENT_CAP,
-                    monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> int:
+def annihilator_dim(m: int, n: int, d: int, l: int, cap: int = DEFAULT_AMBIENT_CAP) -> int:
     """Dimension of the degree <= l part of the annihilator of v inside the
     full enveloping algebra filtration: dim U_l(g) - dim U_l(g) . v."""
-    module_dim(m, n, d, cap)  # enforce the ambient cap before the monomial cap
-    total = enveloping_dim(m, n, l, monomial_cap)
-    return total - filtration_walk(m, n, d, l, cap).dims[l]
+    module_dim(m, n, d, cap)  # the ambient cap before the walk's level cap
+    dims = filtration_walk(m, n, d, l, cap).dims
+    return enveloping_dim(m, n, l) - dims[l]
 
 
 class SplitReport(NamedTuple):
@@ -286,20 +284,17 @@ class SplitReport(NamedTuple):
 def split_report(m: int, n: int, l: int, level_dim: int) -> SplitReport:
     """U_l(g) = U_l(n) + Ann_l(v) exactly when u -> u . v maps U_l(n) onto
     F_l = U_l(n) . v, whose dimension is `level_dim`, injectively."""
-    dim_ul_g = comb(build_context(m, n).N + l, l)
+    dim_ul_g = enveloping_dim(m, n, l)
     dim_ul_n = comb(m * n + l, l)
     return SplitReport(dim_ul_g, dim_ul_n, dim_ul_g - level_dim, level_dim == dim_ul_n)
 
 
 def verma_split_check(m: int, n: int, d: int, l: int,
-                      cap: int = DEFAULT_AMBIENT_CAP,
-                      monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> SplitReport:
+                      cap: int = DEFAULT_AMBIENT_CAP) -> SplitReport:
     """Exact check that U_l(g) splits as U_l(n) plus the annihilator piece."""
     if not 1 <= l < d:
         raise ValueError("the split is only asserted for 1 <= l < d")
-    module_dim(m, n, d, cap)  # the ambient cap, then U_l(n) and U_l(g) within the monomial cap
-    _pbw_count(m * n, l, monomial_cap)
-    enveloping_dim(m, n, l, monomial_cap)
+    module_dim(m, n, d, cap)  # the ambient cap before the walk's level cap
     return split_report(m, n, l, filtration_walk(m, n, d, l, cap).dims[l])
 
 
@@ -340,21 +335,18 @@ def serre_power_check(m: int, n: int, d: int,
 
 
 def char_ideal_generator_check(m: int, n: int, d: int, l: int,
-                               cap: int = DEFAULT_AMBIENT_CAP,
-                               monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> bool:
+                               cap: int = DEFAULT_AMBIENT_CAP) -> bool:
     """Every generator x(y - rho(y) 1), deg x <= l-1, y in the parabolic
     basis, annihilates v: the character ideal sits inside the annihilator."""
     if l < 1:
         raise ValueError("l must be at least 1")
     module_dim(m, n, d, cap)
-    enveloping_dim(m, n, l - 1, monomial_cap)
     # x(y - rho(y)) v = 0 for every x exactly when (y - rho(y)) v = 0
     return _certified(m, n, d)
 
 
 def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
-                     cap: int = DEFAULT_AMBIENT_CAP,
-                     monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> int:
+                     cap: int = DEFAULT_AMBIENT_CAP) -> int:
     """Dimension of U_l(g) applied to the span of the highest weight vectors
     of a direct sum of modules of the given degrees: the summands have
     disjoint columns, so it sums their dims[l], each degree grown once."""
@@ -362,6 +354,5 @@ def multi_filtration(m: int, n: int, degrees: Sequence[int], l: int,
         raise ValueError("need at least one degree")
     if not 1 <= l <= min(degrees):
         raise ValueError("l must satisfy 1 <= l <= min(degrees)")
-    _pbw_count(m * n, l, monomial_cap)  # the growth walks the images over n
     dims = {d: filtration_walk(m, n, d, l, cap).dims[l] for d in dict.fromkeys(degrees)}
     return sum(dims[d] for d in degrees)

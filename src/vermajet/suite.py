@@ -11,7 +11,10 @@ Each case walks its canonical filtration once, through level d, with no
 basis (`filtration.filtration_walk`); the filtration (levels 0..min(d - 1,
 3)), split, annihilator-at-d and duality records all read that walk; one
 character-ideal certificate fills every l's record, and a direct sum walks
-each distinct summand degree once.
+each distinct summand degree once.  The ambient cap, the one size cap of
+the module layer, refuses a case or direct sum before any work and bounds
+the walk its records read (dim U_l(g) is a binomial); the degree cap
+bounds the binary forms.
 """
 
 from __future__ import annotations
@@ -50,15 +53,13 @@ class SuiteConfig:
                  disc_cases: Sequence[tuple[int, int]] = DESK_DISC_CASES,
                  direct_sums: Sequence[tuple[int, int, tuple[int, ...], int]] = DESK_DIRECT_SUMS,
                  ambient_cap: int = DEFAULT_AMBIENT_CAP,
-                 monomial_cap: int = filt.DEFAULT_MONOMIAL_CAP,
                  degree_cap: int = disc.DEFAULT_DEGREE_CAP, fmt: str = "json", seed: int = 0):
         self.cases, self.disc_cases = list(cases), list(disc_cases)
         self.direct_sums = list(direct_sums)
-        self.ambient_cap, self.monomial_cap, self.degree_cap = ambient_cap, monomial_cap, degree_cap
-        self.fmt, self.seed = fmt, seed
+        self.ambient_cap, self.degree_cap, self.fmt, self.seed = ambient_cap, degree_cap, fmt, seed
 
     def validate(self) -> None:
-        if self.ambient_cap <= 0 or self.monomial_cap <= 0 or self.degree_cap <= 0:
+        if self.ambient_cap <= 0 or self.degree_cap <= 0:
             raise ValueError("caps must be positive")
         for m, n, d in self.cases:
             if m < 1 or n < 1 or d < 1:
@@ -73,8 +74,7 @@ class SuiteConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
 
 
-_CONFIG_KEYS = ("cases", "disc_cases", "direct_sums", "ambient_cap",
-                "monomial_cap", "degree_cap", "format", "seed")
+_CONFIG_KEYS = ("cases", "disc_cases", "direct_sums", "ambient_cap", "degree_cap", "format", "seed")
 
 
 def _ints(value, arity: int | None, what: str) -> tuple[int, ...]:
@@ -113,7 +113,7 @@ def load_config(path: str) -> SuiteConfig:
         config.disc_cases = [_ints(case, 2, "a discriminant case") for case in raw["disc_cases"]]
     if "direct_sums" in raw:
         config.direct_sums = [_direct_sum(entry) for entry in raw["direct_sums"]]
-    for key in ("ambient_cap", "monomial_cap", "degree_cap", "seed"):
+    for key in ("ambient_cap", "degree_cap", "seed"):
         if key in raw and type(raw[key]) is not int:
             raise ValueError(f"{key} must be an integer, got {json.dumps(raw[key])}")
         setattr(config, key, raw.get(key, getattr(config, key)))
@@ -150,8 +150,8 @@ def _split_records(m: int, n: int, d: int, filtration: dict) -> list[dict]:
              "holds": r.split_holds} for l, r in reports]
 
 
-def _char_ideal_records(m: int, n: int, d: int, caps) -> list[dict]:
-    contained = filt.char_ideal_generator_check(m, n, d, MAX_SPLIT_LEVEL, *caps)
+def _char_ideal_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
+    contained = filt.char_ideal_generator_check(m, n, d, MAX_SPLIT_LEVEL, ambient_cap)
     return [{"l": l, "contained": contained} for l in range(1, MAX_SPLIT_LEVEL + 1)]
 
 
@@ -191,8 +191,7 @@ def duality_record(l: int, report: jets.DualityReport) -> dict:
     return {"l": l, **report._asdict(), "ok": report.ok}
 
 
-def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> dict:
-    caps = (ambient_cap, monomial_cap)
+def case_report(m: int, n: int, d: int, ambient_cap: int) -> dict:
     walk = filt.filtration_walk(m, n, d, d, ambient_cap)
     filtration = _filtration_record(m, n, d, walk)
     record = {
@@ -201,10 +200,9 @@ def case_report(m: int, n: int, d: int, ambient_cap: int, monomial_cap: int) -> 
         "filtration": filtration,
         # At the degree boundary l = d the annihilator dimension is reported
         # but nothing is asserted about it.
-        "annihilator_dim_at_d": (filt.enveloping_dim(m, n, d, monomial_cap)
-                                 - walk.dims[d]),
+        "annihilator_dim_at_d": filt.enveloping_dim(m, n, d) - walk.dims[d],
         "split": _split_records(m, n, d, filtration),
-        "char_ideal": _char_ideal_records(m, n, d, caps),
+        "char_ideal": _char_ideal_records(m, n, d, ambient_cap),
         "serre": _serre_records(m, n, d, ambient_cap),
         "taylor": _taylor_record(m, n, d, ambient_cap),
         "duality": [duality_record(l, jets.level_duality(m, n, d, walk, l, ambient_cap))
@@ -244,10 +242,8 @@ def disc_report(d: int, l: int, degree_cap: int, seed: int) -> dict:
     return record
 
 
-def direct_sum_report(m: int, n: int, degrees: Sequence[int], l: int,
-                      ambient_cap: int, monomial_cap: int) -> dict:
-    grown = {d: filt.multi_filtration(m, n, (d,), l, ambient_cap, monomial_cap)
-             for d in dict.fromkeys(degrees)}
+def direct_sum_report(m: int, n: int, degrees: Sequence[int], l: int, ambient_cap: int) -> dict:
+    grown = {d: filt.multi_filtration(m, n, (d,), l, ambient_cap) for d in dict.fromkeys(degrees)}
     summands = [grown[d] for d in degrees]
     total = sum(summands)
     expected = len(degrees) * comb(m * n + l, l)  # each dim F_l, as l <= min(degrees)
@@ -262,16 +258,15 @@ def run_suite(config: SuiteConfig, with_timings: bool = False) -> dict:
     config.validate()
     report: dict = {"schema": SCHEMA, "seed": config.seed}
     failures: list[str] = []
-    caps = (config.ambient_cap, config.monomial_cap)
     kinds = (
         ("cases", config.cases,
-         lambda m, n, d: case_report(m, n, d, *caps),
+         lambda m, n, d: case_report(m, n, d, config.ambient_cap),
          lambda m, n, d: f"case ({m},{n},{d})"),
         ("discriminants", config.disc_cases,
          lambda d, l: disc_report(d, l, config.degree_cap, config.seed),
          lambda d, l: f"discriminant ({d},{l})"),
         ("direct_sums", config.direct_sums,
-         lambda m, n, degrees, l: direct_sum_report(m, n, degrees, l, *caps),
+         lambda m, n, degrees, l: direct_sum_report(m, n, degrees, l, config.ambient_cap),
          lambda m, n, degrees, l: f"direct sum ({m},{n},{list(degrees)},{l})"),
     )
     for key, entries, build, label in kinds:

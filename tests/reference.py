@@ -114,13 +114,16 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from vermajet import jets
 from vermajet.discriminant import _weight
-from vermajet.filtration import DEFAULT_MONOMIAL_CAP, _pbw_count, apply_pbw_monomial
+from vermajet.filtration import _pbw_count, apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
 from vermajet.linalg import Echelon, SparseMatrix, _echelon, canonical, primitive
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, highest_weight_vector,
                                sym_basis, wedge_basis)
 from vermajet.polynomials import (Poly, _add_product, _field_width, _pack_terms, det,
                                   degree_monomials, graded_monomials, integer_primitive)
+
+# the most PBW monomials the reference enumerates in one matrix or list
+MONOMIAL_CAP = 50000
 
 
 @lru_cache(maxsize=None)
@@ -610,7 +613,7 @@ Subalgebra = Union[SubalgebraTag, str]
 
 
 def pbw_monomials(num_generators: int, max_degree: int,
-                  cap: int = DEFAULT_MONOMIAL_CAP) -> list[tuple[int, ...]]:
+                  cap: int = MONOMIAL_CAP) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
     _pbw_count(num_generators, max_degree, cap)
     return list(graded_monomials(num_generators, max_degree))
@@ -637,7 +640,7 @@ def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieEleme
 def evaluation_matrix(m: int, n: int, d: int, l: int,
                       subalgebra: Subalgebra = "all",
                       cap: int = DEFAULT_AMBIENT_CAP,
-                      monomial_cap: int = DEFAULT_MONOMIAL_CAP) -> SparseMatrix:
+                      monomial_cap: int = MONOMIAL_CAP) -> SparseMatrix:
     """Row r is the image of the r-th PBW monomial applied to v; columns are
     the ambient module coordinates."""
     if l < 0:

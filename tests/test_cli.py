@@ -311,15 +311,15 @@ def test_report_is_pinned(capsys, command):
     assert out == PINNED_REPORTS[command]
 
 
-def test_suite_monomial_cap_is_checked_at_the_annihilator(capsys, tmp_path):
-    # (1,1,3) needs C(3 + 3, 3) = 20 PBW monomials over sl(2) at l = d.
+def test_suite_config_naming_monomial_cap_exits_2(capsys, tmp_path):
+    # The ambient cap is the module layer's one size cap: dim U_l(g) is a
+    # binomial, so no config key caps it, and naming one is refused.
     config = tmp_path / "capped.json"
     config.write_text(json.dumps({"cases": [[1, 1, 3]], "disc_cases": [],
                                   "direct_sums": [], "monomial_cap": 10}))
-    code, out, _ = run_cli(capsys, "suite", "--config", str(config))
-    assert code == 3
-    assert json.loads(out) == {"schema": "vermajet/1", "error": "size-cap",
-                               "what": "PBW monomial count", "needed": 20, "cap": 10}
+    code, out, err = run_cli(capsys, "suite", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown config keys: monomial_cap\n"
 
 
 def test_failed_certificate_exits_1_with_one_line(capsys, monkeypatch):

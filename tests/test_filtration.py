@@ -14,7 +14,7 @@ from vermajet import filtration, plethysm
 from vermajet.jets import duality_check
 from vermajet.filtration import (annihilator_dim, apply_pbw_monomial,
                                  canonical_filtration, filtration_walk,
-                                 char_ideal_generator_check, multi_filtration,
+                                 char_ideal_generator_check, enveloping_dim, multi_filtration,
                                  pbw_filtration, serre_power_check,
                                  verma_split_check, weight_of, weyl_dim_oracle)
 from vermajet.polynomials import graded_monomials
@@ -159,17 +159,33 @@ def test_cap_checks_build_no_basis(monkeypatch, cold_filtration):
         assert [r.power for r in reports] == [d + 1 if k == m else 1 for k in range(1, m + n)]
         assert all(r.ok for r in reports)
         assert char_ideal_generator_check(m, n, d, 1) and char_ideal_generator_check(m, n, d, 2)
-    # (3,3,6) has 177,100 > 20,000 basis indices; dim U_2(sl_6) = 666 > 1.
-    for call in (lambda: annihilator_dim(3, 3, 6, 2, monomial_cap=1),
+    # (3,3,6) has 177,100 > 20,000 basis indices.
+    for call in (lambda: annihilator_dim(3, 3, 6, 2),
                  lambda: serre_power_check(3, 3, 6),
-                 lambda: char_ideal_generator_check(3, 3, 6, 3, monomial_cap=1)):
+                 lambda: char_ideal_generator_check(3, 3, 6, 3)):
         with pytest.raises(SizeCapError) as info:
             call()
         assert (info.value.what, info.value.needed) == ("ambient module dimension", 177100)
-    for call in (lambda: annihilator_dim(1, 1, 3, 2, monomial_cap=1),
-                 lambda: char_ideal_generator_check(1, 1, 3, 3, monomial_cap=1)):
-        with pytest.raises(SizeCapError, match="PBW monomial count"):
-            call()
+    # `pbw_filtration`, the one enumeration of PBW monomials, holds their
+    # count within the ambient cap: C(1 + 20000, 1) = 20,001 monomials over
+    # the n of sl(2), refused before any image is built.
+    def no_image(*args):
+        raise AssertionError("work began past the monomial count")
+
+    for name in ("build_context", "highest_weight_vector", "apply_pbw_monomial",
+                 "graded_monomials"):
+        monkeypatch.setattr(filtration, name, no_image)
+    with pytest.raises(SizeCapError) as info:
+        pbw_filtration(1, 1, 3, 20000)
+    assert (info.value.what, info.value.needed, info.value.cap) == \
+        ("PBW monomial count", 20001, 20000)
+
+
+def test_enveloping_dim_counts_the_pbw_monomials_over_g():
+    # C((m+n)^2 - 1 + l, l) in closed form, against the monomials enumerated
+    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
+        for l in range(4):
+            assert enveloping_dim(m, n, l) == len(pbw_monomials(build_context(m, n).N, l))
 
 
 def test_annihilator_realizes_rank_nullity():
@@ -382,12 +398,13 @@ def _multi_filtration_reference(m, n, degrees, l):
     return rank(SparseMatrix.from_rows(rows, cols=offset))
 
 
-def test_multi_filtration_caps_the_pbw_monomials_over_n():
-    # dim U_2(n) = C(4 + 2, 2) = 15 fits a cap of 100; dim U_2(g) = 136 does not.
-    assert multi_filtration(2, 2, [2, 2], 2, monomial_cap=100) == \
-        _multi_filtration_reference(2, 2, (2, 2), 2)
-    with pytest.raises(SizeCapError):
-        multi_filtration(2, 2, [2, 2], 2, monomial_cap=14)
+def test_multi_filtration_is_capped_by_the_module_alone():
+    # The walk enumerates no U_2(n) (C(4 + 2, 2) = 15 monomials): each image
+    # it keeps is a pivot among the 21 module indices, which the cap bounds.
+    assert multi_filtration(2, 2, [2, 2], 2) == _multi_filtration_reference(2, 2, (2, 2), 2) == 30
+    assert multi_filtration(2, 2, [2, 2], 2, 21) == 30
+    with pytest.raises(SizeCapError, match="ambient module dimension"):
+        multi_filtration(2, 2, [2, 2], 2, 20)
 
 
 # -- canonical filtration grown as one certified PBW walk ----------------------

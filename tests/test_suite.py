@@ -6,6 +6,7 @@ import pytest
 
 from vermajet import filtration, jets, suite
 from vermajet.linalg import Echelon
+from vermajet.plethysm import DEFAULT_AMBIENT_CAP
 from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
 
@@ -219,3 +220,38 @@ def test_desk_report_is_byte_identical_with_warm_memos(cold_filtration):
     second = render_report(run_suite(SuiteConfig()), "json")
     assert first == second
     assert hashlib.sha256(first.encode()).hexdigest() == DESK_REPORT_SHA256
+
+
+# (m, n, d) whose dim U_d(g) = C((m+n)^2 - 1 + d, d), 658,008, 82,251 and
+# 270,725, is far past the module the default ambient cap admits; the suite
+# counts U_d(g) in closed form, so only the module is capped.
+LARGE_ENVELOPING_CASES = [(2, 4, 5), (3, 3, 4), (2, 5, 4)]
+
+
+def test_suite_passes_cases_whose_enveloping_algebra_no_walk_enumerates():
+    config = SuiteConfig(cases=LARGE_ENVELOPING_CASES, disc_cases=[], direct_sums=[])
+    report = run_suite(config)
+    assert (report["verdict"], report["failures"]) == ("pass", [])
+    assert [filtration.enveloping_dim(m, n, d) for m, n, d in LARGE_ENVELOPING_CASES] == \
+        [658008, 82251, 270725]
+
+
+def _mirrored(record: dict) -> dict:
+    """A case record of Gr(m, m+n) read as one of Gr(n, m+n): m and n
+    dropped, and simple root i of sl(m+n) renamed m + n - i (the dual
+    flag reverses the Dynkin diagram), its records in index order."""
+    size = record["m"] + record["n"]
+    serre = sorted(({**r, "index": size - r["index"]} for r in record["serre"]),
+                   key=lambda r: r["index"])
+    return {**{k: v for k, v in record.items() if k not in ("m", "n")}, "serre": serre}
+
+
+@pytest.mark.parametrize("m, n, d", [(1, 2, 3), (1, 3, 2), (2, 3, 2), (1, 4, 3), (2, 5, 4)])
+def test_case_report_is_invariant_under_the_grassmannian_duality(m, n, d):
+    # Gr(m, m+n) = Gr(n, m+n), and O(d) corresponds: every count of the
+    # report is the same on both sides, and only the root indices move.
+    forward = suite.case_report(m, n, d, DEFAULT_AMBIENT_CAP)
+    backward = suite.case_report(n, m, d, DEFAULT_AMBIENT_CAP)
+    assert forward["ok"] and backward["ok"]
+    assert _mirrored(forward) == {k: v for k, v in backward.items() if k not in ("m", "n")}
+    assert forward["serre"] != backward["serre"]
