@@ -1,5 +1,10 @@
 """Command-line front end.
 
+A subcommand is added as one row of `COMMANDS` (its help text, its integer
+flags and its handler) plus that handler.  The parser is built from the
+table, and every report begins with "schema" and then the subcommand's flags,
+in table order, followed by the fields its handler returns.
+
 Exit codes: 0 all assertions pass, 1 an asserted invariant failed (the
 report names it) or an internal certificate failed (one line on stderr,
 no report), 2 invalid input or an unreadable config or unwritable
@@ -21,20 +26,11 @@ from .plethysm import DEFAULT_AMBIENT_CAP
 from .suite import SCHEMA, SuiteConfig, load_config, render_report, run_suite
 
 
-def _base_record(**fields) -> dict:
-    record = {"schema": SCHEMA}
-    record.update(fields)
-    return record
-
-
 def _cmd_filtration(args) -> tuple[dict, bool]:
     result = filt.filtration_walk(args.m, args.n, args.d, args.lmax)
-    dims = result.dims
-    formula_ok = suite_mod.formula_ok(args.m, args.n, args.d, dims)
-    record = _base_record(m=args.m, n=args.n, d=args.d, lmax=args.lmax, dims=dims,
-                          formula_ok=formula_ok, module_dim=result.module_dim,
-                          saturation_level=result.saturation_level)
-    return record, formula_ok
+    ok = suite_mod.formula_ok(args.m, args.n, args.d, result.dims)
+    return {"dims": result.dims, "formula_ok": ok, "module_dim": result.module_dim,
+            "saturation_level": result.saturation_level}, ok
 
 
 def _cmd_taylor(args) -> tuple[dict, bool]:
@@ -43,38 +39,30 @@ def _cmd_taylor(args) -> tuple[dict, bool]:
     section_dim = len(jets.section_space(args.m, args.n, args.d))
     level = suite_mod.taylor_level_record(args.m, args.n, args.d, args.l, section_dim,
                                           DEFAULT_AMBIENT_CAP)
-    record = _base_record(m=args.m, n=args.n, d=args.d, l=args.l,
-                          rank=level["rank"], expected=level["expected"],
-                          kernel=level["kernel"], section_dim=section_dim,
-                          ok=level["ok"])
-    return record, level["ok"]
+    return {"rank": level["rank"], "expected": level["expected"], "kernel": level["kernel"],
+            "section_dim": section_dim, "ok": level["ok"]}, level["ok"]
 
 
 def _cmd_split(args) -> tuple[dict, bool]:
     report = filt.verma_split_check(args.m, args.n, args.d, args.l)
-    record = _base_record(m=args.m, n=args.n, d=args.d, l=args.l,
-                          dim_ul_g=report.dim_ul_g, dim_ul_n=report.dim_ul_n,
-                          dim_ann=report.dim_ann, split_holds=report.split_holds)
-    return record, report.split_holds
+    return report._asdict(), report.split_holds
 
 
 def _cmd_serre(args) -> tuple[dict, bool]:
-    rows = suite_mod._serre_records(args.m, args.n, args.d, DEFAULT_AMBIENT_CAP)
+    rows = suite_mod.serre_records(args.m, args.n, args.d, DEFAULT_AMBIENT_CAP)
     ok = all(r["ok"] for r in rows)
-    record = _base_record(m=args.m, n=args.n, d=args.d, roots=rows, ok=ok)
-    return record, ok
+    return {"roots": rows, "ok": ok}, ok
 
 
 def _cmd_duality(args) -> tuple[dict, bool]:
     level = suite_mod.duality_record(args.l, jets.duality_check(args.m, args.n, args.d, args.l))
-    return _base_record(m=args.m, n=args.n, d=args.d, **level), level["ok"]
+    return level, level["ok"]
 
 
 def _cmd_disc(args) -> tuple[dict, bool]:
     seed = 0 if args.seed is None else args.seed
     record = suite_mod.disc_report(args.d, args.l, disc.DEFAULT_DEGREE_CAP, seed)
-    report = _base_record(**record)
-    return report, record["ok"]
+    return record, record["ok"]
 
 
 def _cmd_suite(args) -> tuple[dict, bool]:
@@ -92,6 +80,18 @@ def _cmd_suite(args) -> tuple[dict, bool]:
     return report, report["verdict"] == "pass"
 
 
+# name -> (help text, integer flags, handler); a handler returns its fields and ok
+COMMANDS = {
+    "filtration": ("canonical filtration dimensions", ("m", "n", "d", "lmax"), _cmd_filtration),
+    "taylor": ("rank and kernel of the order-l jet truncation", ("m", "n", "d", "l"), _cmd_taylor),
+    "split": ("enveloping algebra splitting dimensions", ("m", "n", "d", "l"), _cmd_split),
+    "serre": ("lowering powers on the highest weight vector", ("m", "n", "d"), _cmd_serre),
+    "duality": ("filtration vs jet fiber duality", ("m", "n", "d", "l"), _cmd_duality),
+    "disc": ("multiple-root locus checks", ("d", "l"), _cmd_disc),
+    "suite": ("run the desk suite", (), _cmd_suite),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vermajet",
@@ -105,54 +105,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (breaks byte-identical output)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags):
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
         for flag in flags:
-            p.add_argument(f"--{flag}", type=int, required=True)
-        return p
-
-    add("filtration", "canonical filtration dimensions", ("m", "n", "d", "lmax"))
-    add("taylor", "rank and kernel of the order-l jet truncation", ("m", "n", "d", "l"))
-    add("split", "enveloping algebra splitting dimensions", ("m", "n", "d", "l"))
-    add("serre", "lowering powers on the highest weight vector", ("m", "n", "d"))
-    add("duality", "filtration vs jet fiber duality", ("m", "n", "d", "l"))
-    add("disc", "multiple-root locus checks", ("d", "l"))
-    suite_parser = sub.add_parser("suite", help="run the desk suite")
-    suite_parser.add_argument("--config", default=None,
-                              help="JSON configuration file (defaults to the desk suite)")
+            command.add_argument(f"--{flag}", type=int, required=True)
+    sub.choices["suite"].add_argument("--config", default=None,
+                                      help="JSON configuration file (defaults to the desk suite)")
     return parser
-
-
-_HANDLERS = {
-    "filtration": _cmd_filtration,
-    "taylor": _cmd_taylor,
-    "split": _cmd_split,
-    "serre": _cmd_serre,
-    "duality": _cmd_duality,
-    "disc": _cmd_disc,
-    "suite": _cmd_suite,
-}
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _, flags, handler = COMMANDS[args.command]
     try:
         try:
-            record, ok = _HANDLERS[args.command](args)
+            fields, ok = handler(args)
+            record = {"schema": SCHEMA, **{flag: getattr(args, flag) for flag in flags}, **fields}
             code = 0 if ok else 1
         except SizeCapError as error:
             record, code = suite_mod.raised_size_cap(error), 3
-        _emit(render_report(record, args.format or "json"), args.out)
+        text = render_report(record, args.format or "json")
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as error:  # invalid input, unreadable config, unwritable --out
         sys.stderr.write(f"error: {error}\n")
         return 2

@@ -81,16 +81,6 @@ def weight_of(key: int, m: int, n: int, d: int) -> Weight:
     return Weight([counts[i] for i in range(1, m + n + 1)])
 
 
-def _pbw_count(num_generators: int, max_degree: int, cap: int) -> int:
-    """Number of exponent vectors of total degree <= max_degree, within the cap."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    count = comb(num_generators + max_degree, num_generators)
-    if count > cap:
-        raise SizeCapError("PBW monomial count", count, cap)
-    return count
-
-
 def apply_pbw_monomial(generators: Sequence[LieElement], exponents: Sequence[int],
                        start: PlethysmVector, m: int, d: int) -> PlethysmVector:
     """Apply z_1^{a_1} ... z_k^{a_k} to a vector, rightmost factor first."""
@@ -253,7 +243,9 @@ def pbw_filtration(m: int, n: int, d: int, l: int,
     if l < 1:
         raise ValueError("l must be at least 1")
     module_dim(m, n, d, cap)
-    count = _pbw_count(m * n, l, cap)
+    count = comb(m * n + l, l)
+    if count > cap:
+        raise SizeCapError("PBW monomial count", count, cap)
     generators = build_context(m, n).subalgebra_basis(SubalgebraTag.N)
     v = highest_weight_vector(m, n, d)
     vectors = [apply_pbw_monomial(generators, a, v, m, d) for a in graded_monomials(m * n, l)]

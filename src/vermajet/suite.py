@@ -155,7 +155,7 @@ def _char_ideal_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
     return [{"l": l, "contained": contained} for l in range(1, MAX_SPLIT_LEVEL + 1)]
 
 
-def _serre_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
+def serre_records(m: int, n: int, d: int, ambient_cap: int) -> list[dict]:
     return [{**r._asdict(), "ok": r.ok} for r in filt.serre_power_check(m, n, d, ambient_cap)]
 
 
@@ -203,7 +203,7 @@ def case_report(m: int, n: int, d: int, ambient_cap: int) -> dict:
         "annihilator_dim_at_d": filt.enveloping_dim(m, n, d) - walk.dims[d],
         "split": _split_records(m, n, d, filtration),
         "char_ideal": _char_ideal_records(m, n, d, ambient_cap),
-        "serre": _serre_records(m, n, d, ambient_cap),
+        "serre": serre_records(m, n, d, ambient_cap),
         "taylor": _taylor_record(m, n, d, ambient_cap),
         "duality": [duality_record(l, jets.level_duality(m, n, d, walk, l, ambient_cap))
                     for l in range(1, filtration["lmax"] + 1)],

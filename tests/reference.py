@@ -114,7 +114,8 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from vermajet import jets
 from vermajet.discriminant import _weight
-from vermajet.filtration import _pbw_count, apply_pbw_monomial
+from vermajet.errors import SizeCapError
+from vermajet.filtration import apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
 from vermajet.linalg import Echelon, SparseMatrix, _echelon, canonical, primitive
 from vermajet.plethysm import (DEFAULT_AMBIENT_CAP, PlethysmVector, highest_weight_vector,
@@ -615,7 +616,9 @@ Subalgebra = Union[SubalgebraTag, str]
 def pbw_monomials(num_generators: int, max_degree: int,
                   cap: int = MONOMIAL_CAP) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree <= max_degree, sorted by (degree, lex)."""
-    _pbw_count(num_generators, max_degree, cap)
+    count = comb(num_generators + max_degree, max_degree)
+    if count > cap:
+        raise SizeCapError("PBW monomial count", count, cap)
     return list(graded_monomials(num_generators, max_degree))
 
 
@@ -648,12 +651,12 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     ctx = build_context(m, n)
     column = {key: c for c, key in enumerate(sym_basis(m, n, d, cap))}
     generators = _generators(ctx, subalgebra)
-    count = _pbw_count(len(generators), l, monomial_cap)
+    monomials = pbw_monomials(len(generators), l, monomial_cap)
     v = highest_weight_vector(m, n, d)
     entries = {(row, column[key]): value
-               for row, exps in enumerate(graded_monomials(len(generators), l))
+               for row, exps in enumerate(monomials)
                for key, value in apply_pbw_monomial(generators, exps, v, m, d).coeffs.items()}
-    return SparseMatrix(count, len(column), entries)
+    return SparseMatrix(len(monomials), len(column), entries)
 
 
 def in_span(vectors: Sequence[Union[Sequence[int | Fraction], Mapping[int, int | Fraction]]],

@@ -377,10 +377,12 @@ def test_other_arithmetic_errors_are_internal_errors(capsys, monkeypatch):
 
 
 def test_crash_exits_4_with_one_line(capsys, monkeypatch):
-    def crash(args):
+    from vermajet import filtration
+
+    def crash(*args):
         raise RuntimeError("unexpected\nstate")
 
-    monkeypatch.setitem(cli._HANDLERS, "filtration", crash)
+    monkeypatch.setattr(filtration, "filtration_walk", crash)
     code, out, err = run_cli(capsys, "filtration", "--m", "1", "--n", "1",
                              "--d", "3", "--lmax", "2")
     assert code == 4
@@ -397,3 +399,30 @@ def test_resampled_jacobian_is_silent_under_warnings_as_errors(capsys):
         code, out, err = run_cli(capsys, "--seed", "10", "suite")
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "pass"
+
+
+# The flags of each subcommand at desk size, in table order.
+DESK_ARGS = {
+    "filtration": {"m": 2, "n": 2, "d": 3, "lmax": 3},
+    "taylor": {"m": 2, "n": 2, "d": 3, "l": 2},
+    "split": {"m": 2, "n": 3, "d": 3, "l": 2},
+    "serre": {"m": 2, "n": 2, "d": 3},
+    "duality": {"m": 2, "n": 2, "d": 3, "l": 2},
+    "disc": {"d": 4, "l": 1},
+    "suite": {},
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_report_starts_with_schema_then_its_flags(capsys, name):
+    # The table declares each subcommand once; the report's prefix is built
+    # from its flags, so a new row cannot break the prefix rule.
+    _, flags, _ = cli.COMMANDS[name]
+    values = DESK_ARGS[name]
+    assert tuple(values) == flags
+    code, out, err = run_cli(capsys, name, *(f"--{k}={v}" for k, v in values.items()))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert list(report)[:len(flags) + 1] == ["schema", *flags]
+    assert report["schema"] == "vermajet/1"
+    assert [report[flag] for flag in flags] == list(values.values())

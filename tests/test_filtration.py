@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -302,6 +302,35 @@ def test_weight_multiset_sums_to_dimension():
     for m, n, d, l in [(1, 1, 3, 2), (2, 2, 2, 2), (1, 2, 3, 2)]:
         level = canonical_filtration(m, n, d, l).levels[l]
         assert sum(level.weight_multiset.values()) == level.dim
+
+
+@pytest.mark.parametrize("m,n,d", [*DESK_CASES, (2, 2, 4), (2, 3, 3)])
+def test_weight_multisets_have_the_levi_and_grassmannian_symmetries(m, n, d):
+    # Mod the all-ones vector, each level's weight multiset is invariant under
+    # S_m x S_n (the Levi's Weyl group permutes the first m and the last n
+    # coordinates), and w -> -reverse(w) sends it to the (n, m, d) multiset at
+    # the same level, as Gr(m, m + n) is Gr(n, m + n).
+    def normalized(coords):
+        return tuple(c - min(coords) for c in coords)
+
+    def multisets(m, n):
+        levels = []
+        for level in canonical_filtration(m, n, d, d).levels:
+            counts = Counter()
+            for weight, k in level.weight_multiset.items():
+                counts[normalized(weight.coords)] += k
+            levels.append(counts)
+        return levels
+
+    dual_levels = multisets(n, m)
+    for l, level in enumerate(multisets(m, n)):
+        for first, last in product(permutations(range(m)), permutations(range(m, m + n))):
+            order = first + last
+            assert Counter({tuple(w[i] for i in order): k for w, k in level.items()}) == level
+        dual = Counter()
+        for w, k in level.items():
+            dual[normalized(tuple(-c for c in reversed(w)))] += k
+        assert dual == dual_levels[l]
 
 
 def test_levels_are_nested():

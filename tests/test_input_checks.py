@@ -8,8 +8,8 @@ import pytest
 from vermajet.discriminant import (graded_relations, irreducibility_witness, parametrized_form,
                                    parametrization_jacobian_rank)
 from vermajet.errors import SizeCapError
-from vermajet.filtration import (_pbw_count, char_ideal_generator_check, filtration_walk,
-                                 multi_filtration, pbw_filtration, weyl_dim_oracle)
+from vermajet.filtration import (char_ideal_generator_check, filtration_walk, multi_filtration,
+                                 pbw_filtration, weyl_dim_oracle)
 from vermajet.jets import kernel_sections, taylor_matrix, taylor_rank
 from vermajet.lie import LieElement, build_context
 from vermajet.linalg import SparseMatrix
@@ -27,7 +27,6 @@ X, Y = Poly.variable(1, 0), Poly.variable(2, 0)
 CASES = [
     (weyl_dim_oracle, (0, 1, 1), ValueError, POSITIVE),
     (module_dim, (0, 1, 1), ValueError, POSITIVE),
-    (_pbw_count, (4, -1, 10), ValueError, "max_degree must be non-negative"),
     (filtration_walk, (2, 2, 3, -1), ValueError, "l_max must be non-negative"),
     (pbw_filtration, (2, 2, 3, 0), ValueError, "l must be at least 1"),
     (char_ideal_generator_check, (2, 2, 3, 0), ValueError, "l must be at least 1"),

@@ -136,7 +136,7 @@ def test_report_records_keep_their_field_order():
     # The fields of a root and a duality report are the keys of its record, in order.
     root = filtration.RootPowerReport(1, 1, True, True)
     assert list(root._asdict()) == ["index", "power", "below_nonzero", "at_power_zero"]
-    assert list(suite._serre_records(1, 1, 2, 10)[0]) == [*root._asdict(), "ok"]
+    assert list(suite.serre_records(1, 1, 2, 10)[0]) == [*root._asdict(), "ok"]
     duality = jets.DualityReport(3, 3, True, False)
     assert list(duality._asdict()) == ["filtration_dim", "taylor_rank", "dim_match",
                                        "pairing_vanishes"]
