@@ -30,8 +30,8 @@ _EXPORTS = {
     "filtration": ("annihilator_dim", "canonical_filtration", "char_ideal_generator_check",
                    "multi_filtration", "pbw_filtration", "serre_power_check",
                    "verma_split_check", "weight_of", "weyl_dim_oracle"),
-    "jets": ("SectionPolynomial", "duality_check", "kernel_sections", "plucker_polynomial",
-             "section_space", "taylor_matrix"),
+    "jets": ("duality_check", "kernel_sections", "plucker_polynomial", "section_space",
+             "taylor_matrix"),
     "discriminant": ("Eliminant", "classical_discriminant_oracle",
                      "irreducibility_witness", "multiple_root_eliminant",
                      "parametrization_jacobian_rank", "parametrized_form"),

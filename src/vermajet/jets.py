@@ -52,24 +52,23 @@ only from `filtration.canonical_filtration`, whose all-pairs pairing is
 the test reference.
 
 Chart minors are built in closed form (`_chart_minor`) and stored by
-`_checked_minor`; each `plucker_polynomial` read is a `SectionPolynomial`
-(a plain class with no equality) that holds the stored minor and copies a
-map on its first read, so a section nothing reads costs one lookup.  The
-basis is stored by `_reduced_family` (`maxsize=1`: a case's calls are
-consecutive in every caller).  `section_space` (and `taylor_rank`) still
-reads every factor of every Plücker monomial through `plucker_polynomial` on
-every call, though no chain reads a minor: the benchmark's desk workload
-pins the `section_space` (90) and `plucker_polynomial` (4,640) call counts,
-and the reads go once those are re-pinned; `taylor_matrix` runs none.  The
-Plücker monomial products, the enumerated jet columns (`_jet_columns`),
-literal jet truncations, the re-expansion at another chart point and the
-block-rank oracle of the initial-term certificate are in `tests/reference.py`.
+`_checked_minor`, one `Poly` per row set; each `plucker_polynomial` read
+returns that stored object, shared and read-only, so a read costs one
+lookup.  The basis is stored by `_reduced_family` (`maxsize=1`: a case's
+calls are consecutive in every caller).  `section_space` (and
+`taylor_rank`) still reads every factor of every Plücker monomial through
+`plucker_polynomial` on every call, though no chain reads a minor: the
+benchmark's desk workload pins the `section_space` (90) and
+`plucker_polynomial` (4,640) call counts, and the reads go once those are
+re-pinned; `taylor_matrix` runs none.  The Plücker monomial products, the
+enumerated jet columns (`_jet_columns`), literal jet truncations, the
+re-expansion at another chart point and the block-rank oracle of the
+initial-term certificate are in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -84,29 +83,6 @@ from .linalg import SparseMatrix, kernel_basis  # noqa: F401
 from .plethysm import DEFAULT_AMBIENT_CAP, module_dim, wedge_basis, wedge_keys
 from .polynomials import Poly, _add_product, _field_width, _pack_terms, _unpack
 from .polynomials import det  # noqa: F401
-
-
-class SectionPolynomial:
-    """A global section in chart coordinates, with Plücker-monomial provenance:
-    the maps given, or a stored minor (`_minor`) whose maps are each copied once."""
-
-    __slots__ = ("_chart", "_plucker", "_minor")
-
-    def __init__(self, chart: Poly, plucker: dict[int, int | Fraction]):
-        self._chart, self._plucker, self._minor = chart, plucker, None
-
-    @property
-    def chart(self) -> Poly:
-        if self._chart is None:
-            self._chart = chart = Poly.__new__(Poly)
-            chart.nvars, chart.terms = self._minor[0], self._minor[1].copy()
-        return self._chart
-
-    @property
-    def plucker(self) -> dict[int, int | Fraction]:
-        if self._plucker is None:
-            self._plucker = self._minor[2].copy()
-        return self._plucker
 
 
 def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
@@ -128,9 +104,10 @@ def _chart_minor(rows: tuple[int, ...], m: int, n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, dict]:
-    """(nvars, chart terms, Plücker map {unit: 1}) of a valid subset's minor,
-    the unit its wedge's degree-1 key; an invalid subset raises, unstored."""
+def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> Poly:
+    """The minor of a valid subset, stored once for its sorted rows (an
+    unsorted subset stores the sorted one's object); an invalid subset
+    raises, unstored."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     rows = tuple(sorted(subset))
@@ -138,20 +115,14 @@ def _checked_minor(subset: tuple[int, ...], m: int, n: int) -> tuple[int, dict, 
         raise ValueError(f"need {m} distinct row indices")
     if rows[0] < 1 or rows[-1] > m + n:
         raise ValueError(f"row indices must lie in 1..{m + n}")
-    unit = wedge_keys(m, n, 1)[wedge_basis(m, n).index(rows)]
-    return m * n, _chart_minor(rows, m, n).terms, {unit: 1}
+    return _chart_minor(rows, m, n) if rows == subset else _checked_minor(rows, m, n)
 
 
-def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> SectionPolynomial:
+def plucker_polynomial(subset: Sequence[int], m: int, n: int) -> Poly:
     """The m x m minor with the given rows of [[I_m], [T]], in the chart
-    normalized so the minor for rows {1..m} is 1.  The section holds the
-    stored minor and copies its chart terms and Plücker map on first read
-    (see `SectionPolynomial`), so a read that nothing reads costs the
-    argument check and the memo lookup alone."""
-    section = SectionPolynomial.__new__(SectionPolynomial)
-    section._chart = section._plucker = None
-    section._minor = _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
-    return section
+    normalized so the minor for rows {1..m} is 1: the stored `Poly`, shared
+    and read-only, so a read costs the argument check and the memo lookup."""
+    return _checked_minor(subset if type(subset) is tuple else tuple(subset), m, n)
 
 
 def _jet_column(exps: tuple[int, ...]) -> int:
@@ -200,8 +171,8 @@ def section_space(m: int, n: int, d: int,
     tuple (see the module docstring)."""
     wedges = wedge_basis(m, n)
     reads = module_dim(m, n, d, cap) * d // len(wedges)  # each wedge's total exponent
-    # No chain reads a minor, so each read is a memo lookup that copies no map:
-    # the reads stay only until the benchmark's desk call counts are re-pinned.
+    # No chain reads a minor, so each read is one memo lookup: the reads stay
+    # only until the benchmark's desk call counts are re-pinned.
     for wedge in wedges:
         for _ in range(reads):
             plucker_polynomial(wedge, m, n)
@@ -221,7 +192,7 @@ def taylor_matrix(m: int, n: int, d: int, l: int,
     module_dim(m, n, d, cap)
     chains, degrees = _reduced_family(m, n, d)
     rank = bisect_right(degrees, l)  # the degrees ascend
-    minors = [plucker_polynomial(wedge, m, n).chart.terms for wedge in wedge_basis(m, n)]
+    minors = [plucker_polynomial(wedge, m, n).terms for wedge in wedge_basis(m, n)]
     top = max((max(exps) for terms in minors for exps in terms), default=0)
     nvars, width, shift, size = m * n, _field_width(d * top), d.bit_length(), comb(m * n + l, l)
     packed = [_pack_terms(terms, width) for terms in reversed(minors)]  # wedge k in field N-1-k

@@ -52,7 +52,8 @@ The Plücker monomial family, the oracle of `jets.section_space`, whose
 basis sections are chains with no chart polynomial: `section_monomial`
 multiplies a degree-d monomial (a chain's key, say) out of
 `jets.plucker_polynomial` factors (read through the module, so a patched
-minor shows), and `jet_truncation` is its literal order-l truncation over
+minor shows) into a `Section`, its chart polynomial with its Plücker map
+{key: 1}, and `jet_truncation` is its literal order-l truncation over
 the jet columns of `jets.taylor_matrix`, the oracle of every row.
 `standard_chains` packs the chains among the sorted d-tuples in their
 order, and `pair` takes a chain as the monomial {chain: 1}.  On projective
@@ -110,7 +111,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, gcd
 from operator import le
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from vermajet import jets
 from vermajet.discriminant import _weight
@@ -446,13 +447,19 @@ def tuple_filtration_bases(m: int, n: int, d: int,
     return levels
 
 
-def section_monomial(key: int, m: int, n: int, d: int) -> jets.SectionPolynomial:
+class Section(NamedTuple):
+    """A section in chart coordinates, with its Plücker-monomial provenance."""
+    chart: Poly
+    plucker: dict[int, int | Fraction]
+
+
+def section_monomial(key: int, m: int, n: int, d: int) -> Section:
     """Product of Plücker chart polynomials over a degree-d multiset, given
     as its key."""
     chart = Poly.const(m * n, 1)
     for wedge in unpack(key, m, n, d):
-        chart = chart * jets.plucker_polynomial(wedge, m, n).chart
-    return jets.SectionPolynomial(chart, {key: 1})
+        chart = chart * jets.plucker_polynomial(wedge, m, n)
+    return Section(chart, {key: 1})
 
 
 def standard_chains(m: int, n: int, d: int) -> list[int]:
@@ -481,7 +488,7 @@ def weight_block_ranks(m: int, n: int, d: int) -> dict[tuple[int, ...], tuple[in
 
 
 def monomial_sections(m: int, n: int, d: int,
-                      cap: int = DEFAULT_AMBIENT_CAP) -> list[jets.SectionPolynomial]:
+                      cap: int = DEFAULT_AMBIENT_CAP) -> list[Section]:
     """The degree-d Plücker monomial family in canonical basis order."""
     return [section_monomial(key, m, n, d) for key in sym_basis(m, n, d, cap)]
 
@@ -502,7 +509,7 @@ def jet_monomials(m: int, n: int, l: int) -> list[tuple[int, ...]]:
     return list(_jet_columns(m, n, l)[0])
 
 
-def jet_truncation(section: jets.SectionPolynomial, m: int, n: int,
+def jet_truncation(section: Section, m: int, n: int,
                    l: int) -> tuple[int | Fraction, ...]:
     """Coefficient vector of the order-l truncation at the origin."""
     columns, index = _jet_columns(m, n, l)
@@ -642,8 +649,7 @@ def _generators(ctx: LieAlgebraContext, subalgebra: Subalgebra) -> list[LieEleme
 
 def evaluation_matrix(m: int, n: int, d: int, l: int,
                       subalgebra: Subalgebra = "all",
-                      cap: int = DEFAULT_AMBIENT_CAP,
-                      monomial_cap: int = MONOMIAL_CAP) -> SparseMatrix:
+                      cap: int = DEFAULT_AMBIENT_CAP) -> SparseMatrix:
     """Row r is the image of the r-th PBW monomial applied to v; columns are
     the ambient module coordinates."""
     if l < 0:
@@ -651,7 +657,7 @@ def evaluation_matrix(m: int, n: int, d: int, l: int,
     ctx = build_context(m, n)
     column = {key: c for c, key in enumerate(sym_basis(m, n, d, cap))}
     generators = _generators(ctx, subalgebra)
-    monomials = pbw_monomials(len(generators), l, monomial_cap)
+    monomials = pbw_monomials(len(generators), l)
     v = highest_weight_vector(m, n, d)
     entries = {(row, column[key]): value
                for row, exps in enumerate(monomials)

@@ -342,14 +342,13 @@ def test_a_zero_chart_minor_leaves_the_taylor_report_unchanged(capsys, monkeypat
     # The section basis and the Taylor ranks are read off the chains alone,
     # so a cold walk with a zero minor at (2,) reports the same numbers.
     from vermajet import jets
-    from vermajet.polynomials import Poly
 
     minor = jets.plucker_polynomial
 
     def zero_at_2(subset, m, n):
         s = minor(subset, m, n)
         if tuple(subset) == (2,):
-            return jets.SectionPolynomial(Poly.zero(m * n), s.plucker)
+            return 0 * s
         return s
 
     argv = ("taylor", "--m", "1", "--n", "1", "--d", "3", "--l", "1")

@@ -490,6 +490,22 @@ def test_uni_irreducible_q_on_inputs_that_are_not_squarefree():
     assert _uni_irreducible_q(_times(square, [1, 0, 1])) is None
 
 
+def test_uni_irreducible_q_on_constants_and_linear_forms():
+    # A constant is no irreducible polynomial, and a linear form always is,
+    # root or not.
+    assert _uni_irreducible_q([5]) is False
+    assert _uni_irreducible_q([1, 2]) is True
+
+
+def test_witness_is_unknown_when_every_line_loses_its_top_coefficient(monkeypatch):
+    # Each of the three lines draws until its restriction keeps full degree;
+    # when none does, every line stays degenerate and nothing is claimed.
+    monkeypatch.setattr(discriminant, "restrict_to_line", lambda p, base, direction: [1, 2, 0])
+    witness = irreducibility_witness(4, 1)
+    assert witness.status == "unknown"
+    assert witness.details["lines"] == [{"degenerate": True}] * 3
+
+
 def test_rational_roots_with_thirty_bit_prime_products_at_both_ends():
     # the divisor search would try about 2^30 trial divisors of each end
     p1, p2, p3, p4 = 1073741789, 1073740819, 1073739817, 1073738821

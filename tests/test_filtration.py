@@ -234,6 +234,16 @@ def test_serre_powers_projective():
     assert not act(ctx.E(3, 1), v, 1, 1).is_zero
 
 
+def test_serre_power_check_reports_a_lowering_power_that_dies_early(monkeypatch):
+    # With every lowering killing its vector, the power d + 1 = 3 of the
+    # second root dies at the first step: its report fails, and each root
+    # of power 1 still passes.
+    monkeypatch.setattr(filtration, "act", lambda x, vec, m, d: PlethysmVector())
+    reports = serre_power_check(2, 2, 2)
+    assert [(r.power, r.below_nonzero, r.ok) for r in reports] == \
+        [(1, True, True), (3, False, False), (1, True, True)]
+
+
 def test_char_ideal_containment():
     assert char_ideal_generator_check(1, 1, 3, 1)
     assert char_ideal_generator_check(2, 2, 2, 1)

@@ -19,8 +19,8 @@ from vermajet.suite import DESK_CASES, MAX_FILTRATION_LEVEL
 
 from reference import (_jet_columns, chart_homogeneity_check, chart_product, chart_variables,
                        evaluation_matrix, jet_monomials, jet_truncation, monomial_jet_projective,
-                       monomial_sections, pack, pair, section_monomial, standard_chains,
-                       truncate, unpack)
+                       monomial_sections, pack, pair, Section, section_monomial,
+                       standard_chains, truncate, unpack)
 
 
 def _t(m, n, i, j):
@@ -41,20 +41,20 @@ def _t_degree(chain, m, n, d):
 def test_plucker_minors_gr24():
     t31, t32 = _t(2, 2, 3, 1), _t(2, 2, 3, 2)
     t41, t42 = _t(2, 2, 4, 1), _t(2, 2, 4, 2)
-    assert plucker_polynomial((1, 3), 2, 2).chart == t32
-    assert plucker_polynomial((1, 2), 2, 2).chart == Poly.const(4, 1)
-    assert plucker_polynomial((3, 4), 2, 2).chart == t31 * t42 - t32 * t41
-    assert plucker_polynomial((2, 3), 2, 2).chart == -t31
+    assert plucker_polynomial((1, 3), 2, 2) == t32
+    assert plucker_polynomial((1, 2), 2, 2) == Poly.const(4, 1)
+    assert plucker_polynomial((3, 4), 2, 2) == t31 * t42 - t32 * t41
+    assert plucker_polynomial((2, 3), 2, 2) == -t31
 
 
 def test_plucker_projective_chart():
     for k in range(2, 5):
-        assert plucker_polynomial((k,), 1, 3).chart == _t(1, 3, k, 1)
-    assert plucker_polynomial((1,), 1, 3).chart == Poly.const(3, 1)
+        assert plucker_polynomial((k,), 1, 3) == _t(1, 3, k, 1)
+    assert plucker_polynomial((1,), 1, 3) == Poly.const(3, 1)
 
 
 def test_plucker_relation_vanishes_in_chart():
-    p = {frozenset(s): plucker_polynomial(tuple(sorted(s)), 2, 2).chart
+    p = {frozenset(s): plucker_polynomial(tuple(sorted(s)), 2, 2)
          for s in [(1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3)]}
     relation = (p[frozenset((1, 2))] * p[frozenset((3, 4))]
                 - p[frozenset((1, 3))] * p[frozenset((2, 4))]
@@ -212,19 +212,19 @@ def test_section_provenance_matches_chart():
 
 
 def test_memoized_results_are_isolated_from_callers():
+    # A minor read is the one stored Poly, shared and read-only: two reads
+    # return the same object, and a Taylor matrix leaves it as built.
     first = plucker_polynomial((1, 3), 2, 2)
-    plucker, chart = dict(first.plucker), dict(first.chart.terms)
-    first.plucker[1 << 5] = Fraction(5)
-    first.chart.terms.clear()
-    again = plucker_polynomial((1, 3), 2, 2)
-    assert again.plucker == plucker and again.chart.terms == chart
+    assert plucker_polynomial((1, 3), 2, 2) is first
+    taylor_matrix(2, 2, 2, 2)
+    assert first == jets._chart_minor((1, 3), 2, 2)
 
     columns = jet_monomials(2, 2, 2)
     recorded = list(columns)
     columns.reverse()
     columns.append((9, 9, 9, 9))
     assert jet_monomials(2, 2, 2) == recorded
-    section = plucker_polynomial((1, 3), 2, 2)
+    section = section_monomial(pack(((1, 3),), 2, 2), 2, 2, 1)
     assert len(jet_truncation(section, 2, 2, 2)) == len(recorded)
 
 
@@ -248,11 +248,13 @@ def test_matrix_ranks_match_sympy_on_desk_cases(m, n, d):
 
 @pytest.mark.parametrize("subset", [(1, 1), (0, 2), (1, 2, 3), (1, 5)])
 def test_plucker_polynomial_rejects_invalid_rows_on_every_call(subset):
+    stored = jets._checked_minor.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError):
             plucker_polynomial(subset, 2, 2)
         with pytest.raises(ValueError):
             plucker_polynomial(list(subset), 2, 2)
+    assert jets._checked_minor.cache_info().currsize == stored
 
 
 @pytest.mark.parametrize("subset,m,n", [((), 0, 2), ((1,), 1, 0), ((), 0, 0), ((1,), 1, -1)])
@@ -267,27 +269,18 @@ def test_plucker_polynomial_rejects_an_empty_grassmannian_on_every_call(subset, 
 
 def test_plucker_polynomial_sorts_its_rows():
     unsorted, ordered = plucker_polynomial((3, 1), 2, 2), plucker_polynomial((1, 3), 2, 2)
-    assert unsorted.chart == ordered.chart == _t(2, 2, 3, 2)
-    # (1, 3) is wedge 1 of 6: its count sits in field 4 of 1-bit fields
-    assert unsorted.plucker == ordered.plucker == {1 << 4: 1}
-    assert plucker_polynomial([3, 1], 2, 2).plucker == ordered.plucker
+    assert unsorted is ordered == _t(2, 2, 3, 2)
+    assert plucker_polynomial([3, 1], 2, 2) is ordered == jets._chart_minor((1, 3), 2, 2)
 
 
-def test_plucker_polynomial_returns_fresh_maps():
+def test_plucker_polynomial_returns_its_stored_minor():
     first = plucker_polynomial((2, 4), 2, 2)
-    want = (dict(first.chart.terms), dict(first.plucker))
-    first.chart.terms.clear()
-    first.plucker[(1 << 6) - 1] = 5
-    second = plucker_polynomial((2, 4), 2, 2)
-    assert (second.chart.terms, second.plucker) == want
-    assert second.chart is not first.chart and second.plucker is not first.plucker
-    assert type(second) is jets.SectionPolynomial and second.chart.nvars == 4
-    # each map is copied on its first read, and later reads return that copy
-    assert second.chart is second.chart and second.plucker is second.plucker
-    # the constructor stores the objects it is given
-    chart, plucker = Poly.const(4, 2), {1 << 4: 1}
-    made = jets.SectionPolynomial(chart, plucker)
-    assert made.chart is chart and made.plucker is plucker
+    assert type(first) is Poly and first.nvars == 4
+    assert plucker_polynomial((2, 4), 2, 2) is first
+    # every Taylor matrix reads the stored minors and leaves them as built
+    for l in (1, 2, 4):
+        taylor_matrix(2, 2, 2, l)
+    assert plucker_polynomial((2, 4), 2, 2) is first == jets._chart_minor((2, 4), 2, 2)
 
 
 def test_empty_section_monomial_is_one():
@@ -301,7 +294,6 @@ def _section_space_by_fractions(m, n, d):
     # one echelon with a provenance column each, the basis read with
     # Fraction(v, pivot) and the validating Poly constructor.  Its span has
     # dimension dim V(d w_m).
-    from vermajet.jets import SectionPolynomial
     from vermajet.linalg import Echelon
     raw = monomial_sections(m, n, d)
     columns = sorted({e for s in raw for e in s.chart.terms}, key=lambda e: (sum(e), e))
@@ -320,7 +312,7 @@ def _section_space_by_fractions(m, n, d):
         chart = {columns[c]: Fraction(v, scale) for c, v in row.items() if c < width}
         plucker = {next(iter(raw[c - width].plucker)): Fraction(v, scale)
                    for c, v in row.items() if c >= width}
-        basis.append(SectionPolynomial(Poly(m * n, chart), plucker))
+        basis.append(Section(Poly(m * n, chart), plucker))
     return basis
 
 
@@ -378,7 +370,7 @@ def test_a_patched_minor_shows_in_taylor_matrix_and_not_in_section_space(monkeyp
     def scaled(subset, m, n):
         s = minor(subset, m, n)
         if tuple(sorted(subset)) == (1, 3):
-            return jets.SectionPolynomial(s.chart * 3, s.plucker)
+            return s * 3
         return s
 
     monkeypatch.setattr(jets, "plucker_polynomial", scaled)
@@ -406,7 +398,7 @@ def test_taylor_matrix_packs_the_exponents_of_the_minors_read(monkeypatch):
     def squared(subset, m, n):
         s = minor(subset, m, n)
         if tuple(sorted(subset)) == (1, 3):
-            return jets.SectionPolynomial(s.chart * s.chart, s.plucker)
+            return s * s
         return s
 
     monkeypatch.setattr(jets, "plucker_polynomial", squared)
@@ -531,9 +523,9 @@ def test_sections_carry_one_plucker_coordinate_equal_to_one(m, n, d):
         assert type(chain) is int and len(unpack(chain, m, n, d)) == d
     assert len(set(chains)) == len(chains)
     for k, wedge in enumerate(wedge_basis(m, n)):
-        ((unit, one),) = plucker_polynomial(wedge, m, n).plucker.items()
-        assert type(one) is int and one == 1
-        assert unit == wedge_keys(m, n, 1)[k] == pack((wedge,), m, n)
+        unit = wedge_keys(m, n, 1)[k]
+        assert unit == pack((wedge,), m, n)
+        assert section_monomial(unit, m, n, 1) == (plucker_polynomial(wedge, m, n), {unit: 1})
 
 
 def _support_check(m, n, d, walk, l, sections, monkeypatch):
@@ -635,11 +627,12 @@ def test_section_space_reads_each_factor_and_multiplies_nothing(monkeypatch, m, 
 
 
 def test_only_taylor_matrix_reads_a_chart():
-    # `plucker_polynomial` stores a chart; `taylor_matrix` is the one reader.
+    # `_checked_minor` stores each chart minor; `taylor_matrix` is the one
+    # reader of its terms.
     tree = ast.parse(Path(jets.__file__).read_text())
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Attribute)
-               and node.attr == "chart" and isinstance(node.ctx, ast.Load)}
+               and node.attr == "terms" and isinstance(node.ctx, ast.Load)}
     assert readers == {"taylor_matrix"}
     names = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "name")}
     assert "_packed_product" not in names

@@ -50,7 +50,7 @@ def test_every_export_is_its_module_attribute():
                  "exec('from vermajet import *', star)\n"
                  "print(json.dumps({n: getattr(home[n], n) is getattr(vermajet, n) is star[n]"
                  " for n in names}))")
-    assert len(same) == 40 and all(same.values())
+    assert len(same) == 39 and all(same.values())
 
 
 @pytest.mark.parametrize("name", ["jets", "suite", "cli", "polynomials"])
