@@ -39,9 +39,12 @@ Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
 Each univariate restriction is proved reducible only by a rational root
 (one p-adic lift, Loos 1983), proved irreducible over Q by mod-p degree
 patterns (distinct-degree factorization over GF(p) at several primes), and
-otherwise left unknown.  For l > 1 the witness is "heuristic" by policy and
-restricts nothing: a line through one generator of a codimension-l ideal
-says nothing about the locus.
+otherwise left unknown.  The l = 1 witness stops once its status is decided;
+its details carry "envelope" and "lines", and, only inside the envelope
+d <= 4 where a verdict can certify, "oracle_match" and each line's
+"irreducible".  For l > 1 the witness is "heuristic" by policy ("envelope"
+and "policy") and restricts nothing: a line through one generator of a
+codimension-l ideal says nothing about the locus.
 
 `classical_discriminant_oracle` is memoized for the life of the process,
 keyed by the resolved (d, cap), and so is `_eliminants(d, l, cap)`, the
@@ -568,18 +571,24 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
                            cap: int = DEFAULT_DEGREE_CAP) -> IrreducibilityWitness:
     """Irreducibility evidence for the multiple-root locus.
 
-    For l = 1, each of three seeded lines records the verdict on the
-    discriminant's full-degree restriction to it: True when mod-p degree
-    patterns leave no proper factor degree over Q, False only when it has a
-    rational root, and None (unknown) otherwise.  An irreducible full-degree
-    restriction is a sound proof that the discriminant is irreducible.
+    For l = 1, up to three seeded lines are drawn, each redrawn until the
+    discriminant's restriction to it keeps its full degree (or recorded as
+    {"degenerate": True}).  A line's verdict is True when mod-p degree
+    patterns leave the restriction no proper factor degree over Q, False
+    only when it has a rational root, and None (unknown) otherwise; an
+    irreducible full-degree restriction proves the discriminant irreducible.
 
-    Certification happens only inside the policy envelope l = 1, d <= 4: the
-    eliminant must match the resultant oracle and at least one line must be
-    irreducible.  Outside the envelope the verdict is heuristic; the check
-    never claims a negative.  For l > 1 no line is tried: restricting one
-    generator of a codimension-l ideal says nothing about the locus, so the
-    verdict is "heuristic" with the policy in the details.
+    The witness stops once its status is decided.  Only inside the policy
+    envelope l = 1, d <= 4 can it certify: it records "oracle_match", the
+    eliminant against the resultant oracle, and if they match, gives each
+    line its "irreducible" verdict: "certified" at the first True,
+    "heuristic" when none of the three is True.  Otherwise the first
+    full-degree line, with base, direction and degree only, makes it
+    "heuristic".  Three degenerate lines make it "unknown"; it never claims
+    a negative.  For
+    l > 1 no line is tried: restricting one generator of a codimension-l
+    ideal says nothing about the locus, so it is "heuristic" with "policy"
+    in place of "lines".  Every status carries "envelope".
     """
     if not 1 <= l < d:
         raise ValueError("need 1 <= l < d")
@@ -592,9 +601,10 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
         return IrreducibilityWitness("heuristic", details)
 
     target = multiple_root_eliminant(d, 1, cap).poly
-    details["oracle_match"] = target == classical_discriminant_oracle(d, cap).poly
+    if in_envelope:
+        details["oracle_match"] = target == classical_discriminant_oracle(d, cap).poly
     rng = random.Random(seed)
-    lines = []
+    details["lines"] = lines = []
     for _ in range(3):
         record = {"degenerate": True}
         for _ in range(25):
@@ -605,16 +615,16 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
             restricted = restrict_to_line(target, base, direction)
             if restricted[-1] == 0:
                 continue  # degree dropped: unlucky direction
-            coeffs = list(primitive(dict(enumerate(restricted)), len(restricted) - 1).values())
-            record = {"base": base, "direction": direction,
-                      "degree": len(coeffs) - 1,
-                      "irreducible": _uni_irreducible_q(coeffs)}
+            record = {"base": base, "direction": direction, "degree": len(restricted) - 1}
             break
         lines.append(record)
-    details["lines"] = lines
-    if all(r.get("degenerate") for r in lines):
-        return IrreducibilityWitness("unknown", details)
-    if in_envelope and details["oracle_match"] and any(
-            r.get("irreducible") is True for r in lines):
-        return IrreducibilityWitness("certified", details)
-    return IrreducibilityWitness("heuristic", details)
+        if "degree" not in record:
+            continue
+        if not details.get("oracle_match"):
+            return IrreducibilityWitness("heuristic", details)  # no verdict could certify
+        coeffs = list(primitive(dict(enumerate(restricted)), len(restricted) - 1).values())
+        record["irreducible"] = _uni_irreducible_q(coeffs)
+        if record["irreducible"] is True:
+            return IrreducibilityWitness("certified", details)
+    return IrreducibilityWitness("heuristic" if any("degree" in r for r in lines) else "unknown",
+                                 details)

@@ -38,6 +38,10 @@ lift: every p/q with p | c_0 and q | c_n, the divisors listed once per end
 coefficient by trial division up to the square root, tried in integers.
 The squarefree part by Euclid over Q with `Fraction` quotients, the oracle
 of `discriminant._squarefree_part`'s primitive pseudo-remainder sequence.
+`witness_lines` is the l = 1 witness's full three-line draw, the oracle of
+`discriminant.irreducibility_witness`: every line restricted by the
+convolution and given its `_uni_irreducible_q` verdict, including the lines
+the witness stops before, whose verdicts cannot change its status.
 
 The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
@@ -104,6 +108,7 @@ degree d.
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -114,7 +119,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from vermajet import jets
-from vermajet.discriminant import _weight
+from vermajet.discriminant import _uni_irreducible_q, _weight, multiple_root_eliminant
 from vermajet.errors import SizeCapError
 from vermajet.filtration import apply_pbw_monomial
 from vermajet.lie import LieAlgebraContext, LieElement, SubalgebraTag, Weight, build_context
@@ -302,6 +307,32 @@ def restrict_to_line_by_convolution(p: Poly, base: Sequence[int | Fraction],
         for k, v in enumerate(coeffs):
             out[k] += v
     return [canonical(v) for v in out]
+
+
+def witness_lines(d: int, seed: int) -> list[dict]:
+    """The three lines of the (d, 1) witness at `seed`, each drawn from
+    `random.Random(seed)` until its restriction keeps the top coefficient
+    (at most 25 draws, else {"degenerate": True}), and recorded with its
+    base, direction, degree and `_uni_irreducible_q` verdict."""
+    target = multiple_root_eliminant(d, 1).poly
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(3):
+        record = {"degenerate": True}
+        for _ in range(25):
+            base = [rng.randint(-3, 3) for _ in range(target.nvars)]
+            direction = [rng.randint(-3, 3) for _ in range(target.nvars)]
+            if not any(direction):
+                continue
+            restricted = restrict_to_line_by_convolution(target, base, direction)
+            if restricted[-1] == 0:
+                continue
+            coeffs = list(primitive(dict(enumerate(restricted)), len(restricted) - 1).values())
+            record = {"base": base, "direction": direction, "degree": len(coeffs) - 1,
+                      "irreducible": _uni_irreducible_q(coeffs)}
+            break
+        lines.append(record)
+    return lines
 
 
 def bezout_matrix_by_products(d: int) -> list[list[Poly]]:

@@ -62,7 +62,7 @@ def test_oracle_degree_bounds():
         classical_discriminant_oracle(9)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_eliminant_matches_oracle(d):
     eliminant = multiple_root_eliminant(d, 1)
     oracle = classical_discriminant_oracle(d)
@@ -336,10 +336,11 @@ def _random_primitive_polys(rng):
 
 
 def _witness_lines(d, seed):
+    # The restrictions to all three reference lines, those the witness stops
+    # before included.
     target = multiple_root_eliminant(d, 1).poly
-    witness = irreducibility_witness(d, 1, seed)
     return [_primitive_list(restrict_to_line(target, r["base"], r["direction"]))
-            for r in witness.details["lines"] if not r.get("degenerate")]
+            for r in reference.witness_lines(d, seed) if not r.get("degenerate")]
 
 
 def test_squarefree_part_matches_the_euclid_reference():
@@ -528,28 +529,83 @@ def test_witness_certified_at_every_seed():
         for seed in range(10):
             witness = irreducibility_witness(d, 1, seed)
             assert witness.status == "certified", (d, seed)
-            assert len(witness.details["lines"]) == 3
+            verdicts = [r.get("irreducible") for r in witness.details["lines"]]
+            assert verdicts.index(True) == len(verdicts) - 1, (d, seed)
 
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_witness_line_verdicts_pinned(d):
+    # The three reference lines of seed 0 keep the full degree 2(d - 1).
+    # Inside the envelope the witness stops at the first irreducible one;
+    # outside it, at the first line, with no verdict.
+    polys = _witness_lines(d, 0)
+    assert [len(coeffs) - 1 for coeffs in polys] == [2 * d - 2] * 3
+    assert [_uni_irreducible_q(coeffs) for coeffs in polys] == [False, True, True]
     lines = irreducibility_witness(d, 1, 0).details["lines"]
-    assert [r["irreducible"] for r in lines] == [False, True, True]
+    assert [r.get("irreducible", "none") for r in lines] == {4: [False, True], 5: ["none"]}[d]
 
 
 def test_witness_redraws_a_line_whose_degree_drops(monkeypatch):
-    # At (2,1) seed 1 the restriction to one drawn line has a vanished top
-    # coefficient; that line is redrawn, so only lines of the full degree
-    # 2(d - 1) = 2 are recorded, and the records stay as pinned.
+    # At (2,1) seed 29 the first draw for the second line restricts to a
+    # vanished top coefficient, before the status is decided; that line is
+    # redrawn, so only lines of the full degree 2(d - 1) = 2 are recorded,
+    # and the records stay as pinned.
     restricted = []
     monkeypatch.setattr(discriminant, "restrict_to_line",
                         lambda *args: restricted.append(restrict_to_line(*args)) or restricted[-1])
-    lines = irreducibility_witness(2, 1, 1).details["lines"]
-    assert len(restricted) == 4 and sum(r[-1] == 0 for r in restricted) == 1
+    lines = irreducibility_witness(2, 1, 29).details["lines"]
+    assert [r[-1] == 0 for r in restricted] == [False, True, False]
     assert lines == [
-        {"base": [-2, 1, 3], "direction": [3, 3, -3], "degree": 2, "irreducible": True},
-        {"base": [2, 0, 3], "direction": [-2, -3, 0], "degree": 2, "irreducible": True},
-        {"base": [-3, 3, 0], "direction": [0, 1, 3], "degree": 2, "irreducible": True}]
+        {"base": [1, -3, -1], "direction": [1, 3, 1], "degree": 2, "irreducible": False},
+        {"base": [-3, -3, -3], "direction": [3, 0, 2], "degree": 2, "irreducible": True}]
+
+
+def _three_line_status(d, lines, oracle_match):
+    # The rule over all three lines: "unknown" when all are degenerate,
+    # "certified" inside the envelope when the oracle matches and some line
+    # is irreducible, "heuristic" otherwise.
+    if all(r.get("degenerate") for r in lines):
+        return "unknown"
+    if d <= 4 and oracle_match and any(r.get("irreducible") is True for r in lines):
+        return "certified"
+    return "heuristic"
+
+
+def test_witness_status_matches_the_three_line_rule():
+    # The witness stops once its status is decided; its status is the rule
+    # applied to all three reference lines, and its lines are theirs up to
+    # where it stopped, with no verdict outside the envelope.
+    for d in range(2, 7):
+        oracle_match = multiple_root_eliminant(d, 1).poly == classical_discriminant_oracle(d).poly
+        for seed in range(50):
+            drawn = reference.witness_lines(d, seed)
+            witness = irreducibility_witness(d, 1, seed)
+            assert witness.status == _three_line_status(d, drawn, oracle_match), (d, seed)
+            lines = witness.details["lines"]
+            assert lines == [{k: v for k, v in r.items() if d <= 4 or k != "irreducible"}
+                             for r in drawn[:len(lines)]], (d, seed)
+            assert ("oracle_match" in witness.details) == (d <= 4)
+
+
+def test_witness_work_pinned(monkeypatch):
+    # Cold memos: the verdicts each seed-0 witness computes and the sizes of
+    # the determinants it expands (Bezout, then the Sylvester oracle only
+    # inside the envelope).
+    calls, sizes = [], []
+    irreducible_q, packed_det = discriminant._uni_irreducible_q, discriminant._packed_det
+    monkeypatch.setattr(discriminant, "_uni_irreducible_q",
+                        lambda coeffs: calls.append(len(coeffs)) or irreducible_q(coeffs))
+    monkeypatch.setattr(discriminant, "_packed_det",
+                        lambda rows, *args: sizes.append(len(rows)) or packed_det(rows, *args))
+    work = {}
+    for d in range(2, 7):
+        calls.clear()
+        sizes.clear()
+        discriminant._eliminants.cache_clear()
+        classical_discriminant_oracle.cache_clear()
+        irreducibility_witness(d, 1, 0)
+        work[d] = len(calls), list(sizes)
+    assert work == {2: (1, [2, 3]), 3: (3, [3, 5]), 4: (2, [4, 7]), 5: (0, [5]), 6: (0, [6])}
 
 
 def test_oracle_is_memoized_by_resolved_arguments(monkeypatch):
