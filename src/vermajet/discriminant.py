@@ -36,12 +36,14 @@ mirrored kernel of the blocks w < kd/2 spans the upper half, whose basis is
 one more `Echelon`'s primitive reduced rows over the reversed columns.
 
 Irreducibility evidence restricts the discriminant (l = 1) to seeded lines.
-Each univariate restriction is proved reducible only by a rational root
-(one p-adic lift, Loos 1983), proved irreducible over Q by mod-p degree
-patterns (distinct-degree factorization over GF(p) at several primes), and
-otherwise left unknown.  The l = 1 witness stops once its status is decided;
-its details carry "envelope" and "lines", and, only inside the envelope
-d <= 4 where a verdict can certify, "oracle_match" and each line's
+A quadratic restriction is reducible exactly when its discriminant is a
+square.  From degree 3 a restriction is proved reducible only by a rational
+root (one p-adic lift at the first usable prime of ten, Loos 1983), proved
+irreducible over Q by mod-p degree patterns (distinct-degree factorization
+over GF(p) at those primes), and otherwise left unknown, as it is when no
+prime of the ten is usable.  The l = 1 witness stops once its status is
+decided; its details carry "envelope" and "lines", and, only inside the
+envelope d <= 4 where a verdict can certify, "oracle_match" and each line's
 "irreducible".  For l > 1 the witness is "heuristic" by policy ("envelope"
 and "policy") and restricts nothing: a line through one generator of a
 codimension-l ideal says nothing about the locus.
@@ -62,7 +64,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, count
+from itertools import chain
 from math import comb, isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -470,45 +472,18 @@ def _squarefree_mod(coeffs: Sequence[int], p: int) -> list[int] | None:
     return f if coeffs[-1] % p and len(_gfp_gcd(f, slope, p)) == 1 else None
 
 
-def _squarefree_part(coeffs: Sequence[int]) -> list[int]:
-    """f / gcd(f, f') as primitive integers: f's roots, each once.  With
-    pseudo-division lc(b)^k a = q b + r over Z, the gcd ends the primitive
-    pseudo-remainder sequence of f and f', and q of f by it is a multiple of
-    their integral quotient (Gauss's lemma), which `primitive` recovers."""
-    def pseudo_divmod(a, b):
-        quotient, r = [], list(a)
-        while len(r) >= len(b):
-            factor = r[-1]
-            quotient = [c * b[-1] for c in quotient] + [factor]
-            r = [c * b[-1] - factor * e for c, e in zip(r, [0] * (len(r) - len(b)) + b)][:-1]
-        while r and not r[-1]:
-            r.pop()
-        return quotient[::-1], r
-
-    def primitive_list(f):
-        return list(primitive(dict(enumerate(f)), len(f) - 1).values())
-    g, h = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
-    while h:
-        g, h = h, primitive_list(pseudo_divmod(g, h)[1])
-    return primitive_list(pseudo_divmod(coeffs, g)[0])
-
-
 def _horner(coeffs: Sequence[int], x: int) -> int:
     return reduce(lambda value, c: value * x + c, reversed(coeffs), 0)
 
 
-def _has_rational_root(coeffs: Sequence[int], p: int | None = None) -> bool:
+def _has_rational_root(coeffs: Sequence[int], p: int) -> bool:
     """Whether f = sum_k coeffs[k] x^k has a rational root, by p-adic lifting
-    (Loos 1983) at a prime p not dividing c_n with f squarefree mod p; for p
-    None, f's squarefree part at the first such prime past 31.  A root a/b in
-    lowest terms has a | c_0 and b | c_n, so it is a simple root r mod p.
-    Newton's step lifts r to the root mod M > 2|c_0 c_n|, and a/b is then the
-    one fraction congruent to it with |a| <= |c_0| and 0 < b <= |c_n|, read
-    off the remainder sequence of (M, r) and checked in integers."""
-    if p is None:
-        coeffs = _squarefree_part(coeffs)
-        p = next(q for q in count(37, 2) if all(q % r for r in range(3, isqrt(q) + 1, 2))
-                 and _squarefree_mod(coeffs, q))
+    (Loos 1983) at a prime p not dividing c_n with f squarefree mod p.  A
+    root a/b in lowest terms has a | c_0 and b | c_n, so it is a simple root
+    r mod p.  Newton's step lifts r to the root mod M > 2|c_0 c_n|, and a/b
+    is then the one fraction congruent to it with |a| <= |c_0| and
+    0 < b <= |c_n|, read off the remainder sequence of (M, r) and checked in
+    integers."""
     n, top, bound = len(coeffs) - 1, abs(coeffs[-1]), abs(coeffs[0])
     slope = [k * c for k, c in enumerate(coeffs)][1:]
     for r in range(p):
@@ -530,26 +505,35 @@ def _has_rational_root(coeffs: Sequence[int], p: int | None = None) -> bool:
 def _uni_irreducible_q(coeffs: list[int]):
     """True / False / None (unknown) for irreducibility over Q.
 
-    A prime is usable when it does not divide the leading coefficient and f
-    is squarefree mod p.  False comes only from a rational root, decided once
-    at the first usable prime (or on f's squarefree part past 31 if none is).
-    True is certified by mod-p degree patterns (Musser 1978): a factor of
-    degree k over Q gives, at every usable prime, factors over GF(p) whose
-    degrees sum to k, so f is irreducible when no 0 < k < n is such a subset
-    sum at every usable prime.  A linear factor keeps 1 among the sums at
-    every prime, so testing roots first changes no verdict.
+    A quadratic c + bx + ax^2 is reducible exactly when b^2 - 4ac is a
+    square, a double root included.  From degree 3, a prime is usable when
+    it does not divide the leading coefficient and f is squarefree mod p;
+    with none among `_CERT_PRIMES` the verdict is None.  False comes only
+    from a rational root, decided once at the first usable prime.  True is
+    certified by mod-p degree patterns (Musser 1978): a factor of degree k
+    over Q gives, at every usable prime, factors over GF(p) whose degrees
+    sum to k, so f is irreducible when no 0 < k < n is such a subset sum at
+    every usable prime.  A linear factor keeps 1 among the sums at every
+    prime, so testing roots first changes no verdict, and a rootless cubic
+    has no proper factor.
     """
     degree = len(coeffs) - 1
     if degree <= 0:
         return False
     if degree == 1:
         return True
+    if degree == 2:
+        c, b, a = coeffs
+        discriminant = b * b - 4 * a * c
+        return discriminant < 0 or isqrt(discriminant) ** 2 != discriminant
     usable = ((p, f) for p in _CERT_PRIMES if (f := _squarefree_mod(coeffs, p)))
     first = next(usable, None)
-    if _has_rational_root(coeffs, first[0] if first else None):
+    if first is None:
+        return None
+    if _has_rational_root(coeffs, first[0]):
         return False
     possible = set(range(degree + 1))
-    for p, f in chain([first] if first else [], usable):
+    for p, f in chain([first], usable):
         sums = {0}
         for k in _gfp_factor_degrees(f, p):
             sums |= {s + k for s in sums}
@@ -573,10 +557,11 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
 
     For l = 1, up to three seeded lines are drawn, each redrawn until the
     discriminant's restriction to it keeps its full degree (or recorded as
-    {"degenerate": True}).  A line's verdict is True when mod-p degree
-    patterns leave the restriction no proper factor degree over Q, False
-    only when it has a rational root, and None (unknown) otherwise; an
-    irreducible full-degree restriction proves the discriminant irreducible.
+    {"degenerate": True}); a zero direction restricts to a constant and is
+    redrawn the same way.  A line's verdict (`_uni_irreducible_q`) is True
+    when the restriction is proved irreducible over Q, False only when it
+    has a rational root, and None (unknown) otherwise; an irreducible
+    full-degree restriction proves the discriminant irreducible.
 
     The witness stops once its status is decided.  Only inside the policy
     envelope l = 1, d <= 4 can it certify: it records "oracle_match", the
@@ -610,11 +595,9 @@ def irreducibility_witness(d: int, l: int, seed: int = 0,
         for _ in range(25):
             base = [rng.randint(-3, 3) for _ in range(target.nvars)]
             direction = [rng.randint(-3, 3) for _ in range(target.nvars)]
-            if not any(direction):
-                continue
             restricted = restrict_to_line(target, base, direction)
             if restricted[-1] == 0:
-                continue  # degree dropped: unlucky direction
+                continue  # degree dropped: unlucky (or zero) direction
             record = {"base": base, "direction": direction, "degree": len(restricted) - 1}
             break
         lines.append(record)

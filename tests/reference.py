@@ -34,14 +34,15 @@ oracle of `polynomials.restrict_to_line`'s Kronecker substitution, and the
 Bezout matrix by `Poly` products, the oracle of
 `discriminant._bezout_matrix`'s monomial sums.  The rational-root test by
 divisor search, the oracle of `discriminant._has_rational_root`'s p-adic
-lift: every p/q with p | c_0 and q | c_n, the divisors listed once per end
-coefficient by trial division up to the square root, tried in integers.
-The squarefree part by Euclid over Q with `Fraction` quotients, the oracle
-of `discriminant._squarefree_part`'s primitive pseudo-remainder sequence.
+lift and of `_uni_irreducible_q`'s discriminant test on quadratics: every
+p/q with p | c_0 and q | c_n, the divisors listed once per end coefficient
+by trial division up to the square root, tried in integers.
 `witness_lines` is the l = 1 witness's full three-line draw, the oracle of
 `discriminant.irreducibility_witness`: every line restricted by the
 convolution and given its `_uni_irreducible_q` verdict, including the lines
-the witness stops before, whose verdicts cannot change its status.
+the witness stops before, whose verdicts cannot change its status.  A zero
+direction is skipped before it is restricted; the witness restricts it and
+redraws on the lost top coefficient, which reads the same rng stream.
 
 The tuple encoding of Sym^d(Λ^m V), the oracle of `plethysm`: a symmetric
 basis index is the sorted d-tuple of its wedges, the basis is
@@ -346,23 +347,6 @@ def bezout_matrix_by_products(d: int) -> list[list[Poly]]:
     return [[sum((p[i + j + 1 - v] * q[v] - p[v] * q[i + j + 1 - v]
                   for v in range(min(i, j) + 1)), zero)
              for j in range(d)] for i in range(d)]
-
-
-def squarefree_part_over_q(coeffs: Sequence[int]) -> list[int]:
-    """f / gcd(f, f') over Q as primitive integers, top coefficient positive."""
-    def divmod_q(a, b):
-        quotient, r = [], list(a)
-        while len(r) >= len(b):
-            quotient.insert(0, Fraction(r[-1]) / b[-1])
-            r = [c - quotient[0] * e for c, e in zip(r, [0] * (len(r) - len(b)) + b)][:-1]
-        while r and not r[-1]:
-            r.pop()
-        return quotient, r
-    g, h = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
-    while h:
-        g, h = h, divmod_q(g, h)[1]
-    quotient = divmod_q(coeffs, g)[0]
-    return list(primitive(dict(enumerate(quotient)), len(quotient) - 1).values())
 
 
 def divisors(n: int) -> list[int]:

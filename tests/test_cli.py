@@ -116,6 +116,21 @@ def test_filtration_certificate_failure_exits_1(capsys, monkeypatch, cold_filtra
     assert err.startswith("error: certificate failed: p does not act")
 
 
+def test_eliminants_with_no_generator_exit_1_with_one_line(capsys, monkeypatch):
+    # With every kernel piece empty, no degree up to 2(d - 1) gives a
+    # generator; the failed call is not stored, so the memo is cleared only
+    # before it.
+    from vermajet import discriminant
+    from vermajet.errors import CertificateError
+    discriminant._eliminants.cache_clear()
+    monkeypatch.setattr(discriminant, "_kernel_piece", lambda d, l, k: [])
+    with pytest.raises(CertificateError, match=r"no eliminant generators found for \(d=5, l=2\)"):
+        discriminant.eliminant_generators(5, 2)
+    code, out, err = run_cli(capsys, "disc", "--d", "5", "--l", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: certificate failed: no eliminant generators found for (d=5, l=2)\n"
+
+
 def test_failure_maps_to_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite",
                         lambda config, with_timings=False: {

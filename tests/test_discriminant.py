@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import prod
 
 import pytest
 
@@ -159,8 +158,16 @@ def test_parametrized_form_at_integer_inputs_is_all_int():
     assert all(type(c) is int for c in parametrized_form(3, 1, Fraction(2), [Fraction(1), 0]))
 
 
+def _first_usable_prime(coeffs):
+    # The prime the rational-root test lifts at, None when no prime of the
+    # ten is usable.
+    return next((p for p in discriminant._CERT_PRIMES
+                 if discriminant._squarefree_mod(coeffs, p)), None)
+
+
 def test_has_rational_root_in_integers():
-    has_root = discriminant._has_rational_root
+    def has_root(coeffs):
+        return discriminant._has_rational_root(coeffs, _first_usable_prime(coeffs))
     assert has_root([0, 3, 1])  # root at 0
     assert has_root([1, -5, 6])  # 6x^2 - 5x + 1, root 1/2
     assert not has_root([-2, 0, 1])  # x^2 - 2
@@ -280,9 +287,11 @@ def test_witness_policy_boundary():
 
 
 def test_witness_details_record_oracle_match():
+    # The witness stops at the first reference line proved irreducible.
     witness = irreducibility_witness(3, 1)
     assert witness.details["oracle_match"] is True
-    assert len(witness.details["lines"]) == 3
+    verdicts = [r.get("irreducible") for r in reference.witness_lines(3, 0)]
+    assert len(witness.details["lines"]) == verdicts.index(True) + 1
 
 
 def test_eliminant_normalization():
@@ -341,23 +350,6 @@ def _witness_lines(d, seed):
     target = multiple_root_eliminant(d, 1).poly
     return [_primitive_list(restrict_to_line(target, r["base"], r["direction"]))
             for r in reference.witness_lines(d, seed) if not r.get("degenerate")]
-
-
-def test_squarefree_part_matches_the_euclid_reference():
-    """The pseudo-remainder route against Euclid over Q: random primitive
-    polynomials, and squares and cubes of random factors times another."""
-    rng = random.Random(48)
-    polys = _random_primitive_polys(rng)
-    for _ in range(60):
-        factor = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)]
-        other = [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [rng.choice([-2, 1, 3])]
-        for power in (2, 3):
-            f = other
-            for _ in range(power):
-                f = _times(f, factor)
-            polys.append(f)
-    for coeffs in polys:
-        assert discriminant._squarefree_part(coeffs) == reference.squarefree_part_over_q(coeffs)
 
 
 def test_univariate_verdicts_agree_with_sympy_factor_list():
@@ -432,34 +424,17 @@ def test_rational_root_lift_matches_the_divisor_search():
     for d in range(2, 7):
         for seed in range(21):
             polys.extend(_witness_lines(d, seed))
-    found = 0
+    found = checked = 0
     for coeffs in polys:
+        usable = [p for p in discriminant._CERT_PRIMES if discriminant._squarefree_mod(coeffs, p)]
+        if not usable:
+            continue  # no prime to lift at
         expected = reference.rational_root_by_divisors(coeffs)
         found += expected
-        assert discriminant._has_rational_root(coeffs) == expected, coeffs
-        for p in discriminant._CERT_PRIMES:
-            if discriminant._squarefree_mod(coeffs, p):
-                assert discriminant._has_rational_root(coeffs, p) == expected, (coeffs, p)
-    assert 0 < found < len(polys)
-
-
-def test_squarefree_part_and_primes_agree_with_sympy(monkeypatch):
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    for coeffs in _random_factored_polys(random.Random(7), 200):
-        expected = sympy.Poly(coeffs[::-1], x).sqf_part().all_coeffs()[::-1]
-        assert discriminant._squarefree_part(coeffs) == _primitive_list(
-            [int(c) for c in expected]), coeffs
-    # Past 31 the rational-root test tries the primes in increasing order; a
-    # lead that every prime in [37, 2000) divides leaves the first usable one
-    # at 2003.
-    tried = []
-    squarefree_mod = discriminant._squarefree_mod
-    monkeypatch.setattr(discriminant, "_squarefree_mod",
-                        lambda f, q: tried.append(q) or squarefree_mod(f, q))
-    lead = prod(int(q) for q in sympy.primerange(37, 2000))
-    assert discriminant._has_rational_root([-1, 0, lead]) is False
-    assert tried == list(sympy.primerange(37, 2004))
+        checked += 1
+        for p in usable:
+            assert discriminant._has_rational_root(coeffs, p) == expected, (coeffs, p)
+    assert 0 < found < checked
 
 
 def test_gfp_powmod_matches_repeated_products():
@@ -478,16 +453,51 @@ def test_gfp_powmod_matches_repeated_products():
 _ALL_CERT_PRIMES = 100280245065
 
 
-def test_uni_irreducible_q_walks_past_the_certification_primes():
+def test_uni_irreducible_q_decides_quadratics_that_no_certification_prime_can():
     for coeffs in ([-1, 0, _ALL_CERT_PRIMES], _times([-1, _ALL_CERT_PRIMES], [-2, 1])):
-        assert not any(discriminant._squarefree_mod(coeffs, p) for p in discriminant._CERT_PRIMES)
+        assert _first_usable_prime(coeffs) is None
     assert _uni_irreducible_q([-1, 0, _ALL_CERT_PRIMES]) is True
     assert _uni_irreducible_q(_times([-1, _ALL_CERT_PRIMES], [-2, 1])) is False
 
 
+def test_uni_irreducible_q_decides_quadratics_by_their_discriminant():
+    # A quadratic is irreducible exactly when it has no rational root: double
+    # roots, products of two linear factors, random quadratics, and leads
+    # that every certification prime divides.
+    rng = random.Random(55)
+    quadratics = []
+    for _ in range(100):
+        linear = [rng.randint(-9, 9), rng.randint(1, 9)]
+        other = [rng.randint(-9, 9), rng.randint(-9, 9) or 1]
+        quadratics += [_times(linear, linear), _times(linear, other),
+                       [rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 30)]]
+    for low in ([-1, 0], [1, 0], [2, -3], [-7, 5], [1, 1], [-1, 2]):
+        quadratics.append([*low, _ALL_CERT_PRIMES])
+    quadratics += [_times([-1, _ALL_CERT_PRIMES], [-2, 1]), _times([3, _ALL_CERT_PRIMES], [5, -1])]
+    verdicts = {True: 0, False: 0}
+    for coeffs in quadratics:
+        verdict = _uni_irreducible_q(coeffs)
+        assert verdict is (not reference.rational_root_by_divisors(coeffs)), coeffs
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 50
+
+
+def test_uni_irreducible_q_is_unknown_from_degree_three_with_no_usable_prime():
+    # From degree 3 every verdict needs a usable prime, rational roots or
+    # not; here every certification prime divides the lead.
+    rooted = [_times([-1, _ALL_CERT_PRIMES], [-2, 0, 1]),
+              _times(_times([-1, _ALL_CERT_PRIMES], [-2, 1]), [3, 1])]
+    rootless = [[-1, 0, 0, _ALL_CERT_PRIMES], [1, 0, 0, 0, _ALL_CERT_PRIMES]]
+    for coeffs in rooted + rootless:
+        assert reference.rational_root_by_divisors(coeffs) is (coeffs in rooted), coeffs
+        assert _first_usable_prime(coeffs) is None, coeffs
+        assert _uni_irreducible_q(coeffs) is None, coeffs
+
+
 def test_uni_irreducible_q_on_inputs_that_are_not_squarefree():
-    square = _times([-2, 0, 1], [-2, 0, 1])  # (x^2 - 2)^2
-    assert _uni_irreducible_q(_times(square, [-1, 3])) is False
+    # (x^2 - 2)^2 is a square mod every prime, so no prime is usable.
+    square = _times([-2, 0, 1], [-2, 0, 1])
+    assert _uni_irreducible_q(_times(square, [-1, 3])) is None
     assert _uni_irreducible_q(_times(square, [1, 0, 1])) is None
 
 
@@ -512,13 +522,14 @@ def test_rational_roots_with_thirty_bit_prime_products_at_both_ends():
     p1, p2, p3, p4 = 1073741789, 1073740819, 1073739817, 1073738821
     with_root = _times([-p2, p1], [p4, p3])  # roots p2/p1 and -p4/p3
     assert abs(with_root[0]) == p2 * p4 and with_root[-1] == p1 * p3
-    assert discriminant._has_rational_root(with_root)
+    assert discriminant._has_rational_root(with_root, _first_usable_prime(with_root))
     assert _uni_irreducible_q(with_root) is False
     assert _uni_irreducible_q(_times([-p2, p1], [p4, 0, p3])) is False
-    assert not discriminant._has_rational_root([p2 * p4, 1, p1 * p3])
+    rootless = [p2 * p4, 1, p1 * p3]
+    assert not discriminant._has_rational_root(rootless, _first_usable_prime(rootless))
     assert _uni_irreducible_q([p2 * p4, 1, p1 * p3]) is True
     no_root = _times([p2, 0, p1], [p4, 0, p3])  # (p1 x^2 + p2)(p3 x^2 + p4)
-    assert not discriminant._has_rational_root(no_root)
+    assert not discriminant._has_rational_root(no_root, _first_usable_prime(no_root))
     assert _uni_irreducible_q(no_root) is None
 
 
@@ -558,6 +569,21 @@ def test_witness_redraws_a_line_whose_degree_drops(monkeypatch):
     assert lines == [
         {"base": [1, -3, -1], "direction": [1, 3, 1], "degree": 2, "irreducible": False},
         {"base": [-3, -3, -3], "direction": [3, 0, 2], "degree": 2, "irreducible": True}]
+
+
+def test_witness_redraws_a_zero_direction(monkeypatch):
+    # At (2,1) seed 67 the first line's first draw has direction 0, which
+    # restricts to a constant with a vanished top coefficient; it is redrawn
+    # on the same rng stream as the reference, which never restricts it.
+    restricted = []
+    monkeypatch.setattr(discriminant, "restrict_to_line",
+                        lambda p, base, direction: restricted.append(
+                            (direction, restrict_to_line(p, base, direction))) or restricted[-1][1])
+    lines = irreducibility_witness(2, 1, 67).details["lines"]
+    direction, coeffs = restricted[0]
+    assert direction == [0, 0, 0] and coeffs[-1] == 0
+    assert lines == reference.witness_lines(2, 67)[:len(lines)]
+    assert all(any(r["direction"]) for r in lines)
 
 
 def _three_line_status(d, lines, oracle_match):

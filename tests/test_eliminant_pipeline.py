@@ -168,6 +168,18 @@ def test_too_few_generators_draw_no_sample(monkeypatch):
         _generators_cut_codimension([generator] * 2, 6, 2)
 
 
+def test_generators_of_too_small_a_rank_fail_after_sixty_draws(monkeypatch):
+    # a0 twice has a Jacobian of rank 1 < l = 2 at every point, so none of
+    # the 60 draws succeeds.
+    draws = []
+    sample_point = discriminant._sample_point
+    monkeypatch.setattr(discriminant, "_sample_point",
+                        lambda *args: draws.append(args) or sample_point(*args))
+    generator = Poly.variable(7, 0)
+    assert _generators_cut_codimension([generator, generator], 6, 2) is False
+    assert len(draws) == 60
+
+
 def test_binary_forms_benchmark_references():
     workloads = perfbench_workloads()
     for (d, l), pinned in workloads.ELIMINANTS.items():

@@ -170,6 +170,13 @@ def test_to_string_ordering():
     assert Poly.zero(2).to_string() == "0"
 
 
+def test_to_string_of_a_constant_term():
+    # A term with no variable prints its magnitude, signed like any other.
+    assert Poly(2, {(1, 0): 2, (0, 0): -3}).to_string() == "2*x0 - 3"
+    assert Poly(2, {(0, 2): 1, (0, 0): 1}).to_string(["a0", "a1"]) == "a1^2 + 1"
+    assert Poly.const(2, -5).to_string() == "-5"
+
+
 def test_restrict_to_line_agrees_with_substitute():
     rng = random.Random(20240)
     t = Poly.variable(1, 0)

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 import sys
 
 import pytest
 
-from vermajet import filtration, jets, suite
+from vermajet import discriminant, filtration, jets, suite
 from vermajet.linalg import Echelon
 from vermajet.plethysm import DEFAULT_AMBIENT_CAP
+from vermajet.polynomials import Poly
 from vermajet.suite import (SuiteConfig, formula_ok, load_config, render_report,
                             report_to_csv, run_suite)
 
@@ -34,6 +36,21 @@ def test_failed_records_are_listed_in_order_and_fail_the_verdict(monkeypatch):
         "case (2,2,3)", "discriminant (2,1)", "discriminant (3,1)", "discriminant (4,1)",
         "discriminant (3,2)", "direct sum (1,1,[2, 3],1)", "direct sum (2,2,[2, 2],1)"]
     assert report["verdict"] == "fail"
+
+
+def test_a_generator_the_samples_miss_fails_its_discriminant_case(monkeypatch):
+    # a_0, the lead of every sampled form (g[0] is drawn nonzero), added as
+    # a generator: no sample is its zero, so membership fails, the record
+    # reads ok: false and the suite names the case.
+    assert suite.disc_report(4, 2, 6, 0)["ok"] is True
+    generators = discriminant.eliminant_generators
+    monkeypatch.setattr(discriminant, "eliminant_generators", lambda d, l, cap: [
+        *generators(d, l, cap), discriminant._make_eliminant(Poly.variable(d + 1, 0))])
+    assert discriminant.samples_satisfy_generators(4, 2, 10, random.Random(0)) is False
+    record = suite.disc_report(4, 2, 6, 0)
+    assert (record["membership_ok"], record["ok"]) == (False, False)
+    report = run_suite(SuiteConfig(cases=[], disc_cases=[(4, 2)], direct_sums=[]))
+    assert (report["failures"], report["verdict"]) == (["discriminant (4,2)"], "fail")
 
 
 def test_reports_are_reproducible():
